@@ -10,31 +10,40 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/popprog"
+	"repro/internal/target"
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "ppanalyze:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() error {
-	target := flag.String("target", "figure1", "figure1 | czerner:n | equality:n")
-	programPath := flag.String("program", "", "path to a .pop program (overrides -target)")
-	flag.Parse()
+// run is the whole binary behind a testable seam: it returns the process
+// exit code (0 ok, 1 failure, 2 flag-parse error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ppanalyze", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	targetName := fs.String("target", "figure1", "program to analyse: "+target.Help(target.Programs))
+	programPath := fs.String("program", "", "path to a .pop program (overrides -target)")
+	if err := fs.Parse(args); err != nil {
+		return 2 // the flag package has already printed the error and usage
+	}
+	if err := analyze(stdout, *targetName, *programPath); err != nil {
+		fmt.Fprintln(stderr, "ppanalyze:", err)
+		return 1
+	}
+	return 0
+}
 
-	prog, err := loadProgram(*target, *programPath)
+func analyze(w io.Writer, name, programPath string) error {
+	prog, err := loadProgram(name, programPath)
 	if err != nil {
 		return err
 	}
@@ -47,22 +56,22 @@ func run() error {
 		return err
 	}
 
-	fmt.Printf("program %s\n", prog.Name)
-	fmt.Printf("  size:                %d (registers %d + instructions %d + swap-size %d)\n",
+	fmt.Fprintf(w, "program %s\n", prog.Name)
+	fmt.Fprintf(w, "  size:                %d (registers %d + instructions %d + swap-size %d)\n",
 		prog.Size(), len(prog.Registers), prog.InstructionCount(), prog.SwapSize())
-	fmt.Printf("  inlined size:        %d instructions (×%.1f)\n",
+	fmt.Fprintf(w, "  inlined size:        %d instructions (×%.1f)\n",
 		inlined, float64(inlined)/float64(prog.InstructionCount()))
-	fmt.Printf("  max call depth:      %d frames\n", report.MaxCallDepth)
-	fmt.Printf("  procedures:          %d (%d dead)\n",
+	fmt.Fprintf(w, "  max call depth:      %d frames\n", report.MaxCallDepth)
+	fmt.Fprintf(w, "  procedures:          %d (%d dead)\n",
 		len(prog.Procedures), len(report.DeadProcedures))
 	if len(report.DeadProcedures) > 0 {
 		names := make([]string, len(report.DeadProcedures))
 		for i, d := range report.DeadProcedures {
 			names[i] = prog.Procedures[d].Name
 		}
-		fmt.Printf("  dead procedures:     %s\n", strings.Join(names, ", "))
+		fmt.Fprintf(w, "  dead procedures:     %s\n", strings.Join(names, ", "))
 	}
-	fmt.Println("  register usage:")
+	fmt.Fprintln(w, "  register usage:")
 	for i, use := range report.Registers {
 		var flags []string
 		if use.Detected {
@@ -80,9 +89,9 @@ func run() error {
 		if use.Unused() {
 			flags = append(flags, "UNUSED")
 		}
-		fmt.Printf("    %-6s %s\n", prog.Registers[i], strings.Join(flags, ","))
+		fmt.Fprintf(w, "    %-6s %s\n", prog.Registers[i], strings.Join(flags, ","))
 	}
-	fmt.Println("  call graph:")
+	fmt.Fprintln(w, "  call graph:")
 	for i, callees := range report.CallGraph {
 		if len(callees) == 0 {
 			continue
@@ -91,12 +100,12 @@ func run() error {
 		for j, c := range callees {
 			names[j] = prog.Procedures[c].Name
 		}
-		fmt.Printf("    %-18s → %s\n", prog.Procedures[i].Name, strings.Join(names, ", "))
+		fmt.Fprintf(w, "    %-18s → %s\n", prog.Procedures[i].Name, strings.Join(names, ", "))
 	}
 	return nil
 }
 
-func loadProgram(target, programPath string) (*popprog.Program, error) {
+func loadProgram(name, programPath string) (*popprog.Program, error) {
 	if programPath != "" {
 		src, err := os.ReadFile(programPath)
 		if err != nil {
@@ -104,31 +113,13 @@ func loadProgram(target, programPath string) (*popprog.Program, error) {
 		}
 		return popprog.Parse(string(src))
 	}
-	parts := strings.SplitN(target, ":", 2)
-	var param int
-	if len(parts) == 2 {
-		v, err := strconv.Atoi(parts[1])
-		if err != nil {
-			return nil, err
-		}
-		param = v
+	t, err := target.ParseKind(name, target.Programs)
+	if err != nil {
+		return nil, err
 	}
-	switch parts[0] {
-	case "figure1":
-		return popprog.Figure1Program(), nil
-	case "czerner":
-		c, err := core.New(param)
-		if err != nil {
-			return nil, err
-		}
-		return c.Program, nil
-	case "equality":
-		c, err := core.NewEquality(param)
-		if err != nil {
-			return nil, err
-		}
-		return c.Program, nil
-	default:
-		return nil, errors.New("unknown target")
+	b, err := t.Build()
+	if err != nil {
+		return nil, err
 	}
+	return b.Program, nil
 }

@@ -40,17 +40,6 @@ import (
 	"repro/internal/simulate"
 )
 
-// validKernel reports whether k is an accepted -kernel value (empty keeps
-// the batch-size-driven scheduler selection).
-func validKernel(k string) bool {
-	switch k {
-	case "", simulate.KernelExact, simulate.KernelBatch,
-		simulate.KernelFluid, simulate.KernelLangevin, simulate.KernelAuto:
-		return true
-	}
-	return false
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -68,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	batch := fs.Int64("batch", 0,
 		"batched fast-path chunk size for the convergence experiment (0 = per-step)")
 	kernel := fs.String("kernel", "",
-		"interaction kernel for the convergence experiment: exact | batch | auto")
+		"interaction kernel for the convergence experiment: "+simulate.KernelUsage())
 	workers := fs.Int("workers", 1,
 		"worker goroutines for the convergence experiment's runs")
 	exploreWorkers := fs.Int("explore-workers", 0,
@@ -92,18 +81,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch {
 	case *workers < 1:
 		return usageErr(fmt.Errorf("-workers must be ≥ 1, got %d", *workers))
-	case *batch < 0:
-		return usageErr(fmt.Errorf("-batch must be ≥ 0, got %d", *batch))
 	case *exploreWorkers < 0:
 		return usageErr(fmt.Errorf("-explore-workers must be ≥ 0, got %d", *exploreWorkers))
 	case *memBudget < 0:
 		return usageErr(fmt.Errorf("-mem-budget must be ≥ 0, got %d", *memBudget))
 	case *topologyM < 0:
 		return usageErr(fmt.Errorf("-topology-m must be ≥ 0, got %d", *topologyM))
-	case !validKernel(*kernel):
-		return usageErr(fmt.Errorf("-kernel must be one of %q, %q, %q, %q, %q, got %q",
-			simulate.KernelExact, simulate.KernelBatch, simulate.KernelFluid,
-			simulate.KernelLangevin, simulate.KernelAuto, *kernel))
+	}
+	convergence := simulate.Options{BatchSize: *batch, Kernel: *kernel, Workers: *workers}
+	if err := convergence.Validate(); err != nil {
+		return usageErr(err)
 	}
 	stopTelemetry, err := telemetry.Start(stderr)
 	if err != nil {

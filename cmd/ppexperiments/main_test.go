@@ -19,9 +19,9 @@ func TestRunFlagValidation(t *testing.T) {
 	}{
 		{"zero workers", []string{"-workers", "0"}, "-workers must be ≥ 1"},
 		{"negative workers", []string{"-workers", "-3"}, "-workers must be ≥ 1"},
-		{"negative batch", []string{"-batch", "-1"}, "-batch must be ≥ 0"},
+		{"negative batch", []string{"-batch", "-1"}, "BatchSize must be ≥ 0"},
 		{"negative explore workers", []string{"-explore-workers", "-1"}, "-explore-workers must be ≥ 0"},
-		{"bogus kernel", []string{"-kernel", "turbo"}, "-kernel must be one of"},
+		{"bogus kernel", []string{"-kernel", "turbo"}, `unknown kernel "turbo"`},
 		{"negative metrics interval", []string{"-metrics-interval", "-2s"}, "-metrics-interval must be ≥ 0"},
 		{"negative topology m", []string{"-topology-m", "-4"}, "-topology-m must be ≥ 0"},
 		{"non-numeric flag", []string{"-batch", "x"}, "invalid value"},

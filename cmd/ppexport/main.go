@@ -9,141 +9,99 @@
 //	ppexport -what machine   -target czerner:2               > construction.dot
 //	ppexport -what reach     -target majority -input 2,1     > reach.dot
 //	ppexport -what trace     -target majority -input 60,40   > trace.csv
+//
+// -what machine takes a population-program target; the other exports take a
+// protocol target.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
-	"repro/internal/baseline"
 	"repro/internal/compile"
-	"repro/internal/core"
 	"repro/internal/export"
 	"repro/internal/multiset"
-	"repro/internal/popprog"
-	"repro/internal/protocol"
 	"repro/internal/sched"
 	"repro/internal/simulate"
+	"repro/internal/target"
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "ppexport:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() error {
-	what := flag.String("what", "protocol", "what to export: protocol | machine | reach | trace")
-	target := flag.String("target", "majority", "majority | unary:k | binary:j | remainder:m | figure1")
-	input := flag.String("input", "", "comma-separated input counts (reach/trace)")
-	seed := flag.Int64("seed", 1, "PRNG seed (trace)")
-	maxStates := flag.Int("max-states", 500, "reachability graph size cap")
-	period := flag.Int64("period", 100, "trace sampling period")
-	flag.Parse()
+// run is the whole binary behind a testable seam: it returns the process
+// exit code (0 ok, 1 failure, 2 flag-parse error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ppexport", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	what := fs.String("what", "protocol", "what to export: protocol | machine | reach | trace")
+	targetName := fs.String("target", "majority",
+		"what to export (-what machine takes a program, the rest a protocol): "+target.Help(target.All))
+	input := fs.String("input", "", "comma-separated input counts (reach/trace)")
+	seed := fs.Int64("seed", 1, "PRNG seed (trace)")
+	maxStates := fs.Int("max-states", 500, "reachability graph size cap")
+	period := fs.Int64("period", 100, "trace sampling period")
+	if err := fs.Parse(args); err != nil {
+		return 2 // the flag package has already printed the error and usage
+	}
+	if err := exportTo(stdout, *what, *targetName, *input, *seed, *maxStates, *period); err != nil {
+		fmt.Fprintln(stderr, "ppexport:", err)
+		return 1
+	}
+	return 0
+}
 
-	switch *what {
+func exportTo(w io.Writer, what, name, input string, seed int64, maxStates int, period int64) error {
+	kind := target.Protocols
+	switch what {
 	case "machine":
-		prog, err := buildProgram(*target)
-		if err != nil {
-			return err
-		}
-		m, err := compile.Compile(prog)
-		if err != nil {
-			return err
-		}
-		return export.MachineDOT(os.Stdout, m)
+		kind = target.Programs
 	case "protocol", "reach", "trace":
-		p, err := buildProtocol(*target)
+	default:
+		return fmt.Errorf("unknown -what %q", what)
+	}
+	t, err := target.ParseKind(name, kind)
+	if err != nil {
+		return err
+	}
+	b, err := t.Build()
+	if err != nil {
+		return err
+	}
+	p := b.Protocol
+	switch what {
+	case "machine":
+		m, err := compile.Compile(b.Program)
 		if err != nil {
 			return err
 		}
-		switch *what {
-		case "protocol":
-			return export.ProtocolDOT(os.Stdout, p)
-		case "reach":
-			counts, err := parseCounts(*input, len(p.Input))
-			if err != nil {
-				return err
-			}
-			c, err := p.InitialConfig(counts...)
-			if err != nil {
-				return err
-			}
-			return export.ReachabilityDOT(os.Stdout, p, []*multiset.Multiset{c}, *maxStates)
-		default:
-			counts, err := parseCounts(*input, len(p.Input))
-			if err != nil {
-				return err
-			}
-			s := sched.NewRandomPair(p, sched.NewRand(*seed))
-			_, trace, err := simulate.RunTraced(p, counts, s, *period, simulate.Options{})
-			if err != nil {
-				return err
-			}
-			return export.TraceCSV(os.Stdout, trace)
-		}
-	default:
-		return fmt.Errorf("unknown -what %q", *what)
+		return export.MachineDOT(w, m)
+	case "protocol":
+		return export.ProtocolDOT(w, p)
 	}
-}
-
-func buildProgram(target string) (*popprog.Program, error) {
-	parts := strings.SplitN(target, ":", 2)
-	var param int
-	if len(parts) == 2 {
-		v, err := strconv.Atoi(parts[1])
+	counts, err := parseCounts(input, len(p.Input))
+	if err != nil {
+		return err
+	}
+	if what == "reach" {
+		c, err := p.InitialConfig(counts...)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		param = v
+		return export.ReachabilityDOT(w, p, []*multiset.Multiset{c}, maxStates)
 	}
-	switch parts[0] {
-	case "figure1":
-		return popprog.Figure1Program(), nil
-	case "czerner":
-		c, err := core.New(param)
-		if err != nil {
-			return nil, err
-		}
-		return c.Program, nil
-	case "equality":
-		c, err := core.NewEquality(param)
-		if err != nil {
-			return nil, err
-		}
-		return c.Program, nil
-	default:
-		return nil, fmt.Errorf("unknown program target %q", target)
+	s := sched.NewRandomPair(p, sched.NewRand(seed))
+	_, trace, err := simulate.RunTraced(p, counts, s, period, simulate.Options{})
+	if err != nil {
+		return err
 	}
-}
-
-func buildProtocol(target string) (*protocol.Protocol, error) {
-	parts := strings.SplitN(target, ":", 2)
-	var param int64
-	if len(parts) == 2 {
-		v, err := strconv.ParseInt(parts[1], 10, 64)
-		if err != nil {
-			return nil, err
-		}
-		param = v
-	}
-	switch parts[0] {
-	case "majority":
-		return baseline.Majority()
-	case "unary":
-		return baseline.UnaryThreshold(param)
-	case "binary":
-		return baseline.BinaryThreshold(int(param))
-	case "remainder":
-		return baseline.Remainder(param, 0)
-	default:
-		return nil, fmt.Errorf("unknown protocol target %q", target)
-	}
+	return export.TraceCSV(w, trace)
 }
 
 func parseCounts(s string, want int) ([]int64, error) {

@@ -52,13 +52,12 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/baseline"
-	"repro/internal/core"
 	"repro/internal/obs/obsflag"
 	"repro/internal/popprog"
 	"repro/internal/protocol"
 	"repro/internal/sched"
 	"repro/internal/simulate"
+	"repro/internal/target"
 )
 
 func main() {
@@ -72,8 +71,8 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ppsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	target := fs.String("target", "majority",
-		"what to simulate: majority | unary:k | binary:j | remainder:m | figure1 | czerner:n | equality:n")
+	targetName := fs.String("target", "majority",
+		"what to simulate: "+target.Help(target.All))
 	programPath := fs.String("program", "", "path to a .pop population program (overrides -target)")
 	input := fs.String("input", "", "comma-separated input counts (protocols) or a total (programs)")
 	seed := fs.Int64("seed", 1, "PRNG seed")
@@ -82,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	batch := fs.Int64("batch", 0,
 		"batched fast-path chunk size for protocol targets (0 = per-step; implies -scheduler batch when set)")
 	kernel := fs.String("kernel", "",
-		"interaction kernel for protocol targets: exact | batch | fluid | langevin | auto (overrides -scheduler; implies batching)")
+		"interaction kernel for protocol targets: "+simulate.KernelUsage()+" (overrides -scheduler; implies batching)")
 	fluidFloor := fs.Int64("fluid-floor", 0,
 		"agents per consumed species required for the auto kernel's fluid tier (0 = default 16384)")
 	window := fs.Int64("window", 0, "stable-window length for protocol targets (0 = default 10000)")
@@ -106,63 +105,47 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	switch {
-	case *runs < 1:
-		return usageErr(fmt.Errorf("-runs must be ≥ 1, got %d", *runs))
-	case *workers < 1:
-		return usageErr(fmt.Errorf("-workers must be ≥ 1, got %d", *workers))
-	case *batch < 0:
-		return usageErr(fmt.Errorf("-batch must be ≥ 0, got %d", *batch))
-	case *budget < 0:
-		return usageErr(fmt.Errorf("-budget must be ≥ 0, got %d", *budget))
-	case *window < 0:
-		return usageErr(fmt.Errorf("-window must be ≥ 0, got %d", *window))
-	case *qperiod < 0:
-		return usageErr(fmt.Errorf("-qperiod must be ≥ 0, got %d", *qperiod))
-	case !validKernel(*kernel):
-		return usageErr(fmt.Errorf("-kernel must be one of %q, %q, %q, %q, %q, got %q",
-			simulate.KernelExact, simulate.KernelBatch, simulate.KernelFluid,
-			simulate.KernelLangevin, simulate.KernelAuto, *kernel))
-	case *kernel != "" && *scheduler == "fair":
-		return usageErr(errors.New("-kernel only applies to the pair/batch schedulers, not fair"))
-	case *fluidFloor < 0:
-		return usageErr(fmt.Errorf("-fluid-floor must be ≥ 0, got %d", *fluidFloor))
-	case *input == "":
-		return usageErr(errors.New("-input is required"))
+	so := simOptions{
+		scheduler: *scheduler,
+		seed:      *seed,
+		runs:      *runs,
+		Options: simulate.Options{
+			MaxSteps:         *budget,
+			StableWindow:     *window,
+			QuiescencePeriod: *qperiod,
+			BatchSize:        *batch,
+			Kernel:           *kernel,
+			FluidFloor:       *fluidFloor,
+			Workers:          *workers,
+		},
 	}
-	var topoSpec *sched.TopologySpec
-	var faults *sched.Faults
 	if *topology != "" {
 		spec, err := sched.ParseTopologySpec(*topology)
 		if err != nil {
 			return usageErr(err)
 		}
-		switch *topoPolicy {
-		case "", sched.PolicyRandom, sched.PolicyRoundRobin, sched.PolicyStarvation, sched.PolicyAdversary:
-			spec.Policy = *topoPolicy
-		default:
-			return usageErr(fmt.Errorf("-topo-policy must be one of %q, %q, %q, %q, got %q",
-				sched.PolicyRandom, sched.PolicyRoundRobin, sched.PolicyStarvation,
-				sched.PolicyAdversary, *topoPolicy))
-		}
-		switch {
-		case *kernel != "" || *batch > 0:
-			return usageErr(errors.New("-topology excludes -kernel and -batch (graph schedulers are per-step)"))
-		case *scheduler != "pair":
-			return usageErr(errors.New("-topology replaces -scheduler (leave it at the default)"))
-		}
-		topoSpec = &spec
-	} else if *topoPolicy != "" {
-		return usageErr(errors.New("-topo-policy requires -topology"))
+		spec.Policy = *topoPolicy
+		so.Topology = &spec
 	}
 	if *crash != 0 || *revive != 0 || *join != 0 {
-		if topoSpec == nil {
-			return usageErr(errors.New("-crash/-revive/-join require -topology"))
-		}
-		faults = &sched.Faults{Crash: *crash, Revive: *revive, Join: *join}
-		if err := faults.Validate(); err != nil {
-			return usageErr(err)
-		}
+		so.Faults = &sched.Faults{Crash: *crash, Revive: *revive, Join: *join}
+	}
+	switch {
+	case *runs < 1:
+		return usageErr(fmt.Errorf("-runs must be ≥ 1, got %d", *runs))
+	case *workers < 1:
+		return usageErr(fmt.Errorf("-workers must be ≥ 1, got %d", *workers))
+	case *kernel != "" && *scheduler == "fair":
+		return usageErr(errors.New("-kernel only applies to the pair/batch schedulers, not fair"))
+	case *topoPolicy != "" && so.Topology == nil:
+		return usageErr(errors.New("-topo-policy requires -topology"))
+	case so.Topology != nil && *scheduler != "pair":
+		return usageErr(errors.New("-topology replaces -scheduler (leave it at the default)"))
+	case *input == "":
+		return usageErr(errors.New("-input is required"))
+	}
+	if err := so.Validate(); err != nil {
+		return usageErr(err)
 	}
 	stopTelemetry, err := telemetry.Start(stderr)
 	if err != nil {
@@ -175,29 +158,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ppsim:", err)
 		return 1
 	}
-	so := simOptions{
-		scheduler:  *scheduler,
-		seed:       *seed,
-		budget:     *budget,
-		batch:      *batch,
-		kernel:     *kernel,
-		fluidFloor: *fluidFloor,
-		window:     *window,
-		qperiod:    *qperiod,
-		runs:       *runs,
-		workers:    *workers,
-		topo:       topoSpec,
-		faults:     faults,
-	}
-	if err := dispatch(stdout, *target, *programPath, counts, so); err != nil {
+	if err := dispatch(stdout, *targetName, *programPath, counts, so); err != nil {
 		fmt.Fprintln(stderr, "ppsim:", err)
 		return 1
 	}
 	return 0
 }
 
-// dispatch routes to the protocol or program simulation paths.
-func dispatch(w io.Writer, target, programPath string, counts []int64, so simOptions) error {
+// dispatch resolves the target (or -program file) and routes to the
+// protocol or program simulation path.
+func dispatch(w io.Writer, name, programPath string, counts []int64, so simOptions) error {
 	if programPath != "" {
 		src, err := os.ReadFile(programPath)
 		if err != nil {
@@ -210,92 +180,32 @@ func dispatch(w io.Writer, target, programPath string, counts []int64, so simOpt
 		if len(counts) != 1 {
 			return errors.New("-program needs -input m (a single total)")
 		}
-		return simulateProgram(w, prog, counts[0], so.seed, so.budget, popprog.DecideOptions{})
+		return simulateProgram(w, prog, counts[0], so.seed, so.MaxSteps, popprog.DecideOptions{})
 	}
-
-	name, param, err := splitTarget(target)
+	t, err := target.Parse(name)
 	if err != nil {
 		return err
 	}
-	switch name {
-	case "majority":
-		p, err := baseline.Majority()
-		if err != nil {
-			return err
+	b, err := t.Build()
+	if err != nil {
+		return err
+	}
+	if b.Protocol != nil {
+		if len(counts) != len(b.Protocol.Input) {
+			return fmt.Errorf("%s needs -input with %d count(s), got %d", name, len(b.Protocol.Input), len(counts))
 		}
-		if len(counts) != 2 {
-			return errors.New("majority needs -input x,y")
-		}
-		return simulateProtocol(w, p, counts, so)
-	case "unary":
-		p, err := baseline.UnaryThreshold(param)
-		if err != nil {
-			return err
-		}
-		if len(counts) != 1 {
-			return errors.New("unary needs -input m")
-		}
-		return simulateProtocol(w, p, counts, so)
-	case "binary":
-		p, err := baseline.BinaryThreshold(int(param))
-		if err != nil {
-			return err
-		}
-		if len(counts) != 1 {
-			return errors.New("binary needs -input m")
-		}
-		return simulateProtocol(w, p, counts, so)
-	case "remainder":
-		if param < 1 {
-			return errors.New("remainder needs a positive modulus, e.g. remainder:3")
-		}
-		p, err := baseline.Remainder(param, 0)
-		if err != nil {
-			return err
-		}
-		if len(counts) != 1 {
-			return errors.New("remainder needs -input m")
-		}
-		return simulateProtocol(w, p, counts, so)
-	case "figure1":
-		if len(counts) != 1 {
-			return errors.New("figure1 needs -input m")
-		}
-		return simulateProgram(w, popprog.Figure1Program(), counts[0], so.seed, so.budget, popprog.DecideOptions{})
-	case "czerner", "equality":
-		var c *core.Construction
-		var err error
-		if name == "czerner" {
-			c, err = core.New(int(param))
-		} else {
-			c, err = core.NewEquality(int(param))
-		}
-		if err != nil {
-			return err
-		}
-		if len(counts) != 1 {
-			return errors.New("czerner/equality needs -input m")
-		}
+		return simulateProtocol(w, b.Protocol, counts, so)
+	}
+	if len(counts) != 1 {
+		return fmt.Errorf("%s needs -input m (a single total)", name)
+	}
+	var opts popprog.DecideOptions
+	if c := b.Construction; c != nil {
 		fmt.Fprintf(w, "construction: n=%d, threshold k=%s, program size %d\n",
 			c.Levels, c.K, c.Program.Size())
-		return simulateProgram(w, c.Program, counts[0], so.seed, so.budget, popprog.DecideOptions{
-			TruthProb: 0.85, RestartHint: c.RestartHint(), HintProb: 0.3,
-		})
-	default:
-		return fmt.Errorf("unknown target %q", target)
+		opts = popprog.DecideOptions{TruthProb: 0.85, RestartHint: c.RestartHint(), HintProb: 0.3}
 	}
-}
-
-func splitTarget(t string) (string, int64, error) {
-	parts := strings.SplitN(t, ":", 2)
-	if len(parts) == 1 {
-		return parts[0], 0, nil
-	}
-	v, err := strconv.ParseInt(parts[1], 10, 64)
-	if err != nil {
-		return "", 0, fmt.Errorf("target parameter %q: %w", parts[1], err)
-	}
-	return parts[0], v, nil
+	return simulateProgram(w, b.Program, counts[0], so.seed, so.MaxSteps, opts)
 }
 
 func parseCounts(s string) ([]int64, error) {
@@ -311,113 +221,77 @@ func parseCounts(s string) ([]int64, error) {
 	return out, nil
 }
 
-// simOptions collects the protocol-simulation knobs of the CLI.
+// simOptions collects the simulation knobs of the CLI: the validated run
+// options plus the scheduler choice, seed and repetition count.
 type simOptions struct {
-	scheduler       string
-	seed, budget    int64
-	batch           int64
-	kernel          string
-	fluidFloor      int64
-	window, qperiod int64
-	runs, workers   int
-	topo            *sched.TopologySpec
-	faults          *sched.Faults
-}
-
-// validKernel reports whether k is an accepted -kernel value (empty keeps
-// the -scheduler/-batch selection).
-func validKernel(k string) bool {
-	switch k {
-	case "", simulate.KernelExact, simulate.KernelBatch,
-		simulate.KernelFluid, simulate.KernelLangevin, simulate.KernelAuto:
-		return true
-	}
-	return false
+	simulate.Options
+	scheduler string
+	seed      int64
+	runs      int
 }
 
 func simulateProtocol(w io.Writer, p *protocol.Protocol, counts []int64, so simOptions) error {
-	if so.batch > 0 && so.scheduler == "pair" {
+	if so.BatchSize > 0 && so.scheduler == "pair" {
 		so.scheduler = "batch"
 	}
-	opts := simulate.Options{
-		MaxSteps:         so.budget,
-		StableWindow:     so.window,
-		QuiescencePeriod: so.qperiod,
-		BatchSize:        so.batch,
-		Kernel:           so.kernel,
-		FluidFloor:       so.fluidFloor,
-		Workers:          so.workers,
-		Topology:         so.topo,
-		Faults:           so.faults,
+	var m int64
+	for _, c := range counts {
+		m += c
 	}
 	if so.runs > 1 {
 		if so.scheduler == "fair" {
 			return errors.New("-runs > 1 only supports the pair/batch schedulers")
 		}
-		samples, err := simulate.MeasureConvergenceSamples(p, counts, so.runs, so.seed, opts)
+		samples, err := simulate.MeasureConvergenceSamples(p, counts, so.runs, so.seed, so.Options)
 		if err != nil {
 			return err
-		}
-		var m int64
-		for _, c := range counts {
-			m += c
 		}
 		fmt.Fprintf(w, "protocol:      %s (%d states, %d transitions)\n",
 			p.Name, p.NumStates(), len(p.Transitions))
 		fmt.Fprintf(w, "input:         %v (m = %d)\n", counts, m)
-		fmt.Fprintf(w, "runs:          %d (workers %d, batch %d)\n", so.runs, so.workers, so.batch)
-		if so.kernel != "" {
-			fmt.Fprintf(w, "kernel:        %s\n", so.kernel)
+		fmt.Fprintf(w, "runs:          %d (workers %d, batch %d)\n", so.runs, so.Workers, so.BatchSize)
+		if so.Kernel != "" {
+			fmt.Fprintf(w, "kernel:        %s\n", so.Kernel)
 		}
-		printTopology(w, so)
+		printTopology(w, so.Options)
 		fmt.Fprintf(w, "interactions:  %v\n", simulate.Summarise(samples))
 		return nil
 	}
 	rng := sched.NewRand(so.seed)
 	var s sched.Scheduler
-	if so.topo != nil {
-		var m int64
-		for _, c := range counts {
-			m += c
-		}
-		ts, err := so.topo.NewScheduler(p, rng, so.faults, m)
+	switch {
+	case so.Topology != nil:
+		ts, err := so.Topology.NewScheduler(p, rng, so.Faults, m)
 		if err != nil {
 			return err
 		}
 		s = ts
-	} else if so.kernel != "" {
-		var m int64
-		for _, c := range counts {
-			m += c
-		}
-		ks, err := simulate.NewKernelScheduler(p, rng, so.kernel, m)
+	case so.Kernel != "":
+		ks, err := simulate.NewKernelScheduler(p, rng, so.Kernel, m)
 		if err != nil {
 			return err
 		}
 		s = ks
-	} else {
-		switch so.scheduler {
-		case "pair":
-			s = sched.NewRandomPair(p, rng)
-		case "batch":
-			s = sched.NewBatchRandomPair(p, rng)
-		case "fair":
-			s = sched.NewTransitionFair(p, rng)
-		default:
-			return fmt.Errorf("unknown scheduler %q", so.scheduler)
-		}
+	case so.scheduler == "pair":
+		s = sched.NewRandomPair(p, rng)
+	case so.scheduler == "batch":
+		s = sched.NewBatchRandomPair(p, rng)
+	case so.scheduler == "fair":
+		s = sched.NewTransitionFair(p, rng)
+	default:
+		return fmt.Errorf("unknown scheduler %q", so.scheduler)
 	}
-	res, err := simulate.RunInput(p, counts, s, opts)
+	res, err := simulate.RunInput(p, counts, s, so.Options)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "protocol:      %s (%d states, %d transitions)\n",
 		p.Name, p.NumStates(), len(p.Transitions))
 	fmt.Fprintf(w, "input:         %v (m = %d)\n", counts, res.Final.Size())
-	if so.kernel != "" {
-		fmt.Fprintf(w, "kernel:        %s\n", so.kernel)
+	if so.Kernel != "" {
+		fmt.Fprintf(w, "kernel:        %s\n", so.Kernel)
 	}
-	printTopology(w, so)
+	printTopology(w, so.Options)
 	fmt.Fprintf(w, "output:        %v\n", res.Output)
 	fmt.Fprintf(w, "interactions:  %d (%d effective)\n", res.Steps, res.EffectiveSteps)
 	fmt.Fprintf(w, "parallel time: %.1f\n", res.ParallelTime())
@@ -426,18 +300,18 @@ func simulateProtocol(w io.Writer, p *protocol.Protocol, counts []int64, so simO
 }
 
 // printTopology reports the interaction-graph restriction, if any.
-func printTopology(w io.Writer, so simOptions) {
-	if so.topo == nil {
+func printTopology(w io.Writer, opts simulate.Options) {
+	if opts.Topology == nil {
 		return
 	}
-	policy := so.topo.Policy
+	policy := opts.Topology.Policy
 	if policy == "" {
 		policy = sched.PolicyRandom
 	}
-	fmt.Fprintf(w, "topology:      %s (policy %s)\n", so.topo.Kind, policy)
-	if so.faults != nil {
+	fmt.Fprintf(w, "topology:      %s (policy %s)\n", opts.Topology.Kind, policy)
+	if opts.Faults != nil {
 		fmt.Fprintf(w, "faults:        crash %g, revive %g, join %g\n",
-			so.faults.Crash, so.faults.Revive, so.faults.Join)
+			opts.Faults.Crash, opts.Faults.Revive, opts.Faults.Join)
 	}
 }
 

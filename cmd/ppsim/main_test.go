@@ -12,35 +12,6 @@ import (
 	"repro/internal/popprog"
 )
 
-func TestSplitTarget(t *testing.T) {
-	cases := []struct {
-		in    string
-		name  string
-		param int64
-		ok    bool
-	}{
-		{"majority", "majority", 0, true},
-		{"unary:9", "unary", 9, true},
-		{"czerner:3", "czerner", 3, true},
-		{"unary:x", "", 0, false},
-	}
-	for _, tc := range cases {
-		name, param, err := splitTarget(tc.in)
-		if tc.ok && err != nil {
-			t.Fatalf("%q: %v", tc.in, err)
-		}
-		if !tc.ok {
-			if err == nil {
-				t.Fatalf("%q: expected error", tc.in)
-			}
-			continue
-		}
-		if name != tc.name || param != tc.param {
-			t.Fatalf("%q: got (%q, %d)", tc.in, name, param)
-		}
-	}
-}
-
 func TestParseCounts(t *testing.T) {
 	got, err := parseCounts("12, 5")
 	if err != nil {
@@ -60,7 +31,8 @@ func TestSimulatePathsSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := simOptions{scheduler: "pair", seed: 1, runs: 1, workers: 1}
+	base := simOptions{scheduler: "pair", seed: 1, runs: 1}
+	base.Workers = 1
 	if err := simulateProtocol(io.Discard, p, []int64{6, 3}, base); err != nil {
 		t.Fatal(err)
 	}
@@ -70,20 +42,20 @@ func TestSimulatePathsSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	batched := base
-	batched.batch = 64
+	batched.BatchSize = 64
 	if err := simulateProtocol(io.Discard, p, []int64{6, 3}, batched); err != nil {
 		t.Fatal(err)
 	}
 	multi := base
 	multi.runs = 4
-	multi.workers = 2
-	multi.batch = 32
+	multi.Workers = 2
+	multi.BatchSize = 32
 	if err := simulateProtocol(io.Discard, p, []int64{6, 3}, multi); err != nil {
 		t.Fatal(err)
 	}
 	multiFair := multi
 	multiFair.scheduler = "fair"
-	multiFair.batch = 0
+	multiFair.BatchSize = 0
 	if err := simulateProtocol(io.Discard, p, []int64{6, 3}, multiFair); err == nil {
 		t.Fatal("accepted -runs > 1 with the fair scheduler")
 	}
@@ -98,12 +70,12 @@ func TestSimulatePathsSmoke(t *testing.T) {
 	}
 	for _, kernel := range []string{"exact", "batch", "fluid", "langevin", "auto"} {
 		k := base
-		k.kernel = kernel
+		k.Kernel = kernel
 		if err := simulateProtocol(io.Discard, p, []int64{6, 3}, k); err != nil {
 			t.Fatalf("kernel %q: %v", kernel, err)
 		}
 		k.runs = 3
-		k.workers = 2
+		k.Workers = 2
 		if err := simulateProtocol(io.Discard, p, []int64{6, 3}, k); err != nil {
 			t.Fatalf("kernel %q, multi-run: %v", kernel, err)
 		}
@@ -166,27 +138,35 @@ func TestRunFlagValidation(t *testing.T) {
 		{"zero runs", []string{"-target", "majority", "-input", "6,3", "-runs", "0"}, 2, "-runs must be ≥ 1"},
 		{"negative runs", []string{"-target", "majority", "-input", "6,3", "-runs", "-2"}, 2, "-runs must be ≥ 1"},
 		{"zero workers", []string{"-target", "majority", "-input", "6,3", "-workers", "0"}, 2, "-workers must be ≥ 1"},
-		{"negative batch", []string{"-target", "majority", "-input", "6,3", "-batch", "-1"}, 2, "-batch must be ≥ 0"},
-		{"negative budget", []string{"-target", "majority", "-input", "6,3", "-budget", "-5"}, 2, "-budget must be ≥ 0"},
-		{"negative window", []string{"-target", "majority", "-input", "6,3", "-window", "-1"}, 2, "-window must be ≥ 0"},
-		{"negative qperiod", []string{"-target", "majority", "-input", "6,3", "-qperiod", "-1"}, 2, "-qperiod must be ≥ 0"},
-		{"bogus kernel", []string{"-target", "majority", "-input", "6,3", "-kernel", "turbo"}, 2, "-kernel must be one of"},
-		{"negative fluid floor", []string{"-target", "majority", "-input", "6,3", "-fluid-floor", "-1"}, 2, "-fluid-floor must be"},
+		{"negative batch", []string{"-target", "majority", "-input", "6,3", "-batch", "-1"}, 2, "BatchSize must be ≥ 0"},
+		{"negative budget", []string{"-target", "majority", "-input", "6,3", "-budget", "-5"}, 2, "MaxSteps must be ≥ 0"},
+		{"negative window", []string{"-target", "majority", "-input", "6,3", "-window", "-1"}, 2, "StableWindow must be ≥ 0"},
+		{"negative qperiod", []string{"-target", "majority", "-input", "6,3", "-qperiod", "-1"}, 2, "QuiescencePeriod must be ≥ 0"},
+		{"bogus kernel", []string{"-target", "majority", "-input", "6,3", "-kernel", "turbo"}, 2, "unknown kernel \"turbo\""},
+		{"negative fluid floor", []string{"-target", "majority", "-input", "6,3", "-fluid-floor", "-1"}, 2, "FluidFloor must be ≥ 0"},
 		{"kernel with fair scheduler", []string{"-target", "majority", "-input", "6,3", "-kernel", "batch", "-scheduler", "fair"}, 2, "-kernel only applies"},
 		{"missing input", []string{"-target", "majority"}, 2, "-input is required"},
 		{"non-numeric flag", []string{"-runs", "x"}, 2, "invalid value"},
 		{"unknown flag", []string{"-definitely-not-a-flag"}, 2, "flag provided but not defined"},
 		{"negative metrics interval", []string{"-target", "majority", "-input", "6,3", "-metrics-interval", "-1s"}, 2, "-metrics-interval must be ≥ 0"},
-		{"unknown target", []string{"-target", "nope", "-input", "3"}, 1, "unknown target"},
+		{"unknown target", []string{"-target", "nope", "-input", "3"}, 1, `unknown target "nope"`},
+		{"stray majority parameter", []string{"-target", "majority:3", "-input", "6,3"}, 1, "majority takes no parameter"},
+		{"stray figure1 parameter", []string{"-target", "figure1:9", "-input", "5"}, 1, "figure1 takes no parameter"},
+		{"missing czerner parameter", []string{"-target", "czerner", "-input", "5"}, 1, `target "czerner" needs a parameter`},
+		{"unary out of range", []string{"-target", "unary:0", "-input", "5"}, 1, "k must be in [1, 1024]"},
+		{"unary too large", []string{"-target", "unary:100000", "-input", "5"}, 1, "k must be in [1, 1024]"},
+		{"binary overflow", []string{"-target", "binary:63", "-input", "5"}, 1, "j must be in [0, 62]"},
+		{"czerner too large", []string{"-target", "czerner:40", "-input", "5"}, 1, "n must be in [1, 22]"},
+		{"wrong input arity", []string{"-target", "unary:3", "-input", "5,3"}, 1, "needs -input with 1 count(s), got 2"},
 		{"bad input counts", []string{"-target", "majority", "-input", "6;3"}, 1, "input"},
 		{"unknown topology", []string{"-target", "majority", "-input", "6,3", "-topology", "torus"}, 2, "unknown topology"},
 		{"bad grid parameter", []string{"-target", "majority", "-input", "6,3", "-topology", "grid:axb"}, 2, "ROWSxCOLS"},
-		{"bogus topo policy", []string{"-target", "majority", "-input", "6,3", "-topology", "ring", "-topo-policy", "chaos"}, 2, "-topo-policy must be one of"},
+		{"bogus topo policy", []string{"-target", "majority", "-input", "6,3", "-topology", "ring", "-topo-policy", "chaos"}, 2, "unknown edge-selection policy \"chaos\""},
 		{"policy without topology", []string{"-target", "majority", "-input", "6,3", "-topo-policy", "random"}, 2, "-topo-policy requires -topology"},
-		{"topology with kernel", []string{"-target", "majority", "-input", "6,3", "-topology", "ring", "-kernel", "batch"}, 2, "-topology excludes -kernel"},
-		{"topology with batch", []string{"-target", "majority", "-input", "6,3", "-topology", "ring", "-batch", "64"}, 2, "-topology excludes -kernel"},
+		{"topology with kernel", []string{"-target", "majority", "-input", "6,3", "-topology", "ring", "-kernel", "batch"}, 2, "Topology excludes Kernel"},
+		{"topology with batch", []string{"-target", "majority", "-input", "6,3", "-topology", "ring", "-batch", "64"}, 2, "Topology excludes Kernel"},
 		{"topology with fair scheduler", []string{"-target", "majority", "-input", "6,3", "-topology", "ring", "-scheduler", "fair"}, 2, "-topology replaces -scheduler"},
-		{"faults without topology", []string{"-target", "majority", "-input", "6,3", "-crash", "0.1"}, 2, "require -topology"},
+		{"faults without topology", []string{"-target", "majority", "-input", "6,3", "-crash", "0.1"}, 2, "Faults require a Topology"},
 		{"crash rate out of range", []string{"-target", "majority", "-input", "6,3", "-topology", "ring", "-crash", "1.5"}, 2, "outside [0, 1]"},
 		{"grid mismatch", []string{"-target", "majority", "-input", "6,3", "-topology", "grid:5x5"}, 1, "grid"},
 	}

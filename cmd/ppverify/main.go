@@ -25,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -32,121 +33,138 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/compile"
-	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/multiset"
 	"repro/internal/obs/obsflag"
 	"repro/internal/popmachine"
-	"repro/internal/popprog"
 	"repro/internal/protocol"
+	"repro/internal/target"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "ppverify:", err)
-		os.Exit(1)
-	}
+// suites maps each verification suite to the registry targets it checks.
+// The remainder suite adds x ≡ 1 (mod 3) and product checks ge3-and-even;
+// neither is a registry target, so they keep their own builders below.
+var suites = map[string][]string{
+	"majority":  {"majority"},
+	"unary":     {"unary:1", "unary:2", "unary:3", "unary:4"},
+	"binary":    {"binary:0", "binary:1", "binary:2"},
+	"remainder": {"remainder:2"},
+	"product":   nil,
+	"figure1":   {"figure1"},
+	"czerner1":  {"czerner:1"},
+	"equality1": {"equality:1"},
 }
 
-func run() error {
-	maxAgents := flag.Int64("max-agents", 5, "largest population size to verify exhaustively")
-	targets := flag.String("targets", "majority,unary,binary,remainder,product,figure1,czerner1,equality1",
-		"comma-separated verification targets")
-	memBudget := flag.Int64("mem-budget", 0,
+// allSuites is the default -targets value: every suite.
+const allSuites = "majority,unary,binary,remainder,product,figure1,czerner1,equality1"
+
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole binary behind a testable seam: it returns the process
+// exit code (0 all verified, 1 failure, 2 usage error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ppverify", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	maxAgents := fs.Int64("max-agents", 5, "largest population size to verify exhaustively")
+	targets := fs.String("targets", allSuites, "comma-separated verification suites")
+	memBudget := fs.Int64("mem-budget", 0,
 		"resident-byte budget for exploration; spill to disk beyond it (0 = all in RAM)")
-	spillDir := flag.String("spill-dir", "",
+	spillDir := fs.String("spill-dir", "",
 		"directory for explorer spill files (default the system temp directory)")
-	telemetry := obsflag.Register(flag.CommandLine)
-	flag.Parse()
+	telemetry := obsflag.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2 // the flag package has already printed the error and usage
+	}
+	usageErr := func(err error) int {
+		fmt.Fprintln(stderr, "ppverify:", err)
+		fs.Usage()
+		return 2
+	}
 	if *memBudget < 0 {
-		return fmt.Errorf("-mem-budget must be ≥ 0, got %d", *memBudget)
+		return usageErr(fmt.Errorf("-mem-budget must be ≥ 0, got %d", *memBudget))
 	}
 	exOpts := explore.Options{MemBudget: *memBudget, SpillDir: *spillDir}
 
-	stopTelemetry, err := telemetry.Start(os.Stderr)
+	stopTelemetry, err := telemetry.Start(stderr)
 	if err != nil {
-		return err
+		return usageErr(err)
 	}
 	defer stopTelemetry()
 
-	for _, target := range strings.Split(*targets, ",") {
-		target = strings.TrimSpace(target)
+	for _, suite := range strings.Split(*targets, ",") {
+		suite = strings.TrimSpace(suite)
+		names, ok := suites[suite]
+		if !ok {
+			fmt.Fprintf(stderr, "ppverify: unknown target %q\n", suite)
+			return 1
+		}
 		start := time.Now()
-		var err error
-		switch target {
-		case "majority":
-			err = verifyMajority(*maxAgents, exOpts)
-		case "unary":
-			err = verifyUnary(*maxAgents, exOpts)
-		case "binary":
-			err = verifyBinary(*maxAgents, exOpts)
-		case "remainder":
-			err = verifyRemainder(*maxAgents, exOpts)
-		case "product":
-			err = verifyProduct(*maxAgents, exOpts)
-		case "figure1":
-			err = verifyFigure1(*maxAgents, exOpts)
-		case "czerner1":
-			err = verifyCzernerN1(*maxAgents, exOpts)
-		case "equality1":
-			err = verifyEqualityN1(*maxAgents, exOpts)
-		default:
-			return fmt.Errorf("unknown target %q", target)
-		}
+		err := verifySuite(suite, names, *maxAgents, exOpts)
 		if err != nil {
-			fmt.Printf("%-10s FAILED: %v\n", target, err)
-			return fmt.Errorf("verification failed for %s", target)
+			fmt.Fprintf(stdout, "%-10s FAILED: %v\n", suite, err)
+			fmt.Fprintf(stderr, "ppverify: verification failed for %s\n", suite)
+			return 1
 		}
-		fmt.Printf("%-10s verified exactly (all fair runs, all inputs ≤ %d agents) in %v\n",
-			target, *maxAgents, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "%-10s verified exactly (all fair runs, all inputs ≤ %d agents) in %v\n",
+			suite, *maxAgents, time.Since(start).Round(time.Millisecond))
+	}
+	return 0
+}
+
+func verifySuite(suite string, names []string, maxAgents int64, opts explore.Options) error {
+	for _, name := range names {
+		if err := verifyTarget(name, maxAgents, opts); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+	}
+	switch suite {
+	case "remainder":
+		p, err := baseline.Remainder(3, 1)
+		if err != nil {
+			return err
+		}
+		if err := explore.CheckDecidesParallel(p, baseline.RemainderPredicate(3, 1),
+			1, maxAgents, 1, opts); err != nil {
+			return fmt.Errorf("x ≡ 1 (mod 3): %w", err)
+		}
+	case "product":
+		return verifyProduct(maxAgents, opts)
 	}
 	return nil
 }
 
-func verifyMajority(maxAgents int64, opts explore.Options) error {
-	p, err := baseline.Majority()
+// verifyTarget checks a registry target against its registered predicate:
+// protocols directly, programs compiled down to population machines.
+func verifyTarget(name string, maxAgents int64, opts explore.Options) error {
+	t, err := target.Parse(name)
 	if err != nil {
 		return err
 	}
-	return explore.CheckDecidesParallel(p, baseline.MajorityPredicate, 1, maxAgents, runtime.NumCPU(), opts)
-}
-
-func verifyUnary(maxAgents int64, opts explore.Options) error {
-	for k := int64(1); k <= 4; k++ {
-		p, err := baseline.UnaryThreshold(k)
-		if err != nil {
-			return err
-		}
-		if err := explore.CheckDecidesParallel(p, baseline.ThresholdPredicate(k), 1, maxAgents, runtime.NumCPU(), opts); err != nil {
-			return fmt.Errorf("k=%d: %w", k, err)
-		}
+	b, err := t.Build()
+	if err != nil {
+		return err
 	}
-	return nil
-}
-
-func verifyBinary(maxAgents int64, opts explore.Options) error {
-	for j := 0; j <= 2; j++ {
-		p, err := baseline.BinaryThreshold(j)
-		if err != nil {
-			return err
-		}
-		k := int64(1) << uint(j)
-		if err := explore.CheckDecidesParallel(p, baseline.ThresholdPredicate(k), 1, maxAgents, runtime.NumCPU(), opts); err != nil {
-			return fmt.Errorf("j=%d: %w", j, err)
-		}
+	if b.Protocol != nil {
+		return explore.CheckDecidesParallel(b.Protocol, b.Predicate, 1, maxAgents, runtime.NumCPU(), opts)
 	}
-	return nil
+	m, err := compile.Compile(b.Program)
+	if err != nil {
+		return err
+	}
+	return verifyMachine(m, b.Predicate, maxAgents, opts)
 }
 
-// verifyMachineThreshold model-checks a compiled program: for every
-// placement of every total ≤ maxAgents, all fair runs stabilise to
-// pred(total). It runs on the parallel engine so a -mem-budget takes
-// effect; results are bit-identical for any worker count and budget.
-func verifyMachineThreshold(m *popmachine.Machine, pred func(int64) bool, maxAgents int64, opts explore.Options) error {
+// verifyMachine model-checks a compiled program: for every placement of
+// every total ≤ maxAgents, all fair runs stabilise to pred([total]). It runs
+// on the parallel engine so a -mem-budget takes effect; results are
+// bit-identical for any worker count and budget.
+func verifyMachine(m *popmachine.Machine, pred protocol.Predicate, maxAgents int64, opts explore.Options) error {
 	sys := popmachine.System{M: m}
 	opts.MaxStates = 8_000_000
 	for total := int64(1); total <= maxAgents; total++ {
-		want := pred(total)
+		want := pred([]int64{total})
 		var initial []*popmachine.Config
 		var buildErr error
 		multiset.Enumerate(len(m.Registers), total, func(regs *multiset.Multiset) {
@@ -166,52 +184,6 @@ func verifyMachineThreshold(m *popmachine.Machine, pred func(int64) bool, maxAge
 		}
 		if !res.StabilisesTo(want) {
 			return fmt.Errorf("total=%d: outcomes %v, want all %v", total, res.Outcomes, want)
-		}
-	}
-	return nil
-}
-
-func verifyFigure1(maxAgents int64, opts explore.Options) error {
-	m, err := compile.Compile(popprog.Figure1Program())
-	if err != nil {
-		return err
-	}
-	return verifyMachineThreshold(m, func(t int64) bool { return t >= 4 && t < 7 }, maxAgents, opts)
-}
-
-func verifyCzernerN1(maxAgents int64, opts explore.Options) error {
-	c, err := core.New(1)
-	if err != nil {
-		return err
-	}
-	m, err := compile.Compile(c.Program)
-	if err != nil {
-		return err
-	}
-	return verifyMachineThreshold(m, func(t int64) bool { return t >= 2 }, maxAgents, opts)
-}
-
-func verifyEqualityN1(maxAgents int64, opts explore.Options) error {
-	c, err := core.NewEquality(1)
-	if err != nil {
-		return err
-	}
-	m, err := compile.Compile(c.Program)
-	if err != nil {
-		return err
-	}
-	return verifyMachineThreshold(m, func(t int64) bool { return t == 2 }, maxAgents, opts)
-}
-
-func verifyRemainder(maxAgents int64, opts explore.Options) error {
-	for _, spec := range []struct{ m, r int64 }{{2, 0}, {3, 1}} {
-		p, err := baseline.Remainder(spec.m, spec.r)
-		if err != nil {
-			return err
-		}
-		if err := explore.CheckDecides(p, baseline.RemainderPredicate(spec.m, spec.r),
-			1, maxAgents, opts); err != nil {
-			return fmt.Errorf("x ≡ %d (mod %d): %w", spec.r, spec.m, err)
 		}
 	}
 	return nil

@@ -43,7 +43,7 @@ func run() error {
 	// 3. Verify exactly: for every initial configuration with at most 6
 	//    agents, every fair run stabilises to the correct answer. This is
 	//    the bottom-SCC characterisation of stable computation (§3).
-	if err := explore.CheckDecides(p, baseline.MajorityPredicate, 1, 6, explore.Options{}); err != nil {
+	if err := explore.CheckDecidesParallel(p, baseline.MajorityPredicate, 1, 6, 1, explore.Options{}); err != nil {
 		return fmt.Errorf("exact verification: %w", err)
 	}
 	fmt.Println("exact verification passed for all inputs with ≤ 6 agents")

@@ -14,7 +14,7 @@ func TestMajorityDecidesExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := explore.CheckDecides(p, MajorityPredicate, 1, 6, explore.Options{}); err != nil {
+	if err := explore.CheckDecidesParallel(p, MajorityPredicate, 1, 6, 1, explore.Options{}); err != nil {
 		t.Fatalf("majority is not an exact decider: %v", err)
 	}
 }
@@ -35,7 +35,7 @@ func TestUnaryThresholdDecidesExactly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := explore.CheckDecides(p, ThresholdPredicate(k), 1, 6, explore.Options{}); err != nil {
+		if err := explore.CheckDecidesParallel(p, ThresholdPredicate(k), 1, 6, 1, explore.Options{}); err != nil {
 			t.Fatalf("unary threshold k=%d: %v", k, err)
 		}
 	}
@@ -73,7 +73,7 @@ func TestBinaryThresholdDecidesExactly(t *testing.T) {
 		if maxAgents > 10 {
 			maxAgents = 10
 		}
-		if err := explore.CheckDecides(p, ThresholdPredicate(k), 1, maxAgents, explore.Options{}); err != nil {
+		if err := explore.CheckDecidesParallel(p, ThresholdPredicate(k), 1, maxAgents, 1, explore.Options{}); err != nil {
 			t.Fatalf("binary threshold 2^%d: %v", j, err)
 		}
 	}

@@ -22,7 +22,7 @@ func TestBinaryThresholdGeneralDecidesExactly(t *testing.T) {
 		if k+2 > maxAgents {
 			maxAgents = k + 2
 		}
-		if err := explore.CheckDecides(p, ThresholdPredicate(k), 1, maxAgents, explore.Options{}); err != nil {
+		if err := explore.CheckDecidesParallel(p, ThresholdPredicate(k), 1, maxAgents, 1, explore.Options{}); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
 	}

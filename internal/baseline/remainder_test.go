@@ -20,7 +20,7 @@ func TestRemainderDecidesExactly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := explore.CheckDecides(p, RemainderPredicate(tc.m, tc.r), 1, 6, explore.Options{}); err != nil {
+		if err := explore.CheckDecidesParallel(p, RemainderPredicate(tc.m, tc.r), 1, 6, 1, explore.Options{}); err != nil {
 			t.Fatalf("x ≡ %d (mod %d): %v", tc.r, tc.m, err)
 		}
 	}
@@ -56,7 +56,7 @@ func TestRemainderModOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := explore.CheckDecides(p, func([]int64) bool { return true }, 1, 5, explore.Options{}); err != nil {
+	if err := explore.CheckDecidesParallel(p, func([]int64) bool { return true }, 1, 5, 1, explore.Options{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -77,7 +77,7 @@ func TestProductOfThresholdAndRemainder(t *testing.T) {
 		t.Fatal(err)
 	}
 	pred := protocol.ProductPredicate(ThresholdPredicate(3), RemainderPredicate(2, 0), protocol.OpAnd)
-	if err := explore.CheckDecides(prod, pred, 1, 6, explore.Options{}); err != nil {
+	if err := explore.CheckDecidesParallel(prod, pred, 1, 6, 1, explore.Options{}); err != nil {
 		t.Fatalf("product verification: %v", err)
 	}
 }
@@ -97,7 +97,7 @@ func TestProductOr(t *testing.T) {
 		t.Fatal(err)
 	}
 	pred := protocol.ProductPredicate(ThresholdPredicate(4), RemainderPredicate(3, 1), protocol.OpOr)
-	if err := explore.CheckDecides(prod, pred, 1, 6, explore.Options{}); err != nil {
+	if err := explore.CheckDecidesParallel(prod, pred, 1, 6, 1, explore.Options{}); err != nil {
 		t.Fatalf("product verification: %v", err)
 	}
 }

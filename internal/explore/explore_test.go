@@ -209,7 +209,7 @@ func buildMajority(t *testing.T) *protocol.Protocol {
 func TestCheckDecidesMajorityExact(t *testing.T) {
 	p := buildMajority(t)
 	pred := func(in []int64) bool { return in[0] >= in[1] }
-	if err := CheckDecides(p, pred, 1, 6, Options{}); err != nil {
+	if err := CheckDecidesParallel(p, pred, 1, 6, 1, Options{}); err != nil {
 		t.Fatalf("majority fails exact verification: %v", err)
 	}
 }
@@ -239,7 +239,7 @@ func TestCheckDecidesCatchesBrokenProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	pred := func(in []int64) bool { return in[0] >= in[1] }
-	if err := CheckDecides(p, pred, 1, 5, Options{}); err == nil {
+	if err := CheckDecidesParallel(p, pred, 1, 5, 1, Options{}); err == nil {
 		t.Fatal("exact checker passed a protocol that does not decide majority")
 	}
 }
@@ -247,8 +247,8 @@ func TestCheckDecidesCatchesBrokenProtocol(t *testing.T) {
 func TestCheckDecidesRejectsZeroPopulation(t *testing.T) {
 	p := buildMajority(t)
 	pred := func(in []int64) bool { return true }
-	if err := CheckDecides(p, pred, 0, 3, Options{}); err == nil {
-		t.Fatal("CheckDecides accepted minAgents = 0")
+	if err := CheckDecidesParallel(p, pred, 0, 3, 1, Options{}); err == nil {
+		t.Fatal("CheckDecidesParallel accepted minAgents = 0")
 	}
 }
 

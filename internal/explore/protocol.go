@@ -109,28 +109,15 @@ func checkDecidesSize(ctx context.Context, sys ProtocolSystem, pred protocol.Pre
 	return checkErr
 }
 
-// CheckDecides verifies that p decides pred on every initial configuration
-// of every population size in [minAgents, maxAgents]. It is the exact
-// counterpart of the paper's "PP decides φ" (§3) restricted to a finite
-// range of sizes.
-func CheckDecides(p *protocol.Protocol, pred protocol.Predicate, minAgents, maxAgents int64, opts Options) error {
-	if minAgents < 1 {
-		return fmt.Errorf("explore: population size must be ≥ 1, got %d", minAgents)
-	}
-	sys := NewProtocolSystem(p)
-	for m := minAgents; m <= maxAgents; m++ {
-		if err := checkDecidesSize(context.Background(), sys, pred, m, opts); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CheckDecidesParallel is CheckDecides with the per-size checks fanned out
-// over `workers` goroutines. The protocol's stepper is shared read-only;
-// each worker explores its own sizes. The first failure wins: it cancels
-// the in-flight explorations of the other workers (they abort at their next
-// level barrier), and all workers are awaited before returning.
+// CheckDecidesParallel verifies that p decides pred on every initial
+// configuration of every population size in [minAgents, maxAgents]: the
+// exact counterpart of the paper's "PP decides φ" (§3) restricted to a
+// finite range of sizes. The per-size checks fan out over `workers`
+// goroutines (workers = 1 checks the sizes in order). The protocol's stepper
+// is shared read-only; each worker explores its own sizes. The first failure
+// wins: it cancels the in-flight explorations of the other workers (they
+// abort at their next level barrier), and all workers are awaited before
+// returning.
 //
 // Each per-configuration exploration runs with one engine worker unless
 // opts.Workers says otherwise — the size-level fan-out already saturates the

@@ -10,7 +10,7 @@ import (
 // bridge between the predicate encoding of §1 (which defines |φ| and hence
 // space complexity) and the executable protocol checkers: a protocol p
 // together with BindPredicate(φ, vars) can be handed to
-// explore.CheckDecides to verify "p decides φ" in the paper's sense.
+// explore.CheckDecidesParallel to verify "p decides φ" in the paper's sense.
 //
 // Every free variable of φ must appear in varOrder; extra entries in
 // varOrder are allowed (inputs the formula ignores).

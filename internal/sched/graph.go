@@ -563,7 +563,17 @@ func newTopologyScheduler(p *protocol.Protocol, topo *Topology, rng source, o Gr
 	case PolicyAdversary:
 		return newAdversary(p, topo, rng, o.Faults, o.Epsilon)
 	default:
-		return nil, fmt.Errorf("sched: unknown edge-selection policy %q (want %q, %q, %q or %q)",
-			o.Policy, PolicyRandom, PolicyRoundRobin, PolicyStarvation, PolicyAdversary)
+		return nil, CheckPolicy(o.Policy)
 	}
+}
+
+// CheckPolicy reports an error unless policy names an edge-selection policy
+// (empty means PolicyRandom).
+func CheckPolicy(policy string) error {
+	switch policy {
+	case "", PolicyRandom, PolicyRoundRobin, PolicyStarvation, PolicyAdversary:
+		return nil
+	}
+	return fmt.Errorf("sched: unknown edge-selection policy %q (want %q, %q, %q or %q)",
+		policy, PolicyRandom, PolicyRoundRobin, PolicyStarvation, PolicyAdversary)
 }

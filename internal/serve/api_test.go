@@ -106,6 +106,17 @@ func TestAPIContract(t *testing.T) {
 		{"target needs param", `{"kind":"simulate","target":"unary","input":[6]}`, 400},
 		{"target rejects param", `{"kind":"simulate","target":"majority:3","input":[6,4]}`, 400},
 		{"bad target param", `{"kind":"simulate","target":"unary:x","input":[6]}`, 400},
+		{"figure1 rejects param", `{"kind":"simulate","target":"figure1:9","input":[6]}`, 400},
+		{"czerner needs param", `{"kind":"simulate","target":"czerner","input":[6]}`, 400},
+		{"unary param zero", `{"kind":"simulate","target":"unary:0","input":[6]}`, 400},
+		{"unary param too large", `{"kind":"simulate","target":"unary:100000","input":[6]}`, 400},
+		{"binary param overflows", `{"kind":"simulate","target":"binary:63","input":[6]}`, 400},
+		{"remainder param zero", `{"kind":"simulate","target":"remainder:0","input":[6]}`, 400},
+		{"czerner param zero", `{"kind":"simulate","target":"czerner:0","input":[6]}`, 400},
+		{"czerner param too large", `{"kind":"simulate","target":"czerner:40","input":[6]}`, 400},
+		{"equality param too large", `{"kind":"simulate","target":"equality:23","input":[6]}`, 400},
+		{"largest params ok", `{"kind":"sweep","target":"binary:62","inputs":[[5]]}`, 202},
+		{"optimize on protocol target", `{"kind":"simulate","target":"majority","optimize":true,"input":[6,4]}`, 400},
 		{"unparsable program", `{"kind":"simulate","program":"not a program","input":[3]}`, 400},
 		{"simulate without input", `{"kind":"simulate","target":"majority"}`, 400},
 		{"simulate with inputs", `{"kind":"simulate","target":"majority","input":[6,4],"inputs":[[1]]}`, 400},
@@ -274,6 +285,28 @@ func TestAPITopologyJob(t *testing.T) {
 	}
 	if res.Stats == nil || res.Stats.Runs != 2 || res.Stats.WrongOutputs != 0 {
 		t.Fatalf("bad topology result %s", done.Result)
+	}
+}
+
+// TestAPIBinaryTargetExpected pins the expected output of the largest
+// binary target: binary:62 decides x ≥ 2^62, so five agents must be counted
+// as a correct false run, not a wrong output.
+func TestAPIBinaryTargetExpected(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	j, err := s.Submit(JobSpec{Kind: KindSimulate, Target: "binary:62", Input: []int64{5}, Runs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := waitTerminal(t, ts.URL, j.ID)
+	if done.Status != StatusDone {
+		t.Fatalf("job finished %s (%s)", done.Status, done.Error)
+	}
+	var res simulateResult
+	if err := json.Unmarshal(done.Result, &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats == nil || res.Stats.Runs != 2 || res.Stats.WrongOutputs != 0 {
+		t.Fatalf("binary:62 at [5]: %s", done.Result)
 	}
 }
 

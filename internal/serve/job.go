@@ -14,16 +14,12 @@ import (
 	"errors"
 	"fmt"
 	"regexp"
-	"strconv"
-	"strings"
 	"time"
 
-	"repro/internal/baseline"
-	"repro/internal/core"
 	"repro/internal/popprog"
-	"repro/internal/protocol"
 	"repro/internal/sched"
 	"repro/internal/simulate"
+	"repro/internal/target"
 )
 
 // Job kinds.
@@ -49,8 +45,9 @@ type JobSpec struct {
 	// Kind is simulate, sweep, or explore.
 	Kind string `json:"kind"`
 	// Target names a built-in: majority | unary:k | binary:j | remainder:m
-	// | figure1 | czerner:n | equality:n. The last three are population
-	// programs and go through the §7 conversion (and its cache).
+	// | figure1 | czerner:n | equality:n, with the parameter bounds of
+	// internal/target. The last three are population programs and go
+	// through the §7 conversion (and its cache).
 	Target string `json:"target,omitempty"`
 	// Program is inline population-program source; converted via §7 with
 	// cache, keyed by the source's canonical hash.
@@ -118,8 +115,10 @@ type JobSpec struct {
 var checkpointNameRe = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$`)
 
 // Validate checks the spec without doing any expensive work: the kind and
-// shape rules below plus, for Program, a full parse (so submissions fail
-// fast with 400, and the parser is directly on the fuzzing surface).
+// shape rules below, the run options (simulate.Options.Validate), the
+// target name and its parameter bound (target.Parse, which constructs
+// nothing) and, for Program, a full parse — so submissions fail fast with
+// 400, and the parser is directly on the fuzzing surface.
 func (s *JobSpec) Validate() error {
 	switch s.Kind {
 	case KindSimulate, KindSweep, KindExplore:
@@ -158,52 +157,14 @@ func (s *JobSpec) Validate() error {
 	if s.Runs < 0 {
 		return fmt.Errorf("runs must be ≥ 0, got %d", s.Runs)
 	}
-	if s.Workers < 0 {
-		return fmt.Errorf("workers must be ≥ 0, got %d", s.Workers)
+	if s.MaxStates < 0 {
+		return fmt.Errorf("max_states must be ≥ 0, got %d", s.MaxStates)
 	}
-	for _, f := range []struct {
-		name string
-		v    int64
-	}{
-		{"batch", s.Batch}, {"max_steps", s.MaxSteps},
-		{"stable_window", s.StableWindow}, {"quiescence_period", s.QuiescencePeriod},
-		{"fluid_floor", s.FluidFloor}, {"max_states", int64(s.MaxStates)},
-		{"mem_budget", s.MemBudget},
-	} {
-		if f.v < 0 {
-			return fmt.Errorf("%s must be ≥ 0, got %d", f.name, f.v)
-		}
+	if s.MemBudget < 0 {
+		return fmt.Errorf("mem_budget must be ≥ 0, got %d", s.MemBudget)
 	}
-	switch s.Kernel {
-	case "", simulate.KernelExact, simulate.KernelBatch, simulate.KernelFluid,
-		simulate.KernelLangevin, simulate.KernelAuto:
-	default:
-		return fmt.Errorf("unknown kernel %q", s.Kernel)
-	}
-	if s.Topology != "" {
-		if _, err := sched.ParseTopologySpec(s.Topology); err != nil {
-			return err
-		}
-		if s.Kernel != "" || s.Batch > 0 {
-			return errors.New("topology excludes kernel and batch (graph schedulers are per-step)")
-		}
-	}
-	switch s.TopoPolicy {
-	case "", sched.PolicyRandom, sched.PolicyRoundRobin, sched.PolicyStarvation, sched.PolicyAdversary:
-		if s.TopoPolicy != "" && s.Topology == "" {
-			return errors.New("topo_policy requires topology")
-		}
-	default:
-		return fmt.Errorf("unknown topo_policy %q", s.TopoPolicy)
-	}
-	if s.Crash != 0 || s.Revive != 0 || s.Join != 0 {
-		if s.Topology == "" {
-			return errors.New("crash/revive/join require topology")
-		}
-		f := sched.Faults{Crash: s.Crash, Revive: s.Revive, Join: s.Join}
-		if err := f.Validate(); err != nil {
-			return err
-		}
+	if _, err := s.options(); err != nil {
+		return err
 	}
 	if s.Checkpoint != "" {
 		if s.Kind != KindSweep {
@@ -217,18 +178,15 @@ func (s *JobSpec) Validate() error {
 		if _, err := popprog.Parse(s.Program); err != nil {
 			return fmt.Errorf("program: %w", err)
 		}
-	} else {
-		name, _, err := splitTarget(s.Target)
-		if err != nil {
-			return err
-		}
-		if s.Optimize {
-			switch name {
-			case "figure1", "czerner", "equality":
-			default:
-				return fmt.Errorf("optimize applies only to program targets (inline programs, figure1, czerner:n, equality:n), not %q", s.Target)
-			}
-		}
+		return nil
+	}
+	t, err := target.Parse(s.Target)
+	if err != nil {
+		return err
+	}
+	if s.Optimize && t.Kind() != target.Programs {
+		return fmt.Errorf("optimize applies only to program targets (inline programs, %s), not %q",
+			target.Usage(target.Programs), s.Target)
 	}
 	return nil
 }
@@ -264,7 +222,9 @@ func (s *JobSpec) seed() int64 {
 	return s.Seed
 }
 
-func (s *JobSpec) options() simulate.Options {
+// options maps the spec's run fields onto simulate.Options and validates
+// them there.
+func (s *JobSpec) options() (simulate.Options, error) {
 	opts := simulate.Options{
 		MaxSteps:         s.MaxSteps,
 		StableWindow:     s.StableWindow,
@@ -275,121 +235,49 @@ func (s *JobSpec) options() simulate.Options {
 		Workers:          s.Workers,
 	}
 	if s.Topology != "" {
-		// Validate() vetted the spec string and the fault rates.
-		spec, _ := sched.ParseTopologySpec(s.Topology)
+		spec, err := sched.ParseTopologySpec(s.Topology)
+		if err != nil {
+			return opts, err
+		}
 		spec.Policy = s.TopoPolicy
 		opts.Topology = &spec
-		if s.Crash != 0 || s.Revive != 0 || s.Join != 0 {
-			opts.Faults = &sched.Faults{Crash: s.Crash, Revive: s.Revive, Join: s.Join}
-		}
+	} else if s.TopoPolicy != "" {
+		return opts, errors.New("topo_policy requires topology")
 	}
-	return opts
+	if s.Crash != 0 || s.Revive != 0 || s.Join != 0 {
+		opts.Faults = &sched.Faults{Crash: s.Crash, Revive: s.Revive, Join: s.Join}
+	}
+	return opts, opts.Validate()
 }
 
-// resolved is a JobSpec's system under test: either a protocol directly, or
-// a population program that still needs the §7 conversion (through the
-// server's cache) to become one.
-type resolved struct {
-	proto *protocol.Protocol
-	prog  *popprog.Program
-	// predicate is the built-in expected-output predicate of protocol
-	// targets; nil for programs.
-	predicate protocol.Predicate
-}
-
-// splitTarget splits "name[:param]" as in cmd/ppsim.
-func splitTarget(t string) (string, int64, error) {
-	name, paramStr, found := strings.Cut(t, ":")
-	var param int64
-	if found {
-		v, err := strconv.ParseInt(paramStr, 10, 64)
-		if err != nil {
-			return "", 0, fmt.Errorf("target parameter %q: %w", paramStr, err)
-		}
-		param = v
-	}
-	switch name {
-	case "majority", "figure1":
-		if found {
-			return "", 0, fmt.Errorf("target %q takes no parameter", name)
-		}
-	case "unary", "binary", "remainder", "czerner", "equality":
-		if !found {
-			return "", 0, fmt.Errorf("target %q needs a parameter, e.g. %s:3", name, name)
-		}
-	default:
-		return "", 0, fmt.Errorf("unknown target %q", t)
-	}
-	return name, param, nil
-}
-
-// resolve builds the system under test from the spec. Cheap protocol
-// constructions happen here; program compilation/conversion is deferred to
-// the worker (through the cache).
-func resolve(s *JobSpec) (*resolved, error) {
+// build constructs the system under test: a protocol directly, or a
+// population program that still needs the §7 conversion (through the
+// server's cache) to become one. Program compilation and conversion happen
+// later, on the worker.
+func (s *JobSpec) build() (*target.Built, error) {
 	if s.Program != "" {
 		prog, err := popprog.Parse(s.Program)
 		if err != nil {
 			return nil, fmt.Errorf("program: %w", err)
 		}
-		return &resolved{prog: prog}, nil
+		return &target.Built{Program: prog}, nil
 	}
-	name, param, err := splitTarget(s.Target)
+	t, err := target.Parse(s.Target)
 	if err != nil {
 		return nil, err
 	}
-	switch name {
-	case "majority":
-		p, err := baseline.Majority()
-		if err != nil {
-			return nil, err
-		}
-		return &resolved{proto: p, predicate: baseline.MajorityPredicate}, nil
-	case "unary":
-		p, err := baseline.UnaryThreshold(param)
-		if err != nil {
-			return nil, err
-		}
-		return &resolved{proto: p, predicate: baseline.ThresholdPredicate(param)}, nil
-	case "binary":
-		p, err := baseline.BinaryThreshold(int(param))
-		if err != nil {
-			return nil, err
-		}
-		return &resolved{proto: p, predicate: baseline.ThresholdPredicate(int64(1) << param)}, nil
-	case "remainder":
-		p, err := baseline.Remainder(param, 0)
-		if err != nil {
-			return nil, err
-		}
-		return &resolved{proto: p, predicate: baseline.RemainderPredicate(param, 0)}, nil
-	case "figure1":
-		return &resolved{prog: popprog.Figure1Program()}, nil
-	case "czerner", "equality":
-		var c *core.Construction
-		if name == "czerner" {
-			c, err = core.New(int(param))
-		} else {
-			c, err = core.NewEquality(int(param))
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &resolved{prog: c.Program}, nil
-	default:
-		return nil, fmt.Errorf("unknown target %q", s.Target)
-	}
+	return t.Build()
 }
 
 // expectedFn is the per-point expected-output function of the job: the
-// spec's explicit override, the target's built-in predicate, or true.
-func (s *JobSpec) expectedFn(r *resolved) func([]int64) bool {
+// spec's explicit override, a protocol target's predicate, or true.
+func (s *JobSpec) expectedFn(b *target.Built) func([]int64) bool {
 	if s.Expected != nil {
 		want := *s.Expected
 		return func([]int64) bool { return want }
 	}
-	if r.predicate != nil {
-		return r.predicate
+	if b.Protocol != nil {
+		return b.Predicate
 	}
 	return func([]int64) bool { return true }
 }

@@ -107,7 +107,11 @@ func TestServerResumeSweepFromCheckpoint(t *testing.T) {
 	// Fabricate the dead server's leavings: run the first 3 points through
 	// the same engine the worker uses, cancelling at the checkpoint the
 	// worker would have written.
-	r, err := resolve(&spec)
+	b, err := spec.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := spec.options()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +120,8 @@ func TestServerResumeSweepFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err = simulate.SweepResumable(ctx, r.proto, spec.Inputs, spec.expectedFn(r),
-		spec.runs(), spec.seed(), 1, spec.options(), &simulate.SweepCheckpointConfig{
+	_, err = simulate.SweepResumable(ctx, b.Protocol, spec.Inputs, spec.expectedFn(b),
+		spec.runs(), spec.seed(), 1, opts, &simulate.SweepCheckpointConfig{
 			Path: ckptPath,
 			Key:  specHash(spec),
 			Progress: func(done, total int) {
@@ -182,8 +186,8 @@ func TestServerResumeSweepFromCheckpoint(t *testing.T) {
 	if err := json.Unmarshal(done.Result, &res); err != nil {
 		t.Fatal(err)
 	}
-	plain := simulate.Sweep(r.proto, spec.Inputs, spec.expectedFn(r),
-		spec.runs(), spec.seed(), 2, spec.options())
+	plain := simulate.Sweep(b.Protocol, spec.Inputs, spec.expectedFn(b),
+		spec.runs(), spec.seed(), 2, opts)
 	if len(res.Points) != len(plain) {
 		t.Fatalf("%d points, want %d", len(res.Points), len(plain))
 	}

@@ -324,15 +324,19 @@ func (s *Server) runJob(j *Job) {
 // protocol targets).
 func (s *Server) execute(ctx context.Context, j *Job) (json.RawMessage, string, error) {
 	spec := j.Spec
-	r, err := resolve(&spec)
+	opts, err := spec.options()
 	if err != nil {
 		return nil, "", err
 	}
-	p := r.proto
+	b, err := spec.build()
+	if err != nil {
+		return nil, "", err
+	}
+	p := b.Protocol
 	var cacheKey string
 	var conv *convertInfo
 	if p == nil {
-		res, report, key, err := s.cache.Convert(r.prog, spec.Optimize)
+		res, report, key, err := s.cache.Convert(b.Program, spec.Optimize)
 		if err != nil {
 			return nil, key, err
 		}
@@ -347,8 +351,7 @@ func (s *Server) execute(ctx context.Context, j *Job) (json.RawMessage, string, 
 			conv.Opt = report
 		}
 	}
-	expected := spec.expectedFn(r)
-	opts := spec.options()
+	expected := spec.expectedFn(b)
 
 	switch spec.Kind {
 	case KindSimulate:

@@ -16,6 +16,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -94,9 +96,19 @@ func NewKernelScheduler(p *protocol.Protocol, rng *rand.Rand, kernel string, pop
 			return sched.NewBatchRandomPair(p, rng), nil
 		}
 	default:
-		return nil, fmt.Errorf("simulate: unknown kernel %q (want %q, %q, %q, %q or %q)",
-			kernel, KernelExact, KernelBatch, KernelFluid, KernelLangevin, KernelAuto)
+		return nil, errUnknownKernel(kernel)
 	}
+}
+
+// kernels lists the accepted Kernel names in ladder order.
+var kernels = []string{KernelExact, KernelBatch, KernelFluid, KernelLangevin, KernelAuto}
+
+// KernelUsage lists the accepted Kernel names for help text:
+// "exact | batch | fluid | langevin | auto".
+func KernelUsage() string { return strings.Join(kernels, " | ") }
+
+func errUnknownKernel(kernel string) error {
+	return fmt.Errorf("simulate: unknown kernel %q (want %s)", kernel, KernelUsage())
 }
 
 // ApplyFluidFloor applies a fluid regime switch-over bound to s when s is
@@ -135,11 +147,11 @@ type Options struct {
 	// overshoot the exact step at which the per-step runner would have
 	// stopped by less than one batch. Zero disables batching.
 	BatchSize int64
-	// Kernel selects the interaction kernel: KernelExact, KernelBatch or
-	// KernelAuto. It decides which scheduler the measurement functions
-	// construct, and any non-empty value enables the batched driver with a
-	// default BatchSize of 65,536 when BatchSize is zero. Empty keeps the
-	// legacy behaviour: BatchSize alone selects between RandomPair and
+	// Kernel selects the interaction kernel, one of the Kernel* constants.
+	// It decides which scheduler the measurement functions construct, and
+	// any non-empty value enables the batched driver with a default
+	// BatchSize of 65,536 when BatchSize is zero. Empty keeps the legacy
+	// behaviour: BatchSize alone selects between RandomPair and
 	// BatchRandomPair.
 	Kernel string
 	// FluidFloor overrides the hybrid ladder's regime switch-over bound:
@@ -163,6 +175,43 @@ type Options struct {
 	// Faults enables fault injection (crash/revive/join) on topology runs.
 	// Requires Topology.
 	Faults *sched.Faults
+}
+
+// Validate checks the options without running anything, and is the one
+// place their rules live: every limit is non-negative, Kernel is empty or a
+// known kernel, a Topology excludes Kernel and BatchSize (the graph
+// schedulers are per-step) and names a known edge-selection policy, and
+// Faults need a Topology and valid rates. The CLIs and ppserved call it
+// before they run; the measurement functions call it once per measurement.
+func (o Options) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"MaxSteps", o.MaxSteps}, {"StableWindow", o.StableWindow},
+		{"QuiescencePeriod", o.QuiescencePeriod}, {"BatchSize", o.BatchSize},
+		{"FluidFloor", o.FluidFloor}, {"Workers", int64(o.Workers)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("simulate: %s must be ≥ 0, got %d", f.name, f.v)
+		}
+	}
+	if o.Kernel != "" && !slices.Contains(kernels, o.Kernel) {
+		return errUnknownKernel(o.Kernel)
+	}
+	if o.Topology == nil {
+		if o.Faults != nil {
+			return errors.New("simulate: Faults require a Topology (only the graph schedulers track individual agents)")
+		}
+		return nil
+	}
+	if o.Kernel != "" || o.BatchSize > 0 {
+		return errors.New("simulate: Topology excludes Kernel and BatchSize (the graph schedulers are per-step)")
+	}
+	if err := sched.CheckPolicy(o.Topology.Policy); err != nil {
+		return err
+	}
+	return o.Faults.Validate()
 }
 
 func (o Options) maxSteps() int64 {
@@ -452,27 +501,18 @@ type ConvergenceStats struct {
 // functions fan them out over workers without changing any statistic.
 func convergenceRun(p *protocol.Protocol, inputCounts []int64, i int, seed int64, opts Options) (*Result, error) {
 	rng := sched.NewRand(seed + int64(i))
+	var m int64
+	for _, v := range inputCounts {
+		m += v
+	}
 	var s sched.Scheduler
 	if opts.Topology != nil {
-		if opts.Kernel != "" || opts.BatchSize > 0 {
-			return nil, fmt.Errorf("simulate: Topology excludes Kernel and BatchSize (the graph schedulers are per-step)")
-		}
-		var m int64
-		for _, v := range inputCounts {
-			m += v
-		}
 		ts, err := opts.Topology.NewScheduler(p, rng, opts.Faults, m)
 		if err != nil {
 			return nil, err
 		}
 		s = ts
-	} else if opts.Faults != nil {
-		return nil, fmt.Errorf("simulate: Faults requires Topology (only the graph schedulers track individual agents)")
 	} else if opts.Kernel != "" {
-		var m int64
-		for _, v := range inputCounts {
-			m += v
-		}
 		ks, err := NewKernelScheduler(p, rng, opts.Kernel, m)
 		if err != nil {
 			return nil, err
@@ -497,6 +537,9 @@ func convergenceRun(p *protocol.Protocol, inputCounts []int64, i int, seed int64
 func measureRuns(p *protocol.Protocol, inputCounts []int64, runs int, seed int64, opts Options) ([]*Result, error) {
 	if runs <= 0 {
 		return nil, fmt.Errorf("simulate: runs must be positive, got %d", runs)
+	}
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
 	results := make([]*Result, runs)
 	errs := make([]error, runs)
