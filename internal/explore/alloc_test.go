@@ -2,6 +2,8 @@ package explore
 
 import (
 	"testing"
+
+	"repro/internal/multiset"
 )
 
 // TestExploreAllocsPerState is the allocation regression guard for the
@@ -47,5 +49,31 @@ func TestParallelExploreAllocsPerState(t *testing.T) {
 	perState := allocs / float64(n)
 	if perState > 10 {
 		t.Fatalf("ExploreParallel allocates %.1f objects/state (total %.0f), budget 10", perState, allocs)
+	}
+}
+
+// TestProtocolExploreAllocsPerState pins the clone-free protocol path:
+// successors are fired in place on the worker's decoded configuration and
+// interned by their run-length keys, so no configuration is allocated per
+// successor. A small free walk (k = 6, m = 10: C(15,5) = 3003 states, wide
+// BFS levels) stays under a per-state budget: about 4.5 allocations per
+// state here, against 54 when each successor was a cloned configuration.
+func TestProtocolExploreAllocsPerState(t *testing.T) {
+	const k, m, states = 6, 10, 3003
+	p := freeWalkProtocol(t, k)
+	sys := NewProtocolSystem(p)
+	c := spillInitial(t, p, m)
+	allocs := testing.AllocsPerRun(5, func() {
+		res, err := ExploreParallel[*multiset.Multiset](sys, []*multiset.Multiset{c}, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.NumStates != states {
+			t.Fatalf("NumStates = %d, want %d", res.NumStates, states)
+		}
+	})
+	perState := allocs / states
+	if perState > 10 {
+		t.Fatalf("protocol exploration allocates %.1f objects/state (total %.0f), budget 10", perState, allocs)
 	}
 }

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/compile"
@@ -89,6 +90,36 @@ func BenchmarkExploreProtocol(b *testing.B) {
 			b.ReportMetric(wantStates, "reachable-states")
 		})
 	}
+}
+
+// BenchmarkExploreConverted explores a protocol of the paper's §7.3
+// conversion: figure1 shrunk by convert.Optimize (492 states, 135,940
+// transitions), leaderless with m = |F| + 1 = 12 agents (15,960 reachable
+// configurations), on one worker. A configuration occupies at most 12 of
+// the 492 states, so this is where per-successor cost must track the
+// support, not |Q|. Units are per explored state.
+func BenchmarkExploreConverted(b *testing.B) {
+	const wantStates = 15_960
+	p, c := convertedInstance(b, "figure1", false, 1)
+	sys := NewProtocolSystem(p)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := ExploreParallel[*multiset.Multiset](sys, []*multiset.Multiset{c}, Options{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.NumStates != wantStates {
+			b.Fatalf("NumStates = %d, want %d", res.NumStates, wantStates)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	explored := float64(wantStates) * float64(b.N)
+	b.ReportMetric(explored/b.Elapsed().Seconds(), "states/s")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/explored, "B/state")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/explored, "allocs/state")
 }
 
 // BenchmarkExploreMachine covers the population-machine system shape: the

@@ -14,9 +14,23 @@ import (
 // state's unique key directly into a byte buffer let the parallel engine
 // intern states without materialising a string per visited configuration;
 // systems without it fall back to Key. The encoding must identify states
-// exactly as Key does: AppendKey(dst, s) must append bytes equal to Key(s).
+// exactly as Key does — two states get equal AppendKey bytes if and only if
+// they get equal Keys — but need not reproduce Key's bytes. Witness keys in
+// a Result always come from Key.
 type AppendKeySystem[S any] interface {
 	AppendKey(dst []byte, s S) []byte
+}
+
+// SuccessorKeySystem is an optional extension for codec systems
+// (KeyDecoderSystem) that can encode successors without building them.
+// AppendSuccessorKeys appends to dst the AppendKey bytes of each state
+// Successors(s) returns, in the same order and with the same dedup, and
+// appends to ends the end offset in dst of each key (the first key starts
+// at len(dst) on entry). It may modify s while it runs but must restore it
+// before returning. The engine calls it on each worker's own decoded state,
+// never on a state another goroutine can see.
+type SuccessorKeySystem[S any] interface {
+	AppendSuccessorKeys(s S, dst []byte, ends []int) ([]byte, []int)
 }
 
 // KeyDecoderSystem is the optional extension that unlocks out-of-core
@@ -49,11 +63,14 @@ type pending[S any] struct {
 const minExpandChunk = 64
 
 // expandScratch is one worker's reusable expansion state: the key encode
-// buffer, a read buffer for unmapped spilled-segment reads, the arena that
-// keeps this block's unknown keys stable, the deferred spilled lookups, and
-// (in codec mode) the decode-scratch state.
+// buffer, the successor keys and their end offsets, a read buffer for
+// unmapped spilled-segment reads, the arena that keeps this block's unknown
+// keys stable, the deferred spilled lookups, and (in codec mode) the
+// decode-scratch state.
 type expandScratch[S any] struct {
 	keyBuf   []byte
+	succKeys []byte
+	succEnds []int
 	readBuf  []byte
 	arena    byteArena
 	deferred []deferredLookup
@@ -108,6 +125,12 @@ func ExploreContext[S any](ctx context.Context, sys System[S], initial []S, opts
 		encode = ak.AppendKey
 	}
 	dec, codec := any(sys).(KeyDecoderSystem[S])
+	// Successor keys are fired on the worker's decode scratch, which only
+	// codec mode has.
+	var succ SuccessorKeySystem[S]
+	if codec {
+		succ, _ = any(sys).(SuccessorKeySystem[S])
+	}
 
 	// Budget split: the key log gets half (it holds every key ever
 	// interned), each ping-pong frontier an eighth; the remainder absorbs
@@ -218,7 +241,7 @@ func ExploreContext[S any](ctx context.Context, sys System[S], initial []S, opts
 				chunk = minExpandChunk
 			}
 			if chunk >= len(blk) {
-				expandBlock(ctx, sys, encode, dec, codec, in, states, blk, perState, 0, len(blk), scratches[0])
+				expandBlock(ctx, sys, encode, dec, succ, in, states, blk, perState, 0, len(blk), scratches[0])
 			} else {
 				var wg sync.WaitGroup
 				w := 0
@@ -229,7 +252,7 @@ func ExploreContext[S any](ctx context.Context, sys System[S], initial []S, opts
 					wg.Add(1)
 					go func(lo, hi int, sc *expandScratch[S]) {
 						defer wg.Done()
-						expandBlock(ctx, sys, encode, dec, codec, in, states, blk, perState, lo, hi, sc)
+						expandBlock(ctx, sys, encode, dec, succ, in, states, blk, perState, lo, hi, sc)
 					}(lo, hi, sc)
 				}
 				wg.Wait()
@@ -295,9 +318,10 @@ func ExploreContext[S any](ctx context.Context, sys System[S], initial []S, opts
 // into the worker's arena for the commit pass. Lookups whose confirming key
 // bytes live in spilled segments are deferred and then resolved in sorted
 // offset order — one sequential sweep over the spilled tier per chunk
-// instead of random per-successor reads.
+// instead of random per-successor reads. dec is nil outside codec mode, and
+// succ is nil unless the codec system also encodes successor keys.
 func expandBlock[S any](ctx context.Context, sys System[S], encode func([]byte, S) []byte,
-	dec KeyDecoderSystem[S], codec bool, in *interner, states []S, blk []frontierRec,
+	dec KeyDecoderSystem[S], succ SuccessorKeySystem[S], in *interner, states []S, blk []frontierRec,
 	perState [][]pending[S], lo, hi int, sc *expandScratch[S]) {
 	sc.arena.reset()
 	sc.deferred = sc.deferred[:0]
@@ -306,7 +330,7 @@ func expandBlock[S any](ctx context.Context, sys System[S], encode func([]byte, 
 			return
 		}
 		var s S
-		if codec {
+		if dec != nil {
 			var err error
 			s, err = dec.DecodeKey(sc.dec, blk[i].key)
 			if err != nil {
@@ -317,21 +341,20 @@ func expandBlock[S any](ctx context.Context, sys System[S], encode func([]byte, 
 		} else {
 			s = states[blk[i].id]
 		}
-		succs := sys.Successors(s)
 		recs := perState[i][:0]
-		for j, t := range succs {
-			sc.keyBuf = encode(sc.keyBuf[:0], t)
-			h := hashKey(sc.keyBuf)
-			id, ok, deferred := in.lookupExpand(h, sc.keyBuf, &sc.readBuf, &sc.deferred, int32(i), int32(j))
-			if ok {
-				recs = append(recs, pending[S]{id: int32(id)})
-				continue
+		if succ != nil {
+			sc.succKeys, sc.succEnds = succ.AppendSuccessorKeys(s, sc.succKeys[:0], sc.succEnds[:0])
+			start := 0
+			var none S // codec mode: the commit pass needs only the key
+			for j, end := range sc.succEnds {
+				recs = appendPending(recs, in, sc, sc.succKeys[start:end], none, i, j)
+				start = end
 			}
-			// Unknown (or deferred): keep the key bytes; the commit pass —
-			// or the deferred resolution below — needs them.
-			key := sc.arena.copyBytes(sc.keyBuf)
-			recs = append(recs, pending[S]{state: t, key: key, hash: h, id: -1})
-			_ = deferred
+		} else {
+			for j, t := range sys.Successors(s) {
+				sc.keyBuf = encode(sc.keyBuf[:0], t)
+				recs = appendPending(recs, in, sc, sc.keyBuf, t, i, j)
+			}
 		}
 		perState[i] = recs
 	}
@@ -355,4 +378,16 @@ func expandBlock[S any](ctx context.Context, sys System[S], encode func([]byte, 
 			p.id = int32(id)
 		}
 	}
+}
+
+// appendPending appends successor j of frontier record i, with key bytes
+// key, to recs: resolved to its id when the interner already holds it,
+// otherwise (unknown, or deferred to the spilled-read batch) with a copy of
+// the key in the worker's arena for the commit pass.
+func appendPending[S any](recs []pending[S], in *interner, sc *expandScratch[S], key []byte, t S, i, j int) []pending[S] {
+	h := hashKey(key)
+	if id, ok := in.lookupExpand(h, key, &sc.readBuf, &sc.deferred, int32(i), int32(j)); ok {
+		return append(recs, pending[S]{id: int32(id)})
+	}
+	return append(recs, pending[S]{state: t, key: sc.arena.copyBytes(key), hash: h, id: -1})
 }

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/compile"
+	"repro/internal/convert"
+	"repro/internal/core"
 	"repro/internal/multiset"
 	"repro/internal/popmachine"
 	"repro/internal/popprog"
@@ -19,13 +21,19 @@ import (
 // the inline path (1), a split frontier (2), and heavy oversubscription (8).
 var workerCounts = []int{1, 2, 8}
 
-// randomProtocol builds a protocol with k states and a random transition
-// table. Most draws are not well-formed predicates deciders — which is the
-// point: the differential harness must agree on arbitrary reachable graphs,
-// including ones with mixed and disagreeing bottom SCCs.
+// randomProtocol builds a protocol with a random transition table. Most
+// draws are not well-formed predicates deciders — which is the point: the
+// differential harness must agree on arbitrary reachable graphs, including
+// ones with mixed and disagreeing bottom SCCs. One draw in four has 64–200
+// states; its initiators and responders are drawn from the states agents
+// can already reach from q0, so agents spread over a wide universe and
+// configuration keys carry long runs of empty states.
 func randomProtocol(t *testing.T, rng *rand.Rand) *protocol.Protocol {
 	t.Helper()
-	k := 3 + rng.Intn(3)
+	k, wide := 3+rng.Intn(3), rng.Intn(4) == 0
+	if wide {
+		k = 64 + rng.Intn(137)
+	}
 	names := make([]string, k)
 	for i := range names {
 		names[i] = fmt.Sprintf("q%d", i)
@@ -35,9 +43,21 @@ func randomProtocol(t *testing.T, rng *rand.Rand) *protocol.Protocol {
 	for _, n := range names {
 		b.State(n)
 	}
-	for i, n := 0, 2+rng.Intn(7); i < n; i++ {
-		b.Transition(names[rng.Intn(k)], names[rng.Intn(k)],
-			names[rng.Intn(k)], names[rng.Intn(k)])
+	reach := []int{0}
+	n := 2 + rng.Intn(7)
+	if wide {
+		n = 2 + rng.Intn(3) // more would flood the state limit
+	}
+	for i := 0; i < n; i++ {
+		if !wide {
+			b.Transition(names[rng.Intn(k)], names[rng.Intn(k)],
+				names[rng.Intn(k)], names[rng.Intn(k)])
+			continue
+		}
+		q2, r2 := rng.Intn(k), rng.Intn(k)
+		b.Transition(names[reach[rng.Intn(len(reach))]], names[reach[rng.Intn(len(reach))]],
+			names[q2], names[r2])
+		reach = append(reach, q2, r2)
 	}
 	var accepting []string
 	for _, n := range names {
@@ -61,34 +81,119 @@ func assertIdentical(t *testing.T, seq, par *Result, label string) {
 }
 
 // TestParallelMatchesSequentialRandomProtocols is the protocol half of the
-// differential harness: on randomized small protocols, the engine must
-// return bit-identical Results — NumStates, bottom-SCC count, outcome and
-// witness multisets, even their order — for every worker count.
+// differential harness: on randomized protocols, the engine must return
+// bit-identical Results — NumStates, bottom-SCC count, outcome and witness
+// multisets, even their order — for every worker count, all in RAM and
+// under a 4 KiB budget that spills. Wide draws start with 64–71 agents on
+// one state, so counts need multi-byte key tokens; when one exceeds the
+// state limit, every engine must refuse with the same error.
 func TestParallelMatchesSequentialRandomProtocols(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 40; trial++ {
 		p := randomProtocol(t, rng)
-		sys := NewProtocolSystem(p)
-		x := 1 + rng.Int63n(4)
-		y := rng.Int63n(4)
+		x, y := 1+rng.Int63n(4), rng.Int63n(4)
+		opts := Options{MaxStates: 100_000}
+		if len(p.States) >= 64 {
+			x += 63 + rng.Int63n(4)
+			opts.MaxStates = 3_000
+		}
 		c, err := p.InitialConfig(x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := Options{MaxStates: 100_000}
-		seq, err := Explore[*multiset.Multiset](sys, []*multiset.Multiset{c}, opts)
-		if err != nil {
-			t.Fatalf("trial %d: sequential: %v", trial, err)
-		}
-		for _, w := range workerCounts {
-			opts.Workers = w
-			par, err := ExploreParallel[*multiset.Multiset](sys, []*multiset.Multiset{c}, opts)
-			if err != nil {
-				t.Fatalf("trial %d workers=%d: %v", trial, w, err)
+		assertEnginesAgree(t, NewProtocolSystem(p), c, opts,
+			fmt.Sprintf("trial %d (|Q|=%d x=%d y=%d)", trial, len(p.States), x, y))
+	}
+}
+
+// assertEnginesAgree explores c with the sequential reference and with the
+// engine at every worker count, all in RAM and under a 4 KiB MemBudget, and
+// requires bit-identical Results, or identical errors. It returns the
+// reference Result (nil when the exploration failed).
+func assertEnginesAgree(t *testing.T, sys ProtocolSystem, c *multiset.Multiset, opts Options, label string) *Result {
+	t.Helper()
+	seq, seqErr := Explore[*multiset.Multiset](sys, []*multiset.Multiset{c}, opts)
+	if seqErr != nil && !errors.Is(seqErr, ErrStateLimit) {
+		t.Fatalf("%s: sequential: %v", label, seqErr)
+	}
+	for _, w := range workerCounts {
+		for _, budget := range []int64{0, 4 << 10} {
+			o := opts
+			o.Workers, o.MemBudget, o.SpillDir = w, budget, t.TempDir()
+			par, err := ExploreParallel[*multiset.Multiset](sys, []*multiset.Multiset{c}, o)
+			where := fmt.Sprintf("%s workers=%d budget=%d", label, w, budget)
+			if seqErr != nil {
+				if err == nil || err.Error() != seqErr.Error() {
+					t.Fatalf("%s: error %v, sequential %v", where, err, seqErr)
+				}
+				continue
 			}
-			assertIdentical(t, seq, par, fmt.Sprintf("trial %d workers=%d (x=%d y=%d)", trial, w, x, y))
+			if err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
+			assertIdentical(t, seq, par, where)
 		}
 	}
+	return seq
+}
+
+// TestParallelMatchesSequentialConverted runs the differential harness on
+// protocols converted from population programs by the shrink pipeline
+// (convert.Optimize), whose hundreds of states make run-length keys differ
+// most from the dense Key: figure1 leaderless at m = |F|, and czerner n=1
+// in the leader model at x = 1. Reachable-state counts are pinned too.
+func TestParallelMatchesSequentialConverted(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		leader bool
+		extra  int64
+		states int
+	}{
+		{"figure1", false, 0, 1_124},
+		{"czerner:1", true, 1, 1_853},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, c := convertedInstance(t, tc.name, tc.leader, tc.extra)
+			seq := assertEnginesAgree(t, NewProtocolSystem(p), c, Options{}, tc.name)
+			if seq.NumStates != tc.states {
+				t.Fatalf("%s: %d reachable states, want %d", tc.name, seq.NumStates, tc.states)
+			}
+		})
+	}
+}
+
+// convertedInstance converts the named program ("figure1" or "czerner:1")
+// with convert.Optimize and returns the protocol with one initial
+// configuration: leaderless with |F| + extra agents, or the leader model
+// with extra input agents.
+func convertedInstance(tb testing.TB, name string, leader bool, extra int64) (*protocol.Protocol, *multiset.Multiset) {
+	tb.Helper()
+	prog := popprog.Figure1Program()
+	if name == "czerner:1" {
+		cons, err := core.New(1)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		prog = cons.Program
+	}
+	m, err := compile.Compile(prog)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, _, err := convert.Optimize(m)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var c *multiset.Multiset
+	if leader {
+		c, err = res.LeaderConfig(extra, 0)
+	} else {
+		c, err = res.Protocol.InitialConfig(int64(res.NumPointers) + extra)
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res.Protocol, c
 }
 
 // TestParallelMatchesSequentialMachine is the population-machine half: the

@@ -254,7 +254,7 @@ func TestCheckDecidesRejectsZeroPopulation(t *testing.T) {
 
 func TestProtocolSystemOutputs(t *testing.T) {
 	p := buildMajority(t)
-	sys := ProtocolSystem{P: p}
+	sys := NewProtocolSystem(p)
 	c, _ := p.InitialConfig(1, 1)
 	if sys.Output(c) != protocol.OutputMixed {
 		t.Fatal("mixed configuration misreported")

@@ -2,54 +2,77 @@ package explore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/multiset"
 )
 
-// FuzzInternKey fuzzes the compact key encoding and the sharded interner:
+// FuzzInternKey fuzzes the run-length configuration key and the sharded
+// interner:
 //
-//   - encode/decode round-trips (AppendKey → FromKey → Equal), and Key()
-//     agrees byte-for-byte with AppendKey;
+//   - encode/decode round-trips (AppendRunKey → SetFromRunKey → Equal), and
+//     the run-length key is never longer than the dense AppendKey;
+//   - arbitrary byte strings either fail SetFromRunKey or are canonical:
+//     they re-encode to exactly the same bytes; truncated and non-minimal
+//     tokens, zero tokens, adjacent runs, trailing runs and kinds past the
+//     universe are all rejected with an error, never a panic;
 //   - hash and shard assignment are a stable function of the configuration
 //     (re-encoding a clone lands in the same shard);
 //   - distinct configurations never collide in the interner — every key
 //     resolves to exactly the id it was interned under, including after
-//     later inserts have grown the shard arenas;
-//   - arbitrary byte strings either fail FromKey or decode to a value whose
-//     re-encoding decodes to an equal multiset.
+//     later inserts have grown the shard arenas.
+//
+// The first byte picks the universe size (1..256, so runs and counts both
+// need multi-byte tokens); the rest is decoded once as a raw key and once as
+// a stream of sparse configurations: a length byte, then that many
+// (kind, count-low, count-high) triples.
 func FuzzInternKey(f *testing.F) {
-	f.Add([]byte{2, 0, 0, 1, 0, 0, 1, 2, 2})
-	f.Add([]byte{1, 7, 7, 7})
-	f.Add([]byte{4, 1, 2, 3, 4, 4, 3, 2, 1})
-	f.Add([]byte{8, 0, 1, 2, 3, 4, 5, 6, 7, 255, 254, 253, 252, 251, 250, 249, 248})
+	f.Add([]byte{2, 0, 2, 1, 0, 4})
+	f.Add([]byte{7, 1, 2, 7, 0})
+	f.Add([]byte{255, 3, 0, 1, 0, 200, 9, 1, 254, 255, 255})
+	f.Add([]byte{130, 2, 129, 1, 2, 2, 0, 0, 1, 100, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		n := int(data[0]%8) + 1
+		n := int(data[0]) + 1
 		body := data[1:]
 
 		// Arbitrary bytes must never crash the decoder, and any accepted
-		// decoding must re-encode to an equal value.
-		if m, err := multiset.FromKey(body, n); err == nil {
-			again, err := multiset.FromKey(m.AppendKey(nil), n)
-			if err != nil {
-				t.Fatalf("re-encoding of accepted key failed: %v", err)
+		// key must be the canonical encoding of what it decodes to.
+		m := multiset.New(n)
+		if err := m.SetFromRunKey(body); err == nil {
+			if again := m.AppendRunKey(nil); !bytes.Equal(again, body) {
+				t.Fatalf("accepted key %x re-encodes to %x", body, again)
 			}
-			if !again.Equal(m) {
-				t.Fatalf("value round-trip mismatch: %v vs %v", m, again)
+		}
+		for _, bad := range []struct {
+			name string
+			key  []byte
+		}{
+			{"truncated token", []byte{2, 0x80}},
+			{"non-minimal token", []byte{0x82, 0}},
+			{"zero token", []byte{2, 0, 2}},
+			{"adjacent runs", []byte{1, 1, 2}},
+			{"trailing run", []byte{2, 1}},
+			{"count past the universe", binary.AppendUvarint(binary.AppendUvarint(nil, uint64(2*n-1)), 2)},
+			{"run past the universe", binary.AppendUvarint(binary.AppendUvarint(nil, uint64(2*n+1)), 2)},
+		} {
+			if err := m.SetFromRunKey(bad.key); err == nil {
+				t.Fatalf("%s: key %x over %d kinds accepted as %v", bad.name, bad.key, n, m)
 			}
 		}
 
-		// Interpret the remaining bytes as a stream of configurations.
 		var sets []*multiset.Multiset
-		for len(body) >= n && len(sets) < 64 {
+		for len(body) > 0 && len(sets) < 64 {
 			m := multiset.New(n)
-			for i := 0; i < n; i++ {
-				m.Set(i, int64(body[i]))
+			l := int(body[0] % 8)
+			body = body[1:]
+			for ; l > 0 && len(body) >= 3; l-- {
+				m.Set(int(body[0])%n, int64(body[1])|int64(body[2])<<8)
+				body = body[3:]
 			}
-			body = body[n:]
 			sets = append(sets, m)
 		}
 
@@ -58,21 +81,21 @@ func FuzzInternKey(f *testing.F) {
 		in := newInterner(0, st, nil)
 		defer in.close()
 		expect := make(map[string]int)
+		dec := multiset.New(n)
 		for _, m := range sets {
-			key := m.AppendKey(nil)
-			dec, err := multiset.FromKey(key, n)
-			if err != nil {
+			key := m.AppendRunKey(nil)
+			if err := dec.SetFromRunKey(key); err != nil {
 				t.Fatalf("round-trip decode of %v failed: %v", m, err)
 			}
 			if !dec.Equal(m) {
 				t.Fatalf("round-trip of %v gave %v", m, dec)
 			}
-			if m.Key() != string(key) {
-				t.Fatalf("Key()/AppendKey disagree for %v", m)
+			if dense := m.AppendKey(nil); len(key) > len(dense) {
+				t.Fatalf("run-length key of %v has %d bytes, dense key %d", m, len(key), len(dense))
 			}
 
 			h := hashKey(key)
-			clonedKey := m.Clone().AppendKey(nil)
+			clonedKey := m.Clone().AppendRunKey(nil)
 			if !bytes.Equal(clonedKey, key) {
 				t.Fatalf("encoding of %v is not deterministic", m)
 			}

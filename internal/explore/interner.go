@@ -126,10 +126,10 @@ type deferredLookup struct {
 
 // lookupExpand is the expansion-pass lookup: like lookup, but when the first
 // fingerprint match needs a spilled-segment read it defers the confirmation
-// into d (to be resolved by resolveDeferred) and reports deferred = true.
+// into d (resolved by expandBlock's sorted batch) and reports not found.
 // Resident confirms are done inline. scratch backs unmapped spilled reads.
 func (in *interner) lookupExpand(h uint64, key []byte, scratch *[]byte,
-	d *[]deferredLookup, i, j int32) (id int, ok, deferred bool) {
+	d *[]deferredLookup, i, j int32) (id int, ok bool) {
 	sh := &in.shards[shardIndex(h)]
 	fp := fingerprint(h)
 	sh.mu.RLock()
@@ -138,18 +138,18 @@ func (in *interner) lookupExpand(h uint64, key []byte, scratch *[]byte,
 	for slot := fp & mask; ; slot = (slot + 1) & mask {
 		e := sh.entries[slot]
 		if e.off == 0 {
-			return 0, false, false
+			return 0, false
 		}
 		if e.fp != fp {
 			continue
 		}
 		if in.log.spilled(e.off) {
 			*d = append(*d, deferredLookup{off: e.off, hash: h, slot: slot, id: e.id, i: i, j: j})
-			return 0, false, true
+			return 0, false
 		}
 		rec, err := in.log.record(e.off, scratch)
 		if err == nil && bytes.Equal(rec, key) {
-			return int(e.id), true, false
+			return int(e.id), true
 		}
 	}
 }

@@ -13,50 +13,55 @@ import (
 // ProtocolSystem adapts a population protocol's configuration graph to the
 // System interface: states are configurations (multisets over Q), the step
 // relation is single-transition firing, and outputs are consensus outputs.
-// Use NewProtocolSystem so successor queries go through a pair-indexed
-// stepper (O(support²) rather than O(|δ|) per state).
+// Build it with NewProtocolSystem: successor queries go through a
+// pair-indexed stepper (O(support²) rather than O(|δ|) per state).
 type ProtocolSystem struct {
 	P       *protocol.Protocol
 	stepper *protocol.Stepper
 }
 
-var _ System[*multiset.Multiset] = ProtocolSystem{}
+var (
+	_ KeyDecoderSystem[*multiset.Multiset]   = ProtocolSystem{}
+	_ SuccessorKeySystem[*multiset.Multiset] = ProtocolSystem{}
+)
 
 // NewProtocolSystem builds an indexed adapter for p.
 func NewProtocolSystem(p *protocol.Protocol) ProtocolSystem {
 	return ProtocolSystem{P: p, stepper: protocol.NewStepper(p)}
 }
 
-// Key implements System.
+// Key implements System: the dense key, which witness keys report.
 func (s ProtocolSystem) Key(c *multiset.Multiset) string { return c.Key() }
 
-// AppendKey implements AppendKeySystem: the parallel engine interns
-// configurations through the compact binary encoding instead of
-// materialising a string per visited state.
+// AppendKey implements AppendKeySystem with the run-length key, whose
+// length grows with the configuration's support rather than with |Q|.
 func (s ProtocolSystem) AppendKey(dst []byte, c *multiset.Multiset) []byte {
-	return c.AppendKey(dst)
+	return c.AppendRunKey(dst)
 }
 
 // DecodeKey implements KeyDecoderSystem: configurations are rebuilt from
-// their varint count vectors, which lets the engine run out-of-core —
-// frontier and interned configurations can live on disk instead of in a
-// states slice. prev is reused as the decode target when non-nil.
+// their run-length keys, which lets the engine run out-of-core — frontier
+// and interned configurations can live on disk instead of in a states
+// slice. prev is reused as the decode target when non-nil.
 func (s ProtocolSystem) DecodeKey(prev *multiset.Multiset, key []byte) (*multiset.Multiset, error) {
 	if prev == nil {
-		return multiset.FromKey(key, len(s.P.States))
+		prev = s.P.NewConfig()
 	}
-	if err := prev.SetFromKey(key); err != nil {
+	if err := prev.SetFromRunKey(key); err != nil {
 		return nil, err
 	}
 	return prev, nil
 }
 
+// AppendSuccessorKeys implements SuccessorKeySystem through the stepper,
+// firing each transition on c in place.
+func (s ProtocolSystem) AppendSuccessorKeys(c *multiset.Multiset, dst []byte, ends []int) ([]byte, []int) {
+	return s.stepper.AppendSuccessorKeys(c, dst, ends)
+}
+
 // Successors implements System.
 func (s ProtocolSystem) Successors(c *multiset.Multiset) []*multiset.Multiset {
-	if s.stepper != nil {
-		return s.stepper.Successors(c)
-	}
-	return s.P.Successors(c)
+	return s.stepper.Successors(c)
 }
 
 // Output implements System.

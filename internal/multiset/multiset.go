@@ -176,14 +176,17 @@ func (m *Multiset) SubAll(o *Multiset) {
 }
 
 // Support returns the kinds with positive multiplicity, in increasing order.
-func (m *Multiset) Support() []int {
-	var out []int
+func (m *Multiset) Support() []int { return m.AppendSupport(nil) }
+
+// AppendSupport appends the kinds with positive multiplicity to dst, in
+// increasing order, and returns the extended slice.
+func (m *Multiset) AppendSupport(dst []int) []int {
 	for i, c := range m.counts {
 		if c > 0 {
-			out = append(out, i)
+			dst = append(dst, i)
 		}
 	}
-	return out
+	return dst
 }
 
 // IsZeroOn reports whether all the given kinds have multiplicity zero.
@@ -202,12 +205,9 @@ func (m *Multiset) Key() string {
 	return string(m.AppendKey(make([]byte, 0, len(m.counts)*3)))
 }
 
-// AppendKey appends the compact binary key encoding of the multiset to dst
-// and returns the extended slice. The encoding is the varint count sequence
-// of Key; for a fixed universe size it is injective (each varint is
-// self-delimiting), and FromKey inverts it. AppendKey exists so the
-// model checker's hot path can intern states without materialising a string
-// per visited configuration.
+// AppendKey appends the dense binary key of the multiset to dst and returns
+// the extended slice: one signed varint per kind, the bytes of Key. For a
+// fixed universe size it is injective (each varint is self-delimiting).
 func (m *Multiset) AppendKey(dst []byte) []byte {
 	var tmp [binary.MaxVarintLen64]byte
 	for _, c := range m.counts {
@@ -217,54 +217,90 @@ func (m *Multiset) AppendKey(dst []byte) []byte {
 	return dst
 }
 
-// FromKey decodes a key produced by Key/AppendKey back into a multiset over
-// a universe of n kinds. It rejects truncated input, trailing bytes and
-// negative counts, so it doubles as a validity check in the encoder fuzzing
-// harness.
-func FromKey(key []byte, n int) (*Multiset, error) {
-	m := &Multiset{counts: make([]int64, n)}
-	rest := key
-	for i := 0; i < n; i++ {
-		c, w := binary.Varint(rest)
-		if w <= 0 {
-			return nil, fmt.Errorf("multiset: truncated key at kind %d", i)
+// AppendRunKey appends the run-length key of the multiset to dst and returns
+// the extended slice. The key is a sequence of uvarint tokens walking the
+// kinds in order: token 2c is one kind with count c ≥ 1, token 2r−1 skips a
+// run of r empty kinds, and the empty kinds after the last occupied one are
+// omitted. For a fixed universe size the key is canonical (one key per
+// multiset) and never longer than AppendKey's, and its length is
+// O(support) rather than O(Len()). SetFromRunKey inverts it.
+func (m *Multiset) AppendRunKey(dst []byte) []byte {
+	next := 0 // first kind the key has not covered yet
+	for i, c := range m.counts {
+		if c != 0 {
+			dst = appendRunToken(dst, next, i, c)
+			next = i + 1
 		}
-		if c < 0 {
-			return nil, fmt.Errorf("multiset: negative count %d at kind %d", c, i)
-		}
-		m.counts[i] = c
-		m.size += c
-		rest = rest[w:]
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("multiset: %d trailing key bytes", len(rest))
-	}
-	return m, nil
+	return dst
 }
 
-// SetFromKey decodes a key produced by Key/AppendKey into m, overwriting its
-// counts in place. It is the streaming counterpart of FromKey for hot
-// decode loops (the out-of-core explorer reuses one scratch multiset per
-// worker instead of allocating per decoded state); the universe size is
-// m.Len() and the same validity checks apply. On error m is left in an
+// AppendRunKeyOn is AppendRunKey for callers that already know the support:
+// kinds must list, in increasing order, every kind with a positive count
+// (empty kinds in the list are skipped). It costs O(len(kinds)).
+func (m *Multiset) AppendRunKeyOn(dst []byte, kinds []int) []byte {
+	next := 0
+	for _, i := range kinds {
+		if c := m.counts[i]; c != 0 {
+			dst = appendRunToken(dst, next, i, c)
+			next = i + 1
+		}
+	}
+	return dst
+}
+
+// appendRunToken appends kind i's count c, preceded by the run token for the
+// empty kinds next..i-1 if there are any.
+func appendRunToken(dst []byte, next, i int, c int64) []byte {
+	if i > next {
+		dst = binary.AppendUvarint(dst, uint64(2*(i-next)-1))
+	}
+	return binary.AppendUvarint(dst, uint64(c)<<1)
+}
+
+// SetFromRunKey decodes a key produced by AppendRunKey into m, overwriting
+// its counts in place; the universe size is m.Len(). It rejects every key
+// AppendRunKey cannot produce — truncated or non-minimal tokens, a zero
+// token, two adjacent runs, a trailing run, and kinds past the universe — so
+// an accepted key re-encodes to the same bytes. On error m is left in an
 // unspecified state.
-func (m *Multiset) SetFromKey(key []byte) error {
-	rest := key
+func (m *Multiset) SetFromRunKey(key []byte) error {
+	clear(m.counts)
 	m.size = 0
-	for i := range m.counts {
-		c, w := binary.Varint(rest)
-		if w <= 0 {
-			return fmt.Errorf("multiset: truncated key at kind %d", i)
+	i, afterRun := 0, false
+	for len(key) > 0 {
+		tok, w := binary.Uvarint(key)
+		switch {
+		case w <= 0:
+			return fmt.Errorf("multiset: truncated run-key token at kind %d", i)
+		case w > 1 && key[w-1] == 0:
+			return fmt.Errorf("multiset: non-minimal run-key token at kind %d", i)
+		case tok == 0:
+			return fmt.Errorf("multiset: zero run-key token at kind %d", i)
 		}
-		if c < 0 {
-			return fmt.Errorf("multiset: negative count %d at kind %d", c, i)
+		key = key[w:]
+		if tok&1 == 1 {
+			r := tok/2 + 1
+			switch {
+			case afterRun:
+				return fmt.Errorf("multiset: adjacent runs at kind %d", i)
+			case len(key) == 0:
+				return fmt.Errorf("multiset: trailing run at kind %d", i)
+			case r > uint64(len(m.counts)-i):
+				return fmt.Errorf("multiset: run of %d at kind %d passes the universe of %d kinds", r, i, len(m.counts))
+			}
+			i += int(r)
+			afterRun = true
+			continue
 		}
+		if i >= len(m.counts) {
+			return fmt.Errorf("multiset: count at kind %d passes the universe of %d kinds", i, len(m.counts))
+		}
+		c := int64(tok >> 1)
 		m.counts[i] = c
 		m.size += c
-		rest = rest[w:]
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("multiset: %d trailing key bytes", len(rest))
+		i++
+		afterRun = false
 	}
 	return nil
 }
