@@ -9,10 +9,10 @@
 //
 // -quick shrinks every sweep to its smallest meaningful size (useful for
 // smoke tests); -markdown emits the tables in the format EXPERIMENTS.md
-// embeds. -batch and -workers route the convergence experiment through the
-// batched fast-path scheduler and a run-level worker pool; -kernel selects
-// its interaction kernel (exact | batch | fluid | langevin | auto — see
-// ppsim). -explore-workers
+// embeds. -kernel selects the convergence experiment's interaction kernel
+// (exact | batch | fluid | langevin | auto, default exact — see ppsim),
+// -batch its chunk size (0 = 65,536) and -workers its run-level worker pool.
+// -explore-workers
 // sets the frontier-expansion worker count of the parallel model checker
 // used by the exhaustive checks (0 = one per CPU); every table is
 // bit-identical for any value. -mem-budget caps the checker's resident
@@ -55,9 +55,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	quick := fs.Bool("quick", false, "small sweeps for a fast smoke run")
 	seed := fs.Int64("seed", 1, "seed for randomised experiments")
 	batch := fs.Int64("batch", 0,
-		"batched fast-path chunk size for the convergence experiment (0 = per-step)")
+		"chunk size of the convergence experiment's kernel driver (0 = 65536)")
 	kernel := fs.String("kernel", "",
-		"interaction kernel for the convergence experiment: "+simulate.KernelUsage())
+		"interaction kernel for the convergence experiment: "+simulate.KernelUsage()+" (empty = exact)")
 	workers := fs.Int("workers", 1,
 		"worker goroutines for the convergence experiment's runs")
 	exploreWorkers := fs.Int("explore-workers", 0,

@@ -96,8 +96,16 @@ func exportTo(w io.Writer, what, name, input string, seed int64, maxStates int, 
 		}
 		return export.ReachabilityDOT(w, p, []*multiset.Multiset{c}, maxStates)
 	}
-	s := sched.NewRandomPair(p, sched.NewRand(seed))
-	_, trace, err := simulate.RunTraced(p, counts, s, period, simulate.Options{})
+	var m int64
+	for _, c := range counts {
+		m += c
+	}
+	var opts simulate.Options
+	s, err := simulate.NewScheduler(p, sched.NewRand(seed), opts, m)
+	if err != nil {
+		return err
+	}
+	_, trace, err := simulate.RunTraced(p, counts, s, period, opts)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -43,5 +44,23 @@ func TestRun(t *testing.T) {
 				t.Fatalf("stdout missing %q:\n%s", tc.wantStdout, stdout.String())
 			}
 		})
+	}
+}
+
+// TestRunTraceGolden pins one trace CSV byte for byte. RunTraced drives its
+// sampler per step, and the exact sampler's Step consumes RandomPair's
+// random draws one-for-one, so this is also RandomPair's trace.
+func TestRunTraceGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/trace_majority.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-what", "trace", "-target", "majority", "-input", "6,3", "-period", "5"},
+		&stdout, &stderr); code != 0 {
+		t.Fatalf("exit code = %d\nstderr: %s", code, stderr.String())
+	}
+	if got := stdout.String(); got != string(want) {
+		t.Fatalf("trace CSV drifted from testdata/trace_majority.csv:\n%s", got)
 	}
 }

@@ -11,30 +11,31 @@
 //	ppsim -program path/to/file.pop -input 5
 //
 // Protocol targets (majority, unary:k, binary:j, remainder:m) run under the
-// uniform random-pair scheduler and report interactions and parallel time.
-// -batch N enables the batched fast-path scheduler (distribution-preserving
-// null-interaction skipping); -kernel selects the interaction kernel
-// instead: exact (per-step law with geometric null skipping), batch (the
-// count-based collision kernel advancing whole tau-leap rounds — the
-// large-n fast path), fluid (deterministic mean-field ODE integration),
+// uniform random-pair scheduler (-scheduler pair, the default) and report
+// interactions and parallel time. -kernel selects the sampler of that law:
+// exact (the default: per-interaction law with geometric null skipping),
+// batch (the count-based collision kernel advancing whole tau-leap rounds —
+// the large-n fast path), fluid (deterministic mean-field ODE integration),
 // langevin (mean-field drift plus 1/√m chemical Langevin noise), or auto
 // (the full simulation ladder: exact below 4096 agents, tau-leap rounds up
 // to 65,536, then the hybrid fluid/discrete ladder — the only kernel that
 // reaches m = 10¹²⁺). -fluid-floor tunes the ladder's regime switch-over
-// bound (agents per consumed species required for the fluid tier).
-// Any -kernel implies batched driving with a default chunk of 65,536 steps
-// when -batch is 0. -window and -qperiod override the stable-window and
-// quiescence-check lengths for large-n runs. -runs R repeats the run R
-// times with seeds seed..seed+R-1 and reports convergence summary
-// statistics, optionally in parallel with -workers W (results are identical
-// for any worker count).
+// bound (agents per consumed species required for the fluid tier). Every
+// kernel advances in chunks of -batch steps (0 = 65,536), and the
+// stabilisation checks run at chunk boundaries. -scheduler fair instead
+// fires a uniformly random enabled transition each step. -window and
+// -qperiod override the stable-window and quiescence-check lengths for
+// large-n runs. -runs R repeats the run R times with seeds seed..seed+R-1
+// and reports convergence summary statistics, optionally in parallel with
+// -workers W (results are identical for any worker count).
 // -topology restricts interactions to a graph (clique, ring, grid[:RxC],
 // powerlaw[:k]) driven per-step by an edge-selection policy chosen with
 // -topo-policy (random, roundrobin, starvation, adversary); -crash, -revive
 // and -join enable per-step agent fault injection on topology runs.
 // Program targets (figure1, czerner:n, equality:n, or a .pop file given
 // with -program) run the population-program interpreter with a seeded
-// random oracle and report the stabilised output flag, steps and restarts.
+// random oracle and report the stabilised output flag, steps and restarts;
+// they reject every flag above that only protocol targets read.
 //
 // Telemetry: -metrics prints a JSON snapshot of the scheduler/runner
 // counters to stderr on exit, -metrics-interval emits periodic snapshot
@@ -77,11 +78,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	input := fs.String("input", "", "comma-separated input counts (protocols) or a total (programs)")
 	seed := fs.Int64("seed", 1, "PRNG seed")
 	budget := fs.Int64("budget", 0, "step budget (0 = default)")
-	scheduler := fs.String("scheduler", "pair", "protocol scheduler: pair | batch | fair")
-	batch := fs.Int64("batch", 0,
-		"batched fast-path chunk size for protocol targets (0 = per-step; implies -scheduler batch when set)")
+	scheduler := fs.String("scheduler", "pair",
+		"protocol scheduler: pair (uniform random pairs, sampled by -kernel) | fair (uniformly random enabled transition)")
+	batch := fs.Int64("batch", 0, "chunk size of the -kernel driver for protocol targets (0 = 65536)")
 	kernel := fs.String("kernel", "",
-		"interaction kernel for protocol targets: "+simulate.KernelUsage()+" (overrides -scheduler; implies batching)")
+		"interaction kernel of the pair scheduler for protocol targets: "+simulate.KernelUsage()+" (empty = exact)")
 	fluidFloor := fs.Int64("fluid-floor", 0,
 		"agents per consumed species required for the auto kernel's fluid tier (0 = default 16384)")
 	window := fs.Int64("window", 0, "stable-window length for protocol targets (0 = default 10000)")
@@ -119,26 +120,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Workers:          *workers,
 		},
 	}
-	if *topology != "" {
-		spec, err := sched.ParseTopologySpec(*topology)
-		if err != nil {
-			return usageErr(err)
-		}
-		spec.Policy = *topoPolicy
-		so.Topology = &spec
-	}
-	if *crash != 0 || *revive != 0 || *join != 0 {
-		so.Faults = &sched.Faults{Crash: *crash, Revive: *revive, Join: *join}
+	if err := so.SetTopology(*topology, *topoPolicy, *crash, *revive, *join); err != nil {
+		return usageErr(err)
 	}
 	switch {
 	case *runs < 1:
 		return usageErr(fmt.Errorf("-runs must be ≥ 1, got %d", *runs))
 	case *workers < 1:
 		return usageErr(fmt.Errorf("-workers must be ≥ 1, got %d", *workers))
+	case *scheduler != "pair" && *scheduler != "fair":
+		return usageErr(fmt.Errorf("unknown -scheduler %q (want pair | fair)", *scheduler))
 	case *kernel != "" && *scheduler == "fair":
-		return usageErr(errors.New("-kernel only applies to the pair/batch schedulers, not fair"))
-	case *topoPolicy != "" && so.Topology == nil:
-		return usageErr(errors.New("-topo-policy requires -topology"))
+		return usageErr(errors.New("-kernel only applies to the pair scheduler, not fair"))
 	case so.Topology != nil && *scheduler != "pair":
 		return usageErr(errors.New("-topology replaces -scheduler (leave it at the default)"))
 	case *input == "":
@@ -146,6 +139,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if err := so.Validate(); err != nil {
 		return usageErr(err)
+	}
+	var t target.Target
+	if *programPath == "" {
+		var err error
+		if t, err = target.Parse(*targetName); err != nil {
+			fmt.Fprintln(stderr, "ppsim:", err)
+			return 1
+		}
+	}
+	if *programPath != "" || t.Kind() == target.Programs {
+		// -topo-policy, -crash, -revive and -join are rejected above
+		// without -topology.
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"-kernel", *kernel != ""}, {"-batch", *batch != 0}, {"-window", *window != 0},
+			{"-qperiod", *qperiod != 0}, {"-fluid-floor", *fluidFloor != 0},
+			{"-runs", *runs > 1}, {"-workers", *workers > 1},
+			{"-topology", *topology != ""}, {"-scheduler fair", *scheduler == "fair"},
+		} {
+			if f.set {
+				return usageErr(fmt.Errorf("%s applies only to protocol targets", f.name))
+			}
+		}
 	}
 	stopTelemetry, err := telemetry.Start(stderr)
 	if err != nil {
@@ -158,16 +176,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ppsim:", err)
 		return 1
 	}
-	if err := dispatch(stdout, *targetName, *programPath, counts, so); err != nil {
+	if err := dispatch(stdout, *targetName, t, *programPath, counts, so); err != nil {
 		fmt.Fprintln(stderr, "ppsim:", err)
 		return 1
 	}
 	return 0
 }
 
-// dispatch resolves the target (or -program file) and routes to the
-// protocol or program simulation path.
-func dispatch(w io.Writer, name, programPath string, counts []int64, so simOptions) error {
+// dispatch builds the parsed target t (or reads the -program file) and
+// routes to the protocol or program simulation path.
+func dispatch(w io.Writer, name string, t target.Target, programPath string, counts []int64, so simOptions) error {
 	if programPath != "" {
 		src, err := os.ReadFile(programPath)
 		if err != nil {
@@ -182,10 +200,6 @@ func dispatch(w io.Writer, name, programPath string, counts []int64, so simOptio
 		}
 		return simulateProgram(w, prog, counts[0], so.seed, so.MaxSteps, popprog.DecideOptions{})
 	}
-	t, err := target.Parse(name)
-	if err != nil {
-		return err
-	}
 	b, err := t.Build()
 	if err != nil {
 		return err
@@ -194,7 +208,7 @@ func dispatch(w io.Writer, name, programPath string, counts []int64, so simOptio
 		if len(counts) != len(b.Protocol.Input) {
 			return fmt.Errorf("%s needs -input with %d count(s), got %d", name, len(b.Protocol.Input), len(counts))
 		}
-		return simulateProtocol(w, b.Protocol, counts, so)
+		return simulateProtocol(w, b.Protocol, b.Predicate, counts, so)
 	}
 	if len(counts) != 1 {
 		return fmt.Errorf("%s needs -input m (a single total)", name)
@@ -222,7 +236,8 @@ func parseCounts(s string) ([]int64, error) {
 }
 
 // simOptions collects the simulation knobs of the CLI: the validated run
-// options plus the scheduler choice, seed and repetition count.
+// options plus the scheduler choice (pair or fair), seed and repetition
+// count.
 type simOptions struct {
 	simulate.Options
 	scheduler string
@@ -230,19 +245,18 @@ type simOptions struct {
 	runs      int
 }
 
-func simulateProtocol(w io.Writer, p *protocol.Protocol, counts []int64, so simOptions) error {
-	if so.BatchSize > 0 && so.scheduler == "pair" {
-		so.scheduler = "batch"
-	}
+// simulateProtocol runs p once, or so.runs times for summary statistics;
+// pred is the predicate p decides, the expected output of every run.
+func simulateProtocol(w io.Writer, p *protocol.Protocol, pred protocol.Predicate, counts []int64, so simOptions) error {
 	var m int64
 	for _, c := range counts {
 		m += c
 	}
 	if so.runs > 1 {
 		if so.scheduler == "fair" {
-			return errors.New("-runs > 1 only supports the pair/batch schedulers")
+			return errors.New("-runs > 1 only supports the pair scheduler")
 		}
-		samples, err := simulate.MeasureConvergenceSamples(p, counts, so.runs, so.seed, so.Options)
+		_, samples, err := simulate.MeasureConvergenceWithSamples(p, counts, pred(counts), so.runs, so.seed, so.Options)
 		if err != nil {
 			return err
 		}
@@ -258,28 +272,14 @@ func simulateProtocol(w io.Writer, p *protocol.Protocol, counts []int64, so simO
 		return nil
 	}
 	rng := sched.NewRand(so.seed)
-	var s sched.Scheduler
-	switch {
-	case so.Topology != nil:
-		ts, err := so.Topology.NewScheduler(p, rng, so.Faults, m)
-		if err != nil {
-			return err
-		}
-		s = ts
-	case so.Kernel != "":
-		ks, err := simulate.NewKernelScheduler(p, rng, so.Kernel, m)
-		if err != nil {
-			return err
-		}
-		s = ks
-	case so.scheduler == "pair":
-		s = sched.NewRandomPair(p, rng)
-	case so.scheduler == "batch":
-		s = sched.NewBatchRandomPair(p, rng)
-	case so.scheduler == "fair":
+	var (
+		s   sched.Scheduler
+		err error
+	)
+	if so.scheduler == "fair" {
 		s = sched.NewTransitionFair(p, rng)
-	default:
-		return fmt.Errorf("unknown scheduler %q", so.scheduler)
+	} else if s, err = simulate.NewScheduler(p, rng, so.Options, m); err != nil {
+		return err
 	}
 	res, err := simulate.RunInput(p, counts, s, so.Options)
 	if err != nil {

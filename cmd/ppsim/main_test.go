@@ -31,38 +31,34 @@ func TestSimulatePathsSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pred := baseline.MajorityPredicate
 	base := simOptions{scheduler: "pair", seed: 1, runs: 1}
 	base.Workers = 1
-	if err := simulateProtocol(io.Discard, p, []int64{6, 3}, base); err != nil {
+	if err := simulateProtocol(io.Discard, p, pred, []int64{6, 3}, base); err != nil {
 		t.Fatal(err)
 	}
 	fair := base
 	fair.scheduler = "fair"
-	if err := simulateProtocol(io.Discard, p, []int64{6, 3}, fair); err != nil {
+	if err := simulateProtocol(io.Discard, p, pred, []int64{6, 3}, fair); err != nil {
 		t.Fatal(err)
 	}
 	batched := base
 	batched.BatchSize = 64
-	if err := simulateProtocol(io.Discard, p, []int64{6, 3}, batched); err != nil {
+	if err := simulateProtocol(io.Discard, p, pred, []int64{6, 3}, batched); err != nil {
 		t.Fatal(err)
 	}
 	multi := base
 	multi.runs = 4
 	multi.Workers = 2
 	multi.BatchSize = 32
-	if err := simulateProtocol(io.Discard, p, []int64{6, 3}, multi); err != nil {
+	if err := simulateProtocol(io.Discard, p, pred, []int64{6, 3}, multi); err != nil {
 		t.Fatal(err)
 	}
 	multiFair := multi
 	multiFair.scheduler = "fair"
 	multiFair.BatchSize = 0
-	if err := simulateProtocol(io.Discard, p, []int64{6, 3}, multiFair); err == nil {
+	if err := simulateProtocol(io.Discard, p, pred, []int64{6, 3}, multiFair); err == nil {
 		t.Fatal("accepted -runs > 1 with the fair scheduler")
-	}
-	bogus := base
-	bogus.scheduler = "bogus"
-	if err := simulateProtocol(io.Discard, p, []int64{6, 3}, bogus); err == nil {
-		t.Fatal("accepted an unknown scheduler")
 	}
 	if err := simulateProgram(io.Discard, popprog.Figure1Program(), 5, 1, 300_000,
 		popprog.DecideOptions{}); err != nil {
@@ -71,12 +67,12 @@ func TestSimulatePathsSmoke(t *testing.T) {
 	for _, kernel := range []string{"exact", "batch", "fluid", "langevin", "auto"} {
 		k := base
 		k.Kernel = kernel
-		if err := simulateProtocol(io.Discard, p, []int64{6, 3}, k); err != nil {
+		if err := simulateProtocol(io.Discard, p, pred, []int64{6, 3}, k); err != nil {
 			t.Fatalf("kernel %q: %v", kernel, err)
 		}
 		k.runs = 3
 		k.Workers = 2
-		if err := simulateProtocol(io.Discard, p, []int64{6, 3}, k); err != nil {
+		if err := simulateProtocol(io.Discard, p, pred, []int64{6, 3}, k); err != nil {
 			t.Fatalf("kernel %q, multi-run: %v", kernel, err)
 		}
 	}
@@ -145,6 +141,16 @@ func TestRunFlagValidation(t *testing.T) {
 		{"bogus kernel", []string{"-target", "majority", "-input", "6,3", "-kernel", "turbo"}, 2, "unknown kernel \"turbo\""},
 		{"negative fluid floor", []string{"-target", "majority", "-input", "6,3", "-fluid-floor", "-1"}, 2, "FluidFloor must be ≥ 0"},
 		{"kernel with fair scheduler", []string{"-target", "majority", "-input", "6,3", "-kernel", "batch", "-scheduler", "fair"}, 2, "-kernel only applies"},
+		{"batch scheduler removed", []string{"-target", "majority", "-input", "6,3", "-scheduler", "batch"}, 2, `unknown -scheduler "batch"`},
+		{"kernel on program target", []string{"-target", "figure1", "-input", "5", "-kernel", "fluid", "-runs", "5", "-window", "3"}, 2, "-kernel applies only to protocol targets"},
+		{"batch on program target", []string{"-target", "equality:1", "-input", "5", "-batch", "64"}, 2, "-batch applies only to protocol targets"},
+		{"window on program target", []string{"-target", "czerner:1", "-input", "5", "-window", "3"}, 2, "-window applies only to protocol targets"},
+		{"qperiod on program target", []string{"-target", "figure1", "-input", "5", "-qperiod", "10"}, 2, "-qperiod applies only to protocol targets"},
+		{"fluid floor on program target", []string{"-target", "figure1", "-input", "5", "-fluid-floor", "10"}, 2, "-fluid-floor applies only to protocol targets"},
+		{"runs on program target", []string{"-target", "figure1", "-input", "5", "-runs", "2"}, 2, "-runs applies only to protocol targets"},
+		{"workers on program target", []string{"-target", "figure1", "-input", "5", "-workers", "2"}, 2, "-workers applies only to protocol targets"},
+		{"topology on program file", []string{"-program", "../../examples/programs/testdata/figure1.pop", "-input", "5", "-topology", "ring", "-crash", "0.1"}, 2, "-topology applies only to protocol targets"},
+		{"fair scheduler on program target", []string{"-target", "figure1", "-input", "5", "-scheduler", "fair"}, 2, "-scheduler fair applies only to protocol targets"},
 		{"missing input", []string{"-target", "majority"}, 2, "-input is required"},
 		{"non-numeric flag", []string{"-runs", "x"}, 2, "invalid value"},
 		{"unknown flag", []string{"-definitely-not-a-flag"}, 2, "flag provided but not defined"},
@@ -162,7 +168,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"unknown topology", []string{"-target", "majority", "-input", "6,3", "-topology", "torus"}, 2, "unknown topology"},
 		{"bad grid parameter", []string{"-target", "majority", "-input", "6,3", "-topology", "grid:axb"}, 2, "ROWSxCOLS"},
 		{"bogus topo policy", []string{"-target", "majority", "-input", "6,3", "-topology", "ring", "-topo-policy", "chaos"}, 2, "unknown edge-selection policy \"chaos\""},
-		{"policy without topology", []string{"-target", "majority", "-input", "6,3", "-topo-policy", "random"}, 2, "-topo-policy requires -topology"},
+		{"policy without topology", []string{"-target", "majority", "-input", "6,3", "-topo-policy", "random"}, 2, "edge-selection policy requires a topology"},
 		{"topology with kernel", []string{"-target", "majority", "-input", "6,3", "-topology", "ring", "-kernel", "batch"}, 2, "Topology excludes Kernel"},
 		{"topology with batch", []string{"-target", "majority", "-input", "6,3", "-topology", "ring", "-batch", "64"}, 2, "Topology excludes Kernel"},
 		{"topology with fair scheduler", []string{"-target", "majority", "-input", "6,3", "-topology", "ring", "-scheduler", "fair"}, 2, "-topology replaces -scheduler"},

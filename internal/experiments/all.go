@@ -26,16 +26,14 @@ type Config struct {
 	// (defaults {16, 32, 64, 128} / 5).
 	ConvergenceSizes []int64
 	ConvergenceRuns  int
-	// ConvergenceBatch > 0 routes E12's runs through the batched fast-path
-	// scheduler with that chunk size; 0 (the default) keeps the historical
-	// per-step measurement.
+	// ConvergenceBatch is the chunk size of E12's kernel driver (0 means
+	// 65,536; simulate.Options.BatchSize).
 	ConvergenceBatch int64
 	// ConvergenceWorkers > 1 measures E12's runs on a worker pool. Results
 	// are bit-identical for any worker count; the default is sequential.
 	ConvergenceWorkers int
-	// ConvergenceKernel selects E12's interaction kernel
-	// (simulate.KernelExact/Batch/Auto); empty keeps the legacy
-	// batch-size-driven scheduler selection.
+	// ConvergenceKernel selects E12's interaction kernel (one of the
+	// simulate.Kernel* names; empty means simulate.KernelExact).
 	ConvergenceKernel string
 	// TopologyM / TopologyRuns configure E16's population size and runs per
 	// (protocol, topology) cell (defaults 16 / 2).

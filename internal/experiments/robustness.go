@@ -270,15 +270,12 @@ func adversarialPlacement(c *core.Construction, total int64) *multiset.Multiset 
 // reproduce is super-linear interaction counts (≈ m log m to m²), i.e.
 // Θ(polylog)–Θ(m) parallel time.
 //
-// batch > 0 routes every run through the batched fast-path scheduler
-// (distribution-preserving; convergence steps are then reported at batch
-// granularity), and workers > 1 measures the runs on a worker pool —
-// results are bit-identical for any worker count. batch = 0, workers ≤ 1,
-// kernel = "" reproduces the historical per-step, sequential measurement
-// exactly. A non-empty kernel (simulate.KernelExact/Batch/Auto) selects the
-// interaction kernel instead; "batch" and large-population "auto" runs use
-// the count-based collision kernel, whose trajectories are statistically —
-// not bit — identical to the exact sampler's.
+// kernel selects the interaction kernel (empty means simulate.KernelExact)
+// and batch its chunk size (0 means 65,536); convergence steps are reported
+// at chunk granularity. "batch" and large-population "auto" runs use the
+// count-based collision kernel, whose trajectories are statistically — not
+// bit — identical to the exact sampler's. workers > 1 measures the runs on
+// a worker pool; results are bit-identical for any worker count.
 func Convergence(sizes []int64, runs int, seed int64, batch int64, workers int, kernel string) (*Table, error) {
 	t := &Table{
 		ID:    "E12 (§1)",

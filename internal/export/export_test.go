@@ -143,9 +143,12 @@ func TestSweepCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points := simulate.Sweep(p, [][]int64{{3, 1}, {5, 2}},
-		func([]int64) bool { return true }, 2, 7, 2,
-		simulate.Options{MaxSteps: 5_000_000})
+	var points []simulate.SweepPoint
+	for idx, in := range [][]int64{{3, 1}, {5, 2}} {
+		stats, err := simulate.MeasureConvergence(p, in, true, 2, simulate.SweepPointSeed(7, idx),
+			simulate.Options{MaxSteps: 5_000_000})
+		points = append(points, simulate.SweepPoint{Inputs: in, Stats: stats, Err: err})
+	}
 	var sb strings.Builder
 	if err := SweepCSV(&sb, points); err != nil {
 		t.Fatal(err)

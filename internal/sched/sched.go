@@ -55,7 +55,9 @@ type pairKey struct{ q, r int }
 // RandomPair is the uniform random pairwise scheduler: each step picks an
 // ordered pair of distinct agents uniformly at random; if one or more
 // transitions match their states, one of those fires (uniformly at random);
-// otherwise the step is a null interaction.
+// otherwise the step is a null interaction. It is the reference sampler the
+// conformance and equivalence suites compare the count-based samplers
+// against; simulations draw the same law from BatchRandomPair.
 type RandomPair struct {
 	p     *protocol.Protocol
 	rng   source

@@ -141,6 +141,10 @@ func TestAPIContract(t *testing.T) {
 		{"checkpoint path traversal", `{"kind":"sweep","target":"majority","inputs":[[6,4]],"checkpoint":"../evil"}`, 400},
 		{"checkpoint without state dir", `{"kind":"sweep","target":"majority","inputs":[[6,4]],"checkpoint":"ok-name"}`, 400},
 	}
+	// Errors whose wording ppsim shares are pinned too.
+	wantErr := map[string]string{
+		"policy without topology": "edge-selection policy requires a topology",
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, data := postJSON(t, ts.URL+"/api/v1/jobs", tc.body)
@@ -156,6 +160,9 @@ func TestAPIContract(t *testing.T) {
 				var e errorDoc
 				if err := json.Unmarshal(data, &e); err != nil || e.Error == "" {
 					t.Fatalf("bad error document %s (err %v)", data, err)
+				}
+				if !strings.Contains(e.Error, wantErr[tc.name]) {
+					t.Fatalf("error %q, want %q", e.Error, wantErr[tc.name])
 				}
 			}
 		})

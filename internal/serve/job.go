@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/popprog"
-	"repro/internal/sched"
 	"repro/internal/simulate"
 	"repro/internal/target"
 )
@@ -75,9 +74,9 @@ type JobSpec struct {
 	// results are bit-identical for any value.
 	Workers int `json:"workers,omitempty"`
 	// Kernel selects the interaction kernel: exact | batch | fluid |
-	// langevin | auto (empty = per-step exact scheduling).
+	// langevin | auto (empty = exact).
 	Kernel string `json:"kernel,omitempty"`
-	// Batch is the batched fast-path chunk size (0 = kernel default).
+	// Batch is the chunk size of the kernel driver (0 = 65536).
 	Batch int64 `json:"batch,omitempty"`
 	// MaxSteps bounds each run (0 = default budget).
 	MaxSteps int64 `json:"max_steps,omitempty"`
@@ -234,18 +233,8 @@ func (s *JobSpec) options() (simulate.Options, error) {
 		FluidFloor:       s.FluidFloor,
 		Workers:          s.Workers,
 	}
-	if s.Topology != "" {
-		spec, err := sched.ParseTopologySpec(s.Topology)
-		if err != nil {
-			return opts, err
-		}
-		spec.Policy = s.TopoPolicy
-		opts.Topology = &spec
-	} else if s.TopoPolicy != "" {
-		return opts, errors.New("topo_policy requires topology")
-	}
-	if s.Crash != 0 || s.Revive != 0 || s.Join != 0 {
-		opts.Faults = &sched.Faults{Crash: s.Crash, Revive: s.Revive, Join: s.Join}
+	if err := opts.SetTopology(s.Topology, s.TopoPolicy, s.Crash, s.Revive, s.Join); err != nil {
+		return opts, err
 	}
 	return opts, opts.Validate()
 }

@@ -180,19 +180,24 @@ func TestServerResumeSweepFromCheckpoint(t *testing.T) {
 			n, len(partial.Points))
 	}
 
-	// Bit-identity: the resumed job's per-point stats equal an
-	// uninterrupted sweep of the same spec, byte for byte.
+	// Bit-identity: the resumed job's per-point stats equal each point
+	// measured on its own with its sweep seed, byte for byte.
 	var res sweepResult
 	if err := json.Unmarshal(done.Result, &res); err != nil {
 		t.Fatal(err)
 	}
-	plain := simulate.Sweep(b.Protocol, spec.Inputs, spec.expectedFn(b),
-		spec.runs(), spec.seed(), 2, opts)
-	if len(res.Points) != len(plain) {
-		t.Fatalf("%d points, want %d", len(res.Points), len(plain))
+	if len(res.Points) != len(spec.Inputs) {
+		t.Fatalf("%d points, want %d", len(res.Points), len(spec.Inputs))
 	}
+	expected := spec.expectedFn(b)
 	for i, pt := range res.Points {
-		want, err := json.Marshal(plain[i].Stats)
+		in := spec.Inputs[i]
+		stats, err := simulate.MeasureConvergence(b.Protocol, in, expected(in), spec.runs(),
+			simulate.SweepPointSeed(spec.seed(), i), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(stats)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,12 +14,15 @@ import (
 	"repro/internal/protocol"
 )
 
-// SweepCheckpointVersion is the on-disk format version of sweep checkpoints.
-const SweepCheckpointVersion = 1
+// SweepCheckpointVersion is the version of sweep checkpoints. It covers the
+// on-disk format and the sampling law behind the stored points: version 2
+// draws runs with an empty Kernel from the batched exact sampler, so a
+// version 1 file, whose empty-kernel points came from the per-step
+// RandomPair stream under the same spec, is refused instead of merged.
+const SweepCheckpointVersion = 2
 
 // SweepPointSeed derives the base PRNG seed of sweep point idx from the
-// sweep seed. It is the single definition shared by Sweep and
-// SweepResumable: every run i of point idx draws its PRNG from
+// sweep seed: every run i of point idx draws its PRNG from
 // SweepPointSeed(seed, idx)+i, so a point's result is a pure function of
 // (protocol, inputs, runs, this seed, options) — which is what makes
 // checkpointed points safe to restore without replaying them.
@@ -134,18 +137,19 @@ func (c *SweepCheckpointConfig) every() int {
 	return c.Every
 }
 
-// SweepResumable is Sweep with cancellation and checkpoint/resume: it runs
-// MeasureConvergence for each input vector, fanning points out over
-// `workers` goroutines, periodically saving completed points to ck.Path,
-// and — when a valid checkpoint for the same sweep already exists there —
-// restoring its points instead of recomputing them.
+// SweepResumable runs MeasureConvergence for each input vector, fanning
+// points out over `workers` goroutines, and returns the points in input
+// order. Point idx is measured with seed SweepPointSeed(seed, idx); a
+// failed point records its error and the sweep continues. A nil ck runs
+// without checkpoints. Otherwise completed points are saved periodically
+// to ck.Path, and when a valid checkpoint for the same sweep already exists
+// there its points are restored instead of recomputed.
 //
-// Determinism: every point's PRNG streams are derived from
-// SweepPointSeed(seed, idx) exactly as in Sweep, and points are mutually
-// independent, so the result set is bit-identical to an uninterrupted
-// Sweep of the same spec regardless of how many times the process was
-// killed and resumed in between (the crash/resume tests pin this, SIGKILL
-// included).
+// Determinism: points are mutually independent and each is a pure function
+// of its seed, so the result set is bit-identical for any worker count and
+// to an uninterrupted sweep of the same spec, regardless of how many times
+// the process was killed and resumed in between (the crash/resume tests pin
+// this, SIGKILL included).
 //
 // Cancellation: when ctx is cancelled, no new points are started; points
 // already in flight finish, a final checkpoint is written, and the partial

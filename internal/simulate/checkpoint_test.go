@@ -43,7 +43,7 @@ func TestSweepResumableMatchesSweep(t *testing.T) {
 	expected := func([]int64) bool { return true }
 	opts := Options{QuiescencePeriod: 32}
 
-	plain := Sweep(p, inputs, expected, 3, 11, 2, opts)
+	plain := sweepReference(p, inputs, expected, 3, 11, opts)
 	ckpt := filepath.Join(t.TempDir(), "sweep.json")
 	resumable, err := SweepResumable(context.Background(), p, inputs, expected, 3, 11, 2, opts,
 		&SweepCheckpointConfig{Path: ckpt, Key: "match-test"})
@@ -51,7 +51,7 @@ func TestSweepResumableMatchesSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := pointsView(t, resumable), pointsView(t, plain); got != want {
-		t.Fatalf("SweepResumable diverged from Sweep:\n%s\nvs\n%s", got, want)
+		t.Fatalf("SweepResumable diverged from per-point measurement:\n%s\nvs\n%s", got, want)
 	}
 	// The final checkpoint must hold every point.
 	cp, err := LoadSweepCheckpoint(ckpt)
@@ -124,7 +124,7 @@ func TestSweepResumeBitIdentical(t *testing.T) {
 		t.Fatal("no checkpoints recorded as written")
 	}
 
-	plain := Sweep(p, inputs, expected, 3, 11, 2, opts)
+	plain := sweepReference(p, inputs, expected, 3, 11, opts)
 	if got, want := pointsView(t, resumed), pointsView(t, plain); got != want {
 		t.Fatalf("resumed sweep diverged from uninterrupted sweep:\n%s\nvs\n%s", got, want)
 	}
@@ -155,6 +155,21 @@ func TestSweepCheckpointMismatchRejected(t *testing.T) {
 			&SweepCheckpointConfig{Path: ckpt, Key: tc.key}); err == nil {
 			t.Fatalf("%s: checkpoint accepted", tc.name)
 		}
+	}
+	// A version 1 checkpoint of the same spec holds empty-kernel points
+	// drawn by the per-step RandomPair stream: refused, not merged.
+	cp, err := LoadSweepCheckpoint(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.Version = 1
+	v1 := filepath.Join(filepath.Dir(ckpt), "v1.json")
+	if err := cp.Save(v1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SweepResumable(context.Background(), p, inputs, expected, 2, 5, 1, opts,
+		&SweepCheckpointConfig{Path: v1, Key: "sweep-a"}); err == nil || !strings.Contains(err.Error(), "version 1, want 2") {
+		t.Fatalf("version 1 checkpoint: err = %v, want a version mismatch", err)
 	}
 }
 
@@ -244,7 +259,7 @@ func TestSweepCrashResumeSIGKILL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := Sweep(p, inputs, expected, 3, 11, 2, opts)
+	plain := sweepReference(p, inputs, expected, 3, 11, opts)
 	if got, want := pointsView(t, resumed), pointsView(t, plain); got != want {
 		t.Fatalf("post-SIGKILL resume diverged from uninterrupted sweep:\n%s\nvs\n%s", got, want)
 	}

@@ -1,83 +1,62 @@
 package simulate
 
 import (
+	"fmt"
 	"testing"
 
-	"repro/internal/fluid"
 	"repro/internal/sched"
 	"repro/internal/simulate/stattest"
 )
 
-// TestNewKernelSchedulerSelection pins the kernel-name → scheduler mapping,
-// including both sides of each of auto's population thresholds
-// (exact ↔ tau-leap at AutoKernelThreshold, tau-leap ↔ hybrid ladder at
-// AutoFluidThreshold).
+// TestNewKernelSchedulerSelection pins the kernel-name → scheduler mapping
+// of NewScheduler, including the empty name (exact), a topology (the graph
+// scheduler) and both sides of each of auto's
+// population thresholds (exact ↔ tau-leap at AutoKernelThreshold, tau-leap
+// ↔ hybrid ladder at AutoFluidThreshold).
 func TestNewKernelSchedulerSelection(t *testing.T) {
 	p := epidemic(t)
 	rng := sched.NewRand(1)
-	if s, err := NewKernelScheduler(p, rng, KernelExact, 10); err != nil {
-		t.Fatal(err)
-	} else if _, ok := s.(*sched.BatchRandomPair); !ok {
-		t.Fatalf("exact kernel built %T", s)
-	}
-	if s, err := NewKernelScheduler(p, rng, KernelBatch, 10); err != nil {
-		t.Fatal(err)
-	} else if _, ok := s.(*sched.CollisionKernel); !ok {
-		t.Fatalf("batch kernel built %T", s)
-	}
-	if s, err := NewKernelScheduler(p, rng, KernelFluid, 10); err != nil {
-		t.Fatal(err)
-	} else if _, ok := s.(*fluid.Integrator); !ok {
-		t.Fatalf("fluid kernel built %T", s)
-	}
-	if s, err := NewKernelScheduler(p, rng, KernelLangevin, 10); err != nil {
-		t.Fatal(err)
-	} else if _, ok := s.(*fluid.Integrator); !ok {
-		t.Fatalf("langevin kernel built %T", s)
-	}
-	for population, want := range map[int64]string{
-		AutoKernelThreshold - 1: "*sched.BatchRandomPair",
-		AutoKernelThreshold:     "*sched.CollisionKernel",
-		AutoFluidThreshold - 1:  "*sched.CollisionKernel",
-		AutoFluidThreshold:      "*fluid.Hybrid",
+	for _, tc := range []struct {
+		opts Options
+		m    int64
+		want string
+	}{
+		{Options{}, 10, "*sched.BatchRandomPair"},
+		{Options{Kernel: KernelExact}, 10, "*sched.BatchRandomPair"},
+		{Options{Kernel: KernelBatch}, 10, "*sched.CollisionKernel"},
+		{Options{Kernel: KernelFluid}, 10, "*fluid.Integrator"},
+		{Options{Kernel: KernelLangevin}, 10, "*fluid.Integrator"},
+		{Options{Kernel: KernelAuto}, AutoKernelThreshold - 1, "*sched.BatchRandomPair"},
+		{Options{Kernel: KernelAuto}, AutoKernelThreshold, "*sched.CollisionKernel"},
+		{Options{Kernel: KernelAuto}, AutoFluidThreshold - 1, "*sched.CollisionKernel"},
+		{Options{Kernel: KernelAuto}, AutoFluidThreshold, "*fluid.Hybrid"},
+		{Options{Topology: &sched.TopologySpec{Kind: sched.TopoRing}}, 10, "*sched.GraphScheduler"},
 	} {
-		s, err := NewKernelScheduler(p, rng, KernelAuto, population)
+		s, err := NewScheduler(p, rng, tc.opts, tc.m)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%+v at m = %d: %v", tc.opts, tc.m, err)
 		}
-		var ok bool
-		switch want {
-		case "*sched.BatchRandomPair":
-			_, ok = s.(*sched.BatchRandomPair)
-		case "*sched.CollisionKernel":
-			_, ok = s.(*sched.CollisionKernel)
-		case "*fluid.Hybrid":
-			_, ok = s.(*fluid.Hybrid)
-		}
-		if !ok {
-			t.Fatalf("auto at m = %d built %T, want %s", population, s, want)
+		if got := fmt.Sprintf("%T", s); got != tc.want {
+			t.Fatalf("%+v at m = %d built %s, want %s", tc.opts, tc.m, got, tc.want)
 		}
 	}
-	if _, err := NewKernelScheduler(p, rng, "turbo", 10); err == nil {
+	if _, err := NewScheduler(p, rng, Options{Kernel: "turbo"}, 10); err == nil {
 		t.Fatal("bogus kernel name accepted")
-	}
-	if _, err := NewKernelScheduler(p, rng, "", 10); err == nil {
-		t.Fatal("empty kernel name accepted by the explicit constructor")
 	}
 }
 
 // TestOptionsBatchSizeResolution pins the chunk-size defaulting rule: an
-// explicit BatchSize always wins, any selected kernel turns batching on
-// with the default chunk, and the zero Options stay per-step.
+// explicit BatchSize always wins, and zero means defaultBatch with or
+// without a kernel.
 func TestOptionsBatchSizeResolution(t *testing.T) {
-	if got := (Options{}).batchSize(); got != 0 {
-		t.Fatalf("zero options batchSize = %d, want 0", got)
+	if got := (Options{}).batchSize(); got != defaultBatch {
+		t.Fatalf("zero options batchSize = %d, want %d", got, defaultBatch)
 	}
 	if got := (Options{BatchSize: 77}).batchSize(); got != 77 {
 		t.Fatalf("explicit batchSize = %d, want 77", got)
 	}
-	if got := (Options{Kernel: KernelBatch}).batchSize(); got != defaultKernelBatch {
-		t.Fatalf("kernel default batchSize = %d, want %d", got, defaultKernelBatch)
+	if got := (Options{Kernel: KernelBatch}).batchSize(); got != defaultBatch {
+		t.Fatalf("kernel default batchSize = %d, want %d", got, defaultBatch)
 	}
 	if got := (Options{Kernel: KernelExact, BatchSize: 5}).batchSize(); got != 5 {
 		t.Fatalf("kernel with explicit batchSize = %d, want 5", got)
@@ -136,11 +115,11 @@ func TestKernelConvergenceDistributionsAgree(t *testing.T) {
 	mk := func(kernel string) Options {
 		return Options{Kernel: kernel, BatchSize: 4096, Workers: 4}
 	}
-	exact, err := MeasureConvergenceSamples(p, []int64{1, m - 1}, runs, 1, mk(KernelExact))
+	_, exact, err := MeasureConvergenceWithSamples(p, []int64{1, m - 1}, true, runs, 1, mk(KernelExact))
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := MeasureConvergenceSamples(p, []int64{1, m - 1}, runs, 500_000, mk(KernelBatch))
+	_, batch, err := MeasureConvergenceWithSamples(p, []int64{1, m - 1}, true, runs, 500_000, mk(KernelBatch))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,11 +38,11 @@ func TestLadderKSAdjacentTiers(t *testing.T) {
 		mk := func(kernel string) Options {
 			return Options{Kernel: kernel, BatchSize: 4096, Workers: 4, MaxSteps: 1 << 40}
 		}
-		a, err := MeasureConvergenceSamples(p, start, runs, 1, mk(kernelA))
+		_, a, err := MeasureConvergenceWithSamples(p, start, true, runs, 1, mk(kernelA))
 		if err != nil {
 			t.Fatalf("%s/%s: %v", name, kernelA, err)
 		}
-		b, err := MeasureConvergenceSamples(p, start, runs, seedB, mk(kernelB))
+		_, b, err := MeasureConvergenceWithSamples(p, start, true, runs, seedB, mk(kernelB))
 		if err != nil {
 			t.Fatalf("%s/%s: %v", name, kernelB, err)
 		}

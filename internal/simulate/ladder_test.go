@@ -170,7 +170,7 @@ func TestLadderConvertedLeaderModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewKernelScheduler(p, sched.NewRand(3), KernelExact, small)
+	s, err := NewScheduler(p, sched.NewRand(3), Options{Kernel: KernelExact}, small)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,8 +29,7 @@ import (
 )
 
 // Interaction-kernel names accepted by Options.Kernel and the CLI -kernel
-// flags. The empty string keeps the legacy behaviour where BatchSize alone
-// selects between RandomPair and BatchRandomPair.
+// flags. The empty string means KernelExact.
 const (
 	// KernelExact drives the exact sampler (BatchRandomPair): every
 	// interaction follows the uniform random-pair law, with analytic
@@ -69,16 +68,20 @@ const AutoKernelThreshold = 4096
 // threshold just marks where fluid phases become worth having at all.
 const AutoFluidThreshold = 1 << 16
 
-// defaultKernelBatch is the StepN chunk size used when a kernel is selected
-// but BatchSize is left zero.
-const defaultKernelBatch = 1 << 16
+// defaultBatch is the StepN chunk size used when BatchSize is left zero.
+const defaultBatch = 1 << 16
 
-// NewKernelScheduler constructs the scheduler selected by a kernel name for
-// a population of populationSize agents. It is the single decision point
-// shared by the measurement functions and the CLIs.
-func NewKernelScheduler(p *protocol.Protocol, rng *rand.Rand, kernel string, populationSize int64) (sched.BatchScheduler, error) {
-	switch kernel {
-	case KernelExact:
+// NewScheduler builds the scheduler one run of p over a population of m
+// agents uses under opts: the graph scheduler of opts.Topology when one is
+// set, and otherwise the count-based sampler opts.Kernel names (empty means
+// KernelExact). It is the single decision point shared by the measurement
+// functions and the CLIs.
+func NewScheduler(p *protocol.Protocol, rng *rand.Rand, opts Options, m int64) (sched.Scheduler, error) {
+	if opts.Topology != nil {
+		return opts.Topology.NewScheduler(p, rng, opts.Faults, m)
+	}
+	switch opts.Kernel {
+	case "", KernelExact:
 		return sched.NewBatchRandomPair(p, rng), nil
 	case KernelBatch:
 		return sched.NewCollisionKernel(p, rng), nil
@@ -88,15 +91,15 @@ func NewKernelScheduler(p *protocol.Protocol, rng *rand.Rand, kernel string, pop
 		return fluid.NewLangevin(p, rng), nil
 	case KernelAuto:
 		switch {
-		case populationSize >= AutoFluidThreshold:
+		case m >= AutoFluidThreshold:
 			return fluid.NewHybrid(p, rng), nil
-		case populationSize >= AutoKernelThreshold:
+		case m >= AutoKernelThreshold:
 			return sched.NewCollisionKernel(p, rng), nil
 		default:
 			return sched.NewBatchRandomPair(p, rng), nil
 		}
 	default:
-		return nil, errUnknownKernel(kernel)
+		return nil, errUnknownKernel(opts.Kernel)
 	}
 }
 
@@ -109,15 +112,6 @@ func KernelUsage() string { return strings.Join(kernels, " | ") }
 
 func errUnknownKernel(kernel string) error {
 	return fmt.Errorf("simulate: unknown kernel %q (want %s)", kernel, KernelUsage())
-}
-
-// ApplyFluidFloor applies a fluid regime switch-over bound to s when s is
-// the hybrid ladder scheduler (a no-op for every other scheduler, so
-// callers can apply Options.FluidFloor unconditionally).
-func ApplyFluidFloor(s sched.Scheduler, floor int64) {
-	if h, ok := s.(*fluid.Hybrid); ok {
-		h.SetFluidFloor(floor)
-	}
 }
 
 // ErrBudgetExhausted is returned when MaxSteps elapses without meeting a
@@ -137,22 +131,19 @@ type Options struct {
 	// QuiescencePeriod steps the runner scans for enabled transitions and
 	// stops if there are none. Zero means 1,000.
 	QuiescencePeriod int64
-	// BatchSize enables the batched fast path: when positive and the
+	// BatchSize is the chunk size of the batched driver: when the
 	// scheduler implements sched.BatchScheduler, Run advances the
 	// configuration in batches of up to BatchSize steps (aligned so every
 	// QuiescencePeriod boundary is still observed) and evaluates the
 	// stable-window heuristic at batch boundaries instead of every step.
 	// Batches are distributionally equivalent to per-step execution; only
 	// the granularity of the stabilisation checks changes, so a run may
-	// overshoot the exact step at which the per-step runner would have
-	// stopped by less than one batch. Zero disables batching.
+	// overshoot the exact step at which a per-step runner would have
+	// stopped by less than one batch. Zero means 65,536. Schedulers without
+	// StepN (the graph schedulers, TransitionFair) run per step.
 	BatchSize int64
-	// Kernel selects the interaction kernel, one of the Kernel* constants.
-	// It decides which scheduler the measurement functions construct, and
-	// any non-empty value enables the batched driver with a default
-	// BatchSize of 65,536 when BatchSize is zero. Empty keeps the legacy
-	// behaviour: BatchSize alone selects between RandomPair and
-	// BatchRandomPair.
+	// Kernel selects the interaction kernel, one of the Kernel* constants,
+	// and so the scheduler NewScheduler builds. Empty means KernelExact.
 	Kernel string
 	// FluidFloor overrides the hybrid ladder's regime switch-over bound:
 	// the per-species agent count every consumed species must hold before
@@ -160,11 +151,10 @@ type Options struct {
 	// fluid.DefaultFloor; the knob only affects the auto kernel at fluid
 	// scale (other kernels ignore it).
 	FluidFloor int64
-	// Workers parallelises MeasureConvergence and
-	// MeasureConvergenceSamples across runs. Each run already draws its
-	// PRNG independently from seed+i, and per-run results are aggregated
-	// in run order, so statistics are bit-identical for every worker
-	// count. Values ≤ 1 run sequentially.
+	// Workers parallelises the measurement functions across runs. Each run
+	// already draws its PRNG independently from seed+i, and per-run results
+	// are aggregated in run order, so statistics are bit-identical for
+	// every worker count. Values ≤ 1 run sequentially.
 	Workers int
 	// Topology, when non-nil, restricts the interaction graph: the
 	// measurement functions drive each run through the topology schedulers
@@ -214,6 +204,28 @@ func (o Options) Validate() error {
 	return o.Faults.Validate()
 }
 
+// SetTopology decodes the topology run strings of the CLIs and ppserved (a
+// topology name, its edge-selection policy and the crash/revive/join fault
+// rates) into o.Topology and o.Faults. An empty name leaves Topology nil
+// and then rejects a policy; all-zero rates leave Faults nil. Validate
+// checks the rest.
+func (o *Options) SetTopology(topology, policy string, crash, revive, join float64) error {
+	if topology != "" {
+		spec, err := sched.ParseTopologySpec(topology)
+		if err != nil {
+			return err
+		}
+		spec.Policy = policy
+		o.Topology = &spec
+	} else if policy != "" {
+		return errors.New("simulate: an edge-selection policy requires a topology")
+	}
+	if crash != 0 || revive != 0 || join != 0 {
+		o.Faults = &sched.Faults{Crash: crash, Revive: revive, Join: join}
+	}
+	return nil
+}
+
 func (o Options) maxSteps() int64 {
 	if o.MaxSteps <= 0 {
 		return 50_000_000
@@ -235,17 +247,11 @@ func (o Options) quiescencePeriod() int64 {
 	return o.QuiescencePeriod
 }
 
-// batchSize resolves the StepN chunk size: an explicit BatchSize wins, a
-// selected kernel defaults to defaultKernelBatch, and otherwise batching
-// stays off.
 func (o Options) batchSize() int64 {
-	if o.BatchSize > 0 {
-		return o.BatchSize
+	if o.BatchSize <= 0 {
+		return defaultBatch
 	}
-	if o.Kernel != "" {
-		return defaultKernelBatch
-	}
-	return 0
+	return o.BatchSize
 }
 
 func (o Options) workers() int {
@@ -292,10 +298,9 @@ func (r *Result) ParallelTime() float64 {
 // Run executes p from configuration c (mutated in place) under s until a
 // stabilisation criterion is met.
 //
-// When opts.BatchSize is positive and s implements sched.BatchScheduler,
-// the batched fast path drives the scheduler through StepN instead of
-// stepping one interaction at a time; see Options.BatchSize for the exact
-// semantics preserved.
+// When s implements sched.BatchScheduler, the batched driver advances it
+// through StepN instead of stepping one interaction at a time; see
+// Options.BatchSize for the exact semantics preserved.
 func Run(p *protocol.Protocol, c *multiset.Multiset, s sched.Scheduler, opts Options) (*Result, error) {
 	if c.Size() == 0 {
 		return nil, fmt.Errorf("simulate: protocol %q: empty configuration", p.Name)
@@ -304,12 +309,12 @@ func Run(p *protocol.Protocol, c *multiset.Multiset, s sched.Scheduler, opts Opt
 	if met != nil {
 		met.RunsStarted.Inc()
 	}
-	if opts.FluidFloor > 0 {
-		ApplyFluidFloor(s, opts.FluidFloor)
+	if h, ok := s.(*fluid.Hybrid); ok && opts.FluidFloor > 0 {
+		h.SetFluidFloor(opts.FluidFloor)
 	}
 	var res *Result
 	var err error
-	if bs, ok := s.(sched.BatchScheduler); ok && opts.batchSize() > 0 {
+	if bs, ok := s.(sched.BatchScheduler); ok {
 		res, err = runBatched(p, c, bs, opts)
 	} else {
 		res, err = runPerStep(p, c, s, opts)
@@ -337,7 +342,7 @@ func definitelyStable(p *protocol.Protocol, c *multiset.Multiset, s sched.Schedu
 	return len(p.EnabledTransitions(c)) == 0
 }
 
-// runPerStep is Run's per-interaction reference path.
+// runPerStep is Run's path for schedulers without StepN.
 func runPerStep(p *protocol.Protocol, c *multiset.Multiset, s sched.Scheduler, opts Options) (*Result, error) {
 	maxSteps := opts.maxSteps()
 	window := opts.stableWindow()
@@ -392,7 +397,7 @@ func runPerStep(p *protocol.Protocol, c *multiset.Multiset, s sched.Scheduler, o
 		ErrBudgetExhausted, p.Name, res.Steps, res.Output)
 }
 
-// runBatched is Run's batched fast path: it advances the configuration in
+// runBatched is Run's batched driver: it advances the configuration in
 // chunks of up to opts.BatchSize steps through StepN, truncating each chunk
 // so that every QuiescencePeriod boundary is still observed, and evaluates
 // the output heuristics at chunk boundaries. A chunk with zero effective
@@ -495,45 +500,26 @@ type ConvergenceStats struct {
 }
 
 // convergenceRun performs the i-th repeated run of a measurement: a fresh
-// scheduler seeded with seed+i — selected by opts.Kernel when set, else the
-// batched one when opts.BatchSize asks for it — over a fresh initial
+// scheduler from NewScheduler seeded with seed+i over a fresh initial
 // configuration. Runs are independent, which is what lets the measurement
 // functions fan them out over workers without changing any statistic.
 func convergenceRun(p *protocol.Protocol, inputCounts []int64, i int, seed int64, opts Options) (*Result, error) {
-	rng := sched.NewRand(seed + int64(i))
 	var m int64
 	for _, v := range inputCounts {
 		m += v
 	}
-	var s sched.Scheduler
-	if opts.Topology != nil {
-		ts, err := opts.Topology.NewScheduler(p, rng, opts.Faults, m)
-		if err != nil {
-			return nil, err
-		}
-		s = ts
-	} else if opts.Kernel != "" {
-		ks, err := NewKernelScheduler(p, rng, opts.Kernel, m)
-		if err != nil {
-			return nil, err
-		}
-		if opts.FluidFloor > 0 {
-			ApplyFluidFloor(ks, opts.FluidFloor)
-		}
-		s = ks
-	} else if opts.BatchSize > 0 {
-		s = sched.NewBatchRandomPair(p, rng)
-	} else {
-		s = sched.NewRandomPair(p, rng)
+	s, err := NewScheduler(p, sched.NewRand(seed+int64(i)), opts, m)
+	if err != nil {
+		return nil, err
 	}
 	return RunInput(p, inputCounts, s, opts)
 }
 
-// measureRuns executes runs independent convergence runs, fanning them out
-// over opts.Workers goroutines, and returns the per-run results in run
-// order. The first error in run order is returned (later runs may have
-// executed, unlike the sequential path, but the returned error and all
-// results are identical for every worker count).
+// measureRuns executes runs independent convergence runs on opts.Workers
+// goroutines and returns the per-run results in run order. A run is skipped
+// only once a lower-numbered run has failed, so every run before the first
+// failure executes and the returned error, the first in run order, is the
+// same for every worker count.
 func measureRuns(p *protocol.Protocol, inputCounts []int64, runs int, seed int64, opts Options) ([]*Result, error) {
 	if runs <= 0 {
 		return nil, fmt.Errorf("simulate: runs must be positive, got %d", runs)
@@ -542,71 +528,61 @@ func measureRuns(p *protocol.Protocol, inputCounts []int64, runs int, seed int64
 		return nil, err
 	}
 	results := make([]*Result, runs)
-	errs := make([]error, runs)
-	workers := opts.workers()
-	if workers > runs {
-		workers = runs
-	}
 	met := obs.Sim()
-	if workers == 1 {
-		for i := 0; i < runs; i++ {
-			var t0 time.Time
-			if met != nil {
-				t0 = time.Now()
-			}
-			results[i], errs[i] = convergenceRun(p, inputCounts, i, seed, opts)
-			if met != nil {
-				met.WorkerRuns.Add(0, 1)
-				met.WorkerNanos.Add(0, time.Since(t0).Nanoseconds())
-			}
-			if errs[i] != nil {
-				break // match the sequential short-circuit exactly
-			}
-		}
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := range jobs {
-					var t0 time.Time
-					if met != nil {
-						t0 = time.Now()
-					}
-					results[i], errs[i] = convergenceRun(p, inputCounts, i, seed, opts)
-					if met != nil {
-						met.WorkerRuns.Add(w, 1)
-						met.WorkerNanos.Add(w, time.Since(t0).Nanoseconds())
-					}
+	var (
+		mu       sync.Mutex
+		next     int
+		failed   = runs // lowest failed run; runs while none has failed
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	for w := 0; w < min(opts.workers(), runs); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				mu.Lock()
+				i := next
+				next++
+				skip := i >= runs || i > failed
+				mu.Unlock()
+				if skip {
+					return
 				}
-			}(w)
-		}
-		for i := 0; i < runs; i++ {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
+				var t0 time.Time
+				if met != nil {
+					t0 = time.Now()
+				}
+				res, err := convergenceRun(p, inputCounts, i, seed, opts)
+				if met != nil {
+					met.WorkerRuns.Add(w, 1)
+					met.WorkerNanos.Add(w, time.Since(t0).Nanoseconds())
+				}
+				results[i] = res
+				if err != nil {
+					mu.Lock()
+					if i < failed {
+						failed, firstErr = i, err
+					}
+					mu.Unlock()
+				}
+			}
+		}()
 	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("run %d: %w", i, err)
-		}
+	wg.Wait()
+	if firstErr != nil {
+		return nil, fmt.Errorf("run %d: %w", failed, firstErr)
 	}
 	return results, nil
 }
 
-// MeasureConvergence runs the protocol repeatedly from the same input under
-// fresh RandomPair schedulers and aggregates interaction counts. expected
-// is the output each run should stabilise to. Runs fan out over
-// opts.Workers goroutines and take the batched fast path when
-// opts.BatchSize is set; both knobs leave every statistic bit-identical to
-// the sequential per-step execution of the same options. opts.Kernel
-// switches the per-run scheduler: results stay bit-reproducible for a fixed
-// (kernel, seed) pair, and the collision kernel's tau-leap trajectories are
-// statistically equivalent — but not bit-identical — to the exact kernel's
-// (the differential tests in this package certify the equivalence).
+// MeasureConvergence runs the protocol repeatedly from the same input, run
+// i under a fresh NewScheduler(opts) seeded with seed+i, and aggregates
+// interaction counts. expected is the output each run should stabilise to.
+// Runs fan out over opts.Workers goroutines without changing any statistic,
+// and a fixed (options, seed) pair is bit-reproducible. Different kernels'
+// trajectories are statistically equivalent, not bit-identical (the
+// differential tests in this package certify the equivalence).
 func MeasureConvergence(p *protocol.Protocol, inputCounts []int64, expected bool, runs int, seed int64, opts Options) (*ConvergenceStats, error) {
 	stats, _, err := MeasureConvergenceWithSamples(p, inputCounts, expected, runs, seed, opts)
 	return stats, err
@@ -614,8 +590,8 @@ func MeasureConvergence(p *protocol.Protocol, inputCounts []int64, expected bool
 
 // MeasureConvergenceWithSamples is MeasureConvergence that also returns the
 // per-run interaction counts from the same set of runs, so callers needing
-// both the aggregate and the raw samples (the serve package's job results)
-// pay for the simulation once.
+// both the aggregate and the raw samples (ppsim's summaries, the serve
+// package's job results) pay for the simulation once.
 func MeasureConvergenceWithSamples(p *protocol.Protocol, inputCounts []int64, expected bool, runs int, seed int64, opts Options) (*ConvergenceStats, []float64, error) {
 	results, err := measureRuns(p, inputCounts, runs, seed, opts)
 	if err != nil {
@@ -645,19 +621,4 @@ func MeasureConvergenceWithSamples(p *protocol.Protocol, inputCounts []int64, ex
 	stats.MeanEffective = float64(totalEffective) / float64(runs)
 	stats.MeanParallel = totalParallel / float64(runs)
 	return stats, samples, nil
-}
-
-// MeasureConvergenceSamples is MeasureConvergence returning the per-run
-// interaction counts, so callers can compute full statistics with
-// Summarise (confidence intervals, medians) rather than only means.
-func MeasureConvergenceSamples(p *protocol.Protocol, inputCounts []int64, runs int, seed int64, opts Options) ([]float64, error) {
-	results, err := measureRuns(p, inputCounts, runs, seed, opts)
-	if err != nil {
-		return nil, err
-	}
-	samples := make([]float64, 0, runs)
-	for _, res := range results {
-		samples = append(samples, float64(res.Steps))
-	}
-	return samples, nil
 }

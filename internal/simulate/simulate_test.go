@@ -2,6 +2,8 @@ package simulate
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/protocol"
@@ -315,15 +317,18 @@ func TestMeasureConvergenceWorkersBitIdentical(t *testing.T) {
 
 func TestMeasureConvergenceSamplesWorkersBitIdentical(t *testing.T) {
 	p := majority(t)
-	seq, err := MeasureConvergenceSamples(p, []int64{6, 3}, 5, 3, Options{MaxSteps: 5_000_000})
+	seqStats, seq, err := MeasureConvergenceWithSamples(p, []int64{6, 3}, true, 5, 3, Options{MaxSteps: 5_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := MeasureConvergenceSamples(p, []int64{6, 3}, 5, 3, Options{
+	parStats, par, err := MeasureConvergenceWithSamples(p, []int64{6, 3}, true, 5, 3, Options{
 		MaxSteps: 5_000_000, Workers: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if *seqStats != *parStats {
+		t.Fatalf("workers changed the statistics:\nseq %+v\npar %+v", seqStats, parStats)
 	}
 	if len(seq) != len(par) {
 		t.Fatalf("sample counts differ: %d vs %d", len(seq), len(par))
@@ -368,5 +373,45 @@ func TestConvergenceStepTracksLastOutputChange(t *testing.T) {
 	// positive (the initial configuration is mixed).
 	if res.ConvergenceStep <= 0 || res.ConvergenceStep > res.Steps {
 		t.Fatalf("ConvergenceStep = %d of %d", res.ConvergenceStep, res.Steps)
+	}
+}
+
+// TestEmptyKernelMatchesExact pins that an empty Kernel means KernelExact:
+// byte-identical statistics and samples at every worker count.
+func TestEmptyKernelMatchesExact(t *testing.T) {
+	p := majority(t)
+	for _, workers := range []int{1, 2} {
+		var views []string
+		for _, kernel := range []string{"", KernelExact} {
+			stats, samples, err := MeasureConvergenceWithSamples(p, []int64{30, 21}, true, 6, 5,
+				Options{Kernel: kernel, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			views = append(views, fmt.Sprintf("%+v %v", *stats, samples))
+		}
+		if views[0] != views[1] {
+			t.Fatalf("workers=%d: empty kernel %s\nexact kernel %s", workers, views[0], views[1])
+		}
+	}
+}
+
+// TestMeasureRunsFirstErrorInRunOrder pins measureRuns' error contract. At
+// seed 5 runs 0 and 1 converge within 50 steps while runs 2, 4, 7 and 8 run
+// out of budget; every worker count must report run 2's error.
+func TestMeasureRunsFirstErrorInRunOrder(t *testing.T) {
+	p := epidemic(t)
+	var want string
+	for _, workers := range []int{1, 2, 8} {
+		_, err := measureRuns(p, []int64{1, 15}, 10, 5,
+			Options{MaxSteps: 50, QuiescencePeriod: 10, Workers: workers})
+		if !errors.Is(err, ErrBudgetExhausted) || !strings.HasPrefix(err.Error(), "run 2: ") {
+			t.Fatalf("workers=%d: err = %v, want run 2's budget error", workers, err)
+		}
+		if want == "" {
+			want = err.Error()
+		} else if err.Error() != want {
+			t.Fatalf("workers=%d: err = %q, want %q", workers, err, want)
+		}
 	}
 }

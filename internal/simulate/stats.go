@@ -55,6 +55,3 @@ func Summarise(sample []float64) Summary {
 func (s Summary) String() string {
 	return fmt.Sprintf("%.1f ± %.1f [%.1f..%.1f] (n=%d)", s.Mean, s.CI95, s.Min, s.Max, s.N)
 }
-
-// The two-sample Kolmogorov–Smirnov helpers the differential suites share
-// live in internal/simulate/stattest (KSStatistic, KSCriticalValue).

@@ -73,7 +73,7 @@ func TestQuickSummaryOrdering(t *testing.T) {
 
 func TestMeasureConvergenceSamples(t *testing.T) {
 	p := buildEpidemic(t)
-	samples, err := MeasureConvergenceSamples(p, []int64{1, 9}, 5, 3, Options{
+	_, samples, err := MeasureConvergenceWithSamples(p, []int64{1, 9}, true, 5, 3, Options{
 		MaxSteps: 10_000_000, QuiescencePeriod: 8,
 	})
 	if err != nil {
@@ -86,9 +86,7 @@ func TestMeasureConvergenceSamples(t *testing.T) {
 	if s.Mean <= 0 {
 		t.Fatalf("degenerate mean %v", s.Mean)
 	}
-	if _, err := MeasureConvergenceSamples(p, []int64{1, 1}, 0, 1, Options{}); err == nil {
+	if _, _, err := MeasureConvergenceWithSamples(p, []int64{1, 1}, true, 0, 1, Options{}); err == nil {
 		t.Fatal("accepted runs = 0")
 	}
 }
-
-// The KS helper tests moved with the helpers to internal/simulate/stattest.

@@ -2,7 +2,6 @@ package simulate
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/multiset"
 	"repro/internal/protocol"
@@ -18,41 +17,6 @@ type SweepPoint struct {
 	// Err records a per-point failure (budget exhaustion); the sweep
 	// continues past failed points.
 	Err error
-}
-
-// Sweep runs MeasureConvergence for each input vector, fanning the points
-// out over `workers` goroutines. Per-point statistics are reproducible from
-// the seed regardless of worker count; opts.BatchSize and opts.Workers pass
-// through to each point, so a sweep can combine point-level fan-out with
-// the batched scheduler fast path (and, for few points with many runs,
-// run-level fan-out). It waits for all workers before returning; results
-// are in input order.
-func Sweep(p *protocol.Protocol, inputs [][]int64, expected func(in []int64) bool,
-	runs int, seed int64, workers int, opts Options) []SweepPoint {
-	if workers < 1 {
-		workers = 1
-	}
-	points := make([]SweepPoint, len(inputs))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				in := inputs[idx]
-				stats, err := MeasureConvergence(p, in, expected(in), runs,
-					SweepPointSeed(seed, idx), opts)
-				points[idx] = SweepPoint{Inputs: in, Stats: stats, Err: err}
-			}
-		}()
-	}
-	for idx := range inputs {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-	return points
 }
 
 // Trace records the output trajectory of a run: a time series of
@@ -71,7 +35,8 @@ type Trace struct {
 
 // RunTraced is Run with periodic sampling of the accepting-agent count:
 // the scheduler is wrapped so every step is observed and every `period`-th
-// step records a sample.
+// step records a sample. The wrapper has no StepN, so Run drives it per
+// step whatever the inner scheduler.
 func RunTraced(p *protocol.Protocol, counts []int64, s sched.Scheduler,
 	period int64, opts Options) (*Result, *Trace, error) {
 	if period < 1 {

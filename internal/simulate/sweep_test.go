@@ -1,6 +1,7 @@
 package simulate
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/protocol"
@@ -21,43 +22,62 @@ func buildEpidemic(t *testing.T) *protocol.Protocol {
 	return p
 }
 
+// sweepReference measures each point on its own, with the seed
+// SweepResumable assigns it: the reference the sweep tests compare against.
+func sweepReference(p *protocol.Protocol, inputs [][]int64, expected func([]int64) bool,
+	runs int, seed int64, opts Options) []SweepPoint {
+	points := make([]SweepPoint, len(inputs))
+	for idx, in := range inputs {
+		stats, err := MeasureConvergence(p, in, expected(in), runs, SweepPointSeed(seed, idx), opts)
+		points[idx] = SweepPoint{Inputs: in, Stats: stats, Err: err}
+	}
+	return points
+}
+
 func TestSweepParallelMatchesSequential(t *testing.T) {
 	p := buildEpidemic(t)
 	inputs := [][]int64{{1, 7}, {1, 15}, {1, 31}, {1, 63}}
 	expected := func([]int64) bool { return true }
 	opts := Options{MaxSteps: 50_000_000, QuiescencePeriod: 32}
 
-	seq := Sweep(p, inputs, expected, 3, 11, 1, opts)
-	par := Sweep(p, inputs, expected, 3, 11, 4, opts)
-	if len(seq) != len(par) {
-		t.Fatal("length mismatch")
-	}
-	for i := range seq {
-		if seq[i].Err != nil || par[i].Err != nil {
-			t.Fatalf("point %d errored: %v / %v", i, seq[i].Err, par[i].Err)
+	want := pointsView(t, sweepReference(p, inputs, expected, 3, 11, opts))
+	for _, workers := range []int{1, 4} {
+		points, err := SweepResumable(context.Background(), p, inputs, expected, 3, 11, workers, opts, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
 		// Same seeds → identical statistics regardless of worker count.
-		if seq[i].Stats.MeanSteps != par[i].Stats.MeanSteps {
-			t.Fatalf("point %d: sequential %.0f vs parallel %.0f mean steps",
-				i, seq[i].Stats.MeanSteps, par[i].Stats.MeanSteps)
+		if got := pointsView(t, points); got != want {
+			t.Fatalf("workers=%d: sweep diverged from per-point measurement:\n%s\nvs\n%s", workers, got, want)
 		}
-	}
-	// The sweep shape: interactions grow with population size.
-	if seq[len(seq)-1].Stats.MeanSteps <= seq[0].Stats.MeanSteps {
-		t.Fatalf("mean interactions did not grow with m: %v vs %v",
-			seq[0].Stats.MeanSteps, seq[len(seq)-1].Stats.MeanSteps)
+		for i, pt := range points {
+			if pt.Err != nil {
+				t.Fatalf("point %d errored: %v", i, pt.Err)
+			}
+		}
+		// The sweep shape: interactions grow with population size.
+		if points[len(points)-1].Stats.MeanSteps <= points[0].Stats.MeanSteps {
+			t.Fatalf("mean interactions did not grow with m: %v vs %v",
+				points[0].Stats.MeanSteps, points[len(points)-1].Stats.MeanSteps)
+		}
 	}
 }
 
 func TestSweepRecordsPerPointErrors(t *testing.T) {
 	p := buildEpidemic(t)
-	// A budget of 1 step cannot converge: every point must report an error
-	// without failing the others.
-	inputs := [][]int64{{1, 3}}
-	points := Sweep(p, inputs, func([]int64) bool { return true }, 1, 1, 2,
-		Options{MaxSteps: 1, StableWindow: 100})
+	// A budget of 1 step cannot converge the first point; the second must
+	// still be measured.
+	inputs := [][]int64{{1, 3}, {2, 0}}
+	points, err := SweepResumable(context.Background(), p, inputs, func([]int64) bool { return true },
+		1, 1, 2, Options{MaxSteps: 1, StableWindow: 100, QuiescencePeriod: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if points[0].Err == nil {
 		t.Fatal("expected a budget error")
+	}
+	if points[1].Err != nil || points[1].Stats == nil {
+		t.Fatalf("the failed point failed the sweep: %+v", points[1])
 	}
 }
 

@@ -283,7 +283,7 @@ func TestTopologyRunsWithFaultsConverge(t *testing.T) {
 }
 
 // TestTopologySamplesReproducible pins seed-determinism end to end through
-// MeasureConvergenceSamples for every policy.
+// MeasureConvergenceWithSamples for every policy.
 func TestTopologySamplesReproducible(t *testing.T) {
 	p := epidemic(t)
 	for _, policy := range []string{sched.PolicyRandom, sched.PolicyRoundRobin, sched.PolicyStarvation, sched.PolicyAdversary} {
@@ -294,11 +294,11 @@ func TestTopologySamplesReproducible(t *testing.T) {
 				QuiescencePeriod: 50,
 				Topology:         &sched.TopologySpec{Kind: sched.TopoRing, Policy: policy},
 			}
-			a, err := MeasureConvergenceSamples(p, []int64{1, 11}, 4, 7, opts)
+			_, a, err := MeasureConvergenceWithSamples(p, []int64{1, 11}, true, 4, 7, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := MeasureConvergenceSamples(p, []int64{1, 11}, 4, 7, opts)
+			_, b, err := MeasureConvergenceWithSamples(p, []int64{1, 11}, true, 4, 7, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
