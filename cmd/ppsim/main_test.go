@@ -134,6 +134,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"zero runs", []string{"-target", "majority", "-input", "6,3", "-runs", "0"}, 2, "-runs must be ≥ 1"},
 		{"negative runs", []string{"-target", "majority", "-input", "6,3", "-runs", "-2"}, 2, "-runs must be ≥ 1"},
 		{"zero workers", []string{"-target", "majority", "-input", "6,3", "-workers", "0"}, 2, "-workers must be ≥ 1"},
+		{"too many workers", []string{"-target", "majority", "-input", "6,3", "-workers", "2000"}, 2, "Workers must be ≤ 1024"},
 		{"negative batch", []string{"-target", "majority", "-input", "6,3", "-batch", "-1"}, 2, "BatchSize must be ≥ 0"},
 		{"negative budget", []string{"-target", "majority", "-input", "6,3", "-budget", "-5"}, 2, "MaxSteps must be ≥ 0"},
 		{"negative window", []string{"-target", "majority", "-input", "6,3", "-window", "-1"}, 2, "StableWindow must be ≥ 0"},

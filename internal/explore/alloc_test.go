@@ -1,9 +1,11 @@
 package explore
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/multiset"
+	"repro/internal/protocol"
 )
 
 // TestExploreAllocsPerState is the allocation regression guard for the
@@ -75,5 +77,37 @@ func TestProtocolExploreAllocsPerState(t *testing.T) {
 	perState := allocs / states
 	if perState > 10 {
 		t.Fatalf("protocol exploration allocates %.1f objects/state (total %.0f), budget 10", perState, allocs)
+	}
+}
+
+// TestExploreWorkersAllocBound: the engine allocates one expansion scratch
+// per frontier chunk when the chunk first needs it, never one per worker up
+// front, so a huge Workers value costs nothing on a small system. A
+// 3-state approximate majority explored at Workers = 2²⁰ stays under 2 MB.
+func TestExploreWorkersAllocBound(t *testing.T) {
+	b := protocol.NewBuilder("approx-majority")
+	b.Input("X", "Y")
+	b.Transition("X", "Y", "X", "B")
+	b.Transition("Y", "X", "Y", "B")
+	b.Transition("X", "B", "X", "X")
+	b.Transition("Y", "B", "Y", "Y")
+	b.Accepting("X")
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := p.InitialConfig(4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := NewProtocolSystem(p)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ExploreParallel[*multiset.Multiset](sys, []*multiset.Multiset{c}, Options{Workers: 1 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+		t.Fatalf("exploration at Workers = 2^20 allocated %d bytes, want < 2 MB", got)
 	}
 }

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"context"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // AppendKeySystem is an optional System extension. Systems that can encode a
@@ -62,11 +62,13 @@ type pending[S any] struct {
 // narrow frontiers (chains, near-deterministic systems) expand inline.
 const minExpandChunk = 64
 
-// expandScratch is one worker's reusable expansion state: the key encode
+// expandScratch is one chunk's reusable expansion state: the key encode
 // buffer, the successor keys and their end offsets, a read buffer for
 // unmapped spilled-segment reads, the arena that keeps this block's unknown
-// keys stable, the deferred spilled lookups, and (in codec mode) the
-// decode-scratch state.
+// keys stable until the commit pass, the deferred spilled lookups, and (in
+// codec mode) the decode-scratch state. Chunk k of every block reuses the
+// k-th scratch; two chunks of one block never share one, since both
+// arenas must survive until the commit pass.
 type expandScratch[S any] struct {
 	keyBuf   []byte
 	succKeys []byte
@@ -75,7 +77,6 @@ type expandScratch[S any] struct {
 	arena    byteArena
 	deferred []deferredLookup
 	dec      S
-	err      error
 }
 
 // ExploreParallel is ExploreContext without cancellation. Like Explore it
@@ -191,10 +192,7 @@ func ExploreContext[S any](ctx context.Context, sys System[S], initial []S, opts
 		}
 	}
 
-	scratches := make([]*expandScratch[S], workers)
-	for i := range scratches {
-		scratches[i] = &expandScratch[S]{}
-	}
+	var scratches []*expandScratch[S]
 	var blk []frontierRec
 	var perState [][]pending[S]
 
@@ -229,44 +227,28 @@ func ExploreContext[S any](ctx context.Context, sys System[S], initial []S, opts
 				return nil, err
 			}
 
-			// Expansion pass: workers read the interner and produce, per
-			// frontier state, its successor records. Writes go to disjoint
-			// perState slots, so the only shared structures are the
-			// read-only interner and key log.
+			// Expansion pass: par.Ordered tasks, one per chunk, read the
+			// interner and produce, per frontier state, its successor
+			// records. Writes go to disjoint perState slots, so the only
+			// shared structures are the read-only interner and key log. The
+			// first error in chunk order wins.
 			for len(perState) < len(blk) {
 				perState = append(perState, nil)
 			}
-			chunk := (len(blk) + workers - 1) / workers
-			if chunk < minExpandChunk {
-				chunk = minExpandChunk
+			chunk := max((len(blk)+workers-1)/workers, minExpandChunk)
+			chunks := (len(blk) + chunk - 1) / chunk
+			for len(scratches) < chunks {
+				scratches = append(scratches, &expandScratch[S]{})
 			}
-			if chunk >= len(blk) {
-				expandBlock(ctx, sys, encode, dec, succ, in, states, blk, perState, 0, len(blk), scratches[0])
-			} else {
-				var wg sync.WaitGroup
-				w := 0
-				for lo := 0; lo < len(blk); lo += chunk {
-					hi := min(lo+chunk, len(blk))
-					sc := scratches[w]
-					w++
-					wg.Add(1)
-					go func(lo, hi int, sc *expandScratch[S]) {
-						defer wg.Done()
-						expandBlock(ctx, sys, encode, dec, succ, in, states, blk, perState, lo, hi, sc)
-					}(lo, hi, sc)
-				}
-				wg.Wait()
-			}
-			if err := ctx.Err(); err != nil {
-				if met != nil {
+			_, err = par.Ordered(ctx, chunks, workers, func(ctx context.Context, _, k int) error {
+				lo := k * chunk
+				return expandBlock(ctx, sys, encode, dec, succ, in, states, blk, perState, lo, min(lo+chunk, len(blk)), scratches[k])
+			})
+			if err != nil {
+				if met != nil && ctx.Err() != nil {
 					met.Cancellations.Inc()
 				}
 				return nil, err
-			}
-			for _, sc := range scratches {
-				if sc.err != nil {
-					return nil, sc.err
-				}
 			}
 
 			// Commit pass: resolve pending successors to dense ids in
@@ -312,30 +294,32 @@ func ExploreContext[S any](ctx context.Context, sys System[S], initial []S, opts
 	return analyse(sys, states, edges), nil
 }
 
-// expandBlock expands blk[lo:hi] into perState[lo:hi]. It only reads the
+// expandBlock expands blk[lo:hi] into perState[lo:hi], and returns
+// ctx.Err() if ctx is cancelled before it finishes. It only reads the
 // interner and key log: already-known successors resolve to ids immediately
 // (or via the deferred batch below), and unknown successors' keys are copied
-// into the worker's arena for the commit pass. Lookups whose confirming key
+// into the chunk's arena for the commit pass. Lookups whose confirming key
 // bytes live in spilled segments are deferred and then resolved in sorted
 // offset order — one sequential sweep over the spilled tier per chunk
 // instead of random per-successor reads. dec is nil outside codec mode, and
 // succ is nil unless the codec system also encodes successor keys.
 func expandBlock[S any](ctx context.Context, sys System[S], encode func([]byte, S) []byte,
 	dec KeyDecoderSystem[S], succ SuccessorKeySystem[S], in *interner, states []S, blk []frontierRec,
-	perState [][]pending[S], lo, hi int, sc *expandScratch[S]) {
+	perState [][]pending[S], lo, hi int, sc *expandScratch[S]) error {
 	sc.arena.reset()
 	sc.deferred = sc.deferred[:0]
 	for i := lo; i < hi; i++ {
-		if (i-lo)&63 == 0 && ctx.Err() != nil {
-			return
+		if (i-lo)&63 == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 		}
 		var s S
 		if dec != nil {
 			var err error
 			s, err = dec.DecodeKey(sc.dec, blk[i].key)
 			if err != nil {
-				sc.err = err
-				return
+				return err
 			}
 			sc.dec = s
 		} else {
@@ -359,15 +343,14 @@ func expandBlock[S any](ctx context.Context, sys System[S], encode func([]byte, 
 		perState[i] = recs
 	}
 	if len(sc.deferred) == 0 {
-		return
+		return nil
 	}
 	sort.Slice(sc.deferred, func(a, b int) bool { return sc.deferred[a].off < sc.deferred[b].off })
 	for _, dl := range sc.deferred {
 		p := &perState[dl.i][dl.j]
 		rec, err := in.log.record(dl.off, &sc.readBuf)
 		if err != nil {
-			sc.err = err
-			return
+			return err
 		}
 		if bytes.Equal(rec, p.key) {
 			p.id = dl.id
@@ -378,12 +361,13 @@ func expandBlock[S any](ctx context.Context, sys System[S], encode func([]byte, 
 			p.id = int32(id)
 		}
 	}
+	return nil
 }
 
 // appendPending appends successor j of frontier record i, with key bytes
 // key, to recs: resolved to its id when the interner already holds it,
 // otherwise (unknown, or deferred to the spilled-read batch) with a copy of
-// the key in the worker's arena for the commit pass.
+// the key in the chunk's arena for the commit pass.
 func appendPending[S any](recs []pending[S], in *interner, sc *expandScratch[S], key []byte, t S, i, j int) []pending[S] {
 	h := hashKey(key)
 	if id, ok := in.lookupExpand(h, key, &sc.readBuf, &sc.deferred, int32(i), int32(j)); ok {

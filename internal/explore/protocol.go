@@ -2,11 +2,10 @@ package explore
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/multiset"
+	"repro/internal/par"
 	"repro/internal/protocol"
 )
 
@@ -117,12 +116,13 @@ func checkDecidesSize(ctx context.Context, sys ProtocolSystem, pred protocol.Pre
 // CheckDecidesParallel verifies that p decides pred on every initial
 // configuration of every population size in [minAgents, maxAgents]: the
 // exact counterpart of the paper's "PP decides φ" (§3) restricted to a
-// finite range of sizes. The per-size checks fan out over `workers`
-// goroutines (workers = 1 checks the sizes in order). The protocol's stepper
-// is shared read-only; each worker explores its own sizes. The first failure
-// wins: it cancels the in-flight explorations of the other workers (they
-// abort at their next level barrier), and all workers are awaited before
-// returning.
+// finite range of sizes. Each size is one par.Ordered task on `workers`
+// goroutines (workers = 1 checks the sizes in order on the caller's
+// goroutine). The protocol's stepper is shared read-only; each task
+// explores its own size. The smallest failing size wins at every worker
+// count: no larger size starts after it fails, the in-flight explorations
+// of larger sizes are cancelled (they abort at their next level barrier),
+// and all of them are awaited before returning.
 //
 // Each per-configuration exploration runs with one engine worker unless
 // opts.Workers says otherwise — the size-level fan-out already saturates the
@@ -132,50 +132,12 @@ func CheckDecidesParallel(p *protocol.Protocol, pred protocol.Predicate, minAgen
 	if minAgents < 1 {
 		return fmt.Errorf("explore: population size must be ≥ 1, got %d", minAgents)
 	}
-	if workers < 1 {
-		workers = 1
-	}
 	if opts.Workers <= 0 {
 		opts.Workers = 1
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	sys := NewProtocolSystem(p)
-	sizes := make(chan int64)
-	errs := make(chan error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for m := range sizes {
-				if err := checkDecidesSize(ctx, sys, pred, m, opts); err != nil {
-					// A worker whose exploration was aborted by another
-					// worker's failure has nothing to report.
-					if !errors.Is(err, context.Canceled) {
-						errs <- err
-						cancel()
-					}
-					return
-				}
-			}
-		}()
-	}
-	for m := minAgents; m <= maxAgents; m++ {
-		select {
-		case err := <-errs:
-			close(sizes)
-			wg.Wait()
-			return err
-		case sizes <- m:
-		}
-	}
-	close(sizes)
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return err
-	default:
-		return nil
-	}
+	_, err := par.Ordered(context.TODO(), int(maxAgents-minAgents+1), workers, func(ctx context.Context, _, i int) error {
+		return checkDecidesSize(ctx, sys, pred, minAgents+int64(i), opts)
+	})
+	return err
 }

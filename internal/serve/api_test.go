@@ -127,6 +127,9 @@ func TestAPIContract(t *testing.T) {
 		{"all-zero counts", `{"kind":"simulate","target":"majority","input":[0,0]}`, 400},
 		{"negative runs", `{"kind":"simulate","target":"majority","input":[6,4],"runs":-1}`, 400},
 		{"negative workers", `{"kind":"simulate","target":"majority","input":[6,4],"workers":-2}`, 400},
+		{"workers above bound", `{"kind":"explore","target":"majority","input":[6,4],"workers":1025}`, 400},
+		{"runs above bound", `{"kind":"simulate","target":"majority","input":[6,4],"runs":1000001}`, 400},
+		{"largest runs and workers ok", `{"kind":"simulate","target":"majority","input":[6,4],"runs":1000000,"workers":1024}`, 202},
 		{"negative max_steps", `{"kind":"simulate","target":"majority","input":[6,4],"max_steps":-5}`, 400},
 		{"unknown kernel", `{"kind":"simulate","target":"majority","input":[6,4],"kernel":"warp"}`, 400},
 		{"topology ok", `{"kind":"simulate","target":"majority","input":[6,4],"topology":"ring"}`, 202},
@@ -144,6 +147,7 @@ func TestAPIContract(t *testing.T) {
 	// Errors whose wording ppsim shares are pinned too.
 	wantErr := map[string]string{
 		"policy without topology": "edge-selection policy requires a topology",
+		"workers above bound":     "Workers must be ≤ 1024",
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -66,12 +66,14 @@ type JobSpec struct {
 	// protocol targets use their built-in predicate and program targets
 	// default to true.
 	Expected *bool `json:"expected,omitempty"`
-	// Runs is the number of repeated runs per point (default 1).
+	// Runs is the number of repeated runs per point (default 1, at most
+	// 1,000,000).
 	Runs int `json:"runs,omitempty"`
 	// Seed is the base PRNG seed (default 1).
 	Seed int64 `json:"seed,omitempty"`
-	// Workers fans runs (simulate) or points (sweep) out over goroutines;
-	// results are bit-identical for any value.
+	// Workers fans runs (simulate), points (sweep, each measuring its runs
+	// on one goroutine) or frontier chunks (explore) out over goroutines,
+	// at most 1024; results and errors are bit-identical for any value.
 	Workers int `json:"workers,omitempty"`
 	// Kernel selects the interaction kernel: exact | batch | fluid |
 	// langevin | auto (empty = exact).
@@ -113,6 +115,10 @@ type JobSpec struct {
 
 var checkpointNameRe = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$`)
 
+// maxRuns bounds JobSpec.Runs: a measurement allocates a result slot per
+// run before it starts the first one.
+const maxRuns = 1_000_000
+
 // Validate checks the spec without doing any expensive work: the kind and
 // shape rules below, the run options (simulate.Options.Validate), the
 // target name and its parameter bound (target.Parse, which constructs
@@ -153,8 +159,8 @@ func (s *JobSpec) Validate() error {
 			return fmt.Errorf("input: %w", err)
 		}
 	}
-	if s.Runs < 0 {
-		return fmt.Errorf("runs must be ≥ 0, got %d", s.Runs)
+	if s.Runs < 0 || s.Runs > maxRuns {
+		return fmt.Errorf("runs must be in [0, %d], got %d", maxRuns, s.Runs)
 	}
 	if s.MaxStates < 0 {
 		return fmt.Errorf("max_states must be ≥ 0, got %d", s.MaxStates)

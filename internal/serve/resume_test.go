@@ -121,7 +121,7 @@ func TestServerResumeSweepFromCheckpoint(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	_, err = simulate.SweepResumable(ctx, b.Protocol, spec.Inputs, spec.expectedFn(b),
-		spec.runs(), spec.seed(), 1, opts, &simulate.SweepCheckpointConfig{
+		spec.runs(), spec.seed(), opts, &simulate.SweepCheckpointConfig{
 			Path: ckptPath,
 			Key:  specHash(spec),
 			Progress: func(done, total int) {

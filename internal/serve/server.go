@@ -383,7 +383,7 @@ func (s *Server) execute(ctx context.Context, j *Job) (json.RawMessage, string, 
 			}
 		}
 		points, err := simulate.SweepResumable(ctx, p, spec.Inputs, expected,
-			spec.runs(), spec.seed(), spec.Workers, opts, ck)
+			spec.runs(), spec.seed(), opts, ck)
 		res := sweepResult{Kind: KindSweep, Protocol: protoInfo(p), Convert: conv}
 		for i, pt := range points {
 			sp := sweepPointResult{Inputs: spec.Inputs[i], Stats: pt.Stats}

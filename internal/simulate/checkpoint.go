@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/protocol"
 )
 
@@ -137,13 +138,16 @@ func (c *SweepCheckpointConfig) every() int {
 	return c.Every
 }
 
-// SweepResumable runs MeasureConvergence for each input vector, fanning
-// points out over `workers` goroutines, and returns the points in input
-// order. Point idx is measured with seed SweepPointSeed(seed, idx); a
-// failed point records its error and the sweep continues. A nil ck runs
-// without checkpoints. Otherwise completed points are saved periodically
-// to ck.Path, and when a valid checkpoint for the same sweep already exists
-// there its points are restored instead of recomputed.
+// SweepResumable runs MeasureConvergence for each input vector and returns
+// the points in input order. Points are par.Ordered tasks fanned out over
+// opts.Workers goroutines, and each point measures its runs on its own
+// goroutine, so at most opts.Workers runs execute at once. Point idx is
+// measured with seed SweepPointSeed(seed, idx); a failed point records its
+// error and the sweep continues, while invalid opts fail the sweep before
+// any point runs. A nil ck runs without checkpoints.
+// Otherwise completed points are saved periodically to ck.Path, and when a
+// valid checkpoint for the same sweep already exists there its points are
+// restored instead of recomputed.
 //
 // Determinism: points are mutually independent and each is a pure function
 // of its seed, so the result set is bit-identical for any worker count and
@@ -155,10 +159,10 @@ func (c *SweepCheckpointConfig) every() int {
 // already in flight finish, a final checkpoint is written, and the partial
 // results are returned alongside ctx.Err().
 func SweepResumable(ctx context.Context, p *protocol.Protocol, inputs [][]int64,
-	expected func(in []int64) bool, runs int, seed int64, workers int,
+	expected func(in []int64) bool, runs int, seed int64,
 	opts Options, ck *SweepCheckpointConfig) ([]SweepPoint, error) {
-	if workers < 1 {
-		workers = 1
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
 	points := make([]SweepPoint, len(inputs))
 	done := make([]bool, len(inputs))
@@ -217,81 +221,56 @@ func SweepResumable(ctx context.Context, p *protocol.Protocol, inputs [][]int64,
 		}
 	}
 
-	// Dispatch the remaining points. Workers send completed indices to the
-	// collector loop below, which owns points/cp and serialises checkpoint
-	// writes.
-	jobs := make(chan int)
-	results := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				in := inputs[idx]
-				stats, err := MeasureConvergence(p, in, expected(in), runs,
-					SweepPointSeed(seed, idx), opts)
-				points[idx] = SweepPoint{Inputs: in, Stats: stats, Err: err}
-				results <- idx
-			}
-		}()
-	}
-	go func() {
-		defer close(jobs)
-		for idx := range inputs {
-			if done[idx] {
-				continue
-			}
-			select {
-			case jobs <- idx:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	sinceSave := 0
-	var saveErr error
-	for idx := range results {
-		pt := points[idx]
-		cpp := CheckpointPoint{
-			Index:  idx,
-			Inputs: pt.Inputs,
-			Seed:   SweepPointSeed(seed, idx),
-			Stats:  pt.Stats,
-		}
-		if pt.Err != nil {
-			cpp.Err = pt.Err.Error()
-		}
-		cp.Points = append(cp.Points, cpp)
-		completed++
-		sinceSave++
-		if ck != nil && ck.Path != "" && sinceSave >= ck.every() {
-			sort.Slice(cp.Points, func(i, j int) bool { return cp.Points[i].Index < cp.Points[j].Index })
-			if err := cp.Save(ck.Path); err != nil && saveErr == nil {
-				saveErr = err
-			}
-			sinceSave = 0
-		}
-		if ck != nil && ck.Progress != nil {
-			ck.Progress(completed, len(inputs))
+	// Measure the remaining points. mu serialises the checkpoint and the
+	// Progress calls.
+	var todo []int
+	for idx := range inputs {
+		if !done[idx] {
+			todo = append(todo, idx)
 		}
 	}
-	if ck != nil && ck.Path != "" && sinceSave > 0 {
+	pointOpts := opts
+	pointOpts.Workers = 1
+	var (
+		mu        sync.Mutex
+		sinceSave int
+		saveErr   error
+	)
+	save := func() {
 		sort.Slice(cp.Points, func(i, j int) bool { return cp.Points[i].Index < cp.Points[j].Index })
 		if err := cp.Save(ck.Path); err != nil && saveErr == nil {
 			saveErr = err
 		}
+		sinceSave = 0
+	}
+	_, err := par.Ordered(ctx, len(todo), opts.Workers, func(_ context.Context, _, i int) error {
+		idx := todo[i]
+		in, pointSeed := inputs[idx], SweepPointSeed(seed, idx)
+		stats, err := MeasureConvergence(p, in, expected(in), runs, pointSeed, pointOpts)
+		points[idx] = SweepPoint{Inputs: in, Stats: stats, Err: err}
+		cpp := CheckpointPoint{Index: idx, Inputs: in, Seed: pointSeed, Stats: stats}
+		if err != nil {
+			cpp.Err = err.Error()
+		}
+
+		mu.Lock()
+		defer mu.Unlock()
+		cp.Points = append(cp.Points, cpp)
+		completed++
+		sinceSave++
+		if ck != nil && ck.Path != "" && sinceSave >= ck.every() {
+			save()
+		}
+		if ck != nil && ck.Progress != nil {
+			ck.Progress(completed, len(inputs))
+		}
+		return nil
+	})
+	if ck != nil && ck.Path != "" && sinceSave > 0 {
+		save()
 	}
 	if saveErr != nil {
 		return points, fmt.Errorf("simulate: checkpoint save: %w", saveErr)
 	}
-	if err := ctx.Err(); err != nil && completed < len(inputs) {
-		return points, err
-	}
-	return points, nil
+	return points, err
 }

@@ -45,8 +45,8 @@ func TestSweepResumableMatchesSweep(t *testing.T) {
 
 	plain := sweepReference(p, inputs, expected, 3, 11, opts)
 	ckpt := filepath.Join(t.TempDir(), "sweep.json")
-	resumable, err := SweepResumable(context.Background(), p, inputs, expected, 3, 11, 2, opts,
-		&SweepCheckpointConfig{Path: ckpt, Key: "match-test"})
+	resumable, err := SweepResumable(context.Background(), p, inputs, expected, 3, 11,
+		Options{QuiescencePeriod: 32, Workers: 2}, &SweepCheckpointConfig{Path: ckpt, Key: "match-test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestSweepResumeBitIdentical(t *testing.T) {
 			}
 		},
 	}
-	if _, err := SweepResumable(ctx, p, inputs, expected, 3, 11, 1, opts, cfg); err == nil {
+	if _, err := SweepResumable(ctx, p, inputs, expected, 3, 11, opts, cfg); err == nil {
 		t.Fatal("cancelled sweep reported no error")
 	}
 	cp, err := LoadSweepCheckpoint(ckpt)
@@ -112,8 +112,8 @@ func TestSweepResumeBitIdentical(t *testing.T) {
 	}
 	interrupted := len(cp.Points)
 
-	resumed, err := SweepResumable(context.Background(), p, inputs, expected, 3, 11, 2, opts,
-		&SweepCheckpointConfig{Path: ckpt, Key: "resume-test"})
+	resumed, err := SweepResumable(context.Background(), p, inputs, expected, 3, 11,
+		Options{QuiescencePeriod: 32, Workers: 2}, &SweepCheckpointConfig{Path: ckpt, Key: "resume-test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestSweepCheckpointMismatchRejected(t *testing.T) {
 	opts := Options{QuiescencePeriod: 32}
 	ckpt := filepath.Join(t.TempDir(), "sweep.json")
 
-	if _, err := SweepResumable(context.Background(), p, inputs, expected, 2, 5, 1, opts,
+	if _, err := SweepResumable(context.Background(), p, inputs, expected, 2, 5, opts,
 		&SweepCheckpointConfig{Path: ckpt, Key: "sweep-a"}); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestSweepCheckpointMismatchRejected(t *testing.T) {
 		{"different runs", "sweep-a", 3, 5},
 		{"different seed", "sweep-a", 2, 6},
 	} {
-		if _, err := SweepResumable(context.Background(), p, inputs, expected, tc.runs, tc.seed, 1, opts,
+		if _, err := SweepResumable(context.Background(), p, inputs, expected, tc.runs, tc.seed, opts,
 			&SweepCheckpointConfig{Path: ckpt, Key: tc.key}); err == nil {
 			t.Fatalf("%s: checkpoint accepted", tc.name)
 		}
@@ -167,7 +167,7 @@ func TestSweepCheckpointMismatchRejected(t *testing.T) {
 	if err := cp.Save(v1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SweepResumable(context.Background(), p, inputs, expected, 2, 5, 1, opts,
+	if _, err := SweepResumable(context.Background(), p, inputs, expected, 2, 5, opts,
 		&SweepCheckpointConfig{Path: v1, Key: "sweep-a"}); err == nil || !strings.Contains(err.Error(), "version 1, want 2") {
 		t.Fatalf("version 1 checkpoint: err = %v, want a version mismatch", err)
 	}
@@ -197,7 +197,7 @@ func TestSweepCrashHelper(t *testing.T) {
 	}
 	p := buildEpidemic(t)
 	_, err := SweepResumable(context.Background(), p, crashSweepInputs(),
-		func([]int64) bool { return true }, 3, 11, 1, Options{QuiescencePeriod: 32},
+		func([]int64) bool { return true }, 3, 11, Options{QuiescencePeriod: 32},
 		&SweepCheckpointConfig{Path: path, Key: "crash-test"})
 	if err != nil {
 		t.Fatal(err)
@@ -254,8 +254,8 @@ func TestSweepCrashResumeSIGKILL(t *testing.T) {
 	p := buildEpidemic(t)
 	expected := func([]int64) bool { return true }
 	opts := Options{QuiescencePeriod: 32}
-	resumed, err := SweepResumable(context.Background(), p, inputs, expected, 3, 11, 2, opts,
-		&SweepCheckpointConfig{Path: ckpt, Key: "crash-test"})
+	resumed, err := SweepResumable(context.Background(), p, inputs, expected, 3, 11,
+		Options{QuiescencePeriod: 32, Workers: 2}, &SweepCheckpointConfig{Path: ckpt, Key: "crash-test"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,17 +13,18 @@
 package simulate
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/fluid"
 	"repro/internal/multiset"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/protocol"
 	"repro/internal/sched"
 )
@@ -151,10 +152,12 @@ type Options struct {
 	// fluid.DefaultFloor; the knob only affects the auto kernel at fluid
 	// scale (other kernels ignore it).
 	FluidFloor int64
-	// Workers parallelises the measurement functions across runs. Each run
-	// already draws its PRNG independently from seed+i, and per-run results
-	// are aggregated in run order, so statistics are bit-identical for
-	// every worker count. Values ≤ 1 run sequentially.
+	// Workers is the number of goroutines the measurement functions fan
+	// runs out over (SweepResumable: points, each measuring its runs on one
+	// goroutine), through par.Ordered. Each run draws its PRNG from seed+i
+	// and results are aggregated in run order, so statistics and the
+	// reported error are bit-identical for every worker count. Values ≤ 1
+	// run on the caller's goroutine; Validate rejects values above 1024.
 	Workers int
 	// Topology, when non-nil, restricts the interaction graph: the
 	// measurement functions drive each run through the topology schedulers
@@ -167,12 +170,18 @@ type Options struct {
 	Faults *sched.Faults
 }
 
+// maxWorkers bounds Options.Workers, which arrives from flags and ppserved
+// requests: without it one request could start a goroutine per run, and an
+// explore job sized by it could start one per frontier chunk.
+const maxWorkers = 1024
+
 // Validate checks the options without running anything, and is the one
-// place their rules live: every limit is non-negative, Kernel is empty or a
-// known kernel, a Topology excludes Kernel and BatchSize (the graph
-// schedulers are per-step) and names a known edge-selection policy, and
-// Faults need a Topology and valid rates. The CLIs and ppserved call it
-// before they run; the measurement functions call it once per measurement.
+// place their rules live: every limit is non-negative, Workers is at most
+// 1024, Kernel is empty or a known kernel, a Topology excludes Kernel and
+// BatchSize (the graph schedulers are per-step) and names a known
+// edge-selection policy, and Faults need a Topology and valid rates. The
+// CLIs and ppserved call it before they run; the measurement functions
+// call it once per measurement.
 func (o Options) Validate() error {
 	for _, f := range []struct {
 		name string
@@ -185,6 +194,9 @@ func (o Options) Validate() error {
 		if f.v < 0 {
 			return fmt.Errorf("simulate: %s must be ≥ 0, got %d", f.name, f.v)
 		}
+	}
+	if o.Workers > maxWorkers {
+		return fmt.Errorf("simulate: Workers must be ≤ %d, got %d", maxWorkers, o.Workers)
 	}
 	if o.Kernel != "" && !slices.Contains(kernels, o.Kernel) {
 		return errUnknownKernel(o.Kernel)
@@ -254,13 +266,6 @@ func (o Options) batchSize() int64 {
 	return o.BatchSize
 }
 
-func (o Options) workers() int {
-	if o.Workers <= 1 {
-		return 1
-	}
-	return o.Workers
-}
-
 // Result describes a completed run.
 type Result struct {
 	// Output is the consensus output at the end of the run.
@@ -312,13 +317,7 @@ func Run(p *protocol.Protocol, c *multiset.Multiset, s sched.Scheduler, opts Opt
 	if h, ok := s.(*fluid.Hybrid); ok && opts.FluidFloor > 0 {
 		h.SetFluidFloor(opts.FluidFloor)
 	}
-	var res *Result
-	var err error
-	if bs, ok := s.(sched.BatchScheduler); ok {
-		res, err = runBatched(p, c, bs, opts)
-	} else {
-		res, err = runPerStep(p, c, s, opts)
-	}
+	res, err := run(p, c, s, opts)
 	if met != nil && err == nil {
 		met.RunsFinished.Inc()
 		met.Convergence.Observe(res.ConvergenceStep)
@@ -342,82 +341,44 @@ func definitelyStable(p *protocol.Protocol, c *multiset.Multiset, s sched.Schedu
 	return len(p.EnabledTransitions(c)) == 0
 }
 
-// runPerStep is Run's path for schedulers without StepN.
-func runPerStep(p *protocol.Protocol, c *multiset.Multiset, s sched.Scheduler, opts Options) (*Result, error) {
-	maxSteps := opts.maxSteps()
-	window := opts.stableWindow()
-	period := opts.quiescencePeriod()
+// perStep gives a scheduler without StepN the StepN of n single steps.
+type perStep struct{ sched.Scheduler }
 
-	res := &Result{Final: c}
-	lastOutput := p.OutputOf(c)
-	var stableFor, lastEffective int64
-	outputChanged := false
-
-	for res.Steps < maxSteps {
-		changed := s.Step(c)
-		res.Steps++
-		if changed {
-			res.EffectiveSteps++
-			lastEffective = res.Steps
-		}
-
-		out := p.OutputOf(c)
-		if out == lastOutput {
-			stableFor++
-		} else {
-			lastOutput = out
-			stableFor = 0
-			res.ConvergenceStep = res.Steps
-			outputChanged = true
-		}
-
-		if out != protocol.OutputMixed && stableFor >= window {
-			res.Output = out
-			return res, nil
-		}
-
-		if res.Steps%period == 0 {
-			if definitelyStable(p, c, s) {
-				res.Output = out
-				res.Quiescent = true
-				if !outputChanged {
-					// The output held its initial value throughout, but
-					// the configuration kept evolving until its last
-					// effective step; reporting 0 would under-report the
-					// convergence point of a run that was still actively
-					// computing.
-					res.ConvergenceStep = lastEffective
-				}
-				return res, nil
-			}
+func (s perStep) StepN(c *multiset.Multiset, n int64) int64 {
+	var eff int64
+	for ; n > 0; n-- {
+		if s.Step(c) {
+			eff++
 		}
 	}
-	res.Output = p.OutputOf(c)
-	return res, fmt.Errorf("%w (protocol %q, %d steps, output %v)",
-		ErrBudgetExhausted, p.Name, res.Steps, res.Output)
+	return eff
 }
 
-// runBatched is Run's batched driver: it advances the configuration in
-// chunks of up to opts.BatchSize steps through StepN, truncating each chunk
-// so that every QuiescencePeriod boundary is still observed, and evaluates
-// the output heuristics at chunk boundaries. A chunk with zero effective
-// steps cannot have changed the output, so the stable-window accounting is
-// exact across it; a chunk with effective steps contributes its full length
-// to the window only when the output at both ends agrees (mid-batch output
-// oscillation within one chunk is not observed — the documented
-// batch-boundary semantics).
-func runBatched(p *protocol.Protocol, c *multiset.Multiset, s sched.BatchScheduler, opts Options) (*Result, error) {
+// run is Run's loop: it advances the configuration in chunks of up to
+// opts.BatchSize steps through StepN, truncating each chunk so that every
+// QuiescencePeriod boundary is still observed, and evaluates the output
+// heuristics at chunk boundaries. A scheduler without StepN runs one
+// interaction per chunk, so it is observed after every interaction. A chunk
+// with zero effective steps cannot have changed the output, so the
+// stable-window accounting is exact across it; a chunk with effective steps
+// contributes its full length to the window only when the output at both
+// ends agrees (mid-batch output oscillation within one chunk is not
+// observed — the documented batch-boundary semantics).
+func run(p *protocol.Protocol, c *multiset.Multiset, s sched.Scheduler, opts Options) (*Result, error) {
 	maxSteps := opts.maxSteps()
 	window := opts.stableWindow()
 	period := opts.quiescencePeriod()
-	batch := opts.batchSize()
-	// A scheduler can ask for population-scaled chunks (the fluid tiers
-	// want ~m/16 interactions — 1/16 of a parallel-time unit — per chunk;
-	// the default 2¹⁶ would mean ~2·10⁸ chunks at m = 10¹²). An explicit
-	// BatchSize always wins, and the default quiescence period scales with
-	// the chunk so period boundaries don't truncate it back down.
-	if opts.BatchSize <= 0 {
-		if pc, ok := s.(interface{ PreferredChunk(int64) int64 }); ok {
+	batch := int64(1)
+	bs, ok := s.(sched.BatchScheduler)
+	if ok {
+		batch = opts.batchSize()
+		// A scheduler can ask for population-scaled chunks (the fluid
+		// tiers want ~m/16 interactions — 1/16 of a parallel-time unit —
+		// per chunk; the default 2¹⁶ would mean ~2·10⁸ chunks at
+		// m = 10¹²). An explicit BatchSize always wins, and the default
+		// quiescence period scales with the chunk so period boundaries
+		// don't truncate it back down.
+		if pc, ok := s.(interface{ PreferredChunk(int64) int64 }); ok && opts.BatchSize <= 0 {
 			if b := pc.PreferredChunk(c.Size()); b > batch {
 				batch = b
 				if opts.QuiescencePeriod <= 0 {
@@ -425,6 +386,8 @@ func runBatched(p *protocol.Protocol, c *multiset.Multiset, s sched.BatchSchedul
 				}
 			}
 		}
+	} else {
+		bs = perStep{s}
 	}
 
 	res := &Result{Final: c}
@@ -440,7 +403,7 @@ func runBatched(p *protocol.Protocol, c *multiset.Multiset, s sched.BatchSchedul
 		if r := maxSteps - res.Steps; r < n {
 			n = r
 		}
-		eff := s.StepN(c, n)
+		eff := bs.StepN(c, n)
 		res.Steps += n
 		res.EffectiveSteps += eff
 		if eff > 0 {
@@ -467,6 +430,11 @@ func runBatched(p *protocol.Protocol, c *multiset.Multiset, s sched.BatchSchedul
 				res.Output = out
 				res.Quiescent = true
 				if !outputChanged {
+					// The output held its initial value throughout, but
+					// the configuration kept evolving until its last
+					// effective step; reporting 0 would under-report the
+					// convergence point of a run that was still actively
+					// computing.
 					res.ConvergenceStep = lastEffective
 				}
 				return res, nil
@@ -515,11 +483,11 @@ func convergenceRun(p *protocol.Protocol, inputCounts []int64, i int, seed int64
 	return RunInput(p, inputCounts, s, opts)
 }
 
-// measureRuns executes runs independent convergence runs on opts.Workers
-// goroutines and returns the per-run results in run order. A run is skipped
-// only once a lower-numbered run has failed, so every run before the first
-// failure executes and the returned error, the first in run order, is the
-// same for every worker count.
+// measureRuns executes runs independent convergence runs, one par.Ordered
+// task each on opts.Workers goroutines, and returns the per-run results in
+// run order. A run starts only while no lower-numbered run has failed, so
+// every run before the first failure executes and the returned error, the
+// first in run order, is the same for every worker count.
 func measureRuns(p *protocol.Protocol, inputCounts []int64, runs int, seed int64, opts Options) ([]*Result, error) {
 	if runs <= 0 {
 		return nil, fmt.Errorf("simulate: runs must be positive, got %d", runs)
@@ -529,49 +497,21 @@ func measureRuns(p *protocol.Protocol, inputCounts []int64, runs int, seed int64
 	}
 	results := make([]*Result, runs)
 	met := obs.Sim()
-	var (
-		mu       sync.Mutex
-		next     int
-		failed   = runs // lowest failed run; runs while none has failed
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	for w := 0; w < min(opts.workers(), runs); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				skip := i >= runs || i > failed
-				mu.Unlock()
-				if skip {
-					return
-				}
-				var t0 time.Time
-				if met != nil {
-					t0 = time.Now()
-				}
-				res, err := convergenceRun(p, inputCounts, i, seed, opts)
-				if met != nil {
-					met.WorkerRuns.Add(w, 1)
-					met.WorkerNanos.Add(w, time.Since(t0).Nanoseconds())
-				}
-				results[i] = res
-				if err != nil {
-					mu.Lock()
-					if i < failed {
-						failed, firstErr = i, err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, fmt.Errorf("run %d: %w", failed, firstErr)
+	i, err := par.Ordered(context.TODO(), runs, opts.Workers, func(_ context.Context, w, i int) error {
+		var t0 time.Time
+		if met != nil {
+			t0 = time.Now()
+		}
+		res, err := convergenceRun(p, inputCounts, i, seed, opts)
+		if met != nil {
+			met.WorkerRuns.Add(w, 1)
+			met.WorkerNanos.Add(w, time.Since(t0).Nanoseconds())
+		}
+		results[i] = res
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("run %d: %w", i, err)
 	}
 	return results, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/sched"
 )
@@ -42,7 +43,9 @@ func TestSweepParallelMatchesSequential(t *testing.T) {
 
 	want := pointsView(t, sweepReference(p, inputs, expected, 3, 11, opts))
 	for _, workers := range []int{1, 4} {
-		points, err := SweepResumable(context.Background(), p, inputs, expected, 3, 11, workers, opts, nil)
+		sweepOpts := opts
+		sweepOpts.Workers = workers
+		points, err := SweepResumable(context.Background(), p, inputs, expected, 3, 11, sweepOpts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,13 +66,40 @@ func TestSweepParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestSweepRunsInFlightBounded: a sweep fans its points out over
+// Options.Workers and each point measures its runs on one goroutine, so at
+// Workers = 4 at most 4 runs execute at once, not 4 per point. Every run
+// therefore lands in WorkerRuns slot 0, the only slot of a per-point pool.
+func TestSweepRunsInFlightBounded(t *testing.T) {
+	met := obs.Enable()
+	defer obs.Disable()
+	p := buildEpidemic(t)
+	var inputs [][]int64
+	for i := 0; i < 8; i++ {
+		inputs = append(inputs, []int64{1, int64(7 + 4*i)})
+	}
+	const runs = 4
+	if _, err := SweepResumable(context.Background(), p, inputs, func([]int64) bool { return true },
+		runs, 3, Options{QuiescencePeriod: 32, Workers: 4}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := met.Sim().WorkerRuns.Load(0), int64(runs*len(inputs)); got != want {
+		t.Fatalf("WorkerRuns[0] = %d, want all %d runs", got, want)
+	}
+	for w := 1; w < obs.VecWidth; w++ {
+		if got := met.Sim().WorkerRuns.Load(w); got != 0 {
+			t.Fatalf("WorkerRuns[%d] = %d: a point fanned its runs out over more goroutines", w, got)
+		}
+	}
+}
+
 func TestSweepRecordsPerPointErrors(t *testing.T) {
 	p := buildEpidemic(t)
 	// A budget of 1 step cannot converge the first point; the second must
 	// still be measured.
 	inputs := [][]int64{{1, 3}, {2, 0}}
 	points, err := SweepResumable(context.Background(), p, inputs, func([]int64) bool { return true },
-		1, 1, 2, Options{MaxSteps: 1, StableWindow: 100, QuiescencePeriod: 1}, nil)
+		1, 1, Options{MaxSteps: 1, StableWindow: 100, QuiescencePeriod: 1, Workers: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,6 +108,19 @@ func TestSweepRecordsPerPointErrors(t *testing.T) {
 	}
 	if points[1].Err != nil || points[1].Stats == nil {
 		t.Fatalf("the failed point failed the sweep: %+v", points[1])
+	}
+}
+
+// TestSweepRejectsInvalidOptions: the points measure their runs with
+// Workers = 1, so the sweep itself must check the options it fans out over.
+func TestSweepRejectsInvalidOptions(t *testing.T) {
+	p := buildEpidemic(t)
+	for _, opts := range []Options{{Workers: -1}, {Workers: 1 << 20}, {Kernel: "warp"}} {
+		points, err := SweepResumable(context.Background(), p, [][]int64{{1, 3}},
+			func([]int64) bool { return true }, 1, 1, opts, nil)
+		if err == nil || points != nil {
+			t.Fatalf("%+v: points %v, err %v; want an options error and no points", opts, points, err)
+		}
 	}
 }
 
