@@ -89,19 +89,15 @@ func exportTo(w io.Writer, what, name, input string, seed int64, maxStates int, 
 	if err != nil {
 		return err
 	}
+	c, err := p.InitialConfig(counts...)
+	if err != nil {
+		return err
+	}
 	if what == "reach" {
-		c, err := p.InitialConfig(counts...)
-		if err != nil {
-			return err
-		}
 		return export.ReachabilityDOT(w, p, []*multiset.Multiset{c}, maxStates)
 	}
-	var m int64
-	for _, c := range counts {
-		m += c
-	}
 	var opts simulate.Options
-	s, err := simulate.NewScheduler(p, sched.NewRand(seed), opts, m)
+	s, err := simulate.NewScheduler(p, sched.NewRand(seed), opts, c.Size())
 	if err != nil {
 		return err
 	}

@@ -248,21 +248,21 @@ type simOptions struct {
 // simulateProtocol runs p once, or so.runs times for summary statistics;
 // pred is the predicate p decides, the expected output of every run.
 func simulateProtocol(w io.Writer, p *protocol.Protocol, pred protocol.Predicate, counts []int64, so simOptions) error {
-	var m int64
-	for _, c := range counts {
-		m += c
+	if so.runs > 1 && so.scheduler == "fair" {
+		return errors.New("-runs > 1 only supports the pair scheduler")
+	}
+	c, err := p.InitialConfig(counts...)
+	if err != nil {
+		return err
 	}
 	if so.runs > 1 {
-		if so.scheduler == "fair" {
-			return errors.New("-runs > 1 only supports the pair scheduler")
-		}
 		_, samples, err := simulate.MeasureConvergenceWithSamples(p, counts, pred(counts), so.runs, so.seed, so.Options)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "protocol:      %s (%d states, %d transitions)\n",
 			p.Name, p.NumStates(), len(p.Transitions))
-		fmt.Fprintf(w, "input:         %v (m = %d)\n", counts, m)
+		fmt.Fprintf(w, "input:         %v (m = %d)\n", counts, c.Size())
 		fmt.Fprintf(w, "runs:          %d (workers %d, batch %d)\n", so.runs, so.Workers, so.BatchSize)
 		if so.Kernel != "" {
 			fmt.Fprintf(w, "kernel:        %s\n", so.Kernel)
@@ -272,16 +272,13 @@ func simulateProtocol(w io.Writer, p *protocol.Protocol, pred protocol.Predicate
 		return nil
 	}
 	rng := sched.NewRand(so.seed)
-	var (
-		s   sched.Scheduler
-		err error
-	)
+	var s sched.Scheduler
 	if so.scheduler == "fair" {
 		s = sched.NewTransitionFair(p, rng)
-	} else if s, err = simulate.NewScheduler(p, rng, so.Options, m); err != nil {
+	} else if s, err = simulate.NewScheduler(p, rng, so.Options, c.Size()); err != nil {
 		return err
 	}
-	res, err := simulate.RunInput(p, counts, s, so.Options)
+	res, err := simulate.Run(p, c, s, so.Options)
 	if err != nil {
 		return err
 	}

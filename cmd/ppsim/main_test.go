@@ -166,6 +166,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"czerner too large", []string{"-target", "czerner:40", "-input", "5"}, 1, "n must be in [1, 22]"},
 		{"wrong input arity", []string{"-target", "unary:3", "-input", "5,3"}, 1, "needs -input with 1 count(s), got 2"},
 		{"bad input counts", []string{"-target", "majority", "-input", "6;3"}, 1, "input"},
+		{"input total overflows", []string{"-target", "majority", "-input", "9223372036854775807,1"}, 1, "input counts total more than"},
 		{"unknown topology", []string{"-target", "majority", "-input", "6,3", "-topology", "torus"}, 2, "unknown topology"},
 		{"bad grid parameter", []string{"-target", "majority", "-input", "6,3", "-topology", "grid:axb"}, 2, "ROWSxCOLS"},
 		{"bogus topo policy", []string{"-target", "majority", "-input", "6,3", "-topology", "ring", "-topo-policy", "chaos"}, 2, "unknown edge-selection policy \"chaos\""},

@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/obs/obsflag"
+	"repro/internal/target"
 )
 
 func main() {
@@ -43,7 +44,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ppstate", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	maxN := fs.Int("n", 8, "largest construction level n to tabulate")
+	maxN := fs.Int("n", 8, fmt.Sprintf("largest construction level n to tabulate (at most %d)", target.MaxLevels))
 	opt := fs.Bool("opt", false,
 		"additionally render the shrink pipeline's before/after table (E17)")
 	optReport := fs.Bool("opt-report", false,
@@ -61,8 +62,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	switch {
-	case *maxN < 1:
-		return usageErr(fmt.Errorf("-n must be at least 1, got %d", *maxN))
+	case *maxN < 1 || *maxN > target.MaxLevels:
+		return usageErr(fmt.Errorf("-n must be in [1, %d], got %d", target.MaxLevels, *maxN))
 	case *optFull < 0:
 		return usageErr(fmt.Errorf("-opt-full must be ≥ 0, got %d", *optFull))
 	case fs.NArg() > 0:

@@ -20,6 +20,7 @@ func TestUsageErrors(t *testing.T) {
 	cases := [][]string{
 		{"-n", "0"},
 		{"-n", "-3"},
+		{"-n", "23"},
 		{"-opt-full", "-1"},
 		{"-no-such-flag"},
 		{"-n", "2", "stray"},

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/explore"
 )
@@ -148,18 +147,4 @@ func All(cfg Config) ([]*Table, error) {
 		tables = append(tables, tbl)
 	}
 	return tables, nil
-}
-
-// RenderAll runs every experiment and renders the tables to w.
-func RenderAll(w io.Writer, cfg Config) error {
-	tables, err := All(cfg)
-	if err != nil {
-		return err
-	}
-	for _, t := range tables {
-		if err := t.Render(w); err != nil {
-			return err
-		}
-	}
-	return nil
 }

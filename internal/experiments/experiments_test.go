@@ -245,8 +245,14 @@ func TestAllFastConfig(t *testing.T) {
 		ConvergenceRuns:   2,
 		Seed:              7,
 	}
-	if err := RenderAll(&sb, cfg); err != nil {
+	tables, err := All(cfg)
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, tbl := range tables {
+		if err := tbl.Render(&sb); err != nil {
+			t.Fatal(err)
+		}
 	}
 	out := sb.String()
 	for _, want := range []string{"E1 (Table 1)", "E2 (Figure 1)", "E3 (Figure 2)",

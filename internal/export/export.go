@@ -187,34 +187,3 @@ func TraceCSV(w io.Writer, t *simulate.Trace) error {
 	}
 	return nil
 }
-
-// SweepCSV writes convergence sweep points as CSV.
-func SweepCSV(w io.Writer, points []simulate.SweepPoint) error {
-	if _, err := io.WriteString(w, "inputs,mean_steps,mean_parallel,max_steps,wrong,err\n"); err != nil {
-		return err
-	}
-	for _, pt := range points {
-		inputs := make([]string, len(pt.Inputs))
-		for i, v := range pt.Inputs {
-			inputs[i] = fmt.Sprintf("%d", v)
-		}
-		errStr := ""
-		if pt.Err != nil {
-			errStr = strings.ReplaceAll(pt.Err.Error(), ",", ";")
-		}
-		var meanSteps, meanParallel float64
-		var maxSteps int64
-		var wrong int
-		if pt.Stats != nil {
-			meanSteps = pt.Stats.MeanSteps
-			meanParallel = pt.Stats.MeanParallel
-			maxSteps = pt.Stats.MaxSteps
-			wrong = pt.Stats.WrongOutputs
-		}
-		if _, err := fmt.Fprintf(w, "%s,%.1f,%.2f,%d,%d,%s\n",
-			strings.Join(inputs, "|"), meanSteps, meanParallel, maxSteps, wrong, errStr); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -1,7 +1,6 @@
 package export
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -135,41 +134,6 @@ func TestTraceCSV(t *testing.T) {
 	}
 	if !strings.HasSuffix(lines[len(lines)-1], "1.000000") {
 		t.Fatalf("final fraction not 1: %q", lines[len(lines)-1])
-	}
-}
-
-func TestSweepCSV(t *testing.T) {
-	p, err := baseline.Majority()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var points []simulate.SweepPoint
-	for idx, in := range [][]int64{{3, 1}, {5, 2}} {
-		stats, err := simulate.MeasureConvergence(p, in, true, 2, simulate.SweepPointSeed(7, idx),
-			simulate.Options{MaxSteps: 5_000_000})
-		points = append(points, simulate.SweepPoint{Inputs: in, Stats: stats, Err: err})
-	}
-	var sb strings.Builder
-	if err := SweepCSV(&sb, points); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "3|1") || !strings.Contains(out, "5|2") {
-		t.Fatalf("input columns missing:\n%s", out)
-	}
-}
-
-func TestSweepCSVWithError(t *testing.T) {
-	points := []simulate.SweepPoint{{
-		Inputs: []int64{1},
-		Err:    errors.New("boom, with comma"),
-	}}
-	var sb strings.Builder
-	if err := SweepCSV(&sb, points); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "boom; with comma") {
-		t.Fatalf("error column not sanitised:\n%s", sb.String())
 	}
 }
 

@@ -16,15 +16,3 @@ func (p *Program) CanonicalHash() string {
 	sum := sha256.Sum256([]byte(p.WriteSource()))
 	return hex.EncodeToString(sum[:])
 }
-
-// SourceHash is CanonicalHash for raw program source text: it parses and
-// re-renders, so formatting, comments, and whitespace do not affect the
-// key, and two differently-formatted copies of one program hit the same
-// cache entry.
-func SourceHash(src string) (string, error) {
-	p, err := Parse(src)
-	if err != nil {
-		return "", err
-	}
-	return p.CanonicalHash(), nil
-}

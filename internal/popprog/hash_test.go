@@ -16,6 +16,16 @@ proc Main {
 }
 `
 
+// sourceHash parses src and returns its canonical hash.
+func sourceHash(t *testing.T, src string) string {
+	t.Helper()
+	p, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.CanonicalHash()
+}
+
 // TestCanonicalHashStable pins that the hash is a pure function of program
 // structure: re-parsing the canonical rendering yields the same hash, and
 // source-level formatting differences do not change it.
@@ -37,11 +47,7 @@ func TestCanonicalHashStable(t *testing.T) {
 	}
 	// Reformatted source (extra blank lines and indentation) keys the same.
 	reformatted := strings.ReplaceAll(hashTestSrc, "\n  ", "\n\t \t")
-	hr, err := SourceHash(reformatted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hr != h1 {
+	if hr := sourceHash(t, reformatted); hr != h1 {
 		t.Fatalf("reformatted source hash %s != %s", hr, h1)
 	}
 }
@@ -49,28 +55,11 @@ func TestCanonicalHashStable(t *testing.T) {
 // TestCanonicalHashDistinguishes pins that structural changes change the
 // hash (the cache must not conflate different programs).
 func TestCanonicalHashDistinguishes(t *testing.T) {
-	h1, err := SourceHash(hashTestSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := SourceHash(strings.Replace(hashTestSrc, "of true", "of false", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1 == h2 {
+	h1 := sourceHash(t, hashTestSrc)
+	if h2 := sourceHash(t, strings.Replace(hashTestSrc, "of true", "of false", 1)); h1 == h2 {
 		t.Fatal("programs differing in an of-statement share a hash")
 	}
-	h3, err := SourceHash(strings.Replace(hashTestSrc, "move a -> b", "move b -> a", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1 == h3 {
+	if h3 := sourceHash(t, strings.Replace(hashTestSrc, "move a -> b", "move b -> a", 1)); h1 == h3 {
 		t.Fatal("programs differing in a move share a hash")
-	}
-}
-
-func TestSourceHashRejectsInvalid(t *testing.T) {
-	if _, err := SourceHash("not a program"); err == nil {
-		t.Fatal("SourceHash accepted garbage")
 	}
 }

@@ -185,16 +185,6 @@ func NewInterp(prog *Program, oracle Oracle, regs *multiset.Multiset) (*Interp, 
 	}, nil
 }
 
-// CallsTo returns the number of invocations of the named procedure so far,
-// or -1 if no such procedure exists.
-func (it *Interp) CallsTo(name string) int64 {
-	pi := it.prog.ProcIndex(name)
-	if pi < 0 {
-		return -1
-	}
-	return it.ProcCalls[pi]
-}
-
 // Run executes the program (with restarts) for at most budget steps and
 // reports how the run ended. It may be called repeatedly to extend a run;
 // each call adds `budget` to the allowance.

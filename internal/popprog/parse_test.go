@@ -174,6 +174,7 @@ proc Main { Main() }`, "recursive"},
 proc Main { repeat x { } while true { } }`, "repeat count"},
 		{"stray char", `registers a
 proc Main { @ }`, "unexpected character"},
+		{"not a program", `not a program`, `expected "registers"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

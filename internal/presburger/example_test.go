@@ -7,23 +7,6 @@ import (
 	"repro/internal/presburger"
 )
 
-// Parse a quantifier-free Presburger formula and evaluate it.
-func ExampleParse() {
-	f, err := presburger.Parse("4 <= x && x < 7")
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	for _, x := range []int64{3, 5, 7} {
-		v := map[string]*big.Int{"x": big.NewInt(x)}
-		fmt.Printf("x=%d: %v\n", x, f.Eval(v))
-	}
-	// Output:
-	// x=3: false
-	// x=5: true
-	// x=7: false
-}
-
 // The size measure |φ| counts coefficients in binary, so thresholds have
 // logarithmic size — the yardstick of the paper's Table 1.
 func ExampleThreshold() {
@@ -31,11 +14,4 @@ func ExampleThreshold() {
 	huge := presburger.Threshold("x", new(big.Int).Lsh(big.NewInt(1), 256))
 	fmt.Println(small.Size(), huge.Size())
 	// Output: 7 260
-}
-
-// Simplify folds constant sub-formulas away.
-func ExampleSimplify() {
-	f := presburger.MustParse("1 >= 0 && x >= 3")
-	fmt.Println(presburger.Simplify(f))
-	// Output: x >= 3
 }

@@ -1,14 +1,14 @@
-// Package presburger implements quantifier-free Presburger formulas with
-// coefficients written in binary — the encoding the paper uses to define
-// the space complexity of predicates (§1): "Predicates are usually encoded
-// as quantifier-free Presburger formulae with coefficients in binary. For
-// example, the predicates φ_n(x) ⟺ x ≥ 2^n have length |φ_n| ∈ Θ(n)."
+// Package presburger implements the linear atoms of quantifier-free
+// Presburger formulas with coefficients written in binary — the encoding
+// the paper uses to define the space complexity of predicates (§1):
+// "Predicates are usually encoded as quantifier-free Presburger formulae
+// with coefficients in binary. For example, the predicates φ_n(x) ⟺ x ≥ 2^n
+// have length |φ_n| ∈ Θ(n)."
 //
-// The package provides the formula AST, an evaluator over big-integer
-// valuations (thresholds here are double exponential, so fixed-width
-// integers do not suffice), a parser for a small concrete syntax, and the
-// size measure |φ| that every space-complexity experiment in this
-// repository reports against.
+// The package provides atoms over big-integer coefficients (thresholds here
+// are double exponential, so fixed-width integers do not suffice), the
+// threshold predicate τ_k(x) ⟺ x ≥ k, and the size measure |φ| that Table 1
+// reports against.
 package presburger
 
 import (
@@ -81,18 +81,6 @@ func (t *Term) Add(name string, coeff *big.Int) *Term {
 	return t
 }
 
-// Scale multiplies every coefficient by k.
-func (t *Term) Scale(k *big.Int) *Term {
-	if k.Sign() == 0 {
-		t.coeffs = make(map[string]*big.Int)
-		return t
-	}
-	for _, c := range t.coeffs {
-		c.Mul(c, k)
-	}
-	return t
-}
-
 // Variables returns the variables with non-zero coefficient, sorted.
 func (t *Term) Variables() []string {
 	out := make([]string, 0, len(t.coeffs))
@@ -109,19 +97,6 @@ func (t *Term) Coeff(name string) *big.Int {
 		return new(big.Int).Set(c)
 	}
 	return new(big.Int)
-}
-
-// Eval evaluates the term under the valuation. Missing variables count as
-// zero (the paper's configurations assign 0 to absent states).
-func (t *Term) Eval(valuation map[string]*big.Int) *big.Int {
-	sum := new(big.Int)
-	tmp := new(big.Int)
-	for v, c := range t.coeffs {
-		if x, ok := valuation[v]; ok {
-			sum.Add(sum, tmp.Mul(c, x))
-		}
-	}
-	return sum
 }
 
 // String renders the term, e.g. "2*x + y - 3*z".
@@ -152,21 +127,9 @@ func (t *Term) String() string {
 	return sb.String()
 }
 
-// Formula is a quantifier-free Presburger formula.
-type Formula interface {
-	// Eval evaluates the formula under a valuation of the free variables.
-	Eval(valuation map[string]*big.Int) bool
-	// Size returns the binary-encoding size |φ| (see SizeModel below).
-	Size() int64
-	// Variables appends the free variables to vars and returns it.
-	collectVars(vars map[string]bool)
-	fmt.Stringer
-}
-
-// SizeModel documents the size measure: each variable occurrence and each
-// boolean connective costs 1; each integer constant (atom coefficients,
-// thresholds, moduli) costs its binary length ⌈log₂(|c|+1)⌉, minimum 1.
-// Under this measure |x ≥ k| = Θ(log k), matching §1.
+// constSize is the size measure of an integer constant: its binary length
+// ⌈log₂(|c|+1)⌉, minimum 1. Each variable occurrence and each operator
+// costs 1, so |x ≥ k| = Θ(log k), matching §1.
 func constSize(c *big.Int) int64 {
 	bits := int64(new(big.Int).Abs(c).BitLen())
 	if bits == 0 {
@@ -182,36 +145,12 @@ type Atom struct {
 	Const *big.Int
 }
 
-var _ Formula = (*Atom)(nil)
-
 // NewAtom builds a linear atom.
 func NewAtom(t *Term, op Comparison, c *big.Int) *Atom {
 	return &Atom{T: t, Op: op, Const: new(big.Int).Set(c)}
 }
 
-// Eval implements Formula.
-func (a *Atom) Eval(valuation map[string]*big.Int) bool {
-	v := a.T.Eval(valuation)
-	cmp := v.Cmp(a.Const)
-	switch a.Op {
-	case Less:
-		return cmp < 0
-	case LessEq:
-		return cmp <= 0
-	case Equal:
-		return cmp == 0
-	case NotEqual:
-		return cmp != 0
-	case GreaterEq:
-		return cmp >= 0
-	case Greater:
-		return cmp > 0
-	default:
-		panic(fmt.Sprintf("presburger: invalid comparison %d", a.Op))
-	}
-}
-
-// Size implements Formula.
+// Size returns the binary-encoding size |φ| of the atom (see constSize).
 func (a *Atom) Size() int64 {
 	size := constSize(a.Const) + 1 // constant + operator
 	for _, v := range a.T.Variables() {
@@ -220,147 +159,8 @@ func (a *Atom) Size() int64 {
 	return size
 }
 
-func (a *Atom) collectVars(vars map[string]bool) {
-	for _, v := range a.T.Variables() {
-		vars[v] = true
-	}
-}
-
-// String implements fmt.Stringer.
-func (a *Atom) String() string {
-	return fmt.Sprintf("%s %s %s", a.T, a.Op, a.Const)
-}
-
-// Mod is a divisibility constraint Term ≡ Residue (mod Modulus).
-type Mod struct {
-	T       *Term
-	Residue *big.Int
-	Modulus *big.Int
-}
-
-var _ Formula = (*Mod)(nil)
-
-// NewMod builds a remainder atom. Modulus must be positive.
-func NewMod(t *Term, residue, modulus *big.Int) (*Mod, error) {
-	if modulus.Sign() <= 0 {
-		return nil, fmt.Errorf("presburger: modulus must be positive, got %s", modulus)
-	}
-	return &Mod{T: t, Residue: new(big.Int).Set(residue), Modulus: new(big.Int).Set(modulus)}, nil
-}
-
-// Eval implements Formula.
-func (m *Mod) Eval(valuation map[string]*big.Int) bool {
-	v := m.T.Eval(valuation)
-	v.Mod(v, m.Modulus) // Mod is Euclidean: result in [0, modulus)
-	r := new(big.Int).Mod(m.Residue, m.Modulus)
-	return v.Cmp(r) == 0
-}
-
-// Size implements Formula.
-func (m *Mod) Size() int64 {
-	size := constSize(m.Residue) + constSize(m.Modulus) + 1
-	for _, v := range m.T.Variables() {
-		size += 1 + constSize(m.T.Coeff(v))
-	}
-	return size
-}
-
-func (m *Mod) collectVars(vars map[string]bool) {
-	for _, v := range m.T.Variables() {
-		vars[v] = true
-	}
-}
-
-// String implements fmt.Stringer. The rendering uses the concrete syntax
-// accepted by Parse ("t mod m = r"), so formulas round-trip.
-func (m *Mod) String() string {
-	return fmt.Sprintf("%s mod %s = %s", m.T, m.Modulus, new(big.Int).Mod(m.Residue, m.Modulus))
-}
-
-// Not is logical negation.
-type Not struct{ F Formula }
-
-var _ Formula = (*Not)(nil)
-
-// Eval implements Formula.
-func (n *Not) Eval(v map[string]*big.Int) bool { return !n.F.Eval(v) }
-
-// Size implements Formula.
-func (n *Not) Size() int64 { return 1 + n.F.Size() }
-
-func (n *Not) collectVars(vars map[string]bool) { n.F.collectVars(vars) }
-
-// String implements fmt.Stringer.
-func (n *Not) String() string { return fmt.Sprintf("!(%s)", n.F) }
-
-// And is logical conjunction.
-type And struct{ L, R Formula }
-
-var _ Formula = (*And)(nil)
-
-// Eval implements Formula.
-func (a *And) Eval(v map[string]*big.Int) bool { return a.L.Eval(v) && a.R.Eval(v) }
-
-// Size implements Formula.
-func (a *And) Size() int64 { return 1 + a.L.Size() + a.R.Size() }
-
-func (a *And) collectVars(vars map[string]bool) {
-	a.L.collectVars(vars)
-	a.R.collectVars(vars)
-}
-
-// String implements fmt.Stringer.
-func (a *And) String() string { return fmt.Sprintf("(%s && %s)", a.L, a.R) }
-
-// Or is logical disjunction.
-type Or struct{ L, R Formula }
-
-var _ Formula = (*Or)(nil)
-
-// Eval implements Formula.
-func (o *Or) Eval(v map[string]*big.Int) bool { return o.L.Eval(v) || o.R.Eval(v) }
-
-// Size implements Formula.
-func (o *Or) Size() int64 { return 1 + o.L.Size() + o.R.Size() }
-
-func (o *Or) collectVars(vars map[string]bool) {
-	o.L.collectVars(vars)
-	o.R.collectVars(vars)
-}
-
-// String implements fmt.Stringer.
-func (o *Or) String() string { return fmt.Sprintf("(%s || %s)", o.L, o.R) }
-
-// Variables returns the sorted free variables of the formula.
-func Variables(f Formula) []string {
-	set := make(map[string]bool)
-	f.collectVars(set)
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Threshold returns the threshold predicate τ_k(x) ⟺ x ≥ k, the family
 // whose state complexity the whole paper is about.
 func Threshold(varName string, k *big.Int) *Atom {
 	return NewAtom(Var(varName), GreaterEq, k)
-}
-
-// Interval returns the predicate lo ≤ x < hi, as used by the paper's
-// running example in Figure 1 (4 ≤ x < 7).
-func Interval(varName string, lo, hi *big.Int) Formula {
-	return &And{
-		L: NewAtom(Var(varName), GreaterEq, lo),
-		R: NewAtom(Var(varName), Less, hi),
-	}
-}
-
-// Majority returns the predicate x ≥ y from §1.
-func Majority(x, y string) *Atom {
-	t := Var(x)
-	t.Add(y, big.NewInt(-1))
-	return NewAtom(t, GreaterEq, big.NewInt(0))
 }

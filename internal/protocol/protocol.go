@@ -6,6 +6,7 @@ package protocol
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/multiset"
 )
@@ -100,8 +101,8 @@ func (p *Protocol) NewConfig() *multiset.Multiset {
 
 // InitialConfig returns the initial configuration placing the given counts
 // on the input states, in the order of p.Input. It returns an error if the
-// count vector does not match |I| or is all-zero (configurations must be
-// non-empty, §3).
+// count vector does not match |I|, is all-zero (configurations must be
+// non-empty, §3) or totals more than math.MaxInt64 agents.
 func (p *Protocol) InitialConfig(counts ...int64) (*multiset.Multiset, error) {
 	if len(counts) != len(p.Input) {
 		return nil, fmt.Errorf("protocol %q: got %d input counts, want %d",
@@ -111,6 +112,10 @@ func (p *Protocol) InitialConfig(counts ...int64) (*multiset.Multiset, error) {
 	for i, n := range counts {
 		if n < 0 {
 			return nil, fmt.Errorf("protocol %q: negative input count %d", p.Name, n)
+		}
+		if n > math.MaxInt64-c.Size() {
+			return nil, fmt.Errorf("protocol %q: input counts total more than %d agents",
+				p.Name, int64(math.MaxInt64))
 		}
 		c.Add(p.Input[i], n)
 	}

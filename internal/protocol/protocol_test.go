@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -93,6 +95,13 @@ func TestInitialConfig(t *testing.T) {
 	}
 	if _, err := p.InitialConfig(-1, 2); err == nil {
 		t.Fatal("InitialConfig accepted a negative count")
+	}
+	// A total past math.MaxInt64 is rejected instead of wrapping negative.
+	if _, err := p.InitialConfig(math.MaxInt64, 1); err == nil || !strings.Contains(err.Error(), "total more than") {
+		t.Fatalf("InitialConfig(MaxInt64, 1): err = %v, want a total overflow error", err)
+	}
+	if c, err := p.InitialConfig(math.MaxInt64-1, 1); err != nil || c.Size() != math.MaxInt64 {
+		t.Fatalf("InitialConfig(MaxInt64-1, 1) = %v, %v; want a configuration of MaxInt64 agents", c, err)
 	}
 }
 

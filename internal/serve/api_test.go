@@ -125,6 +125,9 @@ func TestAPIContract(t *testing.T) {
 		{"empty input vector", `{"kind":"simulate","target":"majority","input":[]}`, 400},
 		{"negative count", `{"kind":"simulate","target":"majority","input":[-1,4]}`, 400},
 		{"all-zero counts", `{"kind":"simulate","target":"majority","input":[0,0]}`, 400},
+		{"input total overflows", `{"kind":"simulate","target":"majority","input":[9223372036854775807,1]}`, 400},
+		{"sweep input total overflows", `{"kind":"sweep","target":"majority","inputs":[[6,4],[4611686018427387904,4611686018427387904]]}`, 400},
+		{"largest input total ok", `{"kind":"simulate","target":"majority","input":[9223372036854775806,1]}`, 202},
 		{"negative runs", `{"kind":"simulate","target":"majority","input":[6,4],"runs":-1}`, 400},
 		{"negative workers", `{"kind":"simulate","target":"majority","input":[6,4],"workers":-2}`, 400},
 		{"workers above bound", `{"kind":"explore","target":"majority","input":[6,4],"workers":1025}`, 400},
@@ -144,10 +147,13 @@ func TestAPIContract(t *testing.T) {
 		{"checkpoint path traversal", `{"kind":"sweep","target":"majority","inputs":[[6,4]],"checkpoint":"../evil"}`, 400},
 		{"checkpoint without state dir", `{"kind":"sweep","target":"majority","inputs":[[6,4]],"checkpoint":"ok-name"}`, 400},
 	}
-	// Errors whose wording ppsim shares are pinned too.
+	// Errors whose wording ppsim shares, and the index of an overflowing
+	// input vector, are pinned too.
 	wantErr := map[string]string{
-		"policy without topology": "edge-selection policy requires a topology",
-		"workers above bound":     "Workers must be ≤ 1024",
+		"policy without topology":     "edge-selection policy requires a topology",
+		"workers above bound":         "Workers must be ≤ 1024",
+		"input total overflows":       "input: counts total more than 9223372036854775807 agents",
+		"sweep input total overflows": "inputs[1]: counts total more than",
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/compile"
 	"repro/internal/convert"
 	"repro/internal/obs"
@@ -237,8 +238,9 @@ func loadSkeleton(path string) (*cacheSkeleton, error) {
 	return &skel, nil
 }
 
-// writeSkeleton persists a completed conversion atomically (temp + rename).
-// Best-effort: a write failure costs a cold boot later, never the job.
+// writeSkeleton persists a completed conversion atomically
+// (atomicfile.Write). Best-effort: a write failure costs a cold boot later,
+// never the job.
 func (c *Cache) writeSkeleton(key string, e *cacheEntry) {
 	c.mu.Lock()
 	dir := c.dir
@@ -258,20 +260,7 @@ func (c *Cache) writeSkeleton(key string, e *cacheEntry) {
 	if err != nil {
 		return
 	}
-	tmp, err := os.CreateTemp(dir, "skel*")
-	if err != nil {
-		return
-	}
-	_, werr := tmp.Write(data)
-	serr := tmp.Sync()
-	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, skeletonFile(key))); err != nil {
-		os.Remove(tmp.Name())
-	}
+	_ = atomicfile.Write(filepath.Join(dir, skeletonFile(key)), data) // best-effort, see above
 }
 
 // removeSkeleton deletes an evicted entry's skeleton file. Caller holds c.mu.

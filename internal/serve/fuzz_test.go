@@ -29,6 +29,7 @@ func FuzzSubmitJob(f *testing.F) {
 		`null`,
 		`{"kind":"simulate","target":"majority","input":[6,4],"unknown_field":true}`,
 		`{"kind":"sweep","target":"majority","inputs":[[1,0]],"checkpoint":"../escape"}`,
+		`{"kind":"simulate","target":"majority","input":[9223372036854775807,1]}`,
 		"\x00\xff garbage",
 		strings.Repeat(`{"a":`, 100),
 	}

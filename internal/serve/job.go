@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"regexp"
 	"time"
 
@@ -204,6 +205,9 @@ func validCounts(in []int64) error {
 	for _, c := range in {
 		if c < 0 {
 			return fmt.Errorf("negative count %d", c)
+		}
+		if c > math.MaxInt64-total {
+			return fmt.Errorf("counts total more than %d agents", int64(math.MaxInt64))
 		}
 		total += c
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/obs"
 )
 
@@ -36,21 +37,7 @@ func (s *Server) persistJob(j *Job) {
 	if err != nil {
 		return
 	}
-	path := filepath.Join(s.jobsDir(), j.ID+".json")
-	tmp, err := os.CreateTemp(s.jobsDir(), j.ID+".tmp*")
-	if err != nil {
-		return
-	}
-	_, werr := tmp.Write(data)
-	serr := tmp.Sync()
-	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-	}
+	_ = atomicfile.Write(filepath.Join(s.jobsDir(), j.ID+".json"), data) // best-effort, see above
 }
 
 // recover reloads persisted jobs at startup. Terminal jobs come back as

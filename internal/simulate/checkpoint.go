@@ -6,10 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
+	"repro/internal/atomicfile"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/protocol"
@@ -82,29 +82,15 @@ func LoadSweepCheckpoint(path string) (*SweepCheckpoint, error) {
 	return &cp, nil
 }
 
-// Save writes the checkpoint atomically: marshal, write to a temp file in
-// the target directory, rename over the destination. On any POSIX
-// filesystem the rename is atomic, so a concurrent crash leaves either the
-// previous checkpoint or this one — never a torn file.
+// Save writes the checkpoint atomically (atomicfile.Write), so a
+// concurrent crash leaves either the previous checkpoint or this one —
+// never a torn file.
 func (cp *SweepCheckpoint) Save(path string) error {
 	data, err := json.MarshalIndent(cp, "", " ")
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write(data)
-	serr := tmp.Sync()
-	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return errors.Join(werr, serr, cerr)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := atomicfile.Write(path, data); err != nil {
 		return err
 	}
 	if met := obs.Sim(); met != nil {

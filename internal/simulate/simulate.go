@@ -472,15 +472,15 @@ type ConvergenceStats struct {
 // configuration. Runs are independent, which is what lets the measurement
 // functions fan them out over workers without changing any statistic.
 func convergenceRun(p *protocol.Protocol, inputCounts []int64, i int, seed int64, opts Options) (*Result, error) {
-	var m int64
-	for _, v := range inputCounts {
-		m += v
-	}
-	s, err := NewScheduler(p, sched.NewRand(seed+int64(i)), opts, m)
+	c, err := p.InitialConfig(inputCounts...)
 	if err != nil {
 		return nil, err
 	}
-	return RunInput(p, inputCounts, s, opts)
+	s, err := NewScheduler(p, sched.NewRand(seed+int64(i)), opts, c.Size())
+	if err != nil {
+		return nil, err
+	}
+	return Run(p, c, s, opts)
 }
 
 // measureRuns executes runs independent convergence runs, one par.Ordered

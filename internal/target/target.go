@@ -43,7 +43,9 @@ const (
 	maxUnary     = 1024
 	maxBinary    = 62
 	maxRemainder = 1024
-	maxLevels    = 22
+	// MaxLevels bounds the construction level n of czerner:n and
+	// equality:n, and ppstate's -n.
+	MaxLevels = 22
 )
 
 // Built is a constructed target: exactly one of Protocol and Program is set.
@@ -90,10 +92,10 @@ var families = []family{
 		return &Built{Program: popprog.Figure1Program(),
 			Predicate: func(in []int64) bool { return in[0] >= 4 && in[0] < 7 }}, nil
 	}},
-	{name: "czerner", param: "n", min: 1, max: maxLevels, kind: Programs, build: func(n int64) (*Built, error) {
+	{name: "czerner", param: "n", min: 1, max: MaxLevels, kind: Programs, build: func(n int64) (*Built, error) {
 		return constructionBuilt(core.New(int(n)))
 	}},
-	{name: "equality", param: "n", min: 1, max: maxLevels, kind: Programs, build: func(n int64) (*Built, error) {
+	{name: "equality", param: "n", min: 1, max: MaxLevels, kind: Programs, build: func(n int64) (*Built, error) {
 		return constructionBuilt(core.NewEquality(int(n)))
 	}},
 }
