@@ -23,24 +23,38 @@ package convert
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/multiset"
 	"repro/internal/popmachine"
 	"repro/internal/protocol"
 )
 
-// Stage names used in pointer states.
+// stage is a pointer agent's execution stage.
+type stage uint8
+
 const (
-	stNone  = "none"
-	stWait  = "wait"
-	stHalf  = "half"
-	stDone  = "done"
-	stEmit  = "emit"
-	stTake  = "take"
-	stTest  = "test"
-	stTrue  = "true"
-	stFalse = "false"
+	stNone stage = iota
+	stWait
+	stHalf
+	stDone
+	stEmit
+	stTake
+	stTest
+	stTrue
+	stFalse
+	numStages
+)
+
+// stageNames are the stage names used in pointer state names.
+var stageNames = [numStages]string{"none", "wait", "half", "done", "emit", "take", "test", "true", "false"}
+
+// Stage sets (App. B.3). Only register-map pointers of actual registers
+// need the full move/detect stage set; V_□ is touched by assignments only.
+var (
+	ipStages  = []stage{stNone, stWait, stHalf}
+	regStages = []stage{stNone, stDone, stEmit, stTake, stTest, stTrue, stFalse}
+	ptrStages = []stage{stNone, stDone}
 )
 
 // Result packages the converted protocol with its accounting data.
@@ -60,11 +74,9 @@ type Result struct {
 	// no run can occupy).
 	CoreStates int
 
-	m          *popmachine.Machine
-	ptrOrder   []int // pointer indices, IP last
-	stages     [][]string
-	initValues []int
-	families   []int // per Protocol state: owning pointer index, -1 = register
+	m        *popmachine.Machine
+	ptrOrder []int // pointer indices, IP last
+	families []int // per Protocol state: owning pointer index, -1 = register
 }
 
 // PointerOrder returns the pointer indices in elect-chain order (X_1 …
@@ -114,80 +126,55 @@ func (r *Result) Elected(cfg *multiset.Multiset) bool {
 // 3·L), so full conversion of large machines is expensive; state accounting
 // (Table 1, Theorem 5) only needs these counts.
 func CountStates(m *popmachine.Machine) (coreStates, protocolStates int, err error) {
-	if err := m.Validate(); err != nil {
-		return 0, 0, fmt.Errorf("convert: %w", err)
+	l, err := planLayout(m)
+	if err != nil {
+		return 0, 0, err
 	}
-	c := &converter{m: m}
-	c.planStates()
-	return len(c.states), 2 * len(c.states), nil
+	return l.size, 2 * l.size, nil
 }
 
 // Convert builds the population protocol for machine m.
 func Convert(m *popmachine.Machine) (*Result, error) {
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("convert: %w", err)
-	}
-	c := &converter{m: m}
-	c.planStates()
-	core, err := c.buildCore()
+	l, err := planLayout(m)
 	if err != nil {
 		return nil, err
 	}
-	wrapped, err := c.wrapBroadcast(core)
+	ofBit := l.ofBits()
+	core, err := l.buildCore(ofBit)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
+	wrapped, err := l.wrapBroadcast(core, ofBit)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
 		Protocol:    wrapped,
 		Core:        core,
 		NumPointers: len(m.Pointers),
-		CoreStates:  core.NumStates(),
+		CoreStates:  l.size,
 		m:           m,
-		ptrOrder:    c.order,
-		stages:      c.stages,
-		initValues:  c.inits,
-	}
-	res.families = make([]int, wrapped.NumStates())
-	for i, name := range wrapped.States {
-		coreName := strings.TrimSuffix(strings.TrimSuffix(name, "|+"), "|-")
-		if f, ok := c.family[coreName]; ok {
-			res.families[i] = f
-		} else {
-			res.families[i] = -1
-		}
-	}
-	return res, nil
-}
-
-type converter struct {
-	m      *popmachine.Machine
-	order  []int      // pointer indices in elect order (IP last)
-	stages [][]string // stages per pointer (indexed by pointer index)
-	inits  []int      // initial values per pointer (indexed by pointer index)
-
-	states   []string        // all core states, in canonical order
-	isOF     map[string]bool // OF-pointer states
-	ofValue  map[string]int  // their values
-	family   map[string]int  // core state name → owning pointer
-	regState []string        // register agent state names
+		ptrOrder:    l.order,
+		families:    l.families(),
+	}, nil
 }
 
 // PointerState names the protocol state of pointer ptr at the given stage
 // holding the given value.
 func PointerState(m *popmachine.Machine, ptr int, stage string, value int) string {
-	return fmt.Sprintf("%s=%d·%s", m.Pointers[ptr].Name, value, stage)
+	return m.Pointers[ptr].Name + "=" + strconv.Itoa(value) + "·" + stage
 }
 
 // MapState names the intermediate state X_map^i of assignment instruction i
 // (1-based).
 func MapState(m *popmachine.Machine, ptr, instr int) string {
-	return fmt.Sprintf("%s·map%d", m.Pointers[ptr].Name, instr)
+	return m.Pointers[ptr].Name + "·map" + strconv.Itoa(instr)
 }
 
 // InitialPointerState returns the elect-chain state of a freshly
 // initialised pointer: value = its machine initial value, stage none.
 func InitialPointerState(m *popmachine.Machine, ptr int) string {
-	return PointerState(m, ptr, stNone, m.Pointers[ptr].Initial)
+	return PointerState(m, ptr, stageNames[stNone], m.Pointers[ptr].Initial)
 }
 
 // InputState returns the protocol's unique input state: the first pointer
@@ -197,274 +184,356 @@ func (r *Result) InputState() string {
 	return InitialPointerState(r.m, r.ptrOrder[0])
 }
 
-func (c *converter) planStates() {
-	m := c.m
+// layout is the plan of the core state space Q* by index, in canonical
+// order:
+//
+//   - the registers, 0..|R|−1 (register r's agents sit in state r);
+//   - for each pointer in elect order, a stage-major block of
+//     |stages| × |ℱ_X| states in Domain order;
+//   - the map states X_map^i, in instruction order.
+//
+// CountStates reads only its size. Convert emits every transition as
+// index arithmetic over it and formats each state's name once.
+type layout struct {
+	m     *popmachine.Machine
+	order []int       // pointer indices in elect order (IP last)
+	ptrs  []ptrLayout // indexed by pointer index
+	mapAt []int       // per instruction (0-based): its map state, or -1
+	size  int         // |Q*|
+}
+
+// ptrLayout locates one pointer agent's states.
+type ptrLayout struct {
+	dom        []int          // the pointer's Domain
+	stages     []stage        // the pointer's stage set, in block order
+	row        [numStages]int // state of (stage, dom[0]); -1 for absent stages
+	base, size int            // the stage × value block
+	pos        map[int]int    // domain value → position in dom
+	maps       []int          // the agent's map states, in instruction order
+}
+
+// at returns the state of the pointer at stage st holding value v.
+func (p *ptrLayout) at(st stage, v int) int { return p.row[st] + p.pos[v] }
+
+// planLayout validates m and lays out its core states. Beyond
+// popmachine.Validate it requires what the gadgets' index arithmetic
+// relies on: no pointer domain repeats a value, the IP domain is all of
+// 1..L (the gadgets address IP's states by instruction index), and IP is
+// no register's register-map pointer (the move and detect gadgets need
+// the register-map stages).
+func planLayout(m *popmachine.Machine) (*layout, error) {
+	if err := m.Validate(); err != nil {
+		return nil, fmt.Errorf("convert: %w", err)
+	}
+	isVReg := make([]bool, len(m.Pointers))
+	for r, pi := range m.VReg {
+		if pi == m.IP {
+			return nil, fmt.Errorf("convert: machine %q: IP is the register-map pointer of %s",
+				m.Name, m.Registers[r])
+		}
+		isVReg[pi] = true
+	}
+	l := &layout{
+		m:     m,
+		order: make([]int, 0, len(m.Pointers)),
+		ptrs:  make([]ptrLayout, len(m.Pointers)),
+		mapAt: make([]int, len(m.Instrs)),
+	}
 	// Elect order: every pointer except IP, then IP.
 	for i := range m.Pointers {
 		if i != m.IP {
-			c.order = append(c.order, i)
+			l.order = append(l.order, i)
 		}
 	}
-	c.order = append(c.order, m.IP)
+	l.order = append(l.order, m.IP)
 
-	// Stage sets (App. B.3). Only register-map pointers of actual
-	// registers need the full move/detect stage set; V_□ is touched by
-	// assignments only.
-	isVReg := make(map[int]bool, len(m.VReg))
-	for _, pi := range m.VReg {
-		isVReg[pi] = true
-	}
-	c.stages = make([][]string, len(m.Pointers))
-	c.inits = make([]int, len(m.Pointers))
-	for i := range m.Pointers {
+	next := len(m.Registers)
+	for _, pi := range l.order {
+		p, pl := m.Pointers[pi], &l.ptrs[pi]
+		pl.dom = p.Domain
 		switch {
-		case i == m.IP:
-			c.stages[i] = []string{stNone, stWait, stHalf}
-		case isVReg[i]:
-			c.stages[i] = []string{stNone, stDone, stEmit, stTake, stTest, stTrue, stFalse}
+		case pi == m.IP:
+			pl.stages = ipStages
+		case isVReg[pi]:
+			pl.stages = regStages
 		default:
-			c.stages[i] = []string{stNone, stDone}
+			pl.stages = ptrStages
 		}
-		c.inits[i] = m.Pointers[i].Initial
+		pl.pos = make(map[int]int, len(p.Domain))
+		for k, v := range p.Domain {
+			if _, dup := pl.pos[v]; dup {
+				return nil, fmt.Errorf("convert: machine %q: pointer %q repeats domain value %d",
+					m.Name, p.Name, v)
+			}
+			pl.pos[v] = k
+		}
+		for st := range pl.row {
+			pl.row[st] = -1
+		}
+		pl.base = next
+		for _, st := range pl.stages {
+			pl.row[st] = next
+			next += len(p.Domain)
+		}
+		pl.size = next - pl.base
 	}
+	// Validate bounds IP's values by 1..L; with no repeats, L of them are
+	// exactly 1..L.
+	if got := len(m.Pointers[m.IP].Domain); got != m.NumInstrs() {
+		return nil, fmt.Errorf("convert: machine %q: IP domain has %d values, want 1..%d",
+			m.Name, got, m.NumInstrs())
+	}
+	for idx, in := range m.Instrs {
+		l.mapAt[idx] = -1
+		if a, ok := in.(popmachine.AssignInstr); ok && a.X != m.IP && a.X != a.Y {
+			l.mapAt[idx] = next
+			l.ptrs[a.X].maps = append(l.ptrs[a.X].maps, next)
+			next++
+		}
+	}
+	l.size = next
+	return l, nil
+}
 
-	// Canonical state list: registers, pointer states, map states.
-	c.isOF = make(map[string]bool)
-	c.ofValue = make(map[string]int)
-	c.family = make(map[string]int)
-	c.regState = append([]string(nil), m.Registers...)
-	c.states = append(c.states, c.regState...)
-	for _, pi := range c.order {
-		for _, stage := range c.stages[pi] {
-			for _, v := range m.Pointers[pi].Domain {
-				s := PointerState(m, pi, stage, v)
-				c.states = append(c.states, s)
-				c.family[s] = pi
-				if pi == m.OF {
-					c.isOF[s] = true
-					c.ofValue[s] = v
-				}
+// names formats the name of every core state, in index order.
+func (l *layout) names() []string {
+	m := l.m
+	out := make([]string, 0, l.size)
+	out = append(out, m.Registers...)
+	for _, pi := range l.order {
+		pl := &l.ptrs[pi]
+		for _, st := range pl.stages {
+			for _, v := range pl.dom {
+				out = append(out, PointerState(m, pi, stageNames[st], v))
 			}
 		}
 	}
 	for idx, in := range m.Instrs {
-		if a, ok := in.(popmachine.AssignInstr); ok {
-			if a.X != m.IP && a.X != a.Y {
-				s := MapState(m, a.X, idx+1)
-				c.states = append(c.states, s)
-				c.family[s] = a.X
-			}
-		}
-	}
-}
-
-// ofStates lists the OF pointer's stage×value states in canonical order
-// (the order planStates created them). The converter's two OF sweeps must
-// use this instead of ranging over the ofValue map: map iteration order
-// would make the emitted transition order — and thus the protocol
-// fingerprint the ppserved cache keys its soundness argument on —
-// nondeterministic.
-func (c *converter) ofStates() []string {
-	var out []string
-	of := c.m.OF
-	for _, stage := range c.stages[of] {
-		for _, v := range c.m.Pointers[of].Domain {
-			out = append(out, PointerState(c.m, of, stage, v))
+		if l.mapAt[idx] >= 0 {
+			out = append(out, MapState(m, in.(popmachine.AssignInstr).X, idx+1))
 		}
 	}
 	return out
 }
 
-// pointerStates lists every state of the given pointer's agent.
-func (c *converter) pointerStates(pi int) []string {
-	var out []string
-	for _, stage := range c.stages[pi] {
-		for _, v := range c.m.Pointers[pi].Domain {
-			out = append(out, PointerState(c.m, pi, stage, v))
-		}
+// families returns the owning pointer of every state of the wrapped
+// protocol (core state j's two opinion copies are 2j and 2j+1), or -1 for
+// register states.
+func (l *layout) families() []int {
+	out := make([]int, 2*l.size)
+	for j := range out {
+		out[j] = -1
 	}
-	// Map states also belong to the pointer's agent.
-	for idx, in := range c.m.Instrs {
-		if a, ok := in.(popmachine.AssignInstr); ok && a.X == pi && a.X != c.m.IP && a.X != a.Y {
-			out = append(out, MapState(c.m, pi, idx+1))
+	own := func(j, pi int) { out[2*j], out[2*j+1] = pi, pi }
+	for _, pi := range l.order {
+		pl := &l.ptrs[pi]
+		for j := pl.base; j < pl.base+pl.size; j++ {
+			own(j, pi)
+		}
+		for _, j := range pl.maps {
+			own(j, pi)
 		}
 	}
 	return out
 }
 
-func (c *converter) buildCore() (*protocol.Protocol, error) {
-	m := c.m
-	b := protocol.NewBuilder(m.Name + "-protocol")
-	for _, s := range c.states {
-		b.State(s)
+// ofBits returns, per core state, 1 or 0 for an OF state holding true or
+// false, and -1 for every other state.
+func (l *layout) ofBits() []int {
+	out := make([]int, l.size)
+	for j := range out {
+		out[j] = -1
 	}
-	b.Input(InitialPointerState(m, c.order[0]))
+	of := &l.ptrs[l.m.OF]
+	for j := 0; j < of.size; j++ {
+		out[of.base+j] = 0
+		if of.dom[j%len(of.dom)] == popmachine.ValTrue {
+			out[of.base+j] = 1
+		}
+	}
+	return out
+}
 
-	c.emitElect(b)
-	for idx, in := range m.Instrs {
+// initial returns the elect-chain state of a freshly initialised pointer.
+func (l *layout) initial(pi int) int {
+	return l.ptrs[pi].at(stNone, l.m.Pointers[pi].Initial)
+}
+
+// emitter appends core transitions. With counting set it only counts
+// them, so buildCore can allocate the table at its final size.
+type emitter struct {
+	*layout
+	counting bool
+	n        int
+	ts       []protocol.Transition
+}
+
+func (e *emitter) add(q, r, q2, r2 int) {
+	if e.counting {
+		e.n++
+		return
+	}
+	e.ts = append(e.ts, protocol.Transition{Q: q, R: r, Q2: q2, R2: r2})
+}
+
+// emitAll emits ⟨elect⟩ and every instruction gadget, in canonical order.
+func (e *emitter) emitAll() {
+	e.emitElect()
+	for idx, in := range e.m.Instrs {
 		i := idx + 1
 		switch it := in.(type) {
 		case popmachine.MoveInstr:
-			c.emitMove(b, i, it)
+			e.emitMove(i, it)
 		case popmachine.DetectInstr:
-			c.emitDetect(b, i, it)
+			e.emitDetect(i, it)
 		case popmachine.AssignInstr:
-			c.emitAssign(b, i, it)
+			e.emitAssign(i, it)
 		}
 	}
+}
+
+// buildCore builds the core protocol PP: ⟨elect⟩ and the instruction
+// gadgets over the layout's states.
+func (l *layout) buildCore(ofBit []int) (*protocol.Protocol, error) {
+	e := &emitter{layout: l, counting: true}
+	e.emitAll()
+	e.counting, e.ts = false, make([]protocol.Transition, 0, e.n)
+	e.emitAll()
 
 	// The core protocol has no meaningful accepting set; consensus comes
 	// from the broadcast wrapper. Mark OF-true states accepting so the
 	// core can still be inspected.
-	for _, s := range c.ofStates() {
-		b.AcceptingIf(s, c.ofValue[s] == popmachine.ValTrue)
+	accepting := make([]bool, l.size)
+	for j, b := range ofBit {
+		accepting[j] = b == 1
 	}
-	return b.Build()
+	core := &protocol.Protocol{
+		Name:        l.m.Name + "-protocol",
+		States:      l.names(),
+		Transitions: e.ts,
+		Input:       []int{l.initial(l.order[0])},
+		Accepting:   accepting,
+	}
+	if err := core.Validate(); err != nil {
+		return nil, fmt.Errorf("convert: %w", err)
+	}
+	return core, nil
 }
 
 // emitElect implements ⟨elect⟩: duplicates of pointer X_j collapse into an
 // initialised X_j plus an initialised X_{j+1}; duplicate IPs release one
 // agent into a fixed register state and restart the chain at X_1.
-func (c *converter) emitElect(b *protocol.Builder) {
-	m := c.m
-	for oi := 0; oi < len(c.order); oi++ {
-		pi := c.order[oi]
-		all := c.pointerStates(pi)
-		var q1, r1 string
-		if oi < len(c.order)-1 {
-			q1 = InitialPointerState(m, pi)
-			r1 = InitialPointerState(m, c.order[oi+1])
+func (e *emitter) emitElect() {
+	var all []int
+	for oi, pi := range e.order {
+		pl := &e.ptrs[pi]
+		all = all[:0]
+		for j := pl.base; j < pl.base+pl.size; j++ {
+			all = append(all, j)
+		}
+		all = append(all, pl.maps...)
+		var q1, r1 int
+		if oi < len(e.order)-1 {
+			q1, r1 = e.initial(pi), e.initial(e.order[oi+1])
 		} else {
 			// IP duplicates: one agent re-seeds the chain, the other
 			// becomes a register agent in the fixed register 0.
-			q1 = InitialPointerState(m, c.order[0])
-			r1 = c.regState[0]
+			q1, r1 = e.initial(e.order[0]), 0
 		}
 		for _, s1 := range all {
 			for _, s2 := range all {
-				b.Transition(s1, s2, q1, r1)
+				e.add(s1, s2, q1, r1)
 			}
 		}
 	}
 }
 
-// ipState abbreviates IP's pointer states.
-func (c *converter) ipState(stage string, i int) string {
-	return PointerState(c.m, c.m.IP, stage, i)
-}
+// ip returns IP's state at stage st pointing at instruction i.
+func (e *emitter) ip(st stage, i int) int { return e.ptrs[e.m.IP].at(st, i) }
 
-// emitMove implements ⟨move⟩ for instruction i = (x ↦ y).
-func (c *converter) emitMove(b *protocol.Builder, i int, in popmachine.MoveInstr) {
-	m := c.m
-	vx, vy := m.VReg[in.X], m.VReg[in.Y]
-	z := c.regState[0] // the fixed intermediate register of App. B.3
-	for _, stage := range c.stages[vx] {
-		for _, v := range m.Pointers[vx].Domain {
-			from := PointerState(m, vx, stage, v)
-			b.Transition(c.ipState(stNone, i), from, c.ipState(stWait, i), PointerState(m, vx, stEmit, v))
-		}
+// emitMove implements ⟨move⟩ for instruction i = (x ↦ y). Register r's
+// state is r, and z = 0 is the fixed intermediate register of App. B.3.
+func (e *emitter) emitMove(i int, in popmachine.MoveInstr) {
+	const z = 0
+	vx, vy := &e.ptrs[e.m.VReg[in.X]], &e.ptrs[e.m.VReg[in.Y]]
+	for j := 0; j < vx.size; j++ {
+		e.add(e.ip(stNone, i), vx.base+j, e.ip(stWait, i), vx.row[stEmit]+j%len(vx.dom))
 	}
-	for _, v := range m.Pointers[vx].Domain {
-		emit := PointerState(m, vx, stEmit, v)
-		done := PointerState(m, vx, stDone, v)
-		b.Transition(emit, c.regState[v], done, z)
-		b.Transition(c.ipState(stWait, i), done, c.ipState(stHalf, i), PointerState(m, vx, stNone, v))
+	for k, v := range vx.dom {
+		e.add(vx.row[stEmit]+k, v, vx.row[stDone]+k, z)
+		e.add(e.ip(stWait, i), vx.row[stDone]+k, e.ip(stHalf, i), vx.row[stNone]+k)
 	}
-	for _, stage := range c.stages[vy] {
-		for _, w := range m.Pointers[vy].Domain {
-			from := PointerState(m, vy, stage, w)
-			b.Transition(c.ipState(stHalf, i), from, c.ipState(stWait, i), PointerState(m, vy, stTake, w))
-		}
+	for j := 0; j < vy.size; j++ {
+		e.add(e.ip(stHalf, i), vy.base+j, e.ip(stWait, i), vy.row[stTake]+j%len(vy.dom))
 	}
-	for _, w := range m.Pointers[vy].Domain {
-		take := PointerState(m, vy, stTake, w)
-		done := PointerState(m, vy, stDone, w)
-		b.Transition(take, z, done, c.regState[w])
-		if i < m.NumInstrs() {
-			b.Transition(c.ipState(stWait, i), done, c.ipState(stNone, i+1), PointerState(m, vy, stNone, w))
+	for k, w := range vy.dom {
+		e.add(vy.row[stTake]+k, z, vy.row[stDone]+k, w)
+		if i < e.m.NumInstrs() {
+			e.add(e.ip(stWait, i), vy.row[stDone]+k, e.ip(stNone, i+1), vy.row[stNone]+k)
 		}
 	}
 }
 
 // emitDetect implements ⟨test⟩ for instruction i = (detect x > 0).
-func (c *converter) emitDetect(b *protocol.Builder, i int, in popmachine.DetectInstr) {
-	m := c.m
-	vx := m.VReg[in.X]
-	for _, stage := range c.stages[vx] {
-		for _, v := range m.Pointers[vx].Domain {
-			from := PointerState(m, vx, stage, v)
-			b.Transition(c.ipState(stNone, i), from, c.ipState(stWait, i), PointerState(m, vx, stTest, v))
-		}
+func (e *emitter) emitDetect(i int, in popmachine.DetectInstr) {
+	vx, cf := &e.ptrs[e.m.VReg[in.X]], &e.ptrs[e.m.CF]
+	for j := 0; j < vx.size; j++ {
+		e.add(e.ip(stNone, i), vx.base+j, e.ip(stWait, i), vx.row[stTest]+j%len(vx.dom))
 	}
-	for _, v := range m.Pointers[vx].Domain {
-		test := PointerState(m, vx, stTest, v)
-		b.Transition(test, c.regState[v], PointerState(m, vx, stTrue, v), c.regState[v])
-		for _, q := range c.states {
-			if q != c.regState[v] && q != test {
-				b.Transition(test, q, PointerState(m, vx, stFalse, v), q)
+	for k, v := range vx.dom {
+		test := vx.row[stTest] + k
+		e.add(test, v, vx.row[stTrue]+k, v)
+		for q := 0; q < e.size; q++ {
+			if q != v && q != test {
+				e.add(test, q, vx.row[stFalse]+k, q)
 			}
 		}
-		for _, outcome := range []struct {
-			stage string
-			cf    int
+		for _, outcome := range [...]struct {
+			st stage
+			cf int
 		}{{stTrue, popmachine.ValTrue}, {stFalse, popmachine.ValFalse}} {
-			res := PointerState(m, vx, outcome.stage, v)
-			for _, cfStage := range c.stages[m.CF] {
-				for _, cv := range m.Pointers[m.CF].Domain {
-					b.Transition(res, PointerState(m, m.CF, cfStage, cv),
-						PointerState(m, vx, stDone, v), PointerState(m, m.CF, stNone, outcome.cf))
-				}
+			res, cfTo := vx.row[outcome.st]+k, cf.at(stNone, outcome.cf)
+			for j := cf.base; j < cf.base+cf.size; j++ {
+				e.add(res, j, vx.row[stDone]+k, cfTo)
 			}
 		}
-		if i < m.NumInstrs() {
-			b.Transition(c.ipState(stWait, i), PointerState(m, vx, stDone, v),
-				c.ipState(stNone, i+1), PointerState(m, vx, stNone, v))
+		if i < e.m.NumInstrs() {
+			e.add(e.ip(stWait, i), vx.row[stDone]+k, e.ip(stNone, i+1), vx.row[stNone]+k)
 		}
 	}
 }
 
 // emitAssign implements ⟨pointer⟩ for instruction i = (X := f(Y)).
-func (c *converter) emitAssign(b *protocol.Builder, i int, in popmachine.AssignInstr) {
-	m := c.m
+func (e *emitter) emitAssign(i int, in popmachine.AssignInstr) {
+	x, y := &e.ptrs[in.X], &e.ptrs[in.Y]
 	switch {
-	case in.X == m.IP:
+	case in.X == e.m.IP:
 		// IP := f(Y): a single two-agent exchange.
-		for _, stage := range c.stages[in.Y] {
-			for _, v := range m.Pointers[in.Y].Domain {
-				b.Transition(c.ipState(stNone, i), PointerState(m, in.Y, stage, v),
-					c.ipState(stNone, in.F[v]), PointerState(m, in.Y, stNone, v))
-			}
+		for j := 0; j < y.size; j++ {
+			k := j % len(y.dom)
+			e.add(e.ip(stNone, i), y.base+j, e.ip(stNone, in.F[y.dom[k]]), y.row[stNone]+k)
 		}
 	case in.X == in.Y:
-		if i >= m.NumInstrs() {
+		if i >= e.m.NumInstrs() {
 			return // machine hangs at i = L
 		}
-		for _, stage := range c.stages[in.Y] {
-			for _, v := range m.Pointers[in.Y].Domain {
-				b.Transition(c.ipState(stNone, i), PointerState(m, in.Y, stage, v),
-					c.ipState(stNone, i+1), PointerState(m, in.Y, stNone, in.F[v]))
-			}
+		for j := 0; j < y.size; j++ {
+			e.add(e.ip(stNone, i), y.base+j, e.ip(stNone, i+1), y.at(stNone, in.F[y.dom[j%len(y.dom)]]))
 		}
 	default:
-		if i >= m.NumInstrs() {
+		if i >= e.m.NumInstrs() {
 			return // the advancing transitions below would be ill-defined
 		}
-		mapState := MapState(m, in.X, i)
-		for _, stage := range c.stages[in.X] {
-			for _, v := range m.Pointers[in.X].Domain {
-				b.Transition(c.ipState(stNone, i), PointerState(m, in.X, stage, v),
-					c.ipState(stWait, i), mapState)
-			}
+		mapState := e.mapAt[i-1]
+		for j := 0; j < x.size; j++ {
+			e.add(e.ip(stNone, i), x.base+j, e.ip(stWait, i), mapState)
 		}
-		for _, stage := range c.stages[in.Y] {
-			for _, w := range m.Pointers[in.Y].Domain {
-				b.Transition(mapState, PointerState(m, in.Y, stage, w),
-					PointerState(m, in.X, stDone, in.F[w]), PointerState(m, in.Y, stNone, w))
-			}
+		for j := 0; j < y.size; j++ {
+			k := j % len(y.dom)
+			e.add(mapState, y.base+j, x.at(stDone, in.F[y.dom[k]]), y.row[stNone]+k)
 		}
-		for _, v := range m.Pointers[in.X].Domain {
-			b.Transition(c.ipState(stWait, i), PointerState(m, in.X, stDone, v),
-				c.ipState(stNone, i+1), PointerState(m, in.X, stNone, v))
+		for k := range x.dom {
+			e.add(e.ip(stWait, i), x.row[stDone]+k, e.ip(stNone, i+1), x.row[stNone]+k)
 		}
 	}
 }
@@ -478,57 +547,62 @@ func withOpinion(state string, b bool) string {
 }
 
 // wrapBroadcast implements the standard output broadcast: every state is
-// doubled with an opinion bit; transitions whose post-states include an
+// doubled with an opinion bit (core state j becomes 2j with opinion false
+// and 2j+1 with opinion true); transitions whose post-states include an
 // OF-pointer state with value b force both participants' opinions to b;
 // all other transitions carry opinions through; and meeting the OF agent
 // (an identity interaction otherwise) converts the other agent's opinion.
-func (c *converter) wrapBroadcast(core *protocol.Protocol) (*protocol.Protocol, error) {
-	b := protocol.NewBuilder(core.Name + "-consensus")
-	bools := []bool{false, true}
-	for _, s := range c.states {
-		for _, op := range bools {
-			b.AcceptingIf(withOpinion(s, op), op)
-		}
+func (l *layout) wrapBroadcast(core *protocol.Protocol, ofBit []int) (*protocol.Protocol, error) {
+	n := l.size
+	states := make([]string, 2*n)
+	accepting := make([]bool, 2*n)
+	for j, s := range core.States {
+		states[2*j], states[2*j+1] = withOpinion(s, false), withOpinion(s, true)
+		accepting[2*j+1] = true
 	}
-	// I' = I × {false}: the initialised first pointer of the elect chain,
-	// with opinion false.
-	b.Input(withOpinion(InitialPointerState(c.m, c.order[0]), false))
-
+	of := &l.ptrs[l.m.OF]
+	ts := make([]protocol.Transition, 0, 4*len(core.Transitions)+4*of.size*(n-1))
 	for _, t := range core.Transitions {
-		q1, r1 := core.States[t.Q], core.States[t.R]
-		q2, r2 := core.States[t.Q2], core.States[t.R2]
-		forced, forcedVal := false, false
-		if c.isOF[q2] {
-			forced, forcedVal = true, c.ofValue[q2] == popmachine.ValTrue
-		} else if c.isOF[r2] {
-			forced, forcedVal = true, c.ofValue[r2] == popmachine.ValTrue
+		q, r, q2, r2 := 2*t.Q, 2*t.R, 2*t.Q2, 2*t.R2
+		forced := ofBit[t.Q2]
+		if forced < 0 {
+			forced = ofBit[t.R2]
 		}
-		for _, o1 := range bools {
-			for _, o2 := range bools {
-				if forced {
-					b.Transition(withOpinion(q1, o1), withOpinion(r1, o2),
-						withOpinion(q2, forcedVal), withOpinion(r2, forcedVal))
+		for o1 := 0; o1 < 2; o1++ {
+			for o2 := 0; o2 < 2; o2++ {
+				if forced >= 0 {
+					ts = append(ts, protocol.Transition{Q: q + o1, R: r + o2, Q2: q2 + forced, R2: r2 + forced})
 				} else {
-					b.Transition(withOpinion(q1, o1), withOpinion(r1, o2),
-						withOpinion(q2, o1), withOpinion(r2, o2))
+					ts = append(ts, protocol.Transition{Q: q + o1, R: r + o2, Q2: q2 + o1, R2: r2 + o2})
 				}
 			}
 		}
 	}
 	// Identity interactions with the OF agent broadcast its value.
-	for _, ofState := range c.ofStates() {
-		val := c.ofValue[ofState] == popmachine.ValTrue
-		for _, q := range c.states {
-			if q == ofState {
+	for s := of.base; s < of.base+of.size; s++ {
+		val := ofBit[s]
+		for q := 0; q < n; q++ {
+			if q == s {
 				continue
 			}
-			for _, o1 := range bools {
-				for _, o2 := range bools {
-					b.Transition(withOpinion(q, o1), withOpinion(ofState, o2),
-						withOpinion(q, val), withOpinion(ofState, val))
+			for o1 := 0; o1 < 2; o1++ {
+				for o2 := 0; o2 < 2; o2++ {
+					ts = append(ts, protocol.Transition{Q: 2*q + o1, R: 2*s + o2, Q2: 2*q + val, R2: 2*s + val})
 				}
 			}
 		}
 	}
-	return b.Build()
+	// I' = I × {false}: the initialised first pointer of the elect chain,
+	// with opinion false.
+	p := &protocol.Protocol{
+		Name:        core.Name + "-consensus",
+		States:      states,
+		Transitions: ts,
+		Input:       []int{2 * core.Input[0]},
+		Accepting:   accepting,
+	}
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("convert: %w", err)
+	}
+	return p, nil
 }

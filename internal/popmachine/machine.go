@@ -174,18 +174,16 @@ func (m *Machine) Validate() error {
 	if len(m.Instrs) == 0 {
 		return fmt.Errorf("popmachine %q: no instructions", m.Name)
 	}
-	checkPtr := func(i int, what string) error {
-		if i < 0 || i >= len(m.Pointers) {
-			return fmt.Errorf("popmachine %q: %s pointer index %d out of range", m.Name, what, i)
-		}
-		return nil
+	inRange := func(i int) bool { return i >= 0 && i < len(m.Pointers) }
+	ptrErr := func(i int, what string) error {
+		return fmt.Errorf("popmachine %q: %s pointer index %d out of range", m.Name, what, i)
 	}
 	for _, spec := range []struct {
 		idx  int
 		what string
 	}{{m.OF, "OF"}, {m.CF, "CF"}, {m.IP, "IP"}, {m.VBox, "V_□"}} {
-		if err := checkPtr(spec.idx, spec.what); err != nil {
-			return err
+		if !inRange(spec.idx) {
+			return ptrErr(spec.idx, spec.what)
 		}
 	}
 	for _, p := range m.Pointers {
@@ -218,8 +216,8 @@ func (m *Machine) Validate() error {
 			m.Name, len(m.VReg), len(m.Registers))
 	}
 	for r, pi := range m.VReg {
-		if err := checkPtr(pi, fmt.Sprintf("V_%s", m.Registers[r])); err != nil {
-			return err
+		if !inRange(pi) {
+			return ptrErr(pi, "V_"+m.Registers[r])
 		}
 		p := m.Pointers[pi]
 		if !p.HasValue(r) {
@@ -251,11 +249,11 @@ func (m *Machine) Validate() error {
 				return fmt.Errorf("popmachine %q: instr %d: register out of range", m.Name, idx+1)
 			}
 		case AssignInstr:
-			if err := checkPtr(it.X, fmt.Sprintf("instr %d target", idx+1)); err != nil {
-				return err
+			if !inRange(it.X) {
+				return ptrErr(it.X, fmt.Sprintf("instr %d target", idx+1))
 			}
-			if err := checkPtr(it.Y, fmt.Sprintf("instr %d source", idx+1)); err != nil {
-				return err
+			if !inRange(it.Y) {
+				return ptrErr(it.Y, fmt.Sprintf("instr %d source", idx+1))
 			}
 			src, dst := m.Pointers[it.Y], m.Pointers[it.X]
 			for _, v := range src.Domain {

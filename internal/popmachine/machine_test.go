@@ -83,32 +83,51 @@ func TestValidateCatchesBrokenMachines(t *testing.T) {
 	mutations := []struct {
 		name   string
 		mutate func(*Machine)
+		want   string // the exact error, where a case pins it
 	}{
-		{"empty domain", func(m *Machine) { m.Pointers[m.CF].Domain = nil }},
-		{"initial outside domain", func(m *Machine) { m.Pointers[m.OF].Initial = 7 }},
-		{"non-boolean CF", func(m *Machine) { m.Pointers[m.CF].Domain = []int{0, 1, 2}; m.Pointers[m.CF].Initial = 0 }},
-		{"IP not at 1", func(m *Machine) { m.Pointers[m.IP].Initial = 2 }},
-		{"IP domain out of range", func(m *Machine) { m.Pointers[m.IP].Domain = append(m.Pointers[m.IP].Domain, 99) }},
-		{"V_x missing self", func(m *Machine) { m.Pointers[m.VReg[0]].Domain = []int{1}; m.Pointers[m.VReg[0]].Initial = 1 }},
-		{"V_x non-register value", func(m *Machine) { m.Pointers[m.VReg[0]].Domain = []int{0, 9} }},
-		{"move x=y", func(m *Machine) { m.Instrs[2] = MoveInstr{X: 1, Y: 1} }},
+		{"empty domain", func(m *Machine) { m.Pointers[m.CF].Domain = nil }, ""},
+		{"initial outside domain", func(m *Machine) { m.Pointers[m.OF].Initial = 7 }, ""},
+		{"non-boolean CF", func(m *Machine) { m.Pointers[m.CF].Domain = []int{0, 1, 2}; m.Pointers[m.CF].Initial = 0 }, ""},
+		{"IP not at 1", func(m *Machine) { m.Pointers[m.IP].Initial = 2 }, ""},
+		{"IP domain out of range", func(m *Machine) { m.Pointers[m.IP].Domain = append(m.Pointers[m.IP].Domain, 99) }, ""},
+		{"V_x missing self", func(m *Machine) { m.Pointers[m.VReg[0]].Domain = []int{1}; m.Pointers[m.VReg[0]].Initial = 1 }, ""},
+		{"V_x non-register value", func(m *Machine) { m.Pointers[m.VReg[0]].Domain = []int{0, 9} }, ""},
+		{"move x=y", func(m *Machine) { m.Instrs[2] = MoveInstr{X: 1, Y: 1} }, ""},
 		{"assign partial function", func(m *Machine) {
 			in := m.Instrs[1].(AssignInstr)
 			delete(in.F, ValFalse)
 			m.Instrs[1] = in
-		}},
+		}, ""},
 		{"assign out of target domain", func(m *Machine) {
 			in := m.Instrs[1].(AssignInstr)
 			in.F[ValFalse] = 999
 			m.Instrs[1] = in
-		}},
+		}, ""},
+		{"CF pointer out of range", func(m *Machine) { m.CF = 42 },
+			`popmachine "figure3": CF pointer index 42 out of range`},
+		{"V_y pointer out of range", func(m *Machine) { m.VReg[1] = -3 },
+			`popmachine "figure3": V_y pointer index -3 out of range`},
+		{"assign target out of range", func(m *Machine) {
+			in := m.Instrs[1].(AssignInstr)
+			in.X = 99
+			m.Instrs[1] = in
+		}, `popmachine "figure3": instr 2 target pointer index 99 out of range`},
+		{"assign source out of range", func(m *Machine) {
+			in := m.Instrs[4].(AssignInstr)
+			in.Y = -1
+			m.Instrs[4] = in
+		}, `popmachine "figure3": instr 5 source pointer index -1 out of range`},
 	}
 	for _, tc := range mutations {
 		t.Run(tc.name, func(t *testing.T) {
 			m := figure3Machine(t)
 			tc.mutate(m)
-			if err := m.Validate(); err == nil {
+			err := m.Validate()
+			if err == nil {
 				t.Fatal("Validate accepted a broken machine")
+			}
+			if tc.want != "" && err.Error() != tc.want {
+				t.Fatalf("error %q, want %q", err, tc.want)
 			}
 		})
 	}

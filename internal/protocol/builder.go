@@ -3,8 +3,8 @@ package protocol
 import "fmt"
 
 // Builder constructs protocols incrementally by state name. It is used by
-// the baselines and by the machine→protocol converter, where states are
-// generated from structured names and transitions are emitted in bulk.
+// the baselines and the experiment protocols, whose states are generated
+// from structured names.
 type Builder struct {
 	name        string
 	states      []string

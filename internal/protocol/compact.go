@@ -1,6 +1,9 @@
 package protocol
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // CompactTransitions returns a protocol with silent transitions (both
 // agents unchanged, in either pairing order) and exact duplicate
@@ -21,16 +24,24 @@ func CompactTransitions(p *Protocol) (out *Protocol, silent, duplicates int, err
 	if err := p.Validate(); err != nil {
 		return nil, 0, 0, fmt.Errorf("compact: %w", err)
 	}
-	seen := make(map[Transition]bool, len(p.Transitions))
+	// Key transitions on two words, which the map hashes faster than the
+	// 32-byte Transition; Validate bounds every index by len(p.States).
+	if uint64(len(p.States)) > math.MaxUint32+1 {
+		return nil, 0, 0, fmt.Errorf("compact: protocol %q: %d states do not fit 32-bit indices",
+			p.Name, len(p.States))
+	}
+	type key struct{ pre, post uint64 }
+	seen := make(map[key]bool, len(p.Transitions))
 	kept := make([]Transition, 0, len(p.Transitions))
 	for _, t := range p.Transitions {
+		k := key{uint64(t.Q)<<32 | uint64(t.R), uint64(t.Q2)<<32 | uint64(t.R2)}
 		switch {
 		case t.IsSilent():
 			silent++
-		case seen[t]:
+		case seen[k]:
 			duplicates++
 		default:
-			seen[t] = true
+			seen[k] = true
 			kept = append(kept, t)
 		}
 	}

@@ -66,7 +66,11 @@ func (p *Protocol) Validate() error {
 			return fmt.Errorf("protocol %q: input state %d out of range", p.Name, i)
 		}
 	}
+	n := uint(len(p.States))
 	for k, t := range p.Transitions {
+		if uint(t.Q) < n && uint(t.R) < n && uint(t.Q2) < n && uint(t.R2) < n {
+			continue
+		}
 		for _, i := range []int{t.Q, t.R, t.Q2, t.R2} {
 			if i < 0 || i >= len(p.States) {
 				return fmt.Errorf("protocol %q: transition %d references state %d out of range",

@@ -32,31 +32,40 @@ func TestValidateRejectsBadProtocols(t *testing.T) {
 	cases := []struct {
 		name string
 		p    Protocol
+		want string // the exact error, where a case pins it
 	}{
-		{"no states", Protocol{Name: "p"}},
-		{"no input", Protocol{Name: "p", States: []string{"a"}, Accepting: []bool{false}}},
+		{"no states", Protocol{Name: "p"}, ""},
+		{"no input", Protocol{Name: "p", States: []string{"a"}, Accepting: []bool{false}}, ""},
 		{"bad accepting len", Protocol{
 			Name: "p", States: []string{"a"}, Input: []int{0}, Accepting: nil,
-		}},
+		}, ""},
 		{"input out of range", Protocol{
 			Name: "p", States: []string{"a"}, Input: []int{3}, Accepting: []bool{false},
-		}},
+		}, ""},
 		{"transition out of range", Protocol{
 			Name: "p", States: []string{"a"}, Input: []int{0}, Accepting: []bool{false},
 			Transitions: []Transition{{Q: 0, R: 5, Q2: 0, R2: 0}},
-		}},
+		}, `protocol "p": transition 0 references state 5 out of range`},
+		{"first bad index of a later transition", Protocol{
+			Name: "p", States: []string{"a", "b"}, Input: []int{0}, Accepting: []bool{false, false},
+			Transitions: []Transition{{Q: 0, R: 1, Q2: 1, R2: 0}, {Q: 1, R: 0, Q2: -1, R2: 2}},
+		}, `protocol "p": transition 1 references state -1 out of range`},
 		{"duplicate names", Protocol{
 			Name: "p", States: []string{"a", "a"}, Input: []int{0},
 			Accepting: []bool{false, false},
-		}},
+		}, ""},
 		{"empty name", Protocol{
 			Name: "p", States: []string{""}, Input: []int{0}, Accepting: []bool{false},
-		}},
+		}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := tc.p.Validate(); err == nil {
+			err := tc.p.Validate()
+			if err == nil {
 				t.Fatal("Validate accepted an ill-formed protocol")
+			}
+			if tc.want != "" && err.Error() != tc.want {
+				t.Fatalf("error %q, want %q", err, tc.want)
 			}
 		})
 	}

@@ -72,6 +72,13 @@ func Reduce(p *Protocol) (*Protocol, int, error) {
 	for _, i := range p.Input {
 		out.Input = append(out.Input, remap[i])
 	}
+	fireable := 0
+	for _, t := range p.Transitions {
+		if remap[t.Q] >= 0 && remap[t.R] >= 0 {
+			fireable++
+		}
+	}
+	out.Transitions = make([]Transition, 0, fireable)
 	for _, t := range p.Transitions {
 		if remap[t.Q] < 0 || remap[t.R] < 0 {
 			continue // can never fire
