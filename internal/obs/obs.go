@@ -40,9 +40,9 @@ func (c *Counter) Inc() {
 	c.v.Add(1)
 }
 
-// Add adds delta.
+// Add adds delta. A zero delta returns without touching the atomic.
 func (c *Counter) Add(delta int64) {
-	if c == nil {
+	if c == nil || delta == 0 {
 		return
 	}
 	c.v.Add(delta)

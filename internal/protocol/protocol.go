@@ -167,6 +167,18 @@ func (p *Protocol) EnabledTransitions(c *multiset.Multiset) []int {
 	return out
 }
 
+// AnyEnabled reports whether some non-silent transition is enabled in c,
+// len(EnabledTransitions(c)) > 0, stopping at the first it finds. It
+// allocates nothing.
+func (p *Protocol) AnyEnabled(c *multiset.Multiset) bool {
+	for _, t := range p.Transitions {
+		if !t.IsSilent() && p.Enabled(c, t) {
+			return true
+		}
+	}
+	return false
+}
+
 // Apply fires transition t on c in place. It panics if t is not enabled;
 // callers must check Enabled first.
 func (p *Protocol) Apply(c *multiset.Multiset, t Transition) {
@@ -227,10 +239,13 @@ func (o Output) String() string {
 // OutputOf returns the consensus output of c per §3: true if C(q) = 0 for
 // all q ∉ O, false if C(q) = 0 for all q ∈ O, mixed otherwise. The empty
 // configuration is vacuously both; we report it as mixed since it cannot
-// occur in a run.
+// occur in a run. It scans the counts in place and allocates nothing.
 func (p *Protocol) OutputOf(c *multiset.Multiset) Output {
 	anyAccepting, anyRejecting := false, false
-	for _, i := range c.Support() {
+	for i, n := 0, c.Len(); i < n; i++ {
+		if c.Count(i) <= 0 {
+			continue
+		}
 		if p.Accepting[i] {
 			anyAccepting = true
 		} else {

@@ -180,8 +180,13 @@ func TestEnabledTransitionsSkipsSilent(t *testing.T) {
 	}
 	c, _ := p.InitialConfig(3)
 	en := p.EnabledTransitions(c)
-	if len(en) != 1 || en[0] != 2 {
-		t.Fatalf("EnabledTransitions = %v, want [2]", en)
+	if len(en) != 1 || en[0] != 2 || !p.AnyEnabled(c) {
+		t.Fatalf("EnabledTransitions = %v, AnyEnabled = %v; want [2], true", en, p.AnyEnabled(c))
+	}
+	// A single agent enables nothing: (a, a) needs two agents, (a, b) a b.
+	c, _ = p.InitialConfig(1)
+	if en := p.EnabledTransitions(c); len(en) != 0 || p.AnyEnabled(c) {
+		t.Fatalf("EnabledTransitions = %v, AnyEnabled = %v; want [], false", en, p.AnyEnabled(c))
 	}
 }
 

@@ -202,13 +202,13 @@ func (s *AdversaryScheduler) Step(c *multiset.Multiset) bool {
 		}
 		a, b := s.ends[e][0], s.ends[e][1]
 		qa, qb := s.states[a], s.states[b]
-		for ti, t := range s.index[pairKey{qa, qb}] {
+		for ti, t := range s.pairs.get(qa, qb) {
 			if !t.IsSilent() {
 				consider(e, ti, t, false)
 			}
 		}
 		if qa != qb {
-			for ti, t := range s.index[pairKey{qb, qa}] {
+			for ti, t := range s.pairs.get(qb, qa) {
 				if !t.IsSilent() {
 					consider(e, ti, t, true)
 				}
@@ -224,7 +224,7 @@ func (s *AdversaryScheduler) Step(c *multiset.Multiset) bool {
 	if pick.swapped {
 		a, b = b, a
 	}
-	t := s.index[pairKey{s.states[a], s.states[b]}][pick.ti]
+	t := s.pairs.get(s.states[a], s.states[b])[pick.ti]
 	s.apply(a, b, t)
 	return true
 }

@@ -65,7 +65,7 @@ type reactiveKey struct {
 type BatchRandomPair struct {
 	p     *protocol.Protocol
 	rng   source
-	index map[pairKey][]protocol.Transition
+	pairs pairRows
 
 	reactive []reactiveKey
 	// byState[s] lists the indices of reactive keys mentioning state s as
@@ -89,8 +89,9 @@ type BatchRandomPair struct {
 	noSkip bool
 	onFire func(protocol.Transition)
 	// met is the telemetry group captured at construction; nil when
-	// telemetry is disabled. Observations on the per-step path happen
-	// per decision; on the skip path they happen once per geometric draw.
+	// telemetry is disabled. Step observes each decision; StepN publishes
+	// its step, null and effective counts once per call and observes each
+	// geometric draw.
 	met *obs.SchedMetrics
 }
 
@@ -114,7 +115,7 @@ func newBatchRandomPair(p *protocol.Protocol, rng source) *BatchRandomPair {
 	s := &BatchRandomPair{
 		p:             p,
 		rng:           rng,
-		index:         pairIndex(p),
+		pairs:         newPairRows(p),
 		byState:       make([][]int, p.NumStates()),
 		lambda:        1,
 		skipThreshold: defaultSkipThreshold,
@@ -129,8 +130,9 @@ func newBatchRandomPair(p *protocol.Protocol, rng source) *BatchRandomPair {
 			continue
 		}
 		seen[k] = true
+		cands := s.pairs.get(k.q, k.r)
 		var fire []protocol.Transition
-		for _, cand := range s.index[k] {
+		for _, cand := range cands {
 			if !cand.IsSilent() {
 				fire = append(fire, cand)
 			}
@@ -140,7 +142,7 @@ func newBatchRandomPair(p *protocol.Protocol, rng source) *BatchRandomPair {
 		}
 		s.reactive = append(s.reactive, reactiveKey{q: k.q, r: k.r, fire: fire})
 		if !s.noSkip {
-			s.lambda = lcm(s.lambda, int64(len(s.index[k])))
+			s.lambda = lcm(s.lambda, int64(len(cands)))
 			if s.lambda > maxLambda {
 				s.noSkip = true
 			}
@@ -149,7 +151,7 @@ func newBatchRandomPair(p *protocol.Protocol, rng source) *BatchRandomPair {
 	if !s.noSkip {
 		for i := range s.reactive {
 			k := &s.reactive[i]
-			k.perT = s.lambda / int64(len(s.index[pairKey{k.q, k.r}]))
+			k.perT = s.lambda / int64(len(s.pairs.get(k.q, k.r)))
 		}
 	}
 	for i, k := range s.reactive {
@@ -255,9 +257,6 @@ func (s *BatchRandomPair) apply(c *multiset.Multiset, t protocol.Transition) {
 			s.weights[ki] = w
 		}
 	}
-	if s.met != nil {
-		s.met.Effective.Inc()
-	}
 	if s.onFire != nil {
 		s.onFire(t)
 	}
@@ -271,16 +270,26 @@ func (s *BatchRandomPair) Step(c *multiset.Multiset) bool {
 	if m < 2 {
 		panic(fmt.Sprintf("sched: cannot sample an agent pair from a population of %d", m))
 	}
+	fired := s.step(c, m)
 	if s.met != nil {
 		s.met.Steps.Inc()
+		if fired {
+			s.met.Effective.Inc()
+		}
 	}
+	return fired
+}
+
+// step is one per-step decision on the attached configuration c of m
+// agents, without telemetry.
+func (s *BatchRandomPair) step(c *multiset.Multiset, m int64) bool {
 	q := s.fen.find(s.rng.Int63n(m))
 	// Exclude one agent of state q while drawing the responder, exactly
 	// like sampleAgent's excludeOne.
 	s.fen.add(q, -1)
 	r := s.fen.find(s.rng.Int63n(m - 1))
 	s.fen.add(q, 1)
-	candidates := s.index[pairKey{q, r}]
+	candidates := s.pairs.get(q, r)
 	if len(candidates) == 0 {
 		return false
 	}
@@ -302,10 +311,12 @@ func (s *BatchRandomPair) StepN(c *multiset.Multiset, n int64) int64 {
 	if m < 2 {
 		panic(fmt.Sprintf("sched: cannot sample an agent pair from a population of %d", m))
 	}
-	var effective, taken int64
+	// nulls counts the null steps skipped analytically; every step of the
+	// call is published as one Steps observation at the end.
+	var effective, taken, nulls int64
 	for taken < n {
 		if s.noSkip {
-			if s.Step(c) {
+			if s.step(c, m) {
 				effective++
 			}
 			taken++
@@ -315,15 +326,12 @@ func (s *BatchRandomPair) StepN(c *multiset.Multiset, n int64) int64 {
 			// No reactive pair is enabled: the configuration can never
 			// change again under random pairing; the rest of the batch is
 			// all null interactions.
-			if s.met != nil {
-				s.met.Steps.Add(n - taken)
-				s.met.NullsSkipped.Add(n - taken)
-			}
-			return effective
+			nulls += n - taken
+			break
 		}
 		pEff := float64(s.totalW) / float64(s.lambda*m*(m-1))
 		if pEff >= s.skipThreshold {
-			if s.Step(c) {
+			if s.step(c, m) {
 				effective++
 			}
 			taken++
@@ -336,17 +344,12 @@ func (s *BatchRandomPair) StepN(c *multiset.Multiset, n int64) int64 {
 			s.met.GeomSkips.Observe(skip)
 		}
 		if skip >= n-taken {
-			if s.met != nil {
-				// Only n−taken of the drawn nulls fall inside this batch.
-				s.met.Steps.Add(n - taken)
-				s.met.NullsSkipped.Add(n - taken)
-			}
-			return effective // the batch ends inside the null run
+			// The batch ends inside the null run: only n−taken of the
+			// drawn nulls fall inside it.
+			nulls += n - taken
+			break
 		}
-		if s.met != nil {
-			s.met.Steps.Add(skip + 1)
-			s.met.NullsSkipped.Add(skip)
-		}
+		nulls += skip
 		taken += skip + 1
 		// Sample the effective step from the exact conditional law:
 		// weight(key, t) ∝ C(q)·(C(r)−[q=r]) / #candidates(q, r) over
@@ -363,6 +366,11 @@ func (s *BatchRandomPair) StepN(c *multiset.Multiset, n int64) int64 {
 			break
 		}
 		effective++
+	}
+	if s.met != nil {
+		s.met.Steps.Add(n)
+		s.met.NullsSkipped.Add(nulls)
+		s.met.Effective.Add(effective)
 	}
 	return effective
 }

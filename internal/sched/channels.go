@@ -35,7 +35,7 @@ type Channel struct {
 // what keeps the exact sampler, the collision kernel and the fluid drift
 // consistent with each other.
 func ReactiveChannels(p *protocol.Protocol) []Channel {
-	index := pairIndex(p)
+	pairs := newPairRows(p)
 	seen := make(map[pairKey]bool)
 	var out []Channel
 	for _, t := range p.Transitions {
@@ -44,11 +44,12 @@ func ReactiveChannels(p *protocol.Protocol) []Channel {
 			continue
 		}
 		seen[k] = true
-		for _, cand := range index[k] {
+		cands := pairs.get(k.q, k.r)
+		for _, cand := range cands {
 			if cand.IsSilent() {
 				continue
 			}
-			out = append(out, Channel{T: cand, Candidates: len(index[k])})
+			out = append(out, Channel{T: cand, Candidates: len(cands)})
 		}
 	}
 	return out

@@ -80,6 +80,11 @@ type CollisionKernel struct {
 	// per-population overflow guard is re-checked every round.
 	noBulk bool
 
+	// plan memoises the zero-success threshold of the bulk rounds'
+	// effective-count draw, which repeats its (B, p_eff) for as long as
+	// rounds fire nothing.
+	plan binomialPlan
+
 	// onFireN, when non-nil, observes every transition fired by a bulk
 	// round with its multiplicity; fallback-path firings are observed
 	// through inner.onFire. Test instrumentation.
@@ -146,6 +151,13 @@ func (k *CollisionKernel) Step(c *multiset.Multiset) bool {
 
 // StepN implements BatchScheduler: bulk rounds while every involved state
 // count clears the safety margin, exact chunks otherwise.
+//
+// roundSize's verdict depends on the counts alone, so it is reused until a
+// round or fallback chunk reports an effective interaction; only the cap at
+// the interactions left in the call is applied per round. A configuration
+// whose rounds fire nothing thus costs one binomial draw per round. The
+// verdict is recomputed on entry, because a caller may change c between
+// calls (the hybrid's fluid tier does).
 func (k *CollisionKernel) StepN(c *multiset.Multiset, n int64) int64 {
 	m := c.Size()
 	if m < 2 {
@@ -155,34 +167,47 @@ func (k *CollisionKernel) StepN(c *multiset.Multiset, n int64) int64 {
 	if k.met != nil {
 		t0 = time.Now()
 	}
-	var effective, taken int64
+	var effective, taken, B, totalW int64
+	var dead bool
+	stale := true
+	// Telemetry of the bulk rounds and the dead tail, published once per
+	// call; fallback chunks publish their own through the exact sampler.
+	var rounds, fallbacks, bulkSteps, bulkEffective, deadSteps int64
 	for taken < n {
-		B, totalW, dead := k.roundSize(c, m, n-taken)
+		if stale {
+			B, totalW, dead = k.roundSize(c, m)
+		}
 		if dead {
 			// No reactive pair is enabled: the rest of the batch is all
 			// null interactions (matches BatchRandomPair's dead path).
-			if k.met != nil {
-				k.met.Steps.Add(n - taken)
-				k.met.NullsSkipped.Add(n - taken)
-			}
+			deadSteps = n - taken
 			break
 		}
+		var eff int64
 		if B == 0 {
-			chunk := n - taken
-			if chunk > k.fallbackChunk {
-				chunk = k.fallbackChunk
-			}
-			if k.met != nil {
-				k.met.BatchFallbacks.Inc()
-			}
-			effective += k.inner.StepN(c, chunk)
+			chunk := min(n-taken, k.fallbackChunk)
+			fallbacks++
+			eff = k.inner.StepN(c, chunk)
 			taken += chunk
-			continue
+		} else {
+			// Safety only caps a round from above, so shrinking it to what
+			// is left of the call is fine.
+			b := min(B, n-taken)
+			eff = k.bulkRound(c, m, b, totalW)
+			taken += b
+			rounds++
+			bulkSteps += b
+			bulkEffective += eff
 		}
-		effective += k.bulkRound(c, m, B, totalW)
-		taken += B
+		effective += eff
+		stale = eff > 0
 	}
 	if k.met != nil {
+		k.met.Steps.Add(bulkSteps + deadSteps)
+		k.met.NullsSkipped.Add(bulkSteps - bulkEffective + deadSteps)
+		k.met.Effective.Add(bulkEffective)
+		k.met.BatchRounds.Add(rounds)
+		k.met.BatchFallbacks.Add(fallbacks)
 		if elapsed := time.Since(t0); elapsed > 0 {
 			k.met.InteractionsPerSec.Set(int64(float64(n) / elapsed.Seconds()))
 		}
@@ -191,12 +216,13 @@ func (k *CollisionKernel) StepN(c *multiset.Multiset, n int64) int64 {
 }
 
 // roundSize recomputes the category weights at the current counts and
-// decides the next bulk round size. It returns B = 0 when the kernel must
+// decides the size of the next bulk round, before StepN caps it at the
+// interactions left in the call. It returns B = 0 when the kernel must
 // fall back to the exact path (a consumed state count within the safety
 // margin of the round, weight arithmetic unavailable, or no category), and
 // dead = true when no category has positive weight — the configuration can
 // never change again under random pairing.
-func (k *CollisionKernel) roundSize(c *multiset.Multiset, m, remaining int64) (B, totalW int64, dead bool) {
+func (k *CollisionKernel) roundSize(c *multiset.Multiset, m int64) (B, totalW int64, dead bool) {
 	if k.noBulk {
 		// Bulk weights unavailable; the exact path decides liveness itself.
 		return 0, 0, false
@@ -243,9 +269,6 @@ func (k *CollisionKernel) roundSize(c *multiset.Multiset, m, remaining int64) (B
 	if B < k.minRound {
 		return 0, totalW, false
 	}
-	if B > remaining {
-		B = remaining // safety only caps B from above, so shrinking is fine
-	}
 	return B, totalW, false
 }
 
@@ -254,16 +277,10 @@ func (k *CollisionKernel) roundSize(c *multiset.Multiset, m, remaining int64) (B
 // effective interactions applied.
 func (k *CollisionKernel) bulkRound(c *multiset.Multiset, m, B, totalW int64) int64 {
 	if k.met != nil {
-		k.met.Steps.Add(B)
-		k.met.BatchRounds.Inc()
 		k.met.BatchRoundSize.Observe(B)
 	}
 	pEff := float64(totalW) / (float64(k.inner.lambda) * float64(m) * float64(m-1))
-	effective := binomial(k.rng, B, pEff)
-	if k.met != nil {
-		k.met.NullsSkipped.Add(B - effective)
-		k.met.Effective.Add(effective)
-	}
+	effective := k.plan.binomial(k.rng, B, pEff)
 	if effective == 0 {
 		return 0
 	}
@@ -355,12 +372,25 @@ func binomial(rng source, n int64, p float64) int64 {
 	return v
 }
 
-// binomialGeometric counts successes among n Bernoulli(p) trials by summing
-// geometric inter-success gaps — exact, O(successes) random draws.
+// binomialGeometric counts successes among n Bernoulli(p) trials, 0 < p < 1,
+// by summing geometric inter-success gaps — exact, O(successes) random
+// draws. Each gap is geometricSkip's inverse transform, with log1p(−p) taken
+// once per call.
 func binomialGeometric(rng source, n int64, p float64) int64 {
+	return binomialGaps(rng, n, math.Log1p(-p), rng.Float64())
+}
+
+// binomialGaps is binomialGeometric's loop for l = log1p(−p), given the
+// first uniform draw u.
+func binomialGaps(rng source, n int64, l, u float64) int64 {
 	var successes, pos int64
 	for {
-		g := geometricSkip(rng, p)
+		g := int64(math.MaxInt64) // P(U=0) is 0 in the real-valued model
+		if u != 0 {
+			if f := math.Log(u) / l; f < float64(math.MaxInt64) {
+				g = int64(f)
+			}
+		}
 		if g >= n-pos { // the remaining trials are all failures
 			return successes
 		}
@@ -369,7 +399,49 @@ func binomialGeometric(rng source, n int64, p float64) int64 {
 		if pos >= n {
 			return successes
 		}
+		u = rng.Float64()
 	}
+}
+
+// zeroBand is the relative margin binomialPlan keeps below (1−p)ⁿ.
+const zeroBand = 0x1p-20
+
+// binomialPlan is binomial with a memo for its exact branch at one (n, p):
+// l = log1p(−p) and the threshold z = exp(n·l)·(1 − 2⁻²⁰). A first uniform
+// draw u < z yields zero successes without a logarithm; any other u goes
+// down binomialGaps with the same u, so every result and every draw is
+// binomial's.
+//
+// Why u < z implies binomial's own zero, g = ⌊fl(fl(log u)/l)⌋ ≥ n: the
+// memo serves p ≤ 1/2 with n·p ≤ 64, where |l| ≤ 2·ln 2·p, so |n·l| ≤ 89
+// and z is a normal float. The three roundings in z (the product n·l, Exp,
+// the scaling) move log z by less than 89·2⁻⁵³ + 2·2⁻⁵² < 2⁻⁴⁵ from
+// n·l + log(1 − 2⁻²⁰) < n·l − 2⁻²⁰. So log u < n·l − 2⁻²¹, and, l being
+// negative, log(u)/l > n·(1 + 2⁻²¹/|n·l|) > n·(1 + 2⁻²⁸). fl(log u) and the
+// division add two roundings, a relative error below 2⁻⁵¹, so the computed
+// quotient still reaches n: the band exceeds the rounding it has to absorb
+// by more than six orders of magnitude.
+type binomialPlan struct {
+	n    int64
+	p    float64
+	l, z float64
+}
+
+// binomial draws from Binomial(n, p) exactly as the package-level binomial
+// does, from the same draws.
+func (bp *binomialPlan) binomial(rng source, n int64, p float64) int64 {
+	if n <= 0 || p <= 0 || !(p <= 0.5 && float64(n)*p <= binomialExactCutoff) {
+		return binomial(rng, n, p)
+	}
+	if n != bp.n || p != bp.p {
+		l := math.Log1p(-p)
+		*bp = binomialPlan{n: n, p: p, l: l, z: math.Exp(float64(n)*l) * (1 - zeroBand)}
+	}
+	u := rng.Float64()
+	if u < bp.z {
+		return 0
+	}
+	return binomialGaps(rng, n, bp.l, u)
 }
 
 // gauss draws a standard normal deviate by Box–Muller from the scheduler's

@@ -9,6 +9,7 @@ package sched
 import (
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/protocol"
 )
 
@@ -31,7 +32,7 @@ func TestRoundSizeBoundary(t *testing.T) {
 	cases := []struct {
 		name      string
 		i, s      int64 // epidemic counts; minCount = min(i, s)
-		remaining int64
+		remaining int64 // interactions left in the StepN call
 		tune      func(k *CollisionKernel)
 		wantB     int64
 		wantDead  bool
@@ -64,7 +65,10 @@ func TestRoundSizeBoundary(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			B, totalW, dead := k.roundSize(c, c.Size(), tc.remaining)
+			B, totalW, dead := k.roundSize(c, c.Size())
+			// StepN caps each round at the interactions left in the call;
+			// TestStepNCapsRoundAtRemaining pins that through StepN.
+			B = min(B, tc.remaining)
 			if dead != tc.wantDead {
 				t.Fatalf("dead = %v, want %v", dead, tc.wantDead)
 			}
@@ -75,6 +79,28 @@ func TestRoundSizeBoundary(t *testing.T) {
 				t.Fatalf("totalW = %d, want > 0 while categories are enabled", totalW)
 			}
 		})
+	}
+}
+
+// TestStepNCapsRoundAtRemaining: a StepN call with fewer interactions left
+// than roundSize's round runs one bulk round of exactly what is left, even
+// below minRound, instead of falling back.
+func TestStepNCapsRoundAtRemaining(t *testing.T) {
+	p := epidemicTB(t)
+	for _, n := range []int64{40, 8} {
+		m := obs.Enable()
+		k := newCollisionKernel(p, NewRand(3))
+		c, err := p.InitialConfig(1600, 10000) // roundSize: B = 100
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.StepN(c, n)
+		snap := m.Snapshot().Sched
+		obs.Disable()
+		if snap.BatchRounds != 1 || snap.BatchFallbacks != 0 || snap.Steps != n {
+			t.Fatalf("StepN(%d): %d rounds, %d fallbacks, %d steps; want one bulk round of %d",
+				n, snap.BatchRounds, snap.BatchFallbacks, snap.Steps, n)
+		}
 	}
 }
 
@@ -94,7 +120,7 @@ func TestRoundSizeDeadWithoutCategories(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, dead := k.roundSize(c, c.Size(), 1<<16); !dead {
+	if _, _, dead := k.roundSize(c, c.Size()); !dead {
 		t.Fatal("silent-only protocol not reported dead")
 	}
 }

@@ -59,7 +59,7 @@ type GraphOptions struct {
 type graphCore struct {
 	p       *protocol.Protocol
 	rng     source
-	index   map[pairKey][]protocol.Transition
+	pairs   pairRows
 	hasFire map[pairKey]bool // ordered pairs with ≥ 1 non-silent candidate
 	faults  *Faults
 	kind    string
@@ -107,20 +107,16 @@ func newGraphCore(p *protocol.Protocol, topo *Topology, rng source, faults *Faul
 		return graphCore{}, fmt.Errorf("sched: topology needs ≥ 2 agents and ≥ 1 edge (got %d, %d)",
 			topo.N, len(topo.Edges))
 	}
-	index := pairIndex(p)
-	hasFire := make(map[pairKey]bool, len(index))
-	for k, cands := range index {
-		for _, t := range cands {
-			if !t.IsSilent() {
-				hasFire[k] = true
-				break
-			}
+	hasFire := make(map[pairKey]bool)
+	for _, t := range p.Transitions {
+		if !t.IsSilent() {
+			hasFire[pairKey{t.Q, t.R}] = true
 		}
 	}
 	base := make([][2]int, len(topo.Edges))
 	copy(base, topo.Edges)
 	return graphCore{
-		p: p, rng: rng, index: index, hasFire: hasFire, faults: faults,
+		p: p, rng: rng, pairs: newPairRows(p), hasFire: hasFire, faults: faults,
 		kind: topo.Kind, kindIdx: topoKindIndex(topo.Kind),
 		base: base, baseN: topo.N,
 		met: obs.Sched(),
@@ -347,7 +343,7 @@ func (g *graphCore) fireEdge(e int) bool {
 	if g.rng.Intn(2) == 1 {
 		a, b = b, a
 	}
-	cands := g.index[pairKey{g.states[a], g.states[b]}]
+	cands := g.pairs.get(g.states[a], g.states[b])
 	if len(cands) == 0 {
 		return false
 	}

@@ -61,7 +61,7 @@ type pairKey struct{ q, r int }
 type RandomPair struct {
 	p     *protocol.Protocol
 	rng   source
-	index map[pairKey][]protocol.Transition
+	pairs pairRows
 	// onFire, when non-nil, observes every non-silent transition fired.
 	// The equivalence tests use it to collect firing frequencies.
 	onFire func(protocol.Transition)
@@ -79,18 +79,77 @@ func NewRandomPair(p *protocol.Protocol, rng *rand.Rand) *RandomPair {
 }
 
 func newRandomPair(p *protocol.Protocol, rng source) *RandomPair {
-	return &RandomPair{p: p, rng: rng, index: pairIndex(p), met: obs.Sched()}
+	return &RandomPair{p: p, rng: rng, pairs: newPairRows(p), met: obs.Sched()}
 }
 
-// pairIndex groups a protocol's transitions by ordered (initiator,
-// responder) state pair.
-func pairIndex(p *protocol.Protocol) map[pairKey][]protocol.Transition {
-	index := make(map[pairKey][]protocol.Transition)
-	for _, t := range p.Transitions {
-		k := pairKey{t.Q, t.R}
-		index[k] = append(index[k], t)
+// pairRows groups a protocol's transitions by ordered (initiator,
+// responder) state pair, in the layout of protocol.Stepper with silent
+// transitions kept: rows[q] lists, in increasing r, each responder r that
+// has candidates with initiator q, and the pair's candidates are
+// cands[lo:hi] in p.Transitions order. A lookup is a binary search over a
+// short row, not a map hash, because the per-step samplers make one per
+// interaction.
+type pairRows struct {
+	rows  [][]pairSpan
+	cands []protocol.Transition
+}
+
+type pairSpan struct{ r, lo, hi int32 }
+
+func newPairRows(p *protocol.Protocol) pairRows {
+	n := p.NumStates()
+	// Two stable counting sorts, by responder and then by initiator, order
+	// the transitions by (Q, R) and keep p.Transitions order within a pair,
+	// in O(|δ| + |Q|).
+	byR := sortByState(p.Transitions, n, func(t protocol.Transition) int { return t.R })
+	cands := sortByState(byR, n, func(t protocol.Transition) int { return t.Q })
+	x := pairRows{rows: make([][]pairSpan, n), cands: cands}
+	for lo := 0; lo < len(cands); {
+		q, r := cands[lo].Q, cands[lo].R
+		hi := lo + 1
+		for hi < len(cands) && cands[hi].Q == q && cands[hi].R == r {
+			hi++
+		}
+		x.rows[q] = append(x.rows[q], pairSpan{r: int32(r), lo: int32(lo), hi: int32(hi)})
+		lo = hi
 	}
-	return index
+	return x
+}
+
+// sortByState returns ts stably sorted by key, a state index below n.
+func sortByState(ts []protocol.Transition, n int, key func(protocol.Transition) int) []protocol.Transition {
+	next := make([]int, n+1)
+	for _, t := range ts {
+		next[key(t)+1]++
+	}
+	for i := 1; i <= n; i++ {
+		next[i] += next[i-1]
+	}
+	out := make([]protocol.Transition, len(ts))
+	for _, t := range ts {
+		k := key(t)
+		out[next[k]] = t
+		next[k]++
+	}
+	return out
+}
+
+// get returns the candidates of the ordered pair (q, r).
+func (x *pairRows) get(q, r int) []protocol.Transition {
+	row := x.rows[q]
+	lo, hi := 0, len(row)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if int(row[mid].r) < r {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(row) || int(row[lo].r) != r {
+		return nil
+	}
+	return x.cands[row[lo].lo:row[lo].hi]
 }
 
 // sampleAgent picks an agent uniformly from c, returning its state index.
@@ -124,7 +183,7 @@ func (s *RandomPair) Step(c *multiset.Multiset) bool {
 	}
 	q := sampleAgent(s.rng, c, 0, false)
 	r := sampleAgent(s.rng, c, q, true)
-	candidates := s.index[pairKey{q, r}]
+	candidates := s.pairs.get(q, r)
 	if len(candidates) == 0 {
 		return false
 	}

@@ -333,12 +333,12 @@ func Run(p *protocol.Protocol, c *multiset.Multiset, s sched.Scheduler, opts Opt
 // adjacency- and fault-aware) is authoritative — the multiset-level scan
 // cannot see that two reactive states are held only by non-adjacent agents,
 // nor that a crashed agent might revive. Every other scheduler falls back to
-// the enabled-transition scan.
+// the enabled-transition scan, which stops at the first enabled transition.
 func definitelyStable(p *protocol.Protocol, c *multiset.Multiset, s sched.Scheduler) bool {
 	if q, ok := s.(interface{ Quiescent() bool }); ok {
 		return q.Quiescent()
 	}
-	return len(p.EnabledTransitions(c)) == 0
+	return !p.AnyEnabled(c)
 }
 
 // perStep gives a scheduler without StepN the StepN of n single steps.
@@ -375,9 +375,11 @@ func run(p *protocol.Protocol, c *multiset.Multiset, s sched.Scheduler, opts Opt
 		// A scheduler can ask for population-scaled chunks (the fluid
 		// tiers want ~m/16 interactions — 1/16 of a parallel-time unit —
 		// per chunk; the default 2¹⁶ would mean ~2·10⁸ chunks at
-		// m = 10¹²). An explicit BatchSize always wins, and the default
-		// quiescence period scales with the chunk so period boundaries
-		// don't truncate it back down.
+		// m = 10¹²). An explicit BatchSize always wins. Only a preferred
+		// chunk above the default batch (m > 2²⁰) replaces it, and only
+		// then does a default quiescence period follow the chunk; below
+		// that the default period of 1,000 still cuts every chunk to
+		// 1,000 interactions.
 		if pc, ok := s.(interface{ PreferredChunk(int64) int64 }); ok && opts.BatchSize <= 0 {
 			if b := pc.PreferredChunk(c.Size()); b > batch {
 				batch = b

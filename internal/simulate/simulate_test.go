@@ -415,3 +415,43 @@ func TestMeasureRunsFirstErrorInRunOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestRunAllocsIndependentOfSteps: Run's chunk-boundary checks (the output
+// scan and the quiescence scan) allocate nothing, so a run's allocation
+// count does not grow with its length. Majority at m = 10⁶ on the batch
+// kernel, with a window no run reaches, runs 10⁶ and then 10⁷ interactions
+// in 1,000-interaction chunks.
+func TestRunAllocsIndependentOfSteps(t *testing.T) {
+	p := majority(t)
+	allocs := func(maxSteps int64) float64 {
+		return testing.AllocsPerRun(1, func() {
+			c, err := p.InitialConfig(550_000, 450_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := sched.NewCollisionKernel(p, sched.NewRand(1))
+			if _, err := Run(p, c, s, Options{MaxSteps: maxSteps, StableWindow: 1 << 62}); !errors.Is(err, ErrBudgetExhausted) {
+				t.Fatalf("run of %d steps: err = %v, want ErrBudgetExhausted", maxSteps, err)
+			}
+		})
+	}
+	// The counts are equal in a normal build. Under the race detector,
+	// sync.Pool drops pooled fmt printers at random, so the error each run
+	// returns can cost a few objects more or less; 9,000 more chunks that
+	// allocated would cost tens of thousands.
+	short, long := allocs(1_000_000), allocs(10_000_000)
+	if d := long - short; d < -8 || d > 8 {
+		t.Fatalf("Run allocates %.0f objects over 10⁶ steps and %.0f over 10⁷; want equal", short, long)
+	}
+	t.Logf("Run allocates %.0f objects over 10⁶ steps and %.0f over 10⁷", short, long)
+	c, err := p.InitialConfig(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { p.OutputOf(c) }); n != 0 {
+		t.Fatalf("OutputOf allocates %.0f objects, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { p.AnyEnabled(c) }); n != 0 {
+		t.Fatalf("AnyEnabled allocates %.0f objects, want 0", n)
+	}
+}
