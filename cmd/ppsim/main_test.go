@@ -64,17 +64,23 @@ func TestSimulatePathsSmoke(t *testing.T) {
 		popprog.DecideOptions{}); err != nil {
 		t.Fatal(err)
 	}
+	// m = 16,400 clears the fluid tiers' floor of 2¹⁴ agents.
 	for _, kernel := range []string{"exact", "batch", "fluid", "langevin", "auto"} {
 		k := base
 		k.Kernel = kernel
-		if err := simulateProtocol(io.Discard, p, pred, []int64{6, 3}, k); err != nil {
+		if err := simulateProtocol(io.Discard, p, pred, []int64{9000, 7400}, k); err != nil {
 			t.Fatalf("kernel %q: %v", kernel, err)
 		}
 		k.runs = 3
 		k.Workers = 2
-		if err := simulateProtocol(io.Discard, p, pred, []int64{6, 3}, k); err != nil {
+		if err := simulateProtocol(io.Discard, p, pred, []int64{9000, 7400}, k); err != nil {
 			t.Fatalf("kernel %q, multi-run: %v", kernel, err)
 		}
+	}
+	below := base
+	below.Kernel = "fluid"
+	if err := simulateProtocol(io.Discard, p, pred, []int64{6, 3}, below); err == nil || !strings.Contains(err.Error(), "needs at least 16384 agents") {
+		t.Fatalf("fluid kernel at m = 9: err = %v, want the floor named", err)
 	}
 }
 
@@ -140,6 +146,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"negative window", []string{"-target", "majority", "-input", "6,3", "-window", "-1"}, 2, "StableWindow must be ≥ 0"},
 		{"negative qperiod", []string{"-target", "majority", "-input", "6,3", "-qperiod", "-1"}, 2, "QuiescencePeriod must be ≥ 0"},
 		{"bogus kernel", []string{"-target", "majority", "-input", "6,3", "-kernel", "turbo"}, 2, "unknown kernel \"turbo\""},
+		{"fluid below floor", []string{"-target", "unary:8", "-input", "7", "-kernel", "fluid"}, 1, `kernel "fluid" needs at least 16384 agents`},
 		{"negative fluid floor", []string{"-target", "majority", "-input", "6,3", "-fluid-floor", "-1"}, 2, "FluidFloor must be ≥ 0"},
 		{"kernel with fair scheduler", []string{"-target", "majority", "-input", "6,3", "-kernel", "batch", "-scheduler", "fair"}, 2, "-kernel only applies"},
 		{"batch scheduler removed", []string{"-target", "majority", "-input", "6,3", "-scheduler", "batch"}, 2, `unknown -scheduler "batch"`},

@@ -83,7 +83,9 @@ func TestProtocolExploreAllocsPerState(t *testing.T) {
 // TestExploreWorkersAllocBound: the engine allocates one expansion scratch
 // per frontier chunk when the chunk first needs it, never one per worker up
 // front, so a huge Workers value costs nothing on a small system. A
-// 3-state approximate majority explored at Workers = 2²⁰ stays under 2 MB.
+// 3-state approximate majority explored at Workers = 2²⁰ stays under 2 MB,
+// and at Workers = 1 under 256 KiB, since the key log's tail grows on
+// demand.
 func TestExploreWorkersAllocBound(t *testing.T) {
 	b := protocol.NewBuilder("approx-majority")
 	b.Input("X", "Y")
@@ -109,5 +111,15 @@ func TestExploreWorkersAllocBound(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
 		t.Fatalf("exploration at Workers = 2^20 allocated %d bytes, want < 2 MB", got)
+	}
+	// At one worker the same exploration is a few KB of keys: the key log
+	// must not allocate a whole segment for them up front.
+	runtime.ReadMemStats(&before)
+	if _, err := ExploreParallel[*multiset.Multiset](sys, []*multiset.Multiset{c}, Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 256<<10 {
+		t.Fatalf("exploration at Workers = 1 allocated %d bytes, want < 256 KiB", got)
 	}
 }

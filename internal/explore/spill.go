@@ -32,6 +32,8 @@ const (
 	defaultSegSize = 1 << 20
 	minSegSize     = 64 << 10
 	maxSegSize     = 4 << 20
+	// initialTail is the capacity the first tail starts with.
+	initialTail = 4 << 10
 
 	// spillBlockRecs / spillBlockBytes bound one frontier read-back block
 	// under a memory budget: the expansion pass works block by block so the
@@ -130,7 +132,10 @@ func newKeyLog(budget int64, st *spillStore, met *obs.ExploreMetrics) *keyLog {
 		segSize = int(min(max(budget/8, minSegSize), maxSegSize))
 	}
 	l := &keyLog{st: st, budget: budget, segSize: segSize, met: met}
-	l.tail = make([]byte, 0, segSize)
+	// The first tail starts small and append grows it up to segSize: most
+	// explorations intern a few KB of keys, and a whole segment up front
+	// was most of their allocation.
+	l.tail = make([]byte, 0, min(segSize, initialTail))
 	l.tail = append(l.tail, 0) // pad: offset 0 is the empty-slot sentinel
 	l.end = 1
 	st.addResident(1)
@@ -149,6 +154,13 @@ func (l *keyLog) append(key []byte) (uint64, error) {
 		if err := l.seal(); err != nil {
 			return 0, err
 		}
+	}
+	if need := len(l.tail) + rec; need > cap(l.tail) {
+		// Grow by doubling, up to segSize (or to the oversized record).
+		// Only the commit pass appends, so no reader sees the tail move.
+		grown := make([]byte, len(l.tail), min(max(2*cap(l.tail), need), max(l.segSize, need)))
+		copy(grown, l.tail)
+		l.tail = grown
 	}
 	off := l.end
 	l.tail = append(l.tail, tmp[:n]...)

@@ -264,11 +264,15 @@ func TestAdvanceFloorStopsAtBoundary(t *testing.T) {
 	}
 }
 
-// TestPreferredChunk pins the chunk-sizing rule: m/16 with a floor.
+// TestPreferredChunk pins the chunk-sizing rule: m/16 with a floor of
+// 1,000, the runner's default quiescence period.
 func TestPreferredChunk(t *testing.T) {
 	ig := NewIntegrator(epidemic(t))
-	if got := ig.PreferredChunk(100); got != minChunk {
-		t.Fatalf("small-m chunk %d, want floor %d", got, minChunk)
+	if got := ig.PreferredChunk(100); got != 1_000 {
+		t.Fatalf("small-m chunk %d, want floor 1,000", got)
+	}
+	if got := ig.PreferredChunk(1 << 16); got != 1<<12 {
+		t.Fatalf("m = 2¹⁶ chunk %d, want m/16 = %d", got, 1<<12)
 	}
 	if got := ig.PreferredChunk(1 << 30); got != (1<<30)/16 {
 		t.Fatalf("large-m chunk %d, want %d", got, (1<<30)/16)

@@ -17,10 +17,6 @@ import (
 // per-step law near depletion) takes over.
 const DefaultFloor = 1 << 14
 
-// hybridDiscreteChunk is the StepN slice handed to the collision kernel per
-// discrete round of the hybrid, matching simulate's default kernel batch.
-const hybridDiscreteChunk = 1 << 16
-
 // Hybrid is the full simulation ladder behind one scheduler: mean-field
 // fluid flow while every consumed species is macroscopic, the tau-leaping
 // collision kernel (with its own exact-path fallback) through boundary
@@ -116,12 +112,12 @@ func (h *Hybrid) StepN(c *multiset.Multiset, n int64) int64 {
 				continue
 			}
 		}
-		chunk := n - taken
-		if chunk > hybridDiscreteChunk {
-			chunk = hybridDiscreteChunk
-		}
-		effective += h.kernel.StepN(c, chunk)
-		taken += chunk
+		// The kernel takes the rest of the call: its rounds size themselves
+		// by drift, and a call is already a 1/16 parallel-time chunk when
+		// the runner sizes it (PreferredChunk), so the next call re-checks
+		// the regime soon enough.
+		effective += h.kernel.StepN(c, n-taken)
+		taken = n
 		if h.met != nil {
 			h.met.DiscreteChunks.Inc()
 		}

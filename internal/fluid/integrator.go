@@ -71,9 +71,9 @@ const (
 	// units. EM is strong order 1/2, so the bias per τ unit is O(√h)·noise;
 	// 1/32 keeps it well under the 1/√m fluctuation scale the tier models.
 	emStep = 1.0 / 32
-	// minChunk is the floor of PreferredChunk: below it, chunking overhead
-	// (writeback + output checks) dominates.
-	minChunk = 1 << 16
+	// minChunk is the floor of PreferredChunk, the runner's default
+	// quiescence period.
+	minChunk = 1_000
 )
 
 // NewIntegrator builds the deterministic mean-field ODE tier for p.
@@ -109,13 +109,10 @@ func newIntegrator(p *protocol.Protocol, langevin bool, rng *rand.Rand) *Integra
 
 // PreferredChunk is the StepN chunk size the integrator wants: m/16
 // interactions (1/16 of a parallel-time unit) so a convergence run costs
-// tens of chunks, with a floor below which chunking overhead dominates.
-// simulate.Run consults it when Options.BatchSize is unset.
+// tens of chunks per parallel-time unit at any m, and never fewer than
+// 1,000. simulate.Run consults it when Options.BatchSize is unset.
 func (ig *Integrator) PreferredChunk(m int64) int64 {
-	if c := m / 16; c > minChunk {
-		return c
-	}
-	return minChunk
+	return max(minChunk, m/16)
 }
 
 // attach (re)synchronises the continuous state with c: a no-op while c still

@@ -74,7 +74,7 @@ type BatchRandomPair struct {
 	lambda  int64
 
 	attached *multiset.Multiset
-	fen      *fenwick
+	fen      fenwick
 	weights  []int64 // current weight per reactive key
 	totalW   int64   // Σ weights; p_eff = totalW / (Λ·m·(m−1))
 
@@ -172,8 +172,10 @@ func lcm(a, b int64) int64 {
 	return a / x * b
 }
 
-// attach (re)builds the Fenwick index and reactive weights for c. It is a
-// no-op when c is the configuration the scheduler is already tracking.
+// attach (re)builds the Fenwick index and reactive weights for c, in place:
+// the collision kernel hands configurations back after every bulk round, so
+// a re-attach must not allocate. It is a no-op when c is the configuration
+// the scheduler is already tracking.
 func (s *BatchRandomPair) attach(c *multiset.Multiset) {
 	if s.attached == c {
 		return
@@ -182,11 +184,7 @@ func (s *BatchRandomPair) attach(c *multiset.Multiset) {
 		s.met.FenwickRebuilds.Inc()
 	}
 	s.attached = c
-	counts := make([]int64, c.Len())
-	for i := range counts {
-		counts[i] = c.Count(i)
-	}
-	s.fen = newFenwick(counts)
+	s.fen.reset(c.Len(), c.Count)
 	// The skip path needs Λ·m·(m−1) and Λ·pair-count products in int64.
 	if m := c.Size(); m > 0 && s.lambda > math.MaxInt64/m/(m+1) {
 		s.noSkip = true

@@ -12,39 +12,62 @@ import (
 )
 
 // CollisionKernel is a count-based batch interaction kernel: it advances the
-// configuration a whole round of B interactions at a time instead of
-// simulating interactions one by one. Per round it
+// configuration a whole round of interactions at a time instead of
+// simulating them one by one. It is tau-leaping with the step selection of
+// Cao, Gillespie & Petzold (J. Chem. Phys. 124, 044109, 2006) and their
+// exact treatment of critical reactions (J. Chem. Phys. 123, 054104, 2005),
+// over the reactive categories of ReactiveChannels. At the counts a round
+// starts from it
 //
-//  1. draws the null/effective split in a single binomial draw
-//     E ~ Binomial(B, p_eff), where p_eff is the effective-interaction
-//     probability at the round's starting counts,
-//  2. splits the E effective interactions across reactive transition
-//     categories with a multinomial draw against the same counts
-//     (realised as a chain of conditional binomials), and
-//  3. applies the per-state transition deltas in bulk.
+//  1. marks a category critical when one of its reactant states holds
+//     fewer than critical (512) agents,
+//  2. sizes the round B as the largest number of interactions in which the
+//     expected net change of every reactant count, summed over the
+//     non-critical categories, stays within 1/margin (1/16) of that count,
+//     capped by roundCap and by the interactions left in the call,
+//  3. draws G ~ Geometric(p_crit), the interactions before the first
+//     critical firing, and runs min(B, G) interactions in which the
+//     non-critical categories fire: E ~ Binomial(min(B, G),
+//     p_non/(1−p_crit)) effective interactions, split across the
+//     categories by a multinomial (a chain of conditional binomials), with
+//     p_non and the split taken at the round's expected midpoint counts
+//     (the starting counts plus half the expected drift),
+//  4. if G < B, fires one critical category, drawn by weight, and ends the
+//     round there, and
+//  5. applies the per-state deltas in bulk.
 //
-// The round freezes the state counts for its duration ("tau-leaping" in the
-// chemical-kinetics literature), so it is an approximation whose error is
-// bounded by the relative count drift within one round. The kernel keeps
-// that drift small structurally: the round size is capped at
-// minCount/margin, where minCount is the smallest count of any state
-// consumed by an enabled category, so no state can change by more than a
-// 2/margin fraction of itself within a round (and, with margin ≥ 2, no
-// count can go negative). Whenever that cap falls below minRound — any
-// involved state count within the safety margin of the batch size — the
-// kernel falls back to the exact per-step/geometric path (BatchRandomPair),
-// which is distribution-preserving. Small populations therefore never see
-// the approximation at all, and large populations only see it while every
-// involved count is large, exactly where it is statistically tight (the
-// two-sample KS differential test in internal/simulate pins the agreement).
+// Counts are frozen, at their expected midpoint, for the non-critical part
+// of a round, and that is the kernel's only approximation; every binomial
+// is drawn exactly. Critical categories fire one at a time, at the exact
+// rate of the round's starting counts. The exact sampler (BatchRandomPair)
+// takes over whenever the approximation has nothing to gain or cannot be
+// kept small:
 //
-// Cost: one bulk round is O(#categories) regardless of B, so on
-// effective-interaction-dominated configurations the per-interaction cost
-// is O(#categories / B) — asymptotically free as counts grow — versus the
-// exact path's O(log |Q|) Fenwick work per effective interaction.
+//   - every enabled category is critical (small populations, depleting
+//     tails), or
+//   - a round expects fewer than one effective interaction, which includes
+//     B = 0 when a reactant at count 0 is produced by a non-critical
+//     category.
+//
+// Such a chunk runs 32/p_eff interactions, capped by the call, so that it
+// expects 32 effective interactions; its geometric skip covers about
+// 1/p_eff interactions per draw. A round whose draw would take a count
+// below zero (rare: non-critical categories consume only states with at
+// least critical agents) is discarded and its interactions re-run on the
+// exact path.
+//
+// Each hand-off is counted in BatchFallbacks. Small populations therefore
+// never see the approximation at all (below 512 agents every category is
+// critical), and the two-sample KS tests in internal/simulate pin the
+// agreement with the exact sampler on large ones.
+//
+// Cost: one round is O(#categories + #states) regardless of its length, and
+// rounds end either at a critical firing or after a 1/margin drift of some
+// reactant count, so a run takes O(#critical firings + margin·#states·log m)
+// rounds where the exact path pays O(log |Q|) per effective interaction.
 //
 // Reproducibility contract: a CollisionKernel consumes its *rand.Rand as a
-// single deterministic stream across bulk rounds and fallback chunks, so
+// single deterministic stream across bulk rounds and exact chunks, so
 // same-seed runs are bit-identical. Different kernels (or the same kernel
 // with different round knobs) draw different streams and are only
 // distributionally comparable.
@@ -55,39 +78,49 @@ type CollisionKernel struct {
 	// cats flattens the reactive (pair key, non-silent transition)
 	// candidates in deterministic declaration order; weight of cat i at
 	// counts C is C(Q)·(C(R)−[Q=R])·perT, the exact per-candidate sampling
-	// weight of the per-step law scaled by Λ.
+	// weight of the per-step law scaled by Λ. crit marks the enabled
+	// categories that are critical at the surveyed counts.
 	cats    []bulkCat
 	weights []int64
+	crit    []bool
+	// reactants lists every state some category consumes, once each;
+	// drift[s] is Σ weight·(net change of s) over the non-critical
+	// categories, the expected drift of s scaled by Λ·m·(m−1). midW holds
+	// each non-critical category's weight at the round's midpoint counts.
+	reactants []int
+	drift     []float64
+	midW      []float64
 
-	// deltas/touched/mark are the bulk-apply scratch: net per-state count
-	// deltas accumulated across the round's multinomial, applied once per
-	// state.
+	// The survey of the current counts: total non-critical and critical
+	// weight, and the drift-limited round length (0 forces the exact path).
+	wNon, wCrit, bound int64
+
+	// fires/deltas/touched/mark are the bulk-apply scratch: per-category
+	// firing counts (for onFireN) and net per-state count deltas
+	// accumulated across the round's draws, applied once per state.
+	fires   []int64
 	deltas  []int64
 	touched []int
 	mark    []bool
 
-	// roundCap bounds the bulk round size; margin is the safety factor
-	// (round ≤ minInvolvedCount/margin, clamped to ≥ 2 so bulk application
-	// can never drive a count negative); rounds smaller than minRound fall
-	// back to the exact path, in chunks of fallbackChunk interactions.
-	roundCap      int64
-	margin        int64
-	minRound      int64
-	fallbackChunk int64
+	// roundCap bounds a round's length; margin is the drift bound (expected
+	// change ≤ count/margin); a category with a reactant count below
+	// critical is critical.
+	roundCap int64
+	margin   int64
+	critical int64
 
 	// noBulk disables bulk rounds entirely when the integer weight
 	// arithmetic is unavailable (Λ overflow at construction); the
-	// per-population overflow guard is re-checked every round.
+	// per-population overflow guard is re-checked every survey.
 	noBulk bool
 
-	// plan memoises the zero-success threshold of the bulk rounds'
-	// effective-count draw, which repeats its (B, p_eff) for as long as
-	// rounds fire nothing.
+	// plan memoises the setup of the rounds' effective-count draw.
 	plan binomialPlan
 
 	// onFireN, when non-nil, observes every transition fired by a bulk
-	// round with its multiplicity; fallback-path firings are observed
-	// through inner.onFire. Test instrumentation.
+	// round with its multiplicity; exact-path firings are observed through
+	// inner.onFire. Test instrumentation.
 	onFireN func(protocol.Transition, int64)
 	met     *obs.SchedMetrics
 }
@@ -101,16 +134,24 @@ type bulkCat struct {
 	perT int64
 }
 
-// Collision kernel defaults. margin 16 keeps the within-round count drift
-// under 2/16 = 12.5% worst case (typically far less, since only an E ≈
-// B·p_eff fraction of the round is effective); minRound 32 is the point
-// below which one exact geometric draw is cheaper than a round's multinomial.
+// Collision kernel defaults. margin 16 bounds each reactant's expected
+// drift within a round to 1/16 of its count; critical 512 = 16·32 is the
+// count below which the kernel's earlier round rule (B = smallest count/16,
+// at least 32) already fell back to the exact path. An exact hand-off lasts
+// long enough to expect exactRunEffective effective interactions, so the
+// survey after it (O(#categories)) costs little beside them, and no
+// longer, so a species that appears from zero goes back to bulk rounds
+// after a few dozen firings.
 const (
-	defaultRoundCap      = 1 << 20
-	defaultBulkMargin    = 16
-	defaultMinBulkRound  = 32
-	defaultFallbackChunk = 1 << 12
+	defaultRoundCap   = 1 << 20
+	defaultBulkMargin = 16
+	defaultCritical   = 512
+	exactRunEffective = 32
 )
+
+// minPreferredChunk is the floor of PreferredChunk: the runner's default
+// quiescence period, so small populations keep its chunking.
+const minPreferredChunk = 1_000
 
 // NewCollisionKernel builds the count-based batch kernel for protocol p.
 func NewCollisionKernel(p *protocol.Protocol, rng *rand.Rand) *CollisionKernel {
@@ -120,16 +161,16 @@ func NewCollisionKernel(p *protocol.Protocol, rng *rand.Rand) *CollisionKernel {
 func newCollisionKernel(p *protocol.Protocol, rng source) *CollisionKernel {
 	inner := newBatchRandomPair(p, rng)
 	k := &CollisionKernel{
-		inner:         inner,
-		rng:           rng,
-		deltas:        make([]int64, p.NumStates()),
-		mark:          make([]bool, p.NumStates()),
-		roundCap:      defaultRoundCap,
-		margin:        defaultBulkMargin,
-		minRound:      defaultMinBulkRound,
-		fallbackChunk: defaultFallbackChunk,
-		noBulk:        inner.noSkip,
-		met:           obs.Sched(),
+		inner:    inner,
+		rng:      rng,
+		drift:    make([]float64, p.NumStates()),
+		deltas:   make([]int64, p.NumStates()),
+		mark:     make([]bool, p.NumStates()),
+		roundCap: defaultRoundCap,
+		margin:   defaultBulkMargin,
+		critical: defaultCritical,
+		noBulk:   inner.noSkip,
+		met:      obs.Sched(),
 	}
 	if !k.noBulk {
 		// Identical flattening (and order) to ReactiveChannels: the shared
@@ -141,7 +182,28 @@ func newCollisionKernel(p *protocol.Protocol, rng source) *CollisionKernel {
 		}
 	}
 	k.weights = make([]int64, len(k.cats))
+	k.crit = make([]bool, len(k.cats))
+	k.midW = make([]float64, len(k.cats))
+	k.fires = make([]int64, len(k.cats))
+	k.touched = make([]int, 0, p.NumStates())
+	for _, cat := range k.cats {
+		for _, s := range [2]int{cat.t.Q, cat.t.R} {
+			if !k.mark[s] {
+				k.mark[s] = true
+				k.reactants = append(k.reactants, s)
+			}
+		}
+	}
+	clear(k.mark)
 	return k
+}
+
+// PreferredChunk is the StepN chunk the kernel wants from simulate's run
+// loop: m/16 interactions, 1/16 of a parallel-time unit, and never fewer
+// than 1,000. Rounds cannot span chunks, so chunks much shorter than the
+// drift bound would cut them short.
+func (k *CollisionKernel) PreferredChunk(m int64) int64 {
+	return max(minPreferredChunk, m/16)
 }
 
 // Step implements Scheduler by delegating to the exact per-step path.
@@ -149,15 +211,15 @@ func (k *CollisionKernel) Step(c *multiset.Multiset) bool {
 	return k.inner.Step(c)
 }
 
-// StepN implements BatchScheduler: bulk rounds while every involved state
-// count clears the safety margin, exact chunks otherwise.
+// StepN implements BatchScheduler: bulk rounds while some enabled category
+// is non-critical and a round expects at least one effective interaction,
+// exact chunks otherwise.
 //
-// roundSize's verdict depends on the counts alone, so it is reused until a
-// round or fallback chunk reports an effective interaction; only the cap at
-// the interactions left in the call is applied per round. A configuration
-// whose rounds fire nothing thus costs one binomial draw per round. The
-// verdict is recomputed on entry, because a caller may change c between
-// calls (the hybrid's fluid tier does).
+// The survey depends on the counts alone, so it is reused until a round or
+// exact chunk reports an effective interaction; only the cap at the
+// interactions left in the call is applied per round. The survey is taken
+// afresh on entry, because a caller may change c between calls (the
+// hybrid's fluid tier does).
 func (k *CollisionKernel) StepN(c *multiset.Multiset, n int64) int64 {
 	m := c.Size()
 	if m < 2 {
@@ -167,38 +229,37 @@ func (k *CollisionKernel) StepN(c *multiset.Multiset, n int64) int64 {
 	if k.met != nil {
 		t0 = time.Now()
 	}
-	var effective, taken, B, totalW int64
-	var dead bool
+	var effective, taken int64
 	stale := true
 	// Telemetry of the bulk rounds and the dead tail, published once per
-	// call; fallback chunks publish their own through the exact sampler.
+	// call; exact chunks publish their own through the exact sampler.
 	var rounds, fallbacks, bulkSteps, bulkEffective, deadSteps int64
 	for taken < n {
-		if stale {
-			B, totalW, dead = k.roundSize(c, m)
-		}
-		if dead {
+		if stale && k.survey(c, m) {
 			// No reactive pair is enabled: the rest of the batch is all
 			// null interactions (matches BatchRandomPair's dead path).
 			deadSteps = n - taken
 			break
 		}
+		b, exact := k.nextRound(m, n-taken)
 		var eff int64
-		if B == 0 {
-			chunk := min(n-taken, k.fallbackChunk)
-			fallbacks++
-			eff = k.inner.StepN(c, chunk)
-			taken += chunk
-		} else {
-			// Safety only caps a round from above, so shrinking it to what
-			// is left of the call is fine.
-			b := min(B, n-taken)
-			eff = k.bulkRound(c, m, b, totalW)
-			taken += b
-			rounds++
-			bulkSteps += b
-			bulkEffective += eff
+		if !exact {
+			var steps int64
+			if steps, eff, exact = k.bulkRound(c, m, b); !exact {
+				b = steps
+				rounds++
+				bulkSteps += steps
+				bulkEffective += eff
+				if k.met != nil {
+					k.met.BatchRoundSize.Observe(steps)
+				}
+			}
 		}
+		if exact {
+			fallbacks++
+			eff = k.inner.StepN(c, b)
+		}
+		taken += b
 		effective += eff
 		stale = eff > 0
 	}
@@ -215,26 +276,25 @@ func (k *CollisionKernel) StepN(c *multiset.Multiset, n int64) int64 {
 	return effective
 }
 
-// roundSize recomputes the category weights at the current counts and
-// decides the size of the next bulk round, before StepN caps it at the
-// interactions left in the call. It returns B = 0 when the kernel must
-// fall back to the exact path (a consumed state count within the safety
-// margin of the round, weight arithmetic unavailable, or no category), and
-// dead = true when no category has positive weight — the configuration can
-// never change again under random pairing.
-func (k *CollisionKernel) roundSize(c *multiset.Multiset, m int64) (B, totalW int64, dead bool) {
+// survey recomputes the category weights and criticality at the current
+// counts and the drift-limited round length. It reports dead = true when no
+// category has positive weight — the configuration can never change again
+// under random pairing. When the weight arithmetic is unavailable it leaves
+// both weights 0 and reports live, and the exact path decides.
+func (k *CollisionKernel) survey(c *multiset.Multiset, m int64) (dead bool) {
+	k.wNon, k.wCrit, k.bound = 0, 0, 0
 	if k.noBulk {
 		// Bulk weights unavailable; the exact path decides liveness itself.
-		return 0, 0, false
+		return false
 	}
 	if len(k.cats) == 0 {
 		// No non-silent transition exists at all: every interaction is null.
-		return 0, 0, true
+		return true
 	}
 	if k.inner.lambda > math.MaxInt64/m/(m+1) {
-		return 0, 0, false
+		return false
 	}
-	minCount := int64(math.MaxInt64)
+	clear(k.drift)
 	for i := range k.cats {
 		t := &k.cats[i].t
 		nq, nr := c.Count(t.Q), c.Count(t.R)
@@ -246,86 +306,169 @@ func (k *CollisionKernel) roundSize(c *multiset.Multiset, m int64) (B, totalW in
 			k.weights[i] = 0
 			continue
 		}
-		k.weights[i] = nq * pairs * k.cats[i].perT
-		totalW += k.weights[i]
-		if nq < minCount {
-			minCount = nq
+		w := nq * pairs * k.cats[i].perT
+		k.weights[i] = w
+		k.crit[i] = nq < k.critical || nr < k.critical
+		if k.crit[i] {
+			k.wCrit += w
+			continue
 		}
-		if nr < minCount {
-			minCount = nr
+		k.wNon += w
+		fw := float64(w)
+		k.drift[t.Q] -= fw
+		k.drift[t.R] -= fw
+		k.drift[t.Q2] += fw
+		k.drift[t.R2] += fw
+	}
+	if k.wNon == 0 {
+		return k.wCrit == 0
+	}
+	// B·|drift_s|/(Λ·m·(m−1)) ≤ C(s)/margin for every reactant s; a
+	// reactant at count 0 with positive drift forces B = 0.
+	norm := float64(k.inner.lambda) * float64(m) * float64(m-1)
+	limit := float64(k.roundCap)
+	for _, s := range k.reactants {
+		if d := math.Abs(k.drift[s]); d > 0 {
+			limit = min(limit, float64(c.Count(s))*norm/(float64(k.margin)*d))
 		}
 	}
-	if totalW == 0 {
-		return 0, 0, true
-	}
-	margin := k.margin
-	if margin < 2 { // < 2 could drive a consumed count negative
-		margin = 2
-	}
-	B = minCount / margin
-	if B > k.roundCap {
-		B = k.roundCap
-	}
-	if B < k.minRound {
-		return 0, totalW, false
-	}
-	return B, totalW, false
+	k.bound = int64(limit)
+	return false
 }
 
-// bulkRound advances c by B interactions in one binomial + multinomial
-// draw against the weights computed by roundSize, and returns the number of
-// effective interactions applied.
-func (k *CollisionKernel) bulkRound(c *multiset.Multiset, m, B, totalW int64) int64 {
-	if k.met != nil {
-		k.met.BatchRoundSize.Observe(B)
+// nextRound decides, from the survey, the length of the next step of a call
+// with rest interactions left and whether the exact path takes it.
+func (k *CollisionKernel) nextRound(m, rest int64) (b int64, exact bool) {
+	if k.wNon+k.wCrit == 0 {
+		// Bulk arithmetic unavailable: the exact path takes the call.
+		return rest, true
 	}
-	pEff := float64(totalW) / (float64(k.inner.lambda) * float64(m) * float64(m-1))
-	effective := k.plan.binomial(k.rng, B, pEff)
-	if effective == 0 {
-		return 0
-	}
-	rem, wRem := effective, totalW
-	for i := range k.cats {
-		if rem == 0 {
-			break
+	pEff := float64(k.wNon+k.wCrit) / (float64(k.inner.lambda) * float64(m) * float64(m-1))
+	if k.wNon > 0 {
+		if b = min(k.bound, rest); float64(b)*pEff >= 1 {
+			return b, false
 		}
-		w := k.weights[i]
+	}
+	// An exact chunk expects exactRunEffective effective interactions, so
+	// the survey that follows it is amortised over them.
+	return min(rest, int64(math.Ceil(min(exactRunEffective/pEff, float64(math.MaxInt64/2))))), true
+}
+
+// bulkRound runs one round of at most b interactions against the survey's
+// weights: the non-critical part by one binomial and a multinomial, ended
+// early by a critical firing when the geometric draw lands inside it. It
+// returns the interactions the round covered and its effective count, or
+// discarded = true, with c untouched, when the draw would take a count below
+// zero.
+func (k *CollisionKernel) bulkRound(c *multiset.Multiset, m, b int64) (steps, effective int64, discarded bool) {
+	norm := float64(k.inner.lambda) * float64(m) * float64(m-1)
+	steps = b
+	critical := false
+	if k.wCrit > 0 {
+		if g := geometricSkip(k.rng, float64(k.wCrit)/norm); g < b {
+			steps, critical = g, true
+		}
+	}
+	// The non-critical rates are taken at the round's expected midpoint,
+	// the starting counts plus half the expected drift over its steps
+	// interactions: frozen at the start, they lag every count that moves
+	// within the round, a first-order bias (about −0.5% effective
+	// interactions at majority m = 10⁶) that the midpoint cancels.
+	half := float64(steps) / (2 * norm)
+	var wMid float64
+	last := -1
+	for i := range k.cats {
+		k.midW[i] = 0
+		if k.weights[i] == 0 || k.crit[i] {
+			continue
+		}
+		t := &k.cats[i].t
+		q := float64(c.Count(t.Q)) + k.drift[t.Q]*half
+		r := float64(c.Count(t.R)) + k.drift[t.R]*half
+		if t.Q == t.R {
+			r--
+		}
+		if w := max(q, 0) * max(r, 0) * float64(k.cats[i].perT); w > 0 {
+			k.midW[i], wMid, last = w, wMid+w, i
+		}
+	}
+	// Given that none of them is a critical firing, each of the steps
+	// interactions is a non-critical firing with probability
+	// p_non/(1−p_crit), split across the categories by a multinomial.
+	effective = k.plan.binomial(k.rng, steps, wMid/(norm-float64(k.wCrit)))
+	rem, wRem := effective, wMid
+	for i := 0; i <= last && rem > 0; i++ {
+		w := k.midW[i]
 		if w == 0 {
 			continue
 		}
-		var e int64
-		if w >= wRem {
-			e = rem // last positive-weight category absorbs the remainder
-		} else {
-			e = binomial(k.rng, rem, float64(w)/float64(wRem))
+		e := rem // the last positive-weight category absorbs the remainder
+		if i < last {
+			e = binomial(k.rng, rem, w/wRem)
 		}
-		if e > 0 {
-			t := k.cats[i].t
-			k.addDelta(t.Q, -e)
-			k.addDelta(t.R, -e)
-			k.addDelta(t.Q2, e)
-			k.addDelta(t.R2, e)
-			if k.onFireN != nil {
-				k.onFireN(t, e)
-			}
-		}
+		k.fire(i, e)
 		rem -= e
 		wRem -= w
 	}
+	if critical {
+		target := k.rng.Int63n(k.wCrit)
+		for i := range k.cats {
+			if w := k.weights[i]; w > 0 && k.crit[i] {
+				if target < w {
+					k.fire(i, 1)
+					break
+				}
+				target -= w
+			}
+		}
+		steps++
+		effective++
+	}
 	for _, s := range k.touched {
-		if d := k.deltas[s]; d != 0 {
+		if c.Count(s)+k.deltas[s] < 0 {
+			discarded = true
+		}
+	}
+	for _, s := range k.touched {
+		if d := k.deltas[s]; d != 0 && !discarded {
 			c.Add(s, d)
 		}
 		k.deltas[s] = 0
 		k.mark[s] = false
 	}
 	k.touched = k.touched[:0]
+	if k.onFireN != nil {
+		for i, e := range k.fires {
+			if e > 0 && !discarded {
+				k.onFireN(k.cats[i].t, e)
+			}
+		}
+		clear(k.fires)
+	}
+	if discarded {
+		return 0, 0, true
+	}
 	// The bulk mutation bypassed the exact path's Fenwick/weight
 	// bookkeeping; detach so the next exact step rebuilds from counts.
 	if k.inner.attached == c {
 		k.inner.attached = nil
 	}
-	return effective
+	return steps, effective, false
+}
+
+// fire records e firings of category i in the round's scratch.
+func (k *CollisionKernel) fire(i int, e int64) {
+	if e == 0 {
+		return
+	}
+	if k.onFireN != nil {
+		k.fires[i] += e
+	}
+	t := k.cats[i].t
+	k.addDelta(t.Q, -e)
+	k.addDelta(t.R, -e)
+	k.addDelta(t.Q2, e)
+	k.addDelta(t.R2, e)
 }
 
 func (k *CollisionKernel) addDelta(s int, d int64) {
@@ -334,123 +477,4 @@ func (k *CollisionKernel) addDelta(s int, d int64) {
 		k.touched = append(k.touched, s)
 	}
 	k.deltas[s] += d
-}
-
-// binomialExactCutoff is the expected-count threshold below which binomial
-// draws are taken exactly (by counting geometric inter-success gaps, O(mean)
-// draws) rather than by the continuity-corrected normal approximation. 64
-// keeps the approximation's per-draw error ~O(1/√(np(1-p))) ≲ 5% while the
-// exact branch stays cheap.
-const binomialExactCutoff = 64
-
-// binomial draws from Binomial(n, p): exactly for small expected success or
-// failure counts, and via the continuity-corrected normal approximation in
-// the bulk regime (where the central limit bound is tight and the kernel's
-// statistical contract is distributional, not exact).
-func binomial(rng source, n int64, p float64) int64 {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	mean := float64(n) * p
-	if mean <= binomialExactCutoff {
-		return binomialGeometric(rng, n, p)
-	}
-	if float64(n)-mean <= binomialExactCutoff {
-		return n - binomialGeometric(rng, n, 1-p)
-	}
-	sd := math.Sqrt(mean * (1 - p))
-	v := int64(math.Floor(mean + sd*gauss(rng) + 0.5))
-	if v < 0 {
-		return 0
-	}
-	if v > n {
-		return n
-	}
-	return v
-}
-
-// binomialGeometric counts successes among n Bernoulli(p) trials, 0 < p < 1,
-// by summing geometric inter-success gaps — exact, O(successes) random
-// draws. Each gap is geometricSkip's inverse transform, with log1p(−p) taken
-// once per call.
-func binomialGeometric(rng source, n int64, p float64) int64 {
-	return binomialGaps(rng, n, math.Log1p(-p), rng.Float64())
-}
-
-// binomialGaps is binomialGeometric's loop for l = log1p(−p), given the
-// first uniform draw u.
-func binomialGaps(rng source, n int64, l, u float64) int64 {
-	var successes, pos int64
-	for {
-		g := int64(math.MaxInt64) // P(U=0) is 0 in the real-valued model
-		if u != 0 {
-			if f := math.Log(u) / l; f < float64(math.MaxInt64) {
-				g = int64(f)
-			}
-		}
-		if g >= n-pos { // the remaining trials are all failures
-			return successes
-		}
-		pos += g + 1
-		successes++
-		if pos >= n {
-			return successes
-		}
-		u = rng.Float64()
-	}
-}
-
-// zeroBand is the relative margin binomialPlan keeps below (1−p)ⁿ.
-const zeroBand = 0x1p-20
-
-// binomialPlan is binomial with a memo for its exact branch at one (n, p):
-// l = log1p(−p) and the threshold z = exp(n·l)·(1 − 2⁻²⁰). A first uniform
-// draw u < z yields zero successes without a logarithm; any other u goes
-// down binomialGaps with the same u, so every result and every draw is
-// binomial's.
-//
-// Why u < z implies binomial's own zero, g = ⌊fl(fl(log u)/l)⌋ ≥ n: the
-// memo serves p ≤ 1/2 with n·p ≤ 64, where |l| ≤ 2·ln 2·p, so |n·l| ≤ 89
-// and z is a normal float. The three roundings in z (the product n·l, Exp,
-// the scaling) move log z by less than 89·2⁻⁵³ + 2·2⁻⁵² < 2⁻⁴⁵ from
-// n·l + log(1 − 2⁻²⁰) < n·l − 2⁻²⁰. So log u < n·l − 2⁻²¹, and, l being
-// negative, log(u)/l > n·(1 + 2⁻²¹/|n·l|) > n·(1 + 2⁻²⁸). fl(log u) and the
-// division add two roundings, a relative error below 2⁻⁵¹, so the computed
-// quotient still reaches n: the band exceeds the rounding it has to absorb
-// by more than six orders of magnitude.
-type binomialPlan struct {
-	n    int64
-	p    float64
-	l, z float64
-}
-
-// binomial draws from Binomial(n, p) exactly as the package-level binomial
-// does, from the same draws.
-func (bp *binomialPlan) binomial(rng source, n int64, p float64) int64 {
-	if n <= 0 || p <= 0 || !(p <= 0.5 && float64(n)*p <= binomialExactCutoff) {
-		return binomial(rng, n, p)
-	}
-	if n != bp.n || p != bp.p {
-		l := math.Log1p(-p)
-		*bp = binomialPlan{n: n, p: p, l: l, z: math.Exp(float64(n)*l) * (1 - zeroBand)}
-	}
-	u := rng.Float64()
-	if u < bp.z {
-		return 0
-	}
-	return binomialGaps(rng, n, bp.l, u)
-}
-
-// gauss draws a standard normal deviate by Box–Muller from the scheduler's
-// shared randomness source.
-func gauss(rng source) float64 {
-	u1 := rng.Float64()
-	if u1 == 0 {
-		u1 = math.SmallestNonzeroFloat64
-	}
-	u2 := rng.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }

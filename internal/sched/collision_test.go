@@ -43,10 +43,11 @@ func densePairs(tb testing.TB) *protocol.Protocol {
 }
 
 // TestCollisionKernelEpidemicHandoff drives an epidemic big enough that the
-// kernel crosses both fallback boundaries: exact while the infected count is
-// inside the safety margin, bulk through the dense middle, exact again for
-// the susceptible tail. The run must converge exactly (everyone infected,
-// population conserved) and both regimes must actually have engaged.
+// kernel crosses both critical boundaries: exact while fewer than 512 agents
+// are infected (every category critical), bulk through the dense middle,
+// exact again for the last 512 susceptibles. The run must converge exactly
+// (everyone infected, population conserved) and both regimes must actually
+// have engaged.
 func TestCollisionKernelEpidemicHandoff(t *testing.T) {
 	m := obs.Enable()
 	defer obs.Disable()
@@ -144,8 +145,10 @@ func TestCollisionKernelDeadConfiguration(t *testing.T) {
 }
 
 // TestCollisionKernelForcedBulkInvariants loosens the round knobs so bulk
-// rounds run even on small populations, and checks the structural
-// invariants: conservation, non-negative counts, legal states only.
+// rounds run even on small populations (critical 2: only a count below 2
+// makes a category critical), and checks the structural invariants:
+// conservation, non-negative counts, legal states only, and both regimes
+// engaged.
 func TestCollisionKernelForcedBulkInvariants(t *testing.T) {
 	protos := []*protocol.Protocol{epidemicTB(t), densePairs(t)}
 	for _, p := range protos {
@@ -158,20 +161,18 @@ func TestCollisionKernelForcedBulkInvariants(t *testing.T) {
 			m := obs.Enable() // before construction: the kernel captures the group
 			k := NewCollisionKernel(p, NewRand(seed))
 			k.margin = 2
-			k.minRound = 1
+			k.critical = 2
 			k.roundCap = 64
-			var eff int64
 			for i := 0; i < 50; i++ {
-				e := k.StepN(c, 500)
-				if e < 0 || e > 500 {
+				if e := k.StepN(c, 500); e < 0 || e > 500 {
 					t.Fatalf("effective count %d out of [0, 500]", e)
 				}
-				eff += e
 			}
 			snap := m.Snapshot()
 			obs.Disable()
-			if snap.Sched.BatchRounds == 0 {
-				t.Fatalf("%s seed %d: forced-bulk knobs never took a bulk round", p.Name, seed)
+			if snap.Sched.BatchRounds == 0 || snap.Sched.BatchFallbacks == 0 {
+				t.Fatalf("%s seed %d: %d bulk rounds, %d exact chunks; want both regimes",
+					p.Name, seed, snap.Sched.BatchRounds, snap.Sched.BatchFallbacks)
 			}
 			if c.Size() != size {
 				t.Fatalf("%s seed %d: population %d, want %d", p.Name, seed, c.Size(), size)
@@ -181,7 +182,6 @@ func TestCollisionKernelForcedBulkInvariants(t *testing.T) {
 					t.Fatalf("%s seed %d: negative count at state %d", p.Name, seed, i)
 				}
 			}
-			_ = eff
 		}
 	}
 }
@@ -204,17 +204,17 @@ func TestCollisionKernelStepDelegates(t *testing.T) {
 }
 
 // TestBinomialSamplerMoments checks the binomial sampler's mean and variance
-// in both regimes (exact geometric-gap counting and the normal
-// approximation) against the analytic values.
+// on both branches (inversion and BTPE, the latter also mirrored for
+// p > 1/2) against the analytic values.
 func TestBinomialSamplerMoments(t *testing.T) {
 	cases := []struct {
 		n int64
 		p float64
 	}{
-		{40, 0.3},        // exact branch: mean 12
-		{100000, 0.0002}, // exact branch at scale: mean 20
-		{4096, 0.5},      // normal branch: mean 2048
-		{100000, 0.9},    // inverted exact branch: failures 10000 -> normal
+		{40, 0.3},        // inversion: mean 12
+		{100000, 0.0002}, // inversion at scale: mean 20
+		{4096, 0.5},      // BTPE: mean 2048
+		{100000, 0.9},    // BTPE on the 10000 expected failures
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("n=%d,p=%g", tc.n, tc.p), func(t *testing.T) {

@@ -246,11 +246,11 @@ func TestExactOutcomeDistributionsMatch(t *testing.T) {
 					perStepCond, batchCond)
 			}
 
-			// CollisionKernel below the safety margin: every population in
-			// this corpus is far inside the fallback region (counts ≪
-			// margin·minRound), so StepN must hand off to the exact skip
-			// path and reproduce the identical conditional law — the
-			// boundary side of the batch/exact handoff, enumerated exactly.
+			// CollisionKernel on a tiny population: every category of this
+			// corpus is critical (counts ≪ 512), so StepN must hand off to
+			// the exact skip path and reproduce the identical conditional
+			// law — the boundary side of the batch/exact handoff,
+			// enumerated exactly.
 			collCond := enumerateOutcomes(t, c, func(cl *multiset.Multiset, src *scriptSource) {
 				k := newCollisionKernel(tc.p, src)
 				k.inner.skipThreshold = 2 // fallback takes the skip path
@@ -407,7 +407,7 @@ func TestChiSquaredCollisionFiringFrequencies(t *testing.T) {
 			bulk := firingCounts(t, tc.p, c0, tc.trials, tc.steps, func(seed int64) BatchScheduler {
 				k := NewCollisionKernel(tc.p, NewRand(1_000_000+seed))
 				k.margin = 8
-				k.minRound = 1
+				k.critical = 8
 				k.roundCap = 16
 				return k
 			}, true)

@@ -15,17 +15,28 @@ type fenwick struct {
 
 // newFenwick builds a tree over the given counts in O(n).
 func newFenwick(counts []int64) *fenwick {
-	n := len(counts)
-	f := &fenwick{tree: make([]int64, n+1), n: n}
+	f := &fenwick{}
+	f.reset(len(counts), func(i int) int64 { return counts[i] })
+	return f
+}
+
+// reset rebuilds the tree in place over n states whose counts count returns,
+// in O(n); it allocates only when n outgrows the tree.
+func (f *fenwick) reset(n int, count func(i int) int64) {
+	if cap(f.tree) < n+1 {
+		f.tree = make([]int64, n+1)
+	}
+	f.tree = f.tree[:n+1]
+	clear(f.tree)
+	f.n = n
 	for f.top = 1; f.top*2 <= n; f.top *= 2 {
 	}
-	for i, c := range counts {
-		f.tree[i+1] += c
+	for i := 0; i < n; i++ {
+		f.tree[i+1] += count(i)
 		if j := (i + 1) + ((i + 1) & -(i + 1)); j <= n {
 			f.tree[j] += f.tree[i+1]
 		}
 	}
-	return f
 }
 
 // add adds delta to the count of state i.

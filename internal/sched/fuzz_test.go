@@ -110,12 +110,13 @@ func FuzzStepN(f *testing.F) {
 		}
 
 		// Collision kernel, knobs forced so bulk rounds engage even on tiny
-		// populations — exercises the bulk/fallback handoff boundary under
+		// populations — exercises the bulk/fallback handoff boundary and
+		// the discard of rounds that would drive a count negative under
 		// arbitrary protocols.
 		c5 := c.Clone()
 		forced := NewCollisionKernel(p, NewRand(seed^0x9E3779B9))
 		forced.margin = 2
-		forced.minRound = 1
+		forced.critical = 2
 		forced.roundCap = 16
 		eff5 := forced.StepN(c5, n)
 		if eff5 < 0 || eff5 > n {

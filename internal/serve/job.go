@@ -169,8 +169,23 @@ func (s *JobSpec) Validate() error {
 	if s.MemBudget < 0 {
 		return fmt.Errorf("mem_budget must be ≥ 0, got %d", s.MemBudget)
 	}
-	if _, err := s.options(); err != nil {
+	opts, err := s.options()
+	if err != nil {
 		return err
+	}
+	if s.Kind != KindExplore {
+		for _, in := range append([][]int64{s.Input}, s.Inputs...) {
+			if len(in) == 0 {
+				continue
+			}
+			var m int64
+			for _, c := range in {
+				m += c
+			}
+			if err := opts.ValidatePopulation(m); err != nil {
+				return err
+			}
+		}
 	}
 	if s.Checkpoint != "" {
 		if s.Kind != KindSweep {

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"math"
 	"testing"
 
@@ -11,22 +12,30 @@ import (
 	"repro/internal/protocol"
 )
 
-// trajectoryGolden is the SHA-256 TestKernelTrajectoryGolden computes. A
-// change that moves any run of any kernel by one interaction changes it;
-// a change meant to keep every trajectory must leave it alone.
-const trajectoryGolden = "9355c0d79edc462400cbc88bdb749e391a787d521461a12185915d86f65cb4a4"
+// trajectoryGolden holds the SHA-256 TestKernelTrajectoryGolden computes
+// for each kernel. A change that moves any run of a kernel by one
+// interaction changes that kernel's hash; a change meant to keep a kernel's
+// trajectories must leave its hash alone.
+var trajectoryGolden = map[string]string{
+	KernelExact:    "fe87fd63da059187a179fa187612b06b1565e8781460510c5267c85a629c0768",
+	KernelBatch:    "9f0ca0f8f013d3284b0a1ef637e86b418cd788683a2b5be6d99614a4c54dcbf5",
+	KernelAuto:     "5dd2283fd93a522ce6e45acce2f2993a8340bbf61c075c679dfd1cd20765419b",
+	KernelFluid:    "b23b4ac8fc044d3adacab20d66662ac8f9e3c6f1e3812547cc23217ee9bcc82b",
+	KernelLangevin: "7e71926440600e78a9eac88464819bb351324adea449881dfc7e85e45772db0b",
+}
 
 // TestKernelTrajectoryGolden pins the trajectories of every kernel, bit for
-// bit: it hashes the statistics, samples and error of one measurement per
-// (point, kernel, quiescence period). The points reach every sampler path:
-// the exact per-step and geometric-skip paths (unary:8 at m = 7, remainder:3),
-// bulk rounds with zero effective interactions and the exact fallback
-// (majority and binary:3 at m = 10⁵ under the batch kernel, unary:8 at
-// 5·10⁴) and the hybrid's fluid↔discrete switches (the auto kernel at
-// m ≥ 65,536). The quiescence periods are the default (1,000), a shorter
-// one, and the default batch (65,536), which lets one StepN call span many
-// bulk rounds and fallback chunks. Runs that hit the step budget contribute
-// their error.
+// bit, one hash per kernel: it hashes the statistics, samples and error of
+// one measurement per (point, kernel, quiescence period). The points reach
+// every sampler path: the exact per-step and geometric-skip paths (unary:8
+// at m = 7, remainder:3), bulk rounds, critical firings and the exact
+// hand-offs (majority and binary:3 at m = 10⁵ under the batch kernel,
+// unary:8 at 5·10⁴), the hybrid's fluid↔discrete switches (the auto kernel
+// at m ≥ 65,536) and the fluid tiers' refusal below their floor (m = 7 and
+// 1,000). The quiescence periods are the default (1,000, or the kernel's
+// m/16), a shorter one, and the default batch (65,536), which lets one
+// StepN call span many bulk rounds and exact chunks. Runs that hit the step
+// budget contribute their error.
 func TestKernelTrajectoryGolden(t *testing.T) {
 	maj, err := baseline.Majority()
 	if err != nil {
@@ -63,13 +72,17 @@ func TestKernelTrajectoryGolden(t *testing.T) {
 		{rem3, []int64{999}, true, 100_000, 100_000, []string{KernelExact, KernelBatch}},
 		{rem3, []int64{999}, true, 1_000, 1_000, []string{KernelExact}},
 	}
-	h := sha256.New()
+	hashes := make(map[string]hash.Hash)
+	for _, kernel := range all {
+		hashes[kernel] = sha256.New()
+	}
 	for _, pt := range points {
 		var m int64
 		for _, v := range pt.input {
 			m += v
 		}
 		for _, kernel := range pt.kernels {
+			h := hashes[kernel]
 			for _, period := range []int64{0, 500, 1 << 16} {
 				opts := Options{
 					Kernel:           kernel,
@@ -91,7 +104,9 @@ func TestKernelTrajectoryGolden(t *testing.T) {
 			}
 		}
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != trajectoryGolden {
-		t.Fatalf("kernel trajectories moved: hash %s, want %s", got, trajectoryGolden)
+	for _, kernel := range all {
+		if got := hex.EncodeToString(hashes[kernel].Sum(nil)); got != trajectoryGolden[kernel] {
+			t.Errorf("%s kernel trajectories moved: hash %s, want %s", kernel, got, trajectoryGolden[kernel])
+		}
 	}
 }

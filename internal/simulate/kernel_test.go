@@ -2,17 +2,22 @@ package simulate
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/baseline"
+	"repro/internal/fluid"
+	"repro/internal/protocol"
 	"repro/internal/sched"
 	"repro/internal/simulate/stattest"
 )
 
 // TestNewKernelSchedulerSelection pins the kernel-name → scheduler mapping
 // of NewScheduler, including the empty name (exact), a topology (the graph
-// scheduler) and both sides of each of auto's
-// population thresholds (exact ↔ tau-leap at AutoKernelThreshold, tau-leap
-// ↔ hybrid ladder at AutoFluidThreshold).
+// scheduler), both sides of each of auto's population thresholds (exact ↔
+// tau-leap at AutoKernelThreshold, tau-leap ↔ hybrid ladder at
+// AutoFluidThreshold) and the fluid floor below which fluid and langevin
+// are refused.
 func TestNewKernelSchedulerSelection(t *testing.T) {
 	p := epidemic(t)
 	rng := sched.NewRand(1)
@@ -24,8 +29,8 @@ func TestNewKernelSchedulerSelection(t *testing.T) {
 		{Options{}, 10, "*sched.BatchRandomPair"},
 		{Options{Kernel: KernelExact}, 10, "*sched.BatchRandomPair"},
 		{Options{Kernel: KernelBatch}, 10, "*sched.CollisionKernel"},
-		{Options{Kernel: KernelFluid}, 10, "*fluid.Integrator"},
-		{Options{Kernel: KernelLangevin}, 10, "*fluid.Integrator"},
+		{Options{Kernel: KernelFluid}, fluid.DefaultFloor, "*fluid.Integrator"},
+		{Options{Kernel: KernelLangevin}, fluid.DefaultFloor, "*fluid.Integrator"},
 		{Options{Kernel: KernelAuto}, AutoKernelThreshold - 1, "*sched.BatchRandomPair"},
 		{Options{Kernel: KernelAuto}, AutoKernelThreshold, "*sched.CollisionKernel"},
 		{Options{Kernel: KernelAuto}, AutoFluidThreshold - 1, "*sched.CollisionKernel"},
@@ -42,6 +47,14 @@ func TestNewKernelSchedulerSelection(t *testing.T) {
 	}
 	if _, err := NewScheduler(p, rng, Options{Kernel: "turbo"}, 10); err == nil {
 		t.Fatal("bogus kernel name accepted")
+	}
+	// Below the fluid floor the mean-field tiers are refused, with the
+	// floor and the auto kernel named.
+	for _, kernel := range []string{KernelFluid, KernelLangevin} {
+		_, err := NewScheduler(p, rng, Options{Kernel: kernel}, fluid.DefaultFloor-1)
+		if err == nil || !strings.Contains(err.Error(), "needs at least 16384 agents") || !strings.Contains(err.Error(), `"auto"`) {
+			t.Fatalf("kernel %q at m = %d: err = %v, want the floor and auto named", kernel, fluid.DefaultFloor-1, err)
+		}
 	}
 }
 
@@ -131,6 +144,60 @@ func TestKernelConvergenceDistributionsAgree(t *testing.T) {
 	}
 	t.Logf("KS D = %.4f (critical %.4f); exact %v, batch %v",
 		d, crit, Summarise(exact), Summarise(batch))
+}
+
+// TestKernelKSBenchmarkProtocols is the collision kernel's differential
+// test on the protocols ppbench measures it on: majority 55/45, unary:8 and
+// binary:3 at m = 2·10⁴, where every run crosses between bulk rounds and
+// the exact path (critical categories, depleting tails). Each side runs at
+// its default chunking (the kernel's m/16, the exact sampler's 1,000) with
+// the stable window and step budget out of reach, so every run ends at
+// quiescence, and the step counts must agree under a two-sample KS test at
+// α = 0.01 over 300 runs per side.
+func TestKernelKSBenchmarkProtocols(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 1,800 convergence measurements at m = 2·10⁴")
+	}
+	unary8, err := baseline.UnaryThreshold(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary3, err := baseline.BinaryThreshold(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 300
+	const alpha = 0.01
+	for _, tc := range []struct {
+		name  string
+		p     *protocol.Protocol
+		input []int64
+	}{
+		{"majority", majority(t), []int64{11_000, 9_000}},
+		{"unary:8", unary8, []int64{20_000}},
+		{"binary:3", binary3, []int64{20_000}},
+	} {
+		mk := func(kernel string) Options {
+			return Options{Kernel: kernel, StableWindow: 1 << 62, MaxSteps: 1 << 40, Workers: 2}
+		}
+		_, exact, err := MeasureConvergenceWithSamples(tc.p, tc.input, true, runs, 1, mk(KernelExact))
+		if err != nil {
+			t.Fatalf("%s exact: %v", tc.name, err)
+		}
+		_, batch, err := MeasureConvergenceWithSamples(tc.p, tc.input, true, runs, 700_000, mk(KernelBatch))
+		if err != nil {
+			t.Fatalf("%s batch: %v", tc.name, err)
+		}
+		d := stattest.KSStatistic(exact, batch)
+		crit := stattest.KSCriticalValue(alpha, len(exact), len(batch))
+		if d > crit {
+			t.Errorf("%s: KS D = %.4f exceeds critical %.4f (α = %.2f)\nexact %v\nbatch %v",
+				tc.name, d, crit, alpha, Summarise(exact), Summarise(batch))
+			continue
+		}
+		t.Logf("%s: KS D = %.4f (critical %.4f); exact %v, batch %v",
+			tc.name, d, crit, Summarise(exact), Summarise(batch))
+	}
 }
 
 // BenchmarkRunKernels measures full convergence runs (epidemic from a

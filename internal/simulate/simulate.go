@@ -81,6 +81,9 @@ func NewScheduler(p *protocol.Protocol, rng *rand.Rand, opts Options, m int64) (
 	if opts.Topology != nil {
 		return opts.Topology.NewScheduler(p, rng, opts.Faults, m)
 	}
+	if err := opts.ValidatePopulation(m); err != nil {
+		return nil, err
+	}
 	switch opts.Kernel {
 	case "", KernelExact:
 		return sched.NewBatchRandomPair(p, rng), nil
@@ -130,7 +133,10 @@ type Options struct {
 	StableWindow int64
 	// CheckQuiescence enables the definite criterion: every
 	// QuiescencePeriod steps the runner scans for enabled transitions and
-	// stops if there are none. Zero means 1,000.
+	// stops if there are none. Zero means 1,000, or, when BatchSize is
+	// also zero and the scheduler states a preferred chunk (the collision
+	// kernel, the hybrid and the fluid tiers: max(1,000, m/16)), that
+	// chunk.
 	QuiescencePeriod int64
 	// BatchSize is the chunk size of the batched driver: when the
 	// scheduler implements sched.BatchScheduler, Run advances the
@@ -140,7 +146,8 @@ type Options struct {
 	// Batches are distributionally equivalent to per-step execution; only
 	// the granularity of the stabilisation checks changes, so a run may
 	// overshoot the exact step at which a per-step runner would have
-	// stopped by less than one batch. Zero means 65,536. Schedulers without
+	// stopped by less than one batch. Zero means 65,536, or the
+	// scheduler's preferred chunk when it states one. Schedulers without
 	// StepN (the graph schedulers, TransitionFair) run per step.
 	BatchSize int64
 	// Kernel selects the interaction kernel, one of the Kernel* constants,
@@ -214,6 +221,21 @@ func (o Options) Validate() error {
 		return err
 	}
 	return o.Faults.Validate()
+}
+
+// ValidatePopulation checks the one option rule that depends on the
+// population: the fluid and langevin kernels need at least
+// fluid.DefaultFloor agents. Below it the mean-field tiers, which treat
+// every count as a continuum, can stabilise to a wrong output and report it
+// as definite (unary:8 at m = 7 read true); the auto kernel runs them only
+// where every consumed species clears the floor. NewScheduler applies it,
+// and ppserved checks it when a job is submitted.
+func (o Options) ValidatePopulation(m int64) error {
+	if (o.Kernel == KernelFluid || o.Kernel == KernelLangevin) && m < fluid.DefaultFloor {
+		return fmt.Errorf("simulate: kernel %q needs at least %d agents (fluid.DefaultFloor), got %d; use kernel %q",
+			o.Kernel, fluid.DefaultFloor, m, KernelAuto)
+	}
+	return nil
 }
 
 // SetTopology decodes the topology run strings of the CLIs and ppserved (a
@@ -355,7 +377,9 @@ func (s perStep) StepN(c *multiset.Multiset, n int64) int64 {
 }
 
 // run is Run's loop: it advances the configuration in chunks of up to
-// opts.BatchSize steps through StepN, truncating each chunk so that every
+// opts.BatchSize steps through StepN — by default 65,536, cut to 1,000 by
+// the default quiescence period, or max(1,000, m/16) for a scheduler that
+// states a PreferredChunk — truncating each chunk so that every
 // QuiescencePeriod boundary is still observed, and evaluates the output
 // heuristics at chunk boundaries. A scheduler without StepN runs one
 // interaction per chunk, so it is observed after every interaction. A chunk
@@ -372,20 +396,17 @@ func run(p *protocol.Protocol, c *multiset.Multiset, s sched.Scheduler, opts Opt
 	bs, ok := s.(sched.BatchScheduler)
 	if ok {
 		batch = opts.batchSize()
-		// A scheduler can ask for population-scaled chunks (the fluid
-		// tiers want ~m/16 interactions — 1/16 of a parallel-time unit —
-		// per chunk; the default 2¹⁶ would mean ~2·10⁸ chunks at
-		// m = 10¹²). An explicit BatchSize always wins. Only a preferred
-		// chunk above the default batch (m > 2²⁰) replaces it, and only
-		// then does a default quiescence period follow the chunk; below
-		// that the default period of 1,000 still cuts every chunk to
-		// 1,000 interactions.
+		// A scheduler can state population-scaled chunks: the collision
+		// kernel and the fluid tiers want max(1,000, m/16) interactions —
+		// 1/16 of a parallel-time unit — per chunk, since their rounds and
+		// integration steps cannot span chunks. A stated chunk replaces
+		// the default batch, and a default quiescence period follows it,
+		// at every m. An explicit BatchSize always wins. The exact sampler
+		// states none and keeps 1,000-interaction chunks.
 		if pc, ok := s.(interface{ PreferredChunk(int64) int64 }); ok && opts.BatchSize <= 0 {
-			if b := pc.PreferredChunk(c.Size()); b > batch {
-				batch = b
-				if opts.QuiescencePeriod <= 0 {
-					period = batch
-				}
+			batch = pc.PreferredChunk(c.Size())
+			if opts.QuiescencePeriod <= 0 {
+				period = batch
 			}
 		}
 	} else {

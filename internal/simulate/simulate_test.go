@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/sched"
 )
@@ -417,33 +418,79 @@ func TestMeasureRunsFirstErrorInRunOrder(t *testing.T) {
 }
 
 // TestRunAllocsIndependentOfSteps: Run's chunk-boundary checks (the output
-// scan and the quiescence scan) allocate nothing, so a run's allocation
-// count does not grow with its length. Majority at m = 10⁶ on the batch
-// kernel, with a window no run reaches, runs 10⁶ and then 10⁷ interactions
-// in 1,000-interaction chunks.
+// scan and the quiescence scan), the collision kernel's rounds and its
+// hand-offs to the exact sampler allocate nothing, so a run's allocation
+// count does not grow with its length. Three runs, each with a window no
+// run reaches, take 10⁶ and then 10⁷ interactions: majority at m = 10⁶ on
+// the batch kernel (62,500-interaction chunks), and four copies of the
+// reversible a,b ↔ c,c hovering around 512 agents per species beside an
+// inert state, so their categories keep turning critical and back and the
+// kernel keeps crossing between bulk rounds and the exact path — on the
+// batch kernel at m = 9,144 and on the auto kernel's hybrid at m = 65,536.
 func TestRunAllocsIndependentOfSteps(t *testing.T) {
+	b := protocol.NewBuilder("hover")
+	hoverInput := make([]int64, 0, 13)
+	for i := 0; i < 4; i++ {
+		a, bb, c := fmt.Sprint("a", i), fmt.Sprint("b", i), fmt.Sprint("c", i)
+		b.Input(a, bb, c)
+		b.Transition(a, bb, c, c)
+		b.Transition(c, c, a, bb)
+		b.Accepting(c)
+		hoverInput = append(hoverInput, 512, 512, 512)
+	}
+	b.Input("z")
+	hover, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := majority(t)
-	allocs := func(maxSteps int64) float64 {
-		return testing.AllocsPerRun(1, func() {
-			c, err := p.InitialConfig(550_000, 450_000)
+	for _, tc := range []struct {
+		name   string
+		p      *protocol.Protocol
+		input  []int64
+		kernel string
+	}{
+		{"majority/batch", p, []int64{550_000, 450_000}, KernelBatch},
+		{"hover/batch", hover, append(hoverInput[:12:12], 3_000), KernelBatch},
+		{"hover/auto", hover, append(hoverInput[:12:12], AutoFluidThreshold-12*512), KernelAuto},
+	} {
+		run := func(maxSteps int64) {
+			c, err := tc.p.InitialConfig(tc.input...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := sched.NewCollisionKernel(p, sched.NewRand(1))
-			if _, err := Run(p, c, s, Options{MaxSteps: maxSteps, StableWindow: 1 << 62}); !errors.Is(err, ErrBudgetExhausted) {
-				t.Fatalf("run of %d steps: err = %v, want ErrBudgetExhausted", maxSteps, err)
+			opts := Options{Kernel: tc.kernel, MaxSteps: maxSteps, StableWindow: 1 << 62}
+			s, err := NewScheduler(tc.p, sched.NewRand(1), opts, c.Size())
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
+			if _, err := Run(tc.p, c, s, opts); !errors.Is(err, ErrBudgetExhausted) {
+				t.Fatalf("%s: run of %d steps: err = %v, want ErrBudgetExhausted", tc.name, maxSteps, err)
+			}
+		}
+		if tc.p == hover {
+			m := obs.Enable()
+			run(10_000_000)
+			snap := m.Snapshot().Sched
+			obs.Disable()
+			if snap.BatchRounds < 100 || snap.BatchFallbacks < 100 {
+				t.Fatalf("%s: %d bulk rounds and %d exact chunks over 10⁷ steps; want both ≥ 100",
+					tc.name, snap.BatchRounds, snap.BatchFallbacks)
+			}
+		}
+		allocs := func(maxSteps int64) float64 {
+			return testing.AllocsPerRun(1, func() { run(maxSteps) })
+		}
+		// The counts are equal in a normal build. Under the race detector,
+		// sync.Pool drops pooled fmt printers at random, so the error each
+		// run returns can cost a few objects more or less; chunks or
+		// hand-offs that allocated would cost thousands.
+		short, long := allocs(1_000_000), allocs(10_000_000)
+		if d := long - short; d < -8 || d > 8 {
+			t.Fatalf("%s: Run allocates %.0f objects over 10⁶ steps and %.0f over 10⁷; want equal", tc.name, short, long)
+		}
+		t.Logf("%s: Run allocates %.0f objects over 10⁶ steps and %.0f over 10⁷", tc.name, short, long)
 	}
-	// The counts are equal in a normal build. Under the race detector,
-	// sync.Pool drops pooled fmt printers at random, so the error each run
-	// returns can cost a few objects more or less; 9,000 more chunks that
-	// allocated would cost tens of thousands.
-	short, long := allocs(1_000_000), allocs(10_000_000)
-	if d := long - short; d < -8 || d > 8 {
-		t.Fatalf("Run allocates %.0f objects over 10⁶ steps and %.0f over 10⁷; want equal", short, long)
-	}
-	t.Logf("Run allocates %.0f objects over 10⁶ steps and %.0f over 10⁷", short, long)
 	c, err := p.InitialConfig(3, 2)
 	if err != nil {
 		t.Fatal(err)
