@@ -14,7 +14,9 @@
 //	E11 Theorem 2  → BenchmarkTheorem2Robustness
 //	E12 §1         → BenchmarkConvergence
 //	E17 shrink     → BenchmarkShrinkPipeline / BenchmarkShrinkConvert /
-//	                 BenchmarkShrinkExplore
+//	                 BenchmarkShrinkExplore, and the pipeline's two
+//	                 bookkeeping steps: BenchmarkCompactTransitions /
+//	                 BenchmarkMachineValidate
 //
 // The scheduler-throughput benchmarks (BenchmarkRandomPairStep,
 // BenchmarkBatchStepN, BenchmarkMeasureConvergence) compare the per-step
@@ -239,6 +241,63 @@ func BenchmarkShrinkConvert(b *testing.B) {
 	o, div := met.Opt(), float64(b.N)
 	b.ReportMetric(float64(o.StatesRemoved.Load())/div, "states-removed")
 	b.ReportMetric(float64(o.TransitionsRemoved.Load())/div, "transitions-removed")
+}
+
+// BenchmarkCompactTransitions dedups the table the shrink pipeline hands
+// protocol.CompactTransitions for Figure 1: the reduced conversion of the
+// shrunk machine. The transitions-in and transitions metrics are the
+// table before and after.
+func BenchmarkCompactTransitions(b *testing.B) {
+	machine, err := compile.Compile(popprog.Figure1Program())
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt, _, err := compile.OptimizeMachine(machine)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := convert.Convert(opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reduced, _, err := protocol.Reduce(res.Protocol)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var kept int
+	for i := 0; i < b.N; i++ {
+		out, _, _, err := protocol.CompactTransitions(reduced)
+		if err != nil {
+			b.Fatal(err)
+		}
+		kept = len(out.Transitions)
+	}
+	b.ReportMetric(float64(len(reduced.Transitions)), "transitions-in")
+	b.ReportMetric(float64(kept), "transitions")
+}
+
+// BenchmarkMachineValidate checks the compiled Theorem 1 machine at n = 6,
+// the largest the build workload counts states for; the IP jumps dominate
+// its domain checks.
+func BenchmarkMachineValidate(b *testing.B) {
+	c, err := core.New(6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := compile.Compile(c.Program)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Validate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(m.Size()), "machine-size")
 }
 
 // BenchmarkShrinkExplore re-runs the exact explorer over the x ≥ 1 protocol

@@ -133,11 +133,15 @@ func CountStates(m *popmachine.Machine) (coreStates, protocolStates int, err err
 	return l.size, 2 * l.size, nil
 }
 
-// Convert builds the population protocol for machine m.
+// Convert builds the population protocol for machine m. It refuses
+// machines whose protocol would have more than protocol.MaxStates states.
 func Convert(m *popmachine.Machine) (*Result, error) {
 	l, err := planLayout(m)
 	if err != nil {
 		return nil, err
+	}
+	if err := protocol.CheckNumStates(m.Name+"-protocol-consensus", 2*l.size); err != nil {
+		return nil, fmt.Errorf("convert: %w", err)
 	}
 	ofBit := l.ofBits()
 	core, err := l.buildCore(ofBit)
@@ -368,12 +372,14 @@ type emitter struct {
 	ts       []protocol.Transition
 }
 
+// add emits (q, r ↦ q2, r2). Convert has bounded the layout by
+// protocol.MaxStates, so the indices fit int32.
 func (e *emitter) add(q, r, q2, r2 int) {
 	if e.counting {
 		e.n++
 		return
 	}
-	e.ts = append(e.ts, protocol.Transition{Q: q, R: r, Q2: q2, R2: r2})
+	e.ts = append(e.ts, protocol.Transition{Q: int32(q), R: int32(r), Q2: int32(q2), R2: int32(r2)})
 }
 
 // emitAll emits ⟨elect⟩ and every instruction gadget, in canonical order.
@@ -564,12 +570,12 @@ func (l *layout) wrapBroadcast(core *protocol.Protocol, ofBit []int) (*protocol.
 	ts := make([]protocol.Transition, 0, 4*len(core.Transitions)+4*of.size*(n-1))
 	for _, t := range core.Transitions {
 		q, r, q2, r2 := 2*t.Q, 2*t.R, 2*t.Q2, 2*t.R2
-		forced := ofBit[t.Q2]
+		forced := int32(ofBit[t.Q2])
 		if forced < 0 {
-			forced = ofBit[t.R2]
+			forced = int32(ofBit[t.R2])
 		}
-		for o1 := 0; o1 < 2; o1++ {
-			for o2 := 0; o2 < 2; o2++ {
+		for o1 := int32(0); o1 < 2; o1++ {
+			for o2 := int32(0); o2 < 2; o2++ {
 				if forced >= 0 {
 					ts = append(ts, protocol.Transition{Q: q + o1, R: r + o2, Q2: q2 + forced, R2: r2 + forced})
 				} else {
@@ -579,14 +585,14 @@ func (l *layout) wrapBroadcast(core *protocol.Protocol, ofBit []int) (*protocol.
 		}
 	}
 	// Identity interactions with the OF agent broadcast its value.
-	for s := of.base; s < of.base+of.size; s++ {
-		val := ofBit[s]
-		for q := 0; q < n; q++ {
+	for s := int32(of.base); s < int32(of.base+of.size); s++ {
+		val := int32(ofBit[s])
+		for q := int32(0); q < int32(n); q++ {
 			if q == s {
 				continue
 			}
-			for o1 := 0; o1 < 2; o1++ {
-				for o2 := 0; o2 < 2; o2++ {
+			for o1 := int32(0); o1 < 2; o1++ {
+				for o2 := int32(0); o2 < 2; o2++ {
 					ts = append(ts, protocol.Transition{Q: 2*q + o1, R: 2*s + o2, Q2: 2*q + val, R2: 2*s + val})
 				}
 			}

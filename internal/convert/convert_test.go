@@ -46,7 +46,7 @@ func hasTransition(p *protocol.Protocol, q, r, q2, r2 string) bool {
 		return false
 	}
 	for _, t := range p.Transitions {
-		if t.Q == qi && t.R == ri && t.Q2 == q2i && t.R2 == r2i {
+		if int(t.Q) == qi && int(t.R) == ri && int(t.Q2) == q2i && int(t.R2) == r2i {
 			return true
 		}
 	}

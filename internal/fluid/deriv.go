@@ -52,7 +52,7 @@ type Deriv struct {
 func NewDeriv(p *protocol.Protocol) *Deriv {
 	d := &Deriv{n: p.NumStates()}
 	for _, ch := range sched.ReactiveChannels(p) {
-		c := channel{q: ch.T.Q, r: ch.T.R, inv: 1 / float64(ch.Candidates)}
+		c := channel{q: int(ch.T.Q), r: int(ch.T.R), inv: 1 / float64(ch.Candidates)}
 		add := func(s int, v float64) {
 			for i := 0; i < c.nd; i++ {
 				if c.states[i] == s {
@@ -64,10 +64,10 @@ func NewDeriv(p *protocol.Protocol) *Deriv {
 			c.deltas[c.nd] = v
 			c.nd++
 		}
-		add(ch.T.Q, -1)
-		add(ch.T.R, -1)
-		add(ch.T.Q2, 1)
-		add(ch.T.R2, 1)
+		add(int(ch.T.Q), -1)
+		add(int(ch.T.R), -1)
+		add(int(ch.T.Q2), 1)
+		add(int(ch.T.R2), 1)
 		// Drop zero entries (a state both consumed and produced).
 		w := 0
 		for i := 0; i < c.nd; i++ {

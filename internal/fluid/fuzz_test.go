@@ -32,10 +32,10 @@ func FuzzFluidStep(f *testing.F) {
 		var ts []protocol.Transition
 		for i := 0; i+3 < len(transBytes) && len(ts) < 32; i += 4 {
 			ts = append(ts, protocol.Transition{
-				Q:  int(transBytes[i]) % numStates,
-				R:  int(transBytes[i+1]) % numStates,
-				Q2: int(transBytes[i+2]) % numStates,
-				R2: int(transBytes[i+3]) % numStates,
+				Q:  int32(int(transBytes[i]) % numStates),
+				R:  int32(int(transBytes[i+1]) % numStates),
+				Q2: int32(int(transBytes[i+2]) % numStates),
+				R2: int32(int(transBytes[i+3]) % numStates),
 			})
 		}
 		p := &protocol.Protocol{

@@ -62,7 +62,7 @@ func NewHybrid(p *protocol.Protocol, rng *rand.Rand) *Hybrid {
 	}
 	seen := make(map[int]bool)
 	for _, ch := range sched.ReactiveChannels(p) {
-		for _, s := range [2]int{ch.T.Q, ch.T.R} {
+		for _, s := range [2]int{int(ch.T.Q), int(ch.T.R)} {
 			if !seen[s] {
 				seen[s] = true
 				h.tracked = append(h.tracked, s)

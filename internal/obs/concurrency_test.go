@@ -96,3 +96,38 @@ func TestCountersExactUnderConcurrency(t *testing.T) {
 		}
 	}
 }
+
+// TestHistCountIsBucketSum pins that Hist keeps no separate count: after N
+// concurrent Observe calls, Count() and the snapshot's Count both equal N
+// and the sum of the buckets. Run under -race in CI.
+func TestHistCountIsBucketSum(t *testing.T) {
+	const (
+		goroutines = 8
+		perG       = 5_000
+		n          = goroutines * perG
+	)
+	var h Hist
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				h.Observe(int64(g*perG + i))
+				if i%1000 == 0 {
+					_ = h.snapshot() // snapshots race with writers by design
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	s := h.snapshot()
+	var buckets int64
+	for _, b := range s.Log2Buckets {
+		buckets += b
+	}
+	if h.Count() != n || s.Count != n || buckets != n {
+		t.Fatalf("Count() = %d, snapshot Count = %d, Σ buckets = %d, want %d each",
+			h.Count(), s.Count, buckets, n)
+	}
+}

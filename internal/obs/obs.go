@@ -13,7 +13,8 @@
 // -metrics-interval / -pprof flags) swaps in a live Metrics whose
 // instruments are plain atomics — no locks, no maps, no allocation on the
 // observation path — so the enabled cost is one uncontended atomic RMW per
-// observation.
+// counter observation, and two (sum and bucket) per histogram observation
+// that sets no new minimum or maximum.
 //
 // Telemetry is strictly read-only with respect to the computations it
 // observes: no instrument feeds back into scheduling, sampling, or
@@ -98,13 +99,14 @@ const histBuckets = 41
 // Hist is a histogram-ish distribution tracker: exact count/sum/min/max plus
 // coarse power-of-two buckets. It doubles as a timer (observe elapsed
 // nanoseconds). Negative observations clamp to 0 so min/max stay exact under
-// the unset-sentinel encoding. The zero value is ready to use; methods are
-// nil-safe no-ops.
+// the unset-sentinel encoding. The count is not stored: every observation
+// lands in exactly one bucket, so Count and snapshots sum the buckets. The
+// zero value is ready to use; methods are nil-safe no-ops.
 type Hist struct {
-	count, sum atomic.Int64
-	max        atomic.Int64
-	minPlus1   atomic.Int64 // min+1; 0 means no observation yet
-	buckets    [histBuckets]atomic.Int64
+	sum      atomic.Int64
+	max      atomic.Int64
+	minPlus1 atomic.Int64 // min+1; 0 means no observation yet
+	buckets  [histBuckets]atomic.Int64
 }
 
 // Observe records one value.
@@ -115,7 +117,6 @@ func (h *Hist) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.count.Add(1)
 	h.sum.Add(v)
 	for {
 		cur := h.max.Load()
@@ -136,12 +137,17 @@ func (h *Hist) Observe(v int64) {
 	h.buckets[b].Add(1)
 }
 
-// Count returns the number of observations (0 on a nil receiver).
+// Count returns the number of observations, the sum of the buckets (0 on a
+// nil receiver).
 func (h *Hist) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	var n int64
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
 }
 
 // Sum returns the sum of observations (0 on a nil receiver).
@@ -154,30 +160,30 @@ func (h *Hist) Sum() int64 {
 
 // snapshot freezes the distribution. Concurrent Observes may land between
 // field reads; each individual field stays exact with respect to the
-// observations it has absorbed.
+// observations it has absorbed, and Count always equals the sum of the
+// snapshot's buckets.
 func (h *Hist) snapshot() HistSnap {
-	s := HistSnap{
-		Count: h.count.Load(),
-		Sum:   h.sum.Load(),
-		Max:   h.max.Load(),
-	}
-	if mp := h.minPlus1.Load(); mp > 0 {
-		s.Min = mp - 1
-	}
-	if s.Count > 0 {
-		s.Mean = float64(s.Sum) / float64(s.Count)
-	}
+	var s HistSnap
 	// Trim trailing empty buckets so snapshots stay compact.
 	last := -1
 	var raw [histBuckets]int64
 	for i := range h.buckets {
 		raw[i] = h.buckets[i].Load()
+		s.Count += raw[i]
 		if raw[i] != 0 {
 			last = i
 		}
 	}
 	if last >= 0 {
 		s.Log2Buckets = append([]int64(nil), raw[:last+1]...)
+	}
+	s.Sum = h.sum.Load()
+	s.Max = h.max.Load()
+	if mp := h.minPlus1.Load(); mp > 0 {
+		s.Min = mp - 1
+	}
+	if s.Count > 0 {
+		s.Mean = float64(s.Sum) / float64(s.Count)
 	}
 	return s
 }

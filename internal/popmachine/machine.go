@@ -16,6 +16,7 @@ package popmachine
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Boolean domain values for OF and CF.
@@ -163,10 +164,38 @@ func (m *Machine) PointerIndex(name string) int {
 	return -1
 }
 
+// domainIndex holds every pointer's domain sorted, so a membership test is
+// a binary search instead of HasValue's scan. Validate builds one per call.
+type domainIndex struct {
+	vals []int // the domains, concatenated in pointer order, each sorted
+	off  []int // pointer i's domain is vals[off[i]:off[i+1]]
+}
+
+func newDomainIndex(ptrs []*Pointer) domainIndex {
+	d := domainIndex{off: make([]int, len(ptrs)+1)}
+	for i, p := range ptrs {
+		d.off[i+1] = d.off[i] + len(p.Domain)
+	}
+	d.vals = make([]int, 0, d.off[len(ptrs)])
+	for i, p := range ptrs {
+		d.vals = append(d.vals, p.Domain...)
+		slices.Sort(d.vals[d.off[i]:])
+	}
+	return d
+}
+
+// has reports whether v belongs to pointer i's domain.
+func (d domainIndex) has(i, v int) bool {
+	_, ok := slices.BinarySearch(d.vals[d.off[i]:d.off[i+1]], v)
+	return ok
+}
+
 // Validate checks the structural requirements of Definition 6 plus initial
 // values: OF/CF are boolean, IP ranges over 1..L, V_x domains contain x and
 // only registers, assignments are total functions into the target domain,
-// and every initial value lies in its pointer's domain.
+// and every initial value lies in its pointer's domain. Membership tests go
+// through a sorted index of the domains, so checking an assignment
+// X := f(Y) costs O(|ℱ_Y|·log |ℱ_X|).
 func (m *Machine) Validate() error {
 	if len(m.Registers) == 0 {
 		return fmt.Errorf("popmachine %q: no registers", m.Name)
@@ -186,18 +215,19 @@ func (m *Machine) Validate() error {
 			return ptrErr(spec.idx, spec.what)
 		}
 	}
-	for _, p := range m.Pointers {
+	dom := newDomainIndex(m.Pointers)
+	for i, p := range m.Pointers {
 		if len(p.Domain) == 0 {
 			return fmt.Errorf("popmachine %q: pointer %q has empty domain", m.Name, p.Name)
 		}
-		if !p.HasValue(p.Initial) {
+		if !dom.has(i, p.Initial) {
 			return fmt.Errorf("popmachine %q: pointer %q initial value %d outside domain",
 				m.Name, p.Name, p.Initial)
 		}
 	}
 	for _, b := range []int{m.OF, m.CF} {
 		p := m.Pointers[b]
-		if len(p.Domain) != 2 || !p.HasValue(ValFalse) || !p.HasValue(ValTrue) {
+		if len(p.Domain) != 2 || !dom.has(b, ValFalse) || !dom.has(b, ValTrue) {
 			return fmt.Errorf("popmachine %q: pointer %q must have boolean domain", m.Name, p.Name)
 		}
 	}
@@ -220,7 +250,7 @@ func (m *Machine) Validate() error {
 			return ptrErr(pi, "V_"+m.Registers[r])
 		}
 		p := m.Pointers[pi]
-		if !p.HasValue(r) {
+		if !dom.has(pi, r) {
 			return fmt.Errorf("popmachine %q: V_%s domain must contain %s",
 				m.Name, m.Registers[r], m.Registers[r])
 		}
@@ -261,7 +291,7 @@ func (m *Machine) Validate() error {
 				if !ok {
 					return fmt.Errorf("popmachine %q: instr %d: f undefined on %d", m.Name, idx+1, v)
 				}
-				if !dst.HasValue(w) {
+				if !dom.has(it.X, w) {
 					return fmt.Errorf("popmachine %q: instr %d: f(%d) = %d outside domain of %s",
 						m.Name, idx+1, v, w, dst.Name)
 				}

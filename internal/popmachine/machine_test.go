@@ -86,7 +86,8 @@ func TestValidateCatchesBrokenMachines(t *testing.T) {
 		want   string // the exact error, where a case pins it
 	}{
 		{"empty domain", func(m *Machine) { m.Pointers[m.CF].Domain = nil }, ""},
-		{"initial outside domain", func(m *Machine) { m.Pointers[m.OF].Initial = 7 }, ""},
+		{"initial outside domain", func(m *Machine) { m.Pointers[m.OF].Initial = 7 },
+			`popmachine "figure3": pointer "OF" initial value 7 outside domain`},
 		{"non-boolean CF", func(m *Machine) { m.Pointers[m.CF].Domain = []int{0, 1, 2}; m.Pointers[m.CF].Initial = 0 }, ""},
 		{"IP not at 1", func(m *Machine) { m.Pointers[m.IP].Initial = 2 }, ""},
 		{"IP domain out of range", func(m *Machine) { m.Pointers[m.IP].Domain = append(m.Pointers[m.IP].Domain, 99) }, ""},
@@ -97,12 +98,30 @@ func TestValidateCatchesBrokenMachines(t *testing.T) {
 			in := m.Instrs[1].(AssignInstr)
 			delete(in.F, ValFalse)
 			m.Instrs[1] = in
-		}, ""},
+		}, `popmachine "figure3": instr 2: f undefined on 0`},
 		{"assign out of target domain", func(m *Machine) {
 			in := m.Instrs[1].(AssignInstr)
 			in.F[ValFalse] = 999
 			m.Instrs[1] = in
-		}, ""},
+		}, `popmachine "figure3": instr 2: f(0) = 999 outside domain of IP`},
+		{"first failing source value in domain order", func(m *Machine) {
+			// V_□'s domain lists 1 before 0: both images fall outside
+			// V_x's domain, and the error names 1, the first in Domain
+			// order, not the least value.
+			m.Pointers[m.VBox].Domain = []int{1, 0}
+			in := m.Instrs[5].(AssignInstr) // 6: V_x := V_y
+			in.Y = m.VBox
+			in.F = map[int]int{0: 7, 1: 8}
+			m.Instrs[5] = in
+		}, `popmachine "figure3": instr 6: f(1) = 8 outside domain of V_x`},
+		{"outside before undefined", func(m *Machine) {
+			// 6: V_x := V_y, where Dom(V_y) = [1 0] (SetVDomain lists the
+			// register itself first): f(1) leaves V_x's domain before f(0)
+			// is found undefined.
+			in := m.Instrs[5].(AssignInstr)
+			in.F = map[int]int{1: 5}
+			m.Instrs[5] = in
+		}, `popmachine "figure3": instr 6: f(1) = 5 outside domain of V_x`},
 		{"CF pointer out of range", func(m *Machine) { m.CF = 42 },
 			`popmachine "figure3": CF pointer index 42 out of range`},
 		{"V_y pointer out of range", func(m *Machine) { m.VReg[1] = -3 },

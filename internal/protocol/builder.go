@@ -30,6 +30,9 @@ func (b *Builder) State(name string) int {
 		return i
 	}
 	i := len(b.states)
+	if err := CheckNumStates(b.name, i+1); err != nil && b.err == nil {
+		b.err = fmt.Errorf("build: %w", err)
+	}
 	b.states = append(b.states, name)
 	b.index[name] = i
 	return i
@@ -48,7 +51,7 @@ func (b *Builder) NumStates() int { return len(b.states) }
 // do not exist yet.
 func (b *Builder) Transition(q, r, q2, r2 string) {
 	b.transitions = append(b.transitions, Transition{
-		Q: b.State(q), R: b.State(r), Q2: b.State(q2), R2: b.State(r2),
+		Q: int32(b.State(q)), R: int32(b.State(r)), Q2: int32(b.State(q2)), R2: int32(b.State(r2)),
 	})
 }
 

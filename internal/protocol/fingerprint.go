@@ -21,6 +21,8 @@ func (p *Protocol) Fingerprint() string {
 		h.Write(num[:])
 		h.Write([]byte(s))
 	}
+	// Every index is written as 8 bytes, whatever its Go type, so
+	// fingerprints do not depend on the width of Transition's fields.
 	writeInt := func(v int) {
 		binary.LittleEndian.PutUint64(num[:], uint64(int64(v)))
 		h.Write(num[:])
@@ -43,10 +45,10 @@ func (p *Protocol) Fingerprint() string {
 	}
 	writeInt(len(p.Transitions))
 	for _, t := range p.Transitions {
-		writeInt(t.Q)
-		writeInt(t.R)
-		writeInt(t.Q2)
-		writeInt(t.R2)
+		writeInt(int(t.Q))
+		writeInt(int(t.R))
+		writeInt(int(t.Q2))
+		writeInt(int(t.R2))
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -57,17 +57,20 @@ func Product(name string, p1, p2 *Protocol, op BoolOp) (*Protocol, error) {
 		return nil, fmt.Errorf("product: input arity mismatch (%d vs %d)",
 			len(p1.Input), len(p2.Input))
 	}
+	if err := CheckNumStates(name, len(p1.States)*len(p2.States)); err != nil {
+		return nil, fmt.Errorf("product: %w", err)
+	}
 	b := NewBuilder(name)
-	pair := func(q1, q2 int) string {
+	pair := func(q1, q2 int32) string {
 		return p1.States[q1] + "×" + p2.States[q2]
 	}
-	for q1 := range p1.States {
-		for q2 := range p2.States {
+	for q1 := range int32(len(p1.States)) {
+		for q2 := range int32(len(p2.States)) {
 			b.AcceptingIf(pair(q1, q2), op.apply(p1.Accepting[q1], p2.Accepting[q2]))
 		}
 	}
 	for i := range p1.Input {
-		b.Input(pair(p1.Input[i], p2.Input[i]))
+		b.Input(pair(int32(p1.Input[i]), int32(p2.Input[i])))
 	}
 	// Joint transitions: t1 on the first components and t2 on the second.
 	for _, t1 := range p1.Transitions {
@@ -80,8 +83,8 @@ func Product(name string, p1, p2 *Protocol, op BoolOp) (*Protocol, error) {
 	// Interleaving: one side steps while the other idles. Without these, a
 	// component could starve when the other has no enabled transition.
 	for _, t1 := range p1.Transitions {
-		for q2 := range p2.States {
-			for r2 := range p2.States {
+		for q2 := range int32(len(p2.States)) {
+			for r2 := range int32(len(p2.States)) {
 				b.Transition(
 					pair(t1.Q, q2), pair(t1.R, r2),
 					pair(t1.Q2, q2), pair(t1.R2, r2))
@@ -89,8 +92,8 @@ func Product(name string, p1, p2 *Protocol, op BoolOp) (*Protocol, error) {
 		}
 	}
 	for _, t2 := range p2.Transitions {
-		for q1 := range p1.States {
-			for r1 := range p1.States {
+		for q1 := range int32(len(p1.States)) {
+			for r1 := range int32(len(p1.States)) {
 				b.Transition(
 					pair(q1, t2.Q), pair(r1, t2.R),
 					pair(q1, t2.Q2), pair(r1, t2.R2))

@@ -12,10 +12,11 @@ import (
 )
 
 // Transition is a pairwise transition (q, r ↦ q', r'). The fields hold state
-// indices into Protocol.States.
+// indices into Protocol.States as int32, so a transition takes 16 bytes;
+// Validate refuses protocols with more than MaxStates states.
 type Transition struct {
-	Q, R   int // states of the two interacting agents before
-	Q2, R2 int // states after
+	Q, R   int32 // states of the two interacting agents before
+	Q2, R2 int32 // states after
 }
 
 // IsSilent reports whether the transition leaves both agents unchanged, in
@@ -38,11 +39,30 @@ type Protocol struct {
 	stateIndex map[string]int
 }
 
+// MaxStates is the most states a protocol can have: transitions hold state
+// indices as int32.
+const MaxStates = math.MaxInt32
+
+// CheckNumStates returns an error if a protocol named name with n states
+// would overflow the int32 indices of its transitions. Validate, Builder,
+// Product and the §7.3 conversion all refuse such protocols through it.
+func CheckNumStates(name string, n int) error {
+	if n > MaxStates {
+		return fmt.Errorf("protocol %q: %d states exceed the %d that int32 transition indices address",
+			name, n, MaxStates)
+	}
+	return nil
+}
+
 // Validate checks structural well-formedness: state indices in range, at
-// least one state, at least one input state, and no duplicate state names.
+// least one state, at most MaxStates states, at least one input state, and
+// no duplicate state names.
 func (p *Protocol) Validate() error {
 	if len(p.States) == 0 {
 		return fmt.Errorf("protocol %q: no states", p.Name)
+	}
+	if err := CheckNumStates(p.Name, len(p.States)); err != nil {
+		return err
 	}
 	if len(p.Accepting) != len(p.States) {
 		return fmt.Errorf("protocol %q: Accepting has length %d, want %d",
@@ -66,13 +86,13 @@ func (p *Protocol) Validate() error {
 			return fmt.Errorf("protocol %q: input state %d out of range", p.Name, i)
 		}
 	}
-	n := uint(len(p.States))
+	n := uint32(len(p.States))
 	for k, t := range p.Transitions {
-		if uint(t.Q) < n && uint(t.R) < n && uint(t.Q2) < n && uint(t.R2) < n {
+		if uint32(t.Q) < n && uint32(t.R) < n && uint32(t.Q2) < n && uint32(t.R2) < n {
 			continue
 		}
-		for _, i := range []int{t.Q, t.R, t.Q2, t.R2} {
-			if i < 0 || i >= len(p.States) {
+		for _, i := range []int32{t.Q, t.R, t.Q2, t.R2} {
+			if i < 0 || int(i) >= len(p.States) {
 				return fmt.Errorf("protocol %q: transition %d references state %d out of range",
 					p.Name, k, i)
 			}
@@ -147,9 +167,9 @@ func (p *Protocol) IsInitial(c *multiset.Multiset) bool {
 // i.e. C ≥ q + r (which requires C(q) ≥ 2 when q = r).
 func (p *Protocol) Enabled(c *multiset.Multiset, t Transition) bool {
 	if t.Q == t.R {
-		return c.Count(t.Q) >= 2
+		return c.Count(int(t.Q)) >= 2
 	}
-	return c.Count(t.Q) >= 1 && c.Count(t.R) >= 1
+	return c.Count(int(t.Q)) >= 1 && c.Count(int(t.R)) >= 1
 }
 
 // EnabledTransitions returns the indices of all transitions enabled in c.
@@ -185,10 +205,10 @@ func (p *Protocol) Apply(c *multiset.Multiset, t Transition) {
 	if !p.Enabled(c, t) {
 		panic(fmt.Sprintf("protocol %q: transition %+v not enabled in %v", p.Name, t, c))
 	}
-	c.Add(t.Q, -1)
-	c.Add(t.R, -1)
-	c.Add(t.Q2, 1)
-	c.Add(t.R2, 1)
+	c.Add(int(t.Q), -1)
+	c.Add(int(t.R), -1)
+	c.Add(int(t.Q2), 1)
+	c.Add(int(t.R2), 1)
 }
 
 // Successors returns the distinct configurations reachable from c by firing

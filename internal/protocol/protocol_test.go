@@ -329,3 +329,22 @@ func TestNewConfigSize(t *testing.T) {
 		t.Fatalf("NewConfig length %d, want %d", c.Len(), p.NumStates())
 	}
 }
+
+// TestCheckNumStatesBound pins the int32 state bound that Validate,
+// Builder, Product and the §7.3 conversion enforce. It calls the check
+// directly, so no table of 2³¹ states is ever allocated.
+func TestCheckNumStatesBound(t *testing.T) {
+	if MaxStates != math.MaxInt32 {
+		t.Fatalf("MaxStates = %d, want 2³¹−1", MaxStates)
+	}
+	for _, n := range []int{0, 1, MaxStates} {
+		if err := CheckNumStates("p", n); err != nil {
+			t.Fatalf("CheckNumStates(%d) = %v, want nil", n, err)
+		}
+	}
+	err := CheckNumStates("p", MaxStates+1)
+	want := `protocol "p": 2147483648 states exceed the 2147483647 that int32 transition indices address`
+	if err == nil || err.Error() != want {
+		t.Fatalf("CheckNumStates(2³¹) = %v, want %q", err, want)
+	}
+}

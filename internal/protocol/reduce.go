@@ -53,12 +53,12 @@ func Reduce(p *Protocol) (*Protocol, int, error) {
 		return nil, 0, fmt.Errorf("reduce: %w", err)
 	}
 	keep := p.SupportClosure()
-	remap := make([]int, len(p.States))
+	remap := make([]int32, len(p.States))
 	for i := range remap {
 		remap[i] = -1
 	}
 	for newIdx, oldIdx := range keep {
-		remap[oldIdx] = newIdx
+		remap[oldIdx] = int32(newIdx)
 	}
 	out := &Protocol{
 		Name:      p.Name + "-reduced",
@@ -70,7 +70,7 @@ func Reduce(p *Protocol) (*Protocol, int, error) {
 		out.Accepting[newIdx] = p.Accepting[oldIdx]
 	}
 	for _, i := range p.Input {
-		out.Input = append(out.Input, remap[i])
+		out.Input = append(out.Input, int(remap[i]))
 	}
 	fireable := 0
 	for _, t := range p.Transitions {

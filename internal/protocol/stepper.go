@@ -37,9 +37,9 @@ func NewStepper(p *Protocol) *Stepper {
 	// The stable sort keeps p.Transitions order within each pair.
 	slices.SortStableFunc(trans, func(a, b Transition) int {
 		if a.Q != b.Q {
-			return a.Q - b.Q
+			return int(a.Q - b.Q)
 		}
-		return a.R - b.R
+		return int(a.R - b.R)
 	})
 	s := &Stepper{p: p, rows: make([][]pairSpan, len(p.States)), trans: trans}
 	for lo := 0; lo < len(trans); {
@@ -48,7 +48,7 @@ func NewStepper(p *Protocol) *Stepper {
 		for hi < len(trans) && trans[hi].Q == q && trans[hi].R == r {
 			hi++
 		}
-		s.rows[q] = append(s.rows[q], pairSpan{r: int32(r), lo: int32(lo), hi: int32(hi)})
+		s.rows[q] = append(s.rows[q], pairSpan{r: r, lo: int32(lo), hi: int32(hi)})
 		lo = hi
 	}
 	return s
@@ -130,22 +130,23 @@ func (s *Stepper) AppendSuccessorKeys(c *multiset.Multiset, dst []byte, ends []i
 				continue
 			}
 			for _, t := range s.pair(q, r) {
+				tq, tr, tq2, tr2 := int(t.Q), int(t.R), int(t.Q2), int(t.R2)
 				// Kinds a successor occupies: c's support plus whichever
 				// of the two products c had none of.
 				kinds := support
-				if c.Count(t.Q2) == 0 || c.Count(t.R2) == 0 {
-					kinds = insertKinds(append(kindsBuf[:0], support...), t.Q2, t.R2)
+				if c.Count(tq2) == 0 || c.Count(tr2) == 0 {
+					kinds = insertKinds(append(kindsBuf[:0], support...), tq2, tr2)
 				}
-				c.Add(t.Q, -1)
-				c.Add(t.R, -1)
-				c.Add(t.Q2, 1)
-				c.Add(t.R2, 1)
+				c.Add(tq, -1)
+				c.Add(tr, -1)
+				c.Add(tq2, 1)
+				c.Add(tr2, 1)
 				mark := len(dst)
 				dst = c.AppendRunKeyOn(dst, kinds)
-				c.Add(t.Q2, -1)
-				c.Add(t.R2, -1)
-				c.Add(t.Q, 1)
-				c.Add(t.R, 1)
+				c.Add(tq2, -1)
+				c.Add(tr2, -1)
+				c.Add(tq, 1)
+				c.Add(tr, 1)
 				h := multiset.Hash64(dst[mark:])
 				if seen.has(dst, ends, dst[mark:], h) {
 					dst = dst[:mark]

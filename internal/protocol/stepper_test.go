@@ -100,7 +100,7 @@ func randomStepperProtocol(rng *rand.Rand) *protocol.Protocol {
 		n = 500 + rng.Intn(2500)
 	}
 	for i := 0; i < n; i++ {
-		t := protocol.Transition{Q: rng.Intn(k), R: rng.Intn(k), Q2: rng.Intn(k), R2: rng.Intn(k)}
+		t := protocol.Transition{Q: int32(rng.Intn(k)), R: int32(rng.Intn(k)), Q2: int32(rng.Intn(k)), R2: int32(rng.Intn(k))}
 		if rng.Intn(8) == 0 {
 			t.Q2, t.R2 = t.R, t.Q // silent
 		}

@@ -37,6 +37,8 @@ type reactiveKey struct {
 	// integral, so the fast path stays exactly equivalent to the per-step
 	// sampler (no floating-point rounding in the categorical draw).
 	perT int64
+	// factor is perT·#fire, the key's weight per ordered agent pair.
+	factor int64
 }
 
 // BatchRandomPair is RandomPair with a batched fast path. It is exactly
@@ -125,7 +127,7 @@ func newBatchRandomPair(p *protocol.Protocol, rng source) *BatchRandomPair {
 	// order so sampling is reproducible across runs of the same seed.
 	seen := make(map[pairKey]bool)
 	for _, t := range p.Transitions {
-		k := pairKey{t.Q, t.R}
+		k := pairKey{int(t.Q), int(t.R)}
 		if seen[k] {
 			continue
 		}
@@ -152,6 +154,7 @@ func newBatchRandomPair(p *protocol.Protocol, rng source) *BatchRandomPair {
 		for i := range s.reactive {
 			k := &s.reactive[i]
 			k.perT = s.lambda / int64(len(s.pairs.get(k.q, k.r)))
+			k.factor = k.perT * int64(len(k.fire))
 		}
 	}
 	for i, k := range s.reactive {
@@ -193,15 +196,31 @@ func (s *BatchRandomPair) attach(c *multiset.Multiset) {
 	if s.noSkip {
 		return
 	}
-	for i, k := range s.reactive {
-		s.weights[i] = s.keyWeight(c, k)
+	for i := range s.reactive {
+		s.weights[i] = s.keyWeight(c, &s.reactive[i])
 		s.totalW += s.weights[i]
+	}
+}
+
+// Quiescent reports whether the attached configuration can never change
+// again: no non-silent transition is enabled in it. The reactive weights
+// answer it in O(1) (their sum is zero exactly when no reactive pair has
+// agents); without them (noSkip) it scans the transition table. With no
+// configuration attached it reports false.
+func (s *BatchRandomPair) Quiescent() bool {
+	switch {
+	case s.attached == nil:
+		return false
+	case s.noSkip:
+		return !s.p.AnyEnabled(s.attached)
+	default:
+		return s.totalW == 0
 	}
 }
 
 // keyWeight is the current sampling weight of a reactive key: the number of
 // ordered agent pairs in its states, times Λ·#fire/#candidates.
-func (s *BatchRandomPair) keyWeight(c *multiset.Multiset, k reactiveKey) int64 {
+func (s *BatchRandomPair) keyWeight(c *multiset.Multiset, k *reactiveKey) int64 {
 	nq := c.Count(k.q)
 	nr := c.Count(k.r)
 	if k.q == k.r {
@@ -210,14 +229,17 @@ func (s *BatchRandomPair) keyWeight(c *multiset.Multiset, k reactiveKey) int64 {
 	if nq <= 0 || nr <= 0 {
 		return 0
 	}
-	return nq * nr * k.perT * int64(len(k.fire))
+	return nq * nr * k.factor
 }
 
 // apply fires t on c and keeps the Fenwick index and reactive weights
-// synchronised.
+// synchronised. Only the keys of states whose count changed are
+// re-weighted: a key's weight reads the counts of its two states, so a
+// catalyst (a state consumed and produced again, as X in X,y → X,x) leaves
+// the weights of its keys as they were.
 func (s *BatchRandomPair) apply(c *multiset.Multiset, t protocol.Transition) {
 	s.p.Apply(c, t)
-	touched := [4]int{t.Q, t.R, t.Q2, t.R2}
+	touched := [4]int32{t.Q, t.R, t.Q2, t.R2}
 	for i, st := range touched {
 		dup := false
 		for _, prev := range touched[:i] {
@@ -243,14 +265,15 @@ func (s *BatchRandomPair) apply(c *multiset.Multiset, t protocol.Transition) {
 		if st == t.R2 {
 			delta++
 		}
-		if delta != 0 {
-			s.fen.add(st, delta)
+		if delta == 0 {
+			continue
 		}
+		s.fen.add(int(st), delta)
 		if s.noSkip {
 			continue
 		}
 		for _, ki := range s.byState[st] {
-			w := s.keyWeight(c, s.reactive[ki])
+			w := s.keyWeight(c, &s.reactive[ki])
 			s.totalW += w - s.weights[ki]
 			s.weights[ki] = w
 		}

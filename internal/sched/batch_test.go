@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -239,5 +240,67 @@ func BenchmarkFenwickFind(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.find(rng.Int63n(total))
+	}
+}
+
+// TestQuiescentMatchesAnyEnabled is the property test of the O(1)
+// quiescence answer: on random protocols and configurations, and after
+// every StepN chunk of a run from them, Quiescent() equals
+// !p.AnyEnabled(c), both from the reactive weights and, without them
+// (noSkip), from the transition scan.
+func TestQuiescentMatchesAnyEnabled(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	quiescent := 0
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(5)
+		p := &protocol.Protocol{
+			Name:      "random",
+			States:    make([]string, n),
+			Input:     []int{0},
+			Accepting: make([]bool, n),
+		}
+		for i := range p.States {
+			p.States[i] = fmt.Sprintf("s%d", i)
+		}
+		for k := rng.Intn(8); k > 0; k-- {
+			tr := protocol.Transition{
+				Q: int32(rng.Intn(n)), R: int32(rng.Intn(n)),
+				Q2: int32(rng.Intn(n)), R2: int32(rng.Intn(n)),
+			}
+			if rng.Intn(3) == 0 {
+				tr.Q2, tr.R2 = tr.Q, tr.R // silent
+			}
+			p.Transitions = append(p.Transitions, tr)
+		}
+		c := p.NewConfig()
+		for i := 0; i < n; i++ {
+			c.Add(i, int64(rng.Intn(3)))
+		}
+		if c.Size() < 2 {
+			c.Add(rng.Intn(n), 2-c.Size())
+		}
+		for _, noSkip := range []bool{false, true} {
+			s := newBatchRandomPair(p, NewRand(int64(trial)))
+			if s.Quiescent() {
+				t.Fatal("Quiescent with no configuration attached")
+			}
+			s.noSkip = s.noSkip || noSkip
+			cc := c.Clone()
+			s.attach(cc)
+			for chunk := 0; chunk < 5; chunk++ {
+				got, want := s.Quiescent(), !p.AnyEnabled(cc)
+				if got != want {
+					t.Fatalf("trial %d (noSkip %v), chunk %d: Quiescent() = %v, !AnyEnabled = %v on %v",
+						trial, noSkip, chunk, got, want, cc)
+				}
+				if got {
+					quiescent++
+				}
+				s.StepN(cc, int64(1+rng.Intn(20)))
+			}
+		}
+	}
+	if quiescent == 0 {
+		t.Fatal("no quiescent configuration was generated")
 	}
 }

@@ -39,7 +39,7 @@ func ReactiveChannels(p *protocol.Protocol) []Channel {
 	seen := make(map[pairKey]bool)
 	var out []Channel
 	for _, t := range p.Transitions {
-		k := pairKey{t.Q, t.R}
+		k := pairKey{int(t.Q), int(t.R)}
 		if seen[k] {
 			continue
 		}

@@ -187,7 +187,7 @@ func newCollisionKernel(p *protocol.Protocol, rng source) *CollisionKernel {
 	k.fires = make([]int64, len(k.cats))
 	k.touched = make([]int, 0, p.NumStates())
 	for _, cat := range k.cats {
-		for _, s := range [2]int{cat.t.Q, cat.t.R} {
+		for _, s := range [2]int{int(cat.t.Q), int(cat.t.R)} {
 			if !k.mark[s] {
 				k.mark[s] = true
 				k.reactants = append(k.reactants, s)
@@ -297,7 +297,7 @@ func (k *CollisionKernel) survey(c *multiset.Multiset, m int64) (dead bool) {
 	clear(k.drift)
 	for i := range k.cats {
 		t := &k.cats[i].t
-		nq, nr := c.Count(t.Q), c.Count(t.R)
+		nq, nr := c.Count(int(t.Q)), c.Count(int(t.R))
 		pairs := nr
 		if t.Q == t.R {
 			pairs--
@@ -383,8 +383,8 @@ func (k *CollisionKernel) bulkRound(c *multiset.Multiset, m, b int64) (steps, ef
 			continue
 		}
 		t := &k.cats[i].t
-		q := float64(c.Count(t.Q)) + k.drift[t.Q]*half
-		r := float64(c.Count(t.R)) + k.drift[t.R]*half
+		q := float64(c.Count(int(t.Q))) + k.drift[t.Q]*half
+		r := float64(c.Count(int(t.R))) + k.drift[t.R]*half
 		if t.Q == t.R {
 			r--
 		}
@@ -465,10 +465,10 @@ func (k *CollisionKernel) fire(i int, e int64) {
 		k.fires[i] += e
 	}
 	t := k.cats[i].t
-	k.addDelta(t.Q, -e)
-	k.addDelta(t.R, -e)
-	k.addDelta(t.Q2, e)
-	k.addDelta(t.R2, e)
+	k.addDelta(int(t.Q), -e)
+	k.addDelta(int(t.R), -e)
+	k.addDelta(int(t.Q2), e)
+	k.addDelta(int(t.R2), e)
 }
 
 func (k *CollisionKernel) addDelta(s int, d int64) {

@@ -110,7 +110,7 @@ func newGraphCore(p *protocol.Protocol, topo *Topology, rng source, faults *Faul
 	hasFire := make(map[pairKey]bool)
 	for _, t := range p.Transitions {
 		if !t.IsSilent() {
-			hasFire[pairKey{t.Q, t.R}] = true
+			hasFire[pairKey{int(t.Q), int(t.R)}] = true
 		}
 	}
 	base := make([][2]int, len(topo.Edges))
@@ -360,8 +360,8 @@ func (g *graphCore) apply(a, b int, t protocol.Transition) {
 	g.p.Apply(g.attached, t)
 	acc := g.p.Accepting
 	g.accCount += accDelta(acc[t.Q2]) + accDelta(acc[t.R2]) - accDelta(acc[t.Q]) - accDelta(acc[t.R])
-	g.states[a] = t.Q2
-	g.states[b] = t.R2
+	g.states[a] = int(t.Q2)
+	g.states[b] = int(t.R2)
 	if g.met != nil {
 		g.met.Effective.Inc()
 	}

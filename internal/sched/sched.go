@@ -101,8 +101,8 @@ func newPairRows(p *protocol.Protocol) pairRows {
 	// Two stable counting sorts, by responder and then by initiator, order
 	// the transitions by (Q, R) and keep p.Transitions order within a pair,
 	// in O(|δ| + |Q|).
-	byR := sortByState(p.Transitions, n, func(t protocol.Transition) int { return t.R })
-	cands := sortByState(byR, n, func(t protocol.Transition) int { return t.Q })
+	byR := sortByState(p.Transitions, n, func(t protocol.Transition) int32 { return t.R })
+	cands := sortByState(byR, n, func(t protocol.Transition) int32 { return t.Q })
 	x := pairRows{rows: make([][]pairSpan, n), cands: cands}
 	for lo := 0; lo < len(cands); {
 		q, r := cands[lo].Q, cands[lo].R
@@ -110,14 +110,14 @@ func newPairRows(p *protocol.Protocol) pairRows {
 		for hi < len(cands) && cands[hi].Q == q && cands[hi].R == r {
 			hi++
 		}
-		x.rows[q] = append(x.rows[q], pairSpan{r: int32(r), lo: int32(lo), hi: int32(hi)})
+		x.rows[q] = append(x.rows[q], pairSpan{r: r, lo: int32(lo), hi: int32(hi)})
 		lo = hi
 	}
 	return x
 }
 
 // sortByState returns ts stably sorted by key, a state index below n.
-func sortByState(ts []protocol.Transition, n int, key func(protocol.Transition) int) []protocol.Transition {
+func sortByState(ts []protocol.Transition, n int, key func(protocol.Transition) int32) []protocol.Transition {
 	next := make([]int, n+1)
 	for _, t := range ts {
 		next[key(t)+1]++

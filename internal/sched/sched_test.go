@@ -226,14 +226,14 @@ func TestPairRowsMatchGrouping(t *testing.T) {
 		p := &protocol.Protocol{States: make([]string, n)}
 		for i := rng.Intn(80); i > 0; i-- {
 			p.Transitions = append(p.Transitions, protocol.Transition{
-				Q: rng.Intn(n), R: rng.Intn(n), Q2: rng.Intn(n), R2: rng.Intn(n)})
+				Q: int32(rng.Intn(n)), R: int32(rng.Intn(n)), Q2: int32(rng.Intn(n)), R2: int32(rng.Intn(n))})
 		}
 		pairs := newPairRows(p)
 		for q := 0; q < n; q++ {
 			for r := 0; r < n; r++ {
 				var want []protocol.Transition
 				for _, tr := range p.Transitions {
-					if tr.Q == q && tr.R == r {
+					if int(tr.Q) == q && int(tr.R) == r {
 						want = append(want, tr)
 					}
 				}

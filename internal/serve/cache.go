@@ -55,7 +55,10 @@ type cacheItem struct {
 
 type cacheEntry struct {
 	once sync.Once
-	res  *convert.Result
+	// res holds only what a skeleton restores (see skeletonResult), so a
+	// fresh entry and one restored from disk hold the same fields and the
+	// cache retains no core protocol.
+	res *convert.Result
 	// report is the shrink pipeline's accounting; nil for plain conversions.
 	report *convert.OptReport
 	err    error
@@ -73,7 +76,8 @@ func NewCache(max int) *Cache {
 // first use. With optimize set it runs the shrink pipeline
 // (convert.Optimize) instead and additionally returns its OptReport. The
 // returned key is the program's canonical hash, ":opt"-suffixed for
-// optimized conversions.
+// optimized conversions. The returned Result carries only Protocol,
+// NumPointers and CoreStates.
 func (c *Cache) Convert(prog *popprog.Program, optimize bool) (*convert.Result, *convert.OptReport, string, error) {
 	key := prog.CanonicalHash()
 	if optimize {
@@ -122,10 +126,14 @@ func (c *Cache) Convert(prog *popprog.Program, optimize bool) (*convert.Result, 
 			e.err = err
 			return
 		}
+		var res *convert.Result
 		if optimize {
-			e.res, e.report, e.err = convert.Optimize(m)
+			res, e.report, e.err = convert.Optimize(m)
 		} else {
-			e.res, e.err = convert.Convert(m)
+			res, e.err = convert.Convert(m)
+		}
+		if e.err == nil {
+			e.res = skeletonResult(res.Protocol, res.NumPointers, res.CoreStates)
 		}
 		if met != nil {
 			met.Conversions.Inc()
@@ -203,17 +211,19 @@ func (c *Cache) Persist(dir string) error {
 			continue
 		}
 		e := &cacheEntry{
-			res: &convert.Result{
-				Protocol:    skel.Protocol,
-				NumPointers: skel.NumPointers,
-				CoreStates:  skel.CoreStates,
-			},
+			res:    skeletonResult(skel.Protocol, skel.NumPointers, skel.CoreStates),
 			report: skel.Report,
 		}
 		e.once.Do(func() {}) // already complete: hits must not reconvert
 		c.m[skel.Key] = c.ll.PushBack(&cacheItem{key: skel.Key, entry: e})
 	}
 	return nil
+}
+
+// skeletonResult is the part of a conversion the cache keeps: what serving
+// reads and a skeleton file restores.
+func skeletonResult(p *protocol.Protocol, numPointers, coreStates int) *convert.Result {
+	return &convert.Result{Protocol: p, NumPointers: numPointers, CoreStates: coreStates}
 }
 
 // loadSkeleton reads and validates one persisted conversion.

@@ -6,7 +6,9 @@
 # BatchStepN / MeasureConvergence benchmarks, the fluid-tier benchmarks
 # (FluidStepN chunk cost, LadderConvergence end-to-end at m = 10⁹/10¹²),
 # the E17 shrink benchmarks (whose removal metrics come from the `opt` obs
-# group, so pipeline regressions land in the record), the plain §7.3
+# group, so pipeline regressions land in the record) and the pipeline's
+# transition dedup and machine check (CompactTransitions, MachineValidate),
+# the plain §7.3
 # conversion of Figure 1 (ConvertPipeline: time and allocations per
 # conversion), the out-of-core
 # explorer benchmark (ExploreSpill: all-RAM vs spilled at a matched state
@@ -29,7 +31,7 @@ benchtime="${BENCHTIME:-1s}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-go test -run '^$' -bench 'StepN|MeasureConvergence|RunKernels|Ladder|Shrink|ConvertPipeline|ExploreSpill|ExploreConverted' \
+go test -run '^$' -bench 'StepN|MeasureConvergence|RunKernels|Ladder|Shrink|ConvertPipeline|CompactTransitions|MachineValidate|ExploreSpill|ExploreConverted' \
   -benchmem -benchtime "$benchtime" \
   ./internal/sched ./internal/simulate ./internal/fluid ./internal/explore . | tee "$raw"
 
