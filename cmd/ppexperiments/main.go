@@ -10,7 +10,7 @@
 // -quick shrinks every sweep to its smallest meaningful size (useful for
 // smoke tests); -markdown emits the tables in the format EXPERIMENTS.md
 // embeds. -kernel selects the convergence experiment's interaction kernel
-// (exact | batch | fluid | langevin | auto, default exact — see ppsim),
+// (exact | batch | auto, default exact — see ppsim),
 // -batch its chunk size (0 = 65,536) and -workers its run-level worker pool.
 // -explore-workers
 // sets the frontier-expansion worker count of the parallel model checker

@@ -22,6 +22,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"negative batch", []string{"-batch", "-1"}, "BatchSize must be ≥ 0"},
 		{"negative explore workers", []string{"-explore-workers", "-1"}, "-explore-workers must be ≥ 0"},
 		{"bogus kernel", []string{"-kernel", "turbo"}, `unknown kernel "turbo"`},
+		{"removed kernel", []string{"-kernel", "langevin"}, `unknown kernel "langevin" (want exact | batch | auto)`},
 		{"negative metrics interval", []string{"-metrics-interval", "-2s"}, "-metrics-interval must be ≥ 0"},
 		{"negative topology m", []string{"-topology-m", "-4"}, "-topology-m must be ≥ 0"},
 		{"non-numeric flag", []string{"-batch", "x"}, "invalid value"},

@@ -15,12 +15,10 @@
 // interactions and parallel time. -kernel selects the sampler of that law:
 // exact (the default: per-interaction law with geometric null skipping),
 // batch (the count-based collision kernel advancing whole tau-leap rounds —
-// the large-n fast path), fluid (deterministic mean-field ODE integration),
-// langevin (mean-field drift plus 1/√m chemical Langevin noise), or auto
-// (the full simulation ladder: exact below 4096 agents, tau-leap rounds up
-// to 65,536, then the hybrid fluid/discrete ladder — the only kernel that
-// reaches m = 10¹²⁺). -fluid-floor tunes the ladder's regime switch-over
-// bound (agents per consumed species required for the fluid tier). Every
+// the large-n fast path), or auto (the full simulation ladder: exact below
+// 4096 agents, tau-leap rounds up to 65,536, then the hybrid fluid/discrete
+// ladder, which integrates the mean-field ODE while every consumed species
+// holds at least 2¹⁴ agents — the only kernel that reaches m = 10¹²⁺). Every
 // kernel advances in chunks of -batch steps (0 = 65,536), and the
 // stabilisation checks run at chunk boundaries. -scheduler fair instead
 // fires a uniformly random enabled transition each step. -window and
@@ -83,8 +81,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	batch := fs.Int64("batch", 0, "chunk size of the -kernel driver for protocol targets (0 = 65536)")
 	kernel := fs.String("kernel", "",
 		"interaction kernel of the pair scheduler for protocol targets: "+simulate.KernelUsage()+" (empty = exact)")
-	fluidFloor := fs.Int64("fluid-floor", 0,
-		"agents per consumed species required for the auto kernel's fluid tier (0 = default 16384)")
 	window := fs.Int64("window", 0, "stable-window length for protocol targets (0 = default 10000)")
 	qperiod := fs.Int64("qperiod", 0, "quiescence-check period for protocol targets (0 = default 1000)")
 	runs := fs.Int("runs", 1, "repeat protocol runs this many times (seeds seed..seed+runs-1) and report summary statistics")
@@ -116,7 +112,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			QuiescencePeriod: *qperiod,
 			BatchSize:        *batch,
 			Kernel:           *kernel,
-			FluidFloor:       *fluidFloor,
 			Workers:          *workers,
 		},
 	}
@@ -156,8 +151,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			set  bool
 		}{
 			{"-kernel", *kernel != ""}, {"-batch", *batch != 0}, {"-window", *window != 0},
-			{"-qperiod", *qperiod != 0}, {"-fluid-floor", *fluidFloor != 0},
-			{"-runs", *runs > 1}, {"-workers", *workers > 1},
+			{"-qperiod", *qperiod != 0}, {"-runs", *runs > 1}, {"-workers", *workers > 1},
 			{"-topology", *topology != ""}, {"-scheduler fair", *scheduler == "fair"},
 		} {
 			if f.set {

@@ -64,8 +64,7 @@ func TestSimulatePathsSmoke(t *testing.T) {
 		popprog.DecideOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	// m = 16,400 clears the fluid tiers' floor of 2¹⁴ agents.
-	for _, kernel := range []string{"exact", "batch", "fluid", "langevin", "auto"} {
+	for _, kernel := range []string{"exact", "batch", "auto"} {
 		k := base
 		k.Kernel = kernel
 		if err := simulateProtocol(io.Discard, p, pred, []int64{9000, 7400}, k); err != nil {
@@ -76,11 +75,6 @@ func TestSimulatePathsSmoke(t *testing.T) {
 		if err := simulateProtocol(io.Discard, p, pred, []int64{9000, 7400}, k); err != nil {
 			t.Fatalf("kernel %q, multi-run: %v", kernel, err)
 		}
-	}
-	below := base
-	below.Kernel = "fluid"
-	if err := simulateProtocol(io.Discard, p, pred, []int64{6, 3}, below); err == nil || !strings.Contains(err.Error(), "needs at least 16384 agents") {
-		t.Fatalf("fluid kernel at m = 9: err = %v, want the floor named", err)
 	}
 }
 
@@ -108,12 +102,12 @@ func TestRunKernelFlag(t *testing.T) {
 }
 
 // TestRunFluidLadderTrillion drives the simulation ladder end to end from
-// the CLI: majority at m = 10¹² through -kernel auto (forced-fluid regime)
-// with an explicit -fluid-floor, finishing with the exact majority answer.
+// the CLI: majority at m = 10¹² through -kernel auto (forced-fluid regime),
+// finishing with the exact majority answer.
 func TestRunFluidLadderTrillion(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"-target", "majority", "-input", "550000000000,450000000000",
-		"-seed", "3", "-kernel", "auto", "-fluid-floor", "32768", "-budget", "4611686018427387904"},
+		"-seed", "3", "-kernel", "auto", "-budget", "4611686018427387904"},
 		&stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit code = %d\nstderr: %s", code, stderr.String())
@@ -146,15 +140,15 @@ func TestRunFlagValidation(t *testing.T) {
 		{"negative window", []string{"-target", "majority", "-input", "6,3", "-window", "-1"}, 2, "StableWindow must be ≥ 0"},
 		{"negative qperiod", []string{"-target", "majority", "-input", "6,3", "-qperiod", "-1"}, 2, "QuiescencePeriod must be ≥ 0"},
 		{"bogus kernel", []string{"-target", "majority", "-input", "6,3", "-kernel", "turbo"}, 2, "unknown kernel \"turbo\""},
-		{"fluid below floor", []string{"-target", "unary:8", "-input", "7", "-kernel", "fluid"}, 1, `kernel "fluid" needs at least 16384 agents`},
-		{"negative fluid floor", []string{"-target", "majority", "-input", "6,3", "-fluid-floor", "-1"}, 2, "FluidFloor must be ≥ 0"},
+		{"fluid kernel removed", []string{"-target", "unary:8", "-input", "7", "-kernel", "fluid"}, 2, `unknown kernel "fluid" (want exact | batch | auto)`},
+		{"langevin kernel removed", []string{"-target", "majority", "-input", "6,3", "-kernel", "langevin"}, 2, `unknown kernel "langevin" (want exact | batch | auto)`},
+		{"fluid floor flag removed", []string{"-target", "majority", "-input", "6,3", "-kernel", "auto", "-fluid-floor", "32768"}, 2, "flag provided but not defined: -fluid-floor"},
 		{"kernel with fair scheduler", []string{"-target", "majority", "-input", "6,3", "-kernel", "batch", "-scheduler", "fair"}, 2, "-kernel only applies"},
 		{"batch scheduler removed", []string{"-target", "majority", "-input", "6,3", "-scheduler", "batch"}, 2, `unknown -scheduler "batch"`},
-		{"kernel on program target", []string{"-target", "figure1", "-input", "5", "-kernel", "fluid", "-runs", "5", "-window", "3"}, 2, "-kernel applies only to protocol targets"},
+		{"kernel on program target", []string{"-target", "figure1", "-input", "5", "-kernel", "auto", "-runs", "5", "-window", "3"}, 2, "-kernel applies only to protocol targets"},
 		{"batch on program target", []string{"-target", "equality:1", "-input", "5", "-batch", "64"}, 2, "-batch applies only to protocol targets"},
 		{"window on program target", []string{"-target", "czerner:1", "-input", "5", "-window", "3"}, 2, "-window applies only to protocol targets"},
 		{"qperiod on program target", []string{"-target", "figure1", "-input", "5", "-qperiod", "10"}, 2, "-qperiod applies only to protocol targets"},
-		{"fluid floor on program target", []string{"-target", "figure1", "-input", "5", "-fluid-floor", "10"}, 2, "-fluid-floor applies only to protocol targets"},
 		{"runs on program target", []string{"-target", "figure1", "-input", "5", "-runs", "2"}, 2, "-runs applies only to protocol targets"},
 		{"workers on program target", []string{"-target", "figure1", "-input", "5", "-workers", "2"}, 2, "-workers applies only to protocol targets"},
 		{"topology on program file", []string{"-program", "../../examples/programs/testdata/figure1.pop", "-input", "5", "-topology", "ring", "-crash", "0.1"}, 2, "-topology applies only to protocol targets"},

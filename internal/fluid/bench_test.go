@@ -1,10 +1,6 @@
 package fluid
 
-import (
-	"testing"
-
-	"repro/internal/sched"
-)
+import "testing"
 
 // BenchmarkFluidStepN measures one preferred-size chunk (τ = 1/16) of
 // mean-field flow on the epidemic interior, at populations spanning the
@@ -25,22 +21,10 @@ func BenchmarkFluidStepN(b *testing.B) {
 			chunk := ig.PreferredChunk(bc.m)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ig.StepN(c, chunk)
+				ig.Advance(c, chunk, 0)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(chunk)),
 				"ns/interaction-equiv")
 		})
 	}
-	b.Run("langevin/m=1e9", func(b *testing.B) {
-		const m = int64(1_000_000_000)
-		ig := NewLangevin(p, sched.NewRand(1))
-		c := config(b, p, map[string]int64{"I": m / 4, "S": 3 * m / 4})
-		chunk := ig.PreferredChunk(m)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ig.StepN(c, chunk)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(chunk)),
-			"ns/interaction-equiv")
-	})
 }

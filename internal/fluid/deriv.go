@@ -1,7 +1,7 @@
 // Package fluid is the top rung of the simulation ladder: deterministic
-// mean-field (fluid-limit) integration and its Langevin diffusion correction
-// over normalized count fractions, for populations far beyond what per-round
-// binomial/multinomial sampling (sched.CollisionKernel) can reach.
+// mean-field (fluid-limit) integration over normalized count fractions, for
+// populations far beyond what per-round binomial/multinomial sampling
+// (sched.CollisionKernel) can reach.
 //
 // The mean-field limit of the uniform random-pair law is the ODE system
 //
@@ -12,17 +12,13 @@
 // t. The channels and their weights come from sched.ReactiveChannels — the
 // same enumeration the exact sampler and the collision kernel draw from, so
 // the fluid drift is by construction the m → ∞ limit of the stochastic
-// tiers below it. The Langevin tier keeps the leading O(1/√m) fluctuation
-// term of the chemical Langevin equation:
+// tiers below it.
 //
-//	dX_s = Σ_t a_t(X)·Δ_t(s)·dτ + (1/√m)·Σ_t Δ_t(s)·√a_t(X)·dW_t
-//
-// integrated by fixed-step Euler–Maruyama on a seeded RNG, so runs are
-// bit-reproducible per (seed, step-size) like every other scheduler.
-//
-// The tiers are only distributionally comparable to the discrete kernels;
-// the cross-tier KS differential suite in internal/simulate pins the
-// agreement at scales where adjacent tiers overlap (m = 10⁵–10⁷).
+// The ODE tier runs only inside Hybrid, the auto kernel's ladder, which
+// hands every boundary layer (some consumed species below DefaultFloor
+// agents) to the collision kernel. The cross-tier KS differential suite in
+// internal/simulate pins the ladder's agreement with the discrete kernels
+// at m = 10⁵–10⁷.
 package fluid
 
 import (
@@ -86,9 +82,6 @@ func NewDeriv(p *protocol.Protocol) *Deriv {
 // NumStates returns the dimension of the fraction vector.
 func (d *Deriv) NumStates() int { return d.n }
 
-// NumChannels returns the number of compiled reaction channels.
-func (d *Deriv) NumChannels() int { return len(d.chans) }
-
 // Eval writes the drift at fractions x into out (len d.NumStates()) and
 // returns the total channel rate Σ_t a_t(x) — the expected fraction of
 // effective interactions per scheduling decision, used by the integrators to
@@ -110,29 +103,4 @@ func (d *Deriv) Eval(x, out []float64) (total float64) {
 		}
 	}
 	return total
-}
-
-// Rates writes the per-channel rates a_t(x) into a (len d.NumChannels())
-// and returns their sum. Used by the Langevin tier, which needs the
-// individual rates for the per-channel noise amplitudes √a_t.
-func (d *Deriv) Rates(x, a []float64) (total float64) {
-	for ci := range d.chans {
-		c := &d.chans[ci]
-		r := x[c.q] * x[c.r] * c.inv
-		if r <= 0 || x[c.q] <= 0 || x[c.r] <= 0 {
-			r = 0
-		}
-		a[ci] = r
-		total += r
-	}
-	return total
-}
-
-// applyScaled adds scale·Δ_t(s) for channel ci to out — one channel's delta
-// contribution, used by the Langevin tier's noise term.
-func (d *Deriv) applyScaled(ci int, scale float64, out []float64) {
-	c := &d.chans[ci]
-	for i := 0; i < c.nd; i++ {
-		out[c.states[i]] += scale * c.deltas[i]
-	}
 }

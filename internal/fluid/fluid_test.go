@@ -58,8 +58,8 @@ func TestDerivCompilation(t *testing.T) {
 	if d.NumStates() != 2 {
 		t.Fatalf("NumStates = %d", d.NumStates())
 	}
-	if d.NumChannels() != 2 {
-		t.Fatalf("NumChannels = %d", d.NumChannels())
+	if len(d.chans) != 2 {
+		t.Fatalf("%d channels, want 2", len(d.chans))
 	}
 	for ci, c := range d.chans {
 		if c.nd != 2 {
@@ -118,7 +118,7 @@ func TestIntegratorLogisticClosedForm(t *testing.T) {
 	ig := NewIntegrator(p)
 
 	const tau = 5.0
-	ig.StepN(c, int64(tau*float64(m)))
+	ig.Advance(c, int64(tau*float64(m)), 0)
 
 	e := math.Exp(tau)
 	want := x0 * e / (1 + x0*(e-1))
@@ -131,32 +131,24 @@ func TestIntegratorLogisticClosedForm(t *testing.T) {
 	}
 }
 
-// TestIntegratorConservation drives both tiers over the epidemic from many
-// starts and checks the two structural invariants after every chunk: counts
-// sum to exactly m and none is negative.
+// TestIntegratorConservation drives the ODE tier over the epidemic from
+// many starts and checks the two structural invariants after every chunk:
+// counts sum to exactly m and none is negative.
 func TestIntegratorConservation(t *testing.T) {
 	p := epidemic(t)
-	for _, langevin := range []bool{false, true} {
-		for _, m := range []int64{100, 10_000, 1_000_000} {
-			for _, i0 := range []int64{1, m / 3, m - 1} {
-				var ig *Integrator
-				if langevin {
-					ig = NewLangevin(p, sched.NewRand(9*m+i0))
-				} else {
-					ig = NewIntegrator(p)
+	for _, m := range []int64{100, 10_000, 1_000_000} {
+		for _, i0 := range []int64{1, m / 3, m - 1} {
+			ig := NewIntegrator(p)
+			c := config(t, p, map[string]int64{"I": i0, "S": m - i0})
+			for chunk := 0; chunk < 8; chunk++ {
+				ig.Advance(c, m, 0)
+				if c.Size() != m {
+					t.Fatalf("m=%d i0=%d chunk %d: size %d", m, i0, chunk, c.Size())
 				}
-				c := config(t, p, map[string]int64{"I": i0, "S": m - i0})
-				for chunk := 0; chunk < 8; chunk++ {
-					ig.StepN(c, m)
-					if c.Size() != m {
-						t.Fatalf("langevin=%v m=%d i0=%d chunk %d: size %d",
-							langevin, m, i0, chunk, c.Size())
-					}
-					for s := 0; s < c.Len(); s++ {
-						if c.Count(s) < 0 {
-							t.Fatalf("langevin=%v m=%d i0=%d chunk %d: count[%d] = %d",
-								langevin, m, i0, chunk, s, c.Count(s))
-						}
+				for s := 0; s < c.Len(); s++ {
+					if c.Count(s) < 0 {
+						t.Fatalf("m=%d i0=%d chunk %d: count[%d] = %d",
+							m, i0, chunk, s, c.Count(s))
 					}
 				}
 			}
@@ -164,66 +156,8 @@ func TestIntegratorConservation(t *testing.T) {
 	}
 }
 
-// TestLangevinReproducible pins the diffusion tier's determinism contract:
-// same seed → bit-identical trajectory; different seed → different noise
-// path (distinguishable with overwhelming probability at this scale).
-func TestLangevinReproducible(t *testing.T) {
-	p := epidemic(t)
-	const m = int64(1_000_000)
-	run := func(seed int64) *multiset.Multiset {
-		ig := NewLangevin(p, sched.NewRand(seed))
-		c := config(t, p, map[string]int64{"I": m / 4, "S": 3 * m / 4})
-		for i := 0; i < 4; i++ {
-			ig.StepN(c, m/2)
-		}
-		return c
-	}
-	a, b := run(42), run(42)
-	if !a.Equal(b) {
-		t.Fatalf("same seed diverged: %v vs %v", a, b)
-	}
-	if other := run(43); a.Equal(other) {
-		t.Fatalf("independent seeds produced identical counts %v", a)
-	}
-}
-
-// TestLangevinNoiseShrinksWithM pins the 1/√m scaling: the spread of the
-// infected count (relative to m) across seeds after a fixed τ must shrink
-// by about √100 = 10 when the population grows 100-fold.
-func TestLangevinNoiseShrinksWithM(t *testing.T) {
-	p := epidemic(t)
-	spread := func(m int64) float64 {
-		const seeds = 20
-		var vals [seeds]float64
-		for s := range vals {
-			ig := NewLangevin(p, sched.NewRand(int64(s)+1))
-			c := config(t, p, map[string]int64{"I": m / 10, "S": m - m/10})
-			ig.StepN(c, 2*m) // τ = 2, interior of the sigmoid
-			vals[s] = float64(c.Count(p.StateIndex("I"))) / float64(m)
-		}
-		var mean, ss float64
-		for _, v := range vals {
-			mean += v
-		}
-		mean /= seeds
-		for _, v := range vals {
-			ss += (v - mean) * (v - mean)
-		}
-		return math.Sqrt(ss / (seeds - 1))
-	}
-	small, large := spread(10_000), spread(1_000_000)
-	if small <= 0 || large <= 0 {
-		t.Fatalf("degenerate spreads %v, %v", small, large)
-	}
-	ratio := small / large
-	// Expected ratio 10; allow a generous band for 20-seed estimates.
-	if ratio < 3 || ratio > 33 {
-		t.Fatalf("σ(m=1e4)/σ(m=1e6) = %.2f, want ≈ 10", ratio)
-	}
-}
-
 // TestIntegratorResyncsOnExternalMutation pins the attach contract: mutating
-// the configuration between StepN calls discards the stale continuous state.
+// the configuration between Advance calls discards the stale continuous state.
 // Emptying the infected pool makes the epidemic dead; a stale x would still
 // carry infected mass and write it back.
 func TestIntegratorResyncsOnExternalMutation(t *testing.T) {
@@ -231,11 +165,11 @@ func TestIntegratorResyncsOnExternalMutation(t *testing.T) {
 	const m = int64(100_000)
 	c := config(t, p, map[string]int64{"I": m / 2, "S": m / 2})
 	ig := NewIntegrator(p)
-	ig.StepN(c, m)
+	ig.Advance(c, m, 0)
 
 	c.Set(p.StateIndex("I"), 0)
 	c.Set(p.StateIndex("S"), m)
-	ig.StepN(c, m)
+	ig.Advance(c, m, 0)
 	if got := c.Count(p.StateIndex("I")); got != 0 {
 		t.Fatalf("dead configuration re-infected: I = %d (stale continuous state)", got)
 	}
@@ -323,7 +257,7 @@ func TestHybridForcedFluidBeyondBulk(t *testing.T) {
 	p := epidemic(t)
 	const m = int64(4_000_000_000)
 	h := NewHybrid(p, sched.NewRand(23))
-	if h.Kernel().BulkAvailable(m) {
+	if h.kernel.BulkAvailable(m) {
 		t.Fatalf("bulk arithmetic unexpectedly available at m = %d", m)
 	}
 	c := config(t, p, map[string]int64{"I": 1, "S": m - 1})
@@ -340,29 +274,5 @@ func TestHybridForcedFluidBeyondBulk(t *testing.T) {
 	}
 	if snap.Sched.FluidChunks == 0 {
 		t.Fatal("no fluid chunks recorded")
-	}
-}
-
-// TestHybridFloorOverride pins SetFluidFloor: a floor above the seed count
-// keeps the run discrete where the default would have gone fluid.
-func TestHybridFloorOverride(t *testing.T) {
-	defer obs.Disable()
-	met := obs.Enable()
-	p := epidemic(t)
-	const m = int64(200_000)
-	c := config(t, p, map[string]int64{"I": m / 2, "S": m / 2})
-	h := NewHybrid(p, sched.NewRand(31))
-	h.SetFluidFloor(m) // every non-zero count is below m: never fluid
-	h.StepN(c, m)
-	snap := met.Snapshot()
-	if snap.Sched.FluidChunks != 0 {
-		t.Fatalf("%d fluid chunks with floor = m", snap.Sched.FluidChunks)
-	}
-	if snap.Sched.DiscreteChunks == 0 {
-		t.Fatal("no discrete chunks recorded")
-	}
-	h.SetFluidFloor(0) // ≤ 0 keeps the current floor
-	if h.floor != m {
-		t.Fatalf("SetFluidFloor(0) changed the floor to %d", h.floor)
 	}
 }

@@ -9,9 +9,9 @@ import (
 	"repro/internal/sched"
 )
 
-// DefaultFloor is the default regime switch-over bound: the hybrid runs the
-// fluid tier only while every consumed species with a non-zero count holds
-// at least this many agents. At 2¹⁴ agents the relative fluctuation scale
+// DefaultFloor is the regime switch-over bound: the hybrid runs the fluid
+// tier only while every consumed species with a non-zero count holds at
+// least this many agents. At 2¹⁴ agents the relative fluctuation scale
 // 1/√count is under 1%, where the deterministic drift dominates; below it
 // the discrete collision kernel (which itself falls back to the exact
 // per-step law near depletion) takes over.
@@ -36,7 +36,6 @@ const DefaultFloor = 1 << 14
 type Hybrid struct {
 	kernel *sched.CollisionKernel
 	integ  *Integrator
-	floor  int64
 
 	// tracked lists the states whose counts gate the fluid regime: those
 	// consumed by some reactive channel. Product-only and inert states
@@ -57,7 +56,6 @@ func NewHybrid(p *protocol.Protocol, rng *rand.Rand) *Hybrid {
 	h := &Hybrid{
 		kernel: sched.NewCollisionKernel(p, rng),
 		integ:  NewIntegrator(p),
-		floor:  DefaultFloor,
 		met:    obs.Sched(),
 	}
 	seen := make(map[int]bool)
@@ -70,14 +68,6 @@ func NewHybrid(p *protocol.Protocol, rng *rand.Rand) *Hybrid {
 		}
 	}
 	return h
-}
-
-// SetFluidFloor overrides the regime switch-over bound (agents per consumed
-// species required for the fluid tier). Values ≤ 0 keep the default.
-func (h *Hybrid) SetFluidFloor(floor int64) {
-	if floor > 0 {
-		h.floor = floor
-	}
 }
 
 // PreferredChunk forwards the fluid tier's preferred StepN chunk, so
@@ -98,7 +88,7 @@ func (h *Hybrid) StepN(c *multiset.Multiset, n int64) int64 {
 		useFluid := !bulkOK || h.fluidEligible(c)
 		h.noteRegime(useFluid)
 		if useFluid {
-			floor := h.floor
+			floor := int64(DefaultFloor)
 			if !bulkOK {
 				floor = 0 // no discrete tier to hand over to; never stop
 			}
@@ -106,11 +96,9 @@ func (h *Hybrid) StepN(c *multiset.Multiset, n int64) int64 {
 			if h.met != nil {
 				h.met.FluidChunks.Inc()
 			}
-			if adv > 0 {
-				taken += adv
-				effective += eff
-				continue
-			}
+			taken += adv
+			effective += eff
+			continue
 		}
 		// The kernel takes the rest of the call: its rounds size themselves
 		// by drift, and a call is already a 1/16 parallel-time chunk when
@@ -129,7 +117,7 @@ func (h *Hybrid) StepN(c *multiset.Multiset, n int64) int64 {
 // absent or macroscopic: no non-zero count below the floor.
 func (h *Hybrid) fluidEligible(c *multiset.Multiset) bool {
 	for _, s := range h.tracked {
-		if cnt := c.Count(s); cnt > 0 && cnt < h.floor {
+		if cnt := c.Count(s); cnt > 0 && cnt < DefaultFloor {
 			return false
 		}
 	}
@@ -143,9 +131,3 @@ func (h *Hybrid) noteRegime(fluid bool) {
 	h.haveRegime = true
 	h.fluid = fluid
 }
-
-// Kernel exposes the discrete tier (for tests pinning tier structure).
-func (h *Hybrid) Kernel() *sched.CollisionKernel { return h.kernel }
-
-// Integrator exposes the fluid tier (for tests pinning tier structure).
-func (h *Hybrid) Integrator() *Integrator { return h.integ }

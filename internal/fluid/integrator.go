@@ -3,41 +3,31 @@ package fluid
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/multiset"
 	"repro/internal/obs"
 	"repro/internal/protocol"
-	"repro/internal/sched"
 )
 
 // Integrator advances a configuration through the fluid limit: it keeps a
 // continuous fraction vector x alongside the integer configuration,
-// integrates the mean-field drift (adaptive RK45, Cash–Karp) or the chemical
-// Langevin equation (fixed-step Euler–Maruyama with 1/√m noise) in parallel
+// integrates the mean-field drift (adaptive RK45, Cash–Karp) in parallel
 // time, and writes the result back as integer counts by largest-remainder
 // rounding — mass-conserving by construction (Σ counts = m exactly after
-// every StepN) and non-negative (fractions are clamped and renormalised
+// every Advance) and non-negative (fractions are clamped and renormalised
 // after every internal step).
 //
-// The continuous state persists across StepN calls: writing back quantises
-// the *view*, not the dynamics, so sub-agent fractions (a species drifting
-// through 0.3 agents at m = 10¹²) are not lost between chunks. Externally
-// mutating the configuration between calls resyncs x from the counts, like
-// BatchRandomPair's attach contract.
+// The continuous state persists across Advance calls: writing back
+// quantises the *view*, not the dynamics, so sub-agent fractions (a species
+// drifting through 0.3 agents at m = 10¹²) are not lost between chunks.
+// Externally mutating the configuration between calls resyncs x from the
+// counts, like BatchRandomPair's attach contract.
 //
-// Reproducibility: the ODE tier is deterministic; the Langevin tier consumes
-// its *rand.Rand as a single sequential stream, so same-seed runs are
-// bit-identical. Both are only distributionally comparable to the discrete
-// tiers (and the ODE tier is their m → ∞ degenerate limit).
+// The integrator is deterministic, and only distributionally comparable to
+// the discrete tiers (it is their m → ∞ degenerate limit); Hybrid decides
+// where it runs.
 type Integrator struct {
-	p *protocol.Protocol
 	d *Deriv
-
-	// langevin selects the diffusion tier; rng is its noise stream (unused
-	// by the deterministic ODE tier).
-	langevin bool
-	rng      *rand.Rand
 
 	attached   *multiset.Multiset
 	m          int64
@@ -50,12 +40,9 @@ type Integrator struct {
 	// scratch
 	k      [6][]float64
 	xt, xe []float64
-	rates  []float64
 
 	met *obs.SchedMetrics
 }
-
-var _ sched.BatchScheduler = (*Integrator)(nil)
 
 const (
 	// rk45Rtol/rk45Atol control the RK45 per-step error test
@@ -67,10 +54,6 @@ const (
 	// rk45InitialStep seeds the adaptive step; the controller converges to
 	// the right scale within a few accepted/rejected steps.
 	rk45InitialStep = 1e-3
-	// emStep is the fixed Euler–Maruyama step of the Langevin tier, in τ
-	// units. EM is strong order 1/2, so the bias per τ unit is O(√h)·noise;
-	// 1/32 keeps it well under the 1/√m fluctuation scale the tier models.
-	emStep = 1.0 / 32
 	// minChunk is the floor of PreferredChunk, the runner's default
 	// quiescence period.
 	minChunk = 1_000
@@ -78,28 +61,14 @@ const (
 
 // NewIntegrator builds the deterministic mean-field ODE tier for p.
 func NewIntegrator(p *protocol.Protocol) *Integrator {
-	return newIntegrator(p, false, nil)
-}
-
-// NewLangevin builds the diffusion tier: mean-field drift plus the chemical
-// Langevin 1/√m noise term, driven by rng.
-func NewLangevin(p *protocol.Protocol, rng *rand.Rand) *Integrator {
-	return newIntegrator(p, true, rng)
-}
-
-func newIntegrator(p *protocol.Protocol, langevin bool, rng *rand.Rand) *Integrator {
 	d := NewDeriv(p)
 	ig := &Integrator{
-		p:        p,
-		d:        d,
-		langevin: langevin,
-		rng:      rng,
-		x:        make([]float64, d.NumStates()),
-		xt:       make([]float64, d.NumStates()),
-		xe:       make([]float64, d.NumStates()),
-		rates:    make([]float64, d.NumChannels()),
-		h:        rk45InitialStep,
-		met:      obs.Sched(),
+		d:   d,
+		x:   make([]float64, d.NumStates()),
+		xt:  make([]float64, d.NumStates()),
+		xe:  make([]float64, d.NumStates()),
+		h:   rk45InitialStep,
+		met: obs.Sched(),
 	}
 	for i := range ig.k {
 		ig.k[i] = make([]float64, d.NumStates())
@@ -107,10 +76,11 @@ func newIntegrator(p *protocol.Protocol, langevin bool, rng *rand.Rand) *Integra
 	return ig
 }
 
-// PreferredChunk is the StepN chunk size the integrator wants: m/16
+// PreferredChunk is the chunk size the integrator wants: m/16
 // interactions (1/16 of a parallel-time unit) so a convergence run costs
 // tens of chunks per parallel-time unit at any m, and never fewer than
-// 1,000. simulate.Run consults it when Options.BatchSize is unset.
+// 1,000. simulate.Run consults it, through Hybrid, when Options.BatchSize
+// is unset.
 func (ig *Integrator) PreferredChunk(m int64) int64 {
 	return max(minChunk, m/16)
 }
@@ -149,28 +119,15 @@ func (ig *Integrator) countsMatch(c *multiset.Multiset) bool {
 	return true
 }
 
-// Step implements sched.Scheduler: a single interaction is 1/m of a τ unit.
-func (ig *Integrator) Step(c *multiset.Multiset) bool {
-	_, eff := ig.Advance(c, 1, 0)
-	return eff > 0
-}
-
-// StepN implements sched.BatchScheduler: n interactions are n/m τ units of
-// fluid flow. The returned effective count is the integral of the total
-// channel rate along the trajectory — the fluid limit of the discrete
-// tiers' effective-interaction count.
-func (ig *Integrator) StepN(c *multiset.Multiset, n int64) int64 {
-	_, eff := ig.Advance(c, n, 0)
-	return eff
-}
-
 // Advance integrates up to n interactions of fluid flow and writes the
 // result back to c. A positive floor arms the regime boundary: integration
 // stops early as soon as any state's fractional count enters (0, floor) —
 // the signal that stochastic effects are no longer negligible and a discrete
 // tier must take over (see Hybrid). It returns the interactions actually
-// consumed (n unless the boundary stopped it) and the effective-interaction
-// estimate for that span.
+// consumed (n unless the boundary stopped it, and never less than 1) and
+// the effective-interaction estimate for that span: the integral of the
+// total channel rate along the trajectory, the fluid limit of the discrete
+// tiers' effective-interaction count.
 func (ig *Integrator) Advance(c *multiset.Multiset, n int64, floor int64) (taken, effective int64) {
 	m := c.Size()
 	if m < 2 {
@@ -185,12 +142,7 @@ func (ig *Integrator) Advance(c *multiset.Multiset, n int64, floor int64) (taken
 		floorFrac = float64(floor) / float64(m)
 	}
 	for done < tau {
-		var dt, rate float64
-		if ig.langevin {
-			dt, rate = ig.emStepOnce(tau - done)
-		} else {
-			dt, rate = ig.rkStepOnce(tau - done)
-		}
+		dt, rate := ig.rkStepOnce(tau - done)
 		done += dt
 		effF += rate * dt * float64(m)
 		if floorFrac > 0 && ig.belowFloor(floorFrac) {
@@ -325,46 +277,8 @@ func (ig *Integrator) rkStepOnce(maxDt float64) (dt, rate float64) {
 	}
 }
 
-// emStepOnce takes one fixed-step Euler–Maruyama step of at most maxDt τ:
-// x += f(x)·h + Σ_t Δ_t·√(a_t·h/m)·ξ_t with independent standard normals
-// ξ_t, the chemical Langevin discretisation at population m.
-func (ig *Integrator) emStepOnce(maxDt float64) (dt, rate float64) {
-	h := emStep
-	if h > maxDt {
-		h = maxDt
-	}
-	rate = ig.d.Rates(ig.x, ig.rates)
-	// Drift: Σ_t a_t·Δ_t, assembled from the rates we already have.
-	for i := range ig.xt {
-		ig.xt[i] = ig.x[i]
-	}
-	for ci, a := range ig.rates {
-		if a == 0 {
-			continue
-		}
-		ig.d.applyScaled(ci, a*h, ig.xt)
-		ig.d.applyScaled(ci, math.Sqrt(a*h/float64(ig.m))*ig.gauss(), ig.xt)
-	}
-	copy(ig.x, ig.xt)
-	ig.clampRenorm()
-	if ig.met != nil {
-		ig.met.LangevinSteps.Inc()
-	}
-	return h, rate
-}
-
-// gauss draws a standard normal by Box–Muller from the integrator's stream.
-func (ig *Integrator) gauss() float64 {
-	u1 := ig.rng.Float64()
-	if u1 == 0 {
-		u1 = math.SmallestNonzeroFloat64
-	}
-	u2 := ig.rng.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
 // clampRenorm restores the simplex invariants after a step: negative
-// fractions (overshoot of a depleting species, or Langevin noise) clamp to
+// fractions (overshoot of a depleting species) clamp to
 // zero and the vector renormalises to Σx = 1, so mass is conserved exactly
 // at the fraction level and the integer writeback can distribute m fully.
 func (ig *Integrator) clampRenorm() {

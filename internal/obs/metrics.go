@@ -55,11 +55,9 @@ type SchedMetrics struct {
 	// each time consecutive chunks were handled by different tiers.
 	RegimeSwitches Counter
 	// FluidRKSteps / FluidRKRejects count accepted and error-rejected RK45
-	// steps of the mean-field integrator; LangevinSteps counts fixed-size
-	// Euler–Maruyama steps of the diffusion tier.
+	// steps of the mean-field integrator.
 	FluidRKSteps   Counter
 	FluidRKRejects Counter
-	LangevinSteps  Counter
 }
 
 // SimMetrics instruments internal/simulate's runner and measurement pool.

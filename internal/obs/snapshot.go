@@ -41,7 +41,6 @@ type SchedSnap struct {
 	RegimeSwitches     int64    `json:"regime_switches"`
 	FluidRKSteps       int64    `json:"fluid_rk_steps"`
 	FluidRKRejects     int64    `json:"fluid_rk_rejects"`
-	LangevinSteps      int64    `json:"langevin_steps"`
 }
 
 // SimSnap is the frozen simulation group.
@@ -142,7 +141,6 @@ func (m *Metrics) Snapshot() Snap {
 		RegimeSwitches:     m.sched.RegimeSwitches.Load(),
 		FluidRKSteps:       m.sched.FluidRKSteps.Load(),
 		FluidRKRejects:     m.sched.FluidRKRejects.Load(),
-		LangevinSteps:      m.sched.LangevinSteps.Load(),
 	}
 	s.Sim = SimSnap{
 		RunsStarted:        m.sim.RunsStarted.Load(),

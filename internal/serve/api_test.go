@@ -135,9 +135,9 @@ func TestAPIContract(t *testing.T) {
 		{"largest runs and workers ok", `{"kind":"simulate","target":"majority","input":[6,4],"runs":1000000,"workers":1024}`, 202},
 		{"negative max_steps", `{"kind":"simulate","target":"majority","input":[6,4],"max_steps":-5}`, 400},
 		{"unknown kernel", `{"kind":"simulate","target":"majority","input":[6,4],"kernel":"warp"}`, 400},
-		{"fluid below floor", `{"kind":"simulate","target":"unary:8","input":[7],"kernel":"fluid"}`, 400},
-		{"langevin sweep below floor", `{"kind":"sweep","target":"unary:8","inputs":[[20000],[7]],"kernel":"langevin"}`, 400},
-		{"fluid at floor ok", `{"kind":"simulate","target":"unary:8","input":[16384],"kernel":"fluid"}`, 202},
+		{"fluid kernel removed", `{"kind":"simulate","target":"unary:8","input":[16384],"kernel":"fluid"}`, 400},
+		{"langevin kernel removed", `{"kind":"sweep","target":"unary:8","inputs":[[20000],[7]],"kernel":"langevin"}`, 400},
+		{"fluid_floor field removed", `{"kind":"simulate","target":"majority","input":[6,4],"kernel":"auto","fluid_floor":32768}`, 400},
 		{"topology ok", `{"kind":"simulate","target":"majority","input":[6,4],"topology":"ring"}`, 202},
 		{"topology with policy ok", `{"kind":"simulate","target":"majority","input":[6,4],"topology":"ring","topo_policy":"roundrobin"}`, 202},
 		{"unknown topology", `{"kind":"simulate","target":"majority","input":[6,4],"topology":"dodecahedron"}`, 400},
@@ -150,15 +150,17 @@ func TestAPIContract(t *testing.T) {
 		{"checkpoint path traversal", `{"kind":"sweep","target":"majority","inputs":[[6,4]],"checkpoint":"../evil"}`, 400},
 		{"checkpoint without state dir", `{"kind":"sweep","target":"majority","inputs":[[6,4]],"checkpoint":"ok-name"}`, 400},
 	}
-	// Errors whose wording ppsim shares, and the index of an overflowing
-	// input vector, are pinned too.
+	// Errors whose wording ppsim shares, the index of an overflowing input
+	// vector, and the answers to removed kernel names and fields are pinned
+	// too.
 	wantErr := map[string]string{
 		"policy without topology":     "edge-selection policy requires a topology",
 		"workers above bound":         "Workers must be ≤ 1024",
 		"input total overflows":       "input: counts total more than 9223372036854775807 agents",
 		"sweep input total overflows": "inputs[1]: counts total more than",
-		"fluid below floor":           `kernel "fluid" needs at least 16384 agents`,
-		"langevin sweep below floor":  `kernel "langevin" needs at least 16384 agents`,
+		"fluid kernel removed":        `unknown kernel "fluid" (want exact | batch | auto)`,
+		"langevin kernel removed":     `unknown kernel "langevin" (want exact | batch | auto)`,
+		"fluid_floor field removed":   `unknown field "fluid_floor"`,
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -76,8 +76,8 @@ type JobSpec struct {
 	// on one goroutine) or frontier chunks (explore) out over goroutines,
 	// at most 1024; results and errors are bit-identical for any value.
 	Workers int `json:"workers,omitempty"`
-	// Kernel selects the interaction kernel: exact | batch | fluid |
-	// langevin | auto (empty = exact).
+	// Kernel selects the interaction kernel: exact | batch | auto (empty =
+	// exact).
 	Kernel string `json:"kernel,omitempty"`
 	// Batch is the chunk size of the kernel driver (0 = 65536).
 	Batch int64 `json:"batch,omitempty"`
@@ -86,8 +86,6 @@ type JobSpec struct {
 	// StableWindow and QuiescencePeriod tune convergence detection.
 	StableWindow     int64 `json:"stable_window,omitempty"`
 	QuiescencePeriod int64 `json:"quiescence_period,omitempty"`
-	// FluidFloor tunes the auto kernel's fluid-tier switch-over.
-	FluidFloor int64 `json:"fluid_floor,omitempty"`
 	// Topology restricts interactions to a graph (clique | ring |
 	// grid[:RxC] | powerlaw[:k]), per-step as in ppsim; excludes Kernel
 	// and Batch.
@@ -169,23 +167,8 @@ func (s *JobSpec) Validate() error {
 	if s.MemBudget < 0 {
 		return fmt.Errorf("mem_budget must be ≥ 0, got %d", s.MemBudget)
 	}
-	opts, err := s.options()
-	if err != nil {
+	if _, err := s.options(); err != nil {
 		return err
-	}
-	if s.Kind != KindExplore {
-		for _, in := range append([][]int64{s.Input}, s.Inputs...) {
-			if len(in) == 0 {
-				continue
-			}
-			var m int64
-			for _, c := range in {
-				m += c
-			}
-			if err := opts.ValidatePopulation(m); err != nil {
-				return err
-			}
-		}
 	}
 	if s.Checkpoint != "" {
 		if s.Kind != KindSweep {
@@ -255,7 +238,6 @@ func (s *JobSpec) options() (simulate.Options, error) {
 		QuiescencePeriod: s.QuiescencePeriod,
 		BatchSize:        s.Batch,
 		Kernel:           s.Kernel,
-		FluidFloor:       s.FluidFloor,
 		Workers:          s.Workers,
 	}
 	if err := opts.SetTopology(s.Topology, s.TopoPolicy, s.Crash, s.Revive, s.Join); err != nil {

@@ -43,6 +43,39 @@ func TestServerRecoverQueued(t *testing.T) {
 	}
 }
 
+// TestServerRecoverRemovedKernel pins restart recovery of a job file written
+// before the fluid and langevin kernels and the fluid_floor field were
+// removed: recover loads it (its lenient decode drops the stale field),
+// re-enqueues it, and the job fails with the usage error that lists the
+// remaining kernels instead of taking the server down.
+func TestServerRecoverRemovedKernel(t *testing.T) {
+	dir := t.TempDir()
+	jobsDir := filepath.Join(dir, "jobs")
+	if err := os.MkdirAll(jobsDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	stale := `{"id":"j000001","spec":{"kind":"simulate","target":"majority","input":[30,20],` +
+		`"kernel":"langevin","fluid_floor":32768},"status":"queued","created":"2026-01-02T03:04:05Z"}`
+	if err := os.WriteFile(filepath.Join(jobsDir, "j000001.json"), []byte(stale), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	met := obs.Enable()
+	defer obs.Disable()
+	s, ts := newTestServer(t, Config{Workers: 1, StateDir: dir})
+	if got := s.Get("j000001"); got == nil {
+		t.Fatal("stale job not recovered")
+	}
+	if n := met.Serve().JobsResumed.Load(); n != 1 {
+		t.Fatalf("JobsResumed = %d, want 1", n)
+	}
+	done := waitTerminal(t, ts.URL, "j000001")
+	const want = `simulate: unknown kernel "langevin" (want exact | batch | auto)`
+	if done.Status != StatusFailed || done.Error != want {
+		t.Fatalf("stale job finished %s (%q), want %s (%q)", done.Status, done.Error, StatusFailed, want)
+	}
+}
+
 // TestServerRecoverTerminalHistory pins that finished jobs come back as
 // queryable history, results intact, without being re-enqueued.
 func TestServerRecoverTerminalHistory(t *testing.T) {

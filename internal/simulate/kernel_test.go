@@ -2,11 +2,9 @@ package simulate
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/baseline"
-	"repro/internal/fluid"
 	"repro/internal/protocol"
 	"repro/internal/sched"
 	"repro/internal/simulate/stattest"
@@ -14,10 +12,9 @@ import (
 
 // TestNewKernelSchedulerSelection pins the kernel-name → scheduler mapping
 // of NewScheduler, including the empty name (exact), a topology (the graph
-// scheduler), both sides of each of auto's population thresholds (exact ↔
-// tau-leap at AutoKernelThreshold, tau-leap ↔ hybrid ladder at
-// AutoFluidThreshold) and the fluid floor below which fluid and langevin
-// are refused.
+// scheduler) and both sides of each of auto's population thresholds (exact
+// ↔ tau-leap at AutoKernelThreshold, tau-leap ↔ hybrid ladder at
+// AutoFluidThreshold).
 func TestNewKernelSchedulerSelection(t *testing.T) {
 	p := epidemic(t)
 	rng := sched.NewRand(1)
@@ -29,8 +26,6 @@ func TestNewKernelSchedulerSelection(t *testing.T) {
 		{Options{}, 10, "*sched.BatchRandomPair"},
 		{Options{Kernel: KernelExact}, 10, "*sched.BatchRandomPair"},
 		{Options{Kernel: KernelBatch}, 10, "*sched.CollisionKernel"},
-		{Options{Kernel: KernelFluid}, fluid.DefaultFloor, "*fluid.Integrator"},
-		{Options{Kernel: KernelLangevin}, fluid.DefaultFloor, "*fluid.Integrator"},
 		{Options{Kernel: KernelAuto}, AutoKernelThreshold - 1, "*sched.BatchRandomPair"},
 		{Options{Kernel: KernelAuto}, AutoKernelThreshold, "*sched.CollisionKernel"},
 		{Options{Kernel: KernelAuto}, AutoFluidThreshold - 1, "*sched.CollisionKernel"},
@@ -47,14 +42,6 @@ func TestNewKernelSchedulerSelection(t *testing.T) {
 	}
 	if _, err := NewScheduler(p, rng, Options{Kernel: "turbo"}, 10); err == nil {
 		t.Fatal("bogus kernel name accepted")
-	}
-	// Below the fluid floor the mean-field tiers are refused, with the
-	// floor and the auto kernel named.
-	for _, kernel := range []string{KernelFluid, KernelLangevin} {
-		_, err := NewScheduler(p, rng, Options{Kernel: kernel}, fluid.DefaultFloor-1)
-		if err == nil || !strings.Contains(err.Error(), "needs at least 16384 agents") || !strings.Contains(err.Error(), `"auto"`) {
-			t.Fatalf("kernel %q at m = %d: err = %v, want the floor and auto named", kernel, fluid.DefaultFloor-1, err)
-		}
 	}
 }
 

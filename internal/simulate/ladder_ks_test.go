@@ -7,31 +7,35 @@ import (
 )
 
 // TestLadderKSAdjacentTiers is the cross-tier statistical differential suite
-// of the simulation ladder: the distribution of convergence step counts must
-// agree, under a two-sample Kolmogorov–Smirnov test at α = 0.05, between
-// each pair of adjacent tiers at populations where both can run.
+// of the simulation ladder: the distribution of convergence step counts
+// under the hybrid ladder (the auto kernel at m ≥ AutoFluidThreshold) must
+// agree with a discrete kernel's, under a two-sample Kolmogorov–Smirnov
+// test at α = 0.01 over 300 runs a side.
 //
-//   - tau-leap (collision kernel) vs the hybrid ladder: the epidemic seeded
-//     from one infected agent crosses the discrete→fluid→discrete regime
-//     boundaries, so the comparison exercises the fluid tier's interior flow
-//     *and* both hand-offs. The convergence time's randomness lives in the
-//     boundary layers, which the hybrid resolves with the same discrete
-//     machinery — the deterministic interior must not shift the distribution.
-//   - tau-leap vs Langevin: from a macroscopic start both tiers carry the
-//     same drift; the Langevin tier must reproduce the stochastic spread
-//     around it (1/√m chemical noise) well enough that absorption times are
-//     indistinguishable at this sample size.
+//   - tau-leap (collision kernel) vs the hybrid ladder, at m = 10⁵ and 10⁷:
+//     the epidemic seeded from one infected agent crosses the
+//     discrete→fluid→discrete regime boundaries, so the comparison
+//     exercises the fluid tier's interior flow *and* both hand-offs. The
+//     convergence time's randomness lives in the boundary layers, which the
+//     hybrid resolves with the same discrete machinery — the deterministic
+//     interior must not shift the distribution.
+//   - exact vs the hybrid ladder from a macroscopic start (10% infected) at
+//     m = 10⁵: the ladder goes fluid as soon as the infected count clears
+//     the 2¹⁴ floor, so most of the bulk is integrated, not sampled. This
+//     is the configuration on which a Langevin diffusion tier measured a
+//     mean convergence step 3.7% low (KS D = 0.197), a bias 70 runs at
+//     α = 0.05 could not detect.
 //
 // Both sides of each pair run at identical driver granularity (same
 // BatchSize, stabilisation window and quiescence checks), so only the tier
 // differs.
 func TestLadderKSAdjacentTiers(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs hundreds of convergence measurements at m = 10⁵⁺")
+		t.Skip("runs 1,800 convergence measurements at m = 10⁵⁺")
 	}
 	p := epidemic(t)
-	const runs = 70
-	const alpha = 0.05
+	const runs = 300
+	const alpha = 0.01
 
 	pairTest := func(name string, m int64, start []int64, kernelA, kernelB string, seedB int64) {
 		t.Helper()
@@ -63,8 +67,8 @@ func TestLadderKSAdjacentTiers(t *testing.T) {
 	pairTest("batch-vs-ladder/m=1e7", 10_000_000, []int64{1, 10_000_000 - 1},
 		KernelBatch, KernelAuto, 500_000)
 
-	// Tau-leap vs Langevin from a macroscopic start (10% infected), where
-	// the diffusion approximation is in its domain from the first step.
-	pairTest("batch-vs-langevin/m=1e5", 100_000, []int64{10_000, 90_000},
-		KernelBatch, KernelLangevin, 500_000)
+	// Exact vs hybrid ladder from a macroscopic start (10% infected), where
+	// the ladder integrates most of the bulk as fluid.
+	pairTest("exact-vs-ladder/m=1e5", 100_000, []int64{10_000, 90_000},
+		KernelExact, KernelAuto, 500_000)
 }

@@ -41,14 +41,6 @@ const (
 	// interactions against frozen counts, falling back to the exact path
 	// near small counts.
 	KernelBatch = "batch"
-	// KernelFluid drives the deterministic mean-field ODE tier
-	// (fluid.Integrator): adaptive RK45 on the protocol's polynomial drift
-	// over normalized count fractions.
-	KernelFluid = "fluid"
-	// KernelLangevin drives the diffusion tier: the mean-field drift plus
-	// the chemical Langevin 1/√m noise term, integrated by seeded
-	// fixed-step Euler–Maruyama.
-	KernelLangevin = "langevin"
 	// KernelAuto climbs the whole ladder by population size: KernelExact
 	// below AutoKernelThreshold, the collision kernel from there to
 	// AutoFluidThreshold, and the regime-switching hybrid (fluid.Hybrid —
@@ -63,10 +55,10 @@ const (
 const AutoKernelThreshold = 4096
 
 // AutoFluidThreshold is the population size at or above which KernelAuto
-// selects the regime-switching fluid hybrid. It deliberately sits well
-// below the hybrid's per-species floor: the hybrid itself only engages the
-// fluid tier once every consumed species clears fluid.DefaultFloor, so the
-// threshold just marks where fluid phases become worth having at all.
+// selects the regime-switching fluid hybrid. It is a total, not the
+// hybrid's per-species floor: the hybrid itself only engages the fluid tier
+// once every consumed species clears fluid.DefaultFloor (2¹⁴ agents), so
+// the threshold just marks where fluid phases become worth having at all.
 const AutoFluidThreshold = 1 << 16
 
 // defaultBatch is the StepN chunk size used when BatchSize is left zero.
@@ -81,18 +73,11 @@ func NewScheduler(p *protocol.Protocol, rng *rand.Rand, opts Options, m int64) (
 	if opts.Topology != nil {
 		return opts.Topology.NewScheduler(p, rng, opts.Faults, m)
 	}
-	if err := opts.ValidatePopulation(m); err != nil {
-		return nil, err
-	}
 	switch opts.Kernel {
 	case "", KernelExact:
 		return sched.NewBatchRandomPair(p, rng), nil
 	case KernelBatch:
 		return sched.NewCollisionKernel(p, rng), nil
-	case KernelFluid:
-		return fluid.NewIntegrator(p), nil
-	case KernelLangevin:
-		return fluid.NewLangevin(p, rng), nil
 	case KernelAuto:
 		switch {
 		case m >= AutoFluidThreshold:
@@ -108,10 +93,10 @@ func NewScheduler(p *protocol.Protocol, rng *rand.Rand, opts Options, m int64) (
 }
 
 // kernels lists the accepted Kernel names in ladder order.
-var kernels = []string{KernelExact, KernelBatch, KernelFluid, KernelLangevin, KernelAuto}
+var kernels = []string{KernelExact, KernelBatch, KernelAuto}
 
 // KernelUsage lists the accepted Kernel names for help text:
-// "exact | batch | fluid | langevin | auto".
+// "exact | batch | auto".
 func KernelUsage() string { return strings.Join(kernels, " | ") }
 
 func errUnknownKernel(kernel string) error {
@@ -135,8 +120,7 @@ type Options struct {
 	// QuiescencePeriod steps the runner scans for enabled transitions and
 	// stops if there are none. Zero means 1,000, or, when BatchSize is
 	// also zero and the scheduler states a preferred chunk (the collision
-	// kernel, the hybrid and the fluid tiers: max(1,000, m/16)), that
-	// chunk.
+	// kernel and the hybrid: max(1,000, m/16)), that chunk.
 	QuiescencePeriod int64
 	// BatchSize is the chunk size of the batched driver: when the
 	// scheduler implements sched.BatchScheduler, Run advances the
@@ -153,12 +137,6 @@ type Options struct {
 	// Kernel selects the interaction kernel, one of the Kernel* constants,
 	// and so the scheduler NewScheduler builds. Empty means KernelExact.
 	Kernel string
-	// FluidFloor overrides the hybrid ladder's regime switch-over bound:
-	// the per-species agent count every consumed species must hold before
-	// the auto kernel's hybrid runs the fluid tier. Zero keeps
-	// fluid.DefaultFloor; the knob only affects the auto kernel at fluid
-	// scale (other kernels ignore it).
-	FluidFloor int64
 	// Workers is the number of goroutines the measurement functions fan
 	// runs out over (SweepResumable: points, each measuring its runs on one
 	// goroutine), through par.Ordered. Each run draws its PRNG from seed+i
@@ -196,7 +174,7 @@ func (o Options) Validate() error {
 	}{
 		{"MaxSteps", o.MaxSteps}, {"StableWindow", o.StableWindow},
 		{"QuiescencePeriod", o.QuiescencePeriod}, {"BatchSize", o.BatchSize},
-		{"FluidFloor", o.FluidFloor}, {"Workers", int64(o.Workers)},
+		{"Workers", int64(o.Workers)},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("simulate: %s must be ≥ 0, got %d", f.name, f.v)
@@ -221,21 +199,6 @@ func (o Options) Validate() error {
 		return err
 	}
 	return o.Faults.Validate()
-}
-
-// ValidatePopulation checks the one option rule that depends on the
-// population: the fluid and langevin kernels need at least
-// fluid.DefaultFloor agents. Below it the mean-field tiers, which treat
-// every count as a continuum, can stabilise to a wrong output and report it
-// as definite (unary:8 at m = 7 read true); the auto kernel runs them only
-// where every consumed species clears the floor. NewScheduler applies it,
-// and ppserved checks it when a job is submitted.
-func (o Options) ValidatePopulation(m int64) error {
-	if (o.Kernel == KernelFluid || o.Kernel == KernelLangevin) && m < fluid.DefaultFloor {
-		return fmt.Errorf("simulate: kernel %q needs at least %d agents (fluid.DefaultFloor), got %d; use kernel %q",
-			o.Kernel, fluid.DefaultFloor, m, KernelAuto)
-	}
-	return nil
 }
 
 // SetTopology decodes the topology run strings of the CLIs and ppserved (a
@@ -336,9 +299,6 @@ func Run(p *protocol.Protocol, c *multiset.Multiset, s sched.Scheduler, opts Opt
 	if met != nil {
 		met.RunsStarted.Inc()
 	}
-	if h, ok := s.(*fluid.Hybrid); ok && opts.FluidFloor > 0 {
-		h.SetFluidFloor(opts.FluidFloor)
-	}
 	res, err := run(p, c, s, opts)
 	if met != nil && err == nil {
 		met.RunsFinished.Inc()
@@ -397,7 +357,7 @@ func run(p *protocol.Protocol, c *multiset.Multiset, s sched.Scheduler, opts Opt
 	if ok {
 		batch = opts.batchSize()
 		// A scheduler can state population-scaled chunks: the collision
-		// kernel and the fluid tiers want max(1,000, m/16) interactions —
+		// kernel and the hybrid want max(1,000, m/16) interactions —
 		// 1/16 of a parallel-time unit — per chunk, since their rounds and
 		// integration steps cannot span chunks. A stated chunk replaces
 		// the default batch, and a default quiescence period follows it,

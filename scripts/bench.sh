@@ -3,8 +3,9 @@
 #
 # Covers the scheduler-level StepN benchmarks (exact vs collision kernel),
 # the end-to-end RunKernels convergence benchmark, the root
-# BatchStepN / MeasureConvergence benchmarks, the fluid-tier benchmarks
-# (FluidStepN chunk cost, LadderConvergence end-to-end at m = 10⁹/10¹²),
+# BatchStepN / MeasureConvergence benchmarks, the ODE-tier benchmarks
+# (FluidStepN: one mean-field RK chunk; LadderConvergence: the auto
+# ladder end-to-end at m = 10⁹/10¹²),
 # the E17 shrink benchmarks (whose removal metrics come from the `opt` obs
 # group, so pipeline regressions land in the record) and the pipeline's
 # transition dedup and machine check (CompactTransitions, MachineValidate),
