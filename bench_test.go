@@ -23,7 +23,8 @@
 // uniform random-pair scheduler against the batched fast path on a
 // null-interaction-dominated protocol — the regime of every converted
 // machine, where a single instruction-pointer agent makes all but Θ(1/m)
-// of interactions null.
+// of interactions null. BenchmarkSamplerBuild times what those samplers
+// cost to build on the shrunk converted protocols.
 package repro_test
 
 import (
@@ -529,6 +530,55 @@ func BenchmarkBatchStepN(b *testing.B) {
 			b.ReportMetric(
 				float64(b.Elapsed().Nanoseconds())/(float64(b.N)*chunk), "ns/interaction")
 		})
+	}
+}
+
+// samplerSink keeps BenchmarkSamplerBuild's results live.
+var samplerSink any
+
+// BenchmarkSamplerBuild times what a run pays before its first interaction
+// on the paper's converted protocols, both shrunk: the pair index
+// (protocol.NewStepper) and the exact, batch and auto samplers built on it.
+// The samplers come from simulate.NewScheduler at m = AutoFluidThreshold,
+// where auto builds the fluid hybrid.
+func BenchmarkSamplerBuild(b *testing.B) {
+	czerner, err := core.New(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, prog := range []struct {
+		name string
+		p    *popprog.Program
+	}{{"figure1", popprog.Figure1Program()}, {"czerner1", czerner.Program}} {
+		machine, err := compile.Compile(prog.p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, _, err := convert.Optimize(machine)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p := res.Protocol
+		b.Run(prog.name+"/index", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				samplerSink = protocol.NewStepper(p)
+			}
+		})
+		for _, kernel := range []string{simulate.KernelExact, simulate.KernelBatch, simulate.KernelAuto} {
+			b.Run(prog.name+"/kernel="+kernel, func(b *testing.B) {
+				opts := simulate.Options{Kernel: kernel}
+				rng := sched.NewRand(1)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					s, err := simulate.NewScheduler(p, rng, opts, simulate.AutoFluidThreshold)
+					if err != nil {
+						b.Fatal(err)
+					}
+					samplerSink = s
+				}
+			})
+		}
 	}
 }
 

@@ -9,10 +9,10 @@
 //
 // over state fractions x, where τ is parallel time (one τ unit = m
 // interactions) and Δ_t is the integer per-firing count delta of transition
-// t. The channels and their weights come from sched.ReactiveChannels — the
-// same enumeration the exact sampler and the collision kernel draw from, so
-// the fluid drift is by construction the m → ∞ limit of the stochastic
-// tiers below it.
+// t. The channels and their weights come from the reactive pairs of
+// protocol.Stepper — the same index the exact sampler and the collision
+// kernel draw from, so the fluid drift is by construction the m → ∞ limit of
+// the stochastic tiers below it.
 //
 // The ODE tier runs only inside Hybrid, the auto kernel's ladder, which
 // hands every boundary layer (some consumed species below DefaultFloor
@@ -21,10 +21,7 @@
 // at m = 10⁵–10⁷.
 package fluid
 
-import (
-	"repro/internal/protocol"
-	"repro/internal/sched"
-)
+import "repro/internal/protocol"
 
 // channel is one compiled reaction channel: the consumed pair, the rate
 // coefficient 1/#candidates, and the non-zero per-state count deltas of one
@@ -44,37 +41,45 @@ type Deriv struct {
 	chans []channel
 }
 
-// NewDeriv compiles p's reactive channels into evaluable drift form.
+// NewDeriv compiles p's reactive channels, one per non-silent candidate of
+// each reactive pair, into evaluable drift form.
 func NewDeriv(p *protocol.Protocol) *Deriv {
-	d := &Deriv{n: p.NumStates()}
-	for _, ch := range sched.ReactiveChannels(p) {
-		c := channel{q: int(ch.T.Q), r: int(ch.T.R), inv: 1 / float64(ch.Candidates)}
-		add := func(s int, v float64) {
+	pairs := protocol.NewStepper(p).Reactive()
+	n := 0
+	for _, pair := range pairs {
+		n += len(pair.Fire)
+	}
+	d := &Deriv{n: p.NumStates(), chans: make([]channel, 0, n)}
+	for _, pair := range pairs {
+		for _, t := range pair.Fire {
+			c := channel{q: pair.Q, r: pair.R, inv: 1 / float64(pair.Candidates)}
+			add := func(s int, v float64) {
+				for i := 0; i < c.nd; i++ {
+					if c.states[i] == s {
+						c.deltas[i] += v
+						return
+					}
+				}
+				c.states[c.nd] = s
+				c.deltas[c.nd] = v
+				c.nd++
+			}
+			add(int(t.Q), -1)
+			add(int(t.R), -1)
+			add(int(t.Q2), 1)
+			add(int(t.R2), 1)
+			// Drop zero entries (a state both consumed and produced).
+			w := 0
 			for i := 0; i < c.nd; i++ {
-				if c.states[i] == s {
-					c.deltas[i] += v
-					return
+				if c.deltas[i] != 0 {
+					c.states[w] = c.states[i]
+					c.deltas[w] = c.deltas[i]
+					w++
 				}
 			}
-			c.states[c.nd] = s
-			c.deltas[c.nd] = v
-			c.nd++
+			c.nd = w
+			d.chans = append(d.chans, c)
 		}
-		add(int(ch.T.Q), -1)
-		add(int(ch.T.R), -1)
-		add(int(ch.T.Q2), 1)
-		add(int(ch.T.R2), 1)
-		// Drop zero entries (a state both consumed and produced).
-		w := 0
-		for i := 0; i < c.nd; i++ {
-			if c.deltas[i] != 0 {
-				c.states[w] = c.states[i]
-				c.deltas[w] = c.deltas[i]
-				w++
-			}
-		}
-		c.nd = w
-		d.chans = append(d.chans, c)
 	}
 	return d
 }

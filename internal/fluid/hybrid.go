@@ -38,8 +38,9 @@ type Hybrid struct {
 	integ  *Integrator
 
 	// tracked lists the states whose counts gate the fluid regime: those
-	// consumed by some reactive channel. Product-only and inert states
-	// never enter a rate, so their counts are irrelevant to tier validity.
+	// consumed by some channel of the integrator's drift. Product-only and
+	// inert states never enter a rate, so their counts are irrelevant to
+	// tier validity.
 	tracked []int
 
 	haveRegime bool
@@ -58,9 +59,9 @@ func NewHybrid(p *protocol.Protocol, rng *rand.Rand) *Hybrid {
 		integ:  NewIntegrator(p),
 		met:    obs.Sched(),
 	}
-	seen := make(map[int]bool)
-	for _, ch := range sched.ReactiveChannels(p) {
-		for _, s := range [2]int{int(ch.T.Q), int(ch.T.R)} {
+	seen := make([]bool, p.NumStates())
+	for _, c := range h.integ.d.chans {
+		for _, s := range [2]int{c.q, c.r} {
 			if !seen[s] {
 				seen[s] = true
 				h.tracked = append(h.tracked, s)

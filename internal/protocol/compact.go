@@ -14,12 +14,12 @@ import (
 // silent transitions never change a configuration and duplicates add
 // nothing — so reachability, stable consensus, and the decided predicate
 // are identical. What it does NOT preserve is the *law* of the uniform
-// random scheduler: sched.ReactiveChannels counts every transition sharing
-// an ordered state pair (silent ones included) when weighting a pair's
-// outcome, so removing them changes interaction probabilities (never the
-// outcome set). The shrink pipeline therefore applies it only on the
-// opt-in optimization path, gated by predicate-equivalence tests, never
-// behind the back of the trace-exact differential harnesses.
+// random scheduler: a step fires one of Stepper.Candidates(q, r), every
+// transition sharing the ordered state pair, silent ones included, so
+// removing them changes interaction probabilities (never the outcome set).
+// The shrink pipeline therefore applies it only on the opt-in optimization
+// path, gated by predicate-equivalence tests, never behind the back of the
+// trace-exact differential harnesses.
 //
 // It runs in O(|δ| + |Q|) time (see firstOccurrences) and allocates no
 // hash table.
@@ -44,9 +44,6 @@ func CompactTransitions(p *Protocol) (out *Protocol, silent, duplicates int, err
 		Transitions: kept,
 		Input:       append([]int(nil), p.Input...),
 		Accepting:   append([]bool(nil), p.Accepting...),
-	}
-	if err := out.Validate(); err != nil {
-		return nil, 0, 0, fmt.Errorf("compact: produced an invalid protocol: %w", err)
 	}
 	return out, silent, duplicates, nil
 }

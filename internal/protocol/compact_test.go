@@ -151,6 +151,9 @@ func checkCompactAgainstOracle(t *testing.T, n int, ts []Transition) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := out.Validate(); err != nil {
+		t.Fatalf("compacted protocol is invalid: %v", err)
+	}
 	want, wantSilent, wantDups := compactByMap(ts)
 	if silent != wantSilent || dups != wantDups {
 		t.Fatalf("silent=%d dups=%d, oracle %d and %d", silent, dups, wantSilent, wantDups)
@@ -168,7 +171,7 @@ func checkCompactAgainstOracle(t *testing.T, n int, ts []Transition) {
 // TestCompactTransitionsMatchesMapOracle is the differential test of the
 // linear dedup: on random tables with silent, swap-silent and repeated
 // transitions, it keeps exactly what the map-based algorithm kept, in the
-// same order, and reports the same counts.
+// same order, reports the same counts, and returns a valid protocol.
 func TestCompactTransitionsMatchesMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 300; trial++ {
@@ -182,7 +185,8 @@ func TestCompactTransitionsMatchesMapOracle(t *testing.T) {
 	}
 }
 
-// FuzzCompactTransitions drives the differential check from fuzzed tables.
+// FuzzCompactTransitions drives the differential check, output validity
+// included, from fuzzed tables.
 func FuzzCompactTransitions(f *testing.F) {
 	f.Add(byte(3), []byte{0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 3, 0, 0, 0, 0, 2, 1, 0, 0, 0})
 	f.Add(byte(1), []byte{1, 0, 0, 0, 0})

@@ -81,6 +81,9 @@ func TestReducePreservesBehaviour(t *testing.T) {
 	if removed != 1 {
 		t.Fatalf("removed %d, want 1 (ghost)", removed)
 	}
+	if err := reduced.Validate(); err != nil {
+		t.Fatalf("reduced protocol is invalid: %v", err)
+	}
 	// Same input arity and same reachable behaviour: one infection step.
 	c1, _ := p.InitialConfig(1, 1)
 	c2, _ := reduced.InitialConfig(1, 1)

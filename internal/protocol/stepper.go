@@ -8,64 +8,191 @@ import (
 	"repro/internal/multiset"
 )
 
-// Stepper precomputes a (q, r) → transitions index so that enabled-
-// transition queries cost O(support² · log |Q|) instead of O(|δ|). Converted
-// protocols (§7.3) have hundreds of thousands of transitions but only a
-// handful of occupied states at any time, which makes the index the
-// difference between seconds and hours in simulation and model checking.
+// Stepper is a protocol's (q, r) → transitions index: the one grouping of δ
+// by ordered state pair that the explorer and every sampler read. Under the
+// paper's uniform random-pair scheduler one step draws an ordered pair of
+// agents and fires one of its state pair's candidate transitions uniformly,
+// so each pair keeps all of its candidates in p.Transitions order, silent
+// ones included, and beside them its non-silent candidates, the ones that
+// change a configuration.
+//
+// Enabled-transition queries through the index cost O(support² · log |Q|)
+// instead of O(|δ|). Converted protocols (§7.3) have hundreds of thousands
+// of transitions but only a handful of occupied states at any time, which
+// makes the index the difference between seconds and hours in simulation
+// and model checking.
 //
 // A Stepper is read-only after NewStepper and safe for concurrent use.
 type Stepper struct {
 	p *Protocol
-	// rows[q] lists the pairs (q, r) that have non-silent transitions, in
-	// increasing r; each pair's transitions are trans[lo:hi], in
-	// p.Transitions order.
-	rows  [][]pairSpan
-	trans []Transition
+	// The pairs with initiator q are spans[row[q]:row[q+1]], in increasing
+	// r. Pair i's candidates are cands[spans[i].lo:spans[i+1].lo] and its
+	// non-silent candidates fire[spans[i].flo:spans[i+1].flo]; a sentinel
+	// span closes the last pair. fire is cands when δ has no silent
+	// transition.
+	row   []int32
+	spans []pairSpan
+	cands []Transition
+	fire  []Transition
 }
 
-type pairSpan struct{ r, lo, hi int32 }
+type pairSpan struct{ r, lo, flo int32 }
 
-// NewStepper builds the index for p.
+// NewStepper builds the index for p in O(|δ| + |Q|).
 func NewStepper(p *Protocol) *Stepper {
-	trans := make([]Transition, 0, len(p.Transitions))
-	for _, t := range p.Transitions {
-		if !t.IsSilent() {
-			trans = append(trans, t)
+	n := len(p.States)
+	// Two stable counting sorts, by responder and then by initiator, order
+	// the transitions by (Q, R) and keep p.Transitions order within a pair.
+	byR := sortByState(p.Transitions, n, false)
+	cands := sortByState(byR, n, true)
+	s := &Stepper{p: p, row: make([]int32, n+1), cands: cands, fire: cands}
+	pairs := 0
+	for i, t := range cands {
+		if i == 0 || t.Q != cands[i-1].Q || t.R != cands[i-1].R {
+			pairs++
 		}
 	}
-	// The stable sort keeps p.Transitions order within each pair.
-	slices.SortStableFunc(trans, func(a, b Transition) int {
-		if a.Q != b.Q {
-			return int(a.Q - b.Q)
+	s.spans = make([]pairSpan, 0, pairs+1)
+	nf := 0
+	for i, t := range cands {
+		if i == 0 || t.Q != cands[i-1].Q || t.R != cands[i-1].R {
+			s.spans = append(s.spans, pairSpan{r: t.R, lo: int32(i), flo: int32(nf)})
+			s.row[t.Q+1]++
 		}
-		return int(a.R - b.R)
-	})
-	s := &Stepper{p: p, rows: make([][]pairSpan, len(p.States)), trans: trans}
-	for lo := 0; lo < len(trans); {
-		q, r := trans[lo].Q, trans[lo].R
-		hi := lo + 1
-		for hi < len(trans) && trans[hi].Q == q && trans[hi].R == r {
-			hi++
+		if !t.IsSilent() {
+			nf++
 		}
-		s.rows[q] = append(s.rows[q], pairSpan{r: r, lo: int32(lo), hi: int32(hi)})
-		lo = hi
+	}
+	s.spans = append(s.spans, pairSpan{lo: int32(len(cands)), flo: int32(nf)})
+	for q := 1; q <= n; q++ {
+		s.row[q] += s.row[q-1]
+	}
+	if nf < len(cands) {
+		s.fire = make([]Transition, 0, nf)
+		for _, t := range cands {
+			if !t.IsSilent() {
+				s.fire = append(s.fire, t)
+			}
+		}
 	}
 	return s
+}
+
+// sortByState returns ts, whose states are below n, stably sorted by
+// initiator, or by responder when byInitiator is false.
+func sortByState(ts []Transition, n int, byInitiator bool) []Transition {
+	key := func(t Transition) int32 {
+		if byInitiator {
+			return t.Q
+		}
+		return t.R
+	}
+	next := make([]int, n+1)
+	for _, t := range ts {
+		next[key(t)+1]++
+	}
+	for i := 1; i <= n; i++ {
+		next[i] += next[i-1]
+	}
+	out := make([]Transition, len(ts))
+	for _, t := range ts {
+		k := key(t)
+		out[next[k]] = t
+		next[k]++
+	}
+	return out
 }
 
 // Protocol returns the indexed protocol.
 func (s *Stepper) Protocol() *Protocol { return s.p }
 
-// pair returns the non-silent transitions with initiator q and responder r,
-// in p.Transitions order.
-func (s *Stepper) pair(q, r int) []Transition {
-	row := s.rows[q]
-	i, found := slices.BinarySearchFunc(row, r, func(e pairSpan, r int) int { return int(e.r) - r })
-	if !found {
+// span returns the index in spans of the pair (q, r), or -1 when δ has no
+// transition for it. It is a binary search over q's short row, not a map
+// hash, because the per-step samplers make one per interaction.
+func (s *Stepper) span(q, r int) int {
+	lo, end := int(s.row[q]), int(s.row[q+1])
+	for hi := end; lo < hi; {
+		mid := int(uint(lo+hi) >> 1)
+		if int(s.spans[mid].r) < r {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == end || int(s.spans[lo].r) != r {
+		return -1
+	}
+	return lo
+}
+
+// Candidates returns every transition with initiator q and responder r,
+// silent ones included, in p.Transitions order. The slice is the index's
+// storage and must not be modified.
+func (s *Stepper) Candidates(q, r int) []Transition {
+	i := s.span(q, r)
+	if i < 0 {
 		return nil
 	}
-	return s.trans[row[i].lo:row[i].hi]
+	return s.cands[s.spans[i].lo:s.spans[i+1].lo]
+}
+
+// Fire returns the non-silent transitions with initiator q and responder
+// r, in p.Transitions order. The slice is the index's storage and must not
+// be modified.
+func (s *Stepper) Fire(q, r int) []Transition {
+	i := s.span(q, r)
+	if i < 0 {
+		return nil
+	}
+	return s.fire[s.spans[i].flo:s.spans[i+1].flo]
+}
+
+// ReactivePair is an ordered state pair with at least one non-silent
+// candidate: drawing it is the only way a uniform random-pair step changes
+// a configuration. Over m agents at configuration C, one step fires each of
+// its Fire transitions with probability
+//
+//	C(Q)·(C(R)−[Q=R]) / (m·(m−1)·Candidates)
+//
+// — the ordered agent pair times the uniform choice among the pair's
+// candidates. The exact sampler realises this law integrally, the collision
+// kernel tau-leaps it, and the fluid drift is its m → ∞ limit.
+type ReactivePair struct {
+	Q, R int
+	// Fire is Stepper.Fire(Q, R): the index's storage, not to be modified.
+	Fire []Transition
+	// Candidates is len(Stepper.Candidates(Q, R)), silent ones included.
+	Candidates int
+}
+
+// Reactive returns the reactive pairs in the order of their first
+// transition in p.Transitions, silent or not: the order in which every
+// sampler lays out its categories, so that its draws are reproducible. It
+// builds the list on each call, in O(|δ| log |Q|).
+func (s *Stepper) Reactive() []ReactivePair {
+	n := 0
+	for i := 0; i+1 < len(s.spans); i++ {
+		if s.spans[i+1].flo > s.spans[i].flo {
+			n++
+		}
+	}
+	out := make([]ReactivePair, 0, n)
+	seen := make([]bool, len(s.spans))
+	for _, t := range s.p.Transitions {
+		if len(out) == n {
+			break
+		}
+		i := s.span(int(t.Q), int(t.R))
+		if seen[i] {
+			continue
+		}
+		seen[i] = true
+		if lo, hi := s.spans[i].flo, s.spans[i+1].flo; hi > lo {
+			out = append(out, ReactivePair{Q: int(t.Q), R: int(t.R), Fire: s.fire[lo:hi],
+				Candidates: int(s.spans[i+1].lo - s.spans[i].lo)})
+		}
+	}
+	return out
 }
 
 // EnabledTransitions returns the non-silent transitions enabled in c, pair
@@ -79,7 +206,7 @@ func (s *Stepper) EnabledTransitions(c *multiset.Multiset) []Transition {
 			if q == r && c.Count(q) < 2 {
 				continue
 			}
-			out = append(out, s.pair(q, r)...)
+			out = append(out, s.Fire(q, r)...)
 		}
 	}
 	return out
@@ -111,9 +238,9 @@ const dedupSlots = 256
 // every distinct configuration reachable from c in one transition, and to
 // ends the end offset in dst of each key; the first key starts at len(dst)
 // on entry. Keys come in EnabledTransitions order, keeping the first
-// transition that reaches each configuration. Silent transitions, the only
-// ones that leave c unchanged, are not indexed, so c itself is never
-// emitted.
+// transition that reaches each configuration. Only non-silent transitions
+// fire: silent ones are the only ones that leave c unchanged, so c itself
+// is never emitted.
 //
 // Each transition is fired on c in place and undone once its key is
 // written, so a successor costs O(support) time and no allocation; c is
@@ -129,7 +256,7 @@ func (s *Stepper) AppendSuccessorKeys(c *multiset.Multiset, dst []byte, ends []i
 			if q == r && c.Count(q) < 2 {
 				continue
 			}
-			for _, t := range s.pair(q, r) {
+			for _, t := range s.Fire(q, r) {
 				tq, tr, tq2, tr2 := int(t.Q), int(t.R), int(t.Q2), int(t.R2)
 				// Kinds a successor occupies: c's support plus whichever
 				// of the two products c had none of.

@@ -3,6 +3,7 @@ package protocol_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -147,6 +148,86 @@ func TestAppendSuccessorKeysConformance(t *testing.T) {
 			if !seen[next.Key()] {
 				seen[next.Key()] = true
 				queue = append(queue, next)
+			}
+		}
+	}
+}
+
+// TestStepperMatchesGrouping pins the pair index that the explorer and
+// every sampler read against a map-based oracle. On random protocols with
+// silent and duplicate transitions, Candidates returns exactly the
+// transitions declared for each ordered state pair and Fire its non-silent
+// ones, both in declaration order; Reactive lists the pairs with a
+// non-silent candidate in order of first appearance, silent transitions
+// counting towards it, with their candidate counts. Every fourth table
+// draws no deliberate silent transition, so that most of those have none
+// and the index keeps one list for both.
+func TestStepperMatchesGrouping(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	type pair struct{ q, r int }
+	nonSilent := func(ts []protocol.Transition) []protocol.Transition {
+		var out []protocol.Transition
+		for _, tr := range ts {
+			if !tr.IsSilent() {
+				out = append(out, tr)
+			}
+		}
+		return out
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(12)
+		p := &protocol.Protocol{States: make([]string, n)}
+		for i := rng.Intn(80); i > 0; i-- {
+			tr := protocol.Transition{
+				Q: int32(rng.Intn(n)), R: int32(rng.Intn(n)), Q2: int32(rng.Intn(n)), R2: int32(rng.Intn(n))}
+			switch rng.Intn(4) {
+			case 0:
+				if trial%4 != 0 {
+					tr.Q2, tr.R2 = tr.R, tr.Q // silent
+				}
+			case 1:
+				if len(p.Transitions) > 0 {
+					tr = p.Transitions[rng.Intn(len(p.Transitions))] // duplicate
+				}
+			}
+			p.Transitions = append(p.Transitions, tr)
+		}
+		cands := make(map[pair][]protocol.Transition)
+		var order []pair
+		for _, tr := range p.Transitions {
+			k := pair{int(tr.Q), int(tr.R)}
+			if _, ok := cands[k]; !ok {
+				order = append(order, k)
+			}
+			cands[k] = append(cands[k], tr)
+		}
+		var want []protocol.ReactivePair
+		for _, k := range order {
+			if fire := nonSilent(cands[k]); len(fire) > 0 {
+				want = append(want, protocol.ReactivePair{Q: k.q, R: k.r, Fire: fire, Candidates: len(cands[k])})
+			}
+		}
+
+		s := protocol.NewStepper(p)
+		for q := 0; q < n; q++ {
+			for r := 0; r < n; r++ {
+				k := pair{q, r}
+				if got := s.Candidates(q, r); !slices.Equal(got, cands[k]) {
+					t.Fatalf("trial %d: Candidates(%d, %d) = %v, want %v", trial, q, r, got, cands[k])
+				}
+				if got, w := s.Fire(q, r), nonSilent(cands[k]); !slices.Equal(got, w) {
+					t.Fatalf("trial %d: Fire(%d, %d) = %v, want %v", trial, q, r, got, w)
+				}
+			}
+		}
+		got := s.Reactive()
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d reactive pairs, want %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.Q != w.Q || g.R != w.R || g.Candidates != w.Candidates || !slices.Equal(g.Fire, w.Fire) {
+				t.Fatalf("trial %d: reactive pair %d is %+v, want %+v", trial, i, g, w)
 			}
 		}
 	}

@@ -202,16 +202,12 @@ func (s *AdversaryScheduler) Step(c *multiset.Multiset) bool {
 		}
 		a, b := s.ends[e][0], s.ends[e][1]
 		qa, qb := s.states[a], s.states[b]
-		for ti, t := range s.pairs.get(qa, qb) {
-			if !t.IsSilent() {
-				consider(e, ti, t, false)
-			}
+		for ti, t := range s.pairs.Fire(qa, qb) {
+			consider(e, ti, t, false)
 		}
 		if qa != qb {
-			for ti, t := range s.pairs.get(qb, qa) {
-				if !t.IsSilent() {
-					consider(e, ti, t, true)
-				}
+			for ti, t := range s.pairs.Fire(qb, qa) {
+				consider(e, ti, t, true)
 			}
 		}
 	}
@@ -224,7 +220,7 @@ func (s *AdversaryScheduler) Step(c *multiset.Multiset) bool {
 	if pick.swapped {
 		a, b = b, a
 	}
-	t := s.pairs.get(s.states[a], s.states[b])[pick.ti]
+	t := s.pairs.Fire(s.states[a], s.states[b])[pick.ti]
 	s.apply(a, b, t)
 	return true
 }

@@ -24,23 +24,6 @@ type BatchScheduler interface {
 	StepN(c *multiset.Multiset, n int64) (effective int64)
 }
 
-// reactiveKey is an ordered (initiator, responder) state pair for which at
-// least one non-silent transition exists. Drawing such a pair is the only
-// way a RandomPair step can change the configuration.
-type reactiveKey struct {
-	q, r int
-	// fire holds the non-silent candidates of the pair.
-	fire []protocol.Transition
-	// perT is Λ/#candidates: the integer weight of each non-silent
-	// candidate relative to one ordered agent pair, where Λ is the lcm of
-	// all candidate-list lengths. Scaling by Λ keeps the sampling weights
-	// integral, so the fast path stays exactly equivalent to the per-step
-	// sampler (no floating-point rounding in the categorical draw).
-	perT int64
-	// factor is perT·#fire, the key's weight per ordered agent pair.
-	factor int64
-}
-
 // BatchRandomPair is RandomPair with a batched fast path. It is exactly
 // distribution-equivalent to RandomPair (the scheduler-equivalence suite in
 // this package verifies both a chi-squared firing-frequency bound and exact
@@ -67,9 +50,17 @@ type reactiveKey struct {
 type BatchRandomPair struct {
 	p     *protocol.Protocol
 	rng   source
-	pairs pairRows
+	pairs *protocol.Stepper
 
-	reactive []reactiveKey
+	// reactive lists the reactive keys, the ordered state pairs with a
+	// non-silent candidate: drawing one is the only way a step can change
+	// the configuration. factor[i] is the weight of key i per ordered agent
+	// pair, Λ·#fire/#candidates, where Λ is the lcm of all candidate-list
+	// lengths. Scaling by Λ keeps the sampling weights integral, so the
+	// fast path stays exactly equivalent to the per-step sampler (no
+	// floating-point rounding in the categorical draw).
+	reactive []protocol.ReactivePair
+	factor   []int64
 	// byState[s] lists the indices of reactive keys mentioning state s as
 	// initiator or responder; firing a transition only re-weights those.
 	byState [][]int
@@ -114,53 +105,47 @@ func NewBatchRandomPair(p *protocol.Protocol, rng *rand.Rand) *BatchRandomPair {
 }
 
 func newBatchRandomPair(p *protocol.Protocol, rng source) *BatchRandomPair {
+	pairs := protocol.NewStepper(p)
 	s := &BatchRandomPair{
 		p:             p,
 		rng:           rng,
-		pairs:         newPairRows(p),
+		pairs:         pairs,
+		reactive:      pairs.Reactive(),
 		byState:       make([][]int, p.NumStates()),
 		lambda:        1,
 		skipThreshold: defaultSkipThreshold,
 		met:           obs.Sched(),
 	}
-	// Collect reactive keys in deterministic (transition declaration)
-	// order so sampling is reproducible across runs of the same seed.
-	seen := make(map[pairKey]bool)
-	for _, t := range p.Transitions {
-		k := pairKey{int(t.Q), int(t.R)}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		cands := s.pairs.get(k.q, k.r)
-		var fire []protocol.Transition
-		for _, cand := range cands {
-			if !cand.IsSilent() {
-				fire = append(fire, cand)
-			}
-		}
-		if len(fire) == 0 {
-			continue
-		}
-		s.reactive = append(s.reactive, reactiveKey{q: k.q, r: k.r, fire: fire})
-		if !s.noSkip {
-			s.lambda = lcm(s.lambda, int64(len(cands)))
-			if s.lambda > maxLambda {
-				s.noSkip = true
-			}
+	for _, k := range s.reactive {
+		s.lambda = lcm(s.lambda, int64(k.Candidates))
+		if s.lambda > maxLambda {
+			s.noSkip = true
+			break
 		}
 	}
+	s.factor = make([]int64, len(s.reactive))
 	if !s.noSkip {
-		for i := range s.reactive {
-			k := &s.reactive[i]
-			k.perT = s.lambda / int64(len(s.pairs.get(k.q, k.r)))
-			k.factor = k.perT * int64(len(k.fire))
+		for i, k := range s.reactive {
+			s.factor[i] = s.lambda / int64(k.Candidates) * int64(len(k.Fire))
 		}
+	}
+	// Each state's key list is carved from one backing array.
+	n := make([]int, p.NumStates())
+	for _, k := range s.reactive {
+		n[k.Q]++
+		if k.R != k.Q {
+			n[k.R]++
+		}
+	}
+	backing := make([]int, 2*len(s.reactive))
+	for st, cnt := range n {
+		s.byState[st] = backing[:0:cnt]
+		backing = backing[cnt:]
 	}
 	for i, k := range s.reactive {
-		s.byState[k.q] = append(s.byState[k.q], i)
-		if k.r != k.q {
-			s.byState[k.r] = append(s.byState[k.r], i)
+		s.byState[k.Q] = append(s.byState[k.Q], i)
+		if k.R != k.Q {
+			s.byState[k.R] = append(s.byState[k.R], i)
 		}
 	}
 	s.weights = make([]int64, len(s.reactive))
@@ -197,7 +182,7 @@ func (s *BatchRandomPair) attach(c *multiset.Multiset) {
 		return
 	}
 	for i := range s.reactive {
-		s.weights[i] = s.keyWeight(c, &s.reactive[i])
+		s.weights[i] = s.keyWeight(c, i)
 		s.totalW += s.weights[i]
 	}
 }
@@ -218,18 +203,19 @@ func (s *BatchRandomPair) Quiescent() bool {
 	}
 }
 
-// keyWeight is the current sampling weight of a reactive key: the number of
+// keyWeight is the current sampling weight of reactive key i: the number of
 // ordered agent pairs in its states, times Λ·#fire/#candidates.
-func (s *BatchRandomPair) keyWeight(c *multiset.Multiset, k *reactiveKey) int64 {
-	nq := c.Count(k.q)
-	nr := c.Count(k.r)
-	if k.q == k.r {
+func (s *BatchRandomPair) keyWeight(c *multiset.Multiset, i int) int64 {
+	k := &s.reactive[i]
+	nq := c.Count(k.Q)
+	nr := c.Count(k.R)
+	if k.Q == k.R {
 		nr--
 	}
 	if nq <= 0 || nr <= 0 {
 		return 0
 	}
-	return nq * nr * k.factor
+	return nq * nr * s.factor[i]
 }
 
 // apply fires t on c and keeps the Fenwick index and reactive weights
@@ -273,7 +259,7 @@ func (s *BatchRandomPair) apply(c *multiset.Multiset, t protocol.Transition) {
 			continue
 		}
 		for _, ki := range s.byState[st] {
-			w := s.keyWeight(c, &s.reactive[ki])
+			w := s.keyWeight(c, ki)
 			s.totalW += w - s.weights[ki]
 			s.weights[ki] = w
 		}
@@ -310,7 +296,7 @@ func (s *BatchRandomPair) step(c *multiset.Multiset, m int64) bool {
 	s.fen.add(q, -1)
 	r := s.fen.find(s.rng.Int63n(m - 1))
 	s.fen.add(q, 1)
-	candidates := s.pairs.get(q, r)
+	candidates := s.pairs.Candidates(q, r)
 	if len(candidates) == 0 {
 		return false
 	}
@@ -376,14 +362,13 @@ func (s *BatchRandomPair) StepN(c *multiset.Multiset, n int64) int64 {
 		// weight(key, t) ∝ C(q)·(C(r)−[q=r]) / #candidates(q, r) over
 		// non-silent candidates t, realised integrally via Λ.
 		target := s.rng.Int63n(s.totalW)
-		for ki, k := range s.reactive {
-			w := s.weights[ki]
+		for ki, w := range s.weights {
 			if target >= w {
 				target -= w
 				continue
 			}
-			perFire := w / int64(len(k.fire))
-			s.apply(c, k.fire[int(target/perFire)])
+			fire := s.reactive[ki].Fire
+			s.apply(c, fire[int(target/(w/int64(len(fire))))])
 			break
 		}
 		effective++

@@ -16,8 +16,9 @@ import (
 // simulating them one by one. It is tau-leaping with the step selection of
 // Cao, Gillespie & Petzold (J. Chem. Phys. 124, 044109, 2006) and their
 // exact treatment of critical reactions (J. Chem. Phys. 123, 054104, 2005),
-// over the reactive categories of ReactiveChannels. At the counts a round
-// starts from it
+// over the reactive categories of the protocol's pair index: one per
+// non-silent candidate of each protocol.ReactivePair, laid out in the exact
+// sampler's key order. At the counts a round starts from it
 //
 //  1. marks a category critical when one of its reactant states holds
 //     fewer than critical (512) agents,
@@ -173,12 +174,20 @@ func newCollisionKernel(p *protocol.Protocol, rng source) *CollisionKernel {
 		met:      obs.Sched(),
 	}
 	if !k.noBulk {
-		// Identical flattening (and order) to ReactiveChannels: the shared
-		// channel law is what keeps this kernel, the exact sampler and the
+		// The exact sampler's keys, flattened in order: sharing the pair
+		// index's law is what keeps this kernel, the exact sampler and the
 		// fluid drift mutually consistent. perT = Λ/#candidates is integral
 		// by construction of Λ.
-		for _, ch := range ReactiveChannels(p) {
-			k.cats = append(k.cats, bulkCat{t: ch.T, perT: inner.lambda / int64(ch.Candidates)})
+		n := 0
+		for _, key := range inner.reactive {
+			n += len(key.Fire)
+		}
+		k.cats = make([]bulkCat, 0, n)
+		for _, key := range inner.reactive {
+			perT := inner.lambda / int64(key.Candidates)
+			for _, t := range key.Fire {
+				k.cats = append(k.cats, bulkCat{t: t, perT: perT})
+			}
 		}
 	}
 	k.weights = make([]int64, len(k.cats))
@@ -196,6 +205,19 @@ func newCollisionKernel(p *protocol.Protocol, rng source) *CollisionKernel {
 	}
 	clear(k.mark)
 	return k
+}
+
+// BulkAvailable reports whether the kernel's integral bulk-round arithmetic
+// is usable for a population of m agents: the per-category weights
+// C(Q)·C(R)·perT and the normaliser Λ·m·(m−1) must fit in int64. Above
+// roughly m = 3·10⁹ (for Λ = 1) the products overflow and every StepN chunk
+// takes the exact per-step path — the regime where only the fluid tier
+// (internal/fluid) can make progress.
+func (k *CollisionKernel) BulkAvailable(m int64) bool {
+	if k.noBulk || len(k.cats) == 0 || m < 2 {
+		return false
+	}
+	return k.inner.lambda <= math.MaxInt64/m/(m+1)
 }
 
 // PreferredChunk is the StepN chunk the kernel wants from simulate's run

@@ -59,8 +59,7 @@ type GraphOptions struct {
 type graphCore struct {
 	p       *protocol.Protocol
 	rng     source
-	pairs   pairRows
-	hasFire map[pairKey]bool // ordered pairs with ≥ 1 non-silent candidate
+	pairs   *protocol.Stepper
 	faults  *Faults
 	kind    string
 	kindIdx int
@@ -107,16 +106,10 @@ func newGraphCore(p *protocol.Protocol, topo *Topology, rng source, faults *Faul
 		return graphCore{}, fmt.Errorf("sched: topology needs ≥ 2 agents and ≥ 1 edge (got %d, %d)",
 			topo.N, len(topo.Edges))
 	}
-	hasFire := make(map[pairKey]bool)
-	for _, t := range p.Transitions {
-		if !t.IsSilent() {
-			hasFire[pairKey{int(t.Q), int(t.R)}] = true
-		}
-	}
 	base := make([][2]int, len(topo.Edges))
 	copy(base, topo.Edges)
 	return graphCore{
-		p: p, rng: rng, pairs: newPairRows(p), hasFire: hasFire, faults: faults,
+		p: p, rng: rng, pairs: protocol.NewStepper(p), faults: faults,
 		kind: topo.Kind, kindIdx: topoKindIndex(topo.Kind),
 		base: base, baseN: topo.N,
 		met: obs.Sched(),
@@ -343,7 +336,7 @@ func (g *graphCore) fireEdge(e int) bool {
 	if g.rng.Intn(2) == 1 {
 		a, b = b, a
 	}
-	cands := g.pairs.get(g.states[a], g.states[b])
+	cands := g.pairs.Candidates(g.states[a], g.states[b])
 	if len(cands) == 0 {
 		return false
 	}
@@ -397,7 +390,7 @@ func (g *graphCore) Quiescent() bool {
 			continue
 		}
 		qa, qb := g.states[a], g.states[b]
-		if g.hasFire[pairKey{qa, qb}] || g.hasFire[pairKey{qb, qa}] {
+		if len(g.pairs.Fire(qa, qb)) > 0 || len(g.pairs.Fire(qb, qa)) > 0 {
 			return false
 		}
 	}

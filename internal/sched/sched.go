@@ -49,9 +49,6 @@ func NewRand(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
-// pairKey identifies an ordered initiator/responder state pair.
-type pairKey struct{ q, r int }
-
 // RandomPair is the uniform random pairwise scheduler: each step picks an
 // ordered pair of distinct agents uniformly at random; if one or more
 // transitions match their states, one of those fires (uniformly at random);
@@ -61,7 +58,7 @@ type pairKey struct{ q, r int }
 type RandomPair struct {
 	p     *protocol.Protocol
 	rng   source
-	pairs pairRows
+	pairs *protocol.Stepper
 	// onFire, when non-nil, observes every non-silent transition fired.
 	// The equivalence tests use it to collect firing frequencies.
 	onFire func(protocol.Transition)
@@ -79,77 +76,7 @@ func NewRandomPair(p *protocol.Protocol, rng *rand.Rand) *RandomPair {
 }
 
 func newRandomPair(p *protocol.Protocol, rng source) *RandomPair {
-	return &RandomPair{p: p, rng: rng, pairs: newPairRows(p), met: obs.Sched()}
-}
-
-// pairRows groups a protocol's transitions by ordered (initiator,
-// responder) state pair, in the layout of protocol.Stepper with silent
-// transitions kept: rows[q] lists, in increasing r, each responder r that
-// has candidates with initiator q, and the pair's candidates are
-// cands[lo:hi] in p.Transitions order. A lookup is a binary search over a
-// short row, not a map hash, because the per-step samplers make one per
-// interaction.
-type pairRows struct {
-	rows  [][]pairSpan
-	cands []protocol.Transition
-}
-
-type pairSpan struct{ r, lo, hi int32 }
-
-func newPairRows(p *protocol.Protocol) pairRows {
-	n := p.NumStates()
-	// Two stable counting sorts, by responder and then by initiator, order
-	// the transitions by (Q, R) and keep p.Transitions order within a pair,
-	// in O(|δ| + |Q|).
-	byR := sortByState(p.Transitions, n, func(t protocol.Transition) int32 { return t.R })
-	cands := sortByState(byR, n, func(t protocol.Transition) int32 { return t.Q })
-	x := pairRows{rows: make([][]pairSpan, n), cands: cands}
-	for lo := 0; lo < len(cands); {
-		q, r := cands[lo].Q, cands[lo].R
-		hi := lo + 1
-		for hi < len(cands) && cands[hi].Q == q && cands[hi].R == r {
-			hi++
-		}
-		x.rows[q] = append(x.rows[q], pairSpan{r: r, lo: int32(lo), hi: int32(hi)})
-		lo = hi
-	}
-	return x
-}
-
-// sortByState returns ts stably sorted by key, a state index below n.
-func sortByState(ts []protocol.Transition, n int, key func(protocol.Transition) int32) []protocol.Transition {
-	next := make([]int, n+1)
-	for _, t := range ts {
-		next[key(t)+1]++
-	}
-	for i := 1; i <= n; i++ {
-		next[i] += next[i-1]
-	}
-	out := make([]protocol.Transition, len(ts))
-	for _, t := range ts {
-		k := key(t)
-		out[next[k]] = t
-		next[k]++
-	}
-	return out
-}
-
-// get returns the candidates of the ordered pair (q, r).
-func (x *pairRows) get(q, r int) []protocol.Transition {
-	row := x.rows[q]
-	lo, hi := 0, len(row)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if int(row[mid].r) < r {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(row) || int(row[lo].r) != r {
-		return nil
-	}
-	return x.cands[row[lo].lo:row[lo].hi]
+	return &RandomPair{p: p, rng: rng, pairs: protocol.NewStepper(p), met: obs.Sched()}
 }
 
 // sampleAgent picks an agent uniformly from c, returning its state index.
@@ -183,7 +110,7 @@ func (s *RandomPair) Step(c *multiset.Multiset) bool {
 	}
 	q := sampleAgent(s.rng, c, 0, false)
 	r := sampleAgent(s.rng, c, q, true)
-	candidates := s.pairs.get(q, r)
+	candidates := s.pairs.Candidates(q, r)
 	if len(candidates) == 0 {
 		return false
 	}

@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/multiset"
@@ -211,36 +209,6 @@ func TestNewRandDeterministic(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		if a.Int63() != b.Int63() {
 			t.Fatal("NewRand is not deterministic for equal seeds")
-		}
-	}
-}
-
-// TestPairRowsMatchGrouping pins the candidate index every pair sampler
-// draws from: for every ordered state pair of random protocols, duplicates
-// and silent transitions included, pairRows returns exactly the
-// transitions declared for it, in declaration order.
-func TestPairRowsMatchGrouping(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(12)
-		p := &protocol.Protocol{States: make([]string, n)}
-		for i := rng.Intn(80); i > 0; i-- {
-			p.Transitions = append(p.Transitions, protocol.Transition{
-				Q: int32(rng.Intn(n)), R: int32(rng.Intn(n)), Q2: int32(rng.Intn(n)), R2: int32(rng.Intn(n))})
-		}
-		pairs := newPairRows(p)
-		for q := 0; q < n; q++ {
-			for r := 0; r < n; r++ {
-				var want []protocol.Transition
-				for _, tr := range p.Transitions {
-					if int(tr.Q) == q && int(tr.R) == r {
-						want = append(want, tr)
-					}
-				}
-				if got := pairs.get(q, r); !slices.Equal(got, want) {
-					t.Fatalf("trial %d, pair (%d, %d): got %v, want %v", trial, q, r, got, want)
-				}
-			}
 		}
 	}
 }

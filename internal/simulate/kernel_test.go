@@ -66,29 +66,40 @@ func TestOptionsBatchSizeResolution(t *testing.T) {
 // TestMeasureConvergenceKernelReproducible pins the per-kernel
 // reproducibility contract: for a fixed (kernel, seed) pair every statistic
 // is bit-identical across repeated measurements and across worker counts.
+// The auto point at m = 10⁵ runs the fluid hybrid, which keeps it under a
+// worker pool in the race run, where the ladder's KS suite is skipped.
 func TestMeasureConvergenceKernelReproducible(t *testing.T) {
 	p := majority(t)
-	for _, kernel := range []string{KernelExact, KernelBatch, KernelAuto} {
-		opts := Options{Kernel: kernel}
-		a, err := MeasureConvergence(p, []int64{40, 25}, true, 6, 11, opts)
+	for _, tc := range []struct {
+		kernel string
+		input  []int64
+	}{
+		{KernelExact, []int64{40, 25}},
+		{KernelBatch, []int64{40, 25}},
+		{KernelAuto, []int64{40, 25}},
+		{KernelAuto, []int64{60_000, 40_000}},
+	} {
+		name := fmt.Sprintf("kernel %q at %v", tc.kernel, tc.input)
+		opts := Options{Kernel: tc.kernel}
+		a, err := MeasureConvergence(p, tc.input, true, 6, 11, opts)
 		if err != nil {
-			t.Fatalf("kernel %q: %v", kernel, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		b, err := MeasureConvergence(p, []int64{40, 25}, true, 6, 11, opts)
+		b, err := MeasureConvergence(p, tc.input, true, 6, 11, opts)
 		if err != nil {
-			t.Fatalf("kernel %q rerun: %v", kernel, err)
+			t.Fatalf("%s rerun: %v", name, err)
 		}
 		if *a != *b {
-			t.Fatalf("kernel %q not reproducible: %+v vs %+v", kernel, a, b)
+			t.Fatalf("%s not reproducible: %+v vs %+v", name, a, b)
 		}
 		wopts := opts
 		wopts.Workers = 3
-		w, err := MeasureConvergence(p, []int64{40, 25}, true, 6, 11, wopts)
+		w, err := MeasureConvergence(p, tc.input, true, 6, 11, wopts)
 		if err != nil {
-			t.Fatalf("kernel %q workers: %v", kernel, err)
+			t.Fatalf("%s workers: %v", name, err)
 		}
 		if *a != *w {
-			t.Fatalf("kernel %q differs across worker counts: %+v vs %+v", kernel, a, w)
+			t.Fatalf("%s differs across worker counts: %+v vs %+v", name, a, w)
 		}
 	}
 	if _, err := MeasureConvergence(p, []int64{4, 3}, true, 1, 1, Options{Kernel: "turbo"}); err == nil {

@@ -30,7 +30,7 @@ import (
 // BatchSize, stabilisation window and quiescence checks), so only the tier
 // differs.
 func TestLadderKSAdjacentTiers(t *testing.T) {
-	if testing.Short() {
+	if testing.Short() || raceEnabled {
 		t.Skip("runs 1,800 convergence measurements at m = 10⁵⁺")
 	}
 	p := epidemic(t)

@@ -15,7 +15,8 @@
 # explorer benchmark (ExploreSpill: all-RAM vs spilled at a matched state
 # count — states/sec and resident bytes per state) and the converted-protocol
 # explorer benchmark (ExploreConverted: states/sec, bytes and allocations per
-# state).
+# state) and the sampler construction benchmark (SamplerBuild: the pair index
+# and the exact, batch and auto samplers on shrunk figure1 and czerner:1).
 # Each JSON record carries the
 # benchmark name, iteration count and every (value, unit) metric pair Go
 # reported — ns/op, ns/interaction, interactions/s, B/op, allocs/op, ...
@@ -32,7 +33,7 @@ benchtime="${BENCHTIME:-1s}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-go test -run '^$' -bench 'StepN|MeasureConvergence|RunKernels|Ladder|Shrink|ConvertPipeline|CompactTransitions|MachineValidate|ExploreSpill|ExploreConverted' \
+go test -run '^$' -bench 'StepN|MeasureConvergence|RunKernels|Ladder|Shrink|ConvertPipeline|CompactTransitions|MachineValidate|ExploreSpill|ExploreConverted|SamplerBuild' \
   -benchmem -benchtime "$benchtime" \
   ./internal/sched ./internal/simulate ./internal/fluid ./internal/explore . | tee "$raw"
 
