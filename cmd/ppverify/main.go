@@ -11,11 +11,13 @@
 //	         [-metrics] [-metrics-interval D] [-pprof ADDR]
 //
 // -mem-budget caps the resident bytes of the explorer's variable-size
-// structures (interner key log + frontier); beyond it sealed segments and
-// frontier overflow spill to -spill-dir (default the system temp directory)
-// and are streamed back, so verification scales to state spaces far beyond
-// RAM. Results — verdicts, witnesses, error points — are bit-identical to
-// the all-RAM run for any budget. -metrics prints a JSON telemetry snapshot
+// structures (interner key log + frontier), for protocol and machine
+// targets alike; beyond it sealed segments and frontier overflow spill to
+// -spill-dir (default the system temp directory) and are streamed back.
+// The reachable graph's edge arrays and the bottom-SCC analysis stay in RAM
+// (about 8 bytes per state plus 4 per edge, and 12 per state), so that is
+// what bounds a run under a budget. Results — verdicts, witnesses, error
+// points — are bit-identical to the all-RAM run for any budget. -metrics prints a JSON telemetry snapshot
 // (exploration levels, frontier widths, states/sec, interner occupancy,
 // spill volume) to stderr on exit; -metrics-interval emits periodic
 // snapshot lines while a verification is running; -pprof serves

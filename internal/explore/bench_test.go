@@ -102,7 +102,7 @@ func BenchmarkExploreConverted(b *testing.B) {
 	const wantStates = 15_960
 	p, c := convertedInstance(b, "figure1", false, 1)
 	sys := NewProtocolSystem(p)
-	var before, after runtime.MemStats
+	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -115,31 +115,32 @@ func BenchmarkExploreConverted(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+	b.ReportMetric(float64(wantStates)*float64(b.N)/b.Elapsed().Seconds(), "states/s")
+	reportPerState(b, wantStates, &before)
+}
+
+// reportPerState reports the bytes and allocations per explored state since
+// before, over b.N explorations of states states each.
+func reportPerState(b *testing.B, states int, before *runtime.MemStats) {
+	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
-	explored := float64(wantStates) * float64(b.N)
-	b.ReportMetric(explored/b.Elapsed().Seconds(), "states/s")
+	explored := float64(states) * float64(b.N)
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/explored, "B/state")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/explored, "allocs/state")
 }
 
 // BenchmarkExploreMachine covers the population-machine system shape: the
 // compiled Figure 1 machine explored from the union of every initial
-// register placement of 7 agents (register-vector × pointer-valuation
-// states, deeper and narrower than protocol graphs).
+// register placement of 7 agents (13,654 register-vector ×
+// pointer-valuation states, deeper and narrower than protocol graphs). The
+// engine cases also report bytes and allocations per explored state.
 func BenchmarkExploreMachine(b *testing.B) {
 	machine, err := compile.Compile(popprog.Figure1Program())
 	if err != nil {
 		b.Fatal(err)
 	}
 	sys := popmachine.System{M: machine}
-	var initial []*popmachine.Config
-	multiset.Enumerate(len(machine.Registers), 7, func(regs *multiset.Multiset) {
-		cfg, err := machine.InitialConfig(regs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		initial = append(initial, cfg)
-	})
+	initial := machinePlacements(b, machine, 7)
 
 	b.Run("sequential", func(b *testing.B) {
 		b.ReportAllocs()
@@ -154,14 +155,21 @@ func BenchmarkExploreMachine(b *testing.B) {
 	for _, w := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
+			var before runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			states := 0
 			for i := 0; i < b.N; i++ {
 				res, err := ExploreParallel[*popmachine.Config](sys, initial,
 					Options{MaxStates: 1_000_000, Workers: w})
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(float64(res.NumStates), "reachable-states")
+				states = res.NumStates
 			}
+			b.StopTimer()
+			b.ReportMetric(float64(states), "reachable-states")
+			reportPerState(b, states, &before)
 		})
 	}
 }

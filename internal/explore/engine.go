@@ -153,7 +153,8 @@ func ExploreContext[S any](ctx context.Context, sys System[S], initial []S, opts
 	defer nxt.close()
 
 	var states []S // only in stateful (non-codec) mode
-	var edges [][]int
+	numStates := 0
+	g := newGraph()
 
 	// intern assigns the next dense id to an unseen key. Single-threaded:
 	// only the initial scan and the commit pass call it.
@@ -161,17 +162,17 @@ func ExploreContext[S any](ctx context.Context, sys System[S], initial []S, opts
 		if id, ok := in.lookup(h, key); ok {
 			return id, false, nil
 		}
-		if len(edges) >= limit {
+		if numStates >= limit {
 			return 0, false, errStateLimit(limit)
 		}
-		id := len(edges)
+		id := numStates
 		if err := in.insert(h, key, id); err != nil {
 			return 0, false, err
 		}
 		if !codec {
 			states = append(states, s)
 		}
-		edges = append(edges, nil)
+		numStates++
 		if met != nil {
 			met.States.Inc()
 		}
@@ -255,32 +256,31 @@ func ExploreContext[S any](ctx context.Context, sys System[S], initial []S, opts
 			// canonical (frontier id, successor index) order — the
 			// sequential BFS order. Blocks commit in frontier order, so the
 			// global resolution order is identical to a whole-level commit.
+			// Frontier ids ascend across blocks and levels (each level holds
+			// the ids its predecessor's commit assigned, in order), so each
+			// frontier state closes the next CSR row.
 			for bi := range blk {
 				recs := perState[bi]
-				if len(recs) == 0 {
-					continue
-				}
-				out := make([]int, len(recs))
 				for j := range recs {
 					r := &recs[j]
 					if r.id >= 0 {
-						out[j] = int(r.id)
+						g.to = append(g.to, r.id)
 						continue
 					}
 					id, fresh, err := intern(r.key, r.hash, r.state)
 					if err != nil {
 						return nil, err
 					}
-					out[j] = id
+					g.to = append(g.to, int32(id))
 					if fresh {
 						if err := nxt.add(id, r.key); err != nil {
 							return nil, err
 						}
 					}
 				}
-				edges[blk[bi].id] = out
+				g.endRow()
 				if met != nil {
-					met.Edges.Add(int64(len(out)))
+					met.Edges.Add(int64(len(recs)))
 				}
 			}
 		}
@@ -289,9 +289,9 @@ func ExploreContext[S any](ctx context.Context, sys System[S], initial []S, opts
 	}
 
 	if codec {
-		return analyseFromLog(sys, dec, in.log, len(edges), edges)
+		return analyseFromLog(sys, dec, in.log, g)
 	}
-	return analyse(sys, states, edges), nil
+	return analyse(sys, states, g), nil
 }
 
 // expandBlock expands blk[lo:hi] into perState[lo:hi], and returns

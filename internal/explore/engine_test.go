@@ -12,6 +12,7 @@ import (
 	"repro/internal/convert"
 	"repro/internal/core"
 	"repro/internal/multiset"
+	"repro/internal/obs"
 	"repro/internal/popmachine"
 	"repro/internal/popprog"
 	"repro/internal/protocol"
@@ -196,10 +197,26 @@ func convertedInstance(tb testing.TB, name string, leader bool, extra int64) (*p
 	return res.Protocol, c
 }
 
+// machinePlacements returns the initial configurations of every register
+// placement of total agents.
+func machinePlacements(tb testing.TB, machine *popmachine.Machine, total int64) []*popmachine.Config {
+	tb.Helper()
+	var initial []*popmachine.Config
+	multiset.Enumerate(len(machine.Registers), total, func(regs *multiset.Multiset) {
+		cfg, err := machine.InitialConfig(regs)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		initial = append(initial, cfg)
+	})
+	return initial
+}
+
 // TestParallelMatchesSequentialMachine is the population-machine half: the
 // compiled Figure 1 machine explored from randomized register placements,
 // including multi-initial-state explorations (the union graph over all
-// placements of one total).
+// placements of one total), all-RAM and, since machines run on the codec
+// path, under a budget that spills both tiers.
 func TestParallelMatchesSequentialMachine(t *testing.T) {
 	machine, err := compile.Compile(popprog.Figure1Program())
 	if err != nil {
@@ -233,14 +250,7 @@ func TestParallelMatchesSequentialMachine(t *testing.T) {
 
 	// Union exploration from every placement of total 4, with a duplicated
 	// initial state to exercise the dedup path.
-	var initial []*popmachine.Config
-	multiset.Enumerate(len(machine.Registers), 4, func(regs *multiset.Multiset) {
-		cfg, err := machine.InitialConfig(regs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		initial = append(initial, cfg)
-	})
+	initial := machinePlacements(t, machine, 4)
 	initial = append(initial, initial[0].Clone())
 	seq, err := Explore[*popmachine.Config](sys, initial, opts)
 	if err != nil {
@@ -253,6 +263,32 @@ func TestParallelMatchesSequentialMachine(t *testing.T) {
 			t.Fatalf("union workers=%d: %v", w, err)
 		}
 		assertIdentical(t, seq, par, fmt.Sprintf("union workers=%d", w))
+	}
+
+	// Spilled: every placement of total 5 (6,340 states with 14-byte keys,
+	// about 95 KB of key records) under an 8 KiB budget. The keys seal a
+	// 64 KiB segment (the smallest), which the key log's 4 KiB share
+	// spills, and the frontier's 1 KiB share is below the widest BFS level.
+	const budget = int64(8 << 10)
+	initial = machinePlacements(t, machine, 5)
+	seq, err = Explore[*popmachine.Config](sys, initial, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range workerCounts {
+		met := obs.Enable()
+		spilled, err := ExploreParallel[*popmachine.Config](sys, initial,
+			Options{MaxStates: opts.MaxStates, Workers: w, MemBudget: budget, SpillDir: t.TempDir()})
+		snap := met.Snapshot().Explore
+		obs.Disable()
+		if err != nil {
+			t.Fatalf("spilled workers=%d: %v", w, err)
+		}
+		assertIdentical(t, seq, spilled, fmt.Sprintf("spilled workers=%d", w))
+		if snap.SpillSegments == 0 || snap.FrontierSpills == 0 || snap.SpillReadBytes == 0 {
+			t.Fatalf("workers=%d: budget %d spilled %d key-log segments and %d frontier levels, read back %d bytes: want both tiers",
+				w, budget, snap.SpillSegments, snap.FrontierSpills, snap.SpillReadBytes)
+		}
 	}
 }
 

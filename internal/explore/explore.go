@@ -69,10 +69,12 @@ type Options struct {
 	// With a budget set, sealed key-log segments and overflowing frontier
 	// levels spill to files under SpillDir; Results remain bit-identical to
 	// the all-RAM engine at any budget. The interner's fixed-width tables
-	// (~16 bytes per state) are the irreducible in-RAM floor and are not
-	// counted against the budget. Requires a system implementing
-	// KeyDecoderSystem to also drop decoded states from RAM; for other
-	// systems the budget governs only the key-log tier.
+	// (~16 bytes per state), the CSR edge arrays (8 bytes per state and 4
+	// per edge) and the analysis's per-state arrays stay in RAM and are not
+	// counted against the budget. Dropping decoded states from RAM and
+	// spilling the frontier require a system implementing KeyDecoderSystem
+	// (protocols and population machines do); for other systems the budget
+	// governs only the key-log tier.
 	MemBudget int64
 	// SpillDir is the directory under which the engine creates its per-run
 	// spill directory (removed on every exit path). Empty means the system
@@ -160,12 +162,13 @@ func Explore[S any](sys System[S], initial []S, opts Options) (*Result, error) {
 		defer func() { met.Nanos.Add(time.Since(t0).Nanoseconds()) }()
 	}
 
-	// Phase 1: BFS to discover all reachable states and record the edge
-	// lists over dense integer ids.
+	// Phase 1: BFS to discover all reachable states and record the edges
+	// over dense integer ids. Ids are assigned in discovery order, so the
+	// FIFO queue is the id sequence itself: states expand in ascending id
+	// order, each appending the next CSR row.
 	ids := make(map[string]int)
 	var states []S
-	var edges [][]int
-	var expanded []bool // dense: ids are assigned 0,1,2,...
+	g := newGraph()
 
 	intern := func(s S) (int, error) {
 		k := sys.Key(s)
@@ -178,57 +181,64 @@ func Explore[S any](sys System[S], initial []S, opts Options) (*Result, error) {
 		id := len(states)
 		ids[k] = id
 		states = append(states, s)
-		edges = append(edges, nil)
-		expanded = append(expanded, false)
 		if met != nil {
 			met.States.Inc()
 		}
 		return id, nil
 	}
 
-	queue := make([]int, 0, len(initial))
 	for _, s := range initial {
-		id, err := intern(s)
-		if err != nil {
+		if _, err := intern(s); err != nil {
 			return nil, err
 		}
-		if len(edges[id]) == 0 { // not expanded yet (may repeat in initial)
-			queue = append(queue, id)
-		}
 	}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		if expanded[id] {
-			continue
-		}
-		expanded[id] = true
+	for id := 0; id < len(states); id++ {
 		for _, next := range sys.Successors(states[id]) {
 			nid, err := intern(next)
 			if err != nil {
 				return nil, err
 			}
-			edges[id] = append(edges[id], nid)
-			if !expanded[nid] {
-				queue = append(queue, nid)
-			}
+			g.to = append(g.to, int32(nid))
 		}
+		g.endRow()
 		if met != nil {
-			met.Edges.Add(int64(len(edges[id])))
+			met.Edges.Add(int64(len(g.row(id))))
 		}
 	}
 
-	return analyse(sys, states, edges), nil
+	return analyse(sys, states, g), nil
 }
 
-// analyse runs the shared post-BFS phases: Tarjan's SCC pass over the dense
-// edge lists, bottom-component detection, and per-bottom-SCC consensus
-// outcomes. Both the sequential and the parallel explorer feed it the same
-// canonical (BFS-ordered) graph, which is what makes their Results
-// bit-identical.
-func analyse[S any](sys System[S], states []S, edges [][]int) *Result {
+// graph is the reachable graph in compressed sparse rows: the successor ids
+// of state u are to[off[u]:off[u+1]]. Both explorers expand states in
+// ascending id order, so each expansion closes the next row. off stays int
+// because a converted protocol with hundreds of successors per state passes
+// 2³¹ edges at a few million states; to is int32, as the engine's state ids
+// are.
+type graph struct {
+	off []int
+	to  []int32
+}
+
+func newGraph() graph { return graph{off: []int{0}} }
+
+// rows returns the number of closed rows: the states expanded so far.
+func (g *graph) rows() int { return len(g.off) - 1 }
+
+// endRow closes the next state's row over the ids appended to g.to since
+// the previous row.
+func (g *graph) endRow() { g.off = append(g.off, len(g.to)) }
+
+// row returns the successor ids of state u.
+func (g *graph) row(u int) []int32 { return g.to[g.off[u]:g.off[u+1]] }
+
+// analyse runs the shared post-BFS phases: Tarjan's SCC pass over the CSR
+// graph, bottom-component detection, and per-bottom-SCC consensus outcomes.
+// Both the sequential and the parallel explorer feed it the same canonical
+// (BFS-ordered) graph, which is what makes their Results bit-identical.
+func analyse[S any](sys System[S], states []S, g graph) *Result {
 	n := len(states)
-	comp, isBottom, numComp := bottomComponents(n, edges)
+	comp, isBottom, numComp := bottomComponents(g)
 
 	// Phase 4: compute each bottom SCC's consensus outcome. Witness keys are
 	// the only strings materialised here: one per bottom SCC, not per state.
@@ -256,23 +266,18 @@ func analyse[S any](sys System[S], states []S, edges [][]int) *Result {
 }
 
 // bottomComponents runs the shared structural phases: Tarjan's SCC pass over
-// the dense edge lists (phase 2) and bottom-component detection (phase 3). A
+// the CSR graph (phase 2) and bottom-component detection (phase 3). A
 // component is bottom iff it has no edge to another component.
-func bottomComponents(n int, edges [][]int) (comp []int, isBottom []bool, numComp int) {
-	comp = tarjanSCC(n, edges)
-	for _, c := range comp {
-		if c+1 > numComp {
-			numComp = c + 1
-		}
-	}
+func bottomComponents(g graph) (comp []int32, isBottom []bool, numComp int) {
+	comp, numComp = tarjanSCC(g)
 	isBottom = make([]bool, numComp)
 	for i := range isBottom {
 		isBottom[i] = true
 	}
-	for u, outs := range edges {
-		for _, v := range outs {
-			if comp[u] != comp[v] {
-				isBottom[comp[u]] = false
+	for u, cu := range comp {
+		for _, v := range g.row(u) {
+			if comp[v] != cu {
+				isBottom[cu] = false
 			}
 		}
 	}
@@ -301,8 +306,9 @@ func collectResult(n, numComp int, isBottom []bool, outcome []protocol.Output, w
 // decoding only bottom-SCC members. Witness keys are recomputed via sys.Key
 // on the decoded state, exactly as analyse computes them, so Results match
 // the in-RAM engines byte for byte.
-func analyseFromLog[S any](sys System[S], dec KeyDecoderSystem[S], log *keyLog, n int, edges [][]int) (*Result, error) {
-	comp, isBottom, numComp := bottomComponents(n, edges)
+func analyseFromLog[S any](sys System[S], dec KeyDecoderSystem[S], log *keyLog, g graph) (*Result, error) {
+	n := g.rows()
+	comp, isBottom, numComp := bottomComponents(g)
 
 	outcome := make([]protocol.Output, numComp)
 	haveOutcome := make([]bool, numComp)
@@ -337,53 +343,52 @@ func analyseFromLog[S any](sys System[S], dec KeyDecoderSystem[S], log *keyLog, 
 }
 
 // tarjanSCC computes strongly connected components iteratively and returns
-// a component id per node. Components are numbered in reverse topological
-// order of discovery (ids are arbitrary for callers).
-func tarjanSCC(n int, edges [][]int) []int {
+// a component id per node and the number of components. Components are
+// numbered in reverse topological order of discovery (ids are arbitrary for
+// callers). A visited node is on Tarjan's stack exactly while it has no
+// component yet, so comp doubles as the on-stack flag.
+func tarjanSCC(g graph) (comp []int32, numComp int) {
 	const unvisited = -1
-	index := make([]int, n)
-	low := make([]int, n)
-	comp := make([]int, n)
-	onStack := make([]bool, n)
+	n := g.rows()
+	index := make([]int32, n)
+	low := make([]int32, n)
+	comp = make([]int32, n)
 	for i := range index {
 		index[i] = unvisited
 		comp[i] = unvisited
 	}
-	var stack []int
-	nextIndex := 0
-	numComp := 0
+	var stack []int32
+	var nextIndex int32
 
 	type frame struct {
-		node int
-		edge int
+		node int32
+		edge int // next position in g.to
 	}
 	var callStack []frame
 
-	for root := 0; root < n; root++ {
+	for root := range int32(n) {
 		if index[root] != unvisited {
 			continue
 		}
-		callStack = append(callStack[:0], frame{node: root})
+		callStack = append(callStack[:0], frame{node: root, edge: g.off[root]})
 		index[root] = nextIndex
 		low[root] = nextIndex
 		nextIndex++
 		stack = append(stack, root)
-		onStack[root] = true
 
 		for len(callStack) > 0 {
 			f := &callStack[len(callStack)-1]
 			u := f.node
-			if f.edge < len(edges[u]) {
-				v := edges[u][f.edge]
+			if f.edge < g.off[u+1] {
+				v := g.to[f.edge]
 				f.edge++
 				if index[v] == unvisited {
 					index[v] = nextIndex
 					low[v] = nextIndex
 					nextIndex++
 					stack = append(stack, v)
-					onStack[v] = true
-					callStack = append(callStack, frame{node: v})
-				} else if onStack[v] {
+					callStack = append(callStack, frame{node: v, edge: g.off[v]})
+				} else if comp[v] == unvisited { // on the stack
 					if index[v] < low[u] {
 						low[u] = index[v]
 					}
@@ -402,8 +407,7 @@ func tarjanSCC(n int, edges [][]int) []int {
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = numComp
+					comp[w] = int32(numComp)
 					if w == u {
 						break
 					}
@@ -412,5 +416,5 @@ func tarjanSCC(n int, edges [][]int) []int {
 			}
 		}
 	}
-	return comp
+	return comp, numComp
 }

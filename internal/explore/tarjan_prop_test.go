@@ -29,16 +29,29 @@ func reachClosure(n int, edges [][]int) [][]bool {
 	return reach
 }
 
+// csrOf packs adjacency lists into the explorers' CSR graph.
+func csrOf(edges [][]int) graph {
+	g := newGraph()
+	for _, outs := range edges {
+		for _, v := range outs {
+			g.to = append(g.to, int32(v))
+		}
+		g.endRow()
+	}
+	return g
+}
+
 // checkTarjanAgainstOracle verifies, for one digraph, that tarjanSCC's
-// partition equals the mutual-reachability relation and that the derived
-// bottom flags equal the oracle's "everything reachable can reach back".
+// partition equals the mutual-reachability relation and that
+// bottomComponents' flags equal the oracle's "everything reachable can
+// reach back".
 func checkTarjanAgainstOracle(t *testing.T, label string, n int, edges [][]int) {
 	t.Helper()
-	comp := tarjanSCC(n, edges)
+	comp, isBottom, numComp := bottomComponents(csrOf(edges))
 	reach := reachClosure(n, edges)
 	for u := 0; u < n; u++ {
-		if comp[u] < 0 {
-			t.Fatalf("%s: node %d has no component", label, u)
+		if comp[u] < 0 || int(comp[u]) >= numComp {
+			t.Fatalf("%s: node %d has component %d of %d", label, u, comp[u], numComp)
 		}
 		for v := 0; v < n; v++ {
 			mutual := reach[u][v] && reach[v][u]
@@ -48,21 +61,13 @@ func checkTarjanAgainstOracle(t *testing.T, label string, n int, edges [][]int) 
 			}
 		}
 	}
-	numComp := 0
+	used := make([]bool, numComp)
 	for _, c := range comp {
-		if c+1 > numComp {
-			numComp = c + 1
-		}
+		used[c] = true
 	}
-	isBottom := make([]bool, numComp)
-	for i := range isBottom {
-		isBottom[i] = true
-	}
-	for u, outs := range edges {
-		for _, v := range outs {
-			if comp[u] != comp[v] {
-				isBottom[comp[u]] = false
-			}
+	for c, ok := range used {
+		if !ok {
+			t.Fatalf("%s: component %d of %d has no node", label, c, numComp)
 		}
 	}
 	for u := 0; u < n; u++ {

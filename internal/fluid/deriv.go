@@ -44,12 +44,16 @@ type Deriv struct {
 // NewDeriv compiles p's reactive channels, one per non-silent candidate of
 // each reactive pair, into evaluable drift form.
 func NewDeriv(p *protocol.Protocol) *Deriv {
-	pairs := protocol.NewStepper(p).Reactive()
+	return newDeriv(p.NumStates(), protocol.NewStepper(p).Reactive())
+}
+
+// newDeriv compiles the reactive pairs of a protocol over numStates states.
+func newDeriv(numStates int, pairs []protocol.ReactivePair) *Deriv {
 	n := 0
 	for _, pair := range pairs {
 		n += len(pair.Fire)
 	}
-	d := &Deriv{n: p.NumStates(), chans: make([]channel, 0, n)}
+	d := &Deriv{n: numStates, chans: make([]channel, 0, n)}
 	for _, pair := range pairs {
 		for _, t := range pair.Fire {
 			c := channel{q: pair.Q, r: pair.R, inv: 1 / float64(pair.Candidates)}

@@ -52,11 +52,13 @@ type Hybrid struct {
 var _ sched.BatchScheduler = (*Hybrid)(nil)
 
 // NewHybrid builds the regime-switching ladder scheduler for p. rng drives
-// the discrete tier; the fluid tier is deterministic.
+// the discrete tier; the fluid tier is deterministic. The drift compiles the
+// kernel's reactive pairs, so both tiers read one pair index.
 func NewHybrid(p *protocol.Protocol, rng *rand.Rand) *Hybrid {
+	kernel := sched.NewCollisionKernel(p, rng)
 	h := &Hybrid{
-		kernel: sched.NewCollisionKernel(p, rng),
-		integ:  NewIntegrator(p),
+		kernel: kernel,
+		integ:  newIntegrator(newDeriv(p.NumStates(), kernel.Reactive())),
 		met:    obs.Sched(),
 	}
 	seen := make([]bool, p.NumStates())

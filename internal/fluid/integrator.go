@@ -60,8 +60,10 @@ const (
 )
 
 // NewIntegrator builds the deterministic mean-field ODE tier for p.
-func NewIntegrator(p *protocol.Protocol) *Integrator {
-	d := NewDeriv(p)
+func NewIntegrator(p *protocol.Protocol) *Integrator { return newIntegrator(NewDeriv(p)) }
+
+// newIntegrator builds the ODE tier over a compiled drift.
+func newIntegrator(d *Deriv) *Integrator {
 	ig := &Integrator{
 		d:   d,
 		x:   make([]float64, d.NumStates()),

@@ -217,6 +217,33 @@ func (m *Multiset) AppendKey(dst []byte) []byte {
 	return dst
 }
 
+// SetFromKey decodes a key produced by AppendKey into m, overwriting its
+// counts in place; the universe size is m.Len(). It rejects every key
+// AppendKey cannot produce — truncated, overlong or non-minimal varints,
+// negative counts, and bytes past the last kind — so an accepted key
+// re-encodes to the same bytes. On error m is left in an unspecified state.
+func (m *Multiset) SetFromKey(key []byte) error {
+	m.size = 0
+	for i := range m.counts {
+		c, w := binary.Varint(key)
+		switch {
+		case w <= 0:
+			return fmt.Errorf("multiset: truncated or overlong key varint at kind %d", i)
+		case w > 1 && key[w-1] == 0:
+			return fmt.Errorf("multiset: non-minimal key varint at kind %d", i)
+		case c < 0:
+			return fmt.Errorf("multiset: negative count %d at kind %d", c, i)
+		}
+		m.counts[i] = c
+		m.size += c
+		key = key[w:]
+	}
+	if len(key) > 0 {
+		return fmt.Errorf("multiset: %d key bytes past the last of %d kinds", len(key), len(m.counts))
+	}
+	return nil
+}
+
 // AppendRunKey appends the run-length key of the multiset to dst and returns
 // the extended slice. The key is a sequence of uvarint tokens walking the
 // kinds in order: token 2c is one kind with count c ≥ 1, token 2r−1 skips a

@@ -195,6 +195,38 @@ func TestKeyDistinguishesConfigurations(t *testing.T) {
 	}
 }
 
+// TestSetFromKeyInvertsAppendKey: dense keys decode back to the multiset,
+// over a reused target holding other counts, and every byte string
+// AppendKey cannot produce is rejected.
+func TestSetFromKeyInvertsAppendKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	dec := FromCounts([]int64{9, 9, 9, 9})
+	for trial := 0; trial < 200; trial++ {
+		counts := make([]int64, 4)
+		for i := range counts {
+			counts[i] = rng.Int63n(1 << uint(rng.Intn(40)))
+		}
+		m := FromCounts(counts)
+		if err := dec.SetFromKey(m.AppendKey(nil)); err != nil || !dec.Equal(m) {
+			t.Fatalf("key of %v decodes to %v (err %v)", m, dec, err)
+		}
+	}
+	for _, bad := range []struct {
+		name string
+		key  []byte
+	}{
+		{"truncated varint", []byte{2, 0, 0x80}},
+		{"too few kinds", []byte{2, 0, 4}},
+		{"non-minimal varint", []byte{2, 0, 0x84, 0, 6}},
+		{"negative count", []byte{2, 1, 4, 6}},
+		{"bytes past the last kind", []byte{2, 0, 4, 6, 0}},
+	} {
+		if err := dec.SetFromKey(bad.key); err == nil {
+			t.Fatalf("%s: key %x over 4 kinds accepted as %v", bad.name, bad.key, dec)
+		}
+	}
+}
+
 func TestStringAndFormat(t *testing.T) {
 	m := FromCounts([]int64{2, 0, 1})
 	if got := m.String(); got != "{0:2, 2:1}" {

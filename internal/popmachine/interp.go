@@ -60,59 +60,116 @@ func (m *Machine) InitialConfig(regs *multiset.Multiset) (*Config, error) {
 // Output returns the configuration's output C(OF).
 func (m *Machine) Output(c *Config) bool { return c.Pointers[m.OF] == ValTrue }
 
+// DecodeKey rebuilds the configuration whose AppendKey bytes are key: one
+// uvarint per pointer, then the register multiset's dense key. prev, when
+// non-nil, is overwritten and returned, so decoding state after state
+// allocates nothing. It rejects every byte string AppendKey cannot produce
+// for this machine; on error prev is left in an unspecified state.
+func (m *Machine) DecodeKey(prev *Config, key []byte) (*Config, error) {
+	if prev == nil {
+		prev = &Config{Regs: multiset.New(len(m.Registers)), Pointers: make([]int, len(m.Pointers))}
+	}
+	for i := range prev.Pointers {
+		v, w := binary.Uvarint(key)
+		if w <= 0 || (w > 1 && key[w-1] == 0) {
+			return nil, fmt.Errorf("popmachine %q: malformed key at pointer %d", m.Name, i)
+		}
+		prev.Pointers[i] = int(v)
+		key = key[w:]
+	}
+	if err := prev.Regs.SetFromKey(key); err != nil {
+		return nil, fmt.Errorf("popmachine %q: %w", m.Name, err)
+	}
+	return prev, nil
+}
+
 // Successors returns every configuration reachable in one step per
-// Definition 13. A hung configuration (move from an empty register, or IP
-// stepping past L) has no successors other than itself; Successors returns
-// an empty slice in that case, and callers treat it as a self-loop.
+// Definition 13, decoded from AppendSuccessorKeys. A hung configuration
+// (move from an empty register, or IP stepping past L) has no successors
+// other than itself; Successors returns an empty slice in that case, and
+// callers treat it as a self-loop. c is not modified.
 func (m *Machine) Successors(c *Config) []*Config {
+	// A configuration has at most two successors (a detect's), so their keys
+	// fit on the stack unless the machine is large.
+	var keyBuf [128]byte
+	var endBuf [2]int
+	keys, ends := m.AppendSuccessorKeys(c.Clone(), keyBuf[:0], endBuf[:0])
+	out := make([]*Config, len(ends))
+	start := 0
+	for i, end := range ends {
+		next, err := m.DecodeKey(nil, keys[start:end])
+		if err != nil {
+			panic(fmt.Sprintf("popmachine: successor key does not decode: %v", err))
+		}
+		out[i], start = next, end
+	}
+	return out
+}
+
+// AppendSuccessorKeys appends to dst the AppendKey bytes of every successor
+// of c under Definition 13, and to ends the end offset in dst of each key;
+// the first key starts at len(dst) on entry. A move or an assignment has one
+// successor, a detect two (CF = false first, then CF = true if the register
+// is nonzero), a hang none. Each successor is applied to c in place, encoded
+// and undone, so it costs one key encoding and no allocation; c is restored
+// before the call returns, but must not be read concurrently while it runs.
+// This is the machine's one copy of the step relation: Successors decodes
+// its keys.
+func (m *Machine) AppendSuccessorKeys(c *Config, dst []byte, ends []int) ([]byte, []int) {
 	ip := c.Pointers[m.IP]
-	in := m.Instrs[ip-1]
-	switch it := in.(type) {
+	switch it := m.Instrs[ip-1].(type) {
 	case MoveInstr:
-		if ip+1 > len(m.Instrs) || !m.Pointers[m.IP].HasValue(ip+1) {
-			return nil // IP would leave its domain: hang
-		}
 		src := c.Pointers[m.VReg[it.X]]
-		dst := c.Pointers[m.VReg[it.Y]]
-		if c.Regs.Count(src) == 0 {
-			return nil // hang
+		tgt := c.Pointers[m.VReg[it.Y]]
+		if !advanceable(m, ip) || c.Regs.Count(src) == 0 {
+			return dst, ends // hang
 		}
-		next := c.Clone()
-		next.Regs.Move(src, dst)
-		next.Pointers[m.IP] = ip + 1
-		return []*Config{next}
+		c.Regs.Move(src, tgt)
+		c.Pointers[m.IP] = ip + 1
+		dst = c.AppendKey(dst)
+		ends = append(ends, len(dst))
+		c.Pointers[m.IP] = ip
+		c.Regs.Move(tgt, src)
 	case DetectInstr:
-		if ip+1 > len(m.Instrs) || !m.Pointers[m.IP].HasValue(ip+1) {
-			return nil
+		if !advanceable(m, ip) {
+			return dst, ends
 		}
-		reg := c.Pointers[m.VReg[it.X]]
-		falseCase := c.Clone()
-		falseCase.Pointers[m.IP] = ip + 1
-		falseCase.Pointers[m.CF] = ValFalse
-		out := []*Config{falseCase}
-		if c.Regs.Count(reg) > 0 {
-			trueCase := c.Clone()
-			trueCase.Pointers[m.IP] = ip + 1
-			trueCase.Pointers[m.CF] = ValTrue
-			out = append(out, trueCase)
+		nonzero := c.Regs.Count(c.Pointers[m.VReg[it.X]]) > 0
+		cf := c.Pointers[m.CF]
+		c.Pointers[m.IP] = ip + 1
+		c.Pointers[m.CF] = ValFalse
+		dst = c.AppendKey(dst)
+		ends = append(ends, len(dst))
+		if nonzero {
+			c.Pointers[m.CF] = ValTrue
+			dst = c.AppendKey(dst)
+			ends = append(ends, len(dst))
 		}
-		return out
+		c.Pointers[m.CF] = cf
+		c.Pointers[m.IP] = ip
 	case AssignInstr:
 		v := it.F[c.Pointers[it.Y]]
-		next := c.Clone()
 		if it.X == m.IP {
-			next.Pointers[m.IP] = v
-			return []*Config{next}
+			c.Pointers[m.IP] = v
+			dst = c.AppendKey(dst)
+			ends = append(ends, len(dst))
+			c.Pointers[m.IP] = ip
+			return dst, ends
 		}
-		if ip+1 > len(m.Instrs) || !m.Pointers[m.IP].HasValue(ip+1) {
-			return nil
+		if !advanceable(m, ip) {
+			return dst, ends
 		}
-		next.Pointers[it.X] = v
-		next.Pointers[m.IP] = ip + 1
-		return []*Config{next}
+		x := c.Pointers[it.X]
+		c.Pointers[it.X] = v
+		c.Pointers[m.IP] = ip + 1
+		dst = c.AppendKey(dst)
+		ends = append(ends, len(dst))
+		c.Pointers[m.IP] = ip
+		c.Pointers[it.X] = x
 	default:
-		panic(fmt.Sprintf("popmachine: unknown instruction %T", in))
+		panic(fmt.Sprintf("popmachine: unknown instruction %T", it))
 	}
+	return dst, ends
 }
 
 // DetectOracle resolves the nondeterminism of detect instructions during

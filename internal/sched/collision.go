@@ -207,6 +207,12 @@ func newCollisionKernel(p *protocol.Protocol, rng source) *CollisionKernel {
 	return k
 }
 
+// Reactive returns the reactive pairs of the kernel's pair index in the
+// order its exact sampler draws them (protocol.Stepper.Reactive), so a
+// caller that needs them too — the fluid drift of the auto ladder — builds
+// no second index. The slice is shared; callers must not modify it.
+func (k *CollisionKernel) Reactive() []protocol.ReactivePair { return k.inner.reactive }
+
 // BulkAvailable reports whether the kernel's integral bulk-round arithmetic
 // is usable for a population of m agents: the per-category weights
 // C(Q)·C(R)·perT and the normaliser Λ·m·(m−1) must fit in int64. Above

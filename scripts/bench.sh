@@ -13,9 +13,11 @@
 # conversion of Figure 1 (ConvertPipeline: time and allocations per
 # conversion), the out-of-core
 # explorer benchmark (ExploreSpill: all-RAM vs spilled at a matched state
-# count — states/sec and resident bytes per state) and the converted-protocol
+# count — states/sec and resident bytes per state), the converted-protocol
 # explorer benchmark (ExploreConverted: states/sec, bytes and allocations per
-# state) and the sampler construction benchmark (SamplerBuild: the pair index
+# state), the population-machine explorer benchmark (ExploreMachine: compiled
+# Figure 1 over every placement of 7 agents, bytes and allocations per state
+# on the engine) and the sampler construction benchmark (SamplerBuild: the pair index
 # and the exact, batch and auto samplers on shrunk figure1 and czerner:1).
 # Each JSON record carries the
 # benchmark name, iteration count and every (value, unit) metric pair Go
@@ -33,7 +35,7 @@ benchtime="${BENCHTIME:-1s}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-go test -run '^$' -bench 'StepN|MeasureConvergence|RunKernels|Ladder|Shrink|ConvertPipeline|CompactTransitions|MachineValidate|ExploreSpill|ExploreConverted|SamplerBuild' \
+go test -run '^$' -bench 'StepN|MeasureConvergence|RunKernels|Ladder|Shrink|ConvertPipeline|CompactTransitions|MachineValidate|ExploreSpill|ExploreConverted|ExploreMachine|SamplerBuild' \
   -benchmem -benchtime "$benchtime" \
   ./internal/sched ./internal/simulate ./internal/fluid ./internal/explore . | tee "$raw"
 
