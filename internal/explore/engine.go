@@ -159,15 +159,9 @@ func ExploreContext[S any](ctx context.Context, sys System[S], initial []S, opts
 	// intern assigns the next dense id to an unseen key. Single-threaded:
 	// only the initial scan and the commit pass call it.
 	intern := func(key []byte, h uint64, s S) (int, bool, error) {
-		if id, ok := in.lookup(h, key); ok {
-			return id, false, nil
-		}
-		if numStates >= limit {
-			return 0, false, errStateLimit(limit)
-		}
-		id := numStates
-		if err := in.insert(h, key, id); err != nil {
-			return 0, false, err
+		id, fresh, err := in.intern(h, key, numStates, limit)
+		if !fresh {
+			return id, false, err
 		}
 		if !codec {
 			states = append(states, s)

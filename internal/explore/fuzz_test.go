@@ -3,6 +3,8 @@ package explore
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/multiset"
@@ -19,9 +21,11 @@ import (
 //     universe are all rejected with an error, never a panic;
 //   - hash and shard assignment are a stable function of the configuration
 //     (re-encoding a clone lands in the same shard);
-//   - distinct configurations never collide in the interner — every key
-//     resolves to exactly the id it was interned under, including after
-//     later inserts have grown the shard arenas.
+//   - distinct configurations never collide in the interner — intern hands
+//     out the next id exactly to unseen keys, and every key resolves to
+//     exactly the id it was interned under, through intern and lookupExpand
+//     alike, including after later inserts have grown the shard tables; at
+//     the state limit known keys still resolve and unseen ones are refused.
 //
 // The first byte picks the universe size (1..256, so runs and counts both
 // need multi-byte tokens); the rest is decoded once as a raw key and once as
@@ -103,10 +107,13 @@ func FuzzInternKey(f *testing.F) {
 				t.Fatalf("hash/shard assignment of %v is unstable", m)
 			}
 
-			id, ok := in.lookup(h, key)
 			wantID, seen := expect[string(key)]
-			if ok != seen {
-				t.Fatalf("lookup of %v: present=%v, want %v", m, ok, seen)
+			id, fresh, err := in.intern(h, key, len(expect), math.MaxInt)
+			if err != nil {
+				t.Fatalf("intern of %v failed: %v", m, err)
+			}
+			if fresh == seen {
+				t.Fatalf("intern of %v: fresh=%v, but seen before=%v", m, fresh, seen)
 			}
 			if seen {
 				if id != wantID {
@@ -114,25 +121,44 @@ func FuzzInternKey(f *testing.F) {
 				}
 				continue
 			}
-			newID := len(expect)
-			if err := in.insert(h, key, newID); err != nil {
-				t.Fatalf("insert of %v failed: %v", m, err)
+			if id != len(expect) {
+				t.Fatalf("intern of new %v gave id %d, want %d", m, id, len(expect))
 			}
-			expect[string(key)] = newID
-			if got, ok := in.lookup(h, key); !ok || got != newID {
-				t.Fatalf("lookup after insert of %v: (%d, %v), want (%d, true)", m, got, ok, newID)
+			expect[string(key)] = id
+			// At the limit a known key still resolves; it is not refused.
+			if got, fresh, err := in.intern(h, key, len(expect), len(expect)); err != nil || fresh || got != id {
+				t.Fatalf("re-intern of %v at the limit: (%d, %v, %v), want (%d, false, nil)", m, got, fresh, err, id)
 			}
 		}
 
 		// Every interned key must still resolve to its own id after all
-		// inserts: arena growth must not invalidate earlier entries, and
-		// distinct configurations must have kept distinct ids.
+		// inserts, through the commit pass's probe and the expansion pass's
+		// lookup alike: arena growth must not invalidate earlier entries,
+		// and distinct configurations must have kept distinct ids. A key
+		// never interned is refused at the limit and found by neither.
+		var scratch []byte
+		var deferred []deferredLookup
 		for k, id := range expect {
 			key := []byte(k)
-			got, ok := in.lookup(hashKey(key), key)
-			if !ok || got != id {
-				t.Fatalf("interned key lost or remapped: got (%d, %v), want (%d, true)", got, ok, id)
+			h := hashKey(key)
+			if got, fresh, err := in.intern(h, key, len(expect), len(expect)); err != nil || fresh || got != id {
+				t.Fatalf("interned key lost or remapped: got (%d, %v, %v), want (%d, false, nil)", got, fresh, err, id)
 			}
+			if got, ok := in.lookupExpand(h, key, &scratch, &deferred, 0, 0); !ok || got != id {
+				t.Fatalf("expansion lookup of an interned key: got (%d, %v), want (%d, true)", got, ok, id)
+			}
+		}
+		absent := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
+		if _, ok := expect[string(absent)]; !ok {
+			if _, _, err := in.intern(hashKey(absent), absent, len(expect), len(expect)); !errors.Is(err, ErrStateLimit) {
+				t.Fatalf("intern of an absent key at the limit: err %v, want ErrStateLimit", err)
+			}
+			if _, ok := in.lookupExpand(hashKey(absent), absent, &scratch, &deferred, 0, 0); ok {
+				t.Fatal("expansion lookup found a key never interned")
+			}
+		}
+		if len(deferred) != 0 {
+			t.Fatalf("in-RAM lookups deferred %d reads", len(deferred))
 		}
 	})
 }

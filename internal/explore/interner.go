@@ -2,7 +2,6 @@ package explore
 
 import (
 	"bytes"
-	"sync"
 
 	"repro/internal/multiset"
 	"repro/internal/obs"
@@ -21,11 +20,14 @@ import (
 // probe slots by the high 32 bits (the fingerprint), so both are pure
 // functions of the key — stable across runs, worker counts and budgets.
 //
-// Concurrency contract: the parallel engine alternates between a read-only
-// expansion pass (many workers calling lookupExpand) and a single-threaded
-// commit pass (one goroutine calling insert/lookup). The striped RWMutexes
-// make each shard individually safe under any interleaving, so the interner
-// stays correct even if a future scheduler overlaps the phases.
+// Concurrency contract: the engine alternates between a read-only
+// expansion pass (many workers calling lookupExpand and resumeLookup) and a
+// single-threaded commit pass (one goroutine calling intern). The passes
+// never overlap: the commit pass starts only after par.Ordered has returned
+// from the expansion pass, and that return is the happens-before edge that
+// publishes every expansion read before the commit pass writes, and every
+// write before the next expansion pass reads. The interner therefore takes
+// no locks; a scheduler that overlapped the passes would have to add them.
 
 const (
 	internShardBits = 6
@@ -46,7 +48,6 @@ type internEntry struct {
 }
 
 type internShard struct {
-	mu      sync.RWMutex
 	entries []internEntry // open addressing; len is a power of two
 	count   int
 }
@@ -58,7 +59,7 @@ type interner struct {
 	// disabled): shard occupancy, key-log growth and hash collisions are
 	// observed on insert, which the commit pass runs single-threaded.
 	met *obs.ExploreMetrics
-	// scratch backs key reads on the single-threaded lookup path (commit
+	// scratch backs key reads on the single-threaded intern path (commit
 	// pass); concurrent expansion lookups carry their own scratch.
 	scratch []byte
 }
@@ -88,29 +89,52 @@ func fingerprint(h uint64) uint32 { return uint32(h >> 32) }
 // close releases the key log's spill resources.
 func (in *interner) close() { in.log.close() }
 
-// lookup returns the id interned for key, if any. Single-threaded contract:
-// it shares the interner's read scratch, so only the commit pass (or other
-// serial callers, like the fuzz harness) may use it; the expansion pass uses
-// lookupExpand.
-func (in *interner) lookup(h uint64, key []byte) (int, bool) {
-	sh := &in.shards[shardIndex(h)]
+// intern returns the id interned for key, or, when key is absent, interns
+// it under id next and reports it fresh, in one probe. An absent key is
+// refused with errStateLimit when next has reached limit. The key bytes are
+// copied into the log; the caller may reuse its buffer. Single-threaded
+// contract: it writes the table and shares the interner's read scratch, so
+// only the commit pass (or other serial callers, like the fuzz harness)
+// may use it; the expansion pass uses lookupExpand.
+func (in *interner) intern(h uint64, key []byte, next, limit int) (id int, fresh bool, err error) {
+	shard := shardIndex(h)
+	sh := &in.shards[shard]
 	fp := fingerprint(h)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
 	mask := uint32(len(sh.entries) - 1)
-	for slot := fp & mask; ; slot = (slot + 1) & mask {
+	collision := false
+	slot := fp & mask
+	for ; sh.entries[slot].off != 0; slot = (slot + 1) & mask {
 		e := sh.entries[slot]
-		if e.off == 0 {
-			return 0, false
-		}
 		if e.fp != fp {
 			continue
 		}
 		rec, err := in.log.record(e.off, &in.scratch)
 		if err == nil && bytes.Equal(rec, key) {
-			return int(e.id), true
+			return int(e.id), false, nil
+		}
+		collision = true // same fingerprint, different key
+	}
+	if next >= limit {
+		return 0, false, errStateLimit(limit)
+	}
+	off, err := in.log.append(key)
+	if err != nil {
+		return 0, false, err
+	}
+	if (sh.count+1)*4 > len(sh.entries)*3 {
+		sh.grow()
+		slot, collision = sh.freeSlot(fp)
+	}
+	sh.entries[slot] = internEntry{off: off, fp: fp, id: int32(next)}
+	sh.count++
+	if in.met != nil {
+		in.met.InternShard.Add(shard, 1)
+		in.met.InternArenaBytes.Add(int64(len(key)))
+		if collision {
+			in.met.InternCollisions.Inc()
 		}
 	}
+	return next, true, nil
 }
 
 // deferredLookup is an expansion-pass lookup whose first fingerprint match
@@ -132,8 +156,6 @@ func (in *interner) lookupExpand(h uint64, key []byte, scratch *[]byte,
 	d *[]deferredLookup, i, j int32) (id int, ok bool) {
 	sh := &in.shards[shardIndex(h)]
 	fp := fingerprint(h)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
 	mask := uint32(len(sh.entries) - 1)
 	for slot := fp & mask; ; slot = (slot + 1) & mask {
 		e := sh.entries[slot]
@@ -160,8 +182,6 @@ func (in *interner) lookupExpand(h uint64, key []byte, scratch *[]byte,
 func (in *interner) resumeLookup(h uint64, key []byte, from uint32, scratch *[]byte) (int, bool) {
 	sh := &in.shards[shardIndex(h)]
 	fp := fingerprint(h)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
 	mask := uint32(len(sh.entries) - 1)
 	for slot := (from + 1) & mask; ; slot = (slot + 1) & mask {
 		e := sh.entries[slot]
@@ -178,58 +198,26 @@ func (in *interner) resumeLookup(h uint64, key []byte, from uint32, scratch *[]b
 	}
 }
 
-// insert interns key with the given id, appending the key to the log. The
-// caller must have established that key is absent (ids are dense, assigned
-// in canonical BFS order by the single-threaded commit pass). The key bytes
-// are copied into the log; the caller may reuse its buffer.
-func (in *interner) insert(h uint64, key []byte, id int) error {
-	off, err := in.log.append(key)
-	if err != nil {
-		return err
-	}
-	shard := shardIndex(h)
-	sh := &in.shards[shard]
-	fp := fingerprint(h)
-	sh.mu.Lock()
-	if (sh.count+1)*4 > len(sh.entries)*3 {
-		sh.grow()
-	}
-	mask := uint32(len(sh.entries) - 1)
-	collision := false
-	slot := fp & mask
-	for sh.entries[slot].off != 0 {
-		if sh.entries[slot].fp == fp {
-			collision = true // same fingerprint, necessarily a different key
-		}
-		slot = (slot + 1) & mask
-	}
-	sh.entries[slot] = internEntry{off: off, fp: fp, id: int32(id)}
-	sh.count++
-	sh.mu.Unlock()
-	if in.met != nil {
-		in.met.InternShard.Add(shard, 1)
-		in.met.InternArenaBytes.Add(int64(len(key)))
-		if collision {
-			in.met.InternCollisions.Inc()
-		}
-	}
-	return nil
-}
-
-// grow doubles the shard's table, re-placing entries by fingerprint. Caller
-// holds the write lock.
+// grow doubles the shard's table, re-placing entries by fingerprint.
 func (sh *internShard) grow() {
 	old := sh.entries
 	sh.entries = make([]internEntry, 2*len(old))
-	mask := uint32(len(sh.entries) - 1)
 	for _, e := range old {
-		if e.off == 0 {
-			continue
+		if e.off != 0 {
+			slot, _ := sh.freeSlot(e.fp)
+			sh.entries[slot] = e
 		}
-		slot := e.fp & mask
-		for sh.entries[slot].off != 0 {
-			slot = (slot + 1) & mask
-		}
-		sh.entries[slot] = e
 	}
+}
+
+// freeSlot returns the first empty slot on fp's probe sequence, and whether
+// the probe passed an entry with the same fingerprint.
+func (sh *internShard) freeSlot(fp uint32) (slot uint32, collision bool) {
+	mask := uint32(len(sh.entries) - 1)
+	for slot = fp & mask; sh.entries[slot].off != 0; slot = (slot + 1) & mask {
+		if sh.entries[slot].fp == fp {
+			collision = true
+		}
+	}
+	return slot, collision
 }

@@ -41,10 +41,7 @@ type pairSpan struct{ r, lo, flo int32 }
 // NewStepper builds the index for p in O(|δ| + |Q|).
 func NewStepper(p *Protocol) *Stepper {
 	n := len(p.States)
-	// Two stable counting sorts, by responder and then by initiator, order
-	// the transitions by (Q, R) and keep p.Transitions order within a pair.
-	byR := sortByState(p.Transitions, n, false)
-	cands := sortByState(byR, n, true)
+	cands := sortByPair(p.Transitions, n)
 	s := &Stepper{p: p, row: make([]int32, n+1), cands: cands, fire: cands}
 	pairs := 0
 	for i, t := range cands {
@@ -78,27 +75,35 @@ func NewStepper(p *Protocol) *Stepper {
 	return s
 }
 
-// sortByState returns ts, whose states are below n, stably sorted by
-// initiator, or by responder when byInitiator is false.
-func sortByState(ts []Transition, n int, byInitiator bool) []Transition {
-	key := func(t Transition) int32 {
-		if byInitiator {
-			return t.Q
-		}
-		return t.R
-	}
+// sortByPair returns a copy of ts, whose states are below n, ordered by
+// (Q, R) with ts order kept within a pair: two stable counting sorts, by
+// responder and then by initiator. The first sorts a permutation of ts, so
+// the copy the second scatters into is the only one made.
+func sortByPair(ts []Transition, n int) []Transition {
 	next := make([]int, n+1)
 	for _, t := range ts {
-		next[key(t)+1]++
+		next[t.R+1]++
+	}
+	for i := 1; i <= n; i++ {
+		next[i] += next[i-1]
+	}
+	byR := make([]int32, len(ts))
+	for k, t := range ts {
+		byR[next[t.R]] = int32(k)
+		next[t.R]++
+	}
+	clear(next)
+	for _, t := range ts {
+		next[t.Q+1]++
 	}
 	for i := 1; i <= n; i++ {
 		next[i] += next[i-1]
 	}
 	out := make([]Transition, len(ts))
-	for _, t := range ts {
-		k := key(t)
-		out[next[k]] = t
-		next[k]++
+	for _, k := range byR {
+		t := ts[k]
+		out[next[t.Q]] = t
+		next[t.Q]++
 	}
 	return out
 }
@@ -123,6 +128,31 @@ func (s *Stepper) span(q, r int) int {
 		return -1
 	}
 	return lo
+}
+
+// seek returns the first index in [lo, end), within one initiator's row of
+// spans, whose responder is at least r, or end if there is none. It gallops
+// from lo, so a walk of increasing responders along a row costs O(log gap)
+// per step instead of a binary search over the whole row.
+func (s *Stepper) seek(lo, end, r int) int {
+	if lo == end || int(s.spans[lo].r) >= r {
+		return lo
+	}
+	// spans[lo].r < r throughout; hi ends at end or at a responder ≥ r.
+	hi := lo + 1
+	for step := 1; hi < end && int(s.spans[hi].r) < r; step <<= 1 {
+		lo = hi
+		hi = min(lo+2*step, end)
+	}
+	for lo+1 < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if int(s.spans[mid].r) < r {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
 }
 
 // Candidates returns every transition with initiator q and responder r,
@@ -252,11 +282,17 @@ func (s *Stepper) AppendSuccessorKeys(c *multiset.Multiset, dst []byte, ends []i
 	var slotsBuf [dedupSlots]int32
 	seen := keySet{slots: slotsBuf[:], base: len(dst), first: len(ends)}
 	for _, q := range support {
+		// One walk along q's row: support is sorted, so each responder's
+		// pair lies at or after the previous one's.
+		i, end := int(s.row[q]), int(s.row[q+1])
 		for _, r := range support {
-			if q == r && c.Count(q) < 2 {
+			if i = s.seek(i, end, r); i == end {
+				break
+			}
+			if int(s.spans[i].r) != r || q == r && c.Count(q) < 2 {
 				continue
 			}
-			for _, t := range s.Fire(q, r) {
+			for _, t := range s.fire[s.spans[i].flo:s.spans[i+1].flo] {
 				tq, tr, tq2, tr2 := int(t.Q), int(t.R), int(t.Q2), int(t.R2)
 				// Kinds a successor occupies: c's support plus whichever
 				// of the two products c had none of.

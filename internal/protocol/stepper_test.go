@@ -232,3 +232,52 @@ func TestStepperMatchesGrouping(t *testing.T) {
 		}
 	}
 }
+
+// sortByStateTwoCopies is the stepper's former ordering of δ, kept as the
+// oracle of the one-copy sort: a stable counting sort into a full copy by
+// responder (byInitiator false), then another into a second copy by
+// initiator.
+func sortByStateTwoCopies(ts []protocol.Transition, n int, byInitiator bool) []protocol.Transition {
+	key := func(t protocol.Transition) int32 {
+		if byInitiator {
+			return t.Q
+		}
+		return t.R
+	}
+	next := make([]int, n+1)
+	for _, t := range ts {
+		next[key(t)+1]++
+	}
+	for i := 1; i <= n; i++ {
+		next[i] += next[i-1]
+	}
+	out := make([]protocol.Transition, len(ts))
+	for _, t := range ts {
+		k := key(t)
+		out[next[k]] = t
+		next[k]++
+	}
+	return out
+}
+
+// TestStepperOrderMatchesTwoCopySort holds the index's transition order to
+// the two-copy oracle on random protocols: the candidates of every pair,
+// concatenated in (q, r) order, are the oracle's sorted table.
+func TestStepperOrderMatchesTwoCopySort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 40; trial++ {
+		p := randomStepperProtocol(rng)
+		n := len(p.States)
+		want := sortByStateTwoCopies(sortByStateTwoCopies(p.Transitions, n, false), n, true)
+		s := protocol.NewStepper(p)
+		var got []protocol.Transition
+		for q := 0; q < n; q++ {
+			for r := 0; r < n; r++ {
+				got = append(got, s.Candidates(q, r)...)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: index order differs from the two-copy sort", trial)
+		}
+	}
+}

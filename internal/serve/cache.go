@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -250,7 +251,8 @@ func loadSkeleton(path string) (*cacheSkeleton, error) {
 
 // writeSkeleton persists a completed conversion atomically
 // (atomicfile.Write). Best-effort: a write failure costs a cold boot later,
-// never the job.
+// never the job. The file holds exactly the bytes json.Marshal(&skel)
+// would, written by appendSkeleton.
 func (c *Cache) writeSkeleton(key string, e *cacheEntry) {
 	c.mu.Lock()
 	dir := c.dir
@@ -266,11 +268,100 @@ func (c *Cache) writeSkeleton(key string, e *cacheEntry) {
 		CoreStates:  e.res.CoreStates,
 		Report:      e.report,
 	}
-	data, err := json.Marshal(&skel)
+	data, err := appendSkeleton(make([]byte, 0, skeletonSize(e.res.Protocol)), &skel)
 	if err != nil {
 		return
 	}
 	_ = atomicfile.Write(filepath.Join(dir, skeletonFile(key)), data) // best-effort, see above
+}
+
+// appendSkeleton appends to dst the bytes json.Marshal(skel) produces. The
+// transition table, nearly all of a converted protocol's bytes, is written
+// directly; every other field goes through encoding/json, so its escaping
+// is the package's own. It is a function and not a json.Marshaler because
+// encoding/json re-scans a marshaler's output, which would cost most of
+// what the direct write saves.
+func appendSkeleton(dst []byte, skel *cacheSkeleton) ([]byte, error) {
+	var err error
+	// put appends a field's prefix and its value as encoding/json writes
+	// it; the first error is kept.
+	put := func(prefix string, v any) {
+		data, merr := json.Marshal(v)
+		if err == nil {
+			err = merr
+		}
+		dst = append(append(dst, prefix...), data...)
+	}
+	put(`{"key":`, skel.Key)
+	put(`,"fingerprint":`, skel.Fingerprint)
+	if p := skel.Protocol; p == nil {
+		put(`,"protocol":`, nil)
+	} else {
+		put(`,"protocol":{"Name":`, p.Name)
+		put(`,"States":`, p.States)
+		dst = appendTransitions(append(dst, `,"Transitions":`...), p.Transitions, len(p.States))
+		put(`,"Input":`, p.Input)
+		put(`,"Accepting":`, p.Accepting)
+		dst = append(dst, '}')
+	}
+	put(`,"num_pointers":`, skel.NumPointers)
+	put(`,"core_states":`, skel.CoreStates)
+	if skel.Report != nil {
+		put(`,"report":`, skel.Report)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, '}'), nil
+}
+
+// appendTransitions appends ts as encoding/json writes a []protocol.Transition.
+// The indices of the n states are formatted once into a decimal table, so
+// each field is one copy; an index outside [0, n) is formatted in place.
+func appendTransitions(dst []byte, ts []protocol.Transition, n int) []byte {
+	if ts == nil {
+		return append(dst, "null"...)
+	}
+	digits := make([]byte, 0, 4*n)
+	ends := make([]int, n+1) // state i's decimal is digits[ends[i]:ends[i+1]]
+	for i := 0; i < n; i++ {
+		digits = strconv.AppendInt(digits, int64(i), 10)
+		ends[i+1] = len(digits)
+	}
+	index := func(dst []byte, v int32) []byte {
+		if uint32(v) < uint32(n) {
+			return append(dst, digits[ends[v]:ends[v+1]]...)
+		}
+		return strconv.AppendInt(dst, int64(v), 10)
+	}
+	dst = append(dst, '[')
+	for i, t := range ts {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"Q":`...)
+		dst = index(dst, t.Q)
+		dst = append(dst, `,"R":`...)
+		dst = index(dst, t.R)
+		dst = append(dst, `,"Q2":`...)
+		dst = index(dst, t.Q2)
+		dst = append(dst, `,"R2":`...)
+		dst = index(dst, t.R2)
+		dst = append(dst, '}')
+	}
+	return append(dst, ']')
+}
+
+// skeletonSize estimates the length of p's skeleton file from above, so
+// writeSkeleton's buffer never grows: per transition 24 bytes of field
+// names and punctuation and four indices below len(p.States).
+func skeletonSize(p *protocol.Protocol) int {
+	digits := len(strconv.Itoa(max(len(p.States)-1, 0)))
+	n := 1024 + len(p.Transitions)*(24+4*digits) + 20*len(p.Input) + 6*len(p.Accepting)
+	for _, s := range p.States {
+		n += len(s) + 3
+	}
+	return n
 }
 
 // removeSkeleton deletes an evicted entry's skeleton file. Caller holds c.mu.

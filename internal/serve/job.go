@@ -295,6 +295,10 @@ type Job struct {
 	Total     int `json:"total,omitempty"`
 
 	cancel func() // cancels the running job's context; nil until started
+	// seq counts the snapshots persistJob has taken of the job, and file
+	// orders their writes (see persistJob).
+	seq  uint64
+	file *jobFile
 }
 
 // terminal reports whether the job reached a final status.

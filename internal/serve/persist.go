@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/atomicfile"
@@ -18,26 +19,50 @@ func (s *Server) checkpointsDir() string { return filepath.Join(s.cfg.StateDir, 
 func (s *Server) convertDir() string     { return filepath.Join(s.cfg.StateDir, "convert") }
 func (s *Server) spillDir() string       { return filepath.Join(s.cfg.StateDir, "spill") }
 
-// persistJob writes the job document atomically to StateDir/jobs/<id>.json.
-// Callers hold s.mu (except recover, which runs before the workers start),
-// so snapshots reach disk in state-transition order — without this a
-// Submit's "queued" write could land after the worker's "done" write and
-// resurrect a finished job on the next restart. Persistence is best-effort
-// bookkeeping of an in-memory store — a write failure must not fail the
-// job — but sweeps additionally checkpoint through internal/simulate,
-// which is where crash durability lives.
-func (s *Server) persistJob(j *Job) {
+// persistJob snapshots j's document for StateDir/jobs/<id>.json and
+// returns the write, which the caller runs after releasing s.mu: status
+// reads, stream polls and submits never wait behind its fsync. Callers hold
+// s.mu (except recover, which runs before the workers start), so the
+// snapshot is consistent and its sequence number orders it after every
+// earlier snapshot of the job. A write lands only if no newer snapshot of
+// the job has landed before it, so a Submit's "queued" write that runs
+// after the worker's "done" write cannot resurrect a finished job on the
+// next restart. Persistence is best-effort bookkeeping of an in-memory
+// store — a write failure must not fail the job — but sweeps additionally
+// checkpoint through internal/simulate, which is where crash durability
+// lives.
+func (s *Server) persistJob(j *Job) (write func()) {
 	if s.cfg.StateDir == "" {
-		return
+		return func() {}
 	}
 	// Compact marshalling keeps the embedded Result RawMessage
 	// byte-identical across a persist/reload round trip (indenting would
 	// reformat it, breaking result bit-stability over restarts).
 	data, err := json.Marshal(j)
 	if err != nil {
-		return
+		return func() {}
 	}
-	_ = atomicfile.Write(filepath.Join(s.jobsDir(), j.ID+".json"), data) // best-effort, see above
+	if j.file == nil {
+		j.file = &jobFile{}
+	}
+	j.seq++
+	f, seq, path := j.file, j.seq, filepath.Join(s.jobsDir(), j.ID+".json")
+	return func() {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		if seq <= f.written {
+			return // a newer snapshot is on disk already
+		}
+		_ = atomicfile.Write(path, data) // best-effort, see above
+		f.written = seq
+	}
+}
+
+// jobFile serialises the writes of one job's file and remembers which
+// snapshot the last of them wrote.
+type jobFile struct {
+	mu      sync.Mutex
+	written uint64 // Job.seq of the snapshot written last; 0 = none yet
 }
 
 // recover reloads persisted jobs at startup. Terminal jobs come back as
@@ -93,7 +118,7 @@ func (s *Server) recover() error {
 				j.Error = "not re-enqueued after restart: job queue full"
 				j.Finished = &now
 			}
-			s.persistJob(j)
+			s.persistJob(j)()
 		}
 		s.jobs[j.ID] = j
 		s.order = append(s.order, j.ID)

@@ -184,9 +184,10 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	s.nextID++
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
-	s.persistJob(j)
+	write := s.persistJob(j)
 	snapshot := *j
 	s.mu.Unlock()
+	write()
 
 	if met := obs.Serve(); met != nil {
 		met.JobsSubmitted.Inc()
@@ -230,12 +231,13 @@ func (s *Server) Cancel(id string) string {
 		s.mu.Unlock()
 		return ""
 	}
+	write := func() {}
 	switch j.Status {
 	case StatusQueued:
 		j.Status = StatusCancelled
 		now := time.Now().UTC()
 		j.Finished = &now
-		s.persistJob(j)
+		write = s.persistJob(j)
 		if met := obs.Serve(); met != nil {
 			met.JobsCancelled.Inc()
 		}
@@ -246,6 +248,7 @@ func (s *Server) Cancel(id string) string {
 	}
 	status := j.Status
 	s.mu.Unlock()
+	write()
 	return status
 }
 
@@ -253,8 +256,9 @@ func (s *Server) Cancel(id string) string {
 func (s *Server) setStatus(j *Job, mutate func(*Job)) {
 	s.mu.Lock()
 	mutate(j)
-	s.persistJob(j)
+	write := s.persistJob(j)
 	s.mu.Unlock()
+	write()
 }
 
 // specHash is the identity of a sweep spec, used as the checkpoint key so a
@@ -283,8 +287,9 @@ func (s *Server) runJob(j *Job) {
 	j.Status = StatusRunning
 	j.Started = &now
 	j.cancel = cancel
-	s.persistJob(j)
+	write := s.persistJob(j)
 	s.mu.Unlock()
+	write()
 	if met != nil {
 		met.QueueDepth.Set(int64(len(s.queue)))
 	}

@@ -17,8 +17,11 @@
 # explorer benchmark (ExploreConverted: states/sec, bytes and allocations per
 # state), the population-machine explorer benchmark (ExploreMachine: compiled
 # Figure 1 over every placement of 7 agents, bytes and allocations per state
-# on the engine) and the sampler construction benchmark (SamplerBuild: the pair index
-# and the exact, batch and auto samplers on shrunk figure1 and czerner:1).
+# on the engine), the sampler construction benchmark (SamplerBuild: the pair index
+# and the exact, batch and auto samplers on shrunk figure1 and czerner:1)
+# and what a ppserved cache miss pays to persist shrunk figure1
+# (SkeletonWrite: fingerprint plus skeleton encoding, no file I/O;
+# Fingerprint alone).
 # Each JSON record carries the
 # benchmark name, iteration count and every (value, unit) metric pair Go
 # reported — ns/op, ns/interaction, interactions/s, B/op, allocs/op, ...
@@ -35,9 +38,9 @@ benchtime="${BENCHTIME:-1s}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-go test -run '^$' -bench 'StepN|MeasureConvergence|RunKernels|Ladder|Shrink|ConvertPipeline|CompactTransitions|MachineValidate|ExploreSpill|ExploreConverted|ExploreMachine|SamplerBuild' \
+go test -run '^$' -bench 'StepN|MeasureConvergence|RunKernels|Ladder|Shrink|ConvertPipeline|CompactTransitions|MachineValidate|ExploreSpill|ExploreConverted|ExploreMachine|SamplerBuild|SkeletonWrite|Fingerprint' \
   -benchmem -benchtime "$benchtime" \
-  ./internal/sched ./internal/simulate ./internal/fluid ./internal/explore . | tee "$raw"
+  ./internal/sched ./internal/simulate ./internal/fluid ./internal/explore ./internal/serve . | tee "$raw"
 
 awk -v go_version="$(go version)" -v date_utc="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
 /^Benchmark/ {
