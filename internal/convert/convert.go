@@ -136,15 +136,7 @@ func CountStates(m *popmachine.Machine) (coreStates, protocolStates int, err err
 // Convert builds the population protocol for machine m. It refuses
 // machines whose protocol would have more than protocol.MaxStates states.
 func Convert(m *popmachine.Machine) (*Result, error) {
-	l, err := planLayout(m)
-	if err != nil {
-		return nil, err
-	}
-	if err := protocol.CheckNumStates(m.Name+"-protocol-consensus", 2*l.size); err != nil {
-		return nil, fmt.Errorf("convert: %w", err)
-	}
-	ofBit := l.ofBits()
-	core, err := l.buildCore(ofBit)
+	l, core, ofBit, err := convertCore(m)
 	if err != nil {
 		return nil, err
 	}
@@ -152,15 +144,38 @@ func Convert(m *popmachine.Machine) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return l.result(wrapped, core, l.families()), nil
+}
+
+// convertCore lays out m's core states and builds the core protocol,
+// refusing machines whose wrapped protocol would exceed
+// protocol.MaxStates. ofBit is the layout's ofBits.
+func convertCore(m *popmachine.Machine) (l *layout, core *protocol.Protocol, ofBit []int, err error) {
+	if l, err = planLayout(m); err != nil {
+		return nil, nil, nil, err
+	}
+	if err := protocol.CheckNumStates(m.Name+"-protocol-consensus", 2*l.size); err != nil {
+		return nil, nil, nil, fmt.Errorf("convert: %w", err)
+	}
+	ofBit = l.ofBits()
+	if core, err = l.buildCore(ofBit); err != nil {
+		return nil, nil, nil, err
+	}
+	return l, core, ofBit, nil
+}
+
+// result packages a conversion of the layout's machine whose final
+// protocol is p, with families[i] the owning pointer of p's state i.
+func (l *layout) result(p, core *protocol.Protocol, families []int) *Result {
 	return &Result{
-		Protocol:    wrapped,
+		Protocol:    p,
 		Core:        core,
-		NumPointers: len(m.Pointers),
+		NumPointers: len(l.m.Pointers),
 		CoreStates:  l.size,
-		m:           m,
+		m:           l.m,
 		ptrOrder:    l.order,
-		families:    l.families(),
-	}, nil
+		families:    families,
+	}
 }
 
 // PointerState names the protocol state of pointer ptr at the given stage
@@ -552,6 +567,16 @@ func withOpinion(state string, b bool) string {
 	return state + "|-"
 }
 
+// forcedOpinion returns the opinion core transition t forces on both
+// participants, the value of its OF post-state (Q2 first), or -1 when
+// neither post-state is an OF state and opinions carry through.
+func forcedOpinion(ofBit []int, t protocol.Transition) int32 {
+	if b := ofBit[t.Q2]; b >= 0 {
+		return int32(b)
+	}
+	return int32(ofBit[t.R2])
+}
+
 // wrapBroadcast implements the standard output broadcast: every state is
 // doubled with an opinion bit (core state j becomes 2j with opinion false
 // and 2j+1 with opinion true); transitions whose post-states include an
@@ -570,10 +595,7 @@ func (l *layout) wrapBroadcast(core *protocol.Protocol, ofBit []int) (*protocol.
 	ts := make([]protocol.Transition, 0, 4*len(core.Transitions)+4*of.size*(n-1))
 	for _, t := range core.Transitions {
 		q, r, q2, r2 := 2*t.Q, 2*t.R, 2*t.Q2, 2*t.R2
-		forced := int32(ofBit[t.Q2])
-		if forced < 0 {
-			forced = int32(ofBit[t.R2])
-		}
+		forced := forcedOpinion(ofBit, t)
 		for o1 := int32(0); o1 < 2; o1++ {
 			for o2 := int32(0); o2 < 2; o2++ {
 				if forced >= 0 {

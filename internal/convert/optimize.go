@@ -2,6 +2,7 @@ package convert
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/compile"
@@ -113,12 +114,19 @@ func (r *OptReport) observe(elapsed time.Duration) {
 
 // Optimize runs the full shrink pipeline on machine m: the instruction-
 // level passes of compile.OptimizeMachine, the §7.3 conversion of the
-// shrunk machine, the support-closure reduction (protocol.Reduce), and
-// transition compaction (protocol.CompactTransitions). The input machine
-// is not mutated, and no pass removes a pointer, so the returned protocol
-// decides exactly the predicate of the plain conversion — φ'(m) ⟺
+// shrunk machine reduced to its support closure, and transition
+// compaction (protocol.CompactTransitions). The input machine is not
+// mutated, and no pass removes a pointer, so the returned protocol decides
+// exactly the predicate of the plain conversion — φ'(m) ⟺
 // m ≥ |F| ∧ φ(m − |F|) with the same |F| — which the optimize tests pin by
 // exhaustive model checking against the unoptimized protocol.
+//
+// The reduction runs on the core table: opinionMasks closes the support on
+// one opinion mask per core state, and reducedBroadcast emits only the
+// wrapped transitions that survive it, so the Prop. 16 wrapper's table is
+// never built. The result, the report's "reduce" PassStat included, is
+// what protocol.Reduce of Convert's protocol would give, which
+// TestOptimizeMatchesUnfused pins field for field.
 //
 // The returned Result describes the optimized conversion: Result.Protocol
 // is the final reduced+compacted protocol (named <machine>-protocol-opt),
@@ -141,20 +149,12 @@ func Optimize(m *popmachine.Machine) (*Result, *OptReport, error) {
 	}
 	report.MachinePasses = mstats
 
-	res, err := Convert(opt)
+	l, core, ofBit, err := convertCore(opt)
 	if err != nil {
 		return nil, nil, err
 	}
-	built := res.Protocol
-	reduced, removedStates, err := protocol.Reduce(built)
-	if err != nil {
-		return nil, nil, err
-	}
-	report.ProtocolPasses = append(report.ProtocolPasses, PassStat{
-		Pass:               "reduce",
-		StatesRemoved:      removedStates,
-		TransitionsRemoved: len(built.Transitions) - len(reduced.Transitions),
-	})
+	reduced, families, reduce := l.reducedBroadcast(core, ofBit, l.opinionMasks(core, ofBit))
+	report.ProtocolPasses = append(report.ProtocolPasses, reduce)
 	final, silent, dups, err := protocol.CompactTransitions(reduced)
 	if err != nil {
 		return nil, nil, err
@@ -164,22 +164,154 @@ func Optimize(m *popmachine.Machine) (*Result, *OptReport, error) {
 		PassStat{Pass: "dedup", TransitionsRemoved: dups},
 	)
 	final.Name = m.Name + "-protocol-opt"
-
-	// Re-key the family table to the final protocol's indices: its states
-	// are a subset of the as-built protocol's, under the same names.
-	families := make([]int, final.NumStates())
-	for i, name := range final.States {
-		old := built.StateIndex(name)
-		if old < 0 {
-			return nil, nil, fmt.Errorf("convert: optimize: state %q missing from the as-built protocol", name)
-		}
-		families[i] = res.families[old]
-	}
-	res.Protocol = final
-	res.families = families
+	res := l.result(final, core, families)
 	report.After = budgetOf(opt, res.CoreStates, final.NumStates(), len(final.Transitions))
 	report.observe(time.Since(start))
 	return res, report, nil
+}
+
+// opinionMasks computes the support closure of wrapBroadcast's protocol
+// (protocol.SupportClosure) on the core table, without building the
+// wrapped one: bit o of mask[j] is set iff the wrapped state 2j+o, core
+// state j with opinion o, lies in the closure. The input state starts
+// with opinion false. A core transition whose pre-states both have a
+// non-empty mask fires: if it forces opinion f, both post-states gain bit
+// f, otherwise each post-state gains its pre-state's mask. In the
+// broadcast block an occupied OF state s and every other occupied state
+// both gain bit ofBit[s]. The masks grow to a fixpoint.
+func (l *layout) opinionMasks(core *protocol.Protocol, ofBit []int) []uint8 {
+	mask := make([]uint8, l.size)
+	mask[core.Input[0]] = 1
+	of := &l.ptrs[l.m.OF]
+	for changed := true; changed; {
+		changed = false
+		gain := func(j int, bits uint8) {
+			if mask[j]|bits != mask[j] {
+				mask[j] |= bits
+				changed = true
+			}
+		}
+		for _, t := range core.Transitions {
+			mq, mr := mask[t.Q], mask[t.R]
+			if mq == 0 || mr == 0 {
+				continue
+			}
+			if f := forcedOpinion(ofBit, t); f >= 0 {
+				mq, mr = 1<<f, 1<<f
+			}
+			gain(int(t.Q2), mq)
+			gain(int(t.R2), mr)
+		}
+		for s := of.base; s < of.base+of.size; s++ {
+			if mask[s] == 0 {
+				continue
+			}
+			bit := uint8(1) << ofBit[s]
+			for q := range mask {
+				if q != s && mask[q] != 0 {
+					gain(q, bit)
+					gain(s, bit)
+				}
+			}
+		}
+	}
+	return mask
+}
+
+// reducedBroadcast emits the protocol protocol.Reduce would make of
+// wrapBroadcast's, given the opinion masks of its support closure: the
+// surviving states in index order, and the wrapped transitions whose two
+// pre-states survive, in wrapBroadcast's order and renumbered. It also
+// returns the family of every surviving state and the reduce pass's
+// PassStat, counted against the 2·|Q*| states and the 4·|T_core| +
+// 4·|OF|·(|Q*| − 1) transitions wrapBroadcast would emit.
+func (l *layout) reducedBroadcast(core *protocol.Protocol, ofBit []int, mask []uint8) (*protocol.Protocol, []int, PassStat) {
+	n := l.size
+	wrappedFams := l.families()
+	at := make([]int32, 2*n) // wrapped state → surviving index
+	var states []string
+	var accepting []bool
+	var families []int
+	for j, name := range core.States {
+		for o := 0; o < 2; o++ {
+			if mask[j]>>o&1 == 1 {
+				at[2*j+o] = int32(len(states))
+				states = append(states, withOpinion(name, o == 1))
+				accepting = append(accepting, o == 1)
+				families = append(families, wrappedFams[2*j+o])
+			}
+		}
+	}
+	of := &l.ptrs[l.m.OF]
+	pairs := func(q, r int32) int { return bits.OnesCount8(mask[q]) * bits.OnesCount8(mask[r]) }
+	emitted := 0
+	for _, t := range core.Transitions {
+		emitted += pairs(t.Q, t.R)
+	}
+	for s := int32(of.base); s < int32(of.base+of.size); s++ {
+		for q := int32(0); q < int32(n); q++ {
+			if q != s {
+				emitted += pairs(q, s)
+			}
+		}
+	}
+	ts := make([]protocol.Transition, 0, emitted)
+	for _, t := range core.Transitions {
+		mq, mr := mask[t.Q], mask[t.R]
+		if mq == 0 || mr == 0 {
+			continue
+		}
+		forced := forcedOpinion(ofBit, t)
+		for o1 := int32(0); o1 < 2; o1++ {
+			if mq>>o1&1 == 0 {
+				continue
+			}
+			for o2 := int32(0); o2 < 2; o2++ {
+				if mr>>o2&1 == 0 {
+					continue
+				}
+				p1, p2 := o1, o2
+				if forced >= 0 {
+					p1, p2 = forced, forced
+				}
+				ts = append(ts, protocol.Transition{
+					Q: at[2*t.Q+o1], R: at[2*t.R+o2], Q2: at[2*t.Q2+p1], R2: at[2*t.R2+p2],
+				})
+			}
+		}
+	}
+	for s := int32(of.base); s < int32(of.base+of.size); s++ {
+		ms, val := mask[s], int32(ofBit[s])
+		for q := int32(0); q < int32(n); q++ {
+			if q == s {
+				continue
+			}
+			for o1 := int32(0); o1 < 2; o1++ {
+				if mask[q]>>o1&1 == 0 {
+					continue
+				}
+				for o2 := int32(0); o2 < 2; o2++ {
+					if ms>>o2&1 == 1 {
+						ts = append(ts, protocol.Transition{
+							Q: at[2*q+o1], R: at[2*s+o2], Q2: at[2*q+val], R2: at[2*s+val],
+						})
+					}
+				}
+			}
+		}
+	}
+	p := &protocol.Protocol{
+		Name:        core.Name + "-consensus-reduced",
+		States:      states,
+		Transitions: ts,
+		Input:       []int{int(at[2*core.Input[0]])},
+		Accepting:   accepting,
+	}
+	return p, families, PassStat{
+		Pass:               "reduce",
+		StatesRemoved:      2*n - len(states),
+		TransitionsRemoved: 4*len(core.Transitions) + 4*of.size*(n-1) - len(ts),
+	}
 }
 
 // OptimizeStates runs only the machine-level passes and the state

@@ -2,6 +2,7 @@ package convert
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/multiset"
+	"repro/internal/popmachine"
 	"repro/internal/popprog"
 	"repro/internal/protocol"
 	"repro/internal/sched"
@@ -335,5 +337,204 @@ func TestOptimizeFamilies(t *testing.T) {
 	if fams[input] != res.PointerOrder()[0] {
 		t.Fatalf("input state family %d, want first elect pointer %d",
 			fams[input], res.PointerOrder()[0])
+	}
+}
+
+// unfusedOptimize is the reference composition Optimize fuses: the plain
+// conversion of the shrunk machine, protocol.Reduce over the as-built
+// wrapped table, protocol.CompactTransitions, and the family table
+// re-keyed by state name.
+func unfusedOptimize(t *testing.T, m *popmachine.Machine) (*Result, *OptReport) {
+	t.Helper()
+	coreBefore, protoBefore, err := CountStates(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := &OptReport{
+		Name:     m.Name,
+		Pipeline: PipelineTag,
+		Before:   budgetOf(m, coreBefore, protoBefore, -1),
+	}
+	opt, mstats, err := compile.OptimizeMachine(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report.MachinePasses = mstats
+	res, err := Convert(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := res.Protocol
+	reduced, removedStates, err := protocol.Reduce(built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, silent, dups, err := protocol.CompactTransitions(reduced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report.ProtocolPasses = []PassStat{
+		{Pass: "reduce", StatesRemoved: removedStates,
+			TransitionsRemoved: len(built.Transitions) - len(reduced.Transitions)},
+		{Pass: "prune-silent", TransitionsRemoved: silent},
+		{Pass: "dedup", TransitionsRemoved: dups},
+	}
+	final.Name = m.Name + "-protocol-opt"
+	families := make([]int, final.NumStates())
+	for i, name := range final.States {
+		old := built.StateIndex(name)
+		if old < 0 {
+			t.Fatalf("%s: state %q missing from the as-built protocol", m.Name, name)
+		}
+		families[i] = res.families[old]
+	}
+	res.Protocol, res.families = final, families
+	report.After = budgetOf(opt, res.CoreStates, final.NumStates(), len(final.Transitions))
+	return res, report
+}
+
+// windowProgram is Figure 1 deciding a ≤ x < b instead of 4 ≤ x < 7, the
+// shape of ppbench's serve cache-miss programs.
+func windowProgram(t *testing.T, a, b int) *popprog.Program {
+	t.Helper()
+	test := func(name string, n int) string {
+		return fmt.Sprintf(`bool proc %s {
+  repeat %d {
+    if detect x { move x -> y } else { return false }
+  }
+  return true
+}
+`, name, n)
+	}
+	prog, err := popprog.Parse(fmt.Sprintf(`program window_%d_%d
+registers x, y, z
+
+proc Main {
+  of false
+  while not TestA() { Clean() }
+  of true
+  while not TestB() { Clean() }
+  of false
+  while true { Clean() }
+}
+
+proc Clean {
+  if detect z { restart }
+  swap x, y
+  while detect y { move y -> x }
+}
+`, a, b) + test("TestA", a) + test("TestB", b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// ofTrueMachine starts OF at true and never assigns it, so only opinion
+// true is ever broadcast, while the states the input reaches before the
+// elect chain enters an OF state keep opinion false as well: unlike the
+// compiled programs, whose OF takes both values and whose occupied states
+// all end with both opinions, its opinion masks differ from state to
+// state, and a closure that carries opinions through a forced transition
+// gets them wrong.
+func ofTrueMachine(t *testing.T) *popmachine.Machine {
+	t.Helper()
+	b := popmachine.NewBuilder("of-true", []string{"x", "y"})
+	m := b.Machine()
+	b.Emit(popmachine.MoveInstr{X: 0, Y: 1})
+	b.Emit(popmachine.Jump(m, 2))
+	machine, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	machine.Pointers[machine.OF].Initial = popmachine.ValTrue
+	return machine
+}
+
+// TestOptimizeMatchesUnfused holds the fused pipeline, which closes the
+// support on per-core-state opinion masks and emits only the surviving
+// wrapped transitions, to the composition it replaces: every Protocol
+// field, the fingerprint, the report (and so the obs opt counters, which
+// read only the report), the families, the core and the counts must be
+// equal. It also checks the masks themselves against SupportClosure of the
+// plain conversion's wrapped protocol.
+func TestOptimizeMatchesUnfused(t *testing.T) {
+	machines := append(goldenMachines(t), ofTrueMachine(t))
+	for _, prog := range []*popprog.Program{geOneProgram(), geTwoProgram(),
+		windowProgram(t, 2, 9), windowProgram(t, 5, 6)} {
+		m, err := compile.Compile(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		machines = append(machines, m)
+	}
+	if !testing.Short() {
+		czerner, err := core.New(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		equality, err := core.NewEquality(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []*core.Construction{czerner, equality} {
+			m, err := compile.Compile(c.Program)
+			if err != nil {
+				t.Fatal(err)
+			}
+			machines = append(machines, m)
+		}
+	}
+	for _, m := range machines {
+		t.Run(m.Name, func(t *testing.T) {
+			got, gotReport, err := Optimize(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantReport := unfusedOptimize(t, m)
+			gp, wp := got.Protocol, want.Protocol
+			for _, f := range []struct {
+				what      string
+				got, want any
+			}{
+				{"Protocol.Name", gp.Name, wp.Name},
+				{"Protocol.States", gp.States, wp.States},
+				{"Protocol.Transitions", gp.Transitions, wp.Transitions},
+				{"Protocol.Input", gp.Input, wp.Input},
+				{"Protocol.Accepting", gp.Accepting, wp.Accepting},
+				{"Protocol.Fingerprint", gp.Fingerprint(), wp.Fingerprint()},
+				{"OptReport", gotReport, wantReport},
+				{"Families", got.Families(), want.Families()},
+				{"Core", got.Core, want.Core},
+				{"NumPointers", got.NumPointers, want.NumPointers},
+				{"CoreStates", got.CoreStates, want.CoreStates},
+				{"PointerOrder", got.PointerOrder(), want.PointerOrder()},
+				{"InputState", got.InputState(), want.InputState()},
+			} {
+				if !reflect.DeepEqual(f.got, f.want) {
+					t.Errorf("%s differs from the unfused pipeline", f.what)
+				}
+			}
+
+			opt, _, err := compile.OptimizeMachine(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, core, ofBit, err := convertCore(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := Convert(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantMask := make([]uint8, l.size)
+			for _, i := range plain.Protocol.SupportClosure() {
+				wantMask[i/2] |= 1 << (i % 2)
+			}
+			if mask := l.opinionMasks(core, ofBit); !reflect.DeepEqual(mask, wantMask) {
+				t.Errorf("opinion masks differ from SupportClosure of the wrapped protocol")
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package explore
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"sort"
 	"time"
 
@@ -81,9 +82,10 @@ type expandScratch[S any] struct {
 
 // ExploreParallel is ExploreContext without cancellation. Like Explore it
 // builds the reachable graph from the initial states and analyses its bottom
-// SCCs, but it expands the BFS frontier on opts.Workers goroutines and
-// interns states through the sharded binary-key interner. The Result is
-// bit-identical to Explore's for every worker count and every memory budget.
+// SCCs, but it expands the BFS frontier on opts.Workers goroutines (at most
+// GOMAXPROCS) and interns states through the sharded binary-key interner.
+// The Result is bit-identical to Explore's for every worker count and every
+// memory budget.
 func ExploreParallel[S any](sys System[S], initial []S, opts Options) (*Result, error) {
 	return ExploreContext(context.Background(), sys, initial, opts)
 }
@@ -112,7 +114,9 @@ func ExploreParallel[S any](sys System[S], initial []S, opts Options) (*Result, 
 // path, including cancellation and errors.
 func ExploreContext[S any](ctx context.Context, sys System[S], initial []S, opts Options) (*Result, error) {
 	limit := opts.maxStates()
-	workers := opts.workers()
+	// More expansion goroutines than GOMAXPROCS only contend for the same
+	// CPUs; results do not depend on the count.
+	workers := min(opts.workers(), runtime.GOMAXPROCS(0))
 
 	met := obs.Explore()
 	if met != nil {

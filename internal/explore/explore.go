@@ -59,9 +59,9 @@ type Options struct {
 	MaxStates int
 	// Workers is the number of frontier-expansion goroutines used by the
 	// parallel engine (ExploreContext / ExploreParallel and everything
-	// routed through it). Zero means one worker per available CPU. Results
-	// are bit-identical for every worker count, so experiments stay
-	// reproducible regardless of the machine they ran on.
+	// routed through it), capped at GOMAXPROCS. Zero means one worker per
+	// available CPU. Results are bit-identical for every worker count, so
+	// experiments stay reproducible regardless of the machine they ran on.
 	Workers int
 	// MemBudget caps the resident bytes of the parallel engine's spillable
 	// storage tier (interned key log + frontier buffers). Zero means

@@ -12,7 +12,6 @@ package multiset
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -447,17 +446,4 @@ func NumCompositions(n int, total int64) int64 {
 		result = result * (m - k + i) / i
 	}
 	return result
-}
-
-// SortedSupportNames is a helper for deterministic test output: it returns
-// the names of the supported kinds sorted lexicographically.
-func (m *Multiset) SortedSupportNames(names []string) []string {
-	var out []string
-	for i, c := range m.counts {
-		if c > 0 && i < len(names) {
-			out = append(out, names[i])
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -189,15 +189,6 @@ proc Main { @ }`, "unexpected character"},
 	}
 }
 
-func TestMustParseProgramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustParse did not panic")
-		}
-	}()
-	MustParse("registers")
-}
-
 func TestParseRepeatExpansion(t *testing.T) {
 	src := `
 registers a, b

@@ -47,6 +47,9 @@ type Cache struct {
 	// dir, when non-empty, persists completed conversions as skeleton files
 	// (see cacheSkeleton) so a restarted server boots warm. Set by Persist.
 	dir string
+	// writeFile writes one skeleton file: atomicfile.Write, or a test's
+	// stand-in that holds the write open.
+	writeFile func(path string, data []byte) error
 }
 
 type cacheItem struct {
@@ -70,7 +73,7 @@ func NewCache(max int) *Cache {
 	if max < 1 {
 		max = 1
 	}
-	return &Cache{max: max, ll: list.New(), m: make(map[string]*list.Element)}
+	return &Cache{max: max, ll: list.New(), m: make(map[string]*list.Element), writeFile: atomicfile.Write}
 }
 
 // Convert returns the §7 conversion of prog, computing and caching it on
@@ -113,6 +116,7 @@ func (c *Cache) Convert(prog *popprog.Program, optimize bool) (*convert.Result, 
 	}
 	c.mu.Unlock()
 
+	converted := false
 	e.once.Do(func() {
 		t0 := time.Now()
 		// Compile the canonical re-rendering, not the submitted AST: see
@@ -140,10 +144,14 @@ func (c *Cache) Convert(prog *popprog.Program, optimize bool) (*convert.Result, 
 			met.Conversions.Inc()
 			met.ConvertNanos.Add(time.Since(t0).Nanoseconds())
 		}
-		if e.err == nil {
-			c.writeSkeleton(key, e)
-		}
+		converted = e.err == nil
 	})
+	// The entry is complete once Do returns, so only the converting call
+	// persists it, and concurrent submitters of the program do not wait
+	// for the write.
+	if converted {
+		c.writeSkeleton(key, e)
+	}
 	return e.res, e.report, key, e.err
 }
 
@@ -272,7 +280,7 @@ func (c *Cache) writeSkeleton(key string, e *cacheEntry) {
 	if err != nil {
 		return
 	}
-	_ = atomicfile.Write(filepath.Join(dir, skeletonFile(key)), data) // best-effort, see above
+	_ = c.writeFile(filepath.Join(dir, skeletonFile(key)), data) // best-effort, see above
 }
 
 // appendSkeleton appends to dst the bytes json.Marshal(skel) produces. The

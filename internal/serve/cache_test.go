@@ -8,8 +8,11 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/convert"
 	"repro/internal/obs"
 	"repro/internal/popprog"
@@ -209,6 +212,69 @@ func TestCacheSingleflight(t *testing.T) {
 	}
 	if c.Len() != 1 {
 		t.Fatalf("cache holds %d entries, want 1", c.Len())
+	}
+}
+
+// TestCacheHitDoesNotWaitForSkeletonWrite pins that a conversion is
+// persisted after its entry's sync.Once returns: while the converting call
+// is held inside the skeleton file write, a second Convert of the same
+// program returns the complete entry instead of waiting for the write, and
+// only the converting call writes.
+func TestCacheHitDoesNotWaitForSkeletonWrite(t *testing.T) {
+	prog, err := popprog.Parse(cacheTestSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	c := NewCache(4)
+	var writes atomic.Int32
+	entered, release := make(chan struct{}), make(chan struct{})
+	c.writeFile = func(path string, data []byte) error {
+		if writes.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+		return atomicfile.Write(path, data)
+	}
+	if err := c.Persist(dir); err != nil {
+		t.Fatal(err)
+	}
+	first := make(chan error, 1)
+	go func() {
+		_, _, _, err := c.Convert(prog, true)
+		first <- err
+	}()
+	<-entered
+	type converted struct {
+		res    *convert.Result
+		report *convert.OptReport
+		err    error
+	}
+	second := make(chan converted, 1)
+	go func() {
+		res, report, _, err := c.Convert(prog, true)
+		second <- converted{res, report, err}
+	}()
+	var got converted
+	select {
+	case got = <-second:
+	case <-time.After(10 * time.Second):
+		close(release)
+		<-first
+		t.Fatal("a second Convert of the program waited for the skeleton write")
+	}
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if got.err != nil || got.res == nil || got.res.Protocol == nil || got.report == nil {
+		t.Fatalf("second Convert returned an incomplete entry: %+v", got)
+	}
+	if n := writes.Load(); n != 1 {
+		t.Fatalf("%d skeleton writes, want 1", n)
+	}
+	if names, err := os.ReadDir(dir); err != nil || len(names) != 1 {
+		t.Fatalf("state dir holds %d files (%v), want the one skeleton", len(names), err)
 	}
 }
 

@@ -74,7 +74,8 @@ type JobSpec struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Workers fans runs (simulate), points (sweep, each measuring its runs
 	// on one goroutine) or frontier chunks (explore) out over goroutines,
-	// at most 1024; results and errors are bit-identical for any value.
+	// at most 1024; an explore job expands on at most GOMAXPROCS of them.
+	// Results and errors are bit-identical for any value.
 	Workers int `json:"workers,omitempty"`
 	// Kernel selects the interaction kernel: exact | batch | auto (empty =
 	// exact).
