@@ -151,7 +151,7 @@ func BenchmarkAblationScheduler(b *testing.B) {
 	p := res.Protocol
 	m := int64(res.NumPointers) + 3
 	schedulers := map[string]func(seed int64) sched.Scheduler{
-		"random-pair":     func(seed int64) sched.Scheduler { return sched.NewRandomPair(p, sched.NewRand(seed)) },
+		"random-pair":     func(seed int64) sched.Scheduler { return sched.NewBatchRandomPair(p, sched.NewRand(seed)) },
 		"transition-fair": func(seed int64) sched.Scheduler { return sched.NewTransitionFair(p, sched.NewRand(seed)) },
 	}
 	for name, mk := range schedulers {

@@ -116,7 +116,7 @@ func BenchmarkFigure1ExactCheck(b *testing.B) {
 			}
 			initial = append(initial, cfg)
 		})
-		res, err := explore.Explore[*popmachine.Config](sys, initial, explore.Options{})
+		res, err := explore.ExploreParallel[*popmachine.Config](sys, initial, explore.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -301,10 +301,10 @@ func BenchmarkMachineValidate(b *testing.B) {
 	b.ReportMetric(float64(m.Size()), "machine-size")
 }
 
-// BenchmarkShrinkExplore re-runs the exact explorer over the x ≥ 1 protocol
-// before and after the shrink pipeline: the same decision problem on the
-// same population, so the reachable-states and wall-clock gap is exactly
-// what the pipeline buys the model checker.
+// BenchmarkShrinkExplore re-runs the exact explorer (the engine, on one
+// worker) over the x ≥ 1 protocol before and after the shrink pipeline: the
+// same decision problem on the same population, so the reachable-states and
+// wall-clock gap is exactly what the pipeline buys the model checker.
 func BenchmarkShrinkExplore(b *testing.B) {
 	machine, err := compile.Compile(geOneProgram())
 	if err != nil {
@@ -331,8 +331,8 @@ func BenchmarkShrinkExplore(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := explore.Explore[*multiset.Multiset](
-					explore.NewProtocolSystem(p), []*multiset.Multiset{c}, explore.Options{})
+				res, err := explore.ExploreParallel[*multiset.Multiset](
+					explore.NewProtocolSystem(p), []*multiset.Multiset{c}, explore.Options{Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -426,7 +426,7 @@ func BenchmarkLeaderElection(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s := sched.NewRandomPair(p, sched.NewRand(int64(i)))
+		s := sched.NewBatchRandomPair(p, sched.NewRand(int64(i)))
 		steps := 0
 		for !res.Elected(c) {
 			s.Step(c)
@@ -451,7 +451,7 @@ func BenchmarkTheorem2Robustness(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := explore.Explore(explore.NewProtocolSystem(unary),
+		res, err := explore.ExploreParallel(explore.NewProtocolSystem(unary),
 			[]*multiset.Multiset{noisy}, explore.Options{})
 		if err != nil {
 			b.Fatal(err)
@@ -495,27 +495,11 @@ func benchChain(b *testing.B, k int) (*protocol.Protocol, *multiset.Multiset) {
 	return p, c
 }
 
-// BenchmarkRandomPairStep is the per-step baseline: one uniform random-pair
-// interaction per iteration, across support sizes.
-func BenchmarkRandomPairStep(b *testing.B) {
-	for _, k := range []int{4, 64, 1024} {
-		b.Run(fmt.Sprintf("support=%d", k+1), func(b *testing.B) {
-			p, c := benchChain(b, k)
-			s := sched.NewRandomPair(p, sched.NewRand(1))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Step(c)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/interaction")
-		})
-	}
-}
-
-// BenchmarkBatchStepN drives the same protocols through the batched fast
-// path. Compare its ns/interaction against BenchmarkRandomPairStep's: on
-// the null-dominated chain the geometric null-skip should win by well over
-// the 5× the acceptance bar asks for.
+// BenchmarkBatchStepN drives null-dominated chain protocols through the
+// exact sampler's batched fast path. Compare its ns/interaction against
+// internal/sched's BenchmarkRandomPairStep, the per-step reference on the
+// same protocols: the geometric null-skip should win by well over the 5×
+// the acceptance bar asks for.
 func BenchmarkBatchStepN(b *testing.B) {
 	const chunk = 1 << 14
 	for _, k := range []int{4, 64, 1024} {
@@ -621,9 +605,14 @@ func BenchmarkConvergence(b *testing.B) {
 			b.ReportAllocs()
 			var total int64
 			for i := 0; i < b.N; i++ {
-				s := sched.NewRandomPair(maj, sched.NewRand(int64(i)))
-				res, err := simulate.RunInput(maj, []int64{m/2 + 1, m / 2}, s,
-					simulate.Options{MaxSteps: 500_000_000})
+				c, err := maj.InitialConfig(m/2+1, m/2)
+				if err != nil {
+					b.Fatal(err)
+				}
+				// Hiding StepN keeps Run on the per-step uniform random-pair
+				// path, so res.Steps counts single interactions.
+				s := struct{ sched.Scheduler }{sched.NewBatchRandomPair(maj, sched.NewRand(int64(i)))}
+				res, err := simulate.Run(maj, c, s, simulate.Options{MaxSteps: 500_000_000})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -36,6 +36,7 @@ import (
 	"os"
 
 	"repro/internal/experiments"
+	"repro/internal/explore"
 	"repro/internal/obs/obsflag"
 	"repro/internal/simulate"
 )
@@ -112,12 +113,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Seed:              *seed,
 		}
 	}
-	cfg.ConvergenceBatch = *batch
-	cfg.ConvergenceWorkers = *workers
-	cfg.ConvergenceKernel = *kernel
-	cfg.ExploreWorkers = *exploreWorkers
-	cfg.ExploreMemBudget = *memBudget
-	cfg.ExploreSpillDir = *spillDir
+	cfg.Convergence = convergence
+	cfg.Explore = explore.Options{Workers: *exploreWorkers, MemBudget: *memBudget, SpillDir: *spillDir}
 	cfg.TopologyM = *topologyM
 
 	tables, err := experiments.All(cfg)

@@ -159,9 +159,9 @@ func verifyTarget(name string, maxAgents int64, opts explore.Options) error {
 }
 
 // verifyMachine model-checks a compiled program: for every placement of
-// every total ≤ maxAgents, all fair runs stabilise to pred([total]). It runs
-// on the parallel engine so a -mem-budget takes effect; results are
-// bit-identical for any worker count and budget.
+// every total ≤ maxAgents, all fair runs stabilise to pred([total]). A
+// -mem-budget takes effect on the engine; results are bit-identical for any
+// worker count and budget.
 func verifyMachine(m *popmachine.Machine, pred protocol.Predicate, maxAgents int64, opts explore.Options) error {
 	sys := popmachine.System{M: m}
 	opts.MaxStates = 8_000_000

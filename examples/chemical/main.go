@@ -39,7 +39,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res, err := explore.Explore(explore.NewProtocolSystem(unary),
+	res, err := explore.ExploreParallel(explore.NewProtocolSystem(unary),
 		[]*multiset.Multiset{noisy}, explore.Options{})
 	if err != nil {
 		return err

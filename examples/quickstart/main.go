@@ -32,8 +32,16 @@ func run() error {
 		p.Name, p.NumStates(), len(p.Transitions))
 
 	// 2. Simulate a single run: 60 X-agents vs 40 Y-agents.
-	s := sched.NewRandomPair(p, sched.NewRand(42))
-	res, err := simulate.RunInput(p, []int64{60, 40}, s, simulate.Options{})
+	c, err := p.InitialConfig(60, 40)
+	if err != nil {
+		return err
+	}
+	var opts simulate.Options
+	s, err := simulate.NewScheduler(p, sched.NewRand(42), opts, c.Size())
+	if err != nil {
+		return err
+	}
+	res, err := simulate.Run(p, c, s, opts)
 	if err != nil {
 		return err
 	}

@@ -1,13 +1,29 @@
 package baseline
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/explore"
+	"repro/internal/multiset"
 	"repro/internal/protocol"
 	"repro/internal/sched"
 	"repro/internal/simulate"
 )
+
+// checkStabilises explores every fair run of p from c and reports an error
+// unless all of them stabilise to want.
+func checkStabilises(p *protocol.Protocol, c *multiset.Multiset, want bool) error {
+	res, err := explore.ExploreParallel(explore.NewProtocolSystem(p), []*multiset.Multiset{c}, explore.Options{})
+	if err != nil {
+		return err
+	}
+	if !res.StabilisesTo(want) {
+		return fmt.Errorf("fair runs do not all stabilise to %v (bottom SCC outcomes %v, witnesses %q)",
+			want, res.Outcomes, res.WitnessKeys)
+	}
+	return nil
+}
 
 func TestMajorityDecidesExactly(t *testing.T) {
 	p, err := Majority()
@@ -113,8 +129,12 @@ func TestBinaryThresholdLargeSimulation(t *testing.T) {
 		{63, protocol.OutputFalse},
 	}
 	for _, tc := range cases {
+		c, err := p.InitialConfig(tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
 		s := sched.NewTransitionFair(p, sched.NewRand(tc.m))
-		res, err := simulate.RunInput(p, []int64{tc.m}, s, simulate.Options{
+		res, err := simulate.Run(p, c, s, simulate.Options{
 			MaxSteps: 2_000_000, QuiescencePeriod: 16, StableWindow: 5_000,
 		})
 		if err != nil {
@@ -139,9 +159,8 @@ func TestUnaryThresholdOneAware(t *testing.T) {
 	}
 	// Population of 3 agents (2 intended + 1 noise), threshold 5: every
 	// fair run wrongly stabilises to true.
-	res, err := explore.CheckConfiguration(p, c, true, explore.Options{})
-	if err != nil {
-		t.Fatalf("expected the noisy run to (wrongly) accept: %v (outcomes %v)", err, res)
+	if err := checkStabilises(p, c, true); err != nil {
+		t.Fatalf("expected the noisy run to (wrongly) accept: %v", err)
 	}
 }
 
@@ -154,7 +173,7 @@ func TestBinaryThresholdOneAware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := explore.CheckConfiguration(p, c, true, explore.Options{}); err != nil {
+	if err := checkStabilises(p, c, true); err != nil {
 		t.Fatalf("expected the noisy run to (wrongly) accept: %v", err)
 	}
 }
@@ -188,8 +207,13 @@ func TestUnaryThresholdSimulationAroundK(t *testing.T) {
 		m    int64
 		want protocol.Output
 	}{{8, protocol.OutputFalse}, {9, protocol.OutputTrue}, {15, protocol.OutputTrue}} {
-		s := sched.NewRandomPair(p, sched.NewRand(tc.m*31))
-		res, err := simulate.RunInput(p, []int64{tc.m}, s, simulate.Options{
+		c, err := p.InitialConfig(tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Hiding StepN keeps Run on the per-step uniform random-pair path.
+		s := struct{ sched.Scheduler }{sched.NewBatchRandomPair(p, sched.NewRand(tc.m*31))}
+		res, err := simulate.Run(p, c, s, simulate.Options{
 			MaxSteps: 5_000_000, QuiescencePeriod: 64,
 		})
 		if err != nil {

@@ -58,7 +58,7 @@ func TestBinaryThresholdGeneralMatchesPowerOfTwoVariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := explore.CheckConfiguration(p, c, m >= 8, explore.Options{}); err != nil {
+			if err := checkStabilises(p, c, m >= 8); err != nil {
 				t.Fatalf("%s m=%d: %v", p.Name, m, err)
 			}
 		}
@@ -80,8 +80,12 @@ func TestBinaryThresholdGeneralLargeSimulation(t *testing.T) {
 		{1000, protocol.OutputTrue},
 		{1500, protocol.OutputTrue},
 	} {
+		c, err := p.InitialConfig(tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
 		s := sched.NewTransitionFair(p, sched.NewRand(tc.m))
-		res, err := simulate.RunInput(p, []int64{tc.m}, s, simulate.Options{
+		res, err := simulate.Run(p, c, s, simulate.Options{
 			MaxSteps: 5_000_000, QuiescencePeriod: 64, StableWindow: 20_000,
 		})
 		if err != nil {
@@ -110,7 +114,7 @@ func TestBinaryThresholdGeneralOneAware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := explore.CheckConfiguration(p, c, true, explore.Options{}); err != nil {
+	if err := checkStabilises(p, c, true); err != nil {
 		t.Fatalf("expected the noisy configuration to (wrongly) accept: %v", err)
 	}
 }

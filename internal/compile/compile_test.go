@@ -21,7 +21,7 @@ func checkMachineDecides(t *testing.T, m *popmachine.Machine, total int64, want 
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := explore.Explore[*popmachine.Config](sys, []*popmachine.Config{init}, explore.Options{MaxStates: maxStates})
+		res, err := explore.ExploreParallel[*popmachine.Config](sys, []*popmachine.Config{init}, explore.Options{MaxStates: maxStates})
 		if err != nil {
 			t.Fatalf("m=%d from %v: %v", total, regs, err)
 		}
@@ -196,7 +196,7 @@ func TestCompileFigure7RestartReachesAllConfigurations(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys := popmachine.System{M: m}
-	res, err := explore.Explore[*popmachine.Config](sys, []*popmachine.Config{init}, explore.Options{})
+	res, err := explore.ExploreParallel[*popmachine.Config](sys, []*popmachine.Config{init}, explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

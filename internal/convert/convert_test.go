@@ -288,7 +288,7 @@ func TestTheorem5ExactGeOne(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checked, err := explore.Explore[*multiset.Multiset](
+		checked, err := explore.ExploreParallel[*multiset.Multiset](
 			explore.NewProtocolSystem(p), []*multiset.Multiset{c},
 			explore.Options{MaxStates: 4_000_000})
 		if err != nil {
@@ -313,7 +313,7 @@ func TestLemma15LeaderElection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sched.NewRandomPair(p, sched.NewRand(5))
+	s := sched.NewBatchRandomPair(p, sched.NewRand(5))
 	for step := 0; step < 2_000_000; step++ {
 		if res.Elected(c) {
 			counts := res.AgentsPerFamily(c)

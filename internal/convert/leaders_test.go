@@ -23,7 +23,7 @@ func TestLeaderModelDecidesExactThreshold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checked, err := explore.Explore[*multiset.Multiset](sys,
+		checked, err := explore.ExploreParallel[*multiset.Multiset](sys,
 			[]*multiset.Multiset{cfg}, explore.Options{MaxStates: 4_000_000})
 		if err != nil {
 			t.Fatalf("x=%d: %v", x, err)

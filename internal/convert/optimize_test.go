@@ -41,7 +41,7 @@ func checkDecidesThreshold(t *testing.T, p *protocol.Protocol, f, k int64, extra
 		if err != nil {
 			t.Fatal(err)
 		}
-		checked, err := explore.Explore[*multiset.Multiset](sys,
+		checked, err := explore.ExploreParallel[*multiset.Multiset](sys,
 			[]*multiset.Multiset{c}, explore.Options{MaxStates: 4_000_000})
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)

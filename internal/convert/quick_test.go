@@ -80,7 +80,7 @@ func TestQuickElectLexicographicPotential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := sched.NewRandomPair(p, sched.NewRand(seed))
+		s := sched.NewBatchRandomPair(p, sched.NewRand(seed))
 		prev := potential(cfg)
 		for i := 0; i < 3000; i++ {
 			s.Step(cfg)

@@ -34,7 +34,7 @@ func TestReducedConvertedProtocolStillDecides(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checked, err := explore.Explore[*multiset.Multiset](sys,
+		checked, err := explore.ExploreParallel[*multiset.Multiset](sys,
 			[]*multiset.Multiset{c}, explore.Options{MaxStates: 4_000_000})
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)

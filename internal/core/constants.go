@@ -52,21 +52,6 @@ func Threshold(n int) (*big.Int, error) {
 	return sum.Mul(sum, bigTwo), nil
 }
 
-// DoubleExpLowerBound returns 2^(2^(n-1)), the bound of Theorem 3
-// (k ≥ 2^(2^(n-1))). It is exact for n ≤ 30; beyond that the exponent
-// itself no longer fits machine words and callers should compare bit
-// lengths instead (see VerifyDoubleExp).
-func DoubleExpLowerBound(n int) (*big.Int, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("core: need n ≥ 1, got %d", n)
-	}
-	if n > 30 {
-		return nil, fmt.Errorf("core: 2^(2^(n-1)) with n = %d does not fit in memory", n)
-	}
-	exp := uint(1) << uint(n-1)
-	return new(big.Int).Lsh(bigOne, exp), nil
-}
-
 // VerifyDoubleExp checks k(n) ≥ 2^(2^(n-1)) without materialising the
 // bound: k ≥ 2^e iff k's bit length exceeds e. N_n alone satisfies
 // N_n ≥ 2^(2^(n-1)) for n ≥ 1, which the squaring recurrence makes easy to

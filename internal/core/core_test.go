@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/big"
 	"testing"
 
@@ -57,6 +58,21 @@ func TestVerifyDoubleExp(t *testing.T) {
 			t.Fatalf("k(%d) < 2^(2^%d)", n, n-1)
 		}
 	}
+}
+
+// DoubleExpLowerBound returns 2^(2^(n-1)), the bound of Theorem 3
+// (k ≥ 2^(2^(n-1))), materialised so k(n) can be compared with it directly.
+// It is exact for n ≤ 30; beyond that the exponent itself no longer fits
+// machine words, which is why VerifyDoubleExp compares bit lengths.
+func DoubleExpLowerBound(n int) (*big.Int, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("core: need n ≥ 1, got %d", n)
+	}
+	if n > 30 {
+		return nil, fmt.Errorf("core: 2^(2^(n-1)) with n = %d does not fit in memory", n)
+	}
+	exp := uint(1) << uint(n-1)
+	return new(big.Int).Lsh(bigOne, exp), nil
 }
 
 func TestDoubleExpLowerBoundAgainstThreshold(t *testing.T) {

@@ -89,7 +89,7 @@ func TestEqualityExactN1(t *testing.T) {
 			}
 			initial = append(initial, cfg)
 		})
-		res, err := explore.Explore[*popmachine.Config](sys, initial, explore.Options{MaxStates: 8_000_000})
+		res, err := explore.ExploreParallel[*popmachine.Config](sys, initial, explore.Options{MaxStates: 8_000_000})
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}

@@ -42,7 +42,7 @@ func TestTheorem3ExactN1(t *testing.T) {
 			}
 			initial = append(initial, cfg)
 		})
-		res, err := explore.Explore[*popmachine.Config](sys, initial, explore.Options{MaxStates: 6_000_000})
+		res, err := explore.ExploreParallel[*popmachine.Config](sys, initial, explore.Options{MaxStates: 6_000_000})
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
@@ -83,7 +83,7 @@ func TestTheorem3ExactN2Reject(t *testing.T) {
 			}
 			initial = append(initial, cfg)
 		})
-		res, err := explore.Explore[*popmachine.Config](sys, initial,
+		res, err := explore.ExploreParallel[*popmachine.Config](sys, initial,
 			explore.Options{MaxStates: 20_000_000})
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)

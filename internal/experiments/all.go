@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/explore"
+	"repro/internal/simulate"
 )
 
 // Config selects experiment scope; the zero value runs the fast defaults
@@ -25,15 +27,12 @@ type Config struct {
 	// (defaults {16, 32, 64, 128} / 5).
 	ConvergenceSizes []int64
 	ConvergenceRuns  int
-	// ConvergenceBatch is the chunk size of E12's kernel driver (0 means
-	// 65,536; simulate.Options.BatchSize).
-	ConvergenceBatch int64
-	// ConvergenceWorkers > 1 measures E12's runs on a worker pool. Results
-	// are bit-identical for any worker count; the default is sequential.
-	ConvergenceWorkers int
-	// ConvergenceKernel selects E12's interaction kernel (one of the
-	// simulate.Kernel* names; empty means simulate.KernelExact).
-	ConvergenceKernel string
+	// Convergence is the run options of E12's measurements: its kernel,
+	// the kernel driver's chunk size and the worker pool (results are
+	// bit-identical for any worker count; the zero value is sequential).
+	// All rejects any other field set: E12 fixes its own step bound and
+	// stabilisation rules and always pairs uniformly.
+	Convergence simulate.Options
 	// TopologyM / TopologyRuns configure E16's population size and runs per
 	// (protocol, topology) cell (defaults 16 / 2).
 	TopologyM    int64
@@ -43,19 +42,12 @@ type Config struct {
 	// before/after transition counts (defaults 4 / 1).
 	ShrinkMaxN  int
 	ShrinkFullN int
-	// ExploreWorkers is the frontier-expansion worker count handed to the
-	// parallel exact model checker for the exhaustive checks (E2's machine
-	// verification, E11's baseline verdicts). Zero means one worker per
-	// available CPU; results are bit-identical for any value.
-	ExploreWorkers int
-	// ExploreMemBudget caps the resident bytes of the exact model checker's
-	// variable-size structures (interner key log + frontier); beyond it the
-	// explorer spills to ExploreSpillDir. Zero keeps everything in RAM.
-	// Results are bit-identical for any budget.
-	ExploreMemBudget int64
-	// ExploreSpillDir is the directory for the explorer's spill files when
-	// ExploreMemBudget forces out-of-core operation (empty = os.TempDir()).
-	ExploreSpillDir string
+	// Explore is the exact model checker's options for the exhaustive
+	// checks (E2's machine verification, E11's baseline verdicts, E17's
+	// explorations): its worker count, memory budget and spill directory.
+	// Results are bit-identical for any workers and budget. All rejects a
+	// non-zero MaxStates: each check sets its own state limit.
+	Explore explore.Options
 	// Seed seeds the randomised experiments.
 	Seed int64
 }
@@ -97,14 +89,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// All runs every experiment and returns the tables in report order.
+// All runs every experiment and returns the tables in report order. It
+// checks the option structs before running anything.
 func All(cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
-	exOpts := explore.Options{
-		Workers:   cfg.ExploreWorkers,
-		MemBudget: cfg.ExploreMemBudget,
-		SpillDir:  cfg.ExploreSpillDir,
+	if _, err := convergenceOptions(cfg.Convergence); err != nil {
+		return nil, fmt.Errorf("experiment convergence: %w", err)
 	}
+	if cfg.Explore.MaxStates != 0 {
+		return nil, errors.New("experiments: Explore.MaxStates must be zero, each check sets its own state limit")
+	}
+	cfg = cfg.withDefaults()
 	var tables []*Table
 	steps := []struct {
 		name string
@@ -113,7 +107,7 @@ func All(cfg Config) ([]*Table, error) {
 		{"table1", func() (*Table, error) { return Table1(cfg.Table1MaxN) }},
 		{"table1-crossover", func() (*Table, error) { return Table1Crossover(18) }},
 		{"figure1", func() (*Table, error) {
-			return Figure1(cfg.Figure1MaxTotal, cfg.Figure1Exact, exOpts)
+			return Figure1(cfg.Figure1MaxTotal, cfg.Figure1Exact, cfg.Explore)
 		}},
 		{"figure2", Figure2},
 		{"theorem3", func() (*Table, error) { return Theorem3(cfg.Theorem3MaxN, cfg.Theorem3SweepMaxN) }},
@@ -122,11 +116,10 @@ func All(cfg Config) ([]*Table, error) {
 		{"election", func() (*Table, error) {
 			return Election([]int64{1, 4, 16, 48}, cfg.ConvergenceRuns, cfg.Seed)
 		}},
-		{"theorem2", func() (*Table, error) { return Theorem2(exOpts) }},
+		{"theorem2", func() (*Table, error) { return Theorem2(cfg.Explore) }},
 		{"theorem2-churn", func() (*Table, error) { return Theorem2Churn(cfg.Seed) }},
 		{"convergence", func() (*Table, error) {
-			return Convergence(cfg.ConvergenceSizes, cfg.ConvergenceRuns, cfg.Seed,
-				cfg.ConvergenceBatch, cfg.ConvergenceWorkers, cfg.ConvergenceKernel)
+			return Convergence(cfg.ConvergenceSizes, cfg.ConvergenceRuns, cfg.Seed, cfg.Convergence)
 		}},
 		{"topology", func() (*Table, error) {
 			return TopologyConvergence(cfg.TopologyM, cfg.TopologyRuns, cfg.Seed)
@@ -137,7 +130,7 @@ func All(cfg Config) ([]*Table, error) {
 		{"reduction", Reduction},
 		{"inlining", func() (*Table, error) { return Inlining(8) }},
 		{"shrink", func() (*Table, error) { return Shrink(cfg.ShrinkMaxN, cfg.ShrinkFullN) }},
-		{"shrink-explore", func() (*Table, error) { return ShrinkExplore(exOpts) }},
+		{"shrink-explore", func() (*Table, error) { return ShrinkExplore(cfg.Explore) }},
 	}
 	for _, s := range steps {
 		tbl, err := s.run()

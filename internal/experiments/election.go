@@ -57,10 +57,11 @@ func Election(extraAgents []int64, runs int, seed int64) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			// The Fenwick-indexed scheduler consumes the same random draws
-			// as RandomPair and maps them to the same outcomes, so this is
-			// trace-identical to the historical measurement — just faster
-			// over the converted protocol's large state space.
+			// The Fenwick-indexed scheduler's Step consumes the same random
+			// draws as the per-step random-pair sampler and maps them to the
+			// same outcomes, so this is trace-identical to the historical
+			// measurement — just faster over the converted protocol's large
+			// state space.
 			s := sched.NewBatchRandomPair(p, sched.NewRand(seed+int64(r)*7919+extra))
 			var steps int64
 			for !res.Elected(cfg) {

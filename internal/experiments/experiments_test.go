@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/explore"
+	"repro/internal/sched"
 	"repro/internal/simulate"
 )
 
@@ -181,7 +182,7 @@ func TestTheorem2RobustnessVerdicts(t *testing.T) {
 }
 
 func TestConvergenceSmall(t *testing.T) {
-	tbl, err := Convergence([]int64{8, 16}, 2, 3, 0, 1, "")
+	tbl, err := Convergence([]int64{8, 16}, 2, 3, simulate.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestConvergenceSmall(t *testing.T) {
 	}
 	// The batched fast path with a worker pool must still decide every run
 	// correctly.
-	fast, err := Convergence([]int64{8, 16}, 2, 3, 64, 2, "")
+	fast, err := Convergence([]int64{8, 16}, 2, 3, simulate.Options{BatchSize: 64, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestConvergenceSmall(t *testing.T) {
 	// too (tiny populations drive auto/batch into the exact fallback, so
 	// this covers the handoff plumbing rather than the bulk math).
 	for _, kernel := range []string{simulate.KernelExact, simulate.KernelBatch, simulate.KernelAuto} {
-		kt, err := Convergence([]int64{8, 16}, 2, 3, 0, 1, kernel)
+		kt, err := Convergence([]int64{8, 16}, 2, 3, simulate.Options{Workers: 1, Kernel: kernel})
 		if err != nil {
 			t.Fatalf("kernel %q: %v", kernel, err)
 		}
@@ -224,8 +225,30 @@ func TestConvergenceSmall(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Convergence([]int64{8}, 1, 3, 0, 1, "bogus"); err == nil {
+	if _, err := Convergence([]int64{8}, 1, 3, simulate.Options{Workers: 1, Kernel: "bogus"}); err == nil {
 		t.Fatal("bogus kernel name accepted")
+	}
+}
+
+// TestConfigRejectsUnreadOptions pins that the option structs in Config
+// carry no option beyond the kernel, chunk size and worker pool of E12 and
+// the workers, budget and spill directory of the model checks: every other
+// field is rejected before any experiment runs.
+func TestConfigRejectsUnreadOptions(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"MaxSteps":         {Convergence: simulate.Options{MaxSteps: 10}},
+		"StableWindow":     {Convergence: simulate.Options{StableWindow: 10}},
+		"QuiescencePeriod": {Convergence: simulate.Options{QuiescencePeriod: 10}},
+		"Topology":         {Convergence: simulate.Options{Topology: &sched.TopologySpec{Kind: "ring"}}},
+		"Faults":           {Convergence: simulate.Options{Faults: &sched.Faults{}}},
+		"MaxStates":        {Explore: explore.Options{MaxStates: 10}},
+	} {
+		if _, err := All(cfg); err == nil {
+			t.Errorf("All accepted a Config setting %s", name)
+		}
+	}
+	if _, err := Convergence([]int64{8}, 1, 3, simulate.Options{MaxSteps: 10}); err == nil {
+		t.Fatal("Convergence accepted a MaxSteps")
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/explore"
 	"repro/internal/obs"
+	"repro/internal/simulate"
 )
 
 // renderAll runs the full experiment suite with cfg and returns every table
@@ -35,18 +37,17 @@ func TestAllDifferentialObs(t *testing.T) {
 		t.Skip("runs a trimmed experiment sweep three times")
 	}
 	cfg := Config{
-		Table1MaxN:         4,
-		Figure1MaxTotal:    5,
-		Figure1Exact:       true,
-		Theorem3MaxN:       4,
-		Theorem3SweepMaxN:  1,
-		Theorem5MaxN:       4,
-		ConvergenceSizes:   []int64{8, 16},
-		ConvergenceRuns:    2,
-		Seed:               3,
-		ConvergenceBatch:   32,
-		ConvergenceWorkers: 2,
-		ExploreWorkers:     2,
+		Table1MaxN:        4,
+		Figure1MaxTotal:   5,
+		Figure1Exact:      true,
+		Theorem3MaxN:      4,
+		Theorem3SweepMaxN: 1,
+		Theorem5MaxN:      4,
+		ConvergenceSizes:  []int64{8, 16},
+		ConvergenceRuns:   2,
+		Seed:              3,
+		Convergence:       simulate.Options{BatchSize: 32, Workers: 2},
+		Explore:           explore.Options{Workers: 2},
 	}
 
 	off1 := renderAll(t, cfg)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/baseline"
@@ -270,13 +271,15 @@ func adversarialPlacement(c *core.Construction, total int64) *multiset.Multiset 
 // reproduce is super-linear interaction counts (≈ m log m to m²), i.e.
 // Θ(polylog)–Θ(m) parallel time.
 //
-// kernel selects the interaction kernel (empty means simulate.KernelExact)
-// and batch its chunk size (0 means 65,536); convergence steps are reported
-// at chunk granularity. "batch" and large-population "auto" runs use the
-// count-based collision kernel, whose trajectories are statistically — not
-// bit — identical to the exact sampler's. workers > 1 measures the runs on
-// a worker pool; results are bit-identical for any worker count.
-func Convergence(sizes []int64, runs int, seed int64, batch int64, workers int, kernel string) (*Table, error) {
+// opts may set only Kernel, BatchSize and Workers (see convergenceOptions).
+// opts.Kernel selects the interaction kernel (empty means
+// simulate.KernelExact) and opts.BatchSize its chunk size (0 means 65,536);
+// convergence steps are reported at chunk granularity. "batch" and
+// large-population "auto" runs use the count-based collision kernel, whose
+// trajectories are statistically — not bit — identical to the exact
+// sampler's. opts.Workers > 1 measures the runs on a worker pool; results
+// are bit-identical for any worker count.
+func Convergence(sizes []int64, runs int, seed int64, opts simulate.Options) (*Table, error) {
 	t := &Table{
 		ID:    "E12 (§1)",
 		Title: "convergence cost under uniform random pairing",
@@ -284,7 +287,10 @@ func Convergence(sizes []int64, runs int, seed int64, batch int64, workers int, 
 			"protocol", "m", "mean interactions", "mean parallel time", "wrong outputs",
 		},
 	}
-	opts := simulate.Options{MaxSteps: 200_000_000, BatchSize: batch, Workers: workers, Kernel: kernel}
+	opts, err := convergenceOptions(opts)
+	if err != nil {
+		return nil, err
+	}
 	maj, err := baseline.Majority()
 	if err != nil {
 		return nil, err
@@ -312,4 +318,18 @@ func Convergence(sizes []int64, runs int, seed int64, batch int64, workers int, 
 			fmt.Sprintf("%.1f", stats.MeanParallel), stats.WrongOutputs)
 	}
 	return t, nil
+}
+
+// convergenceOptions returns the options E12's runs use: the caller's
+// kernel, chunk size and worker pool under a fixed bound of 2·10⁸ steps.
+// E12 measures uniform random pairing under the runner's default
+// stabilisation rules, so any other field set in o is an error rather than
+// a silent change of the experiment.
+func convergenceOptions(o simulate.Options) (simulate.Options, error) {
+	run := simulate.Options{BatchSize: o.BatchSize, Kernel: o.Kernel, Workers: o.Workers}
+	if o != run {
+		return simulate.Options{}, errors.New("E12 takes only Kernel, BatchSize and Workers from its options")
+	}
+	run.MaxSteps = 200_000_000
+	return run, nil
 }

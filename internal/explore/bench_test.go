@@ -51,9 +51,9 @@ func freeWalkInitial(b *testing.B, p *protocol.Protocol, m int64) *multiset.Mult
 
 // BenchmarkExploreProtocol is the acceptance benchmark of the parallel
 // engine on a protocol system: 142506 reachable multiset configurations,
-// explored by the sequential reference and by the engine at 1, 2, 4 and 8
-// workers. Results are bit-identical across all variants; on a multi-core
-// host the workers=4 case should run ≥2x faster than workers=1.
+// explored at 1, 2, 4 and 8 workers. Results are bit-identical across all
+// variants; on a multi-core host the workers=4 case should run ≥2x faster
+// than workers=1.
 func BenchmarkExploreProtocol(b *testing.B) {
 	const k, m = 6, 25
 	p := freeWalkProtocol(b, k)
@@ -61,19 +61,6 @@ func BenchmarkExploreProtocol(b *testing.B) {
 	c := freeWalkInitial(b, p, m)
 	const wantStates = 142506
 
-	b.Run("sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := Explore[*multiset.Multiset](sys, []*multiset.Multiset{c}, Options{MaxStates: 1_000_000})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.NumStates != wantStates {
-				b.Fatalf("NumStates = %d, want %d", res.NumStates, wantStates)
-			}
-		}
-		b.ReportMetric(wantStates, "reachable-states")
-	})
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
@@ -132,8 +119,8 @@ func reportPerState(b *testing.B, states int, before *runtime.MemStats) {
 // BenchmarkExploreMachine covers the population-machine system shape: the
 // compiled Figure 1 machine explored from the union of every initial
 // register placement of 7 agents (13,654 register-vector ×
-// pointer-valuation states, deeper and narrower than protocol graphs). The
-// engine cases also report bytes and allocations per explored state.
+// pointer-valuation states, deeper and narrower than protocol graphs). Each
+// case also reports bytes and allocations per explored state.
 func BenchmarkExploreMachine(b *testing.B) {
 	machine, err := compile.Compile(popprog.Figure1Program())
 	if err != nil {
@@ -142,16 +129,6 @@ func BenchmarkExploreMachine(b *testing.B) {
 	sys := popmachine.System{M: machine}
 	initial := machinePlacements(b, machine, 7)
 
-	b.Run("sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := Explore[*popmachine.Config](sys, initial, Options{MaxStates: 1_000_000})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(res.NumStates), "reachable-states")
-		}
-	})
 	for _, w := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()

@@ -11,51 +11,12 @@ import (
 	"repro/internal/par"
 )
 
-// AppendKeySystem is an optional System extension. Systems that can encode a
-// state's unique key directly into a byte buffer let the parallel engine
-// intern states without materialising a string per visited configuration;
-// systems without it fall back to Key. The encoding must identify states
-// exactly as Key does — two states get equal AppendKey bytes if and only if
-// they get equal Keys — but need not reproduce Key's bytes. Witness keys in
-// a Result always come from Key.
-type AppendKeySystem[S any] interface {
-	AppendKey(dst []byte, s S) []byte
-}
-
-// SuccessorKeySystem is an optional extension for codec systems
-// (KeyDecoderSystem) that can encode successors without building them.
-// AppendSuccessorKeys appends to dst the AppendKey bytes of each state
-// Successors(s) returns, in the same order and with the same dedup, and
-// appends to ends the end offset in dst of each key (the first key starts
-// at len(dst) on entry). It may modify s while it runs but must restore it
-// before returning. The engine calls it on each worker's own decoded state,
-// never on a state another goroutine can see.
-type SuccessorKeySystem[S any] interface {
-	AppendSuccessorKeys(s S, dst []byte, ends []int) ([]byte, []int)
-}
-
-// KeyDecoderSystem is the optional extension that unlocks out-of-core
-// exploration: systems that can also rebuild a state from its key bytes let
-// the engine drop the in-RAM states slice entirely — frontier records carry
-// their key bytes through the (possibly disk-backed) frontier, expansion
-// decodes states on the fly, and the analysis phase streams states back from
-// the key log in dense-id order. DecodeKey must invert AppendKey exactly:
-// decoding a state's key yields a state equal to the original under
-// Successors and Output. prev, when non-zero, is a previously decoded state
-// the implementation may overwrite and return to avoid allocating per
-// decode; callers never use prev again after the call.
-type KeyDecoderSystem[S any] interface {
-	AppendKeySystem[S]
-	DecodeKey(prev S, key []byte) (S, error)
-}
-
-// pending records one successor produced by a parallel expansion pass,
-// before the commit pass has resolved it to a dense id.
-type pending[S any] struct {
-	state S
-	key   []byte // encoded key in the worker's arena; meaningful when id < 0
-	hash  uint64
-	id    int32 // dense id, or -1 if the state was unknown at expansion time
+// pending records one successor produced by an expansion pass, before the
+// commit pass has resolved it to a dense id.
+type pending struct {
+	key  []byte // encoded key in the worker's arena; meaningful when id < 0
+	hash uint64
+	id   int32 // dense id, or -1 if the state was unknown at expansion time
 }
 
 // minExpandChunk is the smallest frontier slice worth handing to its own
@@ -63,15 +24,13 @@ type pending[S any] struct {
 // narrow frontiers (chains, near-deterministic systems) expand inline.
 const minExpandChunk = 64
 
-// expandScratch is one chunk's reusable expansion state: the key encode
-// buffer, the successor keys and their end offsets, a read buffer for
-// unmapped spilled-segment reads, the arena that keeps this block's unknown
-// keys stable until the commit pass, the deferred spilled lookups, and (in
-// codec mode) the decode-scratch state. Chunk k of every block reuses the
-// k-th scratch; two chunks of one block never share one, since both
-// arenas must survive until the commit pass.
+// expandScratch is one chunk's reusable expansion state: the successor keys
+// and their end offsets, a read buffer for unmapped spilled-segment reads,
+// the arena that keeps this block's unknown keys stable until the commit
+// pass, the deferred spilled lookups, and the decode-scratch state. Chunk k
+// of every block reuses the k-th scratch; two chunks of one block never
+// share one, since both arenas must survive until the commit pass.
 type expandScratch[S any] struct {
-	keyBuf   []byte
 	succKeys []byte
 	succEnds []int
 	readBuf  []byte
@@ -80,28 +39,28 @@ type expandScratch[S any] struct {
 	dec      S
 }
 
-// ExploreParallel is ExploreContext without cancellation. Like Explore it
-// builds the reachable graph from the initial states and analyses its bottom
-// SCCs, but it expands the BFS frontier on opts.Workers goroutines (at most
-// GOMAXPROCS) and interns states through the sharded binary-key interner.
-// The Result is bit-identical to Explore's for every worker count and every
-// memory budget.
+// ExploreParallel is ExploreContext without cancellation: it builds the
+// reachable graph from the initial states, expanding the BFS frontier on
+// opts.Workers goroutines (at most GOMAXPROCS) and interning states through
+// the sharded binary-key interner, and analyses its bottom SCCs. The Result
+// is bit-identical for every worker count and every memory budget.
 func ExploreParallel[S any](sys System[S], initial []S, opts Options) (*Result, error) {
 	return ExploreContext(context.Background(), sys, initial, opts)
 }
 
-// ExploreContext is the parallel exploration engine: a level-synchronised
-// BFS whose frontier is expanded concurrently, followed by the same
-// sequential Tarjan bottom-SCC analysis as Explore.
+// ExploreContext is the exploration engine: a level-synchronised BFS whose
+// frontier is expanded concurrently, followed by a sequential Tarjan
+// bottom-SCC analysis.
 //
 // Determinism: dense state ids are assigned by a single-threaded commit pass
 // that walks each level's discoveries in canonical order — frontier states
-// in ascending id order, successors in the order Successors returned them —
-// which is exactly the discovery order of the sequential FIFO BFS. Edge
-// lists, Tarjan component numbering, outcome order, witness keys and the
-// point at which ErrStateLimit fires are therefore all bit-identical to
-// Explore's, for any worker count. Cancelling ctx (or exceeding its
-// deadline) aborts at the next block barrier with the context's error.
+// in ascending id order, successors in the order AppendSuccessorKeys
+// emitted them — which is exactly the discovery order of a sequential FIFO
+// BFS. Edge lists, Tarjan component numbering, outcome order, witness keys
+// and the point at which ErrStateLimit fires are therefore all
+// bit-identical to that BFS's, for any worker count. Cancelling ctx (or
+// exceeding its deadline) aborts at the next block barrier with the
+// context's error.
 //
 // Storage: with Options.MemBudget set, interned keys live in a segmented
 // append-only log that spills sealed segments to files under
@@ -125,18 +84,6 @@ func ExploreContext[S any](ctx context.Context, sys System[S], initial []S, opts
 		defer func() { met.Nanos.Add(time.Since(t0).Nanoseconds()) }()
 	}
 
-	encode := func(dst []byte, s S) []byte { return append(dst, sys.Key(s)...) }
-	if ak, ok := any(sys).(AppendKeySystem[S]); ok {
-		encode = ak.AppendKey
-	}
-	dec, codec := any(sys).(KeyDecoderSystem[S])
-	// Successor keys are fired on the worker's decode scratch, which only
-	// codec mode has.
-	var succ SuccessorKeySystem[S]
-	if codec {
-		succ, _ = any(sys).(SuccessorKeySystem[S])
-	}
-
 	// Budget split: the key log gets half (it holds every key ever
 	// interned), each ping-pong frontier an eighth; the remainder absorbs
 	// block buffers and segment slack, so the spillable tier's resident
@@ -151,36 +98,31 @@ func ExploreContext[S any](ctx context.Context, sys System[S], initial []S, opts
 	defer st.close()
 	in := newInterner(logBudget, st, met)
 	defer in.close()
-	cur := newFrontier(codec, frontBudget, st, met, 0)
+	cur := newFrontier(frontBudget, st, met, 0)
 	defer cur.close()
-	nxt := newFrontier(codec, frontBudget, st, met, 1)
+	nxt := newFrontier(frontBudget, st, met, 1)
 	defer nxt.close()
 
-	var states []S // only in stateful (non-codec) mode
 	numStates := 0
 	g := newGraph()
 
 	// intern assigns the next dense id to an unseen key. Single-threaded:
 	// only the initial scan and the commit pass call it.
-	intern := func(key []byte, h uint64, s S) (int, bool, error) {
+	intern := func(key []byte, h uint64) (int, bool, error) {
 		id, fresh, err := in.intern(h, key, numStates, limit)
-		if !fresh {
-			return id, false, err
+		if fresh {
+			numStates++
+			if met != nil {
+				met.States.Inc()
+			}
 		}
-		if !codec {
-			states = append(states, s)
-		}
-		numStates++
-		if met != nil {
-			met.States.Inc()
-		}
-		return id, true, nil
+		return id, fresh, err
 	}
 
 	var keyBuf []byte
 	for _, s := range initial {
-		keyBuf = encode(keyBuf[:0], s)
-		id, fresh, err := intern(keyBuf, hashKey(keyBuf), s)
+		keyBuf = sys.AppendKey(keyBuf[:0], s)
+		id, fresh, err := intern(keyBuf, hashKey(keyBuf))
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +135,7 @@ func ExploreContext[S any](ctx context.Context, sys System[S], initial []S, opts
 
 	var scratches []*expandScratch[S]
 	var blk []frontierRec
-	var perState [][]pending[S]
+	var perState [][]pending
 
 	for cur.count > 0 {
 		if err := ctx.Err(); err != nil {
@@ -241,7 +183,7 @@ func ExploreContext[S any](ctx context.Context, sys System[S], initial []S, opts
 			}
 			_, err = par.Ordered(ctx, chunks, workers, func(ctx context.Context, _, k int) error {
 				lo := k * chunk
-				return expandBlock(ctx, sys, encode, dec, succ, in, states, blk, perState, lo, min(lo+chunk, len(blk)), scratches[k])
+				return expandBlock(ctx, sys, in, blk, perState, lo, min(lo+chunk, len(blk)), scratches[k])
 			})
 			if err != nil {
 				if met != nil && ctx.Err() != nil {
@@ -265,7 +207,7 @@ func ExploreContext[S any](ctx context.Context, sys System[S], initial []S, opts
 						g.to = append(g.to, r.id)
 						continue
 					}
-					id, fresh, err := intern(r.key, r.hash, r.state)
+					id, fresh, err := intern(r.key, r.hash)
 					if err != nil {
 						return nil, err
 					}
@@ -286,24 +228,21 @@ func ExploreContext[S any](ctx context.Context, sys System[S], initial []S, opts
 		cur, nxt = nxt, cur
 	}
 
-	if codec {
-		return analyseFromLog(sys, dec, in.log, g)
-	}
-	return analyse(sys, states, g), nil
+	return analyseFromLog(sys, in.log, g)
 }
 
 // expandBlock expands blk[lo:hi] into perState[lo:hi], and returns
-// ctx.Err() if ctx is cancelled before it finishes. It only reads the
-// interner and key log: already-known successors resolve to ids immediately
-// (or via the deferred batch below), and unknown successors' keys are copied
-// into the chunk's arena for the commit pass. Lookups whose confirming key
-// bytes live in spilled segments are deferred and then resolved in sorted
-// offset order — one sequential sweep over the spilled tier per chunk
-// instead of random per-successor reads. dec is nil outside codec mode, and
-// succ is nil unless the codec system also encodes successor keys.
-func expandBlock[S any](ctx context.Context, sys System[S], encode func([]byte, S) []byte,
-	dec KeyDecoderSystem[S], succ SuccessorKeySystem[S], in *interner, states []S, blk []frontierRec,
-	perState [][]pending[S], lo, hi int, sc *expandScratch[S]) error {
+// ctx.Err() if ctx is cancelled before it finishes. Each frontier state is
+// decoded into the chunk's scratch state and its successor keys are encoded
+// in place. The pass only reads the interner and key log: already-known
+// successors resolve to ids immediately (or via the deferred batch below),
+// and unknown successors' keys are copied into the chunk's arena for the
+// commit pass. Lookups whose confirming key bytes live in spilled segments
+// are deferred and then resolved in sorted offset order — one sequential
+// sweep over the spilled tier per chunk instead of random per-successor
+// reads.
+func expandBlock[S any](ctx context.Context, sys System[S], in *interner, blk []frontierRec,
+	perState [][]pending, lo, hi int, sc *expandScratch[S]) error {
 	sc.arena.reset()
 	sc.deferred = sc.deferred[:0]
 	for i := lo; i < hi; i++ {
@@ -312,31 +251,23 @@ func expandBlock[S any](ctx context.Context, sys System[S], encode func([]byte, 
 				return err
 			}
 		}
-		var s S
-		if dec != nil {
-			var err error
-			s, err = dec.DecodeKey(sc.dec, blk[i].key)
-			if err != nil {
-				return err
-			}
-			sc.dec = s
-		} else {
-			s = states[blk[i].id]
+		s, err := sys.DecodeKey(sc.dec, blk[i].key)
+		if err != nil {
+			return err
 		}
+		sc.dec = s
+		sc.succKeys, sc.succEnds = sys.AppendSuccessorKeys(s, sc.succKeys[:0], sc.succEnds[:0])
 		recs := perState[i][:0]
-		if succ != nil {
-			sc.succKeys, sc.succEnds = succ.AppendSuccessorKeys(s, sc.succKeys[:0], sc.succEnds[:0])
-			start := 0
-			var none S // codec mode: the commit pass needs only the key
-			for j, end := range sc.succEnds {
-				recs = appendPending(recs, in, sc, sc.succKeys[start:end], none, i, j)
-				start = end
+		start := 0
+		for j, end := range sc.succEnds {
+			key := sc.succKeys[start:end]
+			start = end
+			h := hashKey(key)
+			if id, ok := in.lookupExpand(h, key, &sc.readBuf, &sc.deferred, int32(i), int32(j)); ok {
+				recs = append(recs, pending{id: int32(id)})
+				continue
 			}
-		} else {
-			for j, t := range sys.Successors(s) {
-				sc.keyBuf = encode(sc.keyBuf[:0], t)
-				recs = appendPending(recs, in, sc, sc.keyBuf, t, i, j)
-			}
+			recs = append(recs, pending{key: sc.arena.copyBytes(key), hash: h, id: -1})
 		}
 		perState[i] = recs
 	}
@@ -360,16 +291,4 @@ func expandBlock[S any](ctx context.Context, sys System[S], encode func([]byte, 
 		}
 	}
 	return nil
-}
-
-// appendPending appends successor j of frontier record i, with key bytes
-// key, to recs: resolved to its id when the interner already holds it,
-// otherwise (unknown, or deferred to the spilled-read batch) with a copy of
-// the key in the chunk's arena for the commit pass.
-func appendPending[S any](recs []pending[S], in *interner, sc *expandScratch[S], key []byte, t S, i, j int) []pending[S] {
-	h := hashKey(key)
-	if id, ok := in.lookupExpand(h, key, &sc.readBuf, &sc.deferred, int32(i), int32(j)); ok {
-		return append(recs, pending[S]{id: int32(id)})
-	}
-	return append(recs, pending[S]{state: t, key: sc.arena.copyBytes(key), hash: h, id: -1})
 }

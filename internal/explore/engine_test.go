@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -296,13 +297,13 @@ func TestParallelMatchesSequentialMachine(t *testing.T) {
 // engine must refuse at the same canonical point as the sequential BFS, for
 // every worker count, with the same error.
 func TestParallelStateLimitIdentical(t *testing.T) {
-	g := chainSystem{}
-	_, seqErr := Explore[int](g, []int{0}, Options{MaxStates: 100})
+	g := keyedSystem[int](chainSystem{})
+	_, seqErr := Explore(g, []int{0}, Options{MaxStates: 100})
 	if !errors.Is(seqErr, ErrStateLimit) {
 		t.Fatalf("sequential err = %v", seqErr)
 	}
 	for _, w := range workerCounts {
-		_, parErr := ExploreParallel[int](g, []int{0}, Options{MaxStates: 100, Workers: w})
+		_, parErr := ExploreParallel(g, []int{0}, Options{MaxStates: 100, Workers: w})
 		if !errors.Is(parErr, ErrStateLimit) {
 			t.Fatalf("workers=%d err = %v, want ErrStateLimit", w, parErr)
 		}
@@ -312,12 +313,30 @@ func TestParallelStateLimitIdentical(t *testing.T) {
 	}
 }
 
+// TestMaxStatesClampedToIDRange: engine ids, interner entries and CSR
+// targets are int32, so a MaxStates above math.MaxInt32 must mean
+// math.MaxInt32 instead of letting the next id wrap around.
+func TestMaxStatesClampedToIDRange(t *testing.T) {
+	for _, tc := range []struct{ in, want int }{
+		{0, 2_000_000},
+		{-5, 2_000_000},
+		{100, 100},
+		{math.MaxInt32, math.MaxInt32},
+		{math.MaxInt32 + 1, math.MaxInt32},
+		{math.MaxInt, math.MaxInt32},
+	} {
+		if got := (Options{MaxStates: tc.in}).maxStates(); got != tc.want {
+			t.Errorf("MaxStates %d: limit %d, want %d", tc.in, got, tc.want)
+		}
+	}
+}
+
 // TestExploreContextCancelled verifies pre-cancelled contexts abort before
 // any expansion with the context's error rather than ErrStateLimit.
 func TestExploreContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := ExploreContext[int](ctx, chainSystem{}, []int{0}, Options{MaxStates: 1 << 30})
+	_, err := ExploreContext(ctx, keyedSystem[int](chainSystem{}), []int{0}, Options{MaxStates: 1 << 30})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -327,8 +346,8 @@ func TestExploreContextCancelled(t *testing.T) {
 // through the engine with a split frontier.
 func TestParallelExploreLargeCycle(t *testing.T) {
 	const depth = 200000
-	g := ringAfterPath{depth: depth}
-	res, err := ExploreParallel[int](g, []int{0}, Options{MaxStates: depth + 10, Workers: 4})
+	g := keyedSystem[int](ringAfterPath{depth: depth})
+	res, err := ExploreParallel(g, []int{0}, Options{MaxStates: depth + 10, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,9 +379,9 @@ func (w wideSystem) Output(s [2]int) protocol.Output { return protocol.OutputTru
 // TestParallelWideFrontier forces multi-chunk expansion passes (frontier ≫
 // minExpandChunk) and checks bit-identity there too.
 func TestParallelWideFrontier(t *testing.T) {
-	g := wideSystem{width: 40, depth: 4}
+	g := keyedSystem[[2]int](wideSystem{width: 40, depth: 4})
 	opts := Options{MaxStates: 200_000}
-	seq, err := Explore[[2]int](g, [][2]int{{0, 0}}, opts)
+	seq, err := Explore(g, [][2]int{{0, 0}}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +390,7 @@ func TestParallelWideFrontier(t *testing.T) {
 	}
 	for _, w := range workerCounts {
 		opts.Workers = w
-		par, err := ExploreParallel[[2]int](g, [][2]int{{0, 0}}, opts)
+		par, err := ExploreParallel(g, [][2]int{{0, 0}}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,10 +26,9 @@ package explore
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
-	"time"
 
-	"repro/internal/obs"
 	"repro/internal/protocol"
 )
 
@@ -40,41 +39,59 @@ func errStateLimit(limit int) error {
 	return fmt.Errorf("%w (limit %d)", ErrStateLimit, limit)
 }
 
-// System is a finite-state transition system with consensus outputs.
-// Keys must uniquely identify states.
+// System is a finite-state transition system with consensus outputs,
+// presented through a key codec: the engine interns states by their key
+// bytes, keeps no decoded state in RAM, rebuilds states from their keys to
+// expand a frontier and to analyse the bottom SCCs, and so can spill keys
+// and frontier to disk under a memory budget. ProtocolSystem and
+// popmachine.System implement it.
 type System[S any] interface {
-	// Key returns a unique identifier for the state.
+	// Key returns a unique identifier for the state. Witness keys in a
+	// Result come from it.
 	Key(s S) string
-	// Successors returns the states reachable in one step. Self-loops may
-	// be included or omitted; they do not affect bottom-SCC analysis.
-	Successors(s S) []S
+	// AppendKey appends the state's key bytes to dst. Two states get equal
+	// AppendKey bytes if and only if they get equal Keys, but the bytes
+	// need not be Key's.
+	AppendKey(dst []byte, s S) []byte
+	// DecodeKey inverts AppendKey exactly: decoding a state's key yields a
+	// state equal to the original under AppendSuccessorKeys and Output.
+	// prev, when non-zero, is a previously decoded state the implementation
+	// may overwrite and return to avoid allocating per decode; callers
+	// never use prev again after the call.
+	DecodeKey(prev S, key []byte) (S, error)
+	// AppendSuccessorKeys appends to dst the AppendKey bytes of each state
+	// reachable from s in one step, and to ends the end offset in dst of
+	// each key (the first key starts at len(dst) on entry). Self-loops may
+	// be included or omitted; they do not affect bottom-SCC analysis. It
+	// may modify s while it runs but must restore it before returning. The
+	// engine calls it on each worker's own decoded state, never on a state
+	// another goroutine can see.
+	AppendSuccessorKeys(s S, dst []byte, ends []int) ([]byte, []int)
 	// Output returns the consensus output of the state.
 	Output(s S) protocol.Output
 }
 
 // Options configures exploration.
 type Options struct {
-	// MaxStates bounds the number of distinct states explored.
-	// Zero means the default of 2,000,000.
+	// MaxStates bounds the number of distinct states explored. Zero means
+	// the default of 2,000,000; values above math.MaxInt32 mean
+	// math.MaxInt32, since state ids are int32.
 	MaxStates int
 	// Workers is the number of frontier-expansion goroutines used by the
-	// parallel engine (ExploreContext / ExploreParallel and everything
-	// routed through it), capped at GOMAXPROCS. Zero means one worker per
+	// engine (ExploreContext / ExploreParallel and everything routed
+	// through it), capped at GOMAXPROCS. Zero means one worker per
 	// available CPU. Results are bit-identical for every worker count, so
 	// experiments stay reproducible regardless of the machine they ran on.
 	Workers int
-	// MemBudget caps the resident bytes of the parallel engine's spillable
-	// storage tier (interned key log + frontier buffers). Zero means
-	// unbounded: everything stays in RAM and no spill files are created.
-	// With a budget set, sealed key-log segments and overflowing frontier
-	// levels spill to files under SpillDir; Results remain bit-identical to
-	// the all-RAM engine at any budget. The interner's fixed-width tables
-	// (~16 bytes per state), the CSR edge arrays (8 bytes per state and 4
-	// per edge) and the analysis's per-state arrays stay in RAM and are not
-	// counted against the budget. Dropping decoded states from RAM and
-	// spilling the frontier require a system implementing KeyDecoderSystem
-	// (protocols and population machines do); for other systems the budget
-	// governs only the key-log tier.
+	// MemBudget caps the resident bytes of the engine's spillable storage
+	// tier (interned key log + frontier buffers). Zero means unbounded:
+	// everything stays in RAM and no spill files are created. With a
+	// budget set, sealed key-log segments and overflowing frontier levels
+	// spill to files under SpillDir; Results remain bit-identical to the
+	// all-RAM engine at any budget. The interner's fixed-width tables (~16
+	// bytes per state), the CSR edge arrays (8 bytes per state and 4 per
+	// edge) and the analysis's per-state arrays stay in RAM and are not
+	// counted against the budget.
 	MemBudget int64
 	// SpillDir is the directory under which the engine creates its per-run
 	// spill directory (removed on every exit path). Empty means the system
@@ -86,7 +103,7 @@ func (o Options) maxStates() int {
 	if o.MaxStates <= 0 {
 		return 2_000_000
 	}
-	return o.MaxStates
+	return min(o.MaxStates, math.MaxInt32)
 }
 
 func (o Options) workers() int {
@@ -148,69 +165,8 @@ func (r *Result) Consensus() protocol.Output {
 	return first
 }
 
-// Explore builds the reachable graph from the initial states and analyses
-// its bottom SCCs. It is the sequential reference implementation; the
-// level-synchronised engine (ExploreContext) returns bit-identical Results
-// and is what the checkers and experiments run in production.
-func Explore[S any](sys System[S], initial []S, opts Options) (*Result, error) {
-	limit := opts.maxStates()
-
-	met := obs.Explore()
-	if met != nil {
-		met.Explorations.Inc()
-		t0 := time.Now()
-		defer func() { met.Nanos.Add(time.Since(t0).Nanoseconds()) }()
-	}
-
-	// Phase 1: BFS to discover all reachable states and record the edges
-	// over dense integer ids. Ids are assigned in discovery order, so the
-	// FIFO queue is the id sequence itself: states expand in ascending id
-	// order, each appending the next CSR row.
-	ids := make(map[string]int)
-	var states []S
-	g := newGraph()
-
-	intern := func(s S) (int, error) {
-		k := sys.Key(s)
-		if id, ok := ids[k]; ok {
-			return id, nil
-		}
-		if len(states) >= limit {
-			return 0, errStateLimit(limit)
-		}
-		id := len(states)
-		ids[k] = id
-		states = append(states, s)
-		if met != nil {
-			met.States.Inc()
-		}
-		return id, nil
-	}
-
-	for _, s := range initial {
-		if _, err := intern(s); err != nil {
-			return nil, err
-		}
-	}
-	for id := 0; id < len(states); id++ {
-		for _, next := range sys.Successors(states[id]) {
-			nid, err := intern(next)
-			if err != nil {
-				return nil, err
-			}
-			g.to = append(g.to, int32(nid))
-		}
-		g.endRow()
-		if met != nil {
-			met.Edges.Add(int64(len(g.row(id))))
-		}
-	}
-
-	return analyse(sys, states, g), nil
-}
-
 // graph is the reachable graph in compressed sparse rows: the successor ids
-// of state u are to[off[u]:off[u+1]]. Both explorers expand states in
+// of state u are to[off[u]:off[u+1]]. The engine expands states in
 // ascending id order, so each expansion closes the next row. off stays int
 // because a converted protocol with hundreds of successors per state passes
 // 2³¹ edges at a few million states; to is int32, as the engine's state ids
@@ -232,39 +188,6 @@ func (g *graph) endRow() { g.off = append(g.off, len(g.to)) }
 // row returns the successor ids of state u.
 func (g *graph) row(u int) []int32 { return g.to[g.off[u]:g.off[u+1]] }
 
-// analyse runs the shared post-BFS phases: Tarjan's SCC pass over the CSR
-// graph, bottom-component detection, and per-bottom-SCC consensus outcomes.
-// Both the sequential and the parallel explorer feed it the same canonical
-// (BFS-ordered) graph, which is what makes their Results bit-identical.
-func analyse[S any](sys System[S], states []S, g graph) *Result {
-	n := len(states)
-	comp, isBottom, numComp := bottomComponents(g)
-
-	// Phase 4: compute each bottom SCC's consensus outcome. Witness keys are
-	// the only strings materialised here: one per bottom SCC, not per state.
-	outcome := make([]protocol.Output, numComp)
-	haveOutcome := make([]bool, numComp)
-	witness := make([]string, numComp)
-	for u := range states {
-		c := comp[u]
-		if !isBottom[c] {
-			continue
-		}
-		o := sys.Output(states[u])
-		if !haveOutcome[c] {
-			outcome[c] = o
-			haveOutcome[c] = true
-			witness[c] = sys.Key(states[u])
-			continue
-		}
-		if outcome[c] != o {
-			outcome[c] = protocol.OutputMixed
-		}
-	}
-
-	return collectResult(n, numComp, isBottom, outcome, witness)
-}
-
 // bottomComponents runs the shared structural phases: Tarjan's SCC pass over
 // the CSR graph (phase 2) and bottom-component detection (phase 3). A
 // component is bottom iff it has no edge to another component.
@@ -285,8 +208,8 @@ func bottomComponents(g graph) (comp []int32, isBottom []bool, numComp int) {
 }
 
 // collectResult folds the per-component outcome/witness arrays into a Result,
-// keeping only bottom components in component-id order — the same order for
-// every engine, which keeps Outcomes and WitnessKeys bit-identical.
+// keeping only bottom components in component-id order, which keeps
+// Outcomes and WitnessKeys bit-identical for every worker count and budget.
 func collectResult(n, numComp int, isBottom []bool, outcome []protocol.Output, witness []string) *Result {
 	res := &Result{NumStates: n}
 	for c := 0; c < numComp; c++ {
@@ -300,13 +223,13 @@ func collectResult(n, numComp int, isBottom []bool, outcome []protocol.Output, w
 	return res
 }
 
-// analyseFromLog is analyse for the out-of-core engine: states were never
-// kept in RAM, so phase 4 streams them back from the key log — one
-// sequential pass in dense-id order (record k of the log is state k),
-// decoding only bottom-SCC members. Witness keys are recomputed via sys.Key
-// on the decoded state, exactly as analyse computes them, so Results match
-// the in-RAM engines byte for byte.
-func analyseFromLog[S any](sys System[S], dec KeyDecoderSystem[S], log *keyLog, g graph) (*Result, error) {
+// analyseFromLog runs the post-BFS phases: Tarjan's SCC pass over the CSR
+// graph, bottom-component detection, and per-bottom-SCC consensus outcomes
+// (phase 4). States were never kept in RAM, so phase 4 streams them back
+// from the key log — one sequential pass in dense-id order (record k of the
+// log is state k), decoding only bottom-SCC members. Witness keys are the
+// only strings materialised: sys.Key of one decoded member per bottom SCC.
+func analyseFromLog[S any](sys System[S], log *keyLog, g graph) (*Result, error) {
 	n := g.rows()
 	comp, isBottom, numComp := bottomComponents(g)
 
@@ -324,7 +247,7 @@ func analyseFromLog[S any](sys System[S], dec KeyDecoderSystem[S], log *keyLog, 
 		if !isBottom[c] {
 			continue
 		}
-		s, err = dec.DecodeKey(s, key)
+		s, err = sys.DecodeKey(s, key)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"errors"
+	"fmt"
 	"strconv"
 	"testing"
 
@@ -15,7 +16,7 @@ type graphSystem struct {
 	out  map[int]protocol.Output
 }
 
-var _ System[int] = graphSystem{}
+var _ stepSystem[int] = graphSystem{}
 
 func (g graphSystem) Key(s int) string { return strconv.Itoa(s) }
 
@@ -28,13 +29,38 @@ func (g graphSystem) Output(s int) protocol.Output {
 	return protocol.OutputMixed
 }
 
+// exploreToy explores a toy system with the sequential reference and with
+// the engine at every worker count, requires identical Results (or
+// identical errors), and returns the reference's.
+func exploreToy[S any](t *testing.T, g stepSystem[S], initial []S, opts Options) (*Result, error) {
+	t.Helper()
+	sys := keyedSystem(g)
+	want, wantErr := Explore(sys, initial, opts)
+	for _, w := range workerCounts {
+		o := opts
+		o.Workers = w
+		got, err := ExploreParallel(sys, initial, o)
+		if wantErr != nil {
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("workers=%d: error %v, reference %v", w, err, wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		assertIdentical(t, want, got, fmt.Sprintf("workers=%d", w))
+	}
+	return want, wantErr
+}
+
 func TestExploreSingleBottomSCC(t *testing.T) {
 	// 0 → 1 → 2 ⇄ 3, both 2 and 3 accepting.
 	g := graphSystem{
 		succ: map[int][]int{0: {1}, 1: {2}, 2: {3}, 3: {2}},
 		out:  map[int]protocol.Output{2: protocol.OutputTrue, 3: protocol.OutputTrue},
 	}
-	res, err := Explore[int](g, []int{0}, Options{})
+	res, err := exploreToy(t, g, []int{0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +87,7 @@ func TestExploreTwoBottomSCCsDisagree(t *testing.T) {
 			2: protocol.OutputFalse,
 		},
 	}
-	res, err := Explore[int](g, []int{0}, Options{})
+	res, err := exploreToy(t, g, []int{0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +112,7 @@ func TestExploreMixedBottomSCCNeverStabilises(t *testing.T) {
 			1: protocol.OutputFalse,
 		},
 	}
-	res, err := Explore[int](g, []int{0}, Options{})
+	res, err := exploreToy(t, g, []int{0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +134,7 @@ func TestExploreNonBottomOutputsIgnored(t *testing.T) {
 			1: protocol.OutputTrue,
 		},
 	}
-	res, err := Explore[int](g, []int{0}, Options{})
+	res, err := exploreToy(t, g, []int{0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +148,7 @@ func TestExploreMultipleInitialStates(t *testing.T) {
 		succ: map[int][]int{0: {2}, 1: {2}, 2: {2}},
 		out:  map[int]protocol.Output{2: protocol.OutputFalse},
 	}
-	res, err := Explore[int](g, []int{0, 1, 0}, Options{})
+	res, err := exploreToy(t, g, []int{0, 1, 0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +163,7 @@ func TestExploreMultipleInitialStates(t *testing.T) {
 func TestExploreStateLimit(t *testing.T) {
 	// An infinite chain 0 → 1 → 2 → ... must hit the state limit.
 	g := chainSystem{}
-	_, err := Explore[int](g, []int{0}, Options{MaxStates: 100})
+	_, err := exploreToy(t, g, []int{0}, Options{MaxStates: 100})
 	if !errors.Is(err, ErrStateLimit) {
 		t.Fatalf("err = %v, want ErrStateLimit", err)
 	}
@@ -154,7 +180,7 @@ func TestExploreLargeCycleIterativeTarjan(t *testing.T) {
 	// graph deep enough to overflow a naive recursion.
 	const depth = 200000
 	g := ringAfterPath{depth: depth}
-	res, err := Explore[int](g, []int{0}, Options{MaxStates: depth + 10})
+	res, err := exploreToy(t, g, []int{0}, Options{MaxStates: depth + 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,18 +240,6 @@ func TestCheckDecidesMajorityExact(t *testing.T) {
 	}
 }
 
-func TestCheckConfigurationDetectsWrongExpectation(t *testing.T) {
-	p := buildMajority(t)
-	c, err := p.InitialConfig(3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Majority holds, so expecting false must fail.
-	if _, err := CheckConfiguration(p, c, false, Options{}); err == nil {
-		t.Fatal("CheckConfiguration accepted a wrong expected output")
-	}
-}
-
 func TestCheckDecidesCatchesBrokenProtocol(t *testing.T) {
 	// "Broken majority": missing the Y,x ↦ Y,y transition, so a rejecting
 	// population can be converted to accepting. Must be caught.
@@ -262,7 +276,7 @@ func TestProtocolSystemOutputs(t *testing.T) {
 	if sys.Key(c) == "" {
 		t.Fatal("empty key")
 	}
-	if len(sys.Successors(c)) == 0 {
+	if _, ends := sys.AppendSuccessorKeys(c, nil, nil); len(ends) == 0 {
 		t.Fatal("expected successors from X+Y")
 	}
 }

@@ -169,8 +169,8 @@ func FuzzInternKey(f *testing.F) {
 //   - the key log, force-sealed into segments and spilled under a one-byte
 //     budget, then read back both by random access (record) and by the
 //     sequential cursor; and
-//   - the frontier in codec mode, once fully resident and once with a
-//     one-byte flush threshold (every record through a spill file),
+//   - the frontier, once fully resident and once with a one-byte flush
+//     threshold (every record through a spill file),
 //
 // asserting byte-identical round-trips everywhere.
 func FuzzSpillSegment(f *testing.F) {
@@ -251,7 +251,7 @@ func FuzzSpillSegment(f *testing.F) {
 		// Frontier: resident and spilled-every-record, two levels each to
 		// cover the endRead reset.
 		for _, budget := range []int64{0, 1} {
-			fr := newFrontier(true, budget, st, nil, 0)
+			fr := newFrontier(budget, st, nil, 0)
 			defer fr.close()
 			for level := 0; level < 2; level++ {
 				for _, r := range recs {

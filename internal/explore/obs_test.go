@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/multiset"
 	"repro/internal/obs"
 )
 
@@ -13,11 +14,11 @@ import (
 // "nonzero".
 func TestExploreMetricsExact(t *testing.T) {
 	const n = 64
-	g := ringAfterPath{depth: n}
+	g := keyedSystem[int](ringAfterPath{depth: n})
 
 	m := obs.Enable()
 	defer obs.Disable()
-	res, err := ExploreParallel[int](g, []int{0}, Options{MaxStates: n + 10, Workers: 3})
+	res, err := ExploreParallel(g, []int{0}, Options{MaxStates: n + 10, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestExploreMetricsCancellation(t *testing.T) {
 	defer obs.Disable()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ExploreContext[int](ctx, ringAfterPath{depth: 512}, []int{0},
+	if _, err := ExploreContext(ctx, keyedSystem[int](ringAfterPath{depth: 512}), []int{0},
 		Options{Workers: 2}); err == nil {
 		t.Fatal("cancelled exploration returned no error")
 	}
@@ -78,25 +79,27 @@ func TestExploreMetricsCancellation(t *testing.T) {
 }
 
 // TestParallelExploreAllocsPerStateObs re-runs the engine's allocation
-// guard with telemetry enabled: the observation path is atomics only and
-// must fit the same 10 objects/state budget as the disabled path.
+// guard with telemetry enabled: the observation path is atomics only, so
+// the free walk of TestProtocolExploreAllocsPerState must fit the same one
+// object per state as the disabled path.
 func TestParallelExploreAllocsPerStateObs(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
-	const n = 512
-	g := ringAfterPath{depth: n}
-	allocs := testing.AllocsPerRun(10, func() {
-		res, err := ExploreParallel[int](g, []int{0}, Options{MaxStates: n + 10, Workers: 1})
+	const k, m, states = 6, 10, 3003
+	p := freeWalkProtocol(t, k)
+	sys := NewProtocolSystem(p)
+	c := spillInitial(t, p, m)
+	allocs := testing.AllocsPerRun(5, func() {
+		res, err := ExploreParallel[*multiset.Multiset](sys, []*multiset.Multiset{c}, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.NumStates != n+3 {
-			t.Fatalf("NumStates = %d", res.NumStates)
+		if res.NumStates != states {
+			t.Fatalf("NumStates = %d, want %d", res.NumStates, states)
 		}
 	})
-	perState := allocs / float64(n)
-	if perState > 10 {
-		t.Fatalf("ExploreParallel with telemetry allocates %.1f objects/state (total %.0f), budget 10", perState, allocs)
+	if perState := allocs / states; perState > 1 {
+		t.Fatalf("ExploreParallel with telemetry allocates %.2f objects/state (total %.0f), budget 1", perState, allocs)
 	}
 }
 
@@ -104,6 +107,9 @@ func TestParallelExploreAllocsPerStateObs(t *testing.T) {
 // on; the "off" case guards the disabled-path overhead of the
 // instrumentation (a captured-nil check per observation site).
 func BenchmarkExploreParallelObs(b *testing.B) {
+	p := freeWalkProtocol(b, 6)
+	sys := NewProtocolSystem(p)
+	c := freeWalkInitial(b, p, 10)
 	for _, mode := range []struct {
 		name    string
 		enabled bool
@@ -113,11 +119,9 @@ func BenchmarkExploreParallelObs(b *testing.B) {
 				obs.Enable()
 				defer obs.Disable()
 			}
-			const n = 2048
-			g := ringAfterPath{depth: n}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ExploreParallel[int](g, []int{0}, Options{MaxStates: n + 10, Workers: 2}); err != nil {
+				if _, err := ExploreParallel[*multiset.Multiset](sys, []*multiset.Multiset{c}, Options{Workers: 2}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -19,10 +19,7 @@ type ProtocolSystem struct {
 	stepper *protocol.Stepper
 }
 
-var (
-	_ KeyDecoderSystem[*multiset.Multiset]   = ProtocolSystem{}
-	_ SuccessorKeySystem[*multiset.Multiset] = ProtocolSystem{}
-)
+var _ System[*multiset.Multiset] = ProtocolSystem{}
 
 // NewProtocolSystem builds an indexed adapter for p.
 func NewProtocolSystem(p *protocol.Protocol) ProtocolSystem {
@@ -32,16 +29,14 @@ func NewProtocolSystem(p *protocol.Protocol) ProtocolSystem {
 // Key implements System: the dense key, which witness keys report.
 func (s ProtocolSystem) Key(c *multiset.Multiset) string { return c.Key() }
 
-// AppendKey implements AppendKeySystem with the run-length key, whose
-// length grows with the configuration's support rather than with |Q|.
+// AppendKey implements System with the run-length key, whose length grows
+// with the configuration's support rather than with |Q|.
 func (s ProtocolSystem) AppendKey(dst []byte, c *multiset.Multiset) []byte {
 	return c.AppendRunKey(dst)
 }
 
-// DecodeKey implements KeyDecoderSystem: configurations are rebuilt from
-// their run-length keys, which lets the engine run out-of-core — frontier
-// and interned configurations can live on disk instead of in a states
-// slice. prev is reused as the decode target when non-nil.
+// DecodeKey implements System: configurations are rebuilt from their
+// run-length keys. prev is reused as the decode target when non-nil.
 func (s ProtocolSystem) DecodeKey(prev *multiset.Multiset, key []byte) (*multiset.Multiset, error) {
 	if prev == nil {
 		prev = s.P.NewConfig()
@@ -52,15 +47,10 @@ func (s ProtocolSystem) DecodeKey(prev *multiset.Multiset, key []byte) (*multise
 	return prev, nil
 }
 
-// AppendSuccessorKeys implements SuccessorKeySystem through the stepper,
-// firing each transition on c in place.
+// AppendSuccessorKeys implements System through the stepper, firing each
+// transition on c in place.
 func (s ProtocolSystem) AppendSuccessorKeys(c *multiset.Multiset, dst []byte, ends []int) ([]byte, []int) {
 	return s.stepper.AppendSuccessorKeys(c, dst, ends)
-}
-
-// Successors implements System.
-func (s ProtocolSystem) Successors(c *multiset.Multiset) []*multiset.Multiset {
-	return s.stepper.Successors(c)
 }
 
 // Output implements System.
@@ -68,24 +58,9 @@ func (s ProtocolSystem) Output(c *multiset.Multiset) protocol.Output {
 	return s.P.OutputOf(c)
 }
 
-// CheckConfiguration verifies that every fair run of p from configuration c
-// stabilises to `want`. It returns the exploration result for diagnostics.
-func CheckConfiguration(p *protocol.Protocol, c *multiset.Multiset, want bool, opts Options) (*Result, error) {
-	res, err := ExploreParallel[*multiset.Multiset](NewProtocolSystem(p), []*multiset.Multiset{c.Clone()}, opts)
-	if err != nil {
-		return nil, err
-	}
-	if !res.StabilisesTo(want) {
-		return res, fmt.Errorf(
-			"protocol %q from %s: fair runs do not all stabilise to %v (bottom SCC outcomes %v, witnesses %q)",
-			p.Name, c.Format(p.States), want, res.Outcomes, res.WitnessKeys)
-	}
-	return res, nil
-}
-
 // checkDecidesSize verifies pred for every initial configuration of one
-// population size, using the parallel engine (which degrades to the inline
-// sequential path for the narrow frontiers of small instances).
+// population size, using the engine (which expands inline on the caller's
+// goroutine for the narrow frontiers of small instances).
 func checkDecidesSize(ctx context.Context, sys ProtocolSystem, pred protocol.Predicate, m int64, opts Options) error {
 	p := sys.P
 	var checkErr error

@@ -376,8 +376,8 @@ func (c *logCursor) next() ([]byte, error) {
 	return key, nil
 }
 
-// frontierRec is one decoded frontier entry: the state's dense id and, in
-// codec mode, its key bytes (aliasing reader storage, valid for the block).
+// frontierRec is one decoded frontier entry: the state's dense id and its
+// key bytes (aliasing reader storage, valid for the block).
 type frontierRec struct {
 	id  int32
 	key []byte
@@ -385,14 +385,13 @@ type frontierRec struct {
 
 // frontier is one BFS level's worth of discovered states, written during the
 // commit pass of the previous level and streamed back — in commit order —
-// for the next expansion pass. Records are delta/varint encoded (ids are
-// strictly increasing within a level, so deltas are ≥ 1); codec-mode records
-// additionally carry uvarint(len(key)) + key bytes so expansion never has to
-// re-read the key log for frontier states. Under a budget the write buffer
-// overflows to one sequential spill file per level.
+// for the next expansion pass. A record is the delta/varint-encoded id (ids
+// are strictly increasing within a level, so deltas are ≥ 1) followed by
+// uvarint(len(key)) + key bytes, so expansion never has to re-read the key
+// log for frontier states. Under a budget the write buffer overflows to one
+// sequential spill file per level.
 type frontier struct {
 	st     *spillStore
-	codec  bool
 	budget int64 // write-buffer flush threshold; 0 = never spill
 	met    *obs.ExploreMetrics
 	slot   int // 0/1: which of the two ping-pong frontiers this is
@@ -415,8 +414,8 @@ type frontier struct {
 	infile bool
 }
 
-func newFrontier(codec bool, budget int64, st *spillStore, met *obs.ExploreMetrics, slot int) *frontier {
-	return &frontier{st: st, codec: codec, budget: budget, met: met, slot: slot, prev: -1}
+func newFrontier(budget int64, st *spillStore, met *obs.ExploreMetrics, slot int) *frontier {
+	return &frontier{st: st, budget: budget, met: met, slot: slot, prev: -1}
 }
 
 // add appends one freshly interned state to the level being written.
@@ -427,11 +426,9 @@ func (fr *frontier) add(id int, key []byte) error {
 	n := binary.PutUvarint(tmp[:], uint64(int64(id)-fr.prev))
 	fr.prev = int64(id)
 	fr.buf = append(fr.buf, tmp[:n]...)
-	if fr.codec {
-		n = binary.PutUvarint(tmp[:], uint64(len(key)))
-		fr.buf = append(fr.buf, tmp[:n]...)
-		fr.buf = append(fr.buf, key...)
-	}
+	n = binary.PutUvarint(tmp[:], uint64(len(key)))
+	fr.buf = append(fr.buf, tmp[:n]...)
+	fr.buf = append(fr.buf, key...)
 	fr.count++
 	fr.st.addResident(int64(len(fr.buf) - before))
 	if fr.budget > 0 && int64(len(fr.buf)) >= fr.budget {
@@ -520,7 +517,6 @@ func (fr *frontier) nextBlock(blk []frontierRec) ([]frontierRec, error) {
 // resident buffer, returning its approximate byte size for block bounding.
 func (fr *frontier) readRecord() (frontierRec, int, error) {
 	var rec frontierRec
-	size := 0
 	if fr.infile {
 		delta, err := binary.ReadUvarint(fr.br)
 		if err == io.EOF {
@@ -532,21 +528,16 @@ func (fr *frontier) readRecord() (frontierRec, int, error) {
 		}
 		fr.rprev += int64(delta)
 		rec.id = int32(fr.rprev)
-		size = 1
-		if fr.codec {
-			klen, err := binary.ReadUvarint(fr.br)
-			if err != nil {
-				return rec, 0, fmt.Errorf("explore: reading frontier spill: %w", err)
-			}
-			dst := fr.arena.grab(int(klen))
-			if _, err := io.ReadFull(fr.br, dst); err != nil {
-				return rec, 0, fmt.Errorf("explore: reading frontier spill: %w", err)
-			}
-			rec.key = dst
-			size += int(klen)
+		klen, err := binary.ReadUvarint(fr.br)
+		if err != nil {
+			return rec, 0, fmt.Errorf("explore: reading frontier spill: %w", err)
+		}
+		rec.key = fr.arena.grab(int(klen))
+		if _, err := io.ReadFull(fr.br, rec.key); err != nil {
+			return rec, 0, fmt.Errorf("explore: reading frontier spill: %w", err)
 		}
 		fr.readN++
-		return rec, size, nil
+		return rec, 1 + int(klen), nil
 	}
 	delta, w := binary.Uvarint(fr.buf[fr.rpos:])
 	if w <= 0 {
@@ -555,16 +546,14 @@ func (fr *frontier) readRecord() (frontierRec, int, error) {
 	fr.rpos += w
 	fr.rprev += int64(delta)
 	rec.id = int32(fr.rprev)
-	size = w
-	if fr.codec {
-		klen, w := binary.Uvarint(fr.buf[fr.rpos:])
-		if w <= 0 || fr.rpos+w+int(klen) > len(fr.buf) {
-			return rec, 0, fmt.Errorf("explore: corrupt frontier record")
-		}
-		rec.key = fr.buf[fr.rpos+w : fr.rpos+w+int(klen)]
-		fr.rpos += w + int(klen)
-		size += w + int(klen)
+	size := w
+	klen, w := binary.Uvarint(fr.buf[fr.rpos:])
+	if w <= 0 || fr.rpos+w+int(klen) > len(fr.buf) {
+		return rec, 0, fmt.Errorf("explore: corrupt frontier record")
 	}
+	rec.key = fr.buf[fr.rpos+w : fr.rpos+w+int(klen)]
+	fr.rpos += w + int(klen)
+	size += w + int(klen)
 	fr.readN++
 	return rec, size, nil
 }

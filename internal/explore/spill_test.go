@@ -140,13 +140,17 @@ func (w spillWalk) DecodeKey(prev uint64, key []byte) (uint64, error) {
 	return binary.BigEndian.Uint64(key), nil
 }
 
-func (w spillWalk) Successors(s uint64) []uint64 {
-	return []uint64{(s + 1) % w.n, (s*5 + 3) % w.n}
+func (w spillWalk) AppendSuccessorKeys(s uint64, dst []byte, ends []int) ([]byte, []int) {
+	for _, t := range []uint64{(s + 1) % w.n, (s*5 + 3) % w.n} {
+		dst = w.AppendKey(dst, t)
+		ends = append(ends, len(dst))
+	}
+	return dst, ends
 }
 
 func (w spillWalk) Output(s uint64) protocol.Output { return protocol.OutputTrue }
 
-var _ KeyDecoderSystem[uint64] = spillWalk{}
+var _ System[uint64] = spillWalk{}
 
 // TestSpillGoldenTenMillion is the acceptance run of the out-of-core tier: a
 // 10⁷-state exploration under a 32 MB budget that the all-RAM engine provably
@@ -223,8 +227,8 @@ func TestSpillGoldenTenMillion(t *testing.T) {
 }
 
 // cancellingWalk wraps spillWalk and cancels a context after a fixed number
-// of Successors calls — from inside the expansion pass, the worst possible
-// moment for spill-file cleanup.
+// of AppendSuccessorKeys calls — from inside the expansion pass, the worst
+// possible moment for spill-file cleanup.
 type cancellingWalk struct {
 	spillWalk
 	cancel context.CancelFunc
@@ -232,11 +236,11 @@ type cancellingWalk struct {
 	calls  *atomic.Int64
 }
 
-func (w cancellingWalk) Successors(s uint64) []uint64 {
+func (w cancellingWalk) AppendSuccessorKeys(s uint64, dst []byte, ends []int) ([]byte, []int) {
 	if w.calls.Add(1) == w.after {
 		w.cancel()
 	}
-	return w.spillWalk.Successors(s)
+	return w.spillWalk.AppendSuccessorKeys(s, dst, ends)
 }
 
 // TestSpillCancellationNoOrphans cancels an exploration while it is actively
@@ -315,5 +319,68 @@ func BenchmarkExploreSpill(b *testing.B) {
 			b.ReportMetric(float64(wantStates)*float64(b.N)/b.Elapsed().Seconds(), "states/s")
 			b.ReportMetric(float64(peak)/float64(wantStates), "resident-B/state")
 		})
+	}
+}
+
+// errInjected is the failure failingDecode injects.
+var errInjected = errors.New("injected decode failure")
+
+// failingDecode is spillWalk whose DecodeKey fails on its failAt-th call.
+// The engine decodes every state once to expand it and, in the analysis,
+// once more per bottom-SCC member, so failAt picks the phase that fails.
+type failingDecode struct {
+	spillWalk
+	failAt int64
+	calls  *atomic.Int64
+}
+
+func (w failingDecode) DecodeKey(prev uint64, key []byte) (uint64, error) {
+	if w.calls.Add(1) == w.failAt {
+		return 0, errInjected
+	}
+	return w.spillWalk.DecodeKey(prev, key)
+}
+
+// TestExploreDecodeErrors: DecodeKey is the engine's only way of reading a
+// state back from its key, so its error must come out of ExploreParallel
+// whether it happens while a frontier is expanded or while the analysis
+// streams bottom-SCC members back from the key log — at one and two
+// workers, all in RAM and under a budget that spills. A failed run must
+// leave SpillDir empty.
+func TestExploreDecodeErrors(t *testing.T) {
+	// spillWalk{n} is one bottom SCC of n states: n expansion decodes, then
+	// n analysis decodes.
+	const n = 20_000
+	for _, phase := range []struct {
+		name   string
+		failAt int64
+	}{{"expansion", n / 2}, {"analysis", n + n/2}} {
+		for _, w := range []int{1, 2} {
+			for _, budget := range []int64{0, 16 << 10} {
+				where := fmt.Sprintf("%s workers=%d budget=%d", phase.name, w, budget)
+				dir := t.TempDir()
+				var calls atomic.Int64
+				sys := failingDecode{spillWalk: spillWalk{n: n}, failAt: phase.failAt, calls: &calls}
+				met := obs.Enable()
+				_, err := ExploreParallel[uint64](sys, []uint64{0},
+					Options{Workers: w, MemBudget: budget, SpillDir: dir})
+				snap := met.Snapshot().Explore
+				obs.Disable()
+				if !errors.Is(err, errInjected) {
+					t.Fatalf("%s: err = %v, want the injected decode failure", where, err)
+				}
+				if budget > 0 && (snap.SpillSegments == 0 || snap.FrontierSpills == 0) {
+					t.Fatalf("%s: spilled %d key-log segments and %d frontier levels before failing, want both tiers",
+						where, snap.SpillSegments, snap.FrontierSpills)
+				}
+				entries, rdErr := os.ReadDir(dir)
+				if rdErr != nil {
+					t.Fatal(rdErr)
+				}
+				if len(entries) != 0 {
+					t.Fatalf("%s: failed exploration left %d entries in the spill dir", where, len(entries))
+				}
+			}
+		}
 	}
 }

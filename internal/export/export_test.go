@@ -114,7 +114,7 @@ func TestTraceCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sched.NewRandomPair(p, sched.NewRand(3))
+	s := sched.NewBatchRandomPair(p, sched.NewRand(3))
 	_, trace, err := simulate.RunTraced(p, []int64{6, 3}, s, 10, simulate.Options{
 		MaxSteps: 5_000_000,
 	})

@@ -41,13 +41,9 @@ type Deriv struct {
 	chans []channel
 }
 
-// NewDeriv compiles p's reactive channels, one per non-silent candidate of
-// each reactive pair, into evaluable drift form.
-func NewDeriv(p *protocol.Protocol) *Deriv {
-	return newDeriv(p.NumStates(), protocol.NewStepper(p).Reactive())
-}
-
-// newDeriv compiles the reactive pairs of a protocol over numStates states.
+// newDeriv compiles the reactive pairs of a protocol over numStates states,
+// one channel per non-silent candidate of each reactive pair, into
+// evaluable drift form.
 func newDeriv(numStates int, pairs []protocol.ReactivePair) *Deriv {
 	n := 0
 	for _, pair := range pairs {

@@ -10,6 +10,14 @@ import (
 	"repro/internal/sched"
 )
 
+// NewDeriv compiles p's drift from its own pair index.
+func NewDeriv(p *protocol.Protocol) *Deriv {
+	return newDeriv(p.NumStates(), protocol.NewStepper(p).Reactive())
+}
+
+// NewIntegrator builds the deterministic mean-field ODE tier for p.
+func NewIntegrator(p *protocol.Protocol) *Integrator { return newIntegrator(NewDeriv(p)) }
+
 func epidemic(tb testing.TB) *protocol.Protocol {
 	tb.Helper()
 	b := protocol.NewBuilder("epidemic")

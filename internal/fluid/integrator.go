@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/multiset"
 	"repro/internal/obs"
-	"repro/internal/protocol"
 )
 
 // Integrator advances a configuration through the fluid limit: it keeps a
@@ -58,9 +57,6 @@ const (
 	// quiescence period.
 	minChunk = 1_000
 )
-
-// NewIntegrator builds the deterministic mean-field ODE tier for p.
-func NewIntegrator(p *protocol.Protocol) *Integrator { return newIntegrator(NewDeriv(p)) }
 
 // newIntegrator builds the ODE tier over a compiled drift.
 func newIntegrator(d *Deriv) *Integrator {

@@ -134,11 +134,11 @@ type OptMetrics struct {
 	Nanos Counter
 }
 
-// ExploreMetrics instruments internal/explore's engines and interner.
+// ExploreMetrics instruments internal/explore's engine and interner.
 type ExploreMetrics struct {
-	// Explorations counts Explore/ExploreContext invocations.
+	// Explorations counts ExploreContext invocations.
 	Explorations Counter
-	// Levels counts BFS levels expanded by the parallel engine.
+	// Levels counts BFS levels expanded by the engine.
 	Levels Counter
 	// Frontier records the frontier width of each expanded BFS level.
 	Frontier Hist

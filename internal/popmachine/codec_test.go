@@ -13,10 +13,7 @@ import (
 	"repro/internal/target"
 )
 
-var (
-	_ explore.KeyDecoderSystem[*popmachine.Config]   = popmachine.System{}
-	_ explore.SuccessorKeySystem[*popmachine.Config] = popmachine.System{}
-)
+var _ explore.System[*popmachine.Config] = popmachine.System{}
 
 // cloneSuccessors is the clone-based step relation of Definition 13 that
 // Machine.Successors ran before it decoded AppendSuccessorKeys: every

@@ -16,24 +16,20 @@ type System struct {
 // Key implements explore.System.
 func (s System) Key(c *Config) string { return c.Key() }
 
-// AppendKey implements explore.AppendKeySystem: the parallel engine interns
-// machine configurations through the compact binary encoding instead of
+// AppendKey implements explore.System: the engine interns machine
+// configurations through the compact binary encoding instead of
 // materialising a string per visited state.
 func (s System) AppendKey(dst []byte, c *Config) []byte { return c.AppendKey(dst) }
 
-// DecodeKey implements explore.KeyDecoderSystem, which puts machines on the
-// engine's codec path: no configuration is kept in RAM, and under a memory
-// budget the frontier spills like the key log.
+// DecodeKey implements explore.System: no configuration is kept in RAM,
+// and under a memory budget the frontier spills like the key log.
 func (s System) DecodeKey(prev *Config, key []byte) (*Config, error) { return s.M.DecodeKey(prev, key) }
 
-// AppendSuccessorKeys implements explore.SuccessorKeySystem: successors are
-// applied to c in place and encoded, never cloned.
+// AppendSuccessorKeys implements explore.System: successors are applied to
+// c in place and encoded, never cloned.
 func (s System) AppendSuccessorKeys(c *Config, dst []byte, ends []int) ([]byte, []int) {
 	return s.M.AppendSuccessorKeys(c, dst, ends)
 }
-
-// Successors implements explore.System.
-func (s System) Successors(c *Config) []*Config { return s.M.Successors(c) }
 
 // Output implements explore.System.
 func (s System) Output(c *Config) protocol.Output {

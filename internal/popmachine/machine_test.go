@@ -303,7 +303,7 @@ func TestExactExplorationOfFigure3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := explore.Explore[*Config](System{M: m}, []*Config{c}, explore.Options{})
+	res, err := explore.ExploreParallel[*Config](System{M: m}, []*Config{c}, explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ package sched
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/multiset"
 	"repro/internal/protocol"
@@ -37,11 +36,7 @@ type RoundRobinScheduler struct {
 
 var _ Scheduler = (*RoundRobinScheduler)(nil)
 
-// NewRoundRobinScheduler builds the round-robin edge-sweep scheduler.
-func NewRoundRobinScheduler(p *protocol.Protocol, topo *Topology, rng *rand.Rand, faults *Faults) (*RoundRobinScheduler, error) {
-	return newRoundRobin(p, topo, rng, faults)
-}
-
+// newRoundRobin builds the round-robin edge-sweep scheduler.
 func newRoundRobin(p *protocol.Protocol, topo *Topology, rng source, faults *Faults) (*RoundRobinScheduler, error) {
 	core, err := newGraphCore(p, topo, rng, faults)
 	if err != nil {
@@ -81,12 +76,8 @@ type StarvationScheduler struct {
 
 var _ Scheduler = (*StarvationScheduler)(nil)
 
-// NewStarvationScheduler builds the max-delay scheduler. bound ≤ 0 defaults
-// to 2·|E|+64.
-func NewStarvationScheduler(p *protocol.Protocol, topo *Topology, rng *rand.Rand, faults *Faults, bound int64) (*StarvationScheduler, error) {
-	return newStarvation(p, topo, rng, faults, bound)
-}
-
+// newStarvation builds the max-delay scheduler. bound ≤ 0 defaults to
+// 2·|E|+64.
 func newStarvation(p *protocol.Protocol, topo *Topology, rng source, faults *Faults, bound int64) (*StarvationScheduler, error) {
 	core, err := newGraphCore(p, topo, rng, faults)
 	if err != nil {
@@ -147,12 +138,8 @@ type advOption struct {
 
 var _ Scheduler = (*AdversaryScheduler)(nil)
 
-// NewAdversaryScheduler builds the worst-case chooser. epsilon 0 defaults to
-// 1/8; it is the uniform-mixing probability that keeps runs fair a.s.
-func NewAdversaryScheduler(p *protocol.Protocol, topo *Topology, rng *rand.Rand, faults *Faults, epsilon float64) (*AdversaryScheduler, error) {
-	return newAdversary(p, topo, rng, faults, epsilon)
-}
-
+// newAdversary builds the worst-case chooser. epsilon 0 defaults to 1/8;
+// it is the uniform-mixing probability that keeps runs fair a.s.
 func newAdversary(p *protocol.Protocol, topo *Topology, rng source, faults *Faults, epsilon float64) (*AdversaryScheduler, error) {
 	core, err := newGraphCore(p, topo, rng, faults)
 	if err != nil {

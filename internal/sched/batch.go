@@ -24,15 +24,19 @@ type BatchScheduler interface {
 	StepN(c *multiset.Multiset, n int64) (effective int64)
 }
 
-// BatchRandomPair is RandomPair with a batched fast path. It is exactly
-// distribution-equivalent to RandomPair (the scheduler-equivalence suite in
-// this package verifies both a chi-squared firing-frequency bound and exact
-// enumeration of single-step outcome distributions):
+// BatchRandomPair is the exact uniform random-pair sampler: each step picks
+// an ordered pair of distinct agents uniformly at random and fires one of
+// the transitions matching their states uniformly at random, or none (a
+// null interaction). It has a batched fast path and is exactly
+// distribution-equivalent to the per-step reference sampler the tests keep
+// (the scheduler-equivalence suite in this package verifies both a
+// chi-squared firing-frequency bound and exact enumeration of single-step
+// outcome distributions):
 //
 //   - Step samples both agents through an incrementally-maintained Fenwick
 //     index over state counts, O(log |Q|) per draw instead of O(support).
 //     Given the same random values it selects exactly the same agents as
-//     RandomPair's linear scan.
+//     the reference's linear scan over the counts.
 //   - StepN additionally skips runs of guaranteed-null interactions: the
 //     number of consecutive null steps before the next effective step is
 //     Geometric(p_eff), where p_eff is the probability that a uniform
@@ -270,7 +274,8 @@ func (s *BatchRandomPair) apply(c *multiset.Multiset, t protocol.Transition) {
 }
 
 // Step implements Scheduler with O(log |Q|) agent sampling. It consumes the
-// same random draws as RandomPair.Step and maps them to the same outcome.
+// same random draws as the per-step reference sampler and maps them to the
+// same outcome.
 func (s *BatchRandomPair) Step(c *multiset.Multiset) bool {
 	s.attach(c)
 	m := c.Size()
@@ -292,7 +297,7 @@ func (s *BatchRandomPair) Step(c *multiset.Multiset) bool {
 func (s *BatchRandomPair) step(c *multiset.Multiset, m int64) bool {
 	q := s.fen.find(s.rng.Int63n(m))
 	// Exclude one agent of state q while drawing the responder, exactly
-	// like sampleAgent's excludeOne.
+	// like the per-step reference sampler.
 	s.fen.add(q, -1)
 	r := s.fen.find(s.rng.Int63n(m - 1))
 	s.fen.add(q, 1)

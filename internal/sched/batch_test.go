@@ -70,7 +70,7 @@ func TestBatchStepMatchesRandomPairExactly(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		c1, _ := p.InitialConfig(2, 18)
 		c2 := c1.Clone()
-		ref := NewRandomPair(p, NewRand(seed))
+		ref := newRandomPair(p, NewRand(seed))
 		fast := NewBatchRandomPair(p, NewRand(seed))
 		for i := 0; i < 2000; i++ {
 			ch1 := ref.Step(c1)

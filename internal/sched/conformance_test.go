@@ -141,7 +141,7 @@ func TestCliqueChiSquaredMatchesBatchRandomPair(t *testing.T) {
 	}, false)
 	graph := make(map[protocol.Transition]int64)
 	for trial := 0; trial < trials; trial++ {
-		s, err := NewGraphScheduler(p, topo, NewRand(1_000_000+int64(trial)), nil)
+		s, err := newGraphScheduler(p, topo, NewRand(1_000_000+int64(trial)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestEdgeFrequenciesUniformPerTopology(t *testing.T) {
 	p := restless(t)
 	for name, topo := range conformanceTopologies(t) {
 		t.Run(name, func(t *testing.T) {
-			s, err := NewGraphScheduler(p, topo, NewRand(17), nil)
+			s, err := newGraphScheduler(p, topo, NewRand(17), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,7 +209,7 @@ func TestRoundRobinSweepsAreExactlyEven(t *testing.T) {
 	p := restless(t)
 	for name, topo := range conformanceTopologies(t) {
 		t.Run(name, func(t *testing.T) {
-			s, err := NewRoundRobinScheduler(p, topo, NewRand(3), nil)
+			s, err := newRoundRobin(p, topo, NewRand(3), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,10 +245,7 @@ func TestFairnessEveryEdgeFires(t *testing.T) {
 		for _, policy := range conformancePolicies {
 			for fName, faults := range faultsCases {
 				t.Run(fmt.Sprintf("%s/%s/%s", topoName, policy, fName), func(t *testing.T) {
-					s, err := newTopologyScheduler(p, topo, NewRand(29), GraphOptions{
-						Policy: policy,
-						Faults: faults,
-					})
+					s, err := TopologySpec{Policy: policy}.scheduler(p, topo, NewRand(29), faults)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -293,7 +290,7 @@ func TestStarvationSchedulerHonoursBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	const bound = 40
-	s, err := NewStarvationScheduler(p, topo, NewRand(5), nil, bound)
+	s, err := newStarvation(p, topo, NewRand(5), nil, bound)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,10 +333,7 @@ func TestTraceReproducibility(t *testing.T) {
 		"faulty":     func() *Faults { return &Faults{Crash: 0.05, Revive: 0.3, Join: 0.02} },
 	}
 	run := func(policy string, faults *Faults, seed int64) (trace []int, key string, agents int) {
-		s, err := newTopologyScheduler(p, topo, NewRand(seed), GraphOptions{
-			Policy: policy,
-			Faults: faults,
-		})
+		s, err := TopologySpec{Policy: policy}.scheduler(p, topo, NewRand(seed), faults)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,7 +404,7 @@ func TestQuiescentSeesAdjacency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewGraphScheduler(p, topo, NewRand(1), nil)
+	s, err := newGraphScheduler(p, topo, NewRand(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +424,7 @@ func TestQuiescentSeesAdjacency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := NewGraphScheduler(p, topo2, NewRand(1), nil)
+	s2, err := newGraphScheduler(p, topo2, NewRand(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +445,7 @@ func TestQuiescentAccountsForCrashesAndFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	mk := func(faults *Faults) *GraphScheduler {
-		s, err := NewGraphScheduler(p, topo, NewRand(2), faults)
+		s, err := newGraphScheduler(p, topo, NewRand(2), faults)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -498,7 +492,7 @@ func TestFaultHarnessAPIAndInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewGraphScheduler(p, topo, NewRand(9), &Faults{})
+	s, err := newGraphScheduler(p, topo, NewRand(9), &Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,7 +578,7 @@ func TestAttachResetsJoinedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewGraphScheduler(p, topo, NewRand(13), &Faults{Join: 0.2})
+	s, err := newGraphScheduler(p, topo, NewRand(13), &Faults{Join: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,7 +614,7 @@ func TestGraphSchedulerPopulationMismatchPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewGraphScheduler(p, topo, NewRand(1), nil)
+	s, err := newGraphScheduler(p, topo, NewRand(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -636,48 +630,49 @@ func TestGraphSchedulerPopulationMismatchPanics(t *testing.T) {
 	s.Step(c)
 }
 
-// TestTopologySchedulerConstruction pins the policy routing and the
-// construction-time validation of faults and policy parameters.
+// TestTopologySchedulerConstruction pins TopologySpec.NewScheduler's policy
+// routing and the construction-time validation of faults and policy
+// parameters.
 func TestTopologySchedulerConstruction(t *testing.T) {
 	p := restless(t)
-	topo, err := RingTopology(4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := NewRand(1)
-	if s, err := NewTopologyScheduler(p, topo, rng, GraphOptions{}); err != nil {
+	build := func(spec TopologySpec, faults *Faults) (Scheduler, error) {
+		spec.Kind = TopoRing
+		return spec.NewScheduler(p, rng, faults, 4)
+	}
+	if s, err := build(TopologySpec{}, nil); err != nil {
 		t.Fatal(err)
 	} else if _, ok := s.(*GraphScheduler); !ok {
 		t.Fatalf("empty policy routed to %T, want *GraphScheduler", s)
 	}
-	if s, err := NewTopologyScheduler(p, topo, rng, GraphOptions{Policy: PolicyRoundRobin}); err != nil {
+	if s, err := build(TopologySpec{Policy: PolicyRoundRobin}, nil); err != nil {
 		t.Fatal(err)
 	} else if _, ok := s.(*RoundRobinScheduler); !ok {
 		t.Fatalf("roundrobin routed to %T", s)
 	}
-	if s, err := NewTopologyScheduler(p, topo, rng, GraphOptions{Policy: PolicyStarvation}); err != nil {
+	if s, err := build(TopologySpec{Policy: PolicyStarvation}, nil); err != nil {
 		t.Fatal(err)
 	} else if _, ok := s.(*StarvationScheduler); !ok {
 		t.Fatalf("starvation routed to %T", s)
 	}
-	if s, err := NewTopologyScheduler(p, topo, rng, GraphOptions{Policy: PolicyAdversary}); err != nil {
+	if s, err := build(TopologySpec{Policy: PolicyAdversary}, nil); err != nil {
 		t.Fatal(err)
 	} else if _, ok := s.(*AdversaryScheduler); !ok {
 		t.Fatalf("adversary routed to %T", s)
 	}
-	if _, err := NewTopologyScheduler(p, topo, rng, GraphOptions{Policy: "chaotic"}); err == nil {
+	if _, err := build(TopologySpec{Policy: "chaotic"}, nil); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
-	if _, err := NewTopologyScheduler(p, topo, rng, GraphOptions{Policy: PolicyAdversary, Epsilon: 1.5}); err == nil {
+	if _, err := build(TopologySpec{Policy: PolicyAdversary, Epsilon: 1.5}, nil); err == nil {
 		t.Fatal("adversary epsilon 1.5 accepted")
 	}
-	if _, err := NewTopologyScheduler(p, topo, rng, GraphOptions{Faults: &Faults{Crash: -0.1}}); err == nil {
+	if _, err := build(TopologySpec{}, &Faults{Crash: -0.1}); err == nil {
 		t.Fatal("negative crash rate accepted")
 	}
-	if _, err := NewTopologyScheduler(p, topo, rng, GraphOptions{Faults: &Faults{Join: 2}}); err == nil {
+	if _, err := build(TopologySpec{}, &Faults{Join: 2}); err == nil {
 		t.Fatal("join rate 2 accepted")
 	}
-	if _, err := NewTopologyScheduler(p, topo, rng, GraphOptions{Faults: &Faults{JoinState: 99}}); err == nil {
+	if _, err := build(TopologySpec{}, &Faults{JoinState: 99}); err == nil {
 		t.Fatal("out-of-range JoinState accepted")
 	}
 }
@@ -716,7 +711,7 @@ func TestAdversaryDelaysMajority(t *testing.T) {
 	uniform := 0
 	const uniformTrials = 5
 	for seed := int64(0); seed < uniformTrials; seed++ {
-		s, err := NewGraphScheduler(p, topo, NewRand(seed), nil)
+		s, err := newGraphScheduler(p, topo, NewRand(seed), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -727,7 +722,7 @@ func TestAdversaryDelaysMajority(t *testing.T) {
 		uniform += n
 	}
 	uniform /= uniformTrials
-	adv, err := NewAdversaryScheduler(p, topo, NewRand(23), nil, 0.125)
+	adv, err := newAdversary(p, topo, NewRand(23), nil, 0.125)
 	if err != nil {
 		t.Fatal(err)
 	}

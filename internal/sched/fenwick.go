@@ -1,8 +1,8 @@
 package sched
 
 // fenwick is a binary-indexed tree over per-state agent counts. It supports
-// point updates and "find the k-th agent" queries in O(log n), replacing the
-// O(support) linear scan of sampleAgent on the batched fast path.
+// point updates and "find the k-th agent" queries in O(log n), replacing an
+// O(support) linear scan over the counts on the batched fast path.
 //
 // The tree is 1-based internally; the public API uses 0-based state indices
 // like the rest of the repository.

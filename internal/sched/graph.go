@@ -5,15 +5,14 @@ package sched
 // individual vertices with fixed neighbourhoods; each scheduling decision
 // (after optional fault injection) draws an *edge* among the alive edges,
 // orients it uniformly, and fires a uniformly chosen candidate transition —
-// on the clique this law coincides exactly with RandomPair's (certified by
-// the conformance suite's recorded-RNG enumeration).
+// on the clique this law coincides exactly with the uniform random-pair law
+// (certified by the conformance suite's recorded-RNG enumeration).
 //
 // Edge sampling is Fenwick-indexed over 0/1 edge weights (1 = both endpoints
 // alive), so crashes and revives are O(deg·log E) and draws are O(log E).
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/multiset"
 	"repro/internal/obs"
@@ -39,19 +38,6 @@ const (
 	// population as close to a mixed output as possible.
 	PolicyAdversary = "adversary"
 )
-
-// GraphOptions configures NewTopologyScheduler.
-type GraphOptions struct {
-	// Policy is one of the Policy* constants (empty = PolicyRandom).
-	Policy string
-	// StarvationBound is PolicyStarvation's max-delay bound; ≤ 0 means
-	// 2·|E|+64.
-	StarvationBound int64
-	// Epsilon is PolicyAdversary's uniform-mixing probability; 0 means 1/8.
-	Epsilon float64
-	// Faults enables fault injection (nil = no faults).
-	Faults *Faults
-}
 
 // graphCore is the agent-level machinery shared by every topology-restricted
 // scheduler: per-agent states mirroring the attached multiset, alive/crashed
@@ -504,18 +490,14 @@ func (g *graphCore) checkInvariants() error {
 // GraphScheduler is the graph-restricted uniform scheduler (PolicyRandom):
 // each decision draws a uniformly random alive edge, orients it uniformly,
 // and fires a uniform candidate transition. On the clique this is exactly
-// the RandomPair law.
+// the uniform random-pair law.
 type GraphScheduler struct {
 	graphCore
 }
 
 var _ Scheduler = (*GraphScheduler)(nil)
 
-// NewGraphScheduler builds the uniform graph-restricted scheduler.
-func NewGraphScheduler(p *protocol.Protocol, topo *Topology, rng *rand.Rand, faults *Faults) (*GraphScheduler, error) {
-	return newGraphScheduler(p, topo, rng, faults)
-}
-
+// newGraphScheduler builds the uniform graph-restricted scheduler.
 func newGraphScheduler(p *protocol.Protocol, topo *Topology, rng source, faults *Faults) (*GraphScheduler, error) {
 	core, err := newGraphCore(p, topo, rng, faults)
 	if err != nil {
@@ -532,28 +514,6 @@ func (s *GraphScheduler) Step(c *multiset.Multiset) bool {
 		return false
 	}
 	return s.fireEdge(s.sampleEdge())
-}
-
-// NewTopologyScheduler wraps topo in the edge-selection policy named by
-// o.Policy, with o.Faults injected each step. It is the single constructor
-// the CLIs and simulate.Options route through.
-func NewTopologyScheduler(p *protocol.Protocol, topo *Topology, rng *rand.Rand, o GraphOptions) (Scheduler, error) {
-	return newTopologyScheduler(p, topo, rng, o)
-}
-
-func newTopologyScheduler(p *protocol.Protocol, topo *Topology, rng source, o GraphOptions) (Scheduler, error) {
-	switch o.Policy {
-	case "", PolicyRandom:
-		return newGraphScheduler(p, topo, rng, o.Faults)
-	case PolicyRoundRobin:
-		return newRoundRobin(p, topo, rng, o.Faults)
-	case PolicyStarvation:
-		return newStarvation(p, topo, rng, o.Faults, o.StarvationBound)
-	case PolicyAdversary:
-		return newAdversary(p, topo, rng, o.Faults, o.Epsilon)
-	default:
-		return nil, CheckPolicy(o.Policy)
-	}
 }
 
 // CheckPolicy reports an error unless policy names an edge-selection policy

@@ -65,7 +65,7 @@ func FuzzGraphSample(f *testing.F) {
 
 		// Rate-driven faults stay on; scripted ops below add deterministic
 		// crash/revive/join calls on top.
-		s, err := NewGraphScheduler(p, topo, NewRand(seed), &Faults{
+		s, err := newGraphScheduler(p, topo, NewRand(seed), &Faults{
 			Crash: 0.1, Revive: 0.2, Join: 0.05,
 			JoinState: int(ns) % numStates,
 		})

@@ -47,7 +47,7 @@ func TestStepAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := NewRandomPair(p, NewRand(5))
+	ref := newRandomPair(p, NewRand(5))
 	if allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 100; i++ {
 			ref.Step(c)

@@ -7,8 +7,9 @@
 // transition persistent positive probability also produces fair runs almost
 // surely. This package implements both:
 //
-//   - RandomPair: the paper's uniform random pairwise scheduler. Interaction
-//     counts under this scheduler are meaningful (parallel time = steps/m).
+//   - BatchRandomPair: the paper's uniform random pairwise scheduler, drawn
+//     from per-state counts. Interaction counts under this scheduler are
+//     meaningful (parallel time = steps/m).
 //   - TransitionFair: picks a uniformly random *enabled* transition. Runs
 //     are fair a.s. but steps do not model real interactions; this scheduler
 //     exists because converted protocols have a single instruction-pointer
@@ -16,7 +17,6 @@
 package sched
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/multiset"
@@ -27,7 +27,7 @@ import (
 // Scheduler advances a configuration by one scheduling decision.
 type Scheduler interface {
 	// Step performs one scheduling decision on c, mutating it in place.
-	// It returns true if the configuration changed. A RandomPair step that
+	// It returns true if the configuration changed. A random-pair step that
 	// selects a non-interacting pair changes nothing and returns false; a
 	// TransitionFair step returns false only when no non-silent transition
 	// is enabled (the configuration is then stable forever).
@@ -47,85 +47,6 @@ type source interface {
 // randomness through explicit *rand.Rand values so runs are reproducible.
 func NewRand(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
-}
-
-// RandomPair is the uniform random pairwise scheduler: each step picks an
-// ordered pair of distinct agents uniformly at random; if one or more
-// transitions match their states, one of those fires (uniformly at random);
-// otherwise the step is a null interaction. It is the reference sampler the
-// conformance and equivalence suites compare the count-based samplers
-// against; simulations draw the same law from BatchRandomPair.
-type RandomPair struct {
-	p     *protocol.Protocol
-	rng   source
-	pairs *protocol.Stepper
-	// onFire, when non-nil, observes every non-silent transition fired.
-	// The equivalence tests use it to collect firing frequencies.
-	onFire func(protocol.Transition)
-	// met is the telemetry group captured at construction; nil when
-	// telemetry is disabled, in which case every observation is skipped
-	// behind a single branch.
-	met *obs.SchedMetrics
-}
-
-var _ Scheduler = (*RandomPair)(nil)
-
-// NewRandomPair builds a RandomPair scheduler for protocol p.
-func NewRandomPair(p *protocol.Protocol, rng *rand.Rand) *RandomPair {
-	return newRandomPair(p, rng)
-}
-
-func newRandomPair(p *protocol.Protocol, rng source) *RandomPair {
-	return &RandomPair{p: p, rng: rng, pairs: protocol.NewStepper(p), met: obs.Sched()}
-}
-
-// sampleAgent picks an agent uniformly from c, returning its state index.
-// It panics if c is empty.
-func sampleAgent(rng source, c *multiset.Multiset, exclude int, excludeOne bool) int {
-	size := c.Size()
-	if excludeOne {
-		size--
-	}
-	if size <= 0 {
-		panic(fmt.Sprintf("sched: cannot sample an agent from a population of %d", size))
-	}
-	target := rng.Int63n(size)
-	for i := 0; i < c.Len(); i++ {
-		n := c.Count(i)
-		if excludeOne && i == exclude {
-			n--
-		}
-		if target < n {
-			return i
-		}
-		target -= n
-	}
-	panic("sched: sampling walked off the end of the configuration")
-}
-
-// Step implements Scheduler. It requires |c| ≥ 2.
-func (s *RandomPair) Step(c *multiset.Multiset) bool {
-	if s.met != nil {
-		s.met.Steps.Inc()
-	}
-	q := sampleAgent(s.rng, c, 0, false)
-	r := sampleAgent(s.rng, c, q, true)
-	candidates := s.pairs.Candidates(q, r)
-	if len(candidates) == 0 {
-		return false
-	}
-	t := candidates[s.rng.Intn(len(candidates))]
-	if t.IsSilent() {
-		return false
-	}
-	s.p.Apply(c, t)
-	if s.met != nil {
-		s.met.Effective.Inc()
-	}
-	if s.onFire != nil {
-		s.onFire(t)
-	}
-	return true
 }
 
 // TransitionFair picks a uniformly random enabled non-silent transition each

@@ -29,7 +29,7 @@ func TestRandomPairEpidemicConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewRandomPair(p, NewRand(1))
+	s := newRandomPair(p, NewRand(1))
 	iState := p.StateIndex("I")
 	for step := 0; step < 200000; step++ {
 		s.Step(c)
@@ -43,7 +43,7 @@ func TestRandomPairEpidemicConverges(t *testing.T) {
 func TestRandomPairConservesAgents(t *testing.T) {
 	p := epidemic(t)
 	c, _ := p.InitialConfig(3, 7)
-	s := NewRandomPair(p, NewRand(7))
+	s := newRandomPair(p, NewRand(7))
 	for i := 0; i < 1000; i++ {
 		s.Step(c)
 		if c.Size() != 10 {
@@ -94,7 +94,7 @@ func TestRandomPairNullInteractions(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := p.InitialConfig(4)
-	s := NewRandomPair(p, NewRand(11))
+	s := newRandomPair(p, NewRand(11))
 	for i := 0; i < 100; i++ {
 		if s.Step(c) {
 			t.Fatal("Step reported a change with no applicable transition")
@@ -115,7 +115,7 @@ func TestRandomPairSelfPairNeedsTwoAgents(t *testing.T) {
 	c := p.NewConfig()
 	c.Add(p.StateIndex("a"), 1)
 	c.Add(p.StateIndex("b"), 1)
-	s := NewRandomPair(p, NewRand(2))
+	s := newRandomPair(p, NewRand(2))
 	for i := 0; i < 500; i++ {
 		if s.Step(c) {
 			t.Fatal("fired a self-pair transition with a single agent in the state")
@@ -140,7 +140,7 @@ func TestRandomPairUniformChoiceAmongCandidates(t *testing.T) {
 	const trials = 2000
 	for i := 0; i < trials; i++ {
 		c, _ := p.InitialConfig(1, 1)
-		s := NewRandomPair(p, rng)
+		s := newRandomPair(p, rng)
 		for !s.Step(c) {
 		}
 		if c.Count(p.StateIndex("c")) == 2 {

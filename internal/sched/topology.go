@@ -301,17 +301,30 @@ func (ts TopologySpec) Build(n int64) (*Topology, error) {
 
 // NewScheduler builds the spec's graph over n agents and wraps it in the
 // spec's edge-selection policy, with faults (nil = none) injected each step.
+// It is the single constructor the CLIs and simulate.Options route through.
 func (ts TopologySpec) NewScheduler(p *protocol.Protocol, rng *rand.Rand, faults *Faults, n int64) (Scheduler, error) {
 	topo, err := ts.Build(n)
 	if err != nil {
 		return nil, err
 	}
-	return NewTopologyScheduler(p, topo, rng, GraphOptions{
-		Policy:          ts.Policy,
-		StarvationBound: ts.StarvationBound,
-		Epsilon:         ts.Epsilon,
-		Faults:          faults,
-	})
+	return ts.scheduler(p, topo, rng, faults)
+}
+
+// scheduler wraps topo in the edge-selection policy ts.Policy names, with
+// faults injected each step.
+func (ts TopologySpec) scheduler(p *protocol.Protocol, topo *Topology, rng source, faults *Faults) (Scheduler, error) {
+	switch ts.Policy {
+	case "", PolicyRandom:
+		return newGraphScheduler(p, topo, rng, faults)
+	case PolicyRoundRobin:
+		return newRoundRobin(p, topo, rng, faults)
+	case PolicyStarvation:
+		return newStarvation(p, topo, rng, faults, ts.StarvationBound)
+	case PolicyAdversary:
+		return newAdversary(p, topo, rng, faults, ts.Epsilon)
+	default:
+		return nil, CheckPolicy(ts.Policy)
+	}
 }
 
 // ParseTopologySpec parses the CLI -topology syntax:

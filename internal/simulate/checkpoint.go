@@ -19,7 +19,7 @@ import (
 // on-disk format and the sampling law behind the stored points: version 2
 // draws runs with an empty Kernel from the batched exact sampler, so a
 // version 1 file, whose empty-kernel points came from the per-step
-// RandomPair stream under the same spec, is refused instead of merged.
+// random-pair stream under the same spec, is refused instead of merged.
 const SweepCheckpointVersion = 2
 
 // SweepPointSeed derives the base PRNG seed of sweep point idx from the

@@ -429,17 +429,6 @@ func run(p *protocol.Protocol, c *multiset.Multiset, s sched.Scheduler, opts Opt
 		ErrBudgetExhausted, p.Name, res.Steps, res.Output)
 }
 
-// RunInput is a convenience wrapper: it builds the initial configuration
-// from input counts, runs under the requested scheduler, and returns the
-// result.
-func RunInput(p *protocol.Protocol, inputCounts []int64, s sched.Scheduler, opts Options) (*Result, error) {
-	c, err := p.InitialConfig(inputCounts...)
-	if err != nil {
-		return nil, err
-	}
-	return Run(p, c, s, opts)
-}
-
 // ConvergenceStats summarises repeated runs of the same input.
 type ConvergenceStats struct {
 	Runs          int     `json:"runs"`

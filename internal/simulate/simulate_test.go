@@ -41,10 +41,17 @@ func majority(t testing.TB) *protocol.Protocol {
 	return p
 }
 
+// randomPair is the per-step uniform random-pair sampler: BatchRandomPair
+// with its StepN hidden, so Run drives it one Step at a time and draws
+// exactly the random stream of sched's RandomPair oracle.
+func randomPair(p *protocol.Protocol, seed int64) sched.Scheduler {
+	return struct{ sched.Scheduler }{sched.NewBatchRandomPair(p, sched.NewRand(seed))}
+}
+
 func TestRunEpidemicQuiescent(t *testing.T) {
 	p := epidemic(t)
 	c, _ := p.InitialConfig(1, 29)
-	s := sched.NewRandomPair(p, sched.NewRand(1))
+	s := randomPair(p, 1)
 	res, err := Run(p, c, s, Options{MaxSteps: 1_000_000, QuiescencePeriod: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -74,8 +81,12 @@ func TestRunMajorityBothDirections(t *testing.T) {
 		{7, 7, protocol.OutputTrue}, // tie counts as x ≥ y
 	}
 	for _, tc := range cases {
-		s := sched.NewRandomPair(p, sched.NewRand(tc.x*100+tc.y))
-		res, err := RunInput(p, []int64{tc.x, tc.y}, s, Options{MaxSteps: 5_000_000})
+		c, err := p.InitialConfig(tc.x, tc.y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := randomPair(p, tc.x*100+tc.y)
+		res, err := Run(p, c, s, Options{MaxSteps: 5_000_000})
 		if err != nil {
 			t.Fatalf("x=%d y=%d: %v", tc.x, tc.y, err)
 		}
@@ -101,7 +112,7 @@ func TestRunTransitionFairScheduler(t *testing.T) {
 func TestRunRejectsEmptyConfig(t *testing.T) {
 	p := epidemic(t)
 	c := p.NewConfig()
-	s := sched.NewRandomPair(p, sched.NewRand(3))
+	s := randomPair(p, 3)
 	if _, err := Run(p, c, s, Options{}); err == nil {
 		t.Fatal("Run accepted an empty configuration")
 	}
@@ -129,7 +140,7 @@ func TestRunBudgetExhausted(t *testing.T) {
 func TestParallelTime(t *testing.T) {
 	p := epidemic(t)
 	c, _ := p.InitialConfig(1, 9)
-	s := sched.NewRandomPair(p, sched.NewRand(5))
+	s := randomPair(p, 5)
 	res, err := Run(p, c, s, Options{MaxSteps: 100_000, QuiescencePeriod: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -257,8 +268,12 @@ func TestRunBatchedMajorityBothDirections(t *testing.T) {
 		{5, 10, protocol.OutputFalse},
 	}
 	for _, tc := range cases {
+		c, err := p.InitialConfig(tc.x, tc.y)
+		if err != nil {
+			t.Fatal(err)
+		}
 		s := sched.NewBatchRandomPair(p, sched.NewRand(tc.x*100+tc.y))
-		res, err := RunInput(p, []int64{tc.x, tc.y}, s, Options{
+		res, err := Run(p, c, s, Options{
 			MaxSteps: 5_000_000, BatchSize: 512,
 		})
 		if err != nil {
@@ -364,7 +379,7 @@ func TestMeasureConvergenceBatchedStatisticsSane(t *testing.T) {
 func TestConvergenceStepTracksLastOutputChange(t *testing.T) {
 	p := epidemic(t)
 	c, _ := p.InitialConfig(1, 19)
-	s := sched.NewRandomPair(p, sched.NewRand(13))
+	s := randomPair(p, 13)
 	res, err := Run(p, c, s, Options{MaxSteps: 1_000_000, QuiescencePeriod: 5})
 	if err != nil {
 		t.Fatal(err)

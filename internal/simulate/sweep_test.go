@@ -126,7 +126,7 @@ func TestSweepRejectsInvalidOptions(t *testing.T) {
 
 func TestRunTracedSamples(t *testing.T) {
 	p := buildEpidemic(t)
-	s := sched.NewRandomPair(p, sched.NewRand(5))
+	s := sched.NewBatchRandomPair(p, sched.NewRand(5))
 	res, trace, err := RunTraced(p, []int64{1, 49}, s, 50, Options{
 		MaxSteps: 10_000_000, QuiescencePeriod: 16,
 	})
@@ -159,7 +159,7 @@ func TestRunTracedSamples(t *testing.T) {
 
 func TestRunTracedPeriodClamped(t *testing.T) {
 	p := buildEpidemic(t)
-	s := sched.NewRandomPair(p, sched.NewRand(6))
+	s := sched.NewBatchRandomPair(p, sched.NewRand(6))
 	_, trace, err := RunTraced(p, []int64{1, 4}, s, 0, Options{
 		MaxSteps: 1_000_000, QuiescencePeriod: 4,
 	})

@@ -121,11 +121,8 @@ func TestRunnerSeesGraphQuiescence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo, err := sched.EdgeListTopology(4, [][2]int{{0, 1}, {2, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := sched.NewGraphScheduler(p, topo, sched.NewRand(3), nil)
+	spec := sched.TopologySpec{Kind: sched.TopoEdges, Edges: [][2]int{{0, 1}, {2, 3}}}
+	s, err := spec.NewScheduler(p, sched.NewRand(3), nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,9 +157,13 @@ func TestRunnerSeesGraphQuiescence(t *testing.T) {
 // consensus.
 func TestNoConvergenceWhileCrashedAgentDecides(t *testing.T) {
 	p := majority(t)
-	topo, err := sched.CliqueTopology(3)
-	if err != nil {
-		t.Fatal(err)
+	clique := func(seed int64, faults *sched.Faults) *sched.GraphScheduler {
+		t.Helper()
+		s, err := sched.TopologySpec{Kind: sched.TopoClique}.NewScheduler(p, sched.NewRand(seed), faults, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.(*sched.GraphScheduler)
 	}
 	yState := p.StateIndex("Y")
 
@@ -187,10 +188,7 @@ func TestNoConvergenceWhileCrashedAgentDecides(t *testing.T) {
 	}
 
 	// Permanent crash: definite stabilisation at mixed — never a consensus.
-	s1, err := sched.NewGraphScheduler(p, topo, sched.NewRand(11), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1 := clique(11, nil)
 	c1, err := p.InitialConfig(2, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -211,10 +209,7 @@ func TestNoConvergenceWhileCrashedAgentDecides(t *testing.T) {
 	// Revivable crash: the run must keep going (no quiescence, no heuristic
 	// window — the output is mixed) until the Y-holder revives, after which
 	// the true majority wins.
-	s2, err := sched.NewGraphScheduler(p, topo, sched.NewRand(13), &sched.Faults{Revive: 0.005})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := clique(13, &sched.Faults{Revive: 0.005})
 	c2, err := p.InitialConfig(2, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -234,10 +229,7 @@ func TestNoConvergenceWhileCrashedAgentDecides(t *testing.T) {
 
 	// Tight-budget control: with a revive possible but not yet occurred, a
 	// short run must end with the budget error — not a declared consensus.
-	s3, err := sched.NewGraphScheduler(p, topo, sched.NewRand(17), &sched.Faults{Revive: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s3 := clique(17, &sched.Faults{Revive: 1e-12})
 	c3, err := p.InitialConfig(2, 1)
 	if err != nil {
 		t.Fatal(err)
