@@ -16,9 +16,9 @@
 // sets the frontier-expansion worker count of the parallel model checker
 // used by the exhaustive checks (0 = one per CPU); every table is
 // bit-identical for any value. -mem-budget caps the checker's resident
-// bytes — beyond it the interner key log and frontier spill to -spill-dir
-// (default the system temp directory) and are streamed back, still
-// bit-identically (0 = all in RAM). -topology-m sizes the population of the
+// bytes — beyond it the interner key log spills to -spill-dir (default the
+// system temp directory) and is read back, still bit-identically (0 = all
+// in RAM). -topology-m sizes the population of the
 // topology-convergence sweep (E16).
 //
 // Telemetry: -metrics prints a JSON snapshot of the scheduler, runner and

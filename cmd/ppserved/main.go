@@ -6,10 +6,9 @@
 // -state-dir, so a restarted server boots warm and serves byte-identical
 // results without reconverting; sweep jobs with a checkpoint name survive
 // restarts and resume bit-identically. Explore jobs accept a "mem_budget"
-// byte cap in their spec: beyond it the explorer spills interned keys and
-// frontier levels to <state-dir>/spill (cleaned up per job) and streams
-// them back, bit-identically, so exhaustive verification jobs can exceed
-// RAM.
+// byte cap in their spec: beyond it the explorer spills interned keys to
+// <state-dir>/spill (cleaned up per job) and reads them back,
+// bit-identically, so exhaustive verification jobs can exceed RAM.
 //
 // Usage:
 //

@@ -11,9 +11,9 @@
 //	         [-metrics] [-metrics-interval D] [-pprof ADDR]
 //
 // -mem-budget caps the resident bytes of the explorer's variable-size
-// structures (interner key log + frontier), for protocol and machine
-// targets alike; beyond it sealed segments and frontier overflow spill to
-// -spill-dir (default the system temp directory) and are streamed back.
+// structure, the interner's key log that every BFS level is read from, for
+// protocol and machine targets alike; beyond it sealed log segments spill
+// to -spill-dir (default the system temp directory) and are read back.
 // The reachable graph's edge arrays and the bottom-SCC analysis stay in RAM
 // (about 8 bytes per state plus 4 per edge, and 12 per state), so that is
 // what bounds a run under a budget. Results — verdicts, witnesses, error

@@ -3,6 +3,7 @@ package explore
 import (
 	"bytes"
 	"context"
+	"math"
 	"runtime"
 	"sort"
 	"time"
@@ -62,15 +63,17 @@ func ExploreParallel[S any](sys System[S], initial []S, opts Options) (*Result, 
 // exceeding its deadline) aborts at the next block barrier with the
 // context's error.
 //
-// Storage: with Options.MemBudget set, interned keys live in a segmented
-// append-only log that spills sealed segments to files under
-// Options.SpillDir, the frontier overflows to sequential per-level spill
-// files, and levels are processed in bounded blocks. Block-by-block commit
-// resolves records in exactly the order a whole-level commit would — dedup
-// is insensitive to when (not whether) a key was first interned — so the
-// spilled engine is bit-identical to the all-RAM one at any budget. All
-// spill files live in one per-run temp directory removed on every exit
-// path, including cancellation and errors.
+// Storage: interned keys live once, in a segmented append-only log, and
+// each level is read straight from it: the commit pass appends every fresh
+// key under the next dense id, so a level is the run of records its
+// predecessor's commit pass appended. With Options.MemBudget set, the log
+// spills sealed segments to files under Options.SpillDir, and levels are
+// processed in bounded blocks. Block-by-block commit resolves records in
+// exactly the order a whole-level commit would — dedup is insensitive to
+// when (not whether) a key was first interned — so the spilled engine is
+// bit-identical to the all-RAM one at any budget. All spill files live in
+// one per-run temp directory removed on every exit path, including
+// cancellation and errors.
 func ExploreContext[S any](ctx context.Context, sys System[S], initial []S, opts Options) (*Result, error) {
 	limit := opts.maxStates()
 	// More expansion goroutines than GOMAXPROCS only contend for the same
@@ -84,31 +87,18 @@ func ExploreContext[S any](ctx context.Context, sys System[S], initial []S, opts
 		defer func() { met.Nanos.Add(time.Since(t0).Nanoseconds()) }()
 	}
 
-	// Budget split: the key log gets half (it holds every key ever
-	// interned), each ping-pong frontier an eighth; the remainder absorbs
-	// block buffers and segment slack, so the spillable tier's resident
-	// peak stays under the budget. The fixed-width interner tables (~16
-	// bytes per state) are the irreducible floor and are not budgeted.
-	var logBudget, frontBudget int64
-	if opts.MemBudget > 0 {
-		logBudget = opts.MemBudget / 2
-		frontBudget = opts.MemBudget / 8
-	}
-	st := newSpillStore(opts.SpillDir, met)
-	defer st.close()
-	in := newInterner(logBudget, st, met)
+	// The key log keeps half of the budget; the rest absorbs block buffers
+	// and segment slack. The fixed-width interner tables (~16 bytes per
+	// state) are the irreducible floor and are not budgeted.
+	in := newInterner(opts.MemBudget/2, opts.SpillDir, met)
 	defer in.close()
-	cur := newFrontier(frontBudget, st, met, 0)
-	defer cur.close()
-	nxt := newFrontier(frontBudget, st, met, 1)
-	defer nxt.close()
 
 	numStates := 0
 	g := newGraph()
 
 	// intern assigns the next dense id to an unseen key. Single-threaded:
 	// only the initial scan and the commit pass call it.
-	intern := func(key []byte, h uint64) (int, bool, error) {
+	intern := func(key []byte, h uint64) (int, error) {
 		id, fresh, err := in.intern(h, key, numStates, limit)
 		if fresh {
 			numStates++
@@ -116,57 +106,57 @@ func ExploreContext[S any](ctx context.Context, sys System[S], initial []S, opts
 				met.States.Inc()
 			}
 		}
-		return id, fresh, err
+		return id, err
 	}
 
 	var keyBuf []byte
 	for _, s := range initial {
 		keyBuf = sys.AppendKey(keyBuf[:0], s)
-		id, fresh, err := intern(keyBuf, hashKey(keyBuf))
-		if err != nil {
+		if _, err := intern(keyBuf, hashKey(keyBuf)); err != nil {
 			return nil, err
-		}
-		if fresh {
-			if err := cur.add(id, keyBuf); err != nil {
-				return nil, err
-			}
 		}
 	}
 
+	// Without a budget a level is one block; under one, blocks are bounded
+	// so the in-flight pending records stay bounded however wide a level is.
+	blockRecs, blockBytes := math.MaxInt, math.MaxInt
+	if opts.MemBudget > 0 {
+		blockRecs, blockBytes = spillBlockRecs, spillBlockBytes
+	}
 	var scratches []*expandScratch[S]
-	var blk []frontierRec
+	var blk [][]byte
 	var perState [][]pending
 
-	for cur.count > 0 {
-		if err := ctx.Err(); err != nil {
-			if met != nil {
-				met.Cancellations.Inc()
-			}
-			return nil, err
-		}
+	// A level is a run of the log: the states [lo, numStates) are the
+	// records from levelOff on — offset 1, past the pad byte, for the
+	// initial states, and for each later level the offset where its
+	// predecessor's commit pass began appending.
+	for lo, levelOff := 0, uint64(1); lo < numStates; {
+		hi := numStates
 		if met != nil {
 			met.Levels.Inc()
-			met.Frontier.Observe(int64(cur.count))
+			met.Frontier.Observe(int64(hi - lo))
 		}
-		if err := cur.startRead(); err != nil {
-			return nil, err
-		}
+		cur := in.log.cursorAt(levelOff)
+		levelOff = in.log.end
 
-		for {
-			var err error
-			blk, err = cur.nextBlock(blk[:0])
-			if err != nil {
-				return nil, err
-			}
-			if len(blk) == 0 {
-				break
-			}
+		for lo < hi {
 			if err := ctx.Err(); err != nil {
 				if met != nil {
 					met.Cancellations.Inc()
 				}
 				return nil, err
 			}
+			blk = blk[:0]
+			for size := 0; len(blk) < min(hi-lo, blockRecs) && size < blockBytes; {
+				key, err := cur.next()
+				if err != nil {
+					return nil, err
+				}
+				blk = append(blk, key)
+				size += len(key)
+			}
+			lo += len(blk)
 
 			// Expansion pass: par.Ordered tasks, one per chunk, read the
 			// interner and produce, per frontier state, its successor
@@ -181,7 +171,7 @@ func ExploreContext[S any](ctx context.Context, sys System[S], initial []S, opts
 			for len(scratches) < chunks {
 				scratches = append(scratches, &expandScratch[S]{})
 			}
-			_, err = par.Ordered(ctx, chunks, workers, func(ctx context.Context, _, k int) error {
+			_, err := par.Ordered(ctx, chunks, workers, func(ctx context.Context, _, k int) error {
 				lo := k * chunk
 				return expandBlock(ctx, sys, in, blk, perState, lo, min(lo+chunk, len(blk)), scratches[k])
 			})
@@ -198,7 +188,8 @@ func ExploreContext[S any](ctx context.Context, sys System[S], initial []S, opts
 			// global resolution order is identical to a whole-level commit.
 			// Frontier ids ascend across blocks and levels (each level holds
 			// the ids its predecessor's commit assigned, in order), so each
-			// frontier state closes the next CSR row.
+			// frontier state closes the next CSR row. The block's keys alias
+			// the log, which the commit pass only appends past.
 			for bi := range blk {
 				recs := perState[bi]
 				for j := range recs {
@@ -207,16 +198,11 @@ func ExploreContext[S any](ctx context.Context, sys System[S], initial []S, opts
 						g.to = append(g.to, r.id)
 						continue
 					}
-					id, fresh, err := intern(r.key, r.hash)
+					id, err := intern(r.key, r.hash)
 					if err != nil {
 						return nil, err
 					}
 					g.to = append(g.to, int32(id))
-					if fresh {
-						if err := nxt.add(id, r.key); err != nil {
-							return nil, err
-						}
-					}
 				}
 				g.endRow()
 				if met != nil {
@@ -224,8 +210,6 @@ func ExploreContext[S any](ctx context.Context, sys System[S], initial []S, opts
 				}
 			}
 		}
-		cur.endRead()
-		cur, nxt = nxt, cur
 	}
 
 	return analyseFromLog(sys, in.log, g)
@@ -241,7 +225,7 @@ func ExploreContext[S any](ctx context.Context, sys System[S], initial []S, opts
 // are deferred and then resolved in sorted offset order — one sequential
 // sweep over the spilled tier per chunk instead of random per-successor
 // reads.
-func expandBlock[S any](ctx context.Context, sys System[S], in *interner, blk []frontierRec,
+func expandBlock[S any](ctx context.Context, sys System[S], in *interner, blk [][]byte,
 	perState [][]pending, lo, hi int, sc *expandScratch[S]) error {
 	sc.arena.reset()
 	sc.deferred = sc.deferred[:0]
@@ -251,7 +235,7 @@ func expandBlock[S any](ctx context.Context, sys System[S], in *interner, blk []
 				return err
 			}
 		}
-		s, err := sys.DecodeKey(sc.dec, blk[i].key)
+		s, err := sys.DecodeKey(sc.dec, blk[i])
 		if err != nil {
 			return err
 		}
@@ -263,7 +247,11 @@ func expandBlock[S any](ctx context.Context, sys System[S], in *interner, blk []
 			key := sc.succKeys[start:end]
 			start = end
 			h := hashKey(key)
-			if id, ok := in.lookupExpand(h, key, &sc.readBuf, &sc.deferred, int32(i), int32(j)); ok {
+			id, ok, err := in.lookupExpand(h, key, &sc.readBuf, &sc.deferred, int32(i), int32(j))
+			if err != nil {
+				return err
+			}
+			if ok {
 				recs = append(recs, pending{id: int32(id)})
 				continue
 			}
@@ -286,7 +274,11 @@ func expandBlock[S any](ctx context.Context, sys System[S], in *interner, blk []
 			continue
 		}
 		// First fingerprint match was a false positive: resume the probe.
-		if id, ok := in.resumeLookup(dl.hash, p.key, dl.slot, &sc.readBuf); ok {
+		id, ok, err := in.resumeLookup(dl.hash, p.key, dl.slot, &sc.readBuf)
+		if err != nil {
+			return err
+		}
+		if ok {
 			p.id = int32(id)
 		}
 	}

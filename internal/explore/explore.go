@@ -42,8 +42,8 @@ func errStateLimit(limit int) error {
 // System is a finite-state transition system with consensus outputs,
 // presented through a key codec: the engine interns states by their key
 // bytes, keeps no decoded state in RAM, rebuilds states from their keys to
-// expand a frontier and to analyse the bottom SCCs, and so can spill keys
-// and frontier to disk under a memory budget. ProtocolSystem and
+// expand a frontier and to analyse the bottom SCCs, and so can spill the
+// keys to disk under a memory budget. ProtocolSystem and
 // popmachine.System implement it.
 type System[S any] interface {
 	// Key returns a unique identifier for the state. Witness keys in a
@@ -83,15 +83,15 @@ type Options struct {
 	// available CPU. Results are bit-identical for every worker count, so
 	// experiments stay reproducible regardless of the machine they ran on.
 	Workers int
-	// MemBudget caps the resident bytes of the engine's spillable storage
-	// tier (interned key log + frontier buffers). Zero means unbounded:
-	// everything stays in RAM and no spill files are created. With a
-	// budget set, sealed key-log segments and overflowing frontier levels
-	// spill to files under SpillDir; Results remain bit-identical to the
-	// all-RAM engine at any budget. The interner's fixed-width tables (~16
-	// bytes per state), the CSR edge arrays (8 bytes per state and 4 per
-	// edge) and the analysis's per-state arrays stay in RAM and are not
-	// counted against the budget.
+	// MemBudget caps the resident bytes of the engine's spillable storage:
+	// the interned key log, which every BFS level is read from, keeps half
+	// of it. Zero means unbounded: everything stays in RAM and no spill
+	// files are created. With a budget set, sealed key-log segments spill
+	// to files under SpillDir and levels are expanded in bounded blocks;
+	// Results remain bit-identical to the all-RAM engine at any budget.
+	// The interner's fixed-width tables (~16 bytes per state), the CSR
+	// edge arrays (8 bytes per state and 4 per edge) and the analysis's
+	// per-state arrays stay in RAM and are not counted against the budget.
 	MemBudget int64
 	// SpillDir is the directory under which the engine creates its per-run
 	// spill directory (removed on every exit path). Empty means the system
@@ -237,7 +237,7 @@ func analyseFromLog[S any](sys System[S], log *keyLog, g graph) (*Result, error)
 	haveOutcome := make([]bool, numComp)
 	witness := make([]string, numComp)
 	var s S
-	cur := log.cursor()
+	cur := log.cursorAt(1) // the first record, past the pad byte
 	for u := 0; u < n; u++ {
 		key, err := cur.next()
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -80,9 +81,7 @@ func FuzzInternKey(f *testing.F) {
 			sets = append(sets, m)
 		}
 
-		st := newSpillStore(t.TempDir(), nil)
-		defer st.close()
-		in := newInterner(0, st, nil)
+		in := newInterner(0, t.TempDir(), nil)
 		defer in.close()
 		expect := make(map[string]int)
 		dec := multiset.New(n)
@@ -144,8 +143,8 @@ func FuzzInternKey(f *testing.F) {
 			if got, fresh, err := in.intern(h, key, len(expect), len(expect)); err != nil || fresh || got != id {
 				t.Fatalf("interned key lost or remapped: got (%d, %v, %v), want (%d, false, nil)", got, fresh, err, id)
 			}
-			if got, ok := in.lookupExpand(h, key, &scratch, &deferred, 0, 0); !ok || got != id {
-				t.Fatalf("expansion lookup of an interned key: got (%d, %v), want (%d, true)", got, ok, id)
+			if got, ok, err := in.lookupExpand(h, key, &scratch, &deferred, 0, 0); err != nil || !ok || got != id {
+				t.Fatalf("expansion lookup of an interned key: got (%d, %v, %v), want (%d, true, nil)", got, ok, err, id)
 			}
 		}
 		absent := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
@@ -153,8 +152,8 @@ func FuzzInternKey(f *testing.F) {
 			if _, _, err := in.intern(hashKey(absent), absent, len(expect), len(expect)); !errors.Is(err, ErrStateLimit) {
 				t.Fatalf("intern of an absent key at the limit: err %v, want ErrStateLimit", err)
 			}
-			if _, ok := in.lookupExpand(hashKey(absent), absent, &scratch, &deferred, 0, 0); ok {
-				t.Fatal("expansion lookup found a key never interned")
+			if _, ok, err := in.lookupExpand(hashKey(absent), absent, &scratch, &deferred, 0, 0); err != nil || ok {
+				t.Fatalf("expansion lookup of a key never interned: (%v, %v), want (false, nil)", ok, err)
 			}
 		}
 		if len(deferred) != 0 {
@@ -163,130 +162,112 @@ func FuzzInternKey(f *testing.F) {
 	})
 }
 
-// FuzzSpillSegment fuzzes the out-of-core encodings end to end: arbitrary
-// byte strings become a stream of (id, key) records that are pushed through
+// FuzzSpillSegment fuzzes the key log end to end: arbitrary byte strings
+// become a stream of keys appended to a log that is force-sealed into
+// segments and spilled under a one-byte budget, and read back
 //
-//   - the key log, force-sealed into segments and spilled under a one-byte
-//     budget, then read back both by random access (record) and by the
-//     sequential cursor; and
-//   - the frontier, once fully resident and once with a one-byte flush
-//     threshold (every record through a spill file),
+//   - by a cursor reading each record right after it is appended, the way
+//     the engine reads a level while its commit pass appends the next one;
+//   - by random access (record); and
+//   - by a cursor opened at every record offset,
 //
-// asserting byte-identical round-trips everywhere.
+// the last two once through the mapped views and once through file reads,
+// after every spilled segment's mapping is dropped. Every key a cursor hands
+// out must keep its bytes until the end, across segment boundaries and
+// later appends, seals and spills.
 func FuzzSpillSegment(f *testing.F) {
-	f.Add([]byte{1, 3, 'a', 'b', 'c', 2, 0, 5, 1, 'z'})
+	f.Add([]byte{3, 'a', 'b', 'c', 0, 1, 'z'})
 	f.Add([]byte{255, 0, 1, 1, 1, 2, 2, 2})
-	f.Add(bytes.Repeat([]byte{7, 4, 'k', 'e', 'y', 's'}, 40))
+	f.Add(bytes.Repeat([]byte{4, 'k', 'e', 'y', 's'}, 40))
+	// Twelve distinct keys over three segments: a read-back buffer shared
+	// by two segments would show in the keys read before it was reused.
+	var distinct []byte
+	for i := range byte(12) {
+		distinct = append(distinct, 2, 'a'+i, '0'+i)
+	}
+	f.Add(distinct)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Decode the fuzz input as records: delta byte (clamped to ≥ 1),
-		// key-length byte, key bytes (truncated to what remains).
-		type rec struct {
-			id  int
-			key []byte
+		// Decode the fuzz input as keys: a length byte, then the key bytes
+		// (truncated to what remains).
+		var keys [][]byte
+		for pos := 0; pos < len(data) && len(keys) < 100; {
+			klen := min(int(data[pos]), len(data)-pos-1)
+			keys = append(keys, data[pos+1:pos+1+klen])
+			pos += 1 + klen
 		}
-		var recs []rec
-		id := -1
-		for pos := 0; pos+2 <= len(data) && len(recs) < 100; {
-			delta := int(data[pos])
-			if delta == 0 {
-				delta = 1
-			}
-			klen := int(data[pos+1])
-			pos += 2
-			if klen > len(data)-pos {
-				klen = len(data) - pos
-			}
-			id += delta
-			recs = append(recs, rec{id: id, key: data[pos : pos+klen]})
-			pos += klen
-		}
-		if len(recs) == 0 {
+		if len(keys) == 0 {
 			return
 		}
 
-		st := newSpillStore(t.TempDir(), nil)
-		defer st.close()
-
-		// Key log: append everything, force-sealing every few records so the
-		// one-byte budget spills each sealed segment to disk.
-		l := newKeyLog(1, st, nil)
+		l := newKeyLog(1, t.TempDir(), nil)
 		defer l.close()
-		offs := make([]uint64, len(recs))
-		for i, r := range recs {
-			off, err := l.append(r.key)
+		offs := make([]uint64, len(keys))
+		held := make([][]byte, len(keys))
+		cur := l.cursorAt(1)
+		for i, key := range keys {
+			off, err := l.append(key)
 			if err != nil {
 				t.Fatal(err)
 			}
 			offs[i] = off
+			if held[i], err = cur.next(); err != nil {
+				t.Fatalf("following cursor, record %d: %v", i, err)
+			}
 			if i%5 == 4 {
 				if err := l.seal(); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		var scratch []byte
-		for i, r := range recs {
-			got, err := l.record(offs[i], &scratch)
-			if err != nil {
-				t.Fatalf("record %d: %v", i, err)
-			}
-			if !bytes.Equal(got, r.key) {
-				t.Fatalf("record %d: key %q, want %q", i, got, r.key)
-			}
-		}
-		cur := l.cursor()
-		for i, r := range recs {
-			got, err := cur.next()
-			if err != nil {
-				t.Fatalf("cursor record %d: %v", i, err)
-			}
-			if !bytes.Equal(got, r.key) {
-				t.Fatalf("cursor record %d: key %q, want %q", i, got, r.key)
-			}
-		}
-		if _, err := cur.next(); err == nil {
-			t.Fatal("cursor read past the last record without error")
-		}
+		assertKeys(t, "following cursor", held, keys)
 
-		// Frontier: resident and spilled-every-record, two levels each to
-		// cover the endRead reset.
-		for _, budget := range []int64{0, 1} {
-			fr := newFrontier(budget, st, nil, 0)
-			defer fr.close()
-			for level := 0; level < 2; level++ {
-				for _, r := range recs {
-					if err := fr.add(r.id, r.key); err != nil {
-						t.Fatal(err)
-					}
+		check := func(how string) {
+			var scratch []byte
+			for i, key := range keys {
+				got, err := l.record(offs[i], &scratch)
+				if err != nil {
+					t.Fatalf("%s record %d: %v", how, i, err)
 				}
-				if err := fr.startRead(); err != nil {
-					t.Fatal(err)
+				if !bytes.Equal(got, key) {
+					t.Fatalf("%s record %d: key %q, want %q", how, i, got, key)
 				}
-				var got, blk []frontierRec
-				for {
+			}
+			for i := range keys {
+				cur := l.cursorAt(offs[i])
+				for j := i; j < len(keys); j++ {
 					var err error
-					blk, err = fr.nextBlock(blk[:0])
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(blk) == 0 {
-						break
-					}
-					for _, r := range blk {
-						got = append(got, frontierRec{id: r.id, key: bytes.Clone(r.key)})
+					if held[j], err = cur.next(); err != nil {
+						t.Fatalf("%s cursor from record %d, record %d: %v", how, i, j, err)
 					}
 				}
-				if len(got) != len(recs) {
-					t.Fatalf("budget %d level %d: read %d records, want %d", budget, level, len(got), len(recs))
+				if _, err := cur.next(); err == nil {
+					t.Fatalf("%s cursor from record %d read past the last record without error", how, i)
 				}
-				for i, r := range recs {
-					if int(got[i].id) != r.id || !bytes.Equal(got[i].key, r.key) {
-						t.Fatalf("budget %d level %d record %d: (%d, %q), want (%d, %q)",
-							budget, level, i, got[i].id, got[i].key, r.id, r.key)
-					}
-				}
-				fr.endRead()
+				assertKeys(t, fmt.Sprintf("%s cursor from record %d", how, i), held[i:], keys[i:])
 			}
 		}
+		check("mapped")
+		dropMappings(l)
+		check("unmapped")
 	})
+}
+
+// assertKeys fails unless got and want hold the same keys.
+func assertKeys(t *testing.T, how string, got, want [][]byte) {
+	t.Helper()
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("%s: key %d is %q, want %q", how, i, got[i], want[i])
+		}
+	}
+}
+
+// dropMappings makes every spilled segment of l read through its file, as on
+// a platform without mmap or after a failed mapping.
+func dropMappings(l *keyLog) {
+	for i := range l.segs[:l.nspilled] {
+		sg := &l.segs[i]
+		munmap(sg.mm)
+		sg.mm, sg.data = nil, nil
+	}
 }

@@ -65,10 +65,11 @@ type interner struct {
 }
 
 // newInterner builds an interner over a fresh key log. budget is the
-// resident-byte budget of the log tier (0 = stay in RAM); st owns any spill
-// files.
-func newInterner(budget int64, st *spillStore, met *obs.ExploreMetrics) *interner {
-	in := &interner{log: newKeyLog(budget, st, met), met: met}
+// resident-byte budget of the log (0 = stay in RAM); spillBase is the
+// directory its per-run spill directory goes under ("" = the system temp
+// directory).
+func newInterner(budget int64, spillBase string, met *obs.ExploreMetrics) *interner {
+	in := &interner{log: newKeyLog(budget, spillBase, met), met: met}
 	for i := range in.shards {
 		in.shards[i].entries = make([]internEntry, internInitialSlots)
 	}
@@ -86,16 +87,18 @@ func shardIndex(h uint64) int { return int(h & (internShardCnt - 1)) }
 // independent of the shard-selecting low bits.
 func fingerprint(h uint64) uint32 { return uint32(h >> 32) }
 
-// close releases the key log's spill resources.
+// close releases the key log's spill resources and removes its files.
 func (in *interner) close() { in.log.close() }
 
 // intern returns the id interned for key, or, when key is absent, interns
 // it under id next and reports it fresh, in one probe. An absent key is
-// refused with errStateLimit when next has reached limit. The key bytes are
-// copied into the log; the caller may reuse its buffer. Single-threaded
-// contract: it writes the table and shares the interner's read scratch, so
-// only the commit pass (or other serial callers, like the fuzz harness)
-// may use it; the expansion pass uses lookupExpand.
+// refused with errStateLimit when next has reached limit, and a key record
+// that cannot be read fails the call: taking it for a mismatch would intern
+// a present key twice. The key bytes are copied into the log; the caller
+// may reuse its buffer. Single-threaded contract: it writes the table and
+// shares the interner's read scratch, so only the commit pass (or other
+// serial callers, like the fuzz harness) may use it; the expansion pass
+// uses lookupExpand.
 func (in *interner) intern(h uint64, key []byte, next, limit int) (id int, fresh bool, err error) {
 	shard := shardIndex(h)
 	sh := &in.shards[shard]
@@ -109,7 +112,10 @@ func (in *interner) intern(h uint64, key []byte, next, limit int) (id int, fresh
 			continue
 		}
 		rec, err := in.log.record(e.off, &in.scratch)
-		if err == nil && bytes.Equal(rec, key) {
+		if err != nil {
+			return 0, false, err
+		}
+		if bytes.Equal(rec, key) {
 			return int(e.id), false, nil
 		}
 		collision = true // same fingerprint, different key
@@ -148,30 +154,34 @@ type deferredLookup struct {
 	i, j int32  // perState[i][j] is the pending record to resolve
 }
 
-// lookupExpand is the expansion-pass lookup: like lookup, but when the first
-// fingerprint match needs a spilled-segment read it defers the confirmation
-// into d (resolved by expandBlock's sorted batch) and reports not found.
-// Resident confirms are done inline. scratch backs unmapped spilled reads.
+// lookupExpand is the expansion-pass lookup: it writes nothing, and when the
+// first fingerprint match needs a spilled-segment read it defers the
+// confirmation into d (resolved by expandBlock's sorted batch) and reports
+// not found. Resident confirms are done inline; a record that cannot be
+// read fails the lookup, as in intern.
 func (in *interner) lookupExpand(h uint64, key []byte, scratch *[]byte,
-	d *[]deferredLookup, i, j int32) (id int, ok bool) {
+	d *[]deferredLookup, i, j int32) (id int, ok bool, err error) {
 	sh := &in.shards[shardIndex(h)]
 	fp := fingerprint(h)
 	mask := uint32(len(sh.entries) - 1)
 	for slot := fp & mask; ; slot = (slot + 1) & mask {
 		e := sh.entries[slot]
 		if e.off == 0 {
-			return 0, false
+			return 0, false, nil
 		}
 		if e.fp != fp {
 			continue
 		}
 		if in.log.spilled(e.off) {
 			*d = append(*d, deferredLookup{off: e.off, hash: h, slot: slot, id: e.id, i: i, j: j})
-			return 0, false
+			return 0, false, nil
 		}
 		rec, err := in.log.record(e.off, scratch)
-		if err == nil && bytes.Equal(rec, key) {
-			return int(e.id), true
+		if err != nil {
+			return 0, false, err
+		}
+		if bytes.Equal(rec, key) {
+			return int(e.id), true, nil
 		}
 	}
 }
@@ -179,21 +189,24 @@ func (in *interner) lookupExpand(h uint64, key []byte, scratch *[]byte,
 // resumeLookup continues a probe sequence past a failed deferred confirm:
 // from slot+1 onward, reading spilled records synchronously (fingerprint
 // mismatches past the first match are ~2⁻³² rare, so this path is cold).
-func (in *interner) resumeLookup(h uint64, key []byte, from uint32, scratch *[]byte) (int, bool) {
+func (in *interner) resumeLookup(h uint64, key []byte, from uint32, scratch *[]byte) (int, bool, error) {
 	sh := &in.shards[shardIndex(h)]
 	fp := fingerprint(h)
 	mask := uint32(len(sh.entries) - 1)
 	for slot := (from + 1) & mask; ; slot = (slot + 1) & mask {
 		e := sh.entries[slot]
 		if e.off == 0 {
-			return 0, false
+			return 0, false, nil
 		}
 		if e.fp != fp {
 			continue
 		}
 		rec, err := in.log.record(e.off, scratch)
-		if err == nil && bytes.Equal(rec, key) {
-			return int(e.id), true
+		if err != nil {
+			return 0, false, err
+		}
+		if bytes.Equal(rec, key) {
+			return int(e.id), true, nil
 		}
 	}
 }

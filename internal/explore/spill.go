@@ -1,7 +1,6 @@
 package explore
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -13,19 +12,21 @@ import (
 )
 
 // This file is the out-of-core storage tier of the parallel engine: a
-// segmented append-only key log (the arena every interned key lives in), the
-// spill directory that owns the on-disk lifetime of one exploration, and the
-// spillable BFS frontier. The engine alternates between a read-only parallel
-// expansion pass and a single-threaded commit pass; everything here exploits
-// that contract — appends, seals, spills and frontier writes all happen on
-// the single-threaded side, while the expansion side only reads immutable
-// data (resident segments, mapped views, or closed spill files).
+// segmented append-only key log, the arena every interned key lives in and
+// the only structure that spills. The engine alternates between a read-only
+// parallel expansion pass and a single-threaded commit pass; the log
+// exploits that contract — appends, seals and spills happen on the
+// single-threaded side, while the expansion side only reads immutable data
+// (resident segments, mapped views, or closed spill files).
 //
 // Segment format: a log record is uvarint(len(key)) followed by the key
 // bytes. Records are appended in dense-id order (id k is the k-th record),
 // never span a segment boundary, and the log starts with a single zero pad
 // byte so that global offset 0 is never a valid record — the interner's
-// open-addressing table uses off == 0 as its empty-slot sentinel.
+// open-addressing table uses off == 0 as its empty-slot sentinel. A BFS
+// level is therefore a run of the log: its states are the records from the
+// offset where the previous level's commit pass began appending, and the
+// engine reads them back through a cursor instead of keeping a second copy.
 
 const (
 	// defaultSegSize is the sealed-segment size without a memory budget.
@@ -35,8 +36,8 @@ const (
 	// initialTail is the capacity the first tail starts with.
 	initialTail = 4 << 10
 
-	// spillBlockRecs / spillBlockBytes bound one frontier read-back block
-	// under a memory budget: the expansion pass works block by block so the
+	// spillBlockRecs / spillBlockBytes bound one block of a level under a
+	// memory budget: the expansion pass works block by block so the
 	// in-flight pending records stay bounded no matter how wide a level is.
 	spillBlockRecs  = 8192
 	spillBlockBytes = 1 << 20
@@ -45,59 +46,6 @@ const (
 	// grown in place, so handed-out slices stay valid until reset.
 	arenaChunkSize = 64 << 10
 )
-
-// spillStore owns the spill directory of one exploration and the resident
-// accounting of the spillable tier (key log + frontier buffers). The
-// directory is created lazily on first spill and removed — with everything
-// in it — by close, which the engine defers before any other cleanup, so
-// cancellation or error paths never leave orphaned segment files behind.
-type spillStore struct {
-	base     string // Options.SpillDir; "" means the system temp dir
-	dir      string // created lazily; "" until the first spill
-	resident int64
-	met      *obs.ExploreMetrics
-}
-
-func newSpillStore(base string, met *obs.ExploreMetrics) *spillStore {
-	return &spillStore{base: base, met: met}
-}
-
-// create opens a fresh spill file, creating the per-run directory on first
-// use. Only the single-threaded commit side calls it.
-func (st *spillStore) create(name string) (*os.File, string, error) {
-	if st.dir == "" {
-		dir, err := os.MkdirTemp(st.base, "explore-spill-")
-		if err != nil {
-			return nil, "", fmt.Errorf("explore: creating spill dir: %w", err)
-		}
-		st.dir = dir
-	}
-	path := filepath.Join(st.dir, name)
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, "", fmt.Errorf("explore: creating spill file: %w", err)
-	}
-	return f, path, nil
-}
-
-// addResident adjusts the resident-byte accounting of the spillable tier
-// and records the high-water mark. Single-threaded (commit side only).
-func (st *spillStore) addResident(d int64) {
-	st.resident += d
-	if st.met != nil {
-		st.met.SpillResidentPeak.Max(st.resident)
-	}
-}
-
-// close removes the spill directory and everything in it. Callers close
-// their file handles first (the engine's deferred cleanup runs in LIFO
-// order, with close deferred before the log and frontiers).
-func (st *spillStore) close() {
-	if st.dir != "" {
-		os.RemoveAll(st.dir)
-		st.dir = ""
-	}
-}
 
 // logSegment is one sealed span of the key log. Resident segments keep
 // their bytes in data; spilled segments hold an open file plus, where the
@@ -113,10 +61,15 @@ type logSegment struct {
 // keyLog is the global append-only arena of interned keys. Appends go to a
 // resident tail; full tails are sealed into segments, and once resident
 // bytes exceed the budget the oldest sealed segments spill to disk,
-// oldest-first (BFS lookups skew towards recently interned keys).
+// oldest-first (BFS lookups skew towards recently interned keys). Spill
+// files live in one per-run directory, created on the first spill and
+// removed with everything in it by close, which the engine defers, so
+// cancellation or error paths never leave orphaned segment files behind.
 type keyLog struct {
-	st        *spillStore
-	budget    int64 // resident budget for segment data + tail; 0 = unlimited
+	budget    int64  // resident budget for segment data + tail; 0 = unlimited
+	resident  int64  // resident segment data + tail
+	spillBase string // Options.SpillDir; "" means the system temp dir
+	spillDir  string // created lazily; "" until the first spill
 	segSize   int
 	segs      []logSegment
 	nspilled  int // segs[:nspilled] are on disk
@@ -126,24 +79,25 @@ type keyLog struct {
 	met       *obs.ExploreMetrics
 }
 
-func newKeyLog(budget int64, st *spillStore, met *obs.ExploreMetrics) *keyLog {
+func newKeyLog(budget int64, spillBase string, met *obs.ExploreMetrics) *keyLog {
 	segSize := defaultSegSize
 	if budget > 0 {
 		segSize = int(min(max(budget/8, minSegSize), maxSegSize))
 	}
-	l := &keyLog{st: st, budget: budget, segSize: segSize, met: met}
+	l := &keyLog{budget: budget, spillBase: spillBase, segSize: segSize, met: met}
 	// The first tail starts small and append grows it up to segSize: most
 	// explorations intern a few KB of keys, and a whole segment up front
 	// was most of their allocation.
 	l.tail = make([]byte, 0, min(segSize, initialTail))
 	l.tail = append(l.tail, 0) // pad: offset 0 is the empty-slot sentinel
 	l.end = 1
-	st.addResident(1)
+	l.resident = 1
 	return l
 }
 
 // append stores one key record and returns its global offset (always > 0).
-// Single-threaded: only the engine's commit pass appends.
+// Single-threaded: only the engine's commit pass appends. It writes only
+// past the bytes already appended, so keys a cursor handed out stay valid.
 func (l *keyLog) append(key []byte) (uint64, error) {
 	var tmp [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(tmp[:], uint64(len(key)))
@@ -166,7 +120,10 @@ func (l *keyLog) append(key []byte) (uint64, error) {
 	l.tail = append(l.tail, tmp[:n]...)
 	l.tail = append(l.tail, key...)
 	l.end += uint64(rec)
-	l.st.addResident(int64(rec))
+	l.resident += int64(rec)
+	if l.met != nil {
+		l.met.SpillResidentPeak.Max(l.resident)
+	}
 	return off, nil
 }
 
@@ -180,7 +137,7 @@ func (l *keyLog) seal() error {
 	l.tailStart = l.end
 	l.tail = make([]byte, 0, l.segSize)
 	if l.budget > 0 {
-		for l.st.resident > l.budget && l.nspilled < len(l.segs) {
+		for l.resident > l.budget && l.nspilled < len(l.segs) {
 			if err := l.spillOne(); err != nil {
 				return err
 			}
@@ -191,12 +148,20 @@ func (l *keyLog) seal() error {
 
 // spillOne writes the oldest resident sealed segment to a spill file and
 // replaces its resident bytes with a mapped view (or file reads where
-// mapping is unavailable).
+// mapping is unavailable). The resident bytes themselves are left as they
+// are, for keys a cursor handed out before the spill.
 func (l *keyLog) spillOne() error {
+	if l.spillDir == "" {
+		dir, err := os.MkdirTemp(l.spillBase, "explore-spill-")
+		if err != nil {
+			return fmt.Errorf("explore: creating spill dir: %w", err)
+		}
+		l.spillDir = dir
+	}
 	sg := &l.segs[l.nspilled]
-	f, _, err := l.st.create(fmt.Sprintf("seg-%06d", l.nspilled))
+	f, err := os.Create(filepath.Join(l.spillDir, fmt.Sprintf("seg-%06d", l.nspilled)))
 	if err != nil {
-		return err
+		return fmt.Errorf("explore: creating spill file: %w", err)
 	}
 	if _, err := f.Write(sg.data); err != nil {
 		f.Close()
@@ -210,7 +175,7 @@ func (l *keyLog) spillOne() error {
 	}
 	sg.f = f
 	l.nspilled++
-	l.st.addResident(-int64(sg.size))
+	l.resident -= int64(sg.size)
 	if l.met != nil {
 		l.met.SpillSegments.Inc()
 		l.met.SpillBytes.Add(int64(sg.size))
@@ -243,11 +208,12 @@ func (l *keyLog) locate(off uint64) *logSegment {
 func (l *keyLog) record(off uint64, scratch *[]byte) ([]byte, error) {
 	sg := l.locate(off)
 	if sg == nil {
-		return parseRecord(l.tail, int(off-l.tailStart))
+		key, _, err := parseRecord(l.tail, int(off-l.tailStart))
+		return key, err
 	}
 	rel := int(off - sg.start)
 	if sg.data != nil {
-		key, err := parseRecord(sg.data, rel)
+		key, _, err := parseRecord(sg.data, rel)
 		if err == nil && sg.f != nil && l.met != nil {
 			l.met.SpillReadBytes.Add(int64(len(key)))
 		}
@@ -280,17 +246,18 @@ func (l *keyLog) record(off uint64, scratch *[]byte) ([]byte, error) {
 	return buf, nil
 }
 
-// parseRecord decodes the record at rel inside a segment's byte view.
-func parseRecord(data []byte, rel int) ([]byte, error) {
+// parseRecord decodes the record at rel inside a segment's byte view and
+// returns its key bytes and the record's length.
+func parseRecord(data []byte, rel int) (key []byte, n int, err error) {
 	klen, w := binary.Uvarint(data[rel:])
 	if w <= 0 || rel+w+int(klen) > len(data) {
-		return nil, fmt.Errorf("explore: corrupt key-log record at %d", rel)
+		return nil, 0, fmt.Errorf("explore: corrupt key-log record at %d", rel)
 	}
-	return data[rel+w : rel+w+int(klen)], nil
+	return data[rel+w : rel+w+int(klen)], w + int(klen), nil
 }
 
-// close releases mapped views and file handles. The spillStore removes the
-// files themselves.
+// close releases mapped views and file handles, then removes the spill
+// directory and everything in it.
 func (l *keyLog) close() {
 	for i := range l.segs {
 		sg := &l.segs[i]
@@ -304,282 +271,68 @@ func (l *keyLog) close() {
 		}
 		sg.data = nil
 	}
+	if l.spillDir != "" {
+		os.RemoveAll(l.spillDir)
+		l.spillDir = ""
+	}
 }
 
-// logCursor streams the log's records in append (= dense id) order: the
-// analysis phase walks ids 0..n-1 sequentially instead of holding states in
-// RAM. Spilled segments without a mapped view are read back whole, once.
+// logCursor reads the log's records in append (= dense id) order from a
+// given offset: the engine reads each BFS level through one while its
+// commit pass appends the next level, and the analysis walks ids 0..n-1.
+// Keys alias the bytes of the segment they were read from — resident bytes,
+// a mapped view, or a read-back buffer of that segment's own — so they stay
+// valid while the log grows past them.
 type logCursor struct {
-	l    *keyLog
-	seg  int // index into segs; len(segs) = the tail
-	data []byte
-	pos  int
-	buf  []byte // whole-segment read-back for unmapped spilled segments
+	l     *keyLog
+	off   uint64 // global offset of the next record
+	start uint64 // global offset of data[0]
+	data  []byte // the bytes of the segment (or tail) holding off, once loaded
 }
 
-func (l *keyLog) cursor() *logCursor {
-	c := &logCursor{l: l, seg: -1}
-	c.advance()
-	c.pos = 1 // skip the pad byte of the first segment
-	return c
-}
+// cursorAt returns a cursor whose first record is the one at off.
+func (l *keyLog) cursorAt(off uint64) logCursor { return logCursor{l: l, off: off} }
 
-func (c *logCursor) advance() {
-	c.seg++
-	c.pos = 0
-	if c.seg >= len(c.l.segs) {
-		c.data = c.l.tail
-		return
-	}
-	sg := &c.l.segs[c.seg]
-	if sg.data != nil {
-		c.data = sg.data
-		if sg.f != nil && c.l.met != nil {
-			c.l.met.SpillReadBytes.Add(int64(sg.size))
-		}
-		return
-	}
-	if cap(c.buf) < sg.size {
-		c.buf = make([]byte, sg.size)
-	}
-	c.buf = c.buf[:sg.size]
-	if _, err := sg.f.ReadAt(c.buf, 0); err != nil {
-		// Surface the failure at the next record parse.
-		c.data = nil
-		return
-	}
-	if c.l.met != nil {
-		c.l.met.SpillReadBytes.Add(int64(sg.size))
-	}
-	c.data = c.buf
-}
-
-// next returns the key bytes of the next record. The slice is valid until
-// the cursor advances past the segment.
+// next returns the key bytes of the next record.
 func (c *logCursor) next() ([]byte, error) {
-	for c.pos >= len(c.data) {
-		if c.seg >= len(c.l.segs) {
-			return nil, fmt.Errorf("explore: key-log cursor past end")
+	if c.off >= c.l.end {
+		return nil, fmt.Errorf("explore: key-log cursor past end")
+	}
+	if c.off-c.start >= uint64(len(c.data)) {
+		if err := c.load(); err != nil {
+			return nil, err
 		}
-		c.advance()
 	}
-	if c.data == nil {
-		return nil, fmt.Errorf("explore: reading spilled key-log segment failed")
-	}
-	key, err := parseRecord(c.data, c.pos)
+	key, n, err := parseRecord(c.data, int(c.off-c.start))
 	if err != nil {
 		return nil, err
 	}
-	// Advance past the uvarint header + key bytes.
-	_, w := binary.Uvarint(c.data[c.pos:])
-	c.pos += w + len(key)
+	c.off += uint64(n)
 	return key, nil
 }
 
-// frontierRec is one decoded frontier entry: the state's dense id and its
-// key bytes (aliasing reader storage, valid for the block).
-type frontierRec struct {
-	id  int32
-	key []byte
-}
-
-// frontier is one BFS level's worth of discovered states, written during the
-// commit pass of the previous level and streamed back — in commit order —
-// for the next expansion pass. A record is the delta/varint-encoded id (ids
-// are strictly increasing within a level, so deltas are ≥ 1) followed by
-// uvarint(len(key)) + key bytes, so expansion never has to re-read the key
-// log for frontier states. Under a budget the write buffer overflows to one
-// sequential spill file per level.
-type frontier struct {
-	st     *spillStore
-	budget int64 // write-buffer flush threshold; 0 = never spill
-	met    *obs.ExploreMetrics
-	slot   int // 0/1: which of the two ping-pong frontiers this is
-	gen    int // bumped per level for unique spill file names
-
-	// Writer state.
-	buf    []byte
-	count  int
-	prev   int64
-	f      *os.File
-	fpath  string
-	fbytes int64
-
-	// Reader state.
-	br     *bufio.Reader
-	arena  byteArena
-	readN  int
-	rprev  int64
-	rpos   int // position in buf once the file part is exhausted
-	infile bool
-}
-
-func newFrontier(budget int64, st *spillStore, met *obs.ExploreMetrics, slot int) *frontier {
-	return &frontier{st: st, budget: budget, met: met, slot: slot, prev: -1}
-}
-
-// add appends one freshly interned state to the level being written.
-// Single-threaded (commit pass).
-func (fr *frontier) add(id int, key []byte) error {
-	var tmp [binary.MaxVarintLen64]byte
-	before := len(fr.buf)
-	n := binary.PutUvarint(tmp[:], uint64(int64(id)-fr.prev))
-	fr.prev = int64(id)
-	fr.buf = append(fr.buf, tmp[:n]...)
-	n = binary.PutUvarint(tmp[:], uint64(len(key)))
-	fr.buf = append(fr.buf, tmp[:n]...)
-	fr.buf = append(fr.buf, key...)
-	fr.count++
-	fr.st.addResident(int64(len(fr.buf) - before))
-	if fr.budget > 0 && int64(len(fr.buf)) >= fr.budget {
-		return fr.flush()
-	}
-	return nil
-}
-
-// flush appends the write buffer to the level's spill file.
-func (fr *frontier) flush() error {
-	if len(fr.buf) == 0 {
+// load points the cursor at the bytes of the segment holding c.off. A
+// spilled segment without a mapped view is read back whole, into a buffer
+// of its own: keys handed out from the previous segment may still be in
+// use.
+func (c *logCursor) load() error {
+	sg := c.l.locate(c.off)
+	if sg == nil {
+		c.start, c.data = c.l.tailStart, c.l.tail
 		return nil
 	}
-	if fr.f == nil {
-		f, path, err := fr.st.create(fmt.Sprintf("frontier-%d-%d", fr.slot, fr.gen))
-		if err != nil {
-			return err
+	c.start, c.data = sg.start, sg.data
+	if sg.data == nil {
+		buf := make([]byte, sg.size)
+		if _, err := sg.f.ReadAt(buf, 0); err != nil {
+			return fmt.Errorf("explore: reading spill segment: %w", err)
 		}
-		fr.f, fr.fpath = f, path
-		if fr.met != nil {
-			fr.met.FrontierSpills.Inc()
-		}
+		c.data = buf
 	}
-	if _, err := fr.f.Write(fr.buf); err != nil {
-		return fmt.Errorf("explore: writing frontier spill: %w", err)
-	}
-	fr.fbytes += int64(len(fr.buf))
-	fr.st.addResident(-int64(len(fr.buf)))
-	if fr.met != nil {
-		fr.met.SpillBytes.Add(int64(len(fr.buf)))
-	}
-	fr.buf = fr.buf[:0]
-	return nil
-}
-
-// startRead switches the frontier from writing to reading: the spill file
-// (if any) streams first — its records were written first — then the
-// resident remainder of the buffer.
-func (fr *frontier) startRead() error {
-	fr.readN = 0
-	fr.rprev = -1
-	fr.rpos = 0
-	fr.infile = fr.f != nil
-	if fr.infile {
-		if _, err := fr.f.Seek(0, io.SeekStart); err != nil {
-			return fmt.Errorf("explore: rewinding frontier spill: %w", err)
-		}
-		if fr.br == nil {
-			fr.br = bufio.NewReaderSize(fr.f, 64<<10)
-		} else {
-			fr.br.Reset(fr.f)
-		}
-		if fr.met != nil {
-			fr.met.SpillReadBytes.Add(fr.fbytes)
-		}
+	if sg.f != nil && c.l.met != nil {
+		c.l.met.SpillReadBytes.Add(int64(sg.size))
 	}
 	return nil
-}
-
-// nextBlock appends up to one block of records to blk (reusing its storage)
-// and reports them. A zero-length result means the level is exhausted.
-// Without a budget the whole level is one block, which preserves the all-RAM
-// engine's level-at-a-time behaviour exactly.
-func (fr *frontier) nextBlock(blk []frontierRec) ([]frontierRec, error) {
-	fr.arena.reset()
-	maxRecs, maxBytes := fr.count-fr.readN, int(^uint(0)>>1)
-	if fr.budget > 0 {
-		if maxRecs > spillBlockRecs {
-			maxRecs = spillBlockRecs
-		}
-		maxBytes = spillBlockBytes
-	}
-	bytes := 0
-	for len(blk) < maxRecs && bytes < maxBytes {
-		rec, n, err := fr.readRecord()
-		if err != nil {
-			return nil, err
-		}
-		blk = append(blk, rec)
-		bytes += n
-	}
-	return blk, nil
-}
-
-// readRecord decodes the next frontier record from the file part or the
-// resident buffer, returning its approximate byte size for block bounding.
-func (fr *frontier) readRecord() (frontierRec, int, error) {
-	var rec frontierRec
-	if fr.infile {
-		delta, err := binary.ReadUvarint(fr.br)
-		if err == io.EOF {
-			fr.infile = false
-			return fr.readRecord()
-		}
-		if err != nil {
-			return rec, 0, fmt.Errorf("explore: reading frontier spill: %w", err)
-		}
-		fr.rprev += int64(delta)
-		rec.id = int32(fr.rprev)
-		klen, err := binary.ReadUvarint(fr.br)
-		if err != nil {
-			return rec, 0, fmt.Errorf("explore: reading frontier spill: %w", err)
-		}
-		rec.key = fr.arena.grab(int(klen))
-		if _, err := io.ReadFull(fr.br, rec.key); err != nil {
-			return rec, 0, fmt.Errorf("explore: reading frontier spill: %w", err)
-		}
-		fr.readN++
-		return rec, 1 + int(klen), nil
-	}
-	delta, w := binary.Uvarint(fr.buf[fr.rpos:])
-	if w <= 0 {
-		return rec, 0, fmt.Errorf("explore: corrupt frontier record")
-	}
-	fr.rpos += w
-	fr.rprev += int64(delta)
-	rec.id = int32(fr.rprev)
-	size := w
-	klen, w := binary.Uvarint(fr.buf[fr.rpos:])
-	if w <= 0 || fr.rpos+w+int(klen) > len(fr.buf) {
-		return rec, 0, fmt.Errorf("explore: corrupt frontier record")
-	}
-	rec.key = fr.buf[fr.rpos+w : fr.rpos+w+int(klen)]
-	fr.rpos += w + int(klen)
-	size += w + int(klen)
-	fr.readN++
-	return rec, size, nil
-}
-
-// endRead finishes the level: the spill file (if any) is closed and removed,
-// and the frontier resets to writing mode for a later level.
-func (fr *frontier) endRead() {
-	fr.st.addResident(-int64(len(fr.buf)))
-	fr.buf = fr.buf[:0]
-	fr.count = 0
-	fr.prev = -1
-	fr.gen++
-	fr.fbytes = 0
-	if fr.f != nil {
-		fr.f.Close()
-		os.Remove(fr.fpath)
-		fr.f, fr.fpath = nil, ""
-	}
-}
-
-// close releases the open spill file, if any (the spillStore removes it).
-func (fr *frontier) close() {
-	if fr.f != nil {
-		fr.f.Close()
-		fr.f = nil
-	}
 }
 
 // byteArena hands out stable byte slices from fixed-size chunks: chunks are
@@ -590,30 +343,19 @@ type byteArena struct {
 	cur    int
 }
 
-// grab reserves a writable slice of length n.
-func (a *byteArena) grab(n int) []byte {
+// copyBytes copies b into the arena and returns the stable copy.
+func (a *byteArena) copyBytes(b []byte) []byte {
 	for {
 		if a.cur == len(a.chunks) {
-			size := arenaChunkSize
-			if n > size {
-				size = n
-			}
-			a.chunks = append(a.chunks, make([]byte, 0, size))
+			a.chunks = append(a.chunks, make([]byte, 0, max(arenaChunkSize, len(b))))
 		}
 		c := a.chunks[a.cur]
-		if len(c)+n <= cap(c) {
-			a.chunks[a.cur] = c[:len(c)+n]
-			return a.chunks[a.cur][len(c) : len(c)+n]
+		if len(c)+len(b) <= cap(c) {
+			a.chunks[a.cur] = append(c, b...)
+			return a.chunks[a.cur][len(c):]
 		}
 		a.cur++
 	}
-}
-
-// copyBytes copies b into the arena and returns the stable copy.
-func (a *byteArena) copyBytes(b []byte) []byte {
-	dst := a.grab(len(b))
-	copy(dst, b)
-	return dst
 }
 
 // reset recycles all chunks without freeing them.

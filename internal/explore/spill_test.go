@@ -40,17 +40,16 @@ func spillInitial(tb testing.TB, p *protocol.Protocol, m int64) *multiset.Multis
 
 // TestSpillDifferentialFreeWalk is the out-of-core half of the differential
 // harness: the free-walk instance explored by the sequential reference, the
-// all-RAM engine and the spilled engine (a budget small enough that both the
-// key log and the frontier overflow to disk) must produce bit-identical
-// Results — including witness keys — at every worker count.
+// all-RAM engine and the spilled engine (a budget small enough that the key
+// log, which every BFS level is read from, overflows to disk) must produce
+// bit-identical Results — including witness keys — at every worker count.
 func TestSpillDifferentialFreeWalk(t *testing.T) {
 	m, _ := spillFreeWalkSize()
 	p := freeWalkProtocol(t, 6)
 	sys := NewProtocolSystem(p)
 	c := spillInitial(t, p, m)
-	// Small enough that both tiers overflow: the frontier share (budget/8)
-	// sits below the instance's BFS level widths, and the key-log share
-	// below its total key bytes.
+	// Small enough that the key log's share sits far below the instance's
+	// total key bytes.
 	const budget = int64(8 << 10)
 
 	opts := Options{MaxStates: 1_000_000}
@@ -78,9 +77,6 @@ func TestSpillDifferentialFreeWalk(t *testing.T) {
 		if snap.Explore.SpillSegments == 0 || snap.Explore.SpillBytes == 0 {
 			t.Fatalf("workers=%d: budget %d did not spill (segments %d, bytes %d)",
 				w, budget, snap.Explore.SpillSegments, snap.Explore.SpillBytes)
-		}
-		if snap.Explore.FrontierSpills == 0 {
-			t.Fatalf("workers=%d: frontier never spilled under budget %d", w, budget)
 		}
 		if snap.Explore.SpillReadBytes == 0 {
 			t.Fatalf("workers=%d: spilled run read nothing back", w)
@@ -210,9 +206,9 @@ func TestSpillGoldenTenMillion(t *testing.T) {
 	if spSnap.Explore.SpillResidentPeak > budget {
 		t.Fatalf("spilled resident peak %d exceeds budget %d", spSnap.Explore.SpillResidentPeak, budget)
 	}
-	if spSnap.Explore.SpillSegments == 0 || spSnap.Explore.SpillBytes == 0 || spSnap.Explore.FrontierSpills == 0 {
-		t.Fatalf("spilled run did not exercise both spill paths: segments %d, bytes %d, frontier spills %d",
-			spSnap.Explore.SpillSegments, spSnap.Explore.SpillBytes, spSnap.Explore.FrontierSpills)
+	if spSnap.Explore.SpillSegments == 0 || spSnap.Explore.SpillBytes == 0 {
+		t.Fatalf("spilled run did not spill: segments %d, bytes %d",
+			spSnap.Explore.SpillSegments, spSnap.Explore.SpillBytes)
 	}
 	if spSnap.Explore.SpillReadBytes == 0 {
 		t.Fatal("spilled run read nothing back from disk")
@@ -245,8 +241,8 @@ func (w cancellingWalk) AppendSuccessorKeys(s uint64, dst []byte, ends []int) ([
 
 // TestSpillCancellationNoOrphans cancels an exploration while it is actively
 // spilling and verifies the contract of the per-run spill directory: the
-// engine returns the context's error and removes every segment and frontier
-// file it created, leaving the caller's SpillDir empty.
+// engine returns the context's error and removes every segment file it
+// created, leaving the caller's SpillDir empty.
 func TestSpillCancellationNoOrphans(t *testing.T) {
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -268,7 +264,7 @@ func TestSpillCancellationNoOrphans(t *testing.T) {
 	}
 	// The run must actually have been mid-spill when cancelled, or the test
 	// proves nothing.
-	if snap.Explore.SpillSegments == 0 && snap.Explore.FrontierSpills == 0 {
+	if snap.Explore.SpillSegments == 0 {
 		t.Fatalf("exploration never spilled before cancellation (states %d)", snap.Explore.States)
 	}
 	entries, rdErr := os.ReadDir(dir)
@@ -285,9 +281,9 @@ func TestSpillCancellationNoOrphans(t *testing.T) {
 }
 
 // BenchmarkExploreSpill is the recorded out-of-core benchmark: the free-walk
-// acceptance instance explored all-RAM and under a budget that spills both
-// tiers, reporting states/sec and the spillable tier's resident bytes per
-// state so the budgeted run's memory/throughput trade-off lands in
+// acceptance instance explored all-RAM and under a budget that spills the
+// key log, reporting states/sec and the key log's resident bytes per state
+// so the budgeted run's memory/throughput trade-off lands in
 // BENCH_simulate.json.
 func BenchmarkExploreSpill(b *testing.B) {
 	const k, m = 6, 25
@@ -343,7 +339,7 @@ func (w failingDecode) DecodeKey(prev uint64, key []byte) (uint64, error) {
 
 // TestExploreDecodeErrors: DecodeKey is the engine's only way of reading a
 // state back from its key, so its error must come out of ExploreParallel
-// whether it happens while a frontier is expanded or while the analysis
+// whether it happens while a level is expanded or while the analysis
 // streams bottom-SCC members back from the key log — at one and two
 // workers, all in RAM and under a budget that spills. A failed run must
 // leave SpillDir empty.
@@ -369,9 +365,8 @@ func TestExploreDecodeErrors(t *testing.T) {
 				if !errors.Is(err, errInjected) {
 					t.Fatalf("%s: err = %v, want the injected decode failure", where, err)
 				}
-				if budget > 0 && (snap.SpillSegments == 0 || snap.FrontierSpills == 0) {
-					t.Fatalf("%s: spilled %d key-log segments and %d frontier levels before failing, want both tiers",
-						where, snap.SpillSegments, snap.FrontierSpills)
+				if budget > 0 && snap.SpillSegments == 0 {
+					t.Fatalf("%s: spilled no key-log segment before failing", where)
 				}
 				entries, rdErr := os.ReadDir(dir)
 				if rdErr != nil {
@@ -382,5 +377,51 @@ func TestExploreDecodeErrors(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSpilledReadErrorsFail: a key record that cannot be read fails the
+// call that needed it, and is never taken for a fingerprint mismatch —
+// that would let intern append a present key again under a new id. Every
+// spilled segment's mapping is dropped and its file closed, so each read of
+// a spilled record fails: the commit pass's intern, the expansion pass's
+// resumed probe and a log cursor must all return the read error.
+func TestSpilledReadErrorsFail(t *testing.T) {
+	const n = 200
+	in := newInterner(1, t.TempDir(), nil)
+	defer in.close()
+	for i := range n {
+		key := binary.BigEndian.AppendUint64(nil, uint64(i))
+		if _, _, err := in.intern(hashKey(key), key, i, n+1); err != nil {
+			t.Fatal(err)
+		}
+		if i%10 == 9 {
+			if err := in.log.seal(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if in.log.nspilled != len(in.log.segs) || len(in.log.tail) != 0 {
+		t.Fatalf("%d of %d segments spilled, %d tail bytes: want every key spilled",
+			in.log.nspilled, len(in.log.segs), len(in.log.tail))
+	}
+	dropMappings(in.log)
+	for _, sg := range in.log.segs {
+		sg.f.Close()
+	}
+
+	first := binary.BigEndian.AppendUint64(nil, 0)
+	h := hashKey(first)
+	if id, fresh, err := in.intern(h, first, n, n+1); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("re-intern of a spilled key: (%d, %v, %v), want the read error", id, fresh, err)
+	}
+	var scratch []byte
+	mask := uint32(len(in.shards[shardIndex(h)].entries) - 1)
+	if id, ok, err := in.resumeLookup(h, first, (fingerprint(h)-1)&mask, &scratch); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("resumed lookup of a spilled key: (%d, %v, %v), want the read error", id, ok, err)
+	}
+	cur := in.log.cursorAt(1)
+	if key, err := cur.next(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("cursor over a spilled segment: (%x, %v), want the read error", key, err)
 	}
 }

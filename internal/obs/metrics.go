@@ -162,21 +162,19 @@ type ExploreMetrics struct {
 	// SpillSegments counts sealed key-log segments written to spill files
 	// when an exploration runs under a memory budget.
 	SpillSegments Counter
-	// SpillBytes is the total bytes written to spill files (key-log
-	// segments plus frontier overflow), i.e. the out-of-core write volume.
+	// SpillBytes is the total bytes of key-log segments written to spill
+	// files, i.e. the out-of-core write volume.
 	SpillBytes Counter
 	// SpillReadBytes is the bytes read back from spill files (interner
-	// confirms, frontier stream-back, the analysis scan); SpillReadBytes
-	// divided by SpillBytes is the read-back amplification of a run.
+	// confirms, BFS levels read from the log, the analysis scan);
+	// SpillReadBytes divided by SpillBytes is the read-back amplification
+	// of a run.
 	SpillReadBytes Counter
-	// SpillResidentPeak is the high-water mark of the spillable tier's
-	// resident bytes: key-log segments still in RAM plus the frontier
-	// write buffers. The fixed-width interner table (~16 bytes per state)
-	// is the irreducible resident floor and is excluded.
+	// SpillResidentPeak is the high-water mark of the key log's resident
+	// bytes: its sealed segments still in RAM plus its tail. The
+	// fixed-width interner table (~16 bytes per state) is the irreducible
+	// resident floor and is excluded.
 	SpillResidentPeak Gauge
-	// FrontierSpills counts BFS levels whose frontier overflowed its
-	// budget share and was written to a sequential spill file.
-	FrontierSpills Counter
 }
 
 // Metrics is one complete set of instruments. Subsystems obtain their group

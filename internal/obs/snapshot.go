@@ -73,7 +73,6 @@ type ExploreSnap struct {
 	SpillBytes        int64    `json:"spill_bytes"`
 	SpillReadBytes    int64    `json:"spill_read_bytes"`
 	SpillResidentPeak int64    `json:"spill_resident_peak"`
-	FrontierSpills    int64    `json:"frontier_spills"`
 }
 
 // ServeSnap is the frozen server group.
@@ -167,7 +166,6 @@ func (m *Metrics) Snapshot() Snap {
 		SpillBytes:        m.explore.SpillBytes.Load(),
 		SpillReadBytes:    m.explore.SpillReadBytes.Load(),
 		SpillResidentPeak: m.explore.SpillResidentPeak.Load(),
-		FrontierSpills:    m.explore.FrontierSpills.Load(),
 	}
 	if s.Explore.Nanos > 0 {
 		s.Explore.StatesPerSec = float64(s.Explore.States) / (float64(s.Explore.Nanos) / 1e9)

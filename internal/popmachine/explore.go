@@ -22,7 +22,8 @@ func (s System) Key(c *Config) string { return c.Key() }
 func (s System) AppendKey(dst []byte, c *Config) []byte { return c.AppendKey(dst) }
 
 // DecodeKey implements explore.System: no configuration is kept in RAM,
-// and under a memory budget the frontier spills like the key log.
+// so every BFS level is decoded from the key log, which spills under a
+// memory budget.
 func (s System) DecodeKey(prev *Config, key []byte) (*Config, error) { return s.M.DecodeKey(prev, key) }
 
 // AppendSuccessorKeys implements explore.System: successors are applied to

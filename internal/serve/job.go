@@ -101,7 +101,7 @@ type JobSpec struct {
 	// MaxStates bounds explore jobs (0 = engine default).
 	MaxStates int `json:"max_states,omitempty"`
 	// MemBudget caps the resident bytes of an explore job's spillable
-	// storage (key log + frontier); overflow goes to per-run spill files
+	// storage (the key log); overflow goes to per-run spill files
 	// under the server's state directory (or the system temp dir), removed
 	// when the job finishes. 0 = all in RAM. Results are bit-identical for
 	// any value.
