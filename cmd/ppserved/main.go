@@ -99,6 +99,10 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		fmt.Fprintln(stderr, "ppserved:", err)
 		return 1
 	}
+	// Catch the signals before announcing the address, so a signal sent
+	// by a client of ready always takes the shutdown path below.
+	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	fmt.Fprintf(stdout, "ppserved: listening on %s\n", ln.Addr())
 	if ready != nil {
 		ready <- ln.Addr().String()
@@ -108,11 +112,14 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 
-	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case <-sigCtx.Done():
 		fmt.Fprintln(stdout, "ppserved: shutting down")
+		// Shutdown waits for every open job stream, and a stream ends only
+		// with its job or with the job server, so close the job server
+		// beside it. The deferred srv.Close returns once that close has
+		// finished.
+		go srv.Close()
 		httpSrv.Shutdown(context.Background())
 		<-errCh
 		return 0

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
@@ -35,55 +36,92 @@ func TestBadListenAddr(t *testing.T) {
 	}
 }
 
-// TestEndToEnd boots the daemon on an ephemeral port, submits a job over
-// real HTTP, reads its result, and shuts down via SIGTERM — the whole
-// quickstart flow in one test.
-func TestEndToEnd(t *testing.T) {
+// daemon is a ppserved run booted by startDaemon. out and errBuf may be
+// read once exit has delivered run's exit code.
+type daemon struct {
+	base        string
+	exit        chan int
+	out, errBuf bytes.Buffer
+}
+
+// startDaemon boots run on an ephemeral port with a fresh state directory
+// and one worker, and returns once it is accepting.
+func startDaemon(t *testing.T) *daemon {
+	t.Helper()
 	if os.Getenv("CI_NO_SIGNALS") != "" {
 		t.Skip("environment forbids self-signalling")
 	}
-	stateDir := t.TempDir()
+	d := &daemon{exit: make(chan int, 1)}
 	ready := make(chan string, 1)
-	var out, errBuf bytes.Buffer
-	exit := make(chan int, 1)
-	go func() {
-		exit <- run([]string{"-addr", "localhost:0", "-state-dir", stateDir, "-workers", "1"},
-			&out, &errBuf, ready)
-	}()
-	var addr string
+	args := []string{"-addr", "localhost:0", "-state-dir", t.TempDir(), "-workers", "1"}
+	go func() { d.exit <- run(args, &d.out, &d.errBuf, ready) }()
 	select {
-	case addr = <-ready:
-	case code := <-exit:
-		t.Fatalf("daemon exited %d before ready (stderr %s)", code, errBuf.String())
+	case addr := <-ready:
+		d.base = "http://" + addr
+	case code := <-d.exit:
+		t.Fatalf("daemon exited %d before ready (stderr %s)", code, d.errBuf.String())
 	case <-time.After(30 * time.Second):
 		t.Fatal("daemon not ready after 30s")
 	}
-	base := "http://" + addr
+	return d
+}
 
-	resp, err := http.Post(base+"/api/v1/jobs", "application/json",
-		strings.NewReader(`{"kind":"simulate","target":"majority","input":[30,20],"runs":3,"seed":7}`))
+// submit posts a job document and returns the job's id.
+func (d *daemon) submit(t *testing.T, body string) string {
+	t.Helper()
+	resp, err := http.Post(d.base+"/api/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
+	data, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", resp.StatusCode, body)
+		t.Fatalf("submit: %d %s", resp.StatusCode, data)
 	}
 	var accepted struct {
 		ID string `json:"id"`
 	}
-	if err := json.Unmarshal(body, &accepted); err != nil || accepted.ID == "" {
-		t.Fatalf("accept document %s (err %v)", body, err)
+	if err := json.Unmarshal(data, &accepted); err != nil || accepted.ID == "" {
+		t.Fatalf("accept document %s (err %v)", data, err)
 	}
+	return accepted.ID
+}
+
+// terminate sends SIGTERM to the process, whose only handler is the
+// daemon's, and requires a clean exit within limit.
+func (d *daemon) terminate(t *testing.T, limit time.Duration) {
+	t.Helper()
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case code := <-d.exit:
+		if code != 0 {
+			t.Fatalf("daemon exited %d (stderr %s)", code, d.errBuf.String())
+		}
+	case <-time.After(limit):
+		t.Fatalf("daemon still running %v after SIGTERM", limit)
+	}
+	if !strings.Contains(d.out.String(), "shutting down") {
+		t.Fatalf("missing shutdown log in %q", d.out.String())
+	}
+}
+
+// TestEndToEnd boots the daemon on an ephemeral port, submits a job over
+// real HTTP, reads its result, and shuts down via SIGTERM — the whole
+// quickstart flow in one test.
+func TestEndToEnd(t *testing.T) {
+	d := startDaemon(t)
+	base := d.base
+	id := d.submit(t, `{"kind":"simulate","target":"majority","input":[30,20],"runs":3,"seed":7}`)
 
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		resp, err := http.Get(base + "/api/v1/jobs/" + accepted.ID)
+		resp, err := http.Get(base + "/api/v1/jobs/" + id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, _ = io.ReadAll(resp.Body)
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		var j struct {
 			Status string          `json:"status"`
@@ -110,18 +148,40 @@ func TestEndToEnd(t *testing.T) {
 
 	// SIGTERM lands on the whole process; the daemon's NotifyContext
 	// catches it and drives the graceful-shutdown path.
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+	d.terminate(t, 30*time.Second)
+}
+
+// TestSIGTERMEndsOpenStreams pins that shutdown does not wait for open job
+// streams: with a stream following a running explore job, SIGTERM cancels
+// the job, ends the stream after its cancelled line, and the daemon exits
+// within 5 s. Uncancelled, the exploration runs for seconds.
+func TestSIGTERMEndsOpenStreams(t *testing.T) {
+	d := startDaemon(t)
+	id := d.submit(t, `{"kind":"explore","target":"figure1","optimize":true,"input":[16],"workers":1}`)
+	resp, err := http.Get(d.base + "/api/v1/jobs/" + id + "/stream?interval_ms=100")
+	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case code := <-exit:
-		if code != 0 {
-			t.Fatalf("daemon exited %d (stderr %s)", code, errBuf.String())
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("daemon did not shut down on SIGTERM")
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	var line struct {
+		Status string `json:"status"`
 	}
-	if !strings.Contains(out.String(), "shutting down") {
-		t.Fatalf("missing shutdown log in %q", out.String())
+	for line.Status != "running" {
+		if !sc.Scan() {
+			t.Fatalf("stream ended before the job ran (%v)", sc.Err())
+		}
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			t.Fatalf("stream line %q: %v", sc.Text(), err)
+		}
+	}
+	d.terminate(t, 5*time.Second)
+	for sc.Scan() {
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			t.Fatalf("stream line %q: %v", sc.Text(), err)
+		}
+	}
+	if line.Status != "cancelled" {
+		t.Fatalf("last stream line %q, want cancelled", line.Status)
 	}
 }

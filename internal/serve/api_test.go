@@ -2,11 +2,13 @@ package serve
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -181,6 +183,51 @@ func TestAPIContract(t *testing.T) {
 				if !strings.Contains(e.Error, wantErr[tc.name]) {
 					t.Fatalf("error %q, want %q", e.Error, wantErr[tc.name])
 				}
+			}
+		})
+	}
+
+	// A stream's interval_ms is held to the same rule: a value that does
+	// not parse or lies outside [10, 60000] answers 400 and names the
+	// range. The job is cancelled, so an accepted stream ends after one line.
+	resp, data := postJSON(t, ts.URL+"/api/v1/jobs", `{"kind":"simulate","target":"majority","input":[6,4]}`)
+	var j Job
+	if err := json.Unmarshal(data, &j); err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s (err %v)", resp.StatusCode, data, err)
+	}
+	postJSON(t, ts.URL+"/api/v1/jobs/"+j.ID+"/cancel", "")
+	for _, tc := range []struct {
+		query string
+		want  int
+	}{
+		{"", 200},
+		{"interval_ms=", 200},
+		{"interval_ms=10", 200},
+		{"interval_ms=60000", 200},
+		{"interval_ms=9", 400},
+		{"interval_ms=0", 400},
+		{"interval_ms=-5", 400},
+		{"interval_ms=60001", 400},
+		{"interval_ms=99999999999999999999", 400},
+		{"interval_ms=1.5", 400},
+		{"interval_ms=200ms", 400},
+		{"interval_ms=%20200", 400},
+	} {
+		t.Run("stream "+tc.query, func(t *testing.T) {
+			resp, data := getJSON(t, ts.URL+"/api/v1/jobs/"+j.ID+"/stream?"+tc.query)
+			if resp.StatusCode != tc.want {
+				t.Fatalf("status %d, want %d (body %s)", resp.StatusCode, tc.want, data)
+			}
+			if tc.want == 200 {
+				var line streamLine
+				if err := json.Unmarshal(data, &line); err != nil || line.Status != StatusCancelled {
+					t.Fatalf("stream %q (err %v), want one cancelled line", data, err)
+				}
+				return
+			}
+			var e errorDoc
+			if err := json.Unmarshal(data, &e); err != nil || !strings.Contains(e.Error, "interval_ms must be an integer in [10, 60000]") {
+				t.Fatalf("error document %s (err %v), want one naming the range", data, err)
 			}
 		})
 	}
@@ -446,4 +493,181 @@ func TestAPIStream(t *testing.T) {
 	if last.ID != j.ID || last.Status != StatusDone {
 		t.Fatalf("final stream line %+v, want done for %s", last, j.ID)
 	}
+}
+
+// streamed is one stream line and the time it arrived.
+type streamed struct {
+	line streamLine
+	at   time.Time
+}
+
+// openStream follows job id's NDJSON stream with the given query and sends
+// each line, stamped with its arrival, on the returned channel, which is
+// closed when the stream ends. The request is cancelled when the test ends.
+func openStream(t *testing.T, baseURL, id, query string) <-chan streamed {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/api/v1/jobs/"+id+"/stream?"+query, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		t.Fatalf("stream %s: status %d", id, resp.StatusCode)
+	}
+	ch := make(chan streamed)
+	go func() {
+		defer close(ch)
+		defer resp.Body.Close()
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			var l streamLine
+			if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
+				t.Errorf("stream line %q: %v", sc.Text(), err)
+				return
+			}
+			select {
+			case ch <- streamed{l, time.Now()}:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	return ch
+}
+
+// nextLine returns the stream's next line. It fails the test if the stream
+// ends first or no line arrives within 30 s, half the interval the push
+// tests stream at.
+func nextLine(t *testing.T, ch <-chan streamed) streamed {
+	t.Helper()
+	select {
+	case l, ok := <-ch:
+		if !ok {
+			t.Fatal("stream ended")
+		}
+		return l
+	case <-time.After(30 * time.Second):
+		t.Fatal("no stream line within 30 s")
+	}
+	panic("unreachable")
+}
+
+// checkEnded fails the test unless the stream ends without another line.
+func checkEnded(t *testing.T, ch <-chan streamed) {
+	t.Helper()
+	select {
+	case l, ok := <-ch:
+		if ok {
+			t.Fatalf("stream went on after its last line: %+v", l.line)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("stream still open after 30 s")
+	}
+}
+
+// checkPushed fails the test unless l, job j's terminal line, arrived within
+// a second of the job's end.
+func checkPushed(t *testing.T, l streamed, j *Job) {
+	t.Helper()
+	if !j.terminal() || l.line.Status != j.Status {
+		t.Fatalf("line %+v, want the terminal status of %+v", l.line, j)
+	}
+	if lag := l.at.Sub(*j.Finished); lag > time.Second {
+		t.Fatalf("terminal line of %s arrived %v after the job ended, want within 1 s", j.ID, lag)
+	}
+}
+
+// TestAPIStreamPushesChanges follows a checkpointed sweep at
+// interval_ms=60000, so every line after the first is pushed by a change:
+// queued behind a blocker job, running, one line per completed point, and
+// the terminal line within a second of the job's end. The running
+// blocker's stream gets its cancelled line the same way.
+func TestAPIStreamPushesChanges(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, StateDir: t.TempDir()})
+	// The blocker runs for seconds unless cancelled; a cancel lands at
+	// its next point, a few milliseconds away.
+	var many [][]int64
+	for i := 0; i < 1000; i++ {
+		many = append(many, []int64{int64(10_000 + i), 6000})
+	}
+	blocker, err := s.Submit(JobSpec{Kind: KindSweep, Target: "majority", Inputs: many, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each point takes tens of milliseconds, several scheduler time slices,
+	// so the stream writes its line before the next point completes even
+	// when both share one CPU.
+	sweep, err := s.Submit(JobSpec{Kind: KindSweep, Target: "majority", Runs: 10, Workers: 1,
+		Inputs: [][]int64{{15000, 10000}, {15500, 10000}, {16000, 10000}}, Checkpoint: "push"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blockerLines := openStream(t, ts.URL, blocker.ID, "interval_ms=60000")
+	for l := nextLine(t, blockerLines); l.line.Status != StatusRunning; l = nextLine(t, blockerLines) {
+		if l.line.Status != StatusQueued {
+			t.Fatalf("blocker line %+v before running", l.line)
+		}
+	}
+	lines := openStream(t, ts.URL, sweep.ID, "interval_ms=60000")
+	if l := nextLine(t, lines); l.line.Status != StatusQueued {
+		t.Fatalf("first sweep line %+v, want queued behind the blocker", l.line)
+	}
+	s.Cancel(blocker.ID)
+	l := nextLine(t, blockerLines)
+	checkPushed(t, l, s.Get(blocker.ID))
+	checkEnded(t, blockerLines)
+
+	var got []string
+	for {
+		l = nextLine(t, lines)
+		got = append(got, fmt.Sprintf("%s %d/%d", l.line.Status, l.line.Completed, l.line.Total))
+		if l.line.Status != StatusRunning {
+			break
+		}
+	}
+	checkPushed(t, l, s.Get(sweep.ID))
+	checkEnded(t, lines)
+	// The last point's line and the terminal line may fall together.
+	want := []string{"running 0/0", "running 1/3", "running 2/3", "running 3/3", "done 3/3"}
+	if !slices.Equal(got, want) && !slices.Equal(got, slices.Delete(slices.Clone(want), 3, 4)) {
+		t.Fatalf("sweep stream %q, want %q", got, want)
+	}
+}
+
+// TestAPIStreamCancelAndClose pins the other ends of a stream at
+// interval_ms=60000: a queued job's cancellation is pushed at once, and the
+// stream of a job that never runs ends, after one last line, when the
+// server closes.
+func TestAPIStreamCancelAndClose(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: -1})
+	var ids []string
+	for i := 0; i < 2; i++ {
+		j, err := s.Submit(JobSpec{Kind: KindSimulate, Target: "majority", Input: []int64{6, 4}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, j.ID)
+	}
+	cancelled := openStream(t, ts.URL, ids[0], "interval_ms=60000")
+	queued := openStream(t, ts.URL, ids[1], "interval_ms=60000")
+	for _, ch := range []<-chan streamed{cancelled, queued} {
+		if l := nextLine(t, ch); l.line.Status != StatusQueued {
+			t.Fatalf("first line %+v, want queued", l.line)
+		}
+	}
+	s.Cancel(ids[0])
+	checkPushed(t, nextLine(t, cancelled), s.Get(ids[0]))
+	checkEnded(t, cancelled)
+
+	s.Close()
+	if l := nextLine(t, queued); l.line.Status != StatusQueued {
+		t.Fatalf("last line %+v, want the job still queued", l.line)
+	}
+	checkEnded(t, queued)
 }

@@ -39,17 +39,34 @@ import (
 //
 // Concurrency: entries carry a sync.Once, so concurrent submissions of the
 // same program share one conversion (singleflight) instead of racing.
+//
+// Persistence: after Persist, one writer goroutine runs the skeleton file
+// writes and removals that Convert queues (see writeSkeletons), so no
+// Convert waits for fingerprinting, encoding or disk. Close drains it.
 type Cache struct {
 	mu  sync.Mutex
 	max int
 	ll  *list.List // front = most recently used; values are *cacheItem
 	m   map[string]*list.Element
-	// dir, when non-empty, persists completed conversions as skeleton files
-	// (see cacheSkeleton) so a restarted server boots warm. Set by Persist.
-	dir string
 	// writeFile writes one skeleton file: atomicfile.Write, or a test's
 	// stand-in that holds the write open.
 	writeFile func(path string, data []byte) error
+
+	// pending is the writer's queue of skeleton file operations (see
+	// cacheSkeleton); queued wakes the writer. done is closed when the
+	// writer exits, nil if Persist never started one. closing stops the
+	// queueing, and the writer exits once pending is empty.
+	pending []skeletonOp
+	queued  sync.Cond
+	done    chan struct{}
+	closing bool
+}
+
+// skeletonOp is one queued skeleton file operation: write entry's skeleton
+// under key, or remove key's file when entry is nil.
+type skeletonOp struct {
+	key   string
+	entry *cacheEntry
 }
 
 type cacheItem struct {
@@ -73,7 +90,9 @@ func NewCache(max int) *Cache {
 	if max < 1 {
 		max = 1
 	}
-	return &Cache{max: max, ll: list.New(), m: make(map[string]*list.Element), writeFile: atomicfile.Write}
+	c := &Cache{max: max, ll: list.New(), m: make(map[string]*list.Element), writeFile: atomicfile.Write}
+	c.queued.L = &c.mu
+	return c
 }
 
 // Convert returns the §7 conversion of prog, computing and caching it on
@@ -105,7 +124,7 @@ func (c *Cache) Convert(prog *popprog.Program, optimize bool) (*convert.Result, 
 			c.ll.Remove(oldest)
 			evicted := oldest.Value.(*cacheItem).key
 			delete(c.m, evicted)
-			c.removeSkeleton(evicted)
+			c.enqueue(skeletonOp{key: evicted})
 			if met != nil {
 				met.CacheEvictions.Inc()
 			}
@@ -146,13 +165,74 @@ func (c *Cache) Convert(prog *popprog.Program, optimize bool) (*convert.Result, 
 		}
 		converted = e.err == nil
 	})
-	// The entry is complete once Do returns, so only the converting call
-	// persists it, and concurrent submitters of the program do not wait
-	// for the write.
+	// The entry is complete once Do returns. Only the converting call
+	// queues its skeleton, and no call waits for the write.
 	if converted {
-		c.writeSkeleton(key, e)
+		c.mu.Lock()
+		c.enqueue(skeletonOp{key: key, entry: e})
+		c.mu.Unlock()
 	}
 	return e.res, e.report, key, e.err
+}
+
+// enqueue hands op to the skeleton writer, if one runs and Close has not
+// been called. Caller holds c.mu.
+func (c *Cache) enqueue(op skeletonOp) {
+	if c.done == nil || c.closing {
+		return
+	}
+	c.pending = append(c.pending, op)
+	c.queued.Signal()
+}
+
+// writeSkeletons is the writer goroutine Persist starts. It runs the queued
+// operations one at a time and in queue order, so the writes and removals
+// of one key land in the order Convert queued them. A write whose entry is
+// no longer cached is skipped: the entry was evicted, and its removal is
+// queued after the write or already ran. After Close it drains the queue
+// and exits.
+func (c *Cache) writeSkeletons(dir string) {
+	defer close(c.done)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for {
+		for len(c.pending) == 0 && !c.closing {
+			c.queued.Wait()
+		}
+		if len(c.pending) == 0 {
+			return
+		}
+		op := c.pending[0]
+		c.pending[0] = skeletonOp{}
+		c.pending = c.pending[1:]
+		if op.entry != nil {
+			if el, ok := c.m[op.key]; !ok || el.Value.(*cacheItem).entry != op.entry {
+				continue
+			}
+		}
+		c.mu.Unlock()
+		path := filepath.Join(dir, skeletonFile(op.key))
+		if op.entry != nil {
+			c.writeSkeleton(path, op.key, op.entry)
+		} else {
+			_ = os.Remove(path) // best-effort, as writeSkeleton
+		}
+		c.mu.Lock()
+	}
+}
+
+// Close stops queueing skeleton operations and returns once the writer has
+// run every queued one and exited. Conversions after Close are not
+// persisted. Without Persist it returns at once.
+func (c *Cache) Close() {
+	c.mu.Lock()
+	c.closing = true
+	c.queued.Signal()
+	done := c.done
+	c.mu.Unlock()
+	if done != nil {
+		<-done
+	}
 }
 
 // cacheSkeleton is the on-disk form of a completed conversion: exactly the
@@ -175,21 +255,21 @@ var skeletonFileRe = regexp.MustCompile(`^[0-9a-f]{64}(-opt)?\.json$`)
 
 func skeletonFile(key string) string { return strings.ReplaceAll(key, ":", "-") + ".json" }
 
-// Persist enables write-through persistence under dir and warms the cache
-// from the skeleton files already there (newest first, up to capacity).
-// Invalid, corrupt, or fingerprint-mismatched files are ignored: persistence
-// is an optimisation, and a cold entry merely costs one reconversion.
+// Persist enables write-through persistence under dir, warms the cache
+// from the skeleton files already there (newest first, up to capacity) and
+// starts the skeleton writer, which Close stops. Invalid, corrupt, or
+// fingerprint-mismatched files are ignored: persistence is an optimisation,
+// and a cold entry merely costs one reconversion. Call it at most once.
 func (c *Cache) Persist(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.dir = dir
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return err
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	type candidate struct {
 		name string
 		mod  time.Time
@@ -212,7 +292,7 @@ func (c *Cache) Persist(dir string) error {
 	// Newest first with PushBack keeps the most recent conversions at the
 	// LRU front, mirroring the order they would occupy in a live server.
 	for _, cand := range cands {
-		skel, err := loadSkeleton(filepath.Join(c.dir, cand.name))
+		skel, err := loadSkeleton(filepath.Join(dir, cand.name))
 		if err != nil || skeletonFile(skel.Key) != cand.name {
 			continue
 		}
@@ -226,6 +306,8 @@ func (c *Cache) Persist(dir string) error {
 		e.once.Do(func() {}) // already complete: hits must not reconvert
 		c.m[skel.Key] = c.ll.PushBack(&cacheItem{key: skel.Key, entry: e})
 	}
+	c.done = make(chan struct{})
+	go c.writeSkeletons(dir)
 	return nil
 }
 
@@ -258,16 +340,10 @@ func loadSkeleton(path string) (*cacheSkeleton, error) {
 }
 
 // writeSkeleton persists a completed conversion atomically
-// (atomicfile.Write). Best-effort: a write failure costs a cold boot later,
-// never the job. The file holds exactly the bytes json.Marshal(&skel)
-// would, written by appendSkeleton.
-func (c *Cache) writeSkeleton(key string, e *cacheEntry) {
-	c.mu.Lock()
-	dir := c.dir
-	c.mu.Unlock()
-	if dir == "" {
-		return
-	}
+// (atomicfile.Write) at path. Best-effort: a write failure costs a cold
+// boot later, never the job. The file holds exactly the bytes
+// json.Marshal(&skel) would, written by appendSkeleton.
+func (c *Cache) writeSkeleton(path, key string, e *cacheEntry) {
 	skel := cacheSkeleton{
 		Key:         key,
 		Fingerprint: e.res.Protocol.Fingerprint(),
@@ -280,7 +356,7 @@ func (c *Cache) writeSkeleton(key string, e *cacheEntry) {
 	if err != nil {
 		return
 	}
-	_ = c.writeFile(filepath.Join(dir, skeletonFile(key)), data) // best-effort, see above
+	_ = c.writeFile(path, data) // best-effort, see above
 }
 
 // appendSkeleton appends to dst the bytes json.Marshal(skel) produces. The
@@ -370,13 +446,6 @@ func skeletonSize(p *protocol.Protocol) int {
 		n += len(s) + 3
 	}
 	return n
-}
-
-// removeSkeleton deletes an evicted entry's skeleton file. Caller holds c.mu.
-func (c *Cache) removeSkeleton(key string) {
-	if c.dir != "" {
-		os.Remove(filepath.Join(c.dir, skeletonFile(key)))
-	}
 }
 
 // Len reports the number of cached conversions (including in-flight ones).

@@ -3,9 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -215,11 +218,11 @@ func TestCacheSingleflight(t *testing.T) {
 	}
 }
 
-// TestCacheHitDoesNotWaitForSkeletonWrite pins that a conversion is
-// persisted after its entry's sync.Once returns: while the converting call
-// is held inside the skeleton file write, a second Convert of the same
-// program returns the complete entry instead of waiting for the write, and
-// only the converting call writes.
+// TestCacheHitDoesNotWaitForSkeletonWrite pins that no Convert waits for
+// a skeleton write, the converting call included: while the writer is held
+// inside the first skeleton file write, the converting Convert has returned
+// and a second Convert of the program returns the complete entry. After the
+// release and Close there was one write, and the state dir holds its file.
 func TestCacheHitDoesNotWaitForSkeletonWrite(t *testing.T) {
 	prog, err := popprog.Parse(cacheTestSrc)
 	if err != nil {
@@ -239,42 +242,212 @@ func TestCacheHitDoesNotWaitForSkeletonWrite(t *testing.T) {
 	if err := c.Persist(dir); err != nil {
 		t.Fatal(err)
 	}
-	first := make(chan error, 1)
-	go func() {
-		_, _, _, err := c.Convert(prog, true)
-		first <- err
-	}()
-	<-entered
 	type converted struct {
 		res    *convert.Result
 		report *convert.OptReport
 		err    error
 	}
-	second := make(chan converted, 1)
-	go func() {
-		res, report, _, err := c.Convert(prog, true)
-		second <- converted{res, report, err}
-	}()
-	var got converted
-	select {
-	case got = <-second:
-	case <-time.After(10 * time.Second):
-		close(release)
-		<-first
-		t.Fatal("a second Convert of the program waited for the skeleton write")
+	convertAsync := func() <-chan converted {
+		ch := make(chan converted, 1)
+		go func() {
+			res, report, _, err := c.Convert(prog, true)
+			ch <- converted{res, report, err}
+		}()
+		return ch
+	}
+	first := convertAsync()
+	<-entered
+	for i, ch := range []<-chan converted{first, convertAsync()} {
+		select {
+		case got := <-ch:
+			if got.err != nil || got.res == nil || got.res.Protocol == nil || got.report == nil {
+				t.Errorf("Convert call %d returned an incomplete entry: %+v", i+1, got)
+			}
+		case <-time.After(10 * time.Second):
+			close(release)
+			t.Fatalf("Convert call %d waited for the skeleton write", i+1)
+		}
 	}
 	close(release)
-	if err := <-first; err != nil {
-		t.Fatal(err)
-	}
-	if got.err != nil || got.res == nil || got.res.Protocol == nil || got.report == nil {
-		t.Fatalf("second Convert returned an incomplete entry: %+v", got)
-	}
+	c.Close()
 	if n := writes.Load(); n != 1 {
 		t.Fatalf("%d skeleton writes, want 1", n)
 	}
 	if names, err := os.ReadDir(dir); err != nil || len(names) != 1 {
 		t.Fatalf("state dir holds %d files (%v), want the one skeleton", len(names), err)
+	}
+}
+
+// counterPrograms returns n variants of cacheTestSrc under distinct cache
+// keys: variant i drains register r<i> into z.
+func counterPrograms(tb testing.TB, n int) []*popprog.Program {
+	tb.Helper()
+	progs := make([]*popprog.Program, n)
+	for i := range progs {
+		reg := fmt.Sprintf("r%d", i)
+		src := strings.ReplaceAll(cacheTestSrc, "a, b", reg+", z")
+		src = strings.ReplaceAll(src, "move a ->", "move "+reg+" ->")
+		src = strings.ReplaceAll(src, "detect a", "detect "+reg)
+		src = strings.ReplaceAll(src, "-> b", "-> z")
+		p, err := popprog.Parse(src)
+		if err != nil {
+			tb.Fatalf("prog %d: %v", i, err)
+		}
+		progs[i] = p
+	}
+	return progs
+}
+
+// skeletonFiles returns the names of the files in dir, sorted: the
+// skeletons, and any temporary file a write left behind.
+func skeletonFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// cachedSkeletonFiles returns the skeleton file names of the completed
+// conversions c holds, sorted.
+func cachedSkeletonFiles(c *Cache) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var names []string
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		it := el.Value.(*cacheItem)
+		if it.entry.res != nil {
+			names = append(names, skeletonFile(it.key))
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
+// TestCacheEvictedSkeletonStaysRemoved pins the order of one key's
+// skeleton write and removal: with the first program's write held, a
+// second program evicts it from a one-entry cache. After the release and
+// Close, the evicted program has no file, which a write landing after the
+// removal would leave behind, and the live program has its file.
+func TestCacheEvictedSkeletonStaysRemoved(t *testing.T) {
+	progs := counterPrograms(t, 2)
+	dir := t.TempDir()
+	c := NewCache(1)
+	var writes atomic.Int32
+	entered, release := make(chan struct{}), make(chan struct{})
+	c.writeFile = func(path string, data []byte) error {
+		if writes.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+		return atomicfile.Write(path, data)
+	}
+	if err := c.Persist(dir); err != nil {
+		t.Fatal(err)
+	}
+	first := make(chan error, 1)
+	go func() {
+		_, _, _, err := c.Convert(progs[0], false)
+		first <- err
+	}()
+	<-entered
+	_, _, live, err := c.Convert(progs[1], false)
+	close(release)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	if got, want := skeletonFiles(t, dir), []string{skeletonFile(live)}; !slices.Equal(got, want) {
+		t.Fatalf("state dir holds %v, want only the live entry's %v", got, want)
+	}
+}
+
+// TestCacheCloseDrainsWriter pins Close: skeleton writes queued behind a
+// held write are on disk when Close returns, and the writer has exited.
+func TestCacheCloseDrainsWriter(t *testing.T) {
+	progs := counterPrograms(t, 3)
+	dir := t.TempDir()
+	c := NewCache(4)
+	var writes atomic.Int32
+	c.writeFile = func(path string, data []byte) error {
+		if writes.Add(1) == 1 {
+			// Hold the first write until Close has begun.
+			for {
+				c.mu.Lock()
+				closing := c.closing
+				c.mu.Unlock()
+				if closing {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		return atomicfile.Write(path, data)
+	}
+	if err := c.Persist(dir); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, p := range progs {
+		_, _, key, err := c.Convert(p, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, skeletonFile(key))
+	}
+	c.Close()
+	select {
+	case <-c.done:
+	default:
+		t.Fatal("the skeleton writer is still running after Close")
+	}
+	sort.Strings(want)
+	if got := skeletonFiles(t, dir); !slices.Equal(got, want) {
+		t.Fatalf("after Close the state dir holds %v, want %v", got, want)
+	}
+}
+
+// TestCacheSkeletonFilesMatchEntries converts overlapping sets of programs
+// from several goroutines into a two-entry cache, so entries are evicted
+// while converted, while queued and while written. After Close, the files
+// on disk are exactly the cached conversions'. Run under -race it also
+// checks the writer against concurrent Converts.
+func TestCacheSkeletonFilesMatchEntries(t *testing.T) {
+	progs := counterPrograms(t, 6)
+	dir := t.TempDir()
+	c := NewCache(2)
+	if err := c.Persist(dir); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2*len(progs); i++ {
+				if _, _, _, err := c.Convert(progs[(g+i*(g+1))%len(progs)], g%2 == 0); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	c.Close()
+	want := cachedSkeletonFiles(c)
+	if len(want) != 2 {
+		t.Fatalf("cache holds %d completed conversions, want 2", len(want))
+	}
+	if got := skeletonFiles(t, dir); !slices.Equal(got, want) {
+		t.Fatalf("after Close the state dir holds %v, want the cached entries' %v", got, want)
 	}
 }
 
@@ -285,20 +458,9 @@ func TestCacheEviction(t *testing.T) {
 	met := obs.Enable()
 	defer obs.Disable()
 
-	progs := make([]*popprog.Program, 3)
-	for i, reg := range []string{"a", "b", "c"} {
-		src := strings.ReplaceAll(cacheTestSrc, "a, b", reg+", z")
-		src = strings.ReplaceAll(src, "move a ->", "move "+reg+" ->")
-		src = strings.ReplaceAll(src, "detect a", "detect "+reg)
-		src = strings.ReplaceAll(src, "-> b", "-> z")
-		p, err := popprog.Parse(src)
-		if err != nil {
-			t.Fatalf("prog %d: %v", i, err)
-		}
-		progs[i] = p
-	}
+	progs := counterPrograms(t, 3)
 	c := NewCache(2)
-	for _, p := range progs { // fill: a, b, then c evicts a
+	for _, p := range progs { // fill: r0, r1, then r2 evicts r0
 		if _, _, _, err := c.Convert(p, false); err != nil {
 			t.Fatal(err)
 		}

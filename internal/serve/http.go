@@ -22,7 +22,7 @@ const maxBodyBytes = 1 << 20
 //	GET  /api/v1/jobs/{id}        job status          → 200 | 404
 //	GET  /api/v1/jobs/{id}/result terminal result     → 200 | 404 | 409
 //	POST /api/v1/jobs/{id}/cancel cancel a job        → 200 | 404
-//	GET  /api/v1/jobs/{id}/stream NDJSON status+obs   → 200 | 404
+//	GET  /api/v1/jobs/{id}/stream NDJSON status+obs   → 200 | 400 | 404
 //	GET  /api/v1/healthz          liveness + queue    → 200
 //	/debug/...                    expvar + pprof (obshttp)
 func (s *Server) Handler() http.Handler {
@@ -149,17 +149,24 @@ type streamLine struct {
 	Obs       *obs.Snap `json:"obs,omitempty"`
 }
 
+// handleStream writes a line at once, at every change of the job's status
+// or progress, and every interval_ms (default 200, in [10, 60000]) between
+// changes. It ends after the terminal line, when the client goes away, or
+// after one last line once the server has closed.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	j := s.Get(r.PathValue("id"))
-	if j == nil {
+	id := r.PathValue("id")
+	if s.Get(id) == nil {
 		writeErr(w, http.StatusNotFound, "unknown job")
 		return
 	}
 	interval := 200 * time.Millisecond
 	if v := r.URL.Query().Get("interval_ms"); v != "" {
-		if ms, err := strconv.Atoi(v); err == nil && ms >= 10 && ms <= 60_000 {
-			interval = time.Duration(ms) * time.Millisecond
+		ms, err := strconv.Atoi(v)
+		if err != nil || ms < 10 || ms > 60_000 {
+			writeErr(w, http.StatusBadRequest, "interval_ms must be an integer in [10, 60000], got "+strconv.Quote(v))
+			return
 		}
+		interval = time.Duration(ms) * time.Millisecond
 	}
 	if met := obs.Serve(); met != nil {
 		met.StreamClients.Inc()
@@ -170,8 +177,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
-	for {
-		j = s.Get(j.ID)
+	for last := false; ; {
+		j, changed := s.watch(id)
 		line := streamLine{ID: j.ID, Status: j.Status, Completed: j.Completed, Total: j.Total}
 		if snap, ok := obs.Snapshot(); ok {
 			line.Obs = &snap
@@ -182,12 +189,15 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		if flusher != nil {
 			flusher.Flush()
 		}
-		if j.terminal() {
+		if j.terminal() || last {
 			return
 		}
 		select {
 		case <-r.Context().Done():
 			return
+		case <-s.stopped:
+			last = true
+		case <-changed:
 		case <-ticker.C:
 		}
 	}

@@ -300,6 +300,18 @@ type Job struct {
 	// orders their writes (see persistJob).
 	seq  uint64
 	file *jobFile
+	// changed, made by the first Server.watch after each change, is closed
+	// by notify.
+	changed chan struct{}
+}
+
+// notify wakes the job's streams after a change of status or progress.
+// Caller holds the server's mutex.
+func (j *Job) notify() {
+	if j.changed != nil {
+		close(j.changed)
+		j.changed = nil
+	}
 }
 
 // terminal reports whether the job reached a final status.

@@ -87,6 +87,10 @@ type Server struct {
 	stop    context.CancelFunc
 	queue   chan *Job
 	wg      sync.WaitGroup
+	// stopped is closed once Close has stopped the workers: no job changes
+	// after it, so the job streams end.
+	stopped   chan struct{}
+	closeOnce sync.Once
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
@@ -105,6 +109,7 @@ func New(cfg Config) (*Server, error) {
 		baseCtx: ctx,
 		stop:    cancel,
 		queue:   make(chan *Job, cfg.queueDepth()),
+		stopped: make(chan struct{}),
 		jobs:    make(map[string]*Job),
 		nextID:  1,
 	}
@@ -121,6 +126,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		if err := s.recover(); err != nil {
 			cancel()
+			s.cache.Close()
 			return nil, err
 		}
 	}
@@ -136,19 +142,20 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Close stops accepting submissions, cancels running jobs, and waits for
-// the workers to exit.
+// Close stops accepting submissions, cancels running jobs, waits for the
+// workers to exit, ends the job streams and drains the cache's skeleton
+// writer. Every call returns only once the close has finished.
 func (s *Server) Close() {
-	s.mu.Lock()
-	if s.closed {
+	s.closeOnce.Do(func() {
+		s.mu.Lock()
+		s.closed = true
 		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	s.mu.Unlock()
-	s.stop()
-	close(s.queue)
-	s.wg.Wait()
+		s.stop()
+		close(s.queue)
+		s.wg.Wait()
+		close(s.stopped)
+		s.cache.Close()
+	})
 }
 
 // Submit validates, registers, and enqueues a job. It returns ErrQueueFull
@@ -208,6 +215,23 @@ func (s *Server) Get(id string) *Job {
 	return &cp
 }
 
+// watch returns a copy of the job, or nil if unknown, and a channel that is
+// closed at the job's next change of status or progress. Both are read
+// under one lock, so no change falls between the copy and the wait.
+func (s *Server) watch(id string) (*Job, <-chan struct{}) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, ok := s.jobs[id]
+	if !ok {
+		return nil, nil
+	}
+	if j.changed == nil {
+		j.changed = make(chan struct{})
+	}
+	cp := *j
+	return &cp, j.changed
+}
+
 // List returns copies of all jobs in submission order.
 func (s *Server) List() []*Job {
 	s.mu.Lock()
@@ -237,6 +261,7 @@ func (s *Server) Cancel(id string) string {
 		j.Status = StatusCancelled
 		now := time.Now().UTC()
 		j.Finished = &now
+		j.notify()
 		write = s.persistJob(j)
 		if met := obs.Serve(); met != nil {
 			met.JobsCancelled.Inc()
@@ -252,10 +277,12 @@ func (s *Server) Cancel(id string) string {
 	return status
 }
 
-// setStatus transitions a job and persists the new state.
+// setStatus transitions a job, wakes its streams and persists the new
+// state.
 func (s *Server) setStatus(j *Job, mutate func(*Job)) {
 	s.mu.Lock()
 	mutate(j)
+	j.notify()
 	write := s.persistJob(j)
 	s.mu.Unlock()
 	write()
@@ -287,6 +314,7 @@ func (s *Server) runJob(j *Job) {
 	j.Status = StatusRunning
 	j.Started = &now
 	j.cancel = cancel
+	j.notify()
 	write := s.persistJob(j)
 	s.mu.Unlock()
 	write()
@@ -383,6 +411,7 @@ func (s *Server) execute(ctx context.Context, j *Job) (json.RawMessage, string, 
 				Progress: func(done, total int) {
 					s.mu.Lock()
 					j.Completed, j.Total = done, total
+					j.notify()
 					s.mu.Unlock()
 				},
 			}
