@@ -295,14 +295,14 @@ func printTopology(w io.Writer, opts simulate.Options) {
 	if opts.Topology == nil {
 		return
 	}
-	policy := opts.Topology.Policy
+	ts := opts.Topology
+	policy := ts.Policy
 	if policy == "" {
 		policy = sched.PolicyRandom
 	}
-	fmt.Fprintf(w, "topology:      %s (policy %s)\n", opts.Topology.Kind, policy)
-	if opts.Faults != nil {
-		fmt.Fprintf(w, "faults:        crash %g, revive %g, join %g\n",
-			opts.Faults.Crash, opts.Faults.Revive, opts.Faults.Join)
+	fmt.Fprintf(w, "topology:      %s (policy %s)\n", ts.Kind, policy)
+	if ts.Crash != 0 || ts.Revive != 0 || ts.Join != 0 {
+		fmt.Fprintf(w, "faults:        crash %g, revive %g, join %g\n", ts.Crash, ts.Revive, ts.Join)
 	}
 }
 

@@ -33,15 +33,8 @@ type Config struct {
 	// All rejects any other field set: E12 fixes its own step bound and
 	// stabilisation rules and always pairs uniformly.
 	Convergence simulate.Options
-	// TopologyM / TopologyRuns configure E16's population size and runs per
-	// (protocol, topology) cell (defaults 16 / 2).
-	TopologyM    int64
-	TopologyRuns int
-	// ShrinkMaxN / ShrinkFullN bound E17: the largest construction level to
-	// shrink-and-count, and the largest level to fully materialise for
-	// before/after transition counts (defaults 4 / 1).
-	ShrinkMaxN  int
-	ShrinkFullN int
+	// TopologyM is E16's population size (default 16).
+	TopologyM int64
 	// Explore is the exact model checker's options for the exhaustive
 	// checks (E2's machine verification, E11's baseline verdicts, E17's
 	// explorations): its worker count, memory budget and spill directory.
@@ -75,13 +68,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TopologyM == 0 {
 		c.TopologyM = 16
-	}
-	if c.TopologyRuns == 0 {
-		c.TopologyRuns = 2
-	}
-	if c.ShrinkMaxN == 0 {
-		c.ShrinkMaxN = 4
-		c.ShrinkFullN = 1
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -122,14 +108,14 @@ func All(cfg Config) ([]*Table, error) {
 			return Convergence(cfg.ConvergenceSizes, cfg.ConvergenceRuns, cfg.Seed, cfg.Convergence)
 		}},
 		{"topology", func() (*Table, error) {
-			return TopologyConvergence(cfg.TopologyM, cfg.TopologyRuns, cfg.Seed)
+			return TopologyConvergence(cfg.TopologyM, 2, cfg.Seed)
 		}},
 		{"profile", func() (*Table, error) {
 			return ProcedureProfile(2, 10, 2_000_000, cfg.Seed)
 		}},
 		{"reduction", Reduction},
 		{"inlining", func() (*Table, error) { return Inlining(8) }},
-		{"shrink", func() (*Table, error) { return Shrink(cfg.ShrinkMaxN, cfg.ShrinkFullN) }},
+		{"shrink", func() (*Table, error) { return Shrink(4, 1) }},
 		{"shrink-explore", func() (*Table, error) { return ShrinkExplore(cfg.Explore) }},
 	}
 	for _, s := range steps {

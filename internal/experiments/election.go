@@ -5,18 +5,16 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/convert"
+	"repro/internal/multiset"
 	"repro/internal/popprog"
 	"repro/internal/sched"
 )
 
-// Election regenerates E10 as a table: interactions until the ⟨elect⟩ phase
-// of a converted protocol completes (exactly one agent per pointer family,
-// Lemma 15), as a function of the population size. The shape to observe:
-// the count grows roughly quadratically in m under uniform random pairing
-// (each collapse needs a specific pair to meet), and the election always
-// completes — the lexicographic potential argument in executable form.
-func Election(extraAgents []int64, runs int, seed int64) (*Table, error) {
-	prog := &popprog.Program{
+// ge1Program is the x ≥ 1 population program: it waits until it detects an
+// agent in x, then flips the output flag. E10, E11b's ⟨elect⟩ row and E16
+// measure its converted protocol, and E14 its conversion's tightness.
+func ge1Program() *popprog.Program {
+	return &popprog.Program{
 		Name:      "ge1",
 		Registers: []string{"x"},
 		Procedures: []*popprog.Procedure{{
@@ -29,11 +27,38 @@ func Election(extraAgents []int64, runs int, seed int64) (*Table, error) {
 			},
 		}},
 	}
-	machine, err := compile.Compile(prog)
+}
+
+// ge1Converted compiles ge1Program into a population machine and converts
+// the machine into a population protocol.
+func ge1Converted() (*convert.Result, error) {
+	machine, err := compile.Compile(ge1Program())
 	if err != nil {
 		return nil, err
 	}
-	res, err := convert.Convert(machine)
+	return convert.Convert(machine)
+}
+
+// elect steps s on cfg until the ⟨elect⟩ phase of res's protocol completes
+// (Lemma 15) or budget steps have elapsed, and returns the steps taken and
+// whether the election completed.
+func elect(res *convert.Result, s sched.Scheduler, cfg *multiset.Multiset, budget int64) (int64, bool) {
+	var steps int64
+	for !res.Elected(cfg) && steps < budget {
+		s.Step(cfg)
+		steps++
+	}
+	return steps, res.Elected(cfg)
+}
+
+// Election regenerates E10 as a table: interactions until the ⟨elect⟩ phase
+// of a converted protocol completes (exactly one agent per pointer family,
+// Lemma 15), as a function of the population size. The shape to observe:
+// the count grows roughly quadratically in m under uniform random pairing
+// (each collapse needs a specific pair to meet), and the election always
+// completes — the lexicographic potential argument in executable form.
+func Election(extraAgents []int64, runs int, seed int64) (*Table, error) {
+	res, err := ge1Converted()
 	if err != nil {
 		return nil, err
 	}
@@ -63,13 +88,9 @@ func Election(extraAgents []int64, runs int, seed int64) (*Table, error) {
 			// measurement — just faster over the converted protocol's large
 			// state space.
 			s := sched.NewBatchRandomPair(p, sched.NewRand(seed+int64(r)*7919+extra))
-			var steps int64
-			for !res.Elected(cfg) {
-				s.Step(cfg)
-				steps++
-				if steps > 100_000_000 {
-					return nil, fmt.Errorf("election did not converge at m=%d", m)
-				}
+			steps, elected := elect(res, s, cfg, 100_000_000)
+			if !elected {
+				return nil, fmt.Errorf("election did not converge at m=%d", m)
 			}
 			total += steps
 			if steps > maxSteps {

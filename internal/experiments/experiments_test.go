@@ -240,7 +240,6 @@ func TestConfigRejectsUnreadOptions(t *testing.T) {
 		"StableWindow":     {Convergence: simulate.Options{StableWindow: 10}},
 		"QuiescencePeriod": {Convergence: simulate.Options{QuiescencePeriod: 10}},
 		"Topology":         {Convergence: simulate.Options{Topology: &sched.TopologySpec{Kind: "ring"}}},
-		"Faults":           {Convergence: simulate.Options{Faults: &sched.Faults{}}},
 		"MaxStates":        {Explore: explore.Options{MaxStates: 10}},
 	} {
 		if _, err := All(cfg); err == nil {

@@ -32,7 +32,7 @@ func Reduction() (*Table, error) {
 		name string
 		prog *popprog.Program
 	}{
-		{"ge1 (x ≥ 1)", geOneProgramForReduction()},
+		{"ge1 (x ≥ 1)", ge1Program()},
 		{"figure1 (4 ≤ x < 7)", popprog.Figure1Program()},
 		{"czerner n=1 (x ≥ 2)", nil}, // filled below
 	}
@@ -62,21 +62,4 @@ func Reduction() (*Table, error) {
 			len(conv.Protocol.Transitions), len(reduced.Transitions))
 	}
 	return t, nil
-}
-
-// geOneProgramForReduction mirrors the ge1 program used across the tests.
-func geOneProgramForReduction() *popprog.Program {
-	return &popprog.Program{
-		Name:      "ge1",
-		Registers: []string{"x"},
-		Procedures: []*popprog.Procedure{{
-			Name: "Main",
-			Body: []popprog.Stmt{
-				popprog.SetOF{Value: false},
-				popprog.While{Cond: popprog.Not{C: popprog.Detect{Reg: 0}}},
-				popprog.SetOF{Value: true},
-				popprog.While{Cond: popprog.True{}},
-			},
-		}},
-	}
 }

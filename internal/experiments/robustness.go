@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/baseline"
-	"repro/internal/compile"
-	"repro/internal/convert"
 	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/multiset"
@@ -159,10 +157,10 @@ func Theorem2Churn(seed int64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	clique := sched.TopologySpec{Kind: sched.TopoClique}
-	churnRun := func(p *protocol.Protocol, cfg *multiset.Multiset, f *sched.Faults,
+	churnRun := func(p *protocol.Protocol, cfg *multiset.Multiset, faults sched.TopologySpec,
 		steps int64, s int64) (protocol.Output, int64, error) {
-		sch, err := clique.NewScheduler(p, sched.NewRand(s), f, cfg.Size())
+		faults.Kind = sched.TopoClique
+		sch, err := faults.NewScheduler(p, sched.NewRand(s), cfg.Size())
 		if err != nil {
 			return protocol.OutputMixed, 0, err
 		}
@@ -175,20 +173,20 @@ func Theorem2Churn(seed int64) (*Table, error) {
 	for _, tc := range []struct {
 		input  int64
 		churn  string
-		faults *sched.Faults
+		faults sched.TopologySpec
 		want   protocol.Output
 	}{
 		// Crash/revive only: counts are untouched, the decision must stand.
 		{7, "crash 0.2% / revive 0.4%",
-			&sched.Faults{Crash: 0.002, Revive: 0.004},
+			sched.TopologySpec{Crash: 0.002, Revive: 0.004},
 			protocol.OutputTrue},
 		// The 1-awareness attack, dynamic edition: one join in K suffices.
 		{4, "joins in K (0.05%)",
-			&sched.Faults{Join: 0.0005, JoinState: unary.StateIndex("K")},
+			sched.TopologySpec{Join: 0.0005, JoinState: unary.StateIndex("K")},
 			protocol.OutputFalse},
 		// Benign churn: joins carry genuine input units past the threshold.
 		{4, "joins in v1 (0.05%)",
-			&sched.Faults{Join: 0.0005, JoinState: unary.StateIndex("v1")},
+			sched.TopologySpec{Join: 0.0005, JoinState: unary.StateIndex("v1")},
 			protocol.OutputTrue},
 	} {
 		cfg, err := baseline.NoisyConfig(unary, []int64{tc.input}, nil)
@@ -207,24 +205,7 @@ func Theorem2Churn(seed int64) (*Table, error) {
 	// agents may be frozen mid-rendezvous, but as long as revival outpaces
 	// crashing the phase must still complete (E16 measures the same phase per
 	// topology; this row measures it per fault regime).
-	prog := &popprog.Program{
-		Name:      "ge1",
-		Registers: []string{"x"},
-		Procedures: []*popprog.Procedure{{
-			Name: "Main",
-			Body: []popprog.Stmt{
-				popprog.SetOF{Value: false},
-				popprog.While{Cond: popprog.Not{C: popprog.Detect{Reg: 0}}},
-				popprog.SetOF{Value: true},
-				popprog.While{Cond: popprog.True{}},
-			},
-		}},
-	}
-	machine, err := compile.Compile(prog)
-	if err != nil {
-		return nil, err
-	}
-	res, err := convert.Convert(machine)
+	res, err := ge1Converted()
 	if err != nil {
 		return nil, err
 	}
@@ -233,19 +214,14 @@ func Theorem2Churn(seed int64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	sch, err := clique.NewScheduler(res.Protocol, sched.NewRand(seed+211),
-		&sched.Faults{Crash: 0.001, Revive: 0.01}, mElect)
+	sch, err := sched.TopologySpec{Kind: sched.TopoClique, Crash: 0.001, Revive: 0.01}.
+		NewScheduler(res.Protocol, sched.NewRand(seed+211), mElect)
 	if err != nil {
 		return nil, err
 	}
-	const electBudget = 2_000_000
-	var steps int64
-	for !res.Elected(cfg) && steps < electBudget {
-		sch.Step(cfg)
-		steps++
-	}
+	steps, done := elect(res, sch, cfg, 2_000_000)
 	elected, verdict := "stalled", "NO (stalled)"
-	if res.Elected(cfg) {
+	if done {
 		elected, verdict = fmt.Sprintf("elected (%d steps)", steps), "yes"
 	}
 	t.AddRow("threshold x ≥ 1 (§5–6, ⟨elect⟩)", fmt.Sprintf("%d agents", mElect),

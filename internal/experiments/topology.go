@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/compile"
-	"repro/internal/convert"
-	"repro/internal/popprog"
+	"repro/internal/baseline"
 	"repro/internal/protocol"
 	"repro/internal/sched"
 	"repro/internal/simulate"
@@ -100,14 +98,7 @@ func TopologyConvergence(m int64, runs int, seed int64) (*Table, error) {
 		t.AddRow("epidemic", tc.name, conv, mean, wrong)
 	}
 
-	maj := protocol.NewBuilder("majority")
-	maj.Input("X", "Y")
-	maj.Transition("X", "Y", "x", "x")
-	maj.Transition("X", "y", "X", "x")
-	maj.Transition("Y", "x", "Y", "y")
-	maj.Transition("x", "y", "x", "x")
-	maj.Accepting("X", "x")
-	majP, err := maj.Build()
+	majP, err := baseline.Majority()
 	if err != nil {
 		return nil, err
 	}
@@ -124,24 +115,7 @@ func TopologyConvergence(m int64, runs int, seed int64) (*Table, error) {
 	// The §5–6 threshold construction: x ≥ 1 compiled and converted, the
 	// same pipeline E10 measures on the clique. The cell measures the
 	// ⟨elect⟩ phase (Lemma 15) per topology.
-	prog := &popprog.Program{
-		Name:      "ge1",
-		Registers: []string{"x"},
-		Procedures: []*popprog.Procedure{{
-			Name: "Main",
-			Body: []popprog.Stmt{
-				popprog.SetOF{Value: false},
-				popprog.While{Cond: popprog.Not{C: popprog.Detect{Reg: 0}}},
-				popprog.SetOF{Value: true},
-				popprog.While{Cond: popprog.True{}},
-			},
-		}},
-	}
-	machine, err := compile.Compile(prog)
-	if err != nil {
-		return nil, err
-	}
-	res, err := convert.Convert(machine)
+	res, err := ge1Converted()
 	if err != nil {
 		return nil, err
 	}
@@ -150,22 +124,16 @@ func TopologyConvergence(m int64, runs int, seed int64) (*Table, error) {
 	for _, tc := range topos {
 		var converged int
 		var totalSteps int64
-		const budget = 2_000_000
 		for r := 0; r < runs; r++ {
 			cfg, err := p.InitialConfig(mElect)
 			if err != nil {
 				return nil, err
 			}
-			s, err := tc.spec.NewScheduler(p, sched.NewRand(seed+211+int64(r)), nil, mElect)
+			s, err := tc.spec.NewScheduler(p, sched.NewRand(seed+211+int64(r)), mElect)
 			if err != nil {
 				return nil, fmt.Errorf("threshold/%s: %w", tc.name, err)
 			}
-			var steps int64
-			for !res.Elected(cfg) && steps < budget {
-				s.Step(cfg)
-				steps++
-			}
-			if res.Elected(cfg) {
+			if steps, elected := elect(res, s, cfg, 2_000_000); elected {
 				converged++
 				totalSteps += steps
 			}

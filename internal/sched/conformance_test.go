@@ -17,6 +17,8 @@ package sched
 //     final configuration) is a pure function of the seed.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"testing"
@@ -43,23 +45,6 @@ func restless(t *testing.T) *protocol.Protocol {
 		t.Fatal(err)
 	}
 	return p
-}
-
-// coreOf reaches the shared graph core of any topology scheduler.
-func coreOf(t *testing.T, s Scheduler) *graphCore {
-	t.Helper()
-	switch v := s.(type) {
-	case *GraphScheduler:
-		return &v.graphCore
-	case *RoundRobinScheduler:
-		return &v.graphCore
-	case *StarvationScheduler:
-		return &v.graphCore
-	case *AdversaryScheduler:
-		return &v.graphCore
-	}
-	t.Fatalf("unexpected scheduler type %T", s)
-	return nil
 }
 
 // conformanceTopologies is the topology axis of the conformance matrix, all
@@ -106,7 +91,7 @@ func TestCliqueExactLawMatchesRandomPair(t *testing.T) {
 				newRandomPair(tc.p, src).Step(cl)
 			})
 			graphLaw := enumerateOutcomes(t, c, func(cl *multiset.Multiset, src *scriptSource) {
-				s, err := newGraphScheduler(tc.p, topo, src, nil)
+				s, err := newGraphScheduler(tc.p, topo, src, TopologySpec{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -141,7 +126,7 @@ func TestCliqueChiSquaredMatchesBatchRandomPair(t *testing.T) {
 	}, false)
 	graph := make(map[protocol.Transition]int64)
 	for trial := 0; trial < trials; trial++ {
-		s, err := newGraphScheduler(p, topo, NewRand(1_000_000+int64(trial)), nil)
+		s, err := newGraphScheduler(p, topo, NewRand(1_000_000+int64(trial)), TopologySpec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +159,7 @@ func TestEdgeFrequenciesUniformPerTopology(t *testing.T) {
 	p := restless(t)
 	for name, topo := range conformanceTopologies(t) {
 		t.Run(name, func(t *testing.T) {
-			s, err := newGraphScheduler(p, topo, NewRand(17), nil)
+			s, err := newGraphScheduler(p, topo, NewRand(17), TopologySpec{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -204,12 +189,13 @@ func TestEdgeFrequenciesUniformPerTopology(t *testing.T) {
 }
 
 // TestRoundRobinSweepsAreExactlyEven pins the round-robin contract: over
-// k·|E| fault-free steps every edge is selected exactly k times.
+// k·|E| fault-free steps every edge is selected exactly k times, and a new
+// configuration restarts the sweep at edge 0.
 func TestRoundRobinSweepsAreExactlyEven(t *testing.T) {
 	p := restless(t)
 	for name, topo := range conformanceTopologies(t) {
 		t.Run(name, func(t *testing.T) {
-			s, err := newRoundRobin(p, topo, NewRand(3), nil)
+			s, err := newGraphScheduler(p, topo, NewRand(3), TopologySpec{Policy: PolicyRoundRobin})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -228,6 +214,13 @@ func TestRoundRobinSweepsAreExactlyEven(t *testing.T) {
 					t.Fatalf("edge %d selected %d times, want exactly %d: %v", e, n, k, counts)
 				}
 			}
+			s.Step(c)
+			var first []int
+			s.onSelect = func(e int) { first = append(first, e) }
+			s.Step(c.Clone())
+			if len(first) != 1 || first[0] != 0 {
+				t.Fatalf("sweep over a new configuration selected %v, want [0]", first)
+			}
 		})
 	}
 }
@@ -237,21 +230,21 @@ func TestRoundRobinSweepsAreExactlyEven(t *testing.T) {
 // crash/revive/join rates, every base edge keeps being selected.
 func TestFairnessEveryEdgeFires(t *testing.T) {
 	p := restless(t)
-	faultsCases := map[string]*Faults{
-		"fault-free": nil,
+	faultsCases := map[string]TopologySpec{
+		"fault-free": {},
 		"faulty":     {Crash: 0.05, Revive: 0.5, Join: 0.01},
 	}
 	for topoName, topo := range conformanceTopologies(t) {
 		for _, policy := range conformancePolicies {
-			for fName, faults := range faultsCases {
+			for fName, spec := range faultsCases {
 				t.Run(fmt.Sprintf("%s/%s/%s", topoName, policy, fName), func(t *testing.T) {
-					s, err := TopologySpec{Policy: policy}.scheduler(p, topo, NewRand(29), faults)
+					spec.Policy = policy
+					s, err := newGraphScheduler(p, topo, NewRand(29), spec)
 					if err != nil {
 						t.Fatal(err)
 					}
-					core := coreOf(t, s)
 					counts := make([]int64, len(topo.Edges))
-					core.onSelect = func(e int) {
+					s.onSelect = func(e int) {
 						if e < len(counts) {
 							counts[e]++
 						}
@@ -270,7 +263,7 @@ func TestFairnessEveryEdgeFires(t *testing.T) {
 								e, topo.Edges[e], steps, counts)
 						}
 					}
-					if err := core.checkInvariants(); err != nil {
+					if err := s.checkInvariants(); err != nil {
 						t.Fatalf("invariants violated after run: %v", err)
 					}
 				})
@@ -290,10 +283,11 @@ func TestStarvationSchedulerHonoursBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	const bound = 40
-	s, err := newStarvation(p, topo, NewRand(5), nil, bound)
+	s, err := newGraphScheduler(p, topo, NewRand(5), TopologySpec{Policy: PolicyStarvation})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.bound = bound
 	lastSel := make([]int64, len(topo.Edges))
 	var stepNo, maxGap int64
 	s.onSelect = func(e int) {
@@ -319,6 +313,50 @@ func TestStarvationSchedulerHonoursBound(t *testing.T) {
 	}
 }
 
+// topologyTrajectoryGolden is the SHA-256 TestTopologyTrajectoryGolden
+// computes. A change that moves any topology run by one draw changes it; a
+// change meant to keep the topology schedulers' trajectories must leave it
+// alone.
+const topologyTrajectoryGolden = "7b226088a77ddc1350e10ae827e310312d93f5e2dbb9929cff85a18a05d63d01"
+
+// TestTopologyTrajectoryGolden pins every edge-selection policy's
+// trajectories bit for bit. For each policy on the clique, ring, grid and
+// power-law graphs, fault-free and under crash/revive/join churn with joins
+// into a non-zero state, it runs 5,000 steps of majority from (7, 5) at seed
+// 11 and hashes each Step's result with the configuration key, then the
+// final Quiescent verdict.
+func TestTopologyTrajectoryGolden(t *testing.T) {
+	p := majorityForEquiv(t)
+	h := sha256.New()
+	for _, kind := range []string{TopoClique, TopoRing, TopoGrid, TopoPowerLaw} {
+		for _, policy := range conformancePolicies {
+			for _, faulty := range []bool{false, true} {
+				spec := TopologySpec{Kind: kind, Policy: policy}
+				if faulty {
+					spec.Crash, spec.Revive, spec.Join = 0.01, 0.05, 0.002
+					spec.JoinState = p.StateIndex("Y")
+				}
+				c, err := p.InitialConfig(7, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := spec.NewScheduler(p, NewRand(11), c.Size())
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(h, "%s/%s/%t\n", kind, policy, faulty)
+				for i := 0; i < 5000; i++ {
+					fmt.Fprintf(h, "%t %x\n", s.Step(c), c.Key())
+				}
+				fmt.Fprintf(h, "quiescent %t\n", s.Quiescent())
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != topologyTrajectoryGolden {
+		t.Fatalf("topology trajectory hash %s, want %s", got, topologyTrajectoryGolden)
+	}
+}
+
 // TestTraceReproducibility pins that a scheduler's entire decision trace —
 // edge selections, fault injections, and the resulting configuration — is a
 // pure function of the seed, for every policy, with and without faults.
@@ -328,17 +366,16 @@ func TestTraceReproducibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faultsCases := map[string]func() *Faults{
-		"fault-free": func() *Faults { return nil },
-		"faulty":     func() *Faults { return &Faults{Crash: 0.05, Revive: 0.3, Join: 0.02} },
+	faultsCases := map[string]TopologySpec{
+		"fault-free": {},
+		"faulty":     {Crash: 0.05, Revive: 0.3, Join: 0.02},
 	}
-	run := func(policy string, faults *Faults, seed int64) (trace []int, key string, agents int) {
-		s, err := TopologySpec{Policy: policy}.scheduler(p, topo, NewRand(seed), faults)
+	run := func(spec TopologySpec, seed int64) (trace []int, key string, agents int) {
+		s, err := newGraphScheduler(p, topo, NewRand(seed), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		core := coreOf(t, s)
-		core.onSelect = func(e int) { trace = append(trace, e) }
+		s.onSelect = func(e int) { trace = append(trace, e) }
 		c, err := p.InitialConfig(4, 4)
 		if err != nil {
 			t.Fatal(err)
@@ -346,13 +383,14 @@ func TestTraceReproducibility(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			s.Step(c)
 		}
-		return trace, c.Key(), core.NumAgents()
+		return trace, c.Key(), s.NumAgents()
 	}
 	for _, policy := range conformancePolicies {
-		for fName, mkFaults := range faultsCases {
+		for fName, spec := range faultsCases {
 			t.Run(policy+"/"+fName, func(t *testing.T) {
-				tr1, key1, n1 := run(policy, mkFaults(), 101)
-				tr2, key2, n2 := run(policy, mkFaults(), 101)
+				spec.Policy = policy
+				tr1, key1, n1 := run(spec, 101)
+				tr2, key2, n2 := run(spec, 101)
 				if len(tr1) != len(tr2) {
 					t.Fatalf("same seed, different trace lengths: %d vs %d", len(tr1), len(tr2))
 				}
@@ -369,8 +407,8 @@ func TestTraceReproducibility(t *testing.T) {
 		}
 	}
 	// Distinct seeds must explore distinct schedules (random policy).
-	tr1, _, _ := run(PolicyRandom, nil, 101)
-	tr3, _, _ := run(PolicyRandom, nil, 102)
+	tr1, _, _ := run(TopologySpec{}, 101)
+	tr3, _, _ := run(TopologySpec{}, 102)
 	same := len(tr1) == len(tr3)
 	if same {
 		for i := range tr1 {
@@ -404,7 +442,7 @@ func TestQuiescentSeesAdjacency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := newGraphScheduler(p, topo, NewRand(1), nil)
+	s, err := newGraphScheduler(p, topo, NewRand(1), TopologySpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +462,7 @@ func TestQuiescentSeesAdjacency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := newGraphScheduler(p, topo2, NewRand(1), nil)
+	s2, err := newGraphScheduler(p, topo2, NewRand(1), TopologySpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +482,7 @@ func TestQuiescentAccountsForCrashesAndFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(faults *Faults) *GraphScheduler {
+	mk := func(faults TopologySpec) *GraphScheduler {
 		s, err := newGraphScheduler(p, topo, NewRand(2), faults)
 		if err != nil {
 			t.Fatal(err)
@@ -462,19 +500,19 @@ func TestQuiescentAccountsForCrashesAndFaults(t *testing.T) {
 
 	// No revive possible: the I agent is gone for good, (S,S) is silent, so
 	// the configuration truly can never change again.
-	if s := mk(nil); !s.Quiescent() {
+	if s := mk(TopologySpec{}); !s.Quiescent() {
 		t.Fatal("permanently crashed infection source should leave a quiescent run")
 	}
 	// Revivable: the crashed I could come back and infect everyone.
-	if s := mk(&Faults{Revive: 0.1}); s.Quiescent() {
+	if s := mk(TopologySpec{Revive: 0.1}); s.Quiescent() {
 		t.Fatal("crashed-but-revivable agent reported as quiescent")
 	}
 	// Joins can always add a reactive agent.
-	if s := mk(&Faults{Join: 0.1}); s.Quiescent() {
+	if s := mk(TopologySpec{Join: 0.1}); s.Quiescent() {
 		t.Fatal("positive join rate reported as quiescent")
 	}
 	// Reviving the agent by hand restores reactivity.
-	s := mk(nil)
+	s := mk(TopologySpec{})
 	if err := s.ReviveAgent(0); err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +530,7 @@ func TestFaultHarnessAPIAndInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := newGraphScheduler(p, topo, NewRand(9), &Faults{})
+	s, err := newGraphScheduler(p, topo, NewRand(9), TopologySpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +616,7 @@ func TestAttachResetsJoinedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := newGraphScheduler(p, topo, NewRand(13), &Faults{Join: 0.2})
+	s, err := newGraphScheduler(p, topo, NewRand(13), TopologySpec{Join: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -614,7 +652,7 @@ func TestGraphSchedulerPopulationMismatchPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := newGraphScheduler(p, topo, NewRand(1), nil)
+	s, err := newGraphScheduler(p, topo, NewRand(1), TopologySpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,50 +668,37 @@ func TestGraphSchedulerPopulationMismatchPanics(t *testing.T) {
 	s.Step(c)
 }
 
-// TestTopologySchedulerConstruction pins TopologySpec.NewScheduler's policy
-// routing and the construction-time validation of faults and policy
-// parameters.
+// TestTopologySchedulerConstruction pins TopologySpec.NewScheduler: every
+// policy builds a GraphScheduler that carries it, and construction rejects
+// an unknown policy, out-of-range fault rates and a JoinState beyond the
+// protocol's states.
 func TestTopologySchedulerConstruction(t *testing.T) {
 	p := restless(t)
 	rng := NewRand(1)
-	build := func(spec TopologySpec, faults *Faults) (Scheduler, error) {
+	build := func(spec TopologySpec) (*GraphScheduler, error) {
 		spec.Kind = TopoRing
-		return spec.NewScheduler(p, rng, faults, 4)
+		return spec.NewScheduler(p, rng, 4)
 	}
-	if s, err := build(TopologySpec{}, nil); err != nil {
-		t.Fatal(err)
-	} else if _, ok := s.(*GraphScheduler); !ok {
-		t.Fatalf("empty policy routed to %T, want *GraphScheduler", s)
+	for _, policy := range append([]string{""}, conformancePolicies...) {
+		s, err := build(TopologySpec{Policy: policy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.spec.Policy != policy {
+			t.Fatalf("policy %q built a scheduler with policy %q", policy, s.spec.Policy)
+		}
 	}
-	if s, err := build(TopologySpec{Policy: PolicyRoundRobin}, nil); err != nil {
-		t.Fatal(err)
-	} else if _, ok := s.(*RoundRobinScheduler); !ok {
-		t.Fatalf("roundrobin routed to %T", s)
-	}
-	if s, err := build(TopologySpec{Policy: PolicyStarvation}, nil); err != nil {
-		t.Fatal(err)
-	} else if _, ok := s.(*StarvationScheduler); !ok {
-		t.Fatalf("starvation routed to %T", s)
-	}
-	if s, err := build(TopologySpec{Policy: PolicyAdversary}, nil); err != nil {
-		t.Fatal(err)
-	} else if _, ok := s.(*AdversaryScheduler); !ok {
-		t.Fatalf("adversary routed to %T", s)
-	}
-	if _, err := build(TopologySpec{Policy: "chaotic"}, nil); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-	if _, err := build(TopologySpec{Policy: PolicyAdversary, Epsilon: 1.5}, nil); err == nil {
-		t.Fatal("adversary epsilon 1.5 accepted")
-	}
-	if _, err := build(TopologySpec{}, &Faults{Crash: -0.1}); err == nil {
-		t.Fatal("negative crash rate accepted")
-	}
-	if _, err := build(TopologySpec{}, &Faults{Join: 2}); err == nil {
-		t.Fatal("join rate 2 accepted")
-	}
-	if _, err := build(TopologySpec{}, &Faults{JoinState: 99}); err == nil {
-		t.Fatal("out-of-range JoinState accepted")
+	for name, spec := range map[string]TopologySpec{
+		"unknown policy":         {Policy: "chaotic"},
+		"negative crash rate":    {Crash: -0.1},
+		"join rate 2":            {Join: 2},
+		"NaN revive rate":        {Revive: math.NaN()},
+		"negative JoinState":     {JoinState: -1},
+		"out-of-range JoinState": {JoinState: 99},
+	} {
+		if _, err := build(spec); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
@@ -711,7 +736,7 @@ func TestAdversaryDelaysMajority(t *testing.T) {
 	uniform := 0
 	const uniformTrials = 5
 	for seed := int64(0); seed < uniformTrials; seed++ {
-		s, err := newGraphScheduler(p, topo, NewRand(seed), nil)
+		s, err := newGraphScheduler(p, topo, NewRand(seed), TopologySpec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -722,7 +747,7 @@ func TestAdversaryDelaysMajority(t *testing.T) {
 		uniform += n
 	}
 	uniform /= uniformTrials
-	adv, err := newAdversary(p, topo, NewRand(23), nil, 0.125)
+	adv, err := newGraphScheduler(p, topo, NewRand(23), TopologySpec{Policy: PolicyAdversary})
 	if err != nil {
 		t.Fatal(err)
 	}

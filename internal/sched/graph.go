@@ -1,11 +1,12 @@
 package sched
 
-// Graph-restricted schedulers: the uniform random-pair model of §1 with the
-// complete interaction graph replaced by an arbitrary topology. Agents are
-// individual vertices with fixed neighbourhoods; each scheduling decision
-// (after optional fault injection) draws an *edge* among the alive edges,
-// orients it uniformly, and fires a uniformly chosen candidate transition —
-// on the clique this law coincides exactly with the uniform random-pair law
+// The graph-restricted scheduler: the uniform random-pair model of §1 with
+// the complete interaction graph replaced by an arbitrary topology. Agents
+// are individual vertices with fixed neighbourhoods; each scheduling
+// decision (after optional fault injection) picks an *edge* among the alive
+// edges by its edge-selection policy, orients it uniformly, and fires a
+// uniformly chosen candidate transition. Under the random policy on the
+// clique this law coincides exactly with the uniform random-pair law
 // (certified by the conformance suite's recorded-RNG enumeration).
 //
 // Edge sampling is Fenwick-indexed over 0/1 edge weights (1 = both endpoints
@@ -13,13 +14,14 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/multiset"
 	"repro/internal/obs"
 	"repro/internal/protocol"
 )
 
-// Policy names for the edge-selection policies layered over the graph core.
+// Policy names for the edge-selection policies of GraphScheduler.
 const (
 	// PolicyRandom draws a uniformly random alive edge each step — the
 	// topology-restricted analogue of the paper's uniform scheduler.
@@ -39,21 +41,37 @@ const (
 	PolicyAdversary = "adversary"
 )
 
-// graphCore is the agent-level machinery shared by every topology-restricted
-// scheduler: per-agent states mirroring the attached multiset, alive/crashed
-// bookkeeping, the Fenwick-indexed edge sampler, and fault injection.
-type graphCore struct {
-	p       *protocol.Protocol
-	rng     source
-	pairs   *protocol.Stepper
-	faults  *Faults
-	kind    string
-	kindIdx int
+// Fixed parameters of fault injection and of the adversarial policy.
+const (
+	// minAlive is the crash floor: rate-driven crashes never take the alive
+	// population below it and CrashAgent refuses to (a scheduler needs a
+	// pair).
+	minAlive = 2
+	// joinAttach is the number of distinct alive agents a joining agent is
+	// wired to, clamped to the alive population.
+	joinAttach = 2
+	// advEpsilon is PolicyAdversary's uniform-mixing probability: every
+	// enabled option recurs with positive probability, so runs stay fair
+	// a.s.
+	advEpsilon = 0.125
+)
+
+// GraphScheduler is the graph-restricted scheduler: per-agent states
+// mirroring the attached multiset, alive/crashed bookkeeping, the
+// Fenwick-indexed edge sampler and fault injection at the spec's rates,
+// under the edge-selection policy the spec names. Under PolicyRandom each
+// decision draws a uniformly random alive edge, orients it uniformly and
+// fires a uniform candidate transition; on the clique this is exactly the
+// uniform random-pair law.
+type GraphScheduler struct {
+	p     *protocol.Protocol
+	rng   source
+	pairs *protocol.Stepper
+	spec  TopologySpec // the policy and fault rates
 
 	// base is the pristine topology; attach rebuilds all mutable state from
 	// it, so joined agents and edges never leak across runs.
-	base  [][2]int
-	baseN int
+	base *Topology
 
 	ends     [][2]int // edge endpoints (smaller first), grows on join
 	incident [][]int  // agent → incident edge indices
@@ -73,6 +91,13 @@ type graphCore struct {
 	attached *multiset.Multiset
 	step     int64 // scheduling decisions since attach
 
+	// Per-policy state: the round-robin cursor (attach resets it), the
+	// starvation bound (2·|E|+64 over the base edges) and the adversary's
+	// option scratch.
+	cursor int
+	bound  int64
+	opts   []advOption
+
 	// onFire / onSelect observe fired transitions and edge selections; the
 	// conformance and fuzz suites use them.
 	onFire   func(protocol.Transition)
@@ -80,40 +105,73 @@ type graphCore struct {
 	met      *obs.SchedMetrics
 }
 
-func newGraphCore(p *protocol.Protocol, topo *Topology, rng source, faults *Faults) (graphCore, error) {
-	if err := faults.Validate(); err != nil {
-		return graphCore{}, err
+var _ Scheduler = (*GraphScheduler)(nil)
+
+// newGraphScheduler builds the scheduler over topo under spec's policy and
+// fault rates; spec's graph fields are not read.
+func newGraphScheduler(p *protocol.Protocol, topo *Topology, rng source, spec TopologySpec) (*GraphScheduler, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
 	}
-	if faults != nil && faults.JoinState >= p.NumStates() {
-		return graphCore{}, fmt.Errorf("sched: JoinState %d out of range for protocol %q (%d states)",
-			faults.JoinState, p.Name, p.NumStates())
+	if spec.JoinState >= p.NumStates() {
+		return nil, fmt.Errorf("sched: JoinState %d out of range for protocol %q (%d states)",
+			spec.JoinState, p.Name, p.NumStates())
 	}
 	if topo.N < 2 || len(topo.Edges) == 0 {
-		return graphCore{}, fmt.Errorf("sched: topology needs ≥ 2 agents and ≥ 1 edge (got %d, %d)",
+		return nil, fmt.Errorf("sched: topology needs ≥ 2 agents and ≥ 1 edge (got %d, %d)",
 			topo.N, len(topo.Edges))
 	}
-	base := make([][2]int, len(topo.Edges))
-	copy(base, topo.Edges)
-	return graphCore{
-		p: p, rng: rng, pairs: protocol.NewStepper(p), faults: faults,
-		kind: topo.Kind, kindIdx: topoKindIndex(topo.Kind),
-		base: base, baseN: topo.N,
-		met: obs.Sched(),
+	return &GraphScheduler{
+		p: p, rng: rng, pairs: protocol.NewStepper(p), spec: spec, base: topo,
+		bound: 2*int64(len(topo.Edges)) + 64,
+		met:   obs.Sched(),
 	}, nil
 }
 
-// attach binds the core to configuration c, rebuilding every piece of
+// Step implements Scheduler: one decision injects faults (crash, revive,
+// join, in that order of draws) and then lets the spec's policy pick what
+// fires.
+func (g *GraphScheduler) Step(c *multiset.Multiset) bool {
+	g.attach(c)
+	g.step++
+	if g.met != nil {
+		g.met.Steps.Inc()
+		g.met.GraphSteps.Inc()
+		g.met.TopoInteractions.Add(topoKindIndex(g.base.Kind), 1)
+	}
+	g.injectFaults()
+	if g.aliveE == 0 {
+		return false
+	}
+	var e int
+	switch g.spec.Policy {
+	case PolicyRoundRobin:
+		e = g.nextInSweep()
+	case PolicyStarvation:
+		e = g.maxDelayEdge()
+	case PolicyAdversary:
+		if g.rng.Float64() >= advEpsilon {
+			return g.worstCaseStep()
+		}
+		e = g.sampleEdge()
+	default:
+		e = g.sampleEdge()
+	}
+	return g.fireEdge(e)
+}
+
+// attach binds the scheduler to configuration c, rebuilding every piece of
 // mutable state from the pristine topology. The population must match the
 // topology size; individual agents are assigned states in state order.
-func (g *graphCore) attach(c *multiset.Multiset) {
+func (g *GraphScheduler) attach(c *multiset.Multiset) {
 	if g.attached == c {
 		return
 	}
-	if c.Size() != int64(g.baseN) {
+	if c.Size() != int64(g.base.N) {
 		panic(fmt.Sprintf("sched: topology over %d agents cannot schedule a population of %d",
-			g.baseN, c.Size()))
+			g.base.N, c.Size()))
 	}
-	n := g.baseN
+	n := g.base.N
 	g.states = g.states[:0]
 	for st := 0; st < c.Len(); st++ {
 		for k := int64(0); k < c.Count(st); k++ {
@@ -137,7 +195,7 @@ func (g *graphCore) attach(c *multiset.Multiset) {
 		g.aliveIDs = append(g.aliveIDs, i)
 		g.crashedPos[i] = -1
 	}
-	g.ends = append(g.ends[:0], g.base...)
+	g.ends = append(g.ends[:0], g.base.Edges...)
 	g.incident = g.incident[:0]
 	for i := 0; i < n; i++ {
 		g.incident = append(g.incident, nil)
@@ -153,6 +211,7 @@ func (g *graphCore) attach(c *multiset.Multiset) {
 	g.fen = newFenwick(g.weights)
 	g.aliveE = int64(len(g.ends))
 	g.step = 0
+	g.cursor = 0
 	g.attached = c
 	if g.met != nil {
 		g.met.FenwickRebuilds.Inc()
@@ -173,36 +232,24 @@ func resizeInt(s []int, n int) []int {
 	return s[:n]
 }
 
-// beginStep opens one scheduling decision: telemetry, the step counter, and
-// fault injection.
-func (g *graphCore) beginStep() {
-	g.step++
-	if g.met != nil {
-		g.met.Steps.Inc()
-		g.met.GraphSteps.Inc()
-		g.met.TopoInteractions.Add(g.kindIdx, 1)
-	}
-	if g.faults != nil {
-		g.injectFaults()
-	}
-}
-
-func (g *graphCore) injectFaults() {
-	f := g.faults
-	if f.Crash > 0 && g.rng.Float64() < f.Crash && len(g.aliveIDs) > f.minAlive() {
+// injectFaults draws the decision's crash, revive and join events at the
+// spec's rates; a zero rate draws nothing.
+func (g *GraphScheduler) injectFaults() {
+	f := &g.spec
+	if f.Crash > 0 && g.rng.Float64() < f.Crash && len(g.aliveIDs) > minAlive {
 		g.crash(g.aliveIDs[g.rng.Intn(len(g.aliveIDs))])
 	}
 	if f.Revive > 0 && len(g.crashedIDs) > 0 && g.rng.Float64() < f.Revive {
 		g.revive(g.crashedIDs[g.rng.Intn(len(g.crashedIDs))])
 	}
 	if f.Join > 0 && g.rng.Float64() < f.Join {
-		g.join(f.JoinState, f.attach())
+		g.join(f.JoinState)
 	}
 }
 
 // crash takes agent a out of the interaction graph; its state stays in the
 // configuration.
-func (g *graphCore) crash(a int) {
+func (g *GraphScheduler) crash(a int) {
 	g.alive[a] = false
 	i, last := g.alivePos[a], len(g.aliveIDs)-1
 	moved := g.aliveIDs[last]
@@ -225,7 +272,7 @@ func (g *graphCore) crash(a int) {
 }
 
 // revive brings a crashed agent back in the state it crashed with.
-func (g *graphCore) revive(a int) {
+func (g *GraphScheduler) revive(a int) {
 	g.alive[a] = true
 	i, last := g.crashedPos[a], len(g.crashedIDs)-1
 	moved := g.crashedIDs[last]
@@ -248,10 +295,10 @@ func (g *graphCore) revive(a int) {
 	}
 }
 
-// join adds a fresh agent in the given state, wired to attach distinct alive
-// agents, and grows the attached configuration. The Fenwick index is rebuilt
-// (joins are rare; rebuilds are O(E)).
-func (g *graphCore) join(state, attach int) int {
+// join adds a fresh agent in the given state, wired to joinAttach distinct
+// alive agents, and grows the attached configuration. The Fenwick index is
+// rebuilt (joins are rare; rebuilds are O(E)).
+func (g *GraphScheduler) join(state int) int {
 	id := len(g.states)
 	g.states = append(g.states, state)
 	g.alive = append(g.alive, true)
@@ -263,14 +310,11 @@ func (g *graphCore) join(state, attach int) int {
 	if g.p.Accepting[state] {
 		g.accCount++
 	}
-	k := attach
-	if max := len(g.aliveIDs) - 1; k > max {
-		k = max
-	}
+	k := min(joinAttach, len(g.aliveIDs)-1)
 	var targets []int
 	for len(targets) < k {
 		t := g.aliveIDs[g.rng.Intn(len(g.aliveIDs))]
-		if t == id || containsInt(targets, t) {
+		if t == id || slices.Contains(targets, t) {
 			continue
 		}
 		targets = append(targets, t)
@@ -297,13 +341,13 @@ func (g *graphCore) join(state, attach int) int {
 }
 
 // sampleEdge draws a uniformly random alive edge. Callers guard aliveE > 0.
-func (g *graphCore) sampleEdge() int {
+func (g *GraphScheduler) sampleEdge() int {
 	return g.fen.find(g.rng.Int63n(g.aliveE))
 }
 
 // selectEdge records edge e as this step's selection (starvation-gap
 // telemetry and the per-edge ages the starvation policy reads).
-func (g *graphCore) selectEdge(e int) {
+func (g *GraphScheduler) selectEdge(e int) {
 	if g.met != nil {
 		g.met.StarvationGap.Observe(g.step - g.lastSel[e])
 	}
@@ -316,7 +360,7 @@ func (g *graphCore) selectEdge(e int) {
 // fireEdge completes a scheduling decision on edge e under the uniform law:
 // uniform orientation, then a uniform candidate transition for the oriented
 // state pair. Returns whether the configuration changed.
-func (g *graphCore) fireEdge(e int) bool {
+func (g *GraphScheduler) fireEdge(e int) bool {
 	g.selectEdge(e)
 	a, b := g.ends[e][0], g.ends[e][1]
 	if g.rng.Intn(2) == 1 {
@@ -335,7 +379,7 @@ func (g *graphCore) fireEdge(e int) bool {
 }
 
 // apply fires transition t with initiator a and responder b.
-func (g *graphCore) apply(a, b int, t protocol.Transition) {
+func (g *GraphScheduler) apply(a, b int, t protocol.Transition) {
 	g.p.Apply(g.attached, t)
 	acc := g.p.Accepting
 	g.accCount += accDelta(acc[t.Q2]) + accDelta(acc[t.R2]) - accDelta(acc[t.Q]) - accDelta(acc[t.R])
@@ -362,14 +406,11 @@ func accDelta(accepting bool) int64 {
 // simulate runner prefers this over the multiset-level enabled-transition
 // scan, which cannot see adjacency (two reactive states held only by
 // non-adjacent agents will never meet) or crashed-but-revivable agents.
-func (g *graphCore) Quiescent() bool {
-	if g.attached == nil {
+func (g *GraphScheduler) Quiescent() bool {
+	if g.attached == nil || g.spec.Join > 0 {
 		return false
 	}
-	if g.faults != nil && g.faults.Join > 0 {
-		return false
-	}
-	revivable := g.faults != nil && g.faults.Revive > 0 && len(g.crashedIDs) > 0
+	revivable := g.spec.Revive > 0 && len(g.crashedIDs) > 0
 	for _, ab := range g.ends {
 		a, b := ab[0], ab[1]
 		if !revivable && (!g.alive[a] || !g.alive[b]) {
@@ -386,19 +427,19 @@ func (g *graphCore) Quiescent() bool {
 // Bind attaches the scheduler to c before the first Step, so tests and
 // harnesses can script faults against a known agent layout (agents are
 // numbered 0..m−1 in state order).
-func (g *graphCore) Bind(c *multiset.Multiset) {
+func (g *GraphScheduler) Bind(c *multiset.Multiset) {
 	g.attach(c)
 }
 
 // NumAgents returns the number of agents tracked (alive + crashed), or 0
 // before Bind/Step.
-func (g *graphCore) NumAgents() int { return len(g.states) }
+func (g *GraphScheduler) NumAgents() int { return len(g.states) }
 
 // AliveAgents returns the number of alive agents.
-func (g *graphCore) AliveAgents() int { return len(g.aliveIDs) }
+func (g *GraphScheduler) AliveAgents() int { return len(g.aliveIDs) }
 
 // AgentState returns agent id's current protocol state.
-func (g *graphCore) AgentState(id int) (int, error) {
+func (g *GraphScheduler) AgentState(id int) (int, error) {
 	if id < 0 || id >= len(g.states) {
 		return 0, fmt.Errorf("sched: agent %d out of range (%d agents)", id, len(g.states))
 	}
@@ -407,7 +448,7 @@ func (g *graphCore) AgentState(id int) (int, error) {
 
 // CrashAgent deterministically crashes agent id (harness counterpart of the
 // rate-driven injection). The scheduler must be bound first.
-func (g *graphCore) CrashAgent(id int) error {
+func (g *GraphScheduler) CrashAgent(id int) error {
 	switch {
 	case g.attached == nil:
 		return fmt.Errorf("sched: CrashAgent before Bind")
@@ -415,15 +456,15 @@ func (g *graphCore) CrashAgent(id int) error {
 		return fmt.Errorf("sched: agent %d out of range (%d agents)", id, len(g.states))
 	case !g.alive[id]:
 		return fmt.Errorf("sched: agent %d is already crashed", id)
-	case len(g.aliveIDs) <= 2:
-		return fmt.Errorf("sched: refusing to crash below 2 alive agents")
+	case len(g.aliveIDs) <= minAlive:
+		return fmt.Errorf("sched: refusing to crash below %d alive agents", minAlive)
 	}
 	g.crash(id)
 	return nil
 }
 
 // ReviveAgent deterministically revives a crashed agent.
-func (g *graphCore) ReviveAgent(id int) error {
+func (g *GraphScheduler) ReviveAgent(id int) error {
 	switch {
 	case g.attached == nil:
 		return fmt.Errorf("sched: ReviveAgent before Bind")
@@ -438,21 +479,21 @@ func (g *graphCore) ReviveAgent(id int) error {
 
 // JoinAgent deterministically joins a fresh agent in the given state and
 // returns its id.
-func (g *graphCore) JoinAgent(state int) (int, error) {
+func (g *GraphScheduler) JoinAgent(state int) (int, error) {
 	switch {
 	case g.attached == nil:
 		return 0, fmt.Errorf("sched: JoinAgent before Bind")
 	case state < 0 || state >= g.p.NumStates():
 		return 0, fmt.Errorf("sched: state %d out of range for protocol %q", state, g.p.Name)
 	}
-	return g.join(state, g.faults.attach()), nil
+	return g.join(state), nil
 }
 
 // checkInvariants verifies the structural invariants the conformance and
 // fuzz suites rely on: edge weights consistent with liveness, the Fenwick
 // total and aliveE in agreement, and the per-agent states summing to the
 // attached multiset.
-func (g *graphCore) checkInvariants() error {
+func (g *GraphScheduler) checkInvariants() error {
 	if g.attached == nil {
 		return nil
 	}
@@ -485,44 +526,4 @@ func (g *graphCore) checkInvariants() error {
 			len(g.aliveIDs), len(g.crashedIDs), len(g.states))
 	}
 	return nil
-}
-
-// GraphScheduler is the graph-restricted uniform scheduler (PolicyRandom):
-// each decision draws a uniformly random alive edge, orients it uniformly,
-// and fires a uniform candidate transition. On the clique this is exactly
-// the uniform random-pair law.
-type GraphScheduler struct {
-	graphCore
-}
-
-var _ Scheduler = (*GraphScheduler)(nil)
-
-// newGraphScheduler builds the uniform graph-restricted scheduler.
-func newGraphScheduler(p *protocol.Protocol, topo *Topology, rng source, faults *Faults) (*GraphScheduler, error) {
-	core, err := newGraphCore(p, topo, rng, faults)
-	if err != nil {
-		return nil, err
-	}
-	return &GraphScheduler{graphCore: core}, nil
-}
-
-// Step implements Scheduler.
-func (s *GraphScheduler) Step(c *multiset.Multiset) bool {
-	s.attach(c)
-	s.beginStep()
-	if s.aliveE == 0 {
-		return false
-	}
-	return s.fireEdge(s.sampleEdge())
-}
-
-// CheckPolicy reports an error unless policy names an edge-selection policy
-// (empty means PolicyRandom).
-func CheckPolicy(policy string) error {
-	switch policy {
-	case "", PolicyRandom, PolicyRoundRobin, PolicyStarvation, PolicyAdversary:
-		return nil
-	}
-	return fmt.Errorf("sched: unknown edge-selection policy %q (want %q, %q, %q or %q)",
-		policy, PolicyRandom, PolicyRoundRobin, PolicyStarvation, PolicyAdversary)
 }

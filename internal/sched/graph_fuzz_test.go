@@ -1,11 +1,12 @@
 package sched
 
-// S3: FuzzGraphSample throws random protocols, topologies and fault
-// sequences at the graph schedulers and checks the structural contract on
-// every path: a selected edge always joins two alive agents (never a
-// non-adjacent pair), the Fenwick-indexed weights stay consistent with the
-// alive sets after arbitrary crash/revive/join interleavings, and the
-// tracked per-agent states always sum to the attached configuration.
+// S3: FuzzGraphSample throws random protocols, topologies, edge-selection
+// policies and fault sequences at the graph scheduler and checks the
+// structural contract on every path: a selected edge always joins two alive
+// agents (never a non-adjacent pair), the Fenwick-indexed weights stay
+// consistent with the alive sets after arbitrary crash/revive/join
+// interleavings, and the tracked per-agent states always sum to the
+// attached configuration.
 
 import (
 	"fmt"
@@ -15,11 +16,11 @@ import (
 )
 
 func FuzzGraphSample(f *testing.F) {
-	f.Add(int64(1), uint8(3), []byte{0, 1, 1, 1, 1, 0, 0, 0}, uint8(0), uint8(8), []byte{0, 1, 2, 3})
-	f.Add(int64(7), uint8(2), []byte{0, 0, 1, 1}, uint8(1), uint8(6), []byte{9, 9, 130, 131, 4})
-	f.Add(int64(42), uint8(6), []byte{0, 1, 2, 3, 3, 2, 1, 0}, uint8(2), uint8(12), []byte{200, 100, 0, 255, 17})
-	f.Add(int64(-3), uint8(0), []byte{}, uint8(3), uint8(2), []byte{})
-	f.Fuzz(func(t *testing.T, seed int64, ns uint8, transBytes []byte, topoKind, szByte uint8, ops []byte) {
+	f.Add(int64(1), uint8(3), []byte{0, 1, 1, 1, 1, 0, 0, 0}, uint8(0), uint8(8), uint8(0), []byte{0, 1, 2, 3})
+	f.Add(int64(7), uint8(2), []byte{0, 0, 1, 1}, uint8(1), uint8(6), uint8(1), []byte{9, 9, 130, 131, 4})
+	f.Add(int64(42), uint8(6), []byte{0, 1, 2, 3, 3, 2, 1, 0}, uint8(2), uint8(12), uint8(2), []byte{200, 100, 0, 255, 17})
+	f.Add(int64(-3), uint8(0), []byte{}, uint8(3), uint8(2), uint8(3), []byte{})
+	f.Fuzz(func(t *testing.T, seed int64, ns uint8, transBytes []byte, topoKind, szByte, policy uint8, ops []byte) {
 		numStates := 2 + int(ns%5) // 2..6 states
 		states := make([]string, numStates)
 		input := make([]int, numStates)
@@ -65,8 +66,9 @@ func FuzzGraphSample(f *testing.F) {
 
 		// Rate-driven faults stay on; scripted ops below add deterministic
 		// crash/revive/join calls on top.
-		s, err := newGraphScheduler(p, topo, NewRand(seed), &Faults{
-			Crash: 0.1, Revive: 0.2, Join: 0.05,
+		s, err := newGraphScheduler(p, topo, NewRand(seed), TopologySpec{
+			Policy: conformancePolicies[int(policy)%len(conformancePolicies)],
+			Crash:  0.1, Revive: 0.2, Join: 0.05,
 			JoinState: int(ns) % numStates,
 		})
 		if err != nil {
@@ -98,7 +100,7 @@ func FuzzGraphSample(f *testing.F) {
 			if i >= 64 {
 				break
 			}
-			target := int(op&0x3f) % maxInt(s.NumAgents(), 1)
+			target := int(op&0x3f) % max(s.NumAgents(), 1)
 			switch op >> 6 {
 			case 0:
 				s.Step(c)
@@ -125,11 +127,4 @@ func FuzzGraphSample(f *testing.F) {
 			t.Fatalf("tracked %d agents, configuration holds %d", s.NumAgents(), c.Size())
 		}
 	})
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -13,6 +13,7 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -177,7 +178,7 @@ func PowerLawTopology(n, attach int, seed int64) (*Topology, error) {
 		var targets []int
 		for len(targets) < attach {
 			w := ends[rng.Intn(len(ends))]
-			if w == v || containsInt(targets, w) {
+			if w == v || slices.Contains(targets, w) {
 				continue
 			}
 			targets = append(targets, w)
@@ -222,19 +223,32 @@ func EdgeListTopology(n int, edges [][2]int) (*Topology, error) {
 	return t, nil
 }
 
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
 // TopologySpec is a population-size-independent description of a topology
-// plus the edge-selection policy to drive it with. It is what
-// simulate.Options and the CLIs carry: the concrete graph is built per run,
-// once the population size is known.
+// plus the edge-selection policy and the fault rates to drive it with. It is
+// what simulate.Options and the CLIs carry: the concrete graph is built per
+// run, once the population size is known.
+//
+// The fault rates are the fault-injection layer (the §8 robustness axis,
+// taken further than the paper: the adversary now perturbs the
+// *population*, not just the initial registers), applied at the start of
+// every scheduling decision:
+//
+//   - Crash: with this probability one uniformly random alive agent crashes.
+//     A crashed agent keeps its state and stays in the configuration — it
+//     still counts for the consensus output and for quiescence — but all of
+//     its edges go dark, so it interacts with nobody. Crashes never reduce
+//     the alive population below 2 (a scheduler needs a pair).
+//   - Revive: with this probability one uniformly random crashed agent
+//     revives in the state it crashed with; its edges to alive neighbours
+//     light up again.
+//   - Join: with this probability a fresh agent in state JoinState joins,
+//     wired to 2 distinct alive agents chosen uniformly at random. Joins
+//     grow the configuration (and so the population size m).
+//
+// Crashed-but-revivable agents keep the run non-quiescent: the scheduler's
+// Quiescent method treats their edges as live, so the runner never declares
+// definite stabilisation while a crashed agent could still change the
+// outcome.
 type TopologySpec struct {
 	// Kind is one of the Topo* constants.
 	Kind string
@@ -250,13 +264,38 @@ type TopologySpec struct {
 	// Edges is the explicit edge list for TopoEdges.
 	Edges [][2]int
 	// Policy selects the edge-selection policy (Policy* constants; empty
-	// means PolicyRandom).
+	// means PolicyRandom). PolicyStarvation's delay bound is 2·|E|+64 and
+	// PolicyAdversary mixes uniformly with probability 1/8.
 	Policy string
-	// StarvationBound is the max-delay bound of PolicyStarvation; ≤ 0 means
-	// 2·|E|+64.
-	StarvationBound int64
-	// Epsilon is PolicyAdversary's uniform-mixing probability; 0 means 1/8.
-	Epsilon float64
+	// Crash / Revive / Join are per-decision fault probabilities in [0, 1];
+	// all zero means no faults.
+	Crash, Revive, Join float64
+	// JoinState is the protocol state index joining agents start in.
+	JoinState int
+}
+
+// Validate rejects an unknown edge-selection policy and out-of-range fault
+// rates. Build rejects an unknown kind, and scheduler construction a
+// JoinState beyond the protocol's states.
+func (ts TopologySpec) Validate() error {
+	switch ts.Policy {
+	case "", PolicyRandom, PolicyRoundRobin, PolicyStarvation, PolicyAdversary:
+	default:
+		return fmt.Errorf("sched: unknown edge-selection policy %q (want %q, %q, %q or %q)",
+			ts.Policy, PolicyRandom, PolicyRoundRobin, PolicyStarvation, PolicyAdversary)
+	}
+	for _, r := range []struct {
+		name string
+		v    float64
+	}{{"Crash", ts.Crash}, {"Revive", ts.Revive}, {"Join", ts.Join}} {
+		if !(r.v >= 0 && r.v <= 1) { // NaN fails too
+			return fmt.Errorf("sched: fault rate %s = %v outside [0, 1]", r.name, r.v)
+		}
+	}
+	if ts.JoinState < 0 {
+		return fmt.Errorf("sched: negative JoinState %d", ts.JoinState)
+	}
+	return nil
 }
 
 // Build materialises the spec's graph over a population of n agents.
@@ -299,32 +338,15 @@ func (ts TopologySpec) Build(n int64) (*Topology, error) {
 	}
 }
 
-// NewScheduler builds the spec's graph over n agents and wraps it in the
-// spec's edge-selection policy, with faults (nil = none) injected each step.
-// It is the single constructor the CLIs and simulate.Options route through.
-func (ts TopologySpec) NewScheduler(p *protocol.Protocol, rng *rand.Rand, faults *Faults, n int64) (Scheduler, error) {
+// NewScheduler builds the spec's graph over n agents and the GraphScheduler
+// that drives it under the spec's policy and fault rates. It is the single
+// constructor the CLIs and simulate.Options route through.
+func (ts TopologySpec) NewScheduler(p *protocol.Protocol, rng *rand.Rand, n int64) (*GraphScheduler, error) {
 	topo, err := ts.Build(n)
 	if err != nil {
 		return nil, err
 	}
-	return ts.scheduler(p, topo, rng, faults)
-}
-
-// scheduler wraps topo in the edge-selection policy ts.Policy names, with
-// faults injected each step.
-func (ts TopologySpec) scheduler(p *protocol.Protocol, topo *Topology, rng source, faults *Faults) (Scheduler, error) {
-	switch ts.Policy {
-	case "", PolicyRandom:
-		return newGraphScheduler(p, topo, rng, faults)
-	case PolicyRoundRobin:
-		return newRoundRobin(p, topo, rng, faults)
-	case PolicyStarvation:
-		return newStarvation(p, topo, rng, faults, ts.StarvationBound)
-	case PolicyAdversary:
-		return newAdversary(p, topo, rng, faults, ts.Epsilon)
-	default:
-		return nil, CheckPolicy(ts.Policy)
-	}
+	return newGraphScheduler(p, topo, rng, ts)
 }
 
 // ParseTopologySpec parses the CLI -topology syntax:

@@ -55,8 +55,9 @@ func TestPersistNewestWins(t *testing.T) {
 }
 
 // TestPersistConcurrentSubmits submits, and cancels some of, jobs from
-// several goroutines while two workers run them; after Close every job
-// file must hold its job's final state byte for byte. Run under -race it
+// several goroutines while two workers run them; after Close no job is
+// running (Close leaves the backlog queued) and every job file must hold
+// its job's final state byte for byte. Run under -race it
 // also checks that the writes outside the mutex share nothing unguarded.
 func TestPersistConcurrentSubmits(t *testing.T) {
 	dir := t.TempDir()
@@ -98,7 +99,7 @@ func TestPersistConcurrentSubmits(t *testing.T) {
 	}
 	for _, id := range ids {
 		j := s.Get(id)
-		if !j.terminal() {
+		if j.Status == StatusRunning {
 			t.Fatalf("job %s is %s after Close", id, j.Status)
 		}
 		want, err := json.Marshal(j)

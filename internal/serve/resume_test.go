@@ -43,6 +43,55 @@ func TestServerRecoverQueued(t *testing.T) {
 	}
 }
 
+// TestServerCloseLeavesQueuedJobs pins shutdown with a backlog: Close
+// cancels the running sweep but starts none of the jobs queued behind it, so
+// they still read queued after Close and run to done on a server restarted
+// over the same state directory.
+func TestServerCloseLeavesQueuedJobs(t *testing.T) {
+	dir := t.TempDir()
+	a, err := New(Config{Workers: 1, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inputs [][]int64
+	for i := 0; i < 8; i++ {
+		inputs = append(inputs, []int64{int64(60_000 + 1_000*i), 40_000})
+	}
+	sweep, err := a.Submit(JobSpec{Kind: KindSweep, Target: "majority", Inputs: inputs, Runs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var queued []string
+	for i := 0; i < 5; i++ {
+		j, err := a.Submit(JobSpec{Kind: KindSimulate, Target: "majority",
+			Input: []int64{30_000, 20_000}, Runs: 4, Seed: int64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		queued = append(queued, j.ID)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for a.Get(sweep.ID).Status == StatusQueued {
+		if time.Now().After(deadline) {
+			t.Fatal("sweep never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	a.Close()
+	for _, id := range queued {
+		if got := a.Get(id); got.Status != StatusQueued {
+			t.Fatalf("job %s is %s after Close, want queued", id, got.Status)
+		}
+	}
+
+	_, ts := newTestServer(t, Config{Workers: 1, StateDir: dir})
+	for _, id := range queued {
+		if got := waitTerminal(t, ts.URL, id); got.Status != StatusDone {
+			t.Fatalf("job %s finished %s (%s) after the restart, want done", id, got.Status, got.Error)
+		}
+	}
+}
+
 // TestServerRecoverRemovedKernel pins restart recovery of a job file written
 // before the fluid and langevin kernels and the fluid_floor field were
 // removed: recover loads it (its lenient decode drops the stale field),

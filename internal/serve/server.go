@@ -144,7 +144,10 @@ func New(cfg Config) (*Server, error) {
 
 // Close stops accepting submissions, cancels running jobs, waits for the
 // workers to exit, ends the job streams and drains the cache's skeleton
-// writer. Every call returns only once the close has finished.
+// writer. Jobs still queued stay queued: no worker starts one once Close
+// has begun, and a server restarted on the same StateDir re-enqueues them
+// as it does after a crash. Every call returns only once the close has
+// finished.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.mu.Lock()
@@ -304,7 +307,9 @@ func specHash(spec JobSpec) string {
 func (s *Server) runJob(j *Job) {
 	met := obs.Serve()
 	s.mu.Lock()
-	if j.Status != StatusQueued { // cancelled while queued
+	// A job cancelled while queued is done with; one still queued when
+	// Close began stays queued for the next server to recover.
+	if j.Status != StatusQueued || s.closed {
 		s.mu.Unlock()
 		return
 	}

@@ -71,7 +71,11 @@ const defaultBatch = 1 << 16
 // functions and the CLIs.
 func NewScheduler(p *protocol.Protocol, rng *rand.Rand, opts Options, m int64) (sched.Scheduler, error) {
 	if opts.Topology != nil {
-		return opts.Topology.NewScheduler(p, rng, opts.Faults, m)
+		s, err := opts.Topology.NewScheduler(p, rng, m)
+		if err != nil {
+			return nil, err // not a nil *GraphScheduler in a non-nil Scheduler
+		}
+		return s, nil
 	}
 	switch opts.Kernel {
 	case "", KernelExact:
@@ -145,14 +149,12 @@ type Options struct {
 	// run on the caller's goroutine; Validate rejects values above 1024.
 	Workers int
 	// Topology, when non-nil, restricts the interaction graph: the
-	// measurement functions drive each run through the topology schedulers
-	// of internal/sched (built fresh per run over the input population)
-	// instead of the count-based kernels. The graph schedulers are
-	// per-step, so Topology excludes Kernel and BatchSize.
+	// measurement functions drive each run through the graph scheduler of
+	// internal/sched (built fresh per run over the input population, with
+	// the spec's edge-selection policy and crash/revive/join fault rates)
+	// instead of the count-based kernels. The graph scheduler is per-step,
+	// so Topology excludes Kernel and BatchSize.
 	Topology *sched.TopologySpec
-	// Faults enables fault injection (crash/revive/join) on topology runs.
-	// Requires Topology.
-	Faults *sched.Faults
 }
 
 // maxWorkers bounds Options.Workers, which arrives from flags and ppserved
@@ -163,10 +165,10 @@ const maxWorkers = 1024
 // Validate checks the options without running anything, and is the one
 // place their rules live: every limit is non-negative, Workers is at most
 // 1024, Kernel is empty or a known kernel, a Topology excludes Kernel and
-// BatchSize (the graph schedulers are per-step) and names a known
-// edge-selection policy, and Faults need a Topology and valid rates. The
-// CLIs and ppserved call it before they run; the measurement functions
-// call it once per measurement.
+// BatchSize (the graph scheduler is per-step) and passes
+// sched.TopologySpec.Validate (a known edge-selection policy and fault rates
+// in [0, 1]). The CLIs and ppserved call it before they run; the
+// measurement functions call it once per measurement.
 func (o Options) Validate() error {
 	for _, f := range []struct {
 		name string
@@ -187,39 +189,35 @@ func (o Options) Validate() error {
 		return errUnknownKernel(o.Kernel)
 	}
 	if o.Topology == nil {
-		if o.Faults != nil {
-			return errors.New("simulate: Faults require a Topology (only the graph schedulers track individual agents)")
-		}
 		return nil
 	}
 	if o.Kernel != "" || o.BatchSize > 0 {
 		return errors.New("simulate: Topology excludes Kernel and BatchSize (the graph schedulers are per-step)")
 	}
-	if err := sched.CheckPolicy(o.Topology.Policy); err != nil {
-		return err
-	}
-	return o.Faults.Validate()
+	return o.Topology.Validate()
 }
 
 // SetTopology decodes the topology run strings of the CLIs and ppserved (a
 // topology name, its edge-selection policy and the crash/revive/join fault
-// rates) into o.Topology and o.Faults. An empty name leaves Topology nil
-// and then rejects a policy; all-zero rates leave Faults nil. Validate
-// checks the rest.
+// rates) into o.Topology. An empty name leaves Topology nil and then
+// rejects a policy or a non-zero rate. Validate checks the rest.
 func (o *Options) SetTopology(topology, policy string, crash, revive, join float64) error {
-	if topology != "" {
-		spec, err := sched.ParseTopologySpec(topology)
-		if err != nil {
-			return err
+	if topology == "" {
+		switch {
+		case policy != "":
+			return errors.New("simulate: an edge-selection policy requires a topology")
+		case crash != 0 || revive != 0 || join != 0:
+			return errors.New("simulate: Faults require a Topology (only the graph schedulers track individual agents)")
 		}
-		spec.Policy = policy
-		o.Topology = &spec
-	} else if policy != "" {
-		return errors.New("simulate: an edge-selection policy requires a topology")
+		return nil
 	}
-	if crash != 0 || revive != 0 || join != 0 {
-		o.Faults = &sched.Faults{Crash: crash, Revive: revive, Join: join}
+	spec, err := sched.ParseTopologySpec(topology)
+	if err != nil {
+		return err
 	}
+	spec.Policy = policy
+	spec.Crash, spec.Revive, spec.Join = crash, revive, join
+	o.Topology = &spec
 	return nil
 }
 

@@ -15,7 +15,7 @@ import (
 )
 
 // TestTopologyOptionsValidation pins the option exclusions: topology runs
-// are per-step (no kernels, no batching), and faults need a topology.
+// are per-step (no kernels, no batching), and fault rates need a topology.
 func TestTopologyOptionsValidation(t *testing.T) {
 	p := epidemic(t)
 	topo := &sched.TopologySpec{Kind: sched.TopoRing}
@@ -29,10 +29,9 @@ func TestTopologyOptionsValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("Topology+BatchSize accepted")
 	}
-	if _, err := MeasureConvergence(p, []int64{1, 7}, true, 1, 1, Options{
-		Faults: &sched.Faults{Crash: 0.1},
-	}); err == nil {
-		t.Error("Faults without Topology accepted")
+	var noTopology Options
+	if err := noTopology.SetTopology("", "", 0.1, 0, 0); err == nil {
+		t.Error("fault rates without a topology accepted")
 	}
 	if _, err := MeasureConvergence(p, []int64{1, 7}, true, 1, 1, Options{
 		Topology: &sched.TopologySpec{Kind: sched.TopoGrid, Rows: 3, Cols: 3},
@@ -122,7 +121,7 @@ func TestRunnerSeesGraphQuiescence(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := sched.TopologySpec{Kind: sched.TopoEdges, Edges: [][2]int{{0, 1}, {2, 3}}}
-	s, err := spec.NewScheduler(p, sched.NewRand(3), nil, 4)
+	s, err := spec.NewScheduler(p, sched.NewRand(3), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,13 +156,13 @@ func TestRunnerSeesGraphQuiescence(t *testing.T) {
 // consensus.
 func TestNoConvergenceWhileCrashedAgentDecides(t *testing.T) {
 	p := majority(t)
-	clique := func(seed int64, faults *sched.Faults) *sched.GraphScheduler {
+	clique := func(seed int64, revive float64) *sched.GraphScheduler {
 		t.Helper()
-		s, err := sched.TopologySpec{Kind: sched.TopoClique}.NewScheduler(p, sched.NewRand(seed), faults, 3)
+		s, err := sched.TopologySpec{Kind: sched.TopoClique, Revive: revive}.NewScheduler(p, sched.NewRand(seed), 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.(*sched.GraphScheduler)
+		return s
 	}
 	yState := p.StateIndex("Y")
 
@@ -188,7 +187,7 @@ func TestNoConvergenceWhileCrashedAgentDecides(t *testing.T) {
 	}
 
 	// Permanent crash: definite stabilisation at mixed — never a consensus.
-	s1 := clique(11, nil)
+	s1 := clique(11, 0)
 	c1, err := p.InitialConfig(2, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +208,7 @@ func TestNoConvergenceWhileCrashedAgentDecides(t *testing.T) {
 	// Revivable crash: the run must keep going (no quiescence, no heuristic
 	// window — the output is mixed) until the Y-holder revives, after which
 	// the true majority wins.
-	s2 := clique(13, &sched.Faults{Revive: 0.005})
+	s2 := clique(13, 0.005)
 	c2, err := p.InitialConfig(2, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +228,7 @@ func TestNoConvergenceWhileCrashedAgentDecides(t *testing.T) {
 
 	// Tight-budget control: with a revive possible but not yet occurred, a
 	// short run must end with the budget error — not a declared consensus.
-	s3 := clique(17, &sched.Faults{Revive: 1e-12})
+	s3 := clique(17, 1e-12)
 	c3, err := p.InitialConfig(2, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -249,20 +248,20 @@ func TestTopologyRunsWithFaultsConverge(t *testing.T) {
 	p := epidemic(t)
 	sIdx := p.StateIndex("S")
 	cases := []struct {
-		name   string
-		faults *sched.Faults
+		name string
+		spec sched.TopologySpec
 	}{
-		{"crash-revive", &sched.Faults{Crash: 0.02, Revive: 0.2}},
-		{"joins", &sched.Faults{Join: 0.001, JoinState: sIdx}},
+		{"crash-revive", sched.TopologySpec{Crash: 0.02, Revive: 0.2}},
+		{"joins", sched.TopologySpec{Join: 0.001, JoinState: sIdx}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			tc.spec.Kind, tc.spec.WireSeed = sched.TopoPowerLaw, 3
 			stats, err := MeasureConvergence(p, []int64{1, 15}, true, 4, 21, Options{
 				MaxSteps:         2_000_000,
 				StableWindow:     300,
 				QuiescencePeriod: 50,
-				Topology:         &sched.TopologySpec{Kind: sched.TopoPowerLaw, WireSeed: 3},
-				Faults:           tc.faults,
+				Topology:         &tc.spec,
 			})
 			if err != nil {
 				t.Fatal(err)
