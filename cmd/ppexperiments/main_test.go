@@ -66,9 +66,20 @@ func TestRunQuickMetricsInterval(t *testing.T) {
 	if len(lines) < 2 {
 		t.Fatalf("expected periodic + final snapshots, got %d lines", len(lines))
 	}
-	var last obs.Snap
+	type snapshot struct {
+		Sched struct {
+			Steps int64 `json:"steps"`
+		} `json:"sched"`
+		Sim struct {
+			RunsFinished int64 `json:"runs_finished"`
+		} `json:"sim"`
+		Explore struct {
+			States int64 `json:"states"`
+		} `json:"explore"`
+	}
+	var last snapshot
 	for i, l := range lines {
-		var snap obs.Snap
+		var snap snapshot
 		if err := json.Unmarshal([]byte(l), &snap); err != nil {
 			t.Fatalf("stderr line %d is not a valid JSON snapshot: %v\n%s", i, err, l)
 		}

@@ -55,7 +55,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	queueDepth := fs.Int("queue", 0, "job queue depth (0 = default 64); a full queue rejects submissions with 429")
 	workers := fs.Int("workers", 0, "concurrent job runners (0 = default 2)")
 	cacheSize := fs.Int("cache", 0, "compiled-protocol cache entries (0 = default 32)")
-	checkpointEvery := fs.Int("checkpoint-every", 0, "sweep points between checkpoint writes (0 = default 1)")
 	telemetry := obsflag.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -72,8 +71,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		return usageErr(fmt.Errorf("-workers must be ≥ 0, got %d", *workers))
 	case *cacheSize < 0:
 		return usageErr(fmt.Errorf("-cache must be ≥ 0, got %d", *cacheSize))
-	case *checkpointEvery < 0:
-		return usageErr(fmt.Errorf("-checkpoint-every must be ≥ 0, got %d", *checkpointEvery))
 	}
 	stopTelemetry, err := telemetry.Start(stderr)
 	if err != nil {
@@ -82,11 +79,10 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	defer stopTelemetry()
 
 	srv, err := serve.New(serve.Config{
-		QueueDepth:      *queueDepth,
-		Workers:         *workers,
-		CacheSize:       *cacheSize,
-		StateDir:        *stateDir,
-		CheckpointEvery: *checkpointEvery,
+		QueueDepth: *queueDepth,
+		Workers:    *workers,
+		CacheSize:  *cacheSize,
+		StateDir:   *stateDir,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "ppserved:", err)

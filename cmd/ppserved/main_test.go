@@ -18,7 +18,6 @@ func TestUsageErrors(t *testing.T) {
 		{"-queue", "-1"},
 		{"-workers", "-1"},
 		{"-cache", "-1"},
-		{"-checkpoint-every", "-1"},
 		{"-nonsense"},
 	}
 	for _, args := range cases {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -239,7 +241,15 @@ func TestRunMetricsSnapshot(t *testing.T) {
 	}
 	lines := strings.Split(strings.TrimSpace(stderr.String()), "\n")
 	last := lines[len(lines)-1]
-	var snap obs.Snap
+	var snap struct {
+		Sched struct {
+			Steps        int64 `json:"steps"`
+			NullsSkipped int64 `json:"nulls_skipped"`
+		} `json:"sched"`
+		Sim struct {
+			RunsFinished int64 `json:"runs_finished"`
+		} `json:"sim"`
+	}
 	if err := json.Unmarshal([]byte(last), &snap); err != nil {
 		t.Fatalf("-metrics snapshot is not valid JSON: %v\n%s", err, last)
 	}
@@ -265,5 +275,42 @@ func TestRunMetricsSnapshot(t *testing.T) {
 	if stdout.String() != stdout2.String() {
 		t.Fatalf("stdout differs with metrics on/off:\n--- on ---\n%s--- off ---\n%s",
 			stdout.String(), stdout2.String())
+	}
+}
+
+// TestRunMetricsGroups checks that -metrics writes only the groups that
+// observed something: a program run through the machine interpreter records
+// nothing and prints {}, and a protocol simulation prints exactly the
+// scheduler and runner groups.
+func TestRunMetricsGroups(t *testing.T) {
+	defer obs.Disable()
+	for _, c := range []struct {
+		args   []string
+		groups []string
+	}{
+		{[]string{"-target", "czerner:1", "-input", "6"}, []string{}},
+		{[]string{"-target", "majority", "-input", "60,40"}, []string{"sched", "sim"}},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(append(c.args, "-metrics"), &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit code %d\nstderr: %s", c.args, code, stderr.String())
+		}
+		lines := strings.Split(strings.TrimSpace(stderr.String()), "\n")
+		last := lines[len(lines)-1]
+		var snap map[string]json.RawMessage
+		if err := json.Unmarshal([]byte(last), &snap); err != nil {
+			t.Fatalf("%v: -metrics snapshot is not valid JSON: %v\n%s", c.args, err, last)
+		}
+		groups := []string{}
+		for g := range snap {
+			groups = append(groups, g)
+		}
+		sort.Strings(groups)
+		if !slices.Equal(groups, c.groups) {
+			t.Fatalf("%v: groups %v, want %v: %s", c.args, groups, c.groups, last)
+		}
+		if len(c.groups) == 0 && last != "{}" {
+			t.Fatalf("%v: snapshot %s, want {}", c.args, last)
+		}
 	}
 }

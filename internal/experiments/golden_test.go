@@ -111,7 +111,7 @@ func TestTheorem2ChurnGolden(t *testing.T) {
 		{"unary x ≥ 5 [4]", "7 agents", "crash 0.2% / revive 0.4%", "true", "7", "yes"},
 		{"unary x ≥ 5 [4]", "4 agents", "joins in K (0.05%)", "true", "85", "NO (fooled)"},
 		{"unary x ≥ 5 [4]", "4 agents", "joins in v1 (0.05%)", "true", "97", "yes"},
-		{"threshold x ≥ 1 (§5–6, ⟨elect⟩)", "15 agents", "crash 0.1% / revive 1%", "elected (3158 steps)", "15", "yes"},
+		{"threshold x ≥ 1 (§7.2–7.3, ⟨elect⟩)", "15 agents", "crash 0.1% / revive 1%", "elected (3158 steps)", "15", "yes"},
 	}
 	if !reflect.DeepEqual(tbl.Rows, want) {
 		t.Fatalf("Theorem2Churn(1) rows drifted:\n got %v\nwant %v", tbl.Rows, want)

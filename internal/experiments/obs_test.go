@@ -54,7 +54,6 @@ func TestAllDifferentialObs(t *testing.T) {
 
 	m := obs.Enable()
 	on := renderAll(t, cfg)
-	snap := m.Snapshot()
 	obs.Disable()
 
 	off2 := renderAll(t, cfg)
@@ -66,8 +65,9 @@ func TestAllDifferentialObs(t *testing.T) {
 		t.Fatalf("output not reproducible across telemetry toggling:\n--- first ---\n%s--- second ---\n%s", off1, off2)
 	}
 	// The instrumented run must actually have observed the suite.
-	if snap.Sched.Steps == 0 || snap.Sim.RunsFinished == 0 || snap.Explore.States == 0 {
-		t.Fatalf("telemetry-on run recorded no activity: %+v", snap)
+	if m.Sched().Steps.Load() == 0 || m.Sim().RunsFinished.Load() == 0 || m.Explore().States.Load() == 0 {
+		t.Fatalf("telemetry-on run recorded no activity: steps %d, runs finished %d, states %d",
+			m.Sched().Steps.Load(), m.Sim().RunsFinished.Load(), m.Explore().States.Load())
 	}
 }
 

@@ -201,10 +201,11 @@ func Theorem2Churn(seed int64) (*Table, error) {
 			decided, finalM, robust(decided, tc.want))
 	}
 
-	// The §5–6 construction's ⟨elect⟩ phase under crash/revive churn: pointer
-	// agents may be frozen mid-rendezvous, but as long as revival outpaces
-	// crashing the phase must still complete (E16 measures the same phase per
-	// topology; this row measures it per fault regime).
+	// The ⟨elect⟩ phase of the x ≥ 1 program, compiled (§7.2) and converted
+	// (§7.3), under crash/revive churn: pointer agents may be frozen
+	// mid-rendezvous, but as long as revival outpaces crashing the phase must
+	// still complete (E16 measures the same phase per topology; this row
+	// measures it per fault regime).
 	res, err := ge1Converted()
 	if err != nil {
 		return nil, err
@@ -224,7 +225,7 @@ func Theorem2Churn(seed int64) (*Table, error) {
 	if done {
 		elected, verdict = fmt.Sprintf("elected (%d steps)", steps), "yes"
 	}
-	t.AddRow("threshold x ≥ 1 (§5–6, ⟨elect⟩)", fmt.Sprintf("%d agents", mElect),
+	t.AddRow("threshold x ≥ 1 (§7.2–7.3, ⟨elect⟩)", fmt.Sprintf("%d agents", mElect),
 		"crash 0.1% / revive 1%", elected, cfg.Size(), verdict)
 	return t, nil
 }

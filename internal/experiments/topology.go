@@ -21,8 +21,8 @@ import (
 //     sparse topologies opposing opinion holders separate behind follower
 //     regions and never meet again — runs stall un-stabilised, burning the
 //     whole budget with the output pinned mixed.
-//   - the §5–6 threshold construction (the x ≥ 1 program through the
-//     compile→convert pipeline): its ⟨elect⟩ phase needs same-family
+//   - the threshold x ≥ 1 (the hand-written x ≥ 1 program through the §7.2
+//     compiler and the §7.3 converter): its ⟨elect⟩ phase needs same-family
 //     pointer agents to meet pairwise, which sparse adjacency can postpone
 //     indefinitely.
 //
@@ -37,7 +37,7 @@ func TopologyConvergence(m int64, runs int, seed int64) (*Table, error) {
 		},
 		Notes: []string{
 			fmt.Sprintf("m = %d (election: |F| pointer agents + 9); uniform random alive-edge scheduler; stalled runs hit the step budget with the output still mixed", m),
-			"threshold construction: the x ≥ 1 program compiled (§5) and converted (§6); converged = ⟨elect⟩ phase complete (Lemma 15)",
+			"threshold x ≥ 1: the hand-written x ≥ 1 program compiled (§7.2) and converted (§7.3); converged = ⟨elect⟩ phase complete (Lemma 15)",
 		},
 	}
 	topos := []struct {
@@ -112,9 +112,9 @@ func TopologyConvergence(m int64, runs int, seed int64) (*Table, error) {
 		t.AddRow("majority", tc.name, conv, mean, wrong)
 	}
 
-	// The §5–6 threshold construction: x ≥ 1 compiled and converted, the
-	// same pipeline E10 measures on the clique. The cell measures the
-	// ⟨elect⟩ phase (Lemma 15) per topology.
+	// The threshold x ≥ 1: the hand-written program compiled (§7.2) and
+	// converted (§7.3), the same pipeline E10 measures on the clique. The
+	// cell measures the ⟨elect⟩ phase (Lemma 15) per topology.
 	res, err := ge1Converted()
 	if err != nil {
 		return nil, err
@@ -142,7 +142,7 @@ func TopologyConvergence(m int64, runs int, seed int64) (*Table, error) {
 		if converged > 0 {
 			mean = fmt.Sprintf("%.0f", float64(totalSteps)/float64(converged))
 		}
-		t.AddRow("threshold x ≥ 1 (§5–6)", tc.name, fmt.Sprintf("%d/%d", converged, runs), mean, "—")
+		t.AddRow("threshold x ≥ 1 (§7.2–7.3)", tc.name, fmt.Sprintf("%d/%d", converged, runs), mean, "—")
 	}
 	return t, nil
 }

@@ -7,11 +7,11 @@ import (
 
 // TestTopologyConvergenceGolden pins E16 cell-for-cell. The shape is the
 // point, not the individual step counts: the epidemic converges on every
-// connected topology, while majority and the §5–6 threshold construction's
-// ⟨elect⟩ phase converge on the clique only — on the sparse topologies the
-// deciding agents separate behind follower regions and every run burns its
-// budget. The schedulers are seed-deterministic per-step machines, so any
-// drift here means scheduler sampling, fault bookkeeping or the §5–6
+// connected topology, while majority and the ⟨elect⟩ phase of the x ≥ 1
+// program (compiled by §7.2, converted by §7.3) converge on the clique
+// only — on the sparse topologies the deciding agents separate behind
+// follower regions and every run burns its budget. The schedulers are seed-deterministic per-step machines, so any
+// drift here means scheduler sampling, fault bookkeeping or the §7.2–7.3
 // pipeline changed behaviour, not just luck.
 func TestTopologyConvergenceGolden(t *testing.T) {
 	tbl, err := TopologyConvergence(16, 2, 1)
@@ -27,10 +27,10 @@ func TestTopologyConvergenceGolden(t *testing.T) {
 		{"majority", "ring", "0/2", "—", "0"},
 		{"majority", "grid", "0/2", "—", "0"},
 		{"majority", "powerlaw", "0/2", "—", "0"},
-		{"threshold x ≥ 1 (§5–6)", "clique", "2/2", "2302", "—"},
-		{"threshold x ≥ 1 (§5–6)", "ring", "0/2", "—", "—"},
-		{"threshold x ≥ 1 (§5–6)", "grid", "0/2", "—", "—"},
-		{"threshold x ≥ 1 (§5–6)", "powerlaw", "0/2", "—", "—"},
+		{"threshold x ≥ 1 (§7.2–7.3)", "clique", "2/2", "2302", "—"},
+		{"threshold x ≥ 1 (§7.2–7.3)", "ring", "0/2", "—", "—"},
+		{"threshold x ≥ 1 (§7.2–7.3)", "grid", "0/2", "—", "—"},
+		{"threshold x ≥ 1 (§7.2–7.3)", "powerlaw", "0/2", "—", "—"},
 	}
 	if !reflect.DeepEqual(tbl.Rows, want) {
 		t.Fatalf("TopologyConvergence(16, 2, 1) rows drifted:\n got %v\nwant %v", tbl.Rows, want)

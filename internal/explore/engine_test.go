@@ -280,15 +280,15 @@ func TestParallelMatchesSequentialMachine(t *testing.T) {
 		met := obs.Enable()
 		spilled, err := ExploreParallel[*popmachine.Config](sys, initial,
 			Options{MaxStates: opts.MaxStates, Workers: w, MemBudget: budget, SpillDir: t.TempDir()})
-		snap := met.Snapshot().Explore
+		em := met.Explore()
 		obs.Disable()
 		if err != nil {
 			t.Fatalf("spilled workers=%d: %v", w, err)
 		}
 		assertIdentical(t, seq, spilled, fmt.Sprintf("spilled workers=%d", w))
-		if snap.SpillSegments == 0 || snap.SpillReadBytes == 0 {
+		if em.SpillSegments.Load() == 0 || em.SpillReadBytes.Load() == 0 {
 			t.Fatalf("workers=%d: budget %d spilled %d key-log segments and read back %d bytes",
-				w, budget, snap.SpillSegments, snap.SpillReadBytes)
+				w, budget, em.SpillSegments.Load(), em.SpillReadBytes.Load())
 		}
 	}
 }

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/multiset"
@@ -22,43 +23,51 @@ func TestExploreMetricsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := m.Snapshot()
+	em := m.Explore()
 
-	if snap.Explore.Explorations != 1 {
-		t.Fatalf("Explorations = %d, want 1", snap.Explore.Explorations)
+	if em.Explorations.Load() != 1 {
+		t.Fatalf("Explorations = %d, want 1", em.Explorations.Load())
 	}
-	if snap.Explore.States != int64(res.NumStates) {
-		t.Fatalf("States = %d, result has %d", snap.Explore.States, res.NumStates)
+	if em.States.Load() != int64(res.NumStates) {
+		t.Fatalf("States = %d, result has %d", em.States.Load(), res.NumStates)
 	}
 	// Every ringAfterPath state has exactly one successor.
-	if snap.Explore.Edges != int64(res.NumStates) {
-		t.Fatalf("Edges = %d, want %d (one per state)", snap.Explore.Edges, res.NumStates)
+	if em.Edges.Load() != int64(res.NumStates) {
+		t.Fatalf("Edges = %d, want %d (one per state)", em.Edges.Load(), res.NumStates)
 	}
 	// The chain keeps every BFS frontier at width 1, so the level count
 	// matches the state count and the frontier histogram is all ones.
-	if snap.Explore.Levels != int64(res.NumStates) {
-		t.Fatalf("Levels = %d, want %d (width-1 frontiers)", snap.Explore.Levels, res.NumStates)
+	if em.Levels.Load() != int64(res.NumStates) {
+		t.Fatalf("Levels = %d, want %d (width-1 frontiers)", em.Levels.Load(), res.NumStates)
 	}
-	if snap.Explore.Frontier.Min != 1 || snap.Explore.Frontier.Max != 1 {
-		t.Fatalf("Frontier min/max = %d/%d, want 1/1", snap.Explore.Frontier.Min, snap.Explore.Frontier.Max)
+	b, err := json.Marshal(&em.Frontier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frontier struct{ Min, Max int64 }
+	if err := json.Unmarshal(b, &frontier); err != nil {
+		t.Fatal(err)
+	}
+	if frontier.Min != 1 || frontier.Max != 1 {
+		t.Fatalf("Frontier min/max = %d/%d, want 1/1", frontier.Min, frontier.Max)
 	}
 	// Every interned state lands in exactly one shard, so shard occupancy
 	// must add back up to the state count.
 	var shardTotal int64
-	for _, v := range snap.Explore.InternShard {
-		shardTotal += v
+	for i := 0; i < obs.VecWidth; i++ {
+		shardTotal += em.InternShard.Load(i)
 	}
-	if shardTotal != snap.Explore.States {
-		t.Fatalf("interner shard occupancy sums to %d, want %d states", shardTotal, snap.Explore.States)
+	if shardTotal != em.States.Load() {
+		t.Fatalf("interner shard occupancy sums to %d, want %d states", shardTotal, em.States.Load())
 	}
-	if snap.Explore.InternArenaBytes == 0 {
+	if em.InternArenaBytes.Load() == 0 {
 		t.Fatal("interner recorded no arena bytes")
 	}
-	if snap.Explore.Cancellations != 0 {
-		t.Fatalf("Cancellations = %d on an uncancelled run", snap.Explore.Cancellations)
+	if em.Cancellations.Load() != 0 {
+		t.Fatalf("Cancellations = %d on an uncancelled run", em.Cancellations.Load())
 	}
-	if snap.Explore.Nanos <= 0 {
-		t.Fatalf("Nanos = %d, want > 0", snap.Explore.Nanos)
+	if em.Nanos.Load() <= 0 {
+		t.Fatalf("Nanos = %d, want > 0", em.Nanos.Load())
 	}
 }
 
@@ -73,7 +82,7 @@ func TestExploreMetricsCancellation(t *testing.T) {
 		Options{Workers: 2}); err == nil {
 		t.Fatal("cancelled exploration returned no error")
 	}
-	if got := m.Snapshot().Explore.Cancellations; got != 1 {
+	if got := m.Explore().Cancellations.Load(); got != 1 {
 		t.Fatalf("Cancellations = %d, want 1", got)
 	}
 }

@@ -68,17 +68,17 @@ func TestSpillDifferentialFreeWalk(t *testing.T) {
 		met := obs.Enable()
 		spilled, err := ExploreParallel[*multiset.Multiset](sys, []*multiset.Multiset{c},
 			Options{MaxStates: 1_000_000, Workers: w, MemBudget: budget, SpillDir: t.TempDir()})
-		snap := met.Snapshot()
+		em := met.Explore()
 		obs.Disable()
 		if err != nil {
 			t.Fatalf("workers=%d spilled: %v", w, err)
 		}
 		assertIdentical(t, seq, spilled, fmt.Sprintf("spilled workers=%d", w))
-		if snap.Explore.SpillSegments == 0 || snap.Explore.SpillBytes == 0 {
+		if em.SpillSegments.Load() == 0 || em.SpillBytes.Load() == 0 {
 			t.Fatalf("workers=%d: budget %d did not spill (segments %d, bytes %d)",
-				w, budget, snap.Explore.SpillSegments, snap.Explore.SpillBytes)
+				w, budget, em.SpillSegments.Load(), em.SpillBytes.Load())
 		}
-		if snap.Explore.SpillReadBytes == 0 {
+		if em.SpillReadBytes.Load() == 0 {
 			t.Fatalf("workers=%d: spilled run read nothing back", w)
 		}
 	}
@@ -167,59 +167,59 @@ func TestSpillGoldenTenMillion(t *testing.T) {
 	sys := spillWalk{n: 12_000_003}
 	opts := Options{MaxStates: goldenStates, Workers: 4}
 
-	run := func(opts Options) (error, obs.Snap, time.Duration) {
+	run := func(opts Options) (error, *obs.ExploreMetrics, time.Duration) {
 		met := obs.Enable()
 		defer obs.Disable()
 		t0 := time.Now()
 		_, err := ExploreParallel[uint64](sys, []uint64{0}, opts)
-		return err, met.Snapshot(), time.Since(t0)
+		return err, met.Explore(), time.Since(t0)
 	}
 
-	ramErr, ramSnap, ramDur := run(opts)
+	ramErr, ramMet, ramDur := run(opts)
 	if !errors.Is(ramErr, ErrStateLimit) {
 		t.Fatalf("all-RAM err = %v, want ErrStateLimit", ramErr)
 	}
-	if ramSnap.Explore.States != goldenStates {
-		t.Fatalf("all-RAM interned %d states, want %d", ramSnap.Explore.States, goldenStates)
+	if ramMet.States.Load() != goldenStates {
+		t.Fatalf("all-RAM interned %d states, want %d", ramMet.States.Load(), goldenStates)
 	}
-	if ramSnap.Explore.SpillResidentPeak <= 2*budget {
+	if ramMet.SpillResidentPeak.Load() <= 2*budget {
 		t.Fatalf("all-RAM resident peak %d does not exceed the budget %d — instance too small to prove spilling matters",
-			ramSnap.Explore.SpillResidentPeak, budget)
+			ramMet.SpillResidentPeak.Load(), budget)
 	}
-	if ramSnap.Explore.SpillBytes != 0 {
-		t.Fatalf("all-RAM run spilled %d bytes", ramSnap.Explore.SpillBytes)
+	if ramMet.SpillBytes.Load() != 0 {
+		t.Fatalf("all-RAM run spilled %d bytes", ramMet.SpillBytes.Load())
 	}
 
 	spillOpts := opts
 	spillOpts.MemBudget = budget
 	spillOpts.SpillDir = t.TempDir()
-	spErr, spSnap, spDur := run(spillOpts)
+	spErr, spMet, spDur := run(spillOpts)
 	if !errors.Is(spErr, ErrStateLimit) {
 		t.Fatalf("spilled err = %v, want ErrStateLimit", spErr)
 	}
 	if spErr.Error() != ramErr.Error() {
 		t.Fatalf("spilled error %q, all-RAM %q", spErr, ramErr)
 	}
-	if spSnap.Explore.States != goldenStates {
-		t.Fatalf("spilled interned %d states, want %d (identical refusal point)", spSnap.Explore.States, goldenStates)
+	if spMet.States.Load() != goldenStates {
+		t.Fatalf("spilled interned %d states, want %d (identical refusal point)", spMet.States.Load(), goldenStates)
 	}
-	if spSnap.Explore.SpillResidentPeak > budget {
-		t.Fatalf("spilled resident peak %d exceeds budget %d", spSnap.Explore.SpillResidentPeak, budget)
+	if spMet.SpillResidentPeak.Load() > budget {
+		t.Fatalf("spilled resident peak %d exceeds budget %d", spMet.SpillResidentPeak.Load(), budget)
 	}
-	if spSnap.Explore.SpillSegments == 0 || spSnap.Explore.SpillBytes == 0 {
+	if spMet.SpillSegments.Load() == 0 || spMet.SpillBytes.Load() == 0 {
 		t.Fatalf("spilled run did not spill: segments %d, bytes %d",
-			spSnap.Explore.SpillSegments, spSnap.Explore.SpillBytes)
+			spMet.SpillSegments.Load(), spMet.SpillBytes.Load())
 	}
-	if spSnap.Explore.SpillReadBytes == 0 {
+	if spMet.SpillReadBytes.Load() == 0 {
 		t.Fatal("spilled run read nothing back from disk")
 	}
 	if ratio := spDur.Seconds() / ramDur.Seconds(); ratio > 3.0 {
 		t.Fatalf("spilled run %.1fx slower than all-RAM (spilled %v, ram %v), want ≤ 3x", ratio, spDur, ramDur)
 	}
 	t.Logf("all-RAM: %v (resident peak %d MB); spilled: %v (resident peak %d MB, %d segments, %d MB written, %d MB read back)",
-		ramDur.Round(time.Millisecond), ramSnap.Explore.SpillResidentPeak>>20,
-		spDur.Round(time.Millisecond), spSnap.Explore.SpillResidentPeak>>20,
-		spSnap.Explore.SpillSegments, spSnap.Explore.SpillBytes>>20, spSnap.Explore.SpillReadBytes>>20)
+		ramDur.Round(time.Millisecond), ramMet.SpillResidentPeak.Load()>>20,
+		spDur.Round(time.Millisecond), spMet.SpillResidentPeak.Load()>>20,
+		spMet.SpillSegments.Load(), spMet.SpillBytes.Load()>>20, spMet.SpillReadBytes.Load()>>20)
 }
 
 // cancellingWalk wraps spillWalk and cancels a context after a fixed number
@@ -253,19 +253,19 @@ func TestSpillCancellationNoOrphans(t *testing.T) {
 	met := obs.Enable()
 	_, err := ExploreContext[uint64](ctx, sys, []uint64{0},
 		Options{MaxStates: 1 << 30, Workers: 2, MemBudget: 256 << 10, SpillDir: dir})
-	snap := met.Snapshot()
+	em := met.Explore()
 	obs.Disable()
 
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if snap.Explore.Cancellations != 1 {
-		t.Fatalf("Cancellations = %d, want 1", snap.Explore.Cancellations)
+	if em.Cancellations.Load() != 1 {
+		t.Fatalf("Cancellations = %d, want 1", em.Cancellations.Load())
 	}
 	// The run must actually have been mid-spill when cancelled, or the test
 	// proves nothing.
-	if snap.Explore.SpillSegments == 0 {
-		t.Fatalf("exploration never spilled before cancellation (states %d)", snap.Explore.States)
+	if em.SpillSegments.Load() == 0 {
+		t.Fatalf("exploration never spilled before cancellation (states %d)", em.States.Load())
 	}
 	entries, rdErr := os.ReadDir(dir)
 	if rdErr != nil {
@@ -303,7 +303,7 @@ func BenchmarkExploreSpill(b *testing.B) {
 				met := obs.Enable()
 				res, err := ExploreParallel[*multiset.Multiset](sys, []*multiset.Multiset{c},
 					Options{MaxStates: 1_000_000, Workers: 4, MemBudget: bc.budget, SpillDir: b.TempDir()})
-				peak = met.Snapshot().Explore.SpillResidentPeak
+				peak = met.Explore().SpillResidentPeak.Load()
 				obs.Disable()
 				if err != nil {
 					b.Fatal(err)
@@ -360,12 +360,12 @@ func TestExploreDecodeErrors(t *testing.T) {
 				met := obs.Enable()
 				_, err := ExploreParallel[uint64](sys, []uint64{0},
 					Options{Workers: w, MemBudget: budget, SpillDir: dir})
-				snap := met.Snapshot().Explore
+				em := met.Explore()
 				obs.Disable()
 				if !errors.Is(err, errInjected) {
 					t.Fatalf("%s: err = %v, want the injected decode failure", where, err)
 				}
-				if budget > 0 && snap.SpillSegments == 0 {
+				if budget > 0 && em.SpillSegments.Load() == 0 {
 					t.Fatalf("%s: spilled no key-log segment before failing", where)
 				}
 				entries, rdErr := os.ReadDir(dir)

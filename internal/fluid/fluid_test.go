@@ -242,17 +242,17 @@ func TestHybridRegimeRoundTrip(t *testing.T) {
 	if c.Size() != m {
 		t.Fatalf("mass not conserved: %d", c.Size())
 	}
-	snap := met.Snapshot()
-	if snap.Sched.FluidChunks == 0 || snap.Sched.DiscreteChunks == 0 {
+	sm := met.Sched()
+	if sm.FluidChunks.Load() == 0 || sm.DiscreteChunks.Load() == 0 {
 		t.Fatalf("ladder did not use both tiers: %d fluid / %d discrete chunks",
-			snap.Sched.FluidChunks, snap.Sched.DiscreteChunks)
+			sm.FluidChunks.Load(), sm.DiscreteChunks.Load())
 	}
-	if snap.Sched.RegimeSwitches < 2 {
+	if sm.RegimeSwitches.Load() < 2 {
 		t.Fatalf("%d regime switches, want ≥ 2 (discrete→fluid→discrete)",
-			snap.Sched.RegimeSwitches)
+			sm.RegimeSwitches.Load())
 	}
 	t.Logf("round trip: %d fluid / %d discrete chunks, %d switches",
-		snap.Sched.FluidChunks, snap.Sched.DiscreteChunks, snap.Sched.RegimeSwitches)
+		sm.FluidChunks.Load(), sm.DiscreteChunks.Load(), sm.RegimeSwitches.Load())
 }
 
 // TestHybridForcedFluidBeyondBulk pins the overflow rule: at m = 4·10⁹ the
@@ -276,11 +276,11 @@ func TestHybridForcedFluidBeyondBulk(t *testing.T) {
 	if c.Size() != m {
 		t.Fatalf("mass not conserved: %d", c.Size())
 	}
-	snap := met.Snapshot()
-	if snap.Sched.DiscreteChunks != 0 {
-		t.Fatalf("%d discrete chunks beyond the bulk boundary", snap.Sched.DiscreteChunks)
+	sm := met.Sched()
+	if sm.DiscreteChunks.Load() != 0 {
+		t.Fatalf("%d discrete chunks beyond the bulk boundary", sm.DiscreteChunks.Load())
 	}
-	if snap.Sched.FluidChunks == 0 {
+	if sm.FluidChunks.Load() == 0 {
 		t.Fatal("no fluid chunks recorded")
 	}
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"sync"
 	"testing"
 )
@@ -51,21 +52,20 @@ func TestCountersExactUnderConcurrency(t *testing.T) {
 				em.InternShard.Add(g, 1)
 				m.Sim().WorkerNanos.Add(g, 2)
 				if i%1024 == 0 {
-					_ = m.Snapshot() // snapshots race with writers by design
+					_, _ = json.Marshal(m) // snapshots race with writers by design
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
 
-	s := m.Snapshot()
-	if want := int64(goroutines * perG); s.Sched.Steps != want {
-		t.Errorf("Steps = %d, want %d", s.Sched.Steps, want)
+	if want := int64(goroutines * perG); m.Sched().Steps.Load() != want {
+		t.Errorf("Steps = %d, want %d", m.Sched().Steps.Load(), want)
 	}
-	if want := int64(3 * goroutines * perG); s.Sched.NullsSkipped != want {
-		t.Errorf("NullsSkipped = %d, want %d", s.Sched.NullsSkipped, want)
+	if want := int64(3 * goroutines * perG); m.Sched().NullsSkipped.Load() != want {
+		t.Errorf("NullsSkipped = %d, want %d", m.Sched().NullsSkipped.Load(), want)
 	}
-	h := s.Sched.GeomSkips
+	h := histJSON(t, &m.Sched().GeomSkips)
 	if want := int64(goroutines * perG); h.Count != want {
 		t.Errorf("GeomSkips.Count = %d, want %d", h.Count, want)
 	}
@@ -98,7 +98,7 @@ func TestCountersExactUnderConcurrency(t *testing.T) {
 }
 
 // TestHistCountIsBucketSum pins that Hist keeps no separate count: after N
-// concurrent Observe calls, Count() and the snapshot's Count both equal N
+// concurrent Observe calls, Count() and the marshalled count both equal N
 // and the sum of the buckets. Run under -race in CI.
 func TestHistCountIsBucketSum(t *testing.T) {
 	const (
@@ -115,19 +115,19 @@ func TestHistCountIsBucketSum(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				h.Observe(int64(g*perG + i))
 				if i%1000 == 0 {
-					_ = h.snapshot() // snapshots race with writers by design
+					_, _ = json.Marshal(&h) // snapshots race with writers by design
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	s := h.snapshot()
+	s := histJSON(t, &h)
 	var buckets int64
 	for _, b := range s.Log2Buckets {
 		buckets += b
 	}
 	if h.Count() != n || s.Count != n || buckets != n {
-		t.Fatalf("Count() = %d, snapshot Count = %d, Σ buckets = %d, want %d each",
+		t.Fatalf("Count() = %d, marshalled count = %d, Σ buckets = %d, want %d each",
 			h.Count(), s.Count, buckets, n)
 	}
 }

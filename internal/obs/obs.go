@@ -1,8 +1,9 @@
 // Package obs is the repository's telemetry layer: allocation-free atomic
 // counters, gauges, histogram-ish distributions, and small per-index vectors,
 // grouped into one metric set per hot subsystem (scheduler, simulation
-// runner, exploration engine) and snapshotted into a plain JSON-serialisable
-// struct.
+// runner, exploration engine, server, shrink pipeline). The live set is its
+// own snapshot: every instrument marshals its current value, each field's
+// json tag is its name, and a group that observed nothing is left out.
 //
 // Telemetry is off by default and costs (almost) nothing when off: the
 // per-subsystem group accessors (Sched, Sim, Explore) return nil while
@@ -24,7 +25,9 @@
 package obs
 
 import (
+	"encoding/json"
 	"math/bits"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -55,6 +58,11 @@ func (c *Counter) Load() int64 {
 		return 0
 	}
 	return c.v.Load()
+}
+
+// MarshalJSON writes the value.
+func (c *Counter) MarshalJSON() ([]byte, error) {
+	return strconv.AppendInt(nil, c.Load(), 10), nil
 }
 
 // Gauge is an atomic last-value-wins gauge with a monotone-max variant.
@@ -90,6 +98,11 @@ func (g *Gauge) Load() int64 {
 	return g.v.Load()
 }
 
+// MarshalJSON writes the value.
+func (g *Gauge) MarshalJSON() ([]byte, error) {
+	return strconv.AppendInt(nil, g.Load(), 10), nil
+}
+
 // histBuckets is the number of log2 buckets a Hist tracks: bucket 0 counts
 // observations of 0, bucket i ≥ 1 counts observations v with
 // bits.Len64(v) == i, i.e. v ∈ [2^(i−1), 2^i). 41 buckets cover values up to
@@ -100,7 +113,7 @@ const histBuckets = 41
 // coarse power-of-two buckets. It doubles as a timer (observe elapsed
 // nanoseconds). Negative observations clamp to 0 so min/max stay exact under
 // the unset-sentinel encoding. The count is not stored: every observation
-// lands in exactly one bucket, so Count and snapshots sum the buckets. The
+// lands in exactly one bucket, so Count and MarshalJSON sum the buckets. The
 // zero value is ready to use; methods are nil-safe no-ops.
 type Hist struct {
 	sum      atomic.Int64
@@ -158,13 +171,22 @@ func (h *Hist) Sum() int64 {
 	return h.sum.Load()
 }
 
-// snapshot freezes the distribution. Concurrent Observes may land between
-// field reads; each individual field stays exact with respect to the
-// observations it has absorbed, and Count always equals the sum of the
-// snapshot's buckets.
-func (h *Hist) snapshot() HistSnap {
-	var s HistSnap
-	// Trim trailing empty buckets so snapshots stay compact.
+// MarshalJSON writes the distribution as count, sum, min, max, mean and the
+// log2 buckets with trailing empty buckets trimmed. Concurrent Observes may
+// land between field reads; each field stays exact with respect to the
+// observations it has absorbed, and count always equals the sum of the
+// written buckets.
+func (h *Hist) MarshalJSON() ([]byte, error) {
+	var s struct {
+		Count int64   `json:"count"`
+		Sum   int64   `json:"sum"`
+		Min   int64   `json:"min"`
+		Max   int64   `json:"max"`
+		Mean  float64 `json:"mean"`
+		// Log2Buckets[i] counts observations of bit-length i (bucket 0 is
+		// the value 0, bucket i ≥ 1 is [2^(i−1), 2^i)).
+		Log2Buckets []int64 `json:"log2_buckets,omitempty"`
+	}
 	last := -1
 	var raw [histBuckets]int64
 	for i := range h.buckets {
@@ -174,9 +196,7 @@ func (h *Hist) snapshot() HistSnap {
 			last = i
 		}
 	}
-	if last >= 0 {
-		s.Log2Buckets = append([]int64(nil), raw[:last+1]...)
-	}
+	s.Log2Buckets = raw[:last+1]
 	s.Sum = h.sum.Load()
 	s.Max = h.max.Load()
 	if mp := h.minPlus1.Load(); mp > 0 {
@@ -185,7 +205,7 @@ func (h *Hist) snapshot() HistSnap {
 	if s.Count > 0 {
 		s.Mean = float64(s.Sum) / float64(s.Count)
 	}
-	return s
+	return json.Marshal(s)
 }
 
 // VecWidth is the number of independent slots a Vec tracks. It matches the
@@ -214,8 +234,9 @@ func (v *Vec) Load(i int) int64 {
 	return v.slots[uint(i)%VecWidth].Load()
 }
 
-// snapshot returns the per-slot values with trailing zero slots trimmed.
-func (v *Vec) snapshot() []int64 {
+// MarshalJSON writes the per-slot values with trailing zero slots trimmed,
+// and null when every slot is zero.
+func (v *Vec) MarshalJSON() ([]byte, error) {
 	last := -1
 	var raw [VecWidth]int64
 	for i := range v.slots {
@@ -225,7 +246,7 @@ func (v *Vec) snapshot() []int64 {
 		}
 	}
 	if last < 0 {
-		return nil
+		return []byte("null"), nil
 	}
-	return append([]int64(nil), raw[:last+1]...)
+	return json.Marshal(raw[:last+1])
 }

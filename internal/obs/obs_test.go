@@ -3,6 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -44,8 +47,9 @@ func TestNilReceiversNoop(t *testing.T) {
 	if Sched() != nil || Sim() != nil || Explore() != nil {
 		t.Fatal("disabled accessors returned non-nil groups")
 	}
-	if s, ok := Snapshot(); ok || s.Sched.Steps != 0 {
-		t.Fatalf("disabled Snapshot = %+v, ok=%v", s, ok)
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf); err != nil || buf.String() != "null\n" {
+		t.Fatalf("disabled WriteJSON = %q, %v; want null", buf.String(), err)
 	}
 }
 
@@ -67,7 +71,7 @@ func TestHistSnapshotExact(t *testing.T) {
 	for _, v := range []int64{0, 1, 2, 3, 1024, -7} { // -7 clamps to 0
 		h.Observe(v)
 	}
-	s := h.snapshot()
+	s := histJSON(t, &h)
 	if s.Count != 6 || s.Sum != 1030 || s.Min != 0 || s.Max != 1024 {
 		t.Fatalf("snapshot = %+v", s)
 	}
@@ -85,7 +89,7 @@ func TestHistSnapshotExact(t *testing.T) {
 		t.Fatal("mean not derived")
 	}
 	var empty Hist
-	if es := empty.snapshot(); es.Count != 0 || es.Min != 0 || es.Log2Buckets != nil {
+	if es := histJSON(t, &empty); es.Count != 0 || es.Min != 0 || es.Log2Buckets != nil {
 		t.Fatalf("empty snapshot = %+v", es)
 	}
 }
@@ -97,9 +101,12 @@ func TestVecWraps(t *testing.T) {
 	if got := v.Load(1); got != 5 {
 		t.Fatalf("slot 1 = %d, want 5", got)
 	}
-	snap := v.snapshot()
-	if len(snap) != 2 || snap[0] != 0 || snap[1] != 5 {
-		t.Fatalf("snapshot = %v", snap)
+	if b, err := json.Marshal(&v); err != nil || string(b) != "[0,5]" {
+		t.Fatalf("MarshalJSON = %s, %v; want [0,5]", b, err)
+	}
+	var empty Vec
+	if b, err := json.Marshal(&empty); err != nil || string(b) != "null" {
+		t.Fatalf("empty MarshalJSON = %s, %v; want null", b, err)
 	}
 }
 
@@ -124,7 +131,19 @@ func TestEnableSnapshotRoundTrip(t *testing.T) {
 	if !strings.HasSuffix(line, "\n") || strings.Count(line, "\n") != 1 {
 		t.Fatalf("WriteJSON did not emit exactly one line: %q", line)
 	}
-	var s Snap
+	var s struct {
+		Sched struct {
+			Steps     int64    `json:"steps"`
+			GeomSkips histView `json:"geom_skips"`
+		} `json:"sched"`
+		Sim struct {
+			WorkerNanos []int64 `json:"worker_nanos"`
+		} `json:"sim"`
+		Explore struct {
+			InternShard  []int64 `json:"intern_shard"`
+			StatesPerSec float64 `json:"states_per_sec"`
+		} `json:"explore"`
+	}
 	if err := json.Unmarshal([]byte(line), &s); err != nil {
 		t.Fatalf("snapshot is not valid JSON: %v\n%s", err, line)
 	}
@@ -154,9 +173,227 @@ func TestStartEmitterEmitsValidJSONLines(t *testing.T) {
 		t.Fatalf("emitter produced %d lines, want ≥ 2 (immediate + ticks)", len(lines))
 	}
 	for i, l := range lines {
-		var s Snap
-		if err := json.Unmarshal([]byte(l), &s); err != nil {
-			t.Fatalf("line %d is not valid JSON: %v\n%s", i, err, l)
+		if !json.Valid([]byte(l)) {
+			t.Fatalf("line %d is not valid JSON:\n%s", i, l)
+		}
+	}
+}
+
+// histView is the JSON shape a Hist marshals to.
+type histView struct {
+	Count       int64   `json:"count"`
+	Sum         int64   `json:"sum"`
+	Min         int64   `json:"min"`
+	Max         int64   `json:"max"`
+	Mean        float64 `json:"mean"`
+	Log2Buckets []int64 `json:"log2_buckets"`
+}
+
+// histJSON marshals h and decodes it back into a histView.
+func histJSON(t *testing.T, h *Hist) histView {
+	t.Helper()
+	b, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v histView
+	if err := json.Unmarshal(b, &v); err != nil {
+		t.Fatalf("Hist JSON %s: %v", b, err)
+	}
+	return v
+}
+
+// touchAll sets field i of each group to i+1: counters add it, gauges set
+// it, histograms observe it and vectors add it to slot i.
+func touchAll(t *testing.T, m *Metrics) {
+	t.Helper()
+	for _, g := range []any{m.Sched(), m.Sim(), m.Explore(), m.Serve(), m.Opt()} {
+		v := reflect.ValueOf(g).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			x := int64(i + 1)
+			switch f := v.Field(i).Addr().Interface().(type) {
+			case *Counter:
+				f.Add(x)
+			case *Gauge:
+				f.Set(x)
+			case *Hist:
+				f.Observe(x)
+			case *Vec:
+				f.Add(i, x)
+			default:
+				t.Fatalf("%s.%s: unknown instrument %T", v.Type(), v.Type().Field(i).Name, f)
+			}
+		}
+	}
+}
+
+// flatten appends one key=value line per leaf of the decoded JSON v, keys
+// joined by dots; arrays are leaves.
+func flatten(prefix string, v any, out *[]string) {
+	if o, ok := v.(map[string]any); ok {
+		for k, x := range o {
+			flatten(prefix+k+".", x, out)
+		}
+		return
+	}
+	b, _ := json.Marshal(v)
+	*out = append(*out, strings.TrimSuffix(prefix, ".")+"="+string(b))
+}
+
+// metricsKeyGolden is the fully touched set (touchAll) flattened: every
+// instrument's name and value as -metrics, expvar and the job stream write
+// them.
+var metricsKeyGolden = []string{
+	"explore.cancellations=7",
+	"explore.edges=5",
+	"explore.explorations=1",
+	"explore.frontier.count=1",
+	"explore.frontier.log2_buckets=[0,0,1]",
+	"explore.frontier.max=3",
+	"explore.frontier.mean=3",
+	"explore.frontier.min=3",
+	"explore.frontier.sum=3",
+	"explore.intern_arena_bytes=8",
+	"explore.intern_collisions=9",
+	"explore.intern_shard=[0,0,0,0,0,0,0,0,0,10]",
+	"explore.levels=2",
+	"explore.nanos=6",
+	"explore.spill_bytes=12",
+	"explore.spill_read_bytes=13",
+	"explore.spill_resident_peak=14",
+	"explore.spill_segments=11",
+	"explore.states=4",
+	"explore.states_per_sec=666666666.6666666",
+	"opt.domain_values_removed=3",
+	"opt.instrs_removed=2",
+	"opt.nanos=6",
+	"opt.runs=1",
+	"opt.states_removed=4",
+	"opt.transitions_removed=5",
+	"sched.batch_fallbacks=8",
+	"sched.batch_round_size.count=1",
+	"sched.batch_round_size.log2_buckets=[0,0,0,1]",
+	"sched.batch_round_size.max=7",
+	"sched.batch_round_size.mean=7",
+	"sched.batch_round_size.min=7",
+	"sched.batch_round_size.sum=7",
+	"sched.batch_rounds=6",
+	"sched.crashes=12",
+	"sched.discrete_chunks=17",
+	"sched.effective=2",
+	"sched.fenwick_rebuilds=5",
+	"sched.fluid_chunks=16",
+	"sched.fluid_rk_rejects=20",
+	"sched.fluid_rk_steps=19",
+	"sched.geom_skips.count=1",
+	"sched.geom_skips.log2_buckets=[0,0,0,1]",
+	"sched.geom_skips.max=4",
+	"sched.geom_skips.mean=4",
+	"sched.geom_skips.min=4",
+	"sched.geom_skips.sum=4",
+	"sched.graph_steps=10",
+	"sched.interactions_per_sec=9",
+	"sched.joins=14",
+	"sched.nulls_skipped=3",
+	"sched.regime_switches=18",
+	"sched.revives=13",
+	"sched.starvation_gap.count=1",
+	"sched.starvation_gap.log2_buckets=[0,0,0,0,1]",
+	"sched.starvation_gap.max=15",
+	"sched.starvation_gap.mean=15",
+	"sched.starvation_gap.min=15",
+	"sched.starvation_gap.sum=15",
+	"sched.steps=1",
+	"sched.topo_interactions=[0,0,0,0,0,0,0,0,0,0,11]",
+	"serve.cache_evictions=9",
+	"serve.cache_hits=7",
+	"serve.cache_misses=8",
+	"serve.conversions=10",
+	"serve.convert_nanos=11",
+	"serve.jobs_cancelled=4",
+	"serve.jobs_completed=2",
+	"serve.jobs_failed=3",
+	"serve.jobs_rejected=5",
+	"serve.jobs_resumed=12",
+	"serve.jobs_submitted=1",
+	"serve.queue_depth=6",
+	"serve.stream_clients=13",
+	"sim.checkpoints_written=7",
+	"sim.convergence.count=1",
+	"sim.convergence.log2_buckets=[0,0,1]",
+	"sim.convergence.max=3",
+	"sim.convergence.mean=3",
+	"sim.convergence.min=3",
+	"sim.convergence.sum=3",
+	"sim.quiescent=4",
+	"sim.runs_finished=2",
+	"sim.runs_started=1",
+	"sim.sweep_points_resumed=8",
+	"sim.worker_nanos=[0,0,0,0,0,6]",
+	"sim.worker_runs=[0,0,0,0,5]",
+}
+
+// TestMetricsJSONKeyGolden pins the name and value of every instrument: a
+// fully touched set marshals to exactly the golden key=value lines. It fails
+// if an instrument is dropped, renamed or mis-tagged, or if a group is
+// marshalled by value, where its instruments' pointer marshalers are not
+// called.
+func TestMetricsJSONKeyGolden(t *testing.T) {
+	var m Metrics
+	touchAll(t, &m)
+	b, err := json.Marshal(&m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v any
+	if err := json.Unmarshal(b, &v); err != nil {
+		t.Fatalf("%v\n%s", err, b)
+	}
+	var got []string
+	flatten("", v, &got)
+	sort.Strings(got)
+	if strings.Join(got, "\n") != strings.Join(metricsKeyGolden, "\n") {
+		t.Fatalf("flattened set:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(metricsKeyGolden, "\n"))
+	}
+}
+
+// TestMetricsJSONOmitsEmptyGroups pins that a group is written once any of
+// its instruments observed something, even the value 0, and that written
+// groups keep the order sched, sim, explore, serve, opt.
+func TestMetricsJSONOmitsEmptyGroups(t *testing.T) {
+	var m Metrics
+	for _, c := range []struct {
+		touch  func()
+		groups []string
+	}{
+		{func() {}, nil},
+		{func() { m.Opt().Runs.Inc() }, []string{"opt"}},
+		{func() { m.Sched().GeomSkips.Observe(0) }, []string{"sched", "opt"}},
+		{func() { m.Explore().InternShard.Add(3, 1) }, []string{"sched", "explore", "opt"}},
+	} {
+		c.touch()
+		b, err := json.Marshal(&m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var groups []string
+		dec := json.NewDecoder(bytes.NewReader(b))
+		if _, err := dec.Token(); err != nil {
+			t.Fatalf("%s: %v", b, err)
+		}
+		for dec.More() {
+			name, err := dec.Token()
+			if err != nil {
+				t.Fatalf("%s: %v", b, err)
+			}
+			var group json.RawMessage
+			if err := dec.Decode(&group); err != nil {
+				t.Fatalf("%s: %v", b, err)
+			}
+			groups = append(groups, name.(string))
+		}
+		if !slices.Equal(groups, c.groups) {
+			t.Fatalf("groups written %v, want %v: %s", groups, c.groups, b)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package obsflag wires the shared telemetry flags (-metrics,
 // -metrics-interval, -pprof) into a binary's flag set and manages the
-// telemetry lifecycle around its run. All three binaries (ppsim,
-// ppexperiments, ppverify) use it so the flags mean the same thing
-// everywhere:
+// telemetry lifecycle around its run. All five binaries that record
+// telemetry (ppsim, ppexperiments, ppverify, ppstate, ppserved) use it so
+// the flags mean the same thing everywhere:
 //
 //	-metrics             print one JSON telemetry snapshot to stderr on exit
 //	-metrics-interval D  additionally emit a snapshot line every D while running

@@ -17,14 +17,12 @@ import (
 
 var publishOnce sync.Once
 
-// Publish registers the current obs snapshot as the expvar variable "obs".
-// It is idempotent; Serve and any server embedding Handler call it.
+// Publish registers the current obs metric set as the expvar variable
+// "obs" (null while telemetry is disabled). It is idempotent; Serve and any
+// server embedding Handler call it.
 func Publish() {
 	publishOnce.Do(func() {
-		expvar.Publish("obs", expvar.Func(func() any {
-			s, _ := obs.Snapshot()
-			return s
-		}))
+		expvar.Publish("obs", expvar.Func(func() any { return obs.Current() }))
 	})
 }
 

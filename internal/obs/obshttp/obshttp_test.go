@@ -31,7 +31,11 @@ func TestServeExposesSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	var vars struct {
-		Obs obs.Snap `json:"obs"`
+		Obs struct {
+			Sched struct {
+				Steps int64 `json:"steps"`
+			} `json:"sched"`
+		} `json:"obs"`
 	}
 	if err := json.Unmarshal(body, &vars); err != nil {
 		t.Fatalf("/debug/vars is not valid JSON: %v", err)

@@ -164,11 +164,11 @@ func TestStepNCapsRoundAtRemaining(t *testing.T) {
 			t.Fatal(err)
 		}
 		k.StepN(c, tc.n)
-		snap := m.Snapshot().Sched
+		sm := m.Sched()
 		obs.Disable()
-		if snap.BatchRounds != tc.rounds || snap.BatchFallbacks != tc.fallbacks || snap.Steps != tc.n {
+		if sm.BatchRounds.Load() != tc.rounds || sm.BatchFallbacks.Load() != tc.fallbacks || sm.Steps.Load() != tc.n {
 			t.Fatalf("StepN(%d): %d rounds, %d fallbacks, %d steps; want %d, %d, %d",
-				tc.n, snap.BatchRounds, snap.BatchFallbacks, snap.Steps, tc.rounds, tc.fallbacks, tc.n)
+				tc.n, sm.BatchRounds.Load(), sm.BatchFallbacks.Load(), sm.Steps.Load(), tc.rounds, tc.fallbacks, tc.n)
 		}
 	}
 }

@@ -73,27 +73,27 @@ func TestCollisionKernelEpidemicHandoff(t *testing.T) {
 	if eff != int64(n-1) {
 		t.Fatalf("effective interactions = %d, want exactly n-1 = %d", eff, n-1)
 	}
-	snap := m.Snapshot()
-	if snap.Sched.BatchRounds == 0 {
+	sm := m.Sched()
+	if sm.BatchRounds.Load() == 0 {
 		t.Fatal("bulk path never engaged on a 40k-agent epidemic")
 	}
-	if snap.Sched.BatchFallbacks == 0 {
+	if sm.BatchFallbacks.Load() == 0 {
 		t.Fatal("fallback path never engaged (boundary handoff untested)")
 	}
-	if snap.Sched.Steps != total {
-		t.Fatalf("Steps = %d, want %d requested decisions", snap.Sched.Steps, total)
+	if sm.Steps.Load() != total {
+		t.Fatalf("Steps = %d, want %d requested decisions", sm.Steps.Load(), total)
 	}
-	if snap.Sched.Effective != eff {
-		t.Fatalf("Effective = %d, want %d", snap.Sched.Effective, eff)
+	if sm.Effective.Load() != eff {
+		t.Fatalf("Effective = %d, want %d", sm.Effective.Load(), eff)
 	}
-	if snap.Sched.NullsSkipped > total-eff {
-		t.Fatalf("NullsSkipped = %d exceeds null decisions %d", snap.Sched.NullsSkipped, total-eff)
+	if sm.NullsSkipped.Load() > total-eff {
+		t.Fatalf("NullsSkipped = %d exceeds null decisions %d", sm.NullsSkipped.Load(), total-eff)
 	}
-	if snap.Sched.BatchRoundSize.Count != snap.Sched.BatchRounds {
+	if sm.BatchRoundSize.Count() != sm.BatchRounds.Load() {
 		t.Fatalf("round-size histogram count %d != rounds %d",
-			snap.Sched.BatchRoundSize.Count, snap.Sched.BatchRounds)
+			sm.BatchRoundSize.Count(), sm.BatchRounds.Load())
 	}
-	if snap.Sched.InteractionsPerSec == 0 {
+	if sm.InteractionsPerSec.Load() == 0 {
 		t.Fatal("interactions/sec gauge never set")
 	}
 }
@@ -168,11 +168,11 @@ func TestCollisionKernelForcedBulkInvariants(t *testing.T) {
 					t.Fatalf("effective count %d out of [0, 500]", e)
 				}
 			}
-			snap := m.Snapshot()
+			sm := m.Sched()
 			obs.Disable()
-			if snap.Sched.BatchRounds == 0 || snap.Sched.BatchFallbacks == 0 {
+			if sm.BatchRounds.Load() == 0 || sm.BatchFallbacks.Load() == 0 {
 				t.Fatalf("%s seed %d: %d bulk rounds, %d exact chunks; want both regimes",
-					p.Name, seed, snap.Sched.BatchRounds, snap.Sched.BatchFallbacks)
+					p.Name, seed, sm.BatchRounds.Load(), sm.BatchFallbacks.Load())
 			}
 			if c.Size() != size {
 				t.Fatalf("%s seed %d: population %d, want %d", p.Name, seed, c.Size(), size)

@@ -85,24 +85,24 @@ func TestStepNMetricsConsistent(t *testing.T) {
 		eff += s.StepN(c, 777)
 		total += 777
 	}
-	snap := m.Snapshot()
-	if snap.Sched.Steps != total {
-		t.Fatalf("Steps = %d, want %d", snap.Sched.Steps, total)
+	sm := m.Sched()
+	if sm.Steps.Load() != total {
+		t.Fatalf("Steps = %d, want %d", sm.Steps.Load(), total)
 	}
-	if snap.Sched.Effective != eff {
-		t.Fatalf("Effective = %d, want %d", snap.Sched.Effective, eff)
+	if sm.Effective.Load() != eff {
+		t.Fatalf("Effective = %d, want %d", sm.Effective.Load(), eff)
 	}
-	if snap.Sched.NullsSkipped > total-eff {
-		t.Fatalf("NullsSkipped = %d exceeds null decisions %d", snap.Sched.NullsSkipped, total-eff)
+	if sm.NullsSkipped.Load() > total-eff {
+		t.Fatalf("NullsSkipped = %d exceeds null decisions %d", sm.NullsSkipped.Load(), total-eff)
 	}
-	if snap.Sched.NullsSkipped == 0 {
+	if sm.NullsSkipped.Load() == 0 {
 		t.Fatal("pointer machine engaged no null skipping")
 	}
-	if snap.Sched.GeomSkips.Count == 0 {
+	if sm.GeomSkips.Count() == 0 {
 		t.Fatal("no geometric draws recorded")
 	}
-	if snap.Sched.FenwickRebuilds != 1 {
-		t.Fatalf("FenwickRebuilds = %d, want 1 (single attach)", snap.Sched.FenwickRebuilds)
+	if sm.FenwickRebuilds.Load() != 1 {
+		t.Fatalf("FenwickRebuilds = %d, want 1 (single attach)", sm.FenwickRebuilds.Load())
 	}
 }
 

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // newTestServer starts a Server with the given config behind an httptest
@@ -492,6 +494,55 @@ func TestAPIStream(t *testing.T) {
 	}
 	if last.ID != j.ID || last.Status != StatusDone {
 		t.Fatalf("final stream line %+v, want done for %s", last, j.ID)
+	}
+}
+
+// TestAPIStreamCarriesTelemetry checks that with telemetry on, a simulate
+// job's terminal stream line carries the process-wide metric set: the
+// scheduler's steps and the job's finished runs, and no explore group,
+// which observed nothing.
+func TestAPIStreamCarriesTelemetry(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	s, ts := newTestServer(t, Config{Workers: 1})
+	const runs = 3
+	j, err := s.Submit(JobSpec{Kind: KindSimulate, Target: "majority",
+		Input: []int64{20, 10}, Runs: runs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + j.ID + "/stream?interval_ms=10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	var last []byte
+	for sc.Scan() {
+		last = append(last[:0], sc.Bytes()...)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	var line struct {
+		Status string `json:"status"`
+		Obs    struct {
+			Sched *struct {
+				Steps int64 `json:"steps"`
+			} `json:"sched"`
+			Sim *struct {
+				RunsFinished int64 `json:"runs_finished"`
+			} `json:"sim"`
+			Explore json.RawMessage `json:"explore"`
+		} `json:"obs"`
+	}
+	if err := json.Unmarshal(last, &line); err != nil {
+		t.Fatalf("stream line %q: %v", last, err)
+	}
+	if line.Status != StatusDone || line.Obs.Sched == nil || line.Obs.Sched.Steps <= 0 ||
+		line.Obs.Sim == nil || line.Obs.Sim.RunsFinished != runs || line.Obs.Explore != nil {
+		t.Fatalf("terminal line %s: want done with obs.sched.steps > 0, obs.sim.runs_finished = %d and no obs.explore",
+			last, runs)
 	}
 }
 

@@ -139,14 +139,14 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamLine is one NDJSON record of a job stream: the job's live status
-// and progress plus, when telemetry is enabled, a full obs snapshot — the
-// per-job view onto the same counters /debug/vars exposes globally.
+// and progress plus, when telemetry is enabled, the process-wide obs metric
+// set that /debug/vars also exposes; it is not scoped to the job.
 type streamLine struct {
-	ID        string    `json:"id"`
-	Status    string    `json:"status"`
-	Completed int       `json:"completed,omitempty"`
-	Total     int       `json:"total,omitempty"`
-	Obs       *obs.Snap `json:"obs,omitempty"`
+	ID        string       `json:"id"`
+	Status    string       `json:"status"`
+	Completed int          `json:"completed,omitempty"`
+	Total     int          `json:"total,omitempty"`
+	Obs       *obs.Metrics `json:"obs,omitempty"`
 }
 
 // handleStream writes a line at once, at every change of the job's status
@@ -179,10 +179,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	defer ticker.Stop()
 	for last := false; ; {
 		j, changed := s.watch(id)
-		line := streamLine{ID: j.ID, Status: j.Status, Completed: j.Completed, Total: j.Total}
-		if snap, ok := obs.Snapshot(); ok {
-			line.Obs = &snap
-		}
+		line := streamLine{ID: j.ID, Status: j.Status, Completed: j.Completed, Total: j.Total, Obs: obs.Current()}
 		if err := enc.Encode(line); err != nil {
 			return
 		}

@@ -41,9 +41,6 @@ type Config struct {
 	// memory budget also place their (per-run, self-cleaning) spill
 	// directories under StateDir/spill instead of the system temp dir.
 	StateDir string
-	// CheckpointEvery is the number of completed sweep points between
-	// checkpoint writes. Default 1 (checkpoint after every point).
-	CheckpointEvery int
 }
 
 func (c Config) queueDepth() int {
@@ -410,9 +407,8 @@ func (s *Server) execute(ctx context.Context, j *Job) (json.RawMessage, string, 
 		var ck *simulate.SweepCheckpointConfig
 		if spec.Checkpoint != "" {
 			ck = &simulate.SweepCheckpointConfig{
-				Path:  filepath.Join(s.checkpointsDir(), spec.Checkpoint+".json"),
-				Key:   specHash(spec),
-				Every: s.cfg.CheckpointEvery,
+				Path: filepath.Join(s.checkpointsDir(), spec.Checkpoint+".json"),
+				Key:  specHash(spec),
 				Progress: func(done, total int) {
 					s.mu.Lock()
 					j.Completed, j.Total = done, total

@@ -106,22 +106,10 @@ type SweepCheckpointConfig struct {
 	// Key identifies the sweep spec. A checkpoint with a different key,
 	// runs, seed, or point count is rejected rather than silently ignored.
 	Key string
-	// Every is the number of newly completed points between checkpoint
-	// writes. Zero means 1 (checkpoint after every point). The final
-	// checkpoint (all completions so far) is always written before
-	// SweepResumable returns, including on cancellation.
-	Every int
 	// Progress, when non-nil, is called after each point completes (and
 	// once per restored point), with the number of completed points and the
 	// total. Calls are serialised.
 	Progress func(done, total int)
-}
-
-func (c *SweepCheckpointConfig) every() int {
-	if c == nil || c.Every <= 0 {
-		return 1
-	}
-	return c.Every
 }
 
 // SweepResumable runs MeasureConvergence for each input vector and returns
@@ -131,9 +119,9 @@ func (c *SweepCheckpointConfig) every() int {
 // measured with seed SweepPointSeed(seed, idx); a failed point records its
 // error and the sweep continues, while invalid opts fail the sweep before
 // any point runs. A nil ck runs without checkpoints.
-// Otherwise completed points are saved periodically to ck.Path, and when a
-// valid checkpoint for the same sweep already exists there its points are
-// restored instead of recomputed.
+// Otherwise the checkpoint at ck.Path is rewritten after every completed
+// point, and when a valid checkpoint for the same sweep already exists there
+// its points are restored instead of recomputed.
 //
 // Determinism: points are mutually independent and each is a pure function
 // of its seed, so the result set is bit-identical for any worker count and
@@ -142,8 +130,8 @@ func (c *SweepCheckpointConfig) every() int {
 // this, SIGKILL included).
 //
 // Cancellation: when ctx is cancelled, no new points are started; points
-// already in flight finish, a final checkpoint is written, and the partial
-// results are returned alongside ctx.Err().
+// already in flight finish and are checkpointed, and the partial results
+// are returned alongside ctx.Err().
 func SweepResumable(ctx context.Context, p *protocol.Protocol, inputs [][]int64,
 	expected func(in []int64) bool, runs int, seed int64,
 	opts Options, ck *SweepCheckpointConfig) ([]SweepPoint, error) {
@@ -218,17 +206,9 @@ func SweepResumable(ctx context.Context, p *protocol.Protocol, inputs [][]int64,
 	pointOpts := opts
 	pointOpts.Workers = 1
 	var (
-		mu        sync.Mutex
-		sinceSave int
-		saveErr   error
+		mu      sync.Mutex
+		saveErr error
 	)
-	save := func() {
-		sort.Slice(cp.Points, func(i, j int) bool { return cp.Points[i].Index < cp.Points[j].Index })
-		if err := cp.Save(ck.Path); err != nil && saveErr == nil {
-			saveErr = err
-		}
-		sinceSave = 0
-	}
 	_, err := par.Ordered(ctx, len(todo), opts.Workers, func(_ context.Context, _, i int) error {
 		idx := todo[i]
 		in, pointSeed := inputs[idx], SweepPointSeed(seed, idx)
@@ -243,18 +223,17 @@ func SweepResumable(ctx context.Context, p *protocol.Protocol, inputs [][]int64,
 		defer mu.Unlock()
 		cp.Points = append(cp.Points, cpp)
 		completed++
-		sinceSave++
-		if ck != nil && ck.Path != "" && sinceSave >= ck.every() {
-			save()
+		if ck != nil && ck.Path != "" {
+			sort.Slice(cp.Points, func(i, j int) bool { return cp.Points[i].Index < cp.Points[j].Index })
+			if err := cp.Save(ck.Path); err != nil && saveErr == nil {
+				saveErr = err
+			}
 		}
 		if ck != nil && ck.Progress != nil {
 			ck.Progress(completed, len(inputs))
 		}
 		return nil
 	})
-	if ck != nil && ck.Path != "" && sinceSave > 0 {
-		save()
-	}
 	if saveErr != nil {
 		return points, fmt.Errorf("simulate: checkpoint save: %w", saveErr)
 	}

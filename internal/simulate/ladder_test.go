@@ -42,23 +42,23 @@ func TestLadderMajorityTrillion(t *testing.T) {
 	if res.Final.Count(p.StateIndex("Y")) != 0 || res.Final.Count(p.StateIndex("y")) != 0 {
 		t.Fatalf("minority residue: Y=%d y=%d", res.Final.Count(p.StateIndex("Y")), res.Final.Count(p.StateIndex("y")))
 	}
-	snap := met.Snapshot()
-	if snap.Sched.FluidChunks == 0 {
+	sm := met.Sched()
+	if sm.FluidChunks.Load() == 0 {
 		t.Fatal("no fluid chunks recorded at m = 10¹²")
 	}
-	if snap.Sched.DiscreteChunks != 0 {
-		t.Fatalf("forced-fluid rule violated: %d discrete chunks at m = 10¹²", snap.Sched.DiscreteChunks)
+	if sm.DiscreteChunks.Load() != 0 {
+		t.Fatalf("forced-fluid rule violated: %d discrete chunks at m = 10¹²", sm.DiscreteChunks.Load())
 	}
 	// < 100 ms is the acceptance bar; allow slack for loaded CI machines.
 	if wall > 2*time.Second {
 		t.Fatalf("m = 10¹² majority took %s", wall)
 	}
 	t.Logf("m=1e12 majority: %d steps (%.0f parallel time) in %s, %d fluid chunks, %d RK steps",
-		res.Steps, res.ParallelTime(), wall, snap.Sched.FluidChunks, snap.Sched.FluidRKSteps)
+		res.Steps, res.ParallelTime(), wall, sm.FluidChunks.Load(), sm.FluidRKSteps.Load())
 }
 
-// thresholdGE1 builds the §5–6 threshold construction: the x ≥ 1 program
-// compiled (§5) and converted (§6) to a population protocol — the same
+// thresholdGE1 builds the threshold x ≥ 1: the hand-written x ≥ 1 program
+// compiled (§7.2) and converted (§7.3) to a population protocol — the same
 // pipeline E10/E16 measure. The returned Result carries the pointer set for
 // the leader-model initial configuration.
 func thresholdGE1(t testing.TB) *convert.Result {
@@ -121,17 +121,17 @@ func TestLadderThresholdTrillion(t *testing.T) {
 	if got := res.Final.Count(p.StateIndex("K")); got != m {
 		t.Fatalf("accept state K holds %d of %d agents", got, m)
 	}
-	snap := met.Snapshot()
-	if snap.Sched.FluidChunks == 0 || snap.Sched.DiscreteChunks != 0 {
+	sm := met.Sched()
+	if sm.FluidChunks.Load() == 0 || sm.DiscreteChunks.Load() != 0 {
 		t.Fatalf("tier routing: %d fluid / %d discrete chunks, want all-fluid",
-			snap.Sched.FluidChunks, snap.Sched.DiscreteChunks)
+			sm.FluidChunks.Load(), sm.DiscreteChunks.Load())
 	}
 	// < 100 ms is the acceptance bar; allow slack for loaded CI machines.
 	if wall > 2*time.Second {
 		t.Fatalf("m = 10¹² threshold took %s", wall)
 	}
 	t.Logf("m=1e12 unary x≥8: %d steps (%.1f parallel time) in %s, %d fluid chunks",
-		res.Steps, res.ParallelTime(), wall, snap.Sched.FluidChunks)
+		res.Steps, res.ParallelTime(), wall, sm.FluidChunks.Load())
 
 	// Rejecting side at the exact tier: 7 agents cannot pool to 8.
 	rej, err := convergenceRun(p, []int64{7}, 0, 3, Options{Kernel: KernelExact})
@@ -143,14 +143,14 @@ func TestLadderThresholdTrillion(t *testing.T) {
 	}
 }
 
-// TestLadderConvertedLeaderModel pins how the ladder treats the §5–6
-// machine-converted construction (x ≥ 1, leader model). Its |F| pointer
-// agents are *microscopic* — single agents walking an instruction cycle —
-// which is exactly the regime the mean-field limit cannot represent: in
-// the ODE the pointer mass smears into a quasi-stationary distribution
-// over instruction states and the non-accepting residue never clears
-// (observed empirically: "mixed" output persists past τ = 78·m at
-// m = 10⁴). Two contracts follow:
+// TestLadderConvertedLeaderModel pins how the ladder treats the x ≥ 1
+// program compiled (§7.2) and machine-converted (§7.3), leader model. Its
+// |F| pointer agents are *microscopic* — single agents walking an
+// instruction cycle — which is exactly the regime the mean-field limit
+// cannot represent: in the ODE the pointer mass smears into a
+// quasi-stationary distribution over instruction states and the
+// non-accepting residue never clears (observed empirically: "mixed" output
+// persists past τ = 78·m at m = 10⁴). Two contracts follow:
 //
 //  1. The exact tier decides the construction correctly: the output flag
 //     flips and the accepting opinion reaches the whole population within
@@ -193,17 +193,17 @@ func TestLadderConvertedLeaderModel(t *testing.T) {
 	}
 	h := fluid.NewHybrid(p, sched.NewRand(5))
 	h.StepN(bigCfg, 4_000_000)
-	snap := met.Snapshot()
-	if snap.Sched.FluidChunks != 0 {
+	sm := met.Sched()
+	if sm.FluidChunks.Load() != 0 {
 		t.Fatalf("hybrid sent %d chunks to the fluid tier despite microscopic pointers",
-			snap.Sched.FluidChunks)
+			sm.FluidChunks.Load())
 	}
-	if snap.Sched.DiscreteChunks == 0 {
+	if sm.DiscreteChunks.Load() == 0 {
 		t.Fatal("hybrid recorded no discrete chunks")
 	}
-	if snap.Sched.RegimeSwitches != 0 {
+	if sm.RegimeSwitches.Load() != 0 {
 		t.Fatalf("hybrid recorded %d regime switches on an always-discrete run",
-			snap.Sched.RegimeSwitches)
+			sm.RegimeSwitches.Load())
 	}
 	if bigCfg.Size() != big {
 		t.Fatalf("mass not conserved: %d, want %d", bigCfg.Size(), big)

@@ -486,11 +486,11 @@ func TestRunAllocsIndependentOfSteps(t *testing.T) {
 		if tc.p == hover {
 			m := obs.Enable()
 			run(10_000_000)
-			snap := m.Snapshot().Sched
+			sm := m.Sched()
 			obs.Disable()
-			if snap.BatchRounds < 100 || snap.BatchFallbacks < 100 {
+			if sm.BatchRounds.Load() < 100 || sm.BatchFallbacks.Load() < 100 {
 				t.Fatalf("%s: %d bulk rounds and %d exact chunks over 10⁷ steps; want both ≥ 100",
-					tc.name, snap.BatchRounds, snap.BatchFallbacks)
+					tc.name, sm.BatchRounds.Load(), sm.BatchFallbacks.Load())
 			}
 		}
 		allocs := func(maxSteps int64) float64 {
